@@ -88,19 +88,21 @@ def variance(p: RabiParams) -> float:
     return variance_sp(p)
 
 
-def short_time_le(gamma: float, chi: float, t) -> np.ndarray | float:
+def short_time_le(gamma, chi: float, t) -> np.ndarray | float:
     """Gaussian short-time law L(t) = exp(-4 gamma chi^2 t^2).
 
-    The law is the leading term of an expansion in epsilon * t (epsilon the
+    `gamma` and `t` may be scalars or arrays that broadcast together. The law
+    is the leading term of an expansion in epsilon * t (epsilon the
     ground-state excitation frequency) and is valid for epsilon * t << 1;
     it is evaluated at every requested t regardless.
     """
-    if gamma < 0:
+    gamma = np.asarray(gamma, dtype=float)
+    if np.any(gamma < 0):
         raise ValueError("gamma must be non-negative")
     t = np.asarray(t, dtype=float)
-    out = np.exp(-4.0 * gamma * chi**2 * t**2)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")
+    out = np.exp(-4.0 * gamma * chi**2 * t**2)
     return out if out.ndim else float(out)
 
 

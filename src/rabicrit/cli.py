@@ -24,8 +24,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="ground-energy tolerance for cutoff doubling")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for sweep points")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (never affects physics)")
 
 
 def build_parser() -> argparse.ArgumentParser:

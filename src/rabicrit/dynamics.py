@@ -2,32 +2,45 @@
 probe's reduced state.
 
 Time propagation reuses one spectral decomposition per Hamiltonian; the
-Hamiltonians are time independent and the full spectrum is already needed for
-ground-state selection.
+Hamiltonians are time independent. The exact method solves real band
+matrices (`hamiltonians.build_rabi_parity` below the transition,
+`hamiltonians.build_displaced_rabi_band` above it); the effective method and
+the dense `Operator` path solve dense matrices.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import CRITICAL_BAND, variance_np, variance_sp
+from .analytic import CRITICAL_BAND, short_time_le, variance_np, variance_sp
 from .errors import DimensionMismatchError, PhaseDomainError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
     alpha_lambda,
-    build_branch,
-    build_displaced_rabi,
+    build_displaced_rabi_band,
     build_effective_np,
     build_effective_sp,
-    build_rabi,
+    build_rabi_parity,
 )
-from .hilbert import Operator, QuantumState, identity, number, quadrature_x, tensor
+from .hilbert import (
+    BandMatrix,
+    FockCutoff,
+    Operator,
+    QuantumState,
+    identity,
+    number,
+    quadrature_x,
+)
 from .spectra import (
+    band_ground_state,
+    band_spectrum,
     converge_cutoff,
+    displaced_photon_moments,
     ground_state,
     operator_moments,
     photon_moments,
@@ -42,10 +55,13 @@ class SpectralDecomposition:
     dims: tuple[int, ...]
 
     @classmethod
-    def of(cls, h: Operator) -> "SpectralDecomposition":
-        if not h.is_hermitian():
+    def of(cls, h: Operator | BandMatrix) -> "SpectralDecomposition":
+        if isinstance(h, BandMatrix):
+            w, v = band_spectrum(h)
+        elif not h.is_hermitian():
             raise ValueError("spectral decomposition requires a Hermitian operator")
-        w, v = np.linalg.eigh(h.mat)
+        else:
+            w, v = np.linalg.eigh(h.mat)
         return cls(w, v, h.dims)
 
 
@@ -60,44 +76,55 @@ def evolve(decomp: SpectralDecomposition, psi0: QuantumState, t: float) -> Quant
     return QuantumState(vec, psi0.dims)
 
 
+def _matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """v @ z for complex z. A real v (the band solvers' eigenvectors) is not
+    cast to complex: it multiplies the interleaved real and imaginary parts
+    of z in one real product."""
+    if np.iscomplexobj(v):
+        return v @ z
+    z = np.ascontiguousarray(z, dtype=complex)
+    out = v @ z.view(float).reshape(z.shape[0], -1)
+    return out.view(complex).reshape(v.shape[0], *z.shape[1:])
+
+
 @dataclass(frozen=True)
 class EchoSeries:
     times: np.ndarray
     d_values: np.ndarray
     l_values: np.ndarray
     gamma_used: float
-    params_snapshot: dict = field(default_factory=dict)
 
 
 def decoherence_factor(
-    h_g: Operator,
-    h_e: Operator,
+    h_g: Operator | BandMatrix,
+    h_e: Operator | BandMatrix,
     ground: QuantumState,
     times,
     gamma: float | None = None,
-    params_snapshot: dict | None = None,
 ) -> EchoSeries:
     """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>.
 
-    `gamma` is the photon-number variance used by short-time comparisons; if
-    omitted it is computed from `ground` assuming the last tensor factor is
-    the boson (valid in the bare frame only).
+    Each branch is evolved to every time in one matrix product,
+    Phi_b = V_b (exp(-i E_b t) * V_b^dag |G>). `gamma` is the photon-number
+    variance used by short-time comparisons; if omitted it is computed from
+    `ground` assuming the last tensor factor is the boson (valid in the bare
+    frame only).
     """
     if h_g.dims != h_e.dims:
         raise DimensionMismatchError(f"branch dims differ: {h_g.dims} vs {h_e.dims}")
     times = np.asarray(times, dtype=float)
     dg = SpectralDecomposition.of(h_g)
     de = SpectralDecomposition.of(h_e)
-    cg = dg.vectors.conj().T @ ground.vec
-    ce = de.vectors.conj().T @ ground.vec
-    # <G| e^{i H_g t} e^{-i H_e t} |G> via both eigenbases
-    overlap = (dg.vectors.conj().T @ de.vectors) * np.outer(cg.conj(), ce)
-    d_vals = np.array(
-        [
-            np.sum(np.exp(1j * np.subtract.outer(dg.energies, de.energies) * t) * overlap)
-            for t in times
-        ]
-    )
+    # A common energy offset is a global phase that cancels in D; removing it
+    # keeps the phases E t small (E is near -omega_0/2).
+    e_ref = dg.energies[0]
+
+    def evolved(d: SpectralDecomposition) -> np.ndarray:
+        coeff = _matmul(d.vectors.conj().T, ground.vec)
+        phases = np.exp(-1j * np.outer(d.energies - e_ref, times))
+        return _matmul(d.vectors, phases * coeff[:, None])
+
+    d_vals = np.sum(evolved(dg).conj() * evolved(de), axis=0)
     if gamma is None:
         _, gamma = photon_moments(ground)
     return EchoSeries(
@@ -105,7 +132,6 @@ def decoherence_factor(
         d_values=d_vals,
         l_values=np.abs(d_vals) ** 2,
         gamma_used=gamma,
-        params_snapshot=params_snapshot or {},
     )
 
 
@@ -142,45 +168,68 @@ class EchoSweep:
     gammas: np.ndarray
     cutoffs: list
     converged: list
+    wall_times: np.ndarray        # seconds spent on each lambda's point
+
+
+@dataclass(frozen=True)
+class ExactGround:
+    """Exact Rabi ground state at its converged cutoff, in the band basis of
+    its phase: the even parity chain of the bare frame for lam <= 1
+    (`alpha` = 0), the frame displaced by `alpha` = alpha_lambda, spin-fastest,
+    above. `mean_n` and `gamma` are the moments of the physical photon number.
+    """
+
+    alpha: float
+    cutoff: FockCutoff
+    energy: float
+    state: QuantumState
+    mean_n: float
+    gamma: float
+
+
+def _exact_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
+    """Both parity chains (alpha = 0) or the displaced frame (alpha > 0)."""
+    if alpha == 0.0:
+        return build_rabi_parity(p, cutoff)
+    return build_displaced_rabi_band(p, alpha, cutoff)
+
+
+def _ground_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
+    """The block of `_exact_band` that holds the ground state."""
+    h = _exact_band(p, alpha, cutoff)
+    return h.leading(cutoff.dim) if alpha == 0.0 else h
+
+
+def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> ExactGround:
+    """Exact ground state: bare frame for lam <= 1, displaced by alpha_lambda
+    above. The cutoff search sees both parity chains, as a dense solve would;
+    the state comes from one solve at the chosen cutoff."""
+    alpha = alpha_lambda(p) if p.lam > 1.0 else 0.0
+    cutoff = converge_cutoff(lambda c: _exact_band(p, alpha, c), cutoff_tol, n_start)
+    energy, vec = band_ground_state(_ground_sector(p, alpha, cutoff))
+    mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
+    return ExactGround(alpha, cutoff, energy, QuantumState(vec), mean_n, gamma)
 
 
 def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
     """(h_g, h_e, ground, gamma, cutoff) in the appropriate common frame.
 
-    Normal side (lam <= 1): bare frame, branch cavity frequencies omega_c -+ chi.
+    Normal side (lam <= 1): bare frame, branch cavity frequencies omega_c -+ chi,
+    restricted to the even parity chain, which the branches conserve.
     Superradiant side: one common displacement alpha_lambda applied to the
     ground-state Hamiltonian and both branches (frame invariance of the echo
     makes this exact; per-branch displacements would not be).
     """
     chi = probe.chi
-    if p.lam <= 1.0:
-        builder = lambda c: build_rabi(p, c)
-        cutoff = converge_cutoff(builder, cutoff_tol, n_start)
-        gs = ground_state(builder(cutoff))
-        h_g = build_branch(p, probe, "g", cutoff)
-        h_e = build_branch(p, probe, "e", cutoff)
-        _, gamma = photon_moments(gs.state)
-        return h_g, h_e, gs, gamma, cutoff
-    alpha = alpha_lambda(p)
-    builder = lambda c: build_displaced_rabi(p, alpha, c)[0]
-    cutoff = converge_cutoff(builder, cutoff_tol, n_start)
-    gs = ground_state(builder(cutoff))
-    ib = identity((cutoff.dim,))
+    gs = exact_ground_state(p, cutoff_tol, n_start)
 
-    def displaced_branch(omega_b: float, const: float) -> Operator:
+    def branch(omega_b: float, const: float) -> BandMatrix:
         shifted = RabiParams(omega_b, p.omega_0, p.g)
-        h, _ = build_displaced_rabi(shifted, alpha, cutoff)
-        return h + const * identity(h.dims)
+        return _ground_sector(shifted, gs.alpha, gs.cutoff).shifted(const)
 
-    h_g = displaced_branch(p.omega_c - chi, -0.5 * probe.omega_s)
-    h_e = displaced_branch(p.omega_c + chi, 0.5 * probe.omega_s + chi)
-    # physical photon number in the displaced frame: (a^dag + alpha)(a + alpha)
-    n_phys = tensor(
-        identity((2,)),
-        number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ib,
-    )
-    _, gamma = operator_moments(gs.state, n_phys)
-    return h_g, h_e, gs, gamma, cutoff
+    h_g = branch(p.omega_c - chi, -0.5 * probe.omega_s)
+    h_e = branch(p.omega_c + chi, 0.5 * probe.omega_s + chi)
+    return h_g, h_e, gs.state, gs.gamma, gs.cutoff
 
 
 def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
@@ -210,7 +259,7 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_
     h_g = h0 - chi * n_phys + (-0.5 * probe.omega_s) * identity(h0.dims)
     h_e = h0 + chi * n_phys + (0.5 * probe.omega_s + chi) * identity(h0.dims)
     _, gamma = operator_moments(gs.state, n_phys)
-    return h_g, h_e, gs, gamma, cutoff
+    return h_g, h_e, gs.state, gamma, cutoff
 
 
 def _echo_point(
@@ -236,15 +285,15 @@ def _echo_point(
             gamma = variance_np(p) if lam < 1.0 else variance_sp(p)
         else:
             gamma = max(variational_solve(p).gamma_prime, 0.0)
-        return EchoPoint(lam, np.exp(-4.0 * gamma * chi**2 * times**2), gamma, None, True)
+        return EchoPoint(lam, short_time_le(gamma, chi, times), gamma, None, True)
     if method == "exact":
-        h_g, h_e, gs, gamma, cutoff = _exact_branches(p, probe, cutoff_tol, n_start)
+        h_g, h_e, ground, gamma, cutoff = _exact_branches(p, probe, cutoff_tol, n_start)
     elif method == "effective":
-        h_g, h_e, gs, gamma, cutoff = _effective_branches(p, probe, cutoff_tol, n_start)
+        h_g, h_e, ground, gamma, cutoff = _effective_branches(p, probe, cutoff_tol, n_start)
     else:
         raise ValueError(f"unknown method {method!r}")
-    series = decoherence_factor(h_g, h_e, gs.state, times, gamma=gamma)
-    return EchoPoint(lam, series.l_values, gamma, cutoff.n_max, gs.converged)
+    series = decoherence_factor(h_g, h_e, ground, times, gamma=gamma)
+    return EchoPoint(lam, series.l_values, gamma, cutoff.n_max, True)
 
 
 def loschmidt_echo_sweep(
@@ -271,14 +320,17 @@ def loschmidt_echo_sweep(
         raise ValueError("lambda and time grids must be non-empty")
     eta, omega_c = p.eta, p.omega_c
 
-    def work(lam: float) -> EchoPoint:
-        return _echo_point(lam, eta, omega_c, probe, times, method, cutoff_tol, n_start)
+    def work(lam: float) -> tuple[EchoPoint, float]:
+        t0 = time.perf_counter()
+        point = _echo_point(lam, eta, omega_c, probe, times, method, cutoff_tol, n_start)
+        return point, time.perf_counter() - t0
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(work, lambdas))
+            results = list(pool.map(work, lambdas))
     else:
-        points = [work(lam) for lam in lambdas]
+        results = [work(lam) for lam in lambdas]
+    points = [pt for pt, _ in results]
     return EchoSweep(
         lambdas=lambdas,
         times=times,
@@ -287,4 +339,5 @@ def loschmidt_echo_sweep(
         gammas=np.array([pt.gamma for pt in points]),
         cutoffs=[pt.cutoff for pt in points],
         converged=[pt.converged for pt in points],
+        wall_times=np.array([wall for _, wall in results]),
     )

@@ -18,6 +18,7 @@ from .dynamics import (
     SpectralDecomposition,
     decoherence_factor,
     evolve,
+    exact_ground_state,
     loschmidt_echo_sweep,
 )
 from .hamiltonians import (
@@ -25,13 +26,12 @@ from .hamiltonians import (
     RabiParams,
     alpha_lambda,
     build_branch,
-    build_displaced_rabi,
     build_effective_np,
     build_effective_sp,
     build_rabi,
     build_tripartite,
 )
-from .hilbert import FockCutoff, QuantumState, identity, number, quadrature_x, tensor
+from .hilbert import FockCutoff, QuantumState, identity, number, quadrature_x
 from .spectra import converge_cutoff, ground_state, operator_moments, photon_moments
 from .variational import solve as variational_solve
 
@@ -198,20 +198,8 @@ def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> lis
             converged = True
             t0 = time.perf_counter()
             if method == "exact":
-                if lam <= 1.0:
-                    builder = lambda c: build_rabi(p, c)
-                    n_op = lambda c: tensor(identity((2,)), number(c))
-                else:
-                    alpha = alpha_lambda(p)
-                    builder = lambda c: build_displaced_rabi(p, alpha, c)[0]
-                    n_op = lambda c: tensor(
-                        identity((2,)),
-                        number(c) + alpha * quadrature_x(c) + alpha**2 * identity((c.dim,)),
-                    )
-                cutoff = converge_cutoff(builder, cfg.cutoff_tol, n_start)
-                gs = ground_state(builder(cutoff))
-                energy = gs.energy
-                mean_n, _ = operator_moments(gs.state, n_op(cutoff))
+                gs = exact_ground_state(p, cfg.cutoff_tol, n_start)
+                cutoff, energy, mean_n = gs.cutoff, gs.energy, gs.mean_n
             elif method == "effective":
                 if lam <= 1.0:
                     builder = lambda c: build_effective_np(p, c)
@@ -258,12 +246,10 @@ def _echo_records(cfg: SweepConfig, omega_c: float, n_start: int, threads: int) 
     for eta in cfg.eta_grid:
         p = RabiParams.from_dimensionless(0.5, eta, omega_c)  # lam overridden per row
         for method in cfg.methods:
-            t0 = time.perf_counter()
             sweep = loschmidt_echo_sweep(
                 p, probe, lambdas, cfg.time_grid, method,
                 cutoff_tol=cfg.cutoff_tol, n_start=n_start, threads=threads,
             )
-            wall = time.perf_counter() - t0
             for i, lam in enumerate(sweep.lambdas):
                 for j, t in enumerate(sweep.times):
                     records.append(
@@ -278,7 +264,7 @@ def _echo_records(cfg: SweepConfig, omega_c: float, n_start: int, threads: int) 
                             "value": float(sweep.l_matrix[i, j]),
                             "cutoff": sweep.cutoffs[i] if sweep.cutoffs[i] is not None else "",
                             "converged": bool(sweep.converged[i]),
-                            "wall_time": wall / max(len(lambdas), 1),
+                            "wall_time": float(sweep.wall_times[i]),
                         }
                     )
     return records

@@ -1,8 +1,11 @@
 """Hamiltonian builders for the Rabi model, its dispersive-probe branches,
 the displaced frame, and the low-spin effective (boson-only) Hamiltonians.
 
-All builders return dense Hermitian `Operator` values. Natural units: the
-library accepts any positive omega_c; the CLI fixes omega_c = 1.
+The `build_*` builders return dense Hermitian `Operator` values; the two
+`*_band` / `*_parity` builders return the same Rabi Hamiltonians as real
+`BandMatrix` values in a permuted basis, which is what the exact method
+solves. Natural units: the library accepts any positive omega_c; the CLI
+fixes omega_c = 1.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 
 from .errors import PhaseDomainError
 from .hilbert import (
+    BandMatrix,
     FockCutoff,
     Operator,
     annihilation,
@@ -215,6 +219,45 @@ def build_displaced_rabi(
         - (2.0 * p.g * alpha_disp) * tensor(pauli("x"), ib)
     )
     return h, displaced_frame(p, alpha_disp)
+
+
+def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+    """`build_rabi` as a real tridiagonal matrix in parity order.
+
+    Rows 0..n_max are the even parity chain |g,0>, |e,1>, |g,2>, ..., which
+    holds the ground state; rows n_max+1.. are the odd chain |e,0>, |g,1>,
+    .... Row k of either chain has k photons. The Hamiltonian conserves
+    parity, so the sub-diagonal entry joining the chains is zero and
+    `leading(cutoff.dim)` is the even chain alone.
+    """
+    k = np.arange(cutoff.dim, dtype=float)
+    spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
+    hop = -p.g * np.sqrt(k + 1.0)
+    hop[-1] = 0.0
+    band = np.array([
+        np.concatenate([p.omega_c * k + spin, p.omega_c * k - spin]),
+        np.concatenate([hop, hop]),
+    ])
+    return BandMatrix(band)
+
+
+def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCutoff) -> BandMatrix:
+    """`build_displaced_rabi` as a real band matrix of half-width 3.
+
+    Spin-fastest basis: row 2 k + s is spin s (0 for |e>, 1 for |g>) with k
+    photons in the displaced frame.
+    """
+    k = np.arange(cutoff.dim, dtype=float)
+    root = np.sqrt(k[1:])
+    boson = p.omega_c * (k + alpha_disp**2)
+    band = np.zeros((4, 2 * cutoff.dim))
+    band[0, 0::2] = boson + 0.5 * p.omega_0
+    band[0, 1::2] = boson - 0.5 * p.omega_0
+    band[1, 0::2] = -2.0 * p.g * alpha_disp    # <g,k| H |e,k>
+    band[1, 1:-1:2] = -p.g * root              # <e,k+1| H |g,k>
+    band[2, :-2] = p.omega_c * alpha_disp * np.repeat(root, 2)  # <s,k+1| H |s,k>
+    band[3, 0:-3:2] = -p.g * root              # <g,k+1| H |e,k>
+    return BandMatrix(band)
 
 
 def build_effective_np(p: RabiParams, cutoff: FockCutoff) -> Operator:

@@ -1,8 +1,11 @@
 """Operator algebra on the truncated boson (x) spin Hilbert space.
 
-Dense complex matrices throughout; dimensions stay small enough (<= ~4100)
-that sparse storage buys nothing. Basis ordering convention: spin factor
-first with basis (|e>, |g>), boson factor second with Fock levels 0..n_max.
+`Operator` holds a dense complex matrix; the builders here and in
+`hamiltonians` use it, and it is the reference the structured solvers are
+tested against. Basis ordering convention: spin factor first with basis
+(|e>, |g>), boson factor second with Fock levels 0..n_max. `BandMatrix` holds
+a real symmetric band matrix, the form in which the exact method solves the
+Rabi Hamiltonian (in a permuted basis, see `hamiltonians.build_rabi_parity`).
 """
 
 from __future__ import annotations
@@ -89,6 +92,35 @@ class Operator:
             raise TypeError(f"expected Operator, got {type(other).__name__}")
         if self.dims != other.dims:
             raise DimensionMismatchError(f"dims mismatch: {self.dims} vs {other.dims}")
+
+
+@dataclass(frozen=True)
+class BandMatrix:
+    """Real symmetric band matrix in LAPACK lower band storage.
+
+    ``band[i - j, j] = H[i, j]`` for ``0 <= i - j < band.shape[0]``; entries
+    past the last row of H are ignored. Two rows make it tridiagonal.
+    """
+
+    band: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.band.shape[1]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return (self.dim,)
+
+    def shifted(self, const: float) -> "BandMatrix":
+        """H + const * identity."""
+        band = self.band.copy()
+        band[0] += const
+        return BandMatrix(band)
+
+    def leading(self, m: int) -> "BandMatrix":
+        """The leading m x m principal block."""
+        return BandMatrix(self.band[:, :m])
 
 
 @dataclass(frozen=True)

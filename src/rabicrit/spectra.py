@@ -1,5 +1,6 @@
-"""Exact ground states by dense Hermitian eigendecomposition, photon
-statistics, parity, and automatic cutoff convergence."""
+"""Ground states by dense Hermitian eigendecomposition (`Operator`) or by
+real band and tridiagonal eigensolvers (`BandMatrix`), photon statistics,
+parity, and automatic cutoff convergence."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .errors import ConvergenceError, LayoutError
-from .hilbert import FockCutoff, Operator, QuantumState
+from .hilbert import BandMatrix, FockCutoff, Operator, QuantumState
 
 CUTOFF_HARD_CAP = 4096
 
@@ -51,6 +53,30 @@ def ground_state(h: Operator) -> GroundStateResult:
     )
 
 
+def _band_eigh(h: BandMatrix, lowest: bool, eigvals_only: bool = False):
+    select, select_range = ("i", (0, 0)) if lowest else ("a", None)
+    if h.band.shape[0] == 2:
+        return eigh_tridiagonal(h.band[0], h.band[1, :-1], eigvals_only, select, select_range)
+    return eig_banded(h.band, lower=True, eigvals_only=eigvals_only,
+                      select=select, select_range=select_range)
+
+
+def band_ground_energy(h: BandMatrix) -> float:
+    """Lowest eigenvalue of a real symmetric band matrix (bisection only)."""
+    return float(_band_eigh(h, lowest=True, eigvals_only=True)[0])
+
+
+def band_ground_state(h: BandMatrix) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a real symmetric band matrix, phase-fixed."""
+    w, v = _band_eigh(h, lowest=True)
+    return float(w[0]), _fix_phase(v[:, 0])
+
+
+def band_spectrum(h: BandMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues (ascending) and eigenvectors of a real band matrix."""
+    return _band_eigh(h, lowest=False)
+
+
 def photon_moments(psi: QuantumState, boson_axis: int = -1) -> tuple[float, float]:
     """Mean and variance of the photon number in `psi`.
 
@@ -79,6 +105,23 @@ def operator_moments(psi: QuantumState, op: Operator) -> tuple[float, float]:
     return mean, max(mean2 - mean**2, 0.0)
 
 
+def displaced_photon_moments(amp: np.ndarray, alpha: float) -> tuple[float, float]:
+    """Mean and variance of the physical photon number n + alpha x + alpha^2,
+    that is (a^dag + alpha)(a + alpha), in a displaced frame.
+
+    Row k of `amp` holds the amplitudes with k photons in that frame (a
+    column per spin state, or a single column); alpha = 0 is the bare frame.
+    """
+    k = np.arange(amp.shape[0], dtype=float)
+    root = np.sqrt(k[1:])[:, None]
+    n_amp = (k + alpha**2)[:, None] * amp
+    n_amp[1:] += alpha * root * amp[:-1]
+    n_amp[:-1] += alpha * root * amp[1:]
+    mean = float(np.vdot(amp, n_amp).real)
+    mean2 = float(np.vdot(n_amp, n_amp).real)
+    return mean, max(mean2 - mean**2, 0.0)
+
+
 def parity_operator(cutoff: FockCutoff) -> Operator:
     """Pi = exp{i pi [a^dag a + (1 + sigma_z)/2]} on spin (x) Fock.
 
@@ -91,20 +134,26 @@ def parity_operator(cutoff: FockCutoff) -> Operator:
 
 
 def converge_cutoff(
-    builder: Callable[[FockCutoff], Operator],
+    builder: Callable[[FockCutoff], Operator | BandMatrix],
     tol: float,
     n_start: int = 8,
 ) -> FockCutoff:
     """Smallest tested cutoff whose ground energy shifts by < tol on doubling.
 
-    Doubling sequence n_start, 2 n_start, ...; hard cap 4096.
+    Doubling sequence n_start, 2 n_start, ...; hard cap 4096. A `BandMatrix`
+    builder is searched by its lowest eigenvalue alone.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+
+    def energy(n: int) -> float:
+        h = builder(FockCutoff(n))
+        return band_ground_energy(h) if isinstance(h, BandMatrix) else ground_state(h).energy
+
     n = n_start
-    e_prev = ground_state(builder(FockCutoff(n))).energy
+    e_prev = energy(n)
     while 2 * n <= CUTOFF_HARD_CAP:
-        e_next = ground_state(builder(FockCutoff(2 * n))).energy
+        e_next = energy(2 * n)
         if abs(e_next - e_prev) < tol:
             return FockCutoff(n)
         n *= 2

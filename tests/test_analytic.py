@@ -122,6 +122,19 @@ def test_short_time_le():
         short_time_le(0.1, 1e-3, -1.0)
 
 
+def test_short_time_le_array_gamma():
+    gammas = np.array([0.0, 0.0253125, 3.0])
+    out = short_time_le(gammas, 1e-3, 10.0)
+    assert out.shape == (3,)
+    for g, v in zip(gammas, out):
+        assert v == short_time_le(float(g), 1e-3, 10.0)
+    grid = short_time_le(gammas[:, None], 1e-3, np.array([0.0, 5.0, 10.0]))
+    assert grid.shape == (3, 3)
+    assert np.array_equal(grid[:, 2], out)
+    with pytest.raises(ValueError):
+        short_time_le(np.array([0.1, -0.1]), 1e-3, 1.0)
+
+
 def test_infinite_eta_consistency():
     # |gamma_np - gamma_exact| / gamma_exact shrinks by >= 5x from eta=1e3 to 1e5
     rels = []

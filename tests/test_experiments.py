@@ -178,3 +178,22 @@ def test_validate_dispersive_warns_outside_regime():
     probe = ProbeParams(1.2, 0.1, 0.2)  # Delta_s / g_s = 2
     with pytest.warns(UserWarning):
         validate_dispersive(p, probe, [0.0, 1.0], cutoff=FockCutoff(24))
+
+
+def test_report_wall_time_is_per_point(tmp_path):
+    cfg = _tiny_config(tmp_path)
+    cfg.methods = ["exact"]
+    report = run(cfg, out_dir=tmp_path)
+    walls = {}
+    for rec in report.records:
+        walls.setdefault(rec["lambda"], set()).add(rec["wall_time"])
+    # one time per point, shared by its rows; points differ in cost
+    assert all(len(w) == 1 for w in walls.values())
+    per_point = [w.pop() for w in walls.values()]
+    assert all(w > 0.0 for w in per_point)
+    assert len(set(per_point)) == len(per_point)
+
+
+def test_cli_has_no_seed_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["fig4", "--out", str(tmp_path), "--seed", "3"])

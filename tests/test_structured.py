@@ -1,0 +1,187 @@
+"""The exact method's structured real solvers against the dense oracle.
+
+The exact method solves the Rabi Hamiltonian as a real tridiagonal matrix
+(the two parity chains of the bare frame, lam <= 1) or as a real band matrix
+of half-width 3 (the displaced frame, lam > 1). The dense complex `Operator`
+path below (cutoff doubling, `ground_state`, dense branches and
+`decoherence_factor`) is the reference it must reproduce.
+"""
+
+import numpy as np
+import pytest
+
+from rabicrit.dynamics import decoherence_factor, exact_ground_state, loschmidt_echo_sweep
+from rabicrit.hamiltonians import (
+    ProbeParams,
+    RabiParams,
+    alpha_lambda,
+    build_branch,
+    build_displaced_rabi,
+    build_displaced_rabi_band,
+    build_rabi,
+    build_rabi_parity,
+)
+from rabicrit.hilbert import (
+    BandMatrix,
+    FockCutoff,
+    QuantumState,
+    identity,
+    number,
+    quadrature_x,
+    tensor,
+)
+from rabicrit.spectra import (
+    CUTOFF_HARD_CAP,
+    band_ground_energy,
+    band_ground_state,
+    band_spectrum,
+    converge_cutoff,
+    displaced_photon_moments,
+    ground_state,
+    operator_moments,
+    photon_moments,
+)
+
+TOL = 1e-8
+
+
+def _dense(h: BandMatrix) -> np.ndarray:
+    """The full symmetric matrix stored in `h`."""
+    n = h.dim
+    mat = np.zeros((n, n))
+    for k in range(h.band.shape[0]):
+        i = np.arange(n - k)
+        mat[i + k, i] = mat[i, i + k] = h.band[k, : n - k]
+    return mat
+
+
+def _parity_order(cutoff):
+    """Dense (spin-first) index of each row of `build_rabi_parity`."""
+    k = np.arange(cutoff.dim)
+    g, e = cutoff.dim + k, k
+    return np.concatenate([np.where(k % 2 == 0, g, e), np.where(k % 2 == 0, e, g)])
+
+
+def _spin_fastest_order(cutoff):
+    """Dense (spin-first) index of each row of `build_displaced_rabi_band`."""
+    k = np.arange(cutoff.dim)
+    return np.column_stack([k, cutoff.dim + k]).ravel()
+
+
+def _dense_exact(p, probe, times, tol=TOL):
+    """(cutoff, energy, mean_n, gamma, L) by the dense complex path."""
+    if p.lam <= 1.0:
+        builder = lambda c: build_rabi(p, c)
+        cutoff = converge_cutoff(builder, tol)
+        gs = ground_state(builder(cutoff))
+        h_g = build_branch(p, probe, "g", cutoff)
+        h_e = build_branch(p, probe, "e", cutoff)
+        mean_n, gamma = photon_moments(gs.state)
+    else:
+        alpha = alpha_lambda(p)
+        builder = lambda c: build_displaced_rabi(p, alpha, c)[0]
+        cutoff = converge_cutoff(builder, tol)
+        gs = ground_state(builder(cutoff))
+
+        def branch(omega_b, const):
+            h, _ = build_displaced_rabi(RabiParams(omega_b, p.omega_0, p.g), alpha, cutoff)
+            return h + const * identity(h.dims)
+
+        h_g = branch(p.omega_c - probe.chi, -0.5 * probe.omega_s)
+        h_e = branch(p.omega_c + probe.chi, 0.5 * probe.omega_s + probe.chi)
+        ib = identity((cutoff.dim,))
+        n_phys = tensor(identity((2,)), number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ib)
+        mean_n, gamma = operator_moments(gs.state, n_phys)
+    series = decoherence_factor(h_g, h_e, gs.state, times, gamma=gamma)
+    return cutoff, gs.energy, mean_n, gamma, series.l_values
+
+
+def test_band_builders_are_permuted_dense_builders():
+    c = FockCutoff(9)
+    p = RabiParams.from_dimensionless(0.8, 20.0)
+    order = _parity_order(c)
+    dense = build_rabi(p, c).mat
+    assert np.abs(dense.imag).max() == 0.0
+    assert np.array_equal(dense.real[np.ix_(order, order)], _dense(build_rabi_parity(p, c)))
+    p = RabiParams.from_dimensionless(1.3, 20.0)
+    alpha = alpha_lambda(p)
+    order = _spin_fastest_order(c)
+    dense = build_displaced_rabi(p, alpha, c)[0].mat.real
+    assert np.array_equal(dense[np.ix_(order, order)], _dense(build_displaced_rabi_band(p, alpha, c)))
+
+
+def test_band_solvers_match_dense_eigh():
+    c = FockCutoff(40)
+    chains = build_rabi_parity(RabiParams.from_dimensionless(0.9, 50.0), c)
+    displaced = build_displaced_rabi_band(RabiParams.from_dimensionless(1.2, 50.0), 2.0, c)
+    for h in (chains, displaced):
+        w, v = np.linalg.eigh(_dense(h))
+        assert band_ground_energy(h) == pytest.approx(w[0], abs=1e-11)
+        energy, vec = band_ground_state(h)
+        assert energy == pytest.approx(w[0], abs=1e-11)
+        assert abs(abs(vec @ v[:, 0]) - 1.0) < 1e-12
+        assert vec[np.argmax(np.abs(vec))] > 0.0
+        w_all, v_all = band_spectrum(h)
+        assert np.abs(w_all - w).max() < 1e-11
+        assert np.abs(_dense(h) @ v_all - v_all * w_all).max() < 1e-10
+    # the even parity chain holds the ground state
+    assert band_ground_energy(chains.leading(c.dim)) == pytest.approx(
+        band_ground_energy(chains), abs=1e-11
+    )
+
+
+def test_exact_path_matches_dense_oracle():
+    # both sides of the transition; the relative bound on 1 - L sees a wrong
+    # probe shift even where L stays close to 1
+    eta = 1000.0
+    probe = ProbeParams.from_chi(1e-3)
+    times = np.linspace(0.0, 100.0, 21)
+    lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
+    sweep = loschmidt_echo_sweep(
+        RabiParams.from_dimensionless(0.5, eta), probe, lams, times, "exact", cutoff_tol=TOL
+    )
+    for i, lam in enumerate(lams):
+        p = RabiParams.from_dimensionless(lam, eta)
+        cutoff, energy, mean_n, gamma, l_dense = _dense_exact(p, probe, times)
+        gs = exact_ground_state(p, TOL)
+        assert sweep.cutoffs[i] == gs.cutoff.n_max == cutoff.n_max, lam
+        assert gs.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
+        assert gs.mean_n == pytest.approx(mean_n, rel=1e-9, abs=0.0)
+        assert gs.gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
+        assert sweep.gammas[i] == pytest.approx(gamma, rel=1e-9, abs=0.0)
+        l_band = sweep.l_matrix[i]
+        assert np.abs(l_band - l_dense).max() <= 1e-9, lam
+        # relative to 1 - L, above a roundoff floor of ~500 eps on L itself
+        decay = 1.0 - l_dense
+        excess = np.abs((1.0 - l_band) - decay) - (1e-6 * decay + 1e-13)
+        assert excess.max() <= 0.0, f"lam = {lam}: 1 - L off by {excess.max():.3g} beyond bound"
+
+
+def _even_chain_echo(p, probe, cutoff, times):
+    """(gamma, L) from the even parity chain at a fixed cutoff."""
+
+    def chain(omega_c):
+        return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff).leading(cutoff.dim)
+
+    _, vec = band_ground_state(chain(p.omega_c))
+    _, gamma = displaced_photon_moments(vec[:, None], 0.0)
+    series = decoherence_factor(
+        chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi), QuantumState(vec), times
+    )
+    return gamma, series.l_values
+
+
+def test_normal_phase_point_at_cutoff_cap():
+    # a near-critical point solved at the largest cutoff the search reaches
+    # agrees with the same point at half that cutoff
+    p = RabiParams.from_dimensionless(0.9999, 1e6)
+    probe = ProbeParams.from_chi(1e-3)
+    times = np.linspace(0.0, 100.0, 6)
+    gamma, l_cap = _even_chain_echo(p, probe, FockCutoff(CUTOFF_HARD_CAP), times)
+    gamma_half, l_half = _even_chain_echo(p, probe, FockCutoff(CUTOFF_HARD_CAP // 2), times)
+    assert l_cap[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all((l_cap >= 0.0) & (l_cap <= 1.0 + 1e-12))
+    assert gamma == pytest.approx(gamma_half, rel=1e-9)
+    assert np.abs(l_cap - l_half).max() < 1e-6
+    sweep = loschmidt_echo_sweep(p, probe, [p.lam], times, "exact", cutoff_tol=TOL)
+    assert gamma == pytest.approx(sweep.gammas[0], rel=1e-6)
