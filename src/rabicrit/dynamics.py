@@ -2,10 +2,11 @@
 probe's reduced state.
 
 Time propagation reuses one spectral decomposition per Hamiltonian; the
-Hamiltonians are time independent. The exact method solves real band
-matrices (`hamiltonians.build_rabi_parity` below the transition,
-`hamiltonians.build_displaced_rabi_band` above it); the effective method and
-the dense `Operator` path solve dense matrices.
+Hamiltonians are time independent. The exact and effective methods solve real
+band matrices (`hamiltonians.build_rabi_parity` below the transition and
+`hamiltonians.build_displaced_rabi_band` above it; the effective builders
+`build_effective_np_band` / `build_effective_sp_band`) through one ground-state
+path; the dense `Operator` path serves the tripartite check and the tests.
 """
 
 from __future__ import annotations
@@ -23,26 +24,17 @@ from .hamiltonians import (
     RabiParams,
     alpha_lambda,
     build_displaced_rabi_band,
-    build_effective_np,
-    build_effective_sp,
+    build_effective_np_band,
+    build_effective_sp_band,
     build_rabi_parity,
+    photon_number_band,
 )
-from .hilbert import (
-    BandMatrix,
-    FockCutoff,
-    Operator,
-    QuantumState,
-    identity,
-    number,
-    quadrature_x,
-)
+from .hilbert import BandMatrix, FockCutoff, Operator, QuantumState
 from .spectra import (
     band_ground_state,
     band_spectrum,
     converge_cutoff,
     displaced_photon_moments,
-    ground_state,
-    operator_moments,
     photon_moments,
 )
 from .variational import solve as variational_solve
@@ -172,11 +164,13 @@ class EchoSweep:
 
 
 @dataclass(frozen=True)
-class ExactGround:
-    """Exact Rabi ground state at its converged cutoff, in the band basis of
-    its phase: the even parity chain of the bare frame for lam <= 1
-    (`alpha` = 0), the frame displaced by `alpha` = alpha_lambda, spin-fastest,
-    above. `mean_n` and `gamma` are the moments of the physical photon number.
+class BandGround:
+    """Ground state of the exact or effective method at its converged cutoff,
+    in the band basis of its phase: the bare frame for lam <= 1 (`alpha` = 0),
+    the frame displaced by `alpha` = alpha_lambda above. The exact method's
+    basis is the even parity chain below the transition and spin-fastest
+    above; the effective method's is natural Fock order. `mean_n` and `gamma`
+    are the moments of the physical photon number.
     """
 
     alpha: float
@@ -185,6 +179,20 @@ class ExactGround:
     state: QuantumState
     mean_n: float
     gamma: float
+
+
+def _frame_alpha(p: RabiParams) -> float:
+    return alpha_lambda(p) if p.lam > 1.0 else 0.0
+
+
+def _band_ground(search, sector, alpha: float, cutoff_tol: float, n_start: int) -> BandGround:
+    """Cutoff search on the lowest eigenvalue of `search`, then one ground
+    vector of `sector` (the block of it holding the ground state) at the
+    chosen cutoff, and its physical photon-number moments."""
+    cutoff = converge_cutoff(search, cutoff_tol, n_start)
+    energy, vec = band_ground_state(sector(cutoff))
+    mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
+    return BandGround(alpha, cutoff, energy, QuantumState(vec), mean_n, gamma)
 
 
 def _exact_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
@@ -200,15 +208,30 @@ def _ground_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatri
     return h.leading(cutoff.dim) if alpha == 0.0 else h
 
 
-def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> ExactGround:
+def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> BandGround:
     """Exact ground state: bare frame for lam <= 1, displaced by alpha_lambda
     above. The cutoff search sees both parity chains, as a dense solve would;
-    the state comes from one solve at the chosen cutoff."""
-    alpha = alpha_lambda(p) if p.lam > 1.0 else 0.0
-    cutoff = converge_cutoff(lambda c: _exact_band(p, alpha, c), cutoff_tol, n_start)
-    energy, vec = band_ground_state(_ground_sector(p, alpha, cutoff))
-    mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
-    return ExactGround(alpha, cutoff, energy, QuantumState(vec), mean_n, gamma)
+    the state comes from one solve of the even chain at the chosen cutoff."""
+    alpha = _frame_alpha(p)
+    return _band_ground(
+        lambda c: _exact_band(p, alpha, c),
+        lambda c: _ground_sector(p, alpha, c),
+        alpha, cutoff_tol, n_start,
+    )
+
+
+def _effective_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
+    if alpha == 0.0:
+        return build_effective_np_band(p, cutoff)
+    return build_effective_sp_band(p, cutoff)
+
+
+def effective_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> BandGround:
+    """Ground state of the fourth-order effective Hamiltonian of the phase of
+    `p` (the superradiant one in the frame displaced by alpha_lambda)."""
+    alpha = _frame_alpha(p)
+    builder = lambda c: _effective_band(p, alpha, c)
+    return _band_ground(builder, builder, alpha, cutoff_tol, n_start)
 
 
 def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
@@ -240,26 +263,12 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_
     carries the displacement terms on the superradiant side.
     """
     chi = probe.chi
-    if p.lam <= 1.0:
-        builder = lambda c: build_effective_np(p, c)
-        cutoff = converge_cutoff(builder, cutoff_tol, n_start)
-        h0 = builder(cutoff)
-        n_phys = number(cutoff)
-    else:
-        builder = lambda c: build_effective_sp(p, c)
-        cutoff = converge_cutoff(builder, cutoff_tol, n_start)
-        h0 = builder(cutoff)
-        alpha = alpha_lambda(p)
-        n_phys = (
-            number(cutoff)
-            + alpha * quadrature_x(cutoff)
-            + alpha**2 * identity((cutoff.dim,))
-        )
-    gs = ground_state(h0)
-    h_g = h0 - chi * n_phys + (-0.5 * probe.omega_s) * identity(h0.dims)
-    h_e = h0 + chi * n_phys + (0.5 * probe.omega_s + chi) * identity(h0.dims)
-    _, gamma = operator_moments(gs.state, n_phys)
-    return h_g, h_e, gs.state, gamma, cutoff
+    gs = effective_ground_state(p, cutoff_tol, n_start)
+    h0 = _effective_band(p, gs.alpha, gs.cutoff).band
+    n_phys = photon_number_band(gs.alpha, gs.cutoff).band
+    h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
+    h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)
+    return h_g, h_e, gs.state, gs.gamma, gs.cutoff
 
 
 def _echo_point(

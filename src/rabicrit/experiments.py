@@ -17,22 +17,14 @@ from .analytic import CRITICAL_BAND
 from .dynamics import (
     SpectralDecomposition,
     decoherence_factor,
+    effective_ground_state,
     evolve,
     exact_ground_state,
     loschmidt_echo_sweep,
 )
-from .hamiltonians import (
-    ProbeParams,
-    RabiParams,
-    alpha_lambda,
-    build_branch,
-    build_effective_np,
-    build_effective_sp,
-    build_rabi,
-    build_tripartite,
-)
-from .hilbert import FockCutoff, QuantumState, identity, number, quadrature_x
-from .spectra import converge_cutoff, ground_state, operator_moments, photon_moments
+from .hamiltonians import ProbeParams, RabiParams, build_branch, build_rabi, build_tripartite
+from .hilbert import FockCutoff, QuantumState
+from .spectra import converge_cutoff, ground_state, photon_moments
 from .variational import solve as variational_solve
 
 SCHEMA_VERSION = 1
@@ -197,23 +189,10 @@ def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> lis
             cutoff = None
             converged = True
             t0 = time.perf_counter()
-            if method == "exact":
-                gs = exact_ground_state(p, cfg.cutoff_tol, n_start)
+            if method in ("exact", "effective"):
+                solve = exact_ground_state if method == "exact" else effective_ground_state
+                gs = solve(p, cfg.cutoff_tol, n_start)
                 cutoff, energy, mean_n = gs.cutoff, gs.energy, gs.mean_n
-            elif method == "effective":
-                if lam <= 1.0:
-                    builder = lambda c: build_effective_np(p, c)
-                    n_op = lambda c: number(c)
-                else:
-                    alpha = alpha_lambda(p)
-                    builder = lambda c: build_effective_sp(p, c)
-                    n_op = lambda c: (
-                        number(c) + alpha * quadrature_x(c) + alpha**2 * identity((c.dim,))
-                    )
-                cutoff = converge_cutoff(builder, cfg.cutoff_tol, n_start)
-                gs = ground_state(builder(cutoff))
-                energy = gs.energy
-                mean_n, _ = operator_moments(gs.state, n_op(cutoff))
             elif method == "variational":
                 sol = variational_solve(p)
                 energy, mean_n = sol.energy, sol.mean_n

@@ -1,11 +1,13 @@
 """Hamiltonian builders for the Rabi model, its dispersive-probe branches,
 the displaced frame, and the low-spin effective (boson-only) Hamiltonians.
 
-The `build_*` builders return dense Hermitian `Operator` values; the two
-`*_band` / `*_parity` builders return the same Rabi Hamiltonians as real
-`BandMatrix` values in a permuted basis, which is what the exact method
-solves. Natural units: the library accepts any positive omega_c; the CLI
-fixes omega_c = 1.
+The `build_*` builders return dense Hermitian `Operator` values, used by the
+tripartite check and as the tests' reference. The `*_band` / `*_parity`
+builders return the same Hamiltonians as real `BandMatrix` values, which is
+what the exact and effective methods solve: the Rabi Hamiltonians in a
+permuted basis, the effective Hamiltonians and the physical photon number in
+natural Fock order. Natural units: the library accepts any positive omega_c;
+the CLI fixes omega_c = 1.
 """
 
 from __future__ import annotations
@@ -260,31 +262,17 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCuto
     return BandMatrix(band)
 
 
-def build_effective_np(p: RabiParams, cutoff: FockCutoff) -> Operator:
-    """Fourth-order low-spin effective Hamiltonian of the normal phase.
-
-    Boson-only: omega_c n - (omega_c lam^2/4) x^2 + (lam^4 omega_c^2 /
-    (16 omega_0)) x^4 - omega_0/2 + lam^2 omega_c^2 / (4 omega_0),
-    with x = a + a^dag.
-    """
+def _effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
+    """(c2, c4, const) of the normal phase; see `build_effective_np`."""
     lam = p.lam
-    x = quadrature_x(cutoff)
-    x2 = x @ x
+    c2 = p.omega_c * lam**2 / 4.0
+    c4 = lam**4 * p.omega_c**2 / (16.0 * p.omega_0)
     const = -0.5 * p.omega_0 + lam**2 * p.omega_c**2 / (4.0 * p.omega_0)
-    h = (
-        p.omega_c * number(cutoff)
-        - (p.omega_c * lam**2 / 4.0) * x2
-        + (lam**4 * p.omega_c**2 / (16.0 * p.omega_0)) * (x2 @ x2)
-        + const * identity(x.dims)
-    )
-    return h
+    return c2, c4, const
 
 
-def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
-    """Fourth-order low-spin effective Hamiltonian of the superradiant phase.
-
-    Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
-    """
+def _effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
+    """(c2, c4, const) of the superradiant phase; see `build_effective_sp`."""
     lam = p.lam
     if lam <= 1.0:
         raise PhaseDomainError(
@@ -292,8 +280,6 @@ def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
         )
     frame = displaced_frame(p, alpha_lambda(p))
     gt, w0t = frame.g_tilde, frame.omega0_tilde
-    x = quadrature_x(cutoff)
-    x2 = x @ x
     # constant terms kept explicit so ground energies match the bare-frame
     # curves; the g~^2 omega_c / omega0~^2 form is the one consistent with the
     # variational energy constant omega_c^2 / (4 omega0~ lam^4).
@@ -302,10 +288,80 @@ def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
         + gt**2 * p.omega_c / w0t**2
         + p.omega_c * frame.alpha_disp**2
     )
-    h = (
-        p.omega_c * number(cutoff)
-        - (gt**2 / w0t) * x2
-        + (gt**4 / w0t**3) * (x2 @ x2)
+    return gt**2 / w0t, gt**4 / w0t**3, const
+
+
+def _quartic_dense(omega_c: float, c2: float, c4: float, const: float,
+                     cutoff: FockCutoff) -> Operator:
+    x = quadrature_x(cutoff)
+    x2 = x @ x
+    return (
+        omega_c * number(cutoff)
+        - c2 * x2
+        + c4 * (x2 @ x2)
         + const * identity(x.dims)
     )
-    return h
+
+
+def _quartic_band(omega_c: float, c2: float, c4: float, const: float,
+                    cutoff: FockCutoff) -> BandMatrix:
+    """omega_c n - c2 x^2 + c4 x^4 + const in natural Fock order, half-width 4.
+
+    x^2 and x^4 are the products of the truncated x, as in `_quartic_dense`:
+    the last diagonal entry of x^2 is n_max, not 2 n_max + 1.
+    """
+    k = np.arange(cutoff.dim, dtype=float)
+    x2_diag = 2.0 * k + 1.0
+    x2_diag[-1] = cutoff.n_max
+    x2_off = np.sqrt(k[1:-1] * k[2:])            # <k+2| x^2 |k>
+    x4_diag = x2_diag**2
+    x4_diag[:-2] += x2_off**2
+    x4_diag[2:] += x2_off**2
+    x4_off2 = x2_off * (x2_diag[:-2] + x2_diag[2:])
+    x4_off4 = x2_off[:-2] * x2_off[2:]
+    band = np.zeros((5, cutoff.dim))
+    band[0] = omega_c * k - c2 * x2_diag + c4 * x4_diag + const
+    band[2, :x2_off.size] = -c2 * x2_off + c4 * x4_off2
+    band[4, :x4_off4.size] = c4 * x4_off4
+    return BandMatrix(band)
+
+
+def build_effective_np(p: RabiParams, cutoff: FockCutoff) -> Operator:
+    """Fourth-order low-spin effective Hamiltonian of the normal phase.
+
+    Boson-only: omega_c n - (omega_c lam^2/4) x^2 + (lam^4 omega_c^2 /
+    (16 omega_0)) x^4 - omega_0/2 + lam^2 omega_c^2 / (4 omega_0),
+    with x = a + a^dag.
+    """
+    return _quartic_dense(p.omega_c, *_effective_np_coeffs(p), cutoff)
+
+
+def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
+    """Fourth-order low-spin effective Hamiltonian of the superradiant phase.
+
+    Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
+    """
+    return _quartic_dense(p.omega_c, *_effective_sp_coeffs(p), cutoff)
+
+
+def build_effective_np_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+    """`build_effective_np` as a real band matrix of half-width 4, rows in
+    natural Fock order."""
+    return _quartic_band(p.omega_c, *_effective_np_coeffs(p), cutoff)
+
+
+def build_effective_sp_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+    """`build_effective_sp` as a real band matrix of half-width 4, rows in
+    natural Fock order of the frame displaced by alpha_lambda."""
+    return _quartic_band(p.omega_c, *_effective_sp_coeffs(p), cutoff)
+
+
+def photon_number_band(alpha: float, cutoff: FockCutoff) -> BandMatrix:
+    """The physical photon number n + alpha x + alpha^2 of a frame displaced
+    by alpha (alpha = 0: the bare frame), in the layout of the effective band
+    builders."""
+    k = np.arange(cutoff.dim, dtype=float)
+    band = np.zeros((5, cutoff.dim))
+    band[0] = k + alpha**2
+    band[1, :-1] = alpha * np.sqrt(k[1:])
+    return BandMatrix(band)

@@ -4,8 +4,9 @@
 `hamiltonians` use it, and it is the reference the structured solvers are
 tested against. Basis ordering convention: spin factor first with basis
 (|e>, |g>), boson factor second with Fock levels 0..n_max. `BandMatrix` holds
-a real symmetric band matrix, the form in which the exact method solves the
-Rabi Hamiltonian (in a permuted basis, see `hamiltonians.build_rabi_parity`).
+a real symmetric band matrix, the form in which the exact and effective
+methods solve their Hamiltonians (see `hamiltonians.build_rabi_parity` and
+`hamiltonians.build_effective_np_band`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Finite-eta variational ground states from a single-mode squeezing ansatz.
 
 The stationarity condition in either phase is, with x = e^{2 s}, a real cubic
-c3 x^3 + c2 x^2 - 1 = 0 with c3 > 0. A safeguarded bracketing root on x is
-the primary path; the published Cardano-style closed form (principal complex
-cube root, then the real part) is evaluated as an independent check. The
-closed form cancels catastrophically at large eta, so it is evaluated in
+c3 x^3 + c2 x^2 - 1 = 0 with c3 > 0. Newton's method from a doubling bracket
+is the primary path; the published Cardano-style closed form (principal
+complex cube root, then the real part) is evaluated as an independent check.
+The closed form cancels catastrophically at large eta, so it is evaluated in
 extended precision.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import exp, log, sinh
 
 import mpmath as mp
-from scipy.optimize import brentq
 
 from .analytic import CRITICAL_BAND
 from .errors import PhaseDomainError, RabicritError
@@ -50,15 +49,26 @@ def _cubic_coeffs(phase: str, p: RabiParams) -> tuple[float, float]:
     raise ValueError(f"unknown phase {phase!r}")
 
 
-def _bracket_root(c3: float, c2: float) -> float:
-    """Unique positive root of c3 x^3 + c2 x^2 - 1 (value -1 at 0+, +inf at inf)."""
+def _newton_root(c3: float, c2: float) -> float:
+    """Unique positive root of c3 x^3 + c2 x^2 - 1 (value -1 at 0+, +inf at inf).
+
+    Doubling from 1 finds hi >= root. The cubic is convex and increasing on
+    [root, inf) (for c2 >= 0 on all x > 0; for c2 < 0 its minimum and
+    inflection lie below the root), so Newton's method from hi decreases
+    monotonically to the root; it stops when a step no longer decreases x.
+    """
     f = lambda x: c3 * x**3 + c2 * x**2 - 1.0
     hi = 1.0
     while f(hi) < 0.0:
         hi *= 2.0
         if hi > 1e30:
             raise RabicritError("cubic bracketing failed to find a sign change")
-    return brentq(f, 1e-300, hi, xtol=1e-300, rtol=8.9e-16)
+    x = hi
+    while True:
+        x_next = x - f(x) / (x * (3.0 * c3 * x + 2.0 * c2))
+        if not x_next < x:
+            return x
+        x = x_next
 
 
 def _closed_form_x(phase: str, lam: float, eta: float) -> float:
@@ -123,12 +133,12 @@ def _energy_at(phase: str, s: float, p: RabiParams) -> float:
 def solve_squeeze(phase: str, p: RabiParams) -> VariationalSolution:
     """Variational squeezing parameter from the cubic stationarity condition.
 
-    Bracketing root is primary; the closed form must agree to 1e-10 relative.
+    The Newton root is primary; the closed form must agree to 1e-10 relative.
     """
     if abs(p.lam - 1.0) < CRITICAL_BAND:
         raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
     c3, c2 = _cubic_coeffs(phase, p)
-    x = _bracket_root(c3, c2)
+    x = _newton_root(c3, c2)
     if c3 == 0.0:
         # decoupled limit (lam = 0): the cubic degenerates to c2 x^2 = 1
         x_closed = c2**-0.5
@@ -136,7 +146,7 @@ def solve_squeeze(phase: str, p: RabiParams) -> VariationalSolution:
         x_closed = _closed_form_x(phase, p.lam, p.eta)
     if abs(x_closed - x) > DUAL_PATH_RTOL * x:
         raise RabicritError(
-            f"closed-form root {x_closed} disagrees with bracketing root {x} "
+            f"closed-form root {x_closed} disagrees with Newton root {x} "
             f"beyond {DUAL_PATH_RTOL} relative"
         )
     s = 0.5 * log(x)

@@ -1,16 +1,23 @@
-"""The exact method's structured real solvers against the dense oracle.
+"""The exact and effective methods' structured real solvers against the
+dense oracle.
 
 The exact method solves the Rabi Hamiltonian as a real tridiagonal matrix
 (the two parity chains of the bare frame, lam <= 1) or as a real band matrix
-of half-width 3 (the displaced frame, lam > 1). The dense complex `Operator`
-path below (cutoff doubling, `ground_state`, dense branches and
-`decoherence_factor`) is the reference it must reproduce.
+of half-width 3 (the displaced frame, lam > 1); the effective method solves
+its fourth-order Hamiltonians as real band matrices of half-width 4. The
+dense complex `Operator` path below (cutoff doubling, `ground_state`, dense
+branches and `decoherence_factor`) is the reference they must reproduce.
 """
 
 import numpy as np
 import pytest
 
+from scipy.linalg import eig_banded
+
+import rabicrit.spectra as spectra
 from rabicrit.dynamics import decoherence_factor, exact_ground_state, loschmidt_echo_sweep
+from rabicrit.errors import ConvergenceError
+from rabicrit.experiments import default_config, run
 from rabicrit.hamiltonians import (
     ProbeParams,
     RabiParams,
@@ -18,8 +25,13 @@ from rabicrit.hamiltonians import (
     build_branch,
     build_displaced_rabi,
     build_displaced_rabi_band,
+    build_effective_np,
+    build_effective_np_band,
+    build_effective_sp,
+    build_effective_sp_band,
     build_rabi,
     build_rabi_parity,
+    photon_number_band,
 )
 from rabicrit.hilbert import (
     BandMatrix,
@@ -49,7 +61,7 @@ def _dense(h: BandMatrix) -> np.ndarray:
     """The full symmetric matrix stored in `h`."""
     n = h.dim
     mat = np.zeros((n, n))
-    for k in range(h.band.shape[0]):
+    for k in range(min(h.band.shape[0], n)):
         i = np.arange(n - k)
         mat[i + k, i] = mat[i, i + k] = h.band[k, : n - k]
     return mat
@@ -185,3 +197,110 @@ def test_normal_phase_point_at_cutoff_cap():
     assert np.abs(l_cap - l_half).max() < 1e-6
     sweep = loschmidt_echo_sweep(p, probe, [p.lam], times, "exact", cutoff_tol=TOL)
     assert gamma == pytest.approx(sweep.gammas[0], rel=1e-6)
+
+
+def _dense_effective(p, tol=TOL):
+    """(cutoff, ground, dense h0, dense physical photon number) of the effective
+    method by the dense complex path."""
+    if p.lam <= 1.0:
+        builder = lambda c: build_effective_np(p, c)
+        n_phys = number
+    else:
+        alpha = alpha_lambda(p)
+        builder = lambda c: build_effective_sp(p, c)
+        n_phys = lambda c: number(c) + alpha * quadrature_x(c) + alpha**2 * identity((c.dim,))
+    cutoff = converge_cutoff(builder, tol)
+    h0 = builder(cutoff)
+    return cutoff, ground_state(h0), h0, n_phys(cutoff)
+
+
+def test_effective_band_builders_equal_dense_builders():
+    # entry by entry up to roundoff of the dense products, including the
+    # truncation edge: row n_max of the truncated x^2 is n_max, not 2 n_max + 1
+    eps = np.finfo(float).eps
+    for n_max in (1, 2, 3, 5, 8, 33):
+        c = FockCutoff(n_max)
+        cases = []
+        for lam, eta in ((0.5, 20.0), (0.99, 1e5), (1.01, 1e5), (1.3, 20.0)):
+            p = RabiParams.from_dimensionless(lam, eta)
+            cases.append((build_effective_np(p, c), build_effective_np_band(p, c)))
+            if lam > 1.0:
+                cases.append((build_effective_sp(p, c), build_effective_sp_band(p, c)))
+                alpha = alpha_lambda(p)
+                n_dense = number(c) + alpha * quadrature_x(c) + alpha**2 * identity((c.dim,))
+                cases.append((n_dense, photon_number_band(alpha, c)))
+        cases.append((number(c), photon_number_band(0.0, c)))
+        for dense, band in cases:
+            assert band.band.shape == (5, c.dim)
+            assert np.abs(dense.mat.imag).max() == 0.0
+            err = np.abs(dense.mat.real - _dense(band)).max()
+            assert err <= 4.0 * eps * np.abs(dense.mat).max(), (n_max, err)
+
+
+def test_effective_path_matches_dense_oracle():
+    # both sides of the transition at the fig5 eta; the relative bound on
+    # 1 - L sees a wrong probe shift even where L stays close to 1
+    eta = 1e5
+    probe = ProbeParams.from_chi(1e-3)
+    times = np.linspace(0.0, 100.0, 21)
+    lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
+    sweep = loschmidt_echo_sweep(
+        RabiParams.from_dimensionless(0.5, eta), probe, lams, times, "effective", cutoff_tol=TOL
+    )
+    for i, lam in enumerate(lams):
+        p = RabiParams.from_dimensionless(lam, eta)
+        cutoff, gs, h0, n_phys = _dense_effective(p)
+        ident = identity(h0.dims)
+        h_g = h0 - probe.chi * n_phys + (-0.5 * probe.omega_s) * ident
+        h_e = h0 + probe.chi * n_phys + (0.5 * probe.omega_s + probe.chi) * ident
+        _, gamma = operator_moments(gs.state, n_phys)
+        l_dense = decoherence_factor(h_g, h_e, gs.state, times, gamma=gamma).l_values
+        assert sweep.cutoffs[i] == cutoff.n_max, lam
+        assert sweep.gammas[i] == pytest.approx(gamma, rel=1e-9, abs=0.0)
+        l_band = sweep.l_matrix[i]
+        assert np.abs(l_band - l_dense).max() <= 1e-9, lam
+        decay = 1.0 - l_dense
+        excess = np.abs((1.0 - l_band) - decay) - (1e-6 * decay + 1e-13)
+        assert excess.max() <= 0.0, f"lam = {lam}: 1 - L off by {excess.max():.3g} beyond bound"
+
+
+def test_effective_ground_records_match_dense(tmp_path):
+    # the fig1 (lam = 0.99) and fig2 (lam = 1.01) effective rows
+    for figure in ("fig1", "fig2"):
+        cfg = default_config(figure, str(tmp_path / figure))
+        cfg.methods = ["effective"]
+        records = run(cfg).records
+        assert len(records) == 2 * len(cfg.eta_grid)
+        for rec in records:
+            p = RabiParams.from_dimensionless(rec["lambda"], rec["eta"])
+            cutoff, gs, _, n_phys = _dense_effective(p)
+            mean_n, _ = operator_moments(gs.state, n_phys)
+            assert rec["cutoff"] == cutoff.n_max
+            expected = gs.energy if rec["value_name"] == "energy" else mean_n
+            rel = 1e-13 if rec["value_name"] == "energy" else 1e-9
+            assert rec["value"] == pytest.approx(expected, rel=rel, abs=0.0), (figure, rec)
+
+
+def test_inverse_iteration_vector_matches_eig_banded():
+    # near the transition, where the gap is small and eta scales ||H||
+    for lam, eta, n_max in ((1.005, 5000.0, 512), (1.005, 1e5, 512), (0.995, 1e5, 256)):
+        p = RabiParams.from_dimensionless(lam, eta)
+        c = FockCutoff(n_max)
+        bands = [build_effective_np_band(p, c)] if lam < 1.0 else [
+            build_displaced_rabi_band(p, alpha_lambda(p), c), build_effective_sp_band(p, c)]
+        for h in bands:
+            energy, vec = band_ground_state(h)
+            w, v = eig_banded(h.band, lower=True, select="i", select_range=(0, 0))
+            ref = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
+            assert energy == w[0]
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+            assert np.abs(vec - ref).max() < 1e-9, (lam, eta, np.abs(vec - ref).max())
+            resid = _dense(h) @ vec - energy * vec
+            assert np.linalg.norm(resid) <= 8.0 * np.finfo(float).eps * np.abs(_dense(h)).sum(axis=1).max()
+
+
+def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):
+    h = build_effective_np_band(RabiParams.from_dimensionless(0.9, 1e3), FockCutoff(16))
+    monkeypatch.setattr(spectra, "RESIDUAL_EPS", 0.0)
+    with pytest.raises(ConvergenceError):
+        band_ground_state(h)
