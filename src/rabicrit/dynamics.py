@@ -3,8 +3,10 @@ probe's reduced state.
 
 Time propagation reuses one spectral decomposition per Hamiltonian; the
 Hamiltonians are time independent. The exact and effective methods solve real
-band matrices (`hamiltonians.build_rabi_parity` below the transition and
-`hamiltonians.build_displaced_rabi_band` above it; the effective builders
+band matrices (the exact method's bare-frame parity chains,
+`hamiltonians.build_rabi_parity`, and above the transition, where its cutoff
+search converges there first, the displaced band
+`hamiltonians.build_displaced_rabi_band`; the effective builders
 `build_effective_np_band` / `build_effective_sp_band`) through one ground-state
 path; the dense `Operator` path serves the tripartite check and the tests.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -149,6 +152,7 @@ class EchoPoint:
     gamma: float
     cutoff: int | None
     converged: bool
+    frame: str                    # "bare" or "displaced"; "" where nothing is diagonalised
 
 
 @dataclass(frozen=True)
@@ -160,17 +164,21 @@ class EchoSweep:
     gammas: np.ndarray
     cutoffs: list
     converged: list
+    frames: list                  # each point's frame, as `EchoPoint.frame`
     wall_times: np.ndarray        # seconds spent on each lambda's point
 
 
 @dataclass(frozen=True)
 class BandGround:
     """Ground state of the exact or effective method at its converged cutoff,
-    in the band basis of its phase: the bare frame for lam <= 1 (`alpha` = 0),
-    the frame displaced by `alpha` = alpha_lambda above. The exact method's
-    basis is the even parity chain below the transition and spin-fastest
-    above; the effective method's is natural Fock order. `mean_n` and `gamma`
-    are the moments of the physical photon number.
+    in the band basis of its frame: the bare frame (`alpha` = 0) or the frame
+    displaced by `alpha` = alpha_lambda. Below the transition both methods
+    use the bare frame. Above it the effective method uses the displaced
+    frame; the exact method uses whichever of the two its cutoff search
+    converges in first (see `exact_ground_state`). The exact method's basis
+    is the even parity chain in the bare frame and spin-fastest in the
+    displaced one; the effective method's is natural Fock order. `mean_n` and
+    `gamma` are the moments of the physical photon number.
     """
 
     alpha: float
@@ -180,17 +188,20 @@ class BandGround:
     mean_n: float
     gamma: float
 
+    @property
+    def frame(self) -> str:
+        return "displaced" if self.alpha else "bare"
 
-def _frame_alpha(p: RabiParams) -> float:
-    return alpha_lambda(p) if p.lam > 1.0 else 0.0
 
-
-def _band_ground(search, sector, alpha: float, cutoff_tol: float, n_start: int) -> BandGround:
-    """Cutoff search on the lowest eigenvalue of `search`, then one ground
-    vector of `sector` (the block of it holding the ground state) at the
-    chosen cutoff, and its physical photon-number moments."""
-    cutoff = converge_cutoff(search, cutoff_tol, n_start)
-    energy, vec = band_ground_state(sector(cutoff))
+def _band_ground(alphas, search, solve, cutoff_tol: float, n_start: int) -> BandGround:
+    """One cutoff search over the frames displaced by each of `alphas`, in
+    that order, on the lowest eigenvalue of `search(alpha, cutoff)`; then one
+    ground vector, `solve(alpha, cutoff)` -> (energy, amplitudes in Fock
+    rows), in the first frame to converge, at its cutoff, and its physical
+    photon-number moments."""
+    found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol, n_start)
+    alpha, cutoff = alphas[found.frame], found.cutoff
+    energy, vec = solve(alpha, cutoff)
     mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
     return BandGround(alpha, cutoff, energy, QuantumState(vec), mean_n, gamma)
 
@@ -209,15 +220,28 @@ def _ground_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatri
 
 
 def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> BandGround:
-    """Exact ground state: bare frame for lam <= 1, displaced by alpha_lambda
-    above. The cutoff search sees both parity chains, as a dense solve would;
-    the state comes from one solve of the even chain at the chosen cutoff."""
-    alpha = _frame_alpha(p)
-    return _band_ground(
-        lambda c: _exact_band(p, alpha, c),
-        lambda c: _ground_sector(p, alpha, c),
-        alpha, cutoff_tol, n_start,
-    )
+    """Exact ground state. Below the transition it is solved in the bare
+    frame. Above it, one doubling loop searches the bare frame and the frame
+    displaced by alpha_lambda, the bare one first at each cutoff, and the
+    state is solved in the first whose ground energy converges: the
+    displaced frame where the two wells are far apart, the bare one where
+    tunnelling between them still matters. The bare frame holds both wells
+    only with about alpha_lambda^2 photons, the mean-field photon number, so
+    it is not built below that cutoff. The search sees both parity chains,
+    as a dense solve would; the state comes from one solve of the even chain.
+    """
+    alphas = (0.0,) if p.lam <= 1.0 else (0.0, alpha_lambda(p))
+    n_bare = alphas[-1] ** 2
+
+    def search(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
+        if alpha == 0.0 and cutoff.n_max < n_bare:
+            return None
+        return _exact_band(p, alpha, cutoff)
+
+    def solve(alpha: float, cutoff: FockCutoff):
+        return band_ground_state(_ground_sector(p, alpha, cutoff))
+
+    return _band_ground(alphas, search, solve, cutoff_tol, n_start)
 
 
 def _effective_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
@@ -228,20 +252,35 @@ def _effective_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatr
 
 def effective_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> BandGround:
     """Ground state of the fourth-order effective Hamiltonian of the phase of
-    `p` (the superradiant one in the frame displaced by alpha_lambda)."""
-    alpha = _frame_alpha(p)
-    builder = lambda c: _effective_band(p, alpha, c)
-    return _band_ground(builder, builder, alpha, cutoff_tol, n_start)
+    `p` (the superradiant one in the frame displaced by alpha_lambda). The
+    normal-phase Hamiltonian conserves photon parity, so its ground vector is
+    solved on the even photon numbers alone; the cutoff search sees them all.
+    """
+
+    def solve(alpha: float, cutoff: FockCutoff):
+        h = _effective_band(p, alpha, cutoff)
+        if alpha:
+            return band_ground_state(h)
+        energy, even = band_ground_state(h.even())
+        vec = np.zeros(cutoff.dim)
+        vec[0::2] = even
+        return energy, vec
+
+    return _band_ground(
+        (alpha_lambda(p) if p.lam > 1.0 else 0.0,),
+        partial(_effective_band, p), solve, cutoff_tol, n_start,
+    )
 
 
 def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
-    """(h_g, h_e, ground, gamma, cutoff) in the appropriate common frame.
+    """(h_g, h_e, ground, gamma, cutoff, frame) in the common frame of the
+    ground state (`exact_ground_state`).
 
-    Normal side (lam <= 1): bare frame, branch cavity frequencies omega_c -+ chi,
-    restricted to the even parity chain, which the branches conserve.
-    Superradiant side: one common displacement alpha_lambda applied to the
-    ground-state Hamiltonian and both branches (frame invariance of the echo
-    makes this exact; per-branch displacements would not be).
+    Bare frame: branch cavity frequencies omega_c -+ chi, restricted to the
+    even parity chain, which the branches conserve. Displaced frame: one
+    common displacement alpha_lambda applied to the ground-state Hamiltonian
+    and both branches (frame invariance of the echo makes this exact;
+    per-branch displacements would not be).
     """
     chi = probe.chi
     gs = exact_ground_state(p, cutoff_tol, n_start)
@@ -252,7 +291,7 @@ def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_star
 
     h_g = branch(p.omega_c - chi, -0.5 * probe.omega_s)
     h_e = branch(p.omega_c + chi, 0.5 * probe.omega_s + chi)
-    return h_g, h_e, gs.state, gs.gamma, gs.cutoff
+    return h_g, h_e, gs.state, gs.gamma, gs.cutoff, gs.frame
 
 
 def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
@@ -260,7 +299,9 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_
 
     The probe couples through chi sigma_z^(s) n; in the displaced frame the
     physical photon number is n + alpha x + alpha^2, so the branch shift
-    carries the displacement terms on the superradiant side.
+    carries the displacement terms on the superradiant side. In the bare
+    frame the branches conserve photon parity and the ground state is even,
+    so they are restricted to the even photon numbers.
     """
     chi = probe.chi
     gs = effective_ground_state(p, cutoff_tol, n_start)
@@ -268,7 +309,10 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_
     n_phys = photon_number_band(gs.alpha, gs.cutoff).band
     h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
     h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)
-    return h_g, h_e, gs.state, gs.gamma, gs.cutoff
+    ground = gs.state
+    if not gs.alpha:
+        h_g, h_e, ground = h_g.even(), h_e.even(), QuantumState(ground.vec[0::2])
+    return h_g, h_e, ground, gs.gamma, gs.cutoff, gs.frame
 
 
 def _echo_point(
@@ -283,7 +327,7 @@ def _echo_point(
 ) -> EchoPoint:
     chi = probe.chi
     if lam == 0.0:
-        return EchoPoint(lam, np.ones_like(times), 0.0, None, True)
+        return EchoPoint(lam, np.ones_like(times), 0.0, None, True, "")
     p = RabiParams.from_dimensionless(lam, eta, omega_c)
     if method in ("analytic", "variational"):
         if abs(lam - 1.0) < CRITICAL_BAND:
@@ -294,15 +338,15 @@ def _echo_point(
             gamma = variance_np(p) if lam < 1.0 else variance_sp(p)
         else:
             gamma = max(variational_solve(p).gamma_prime, 0.0)
-        return EchoPoint(lam, short_time_le(gamma, chi, times), gamma, None, True)
+        return EchoPoint(lam, short_time_le(gamma, chi, times), gamma, None, True, "")
     if method == "exact":
-        h_g, h_e, ground, gamma, cutoff = _exact_branches(p, probe, cutoff_tol, n_start)
+        h_g, h_e, ground, gamma, cutoff, frame = _exact_branches(p, probe, cutoff_tol, n_start)
     elif method == "effective":
-        h_g, h_e, ground, gamma, cutoff = _effective_branches(p, probe, cutoff_tol, n_start)
+        h_g, h_e, ground, gamma, cutoff, frame = _effective_branches(p, probe, cutoff_tol, n_start)
     else:
         raise ValueError(f"unknown method {method!r}")
     series = decoherence_factor(h_g, h_e, ground, times, gamma=gamma)
-    return EchoPoint(lam, series.l_values, gamma, cutoff.n_max, True)
+    return EchoPoint(lam, series.l_values, gamma, cutoff.n_max, True, frame)
 
 
 def loschmidt_echo_sweep(
@@ -317,8 +361,9 @@ def loschmidt_echo_sweep(
 ) -> EchoSweep:
     """Echo surface L(lam, t); `p` supplies (omega_c, eta), lam varies per row.
 
-    Methods: 'exact' (bare-frame branches for lam <= 1, common displaced
-    frame above), 'effective' (boson-only fourth-order Hamiltonians),
+    Methods: 'exact' (bare-frame branches for lam <= 1; above, branches in
+    the frame of `exact_ground_state`, bare or commonly displaced),
+    'effective' (boson-only fourth-order Hamiltonians),
     'analytic' / 'variational' (Gaussian law with the respective variance;
     valid for epsilon * t << 1, epsilon the ground-state excitation
     frequency, and evaluated at every requested t regardless).
@@ -348,5 +393,6 @@ def loschmidt_echo_sweep(
         gammas=np.array([pt.gamma for pt in points]),
         cutoffs=[pt.cutoff for pt in points],
         converged=[pt.converged for pt in points],
+        frames=[pt.frame for pt in points],
         wall_times=np.array([wall for _, wall in results]),
     )

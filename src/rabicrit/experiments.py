@@ -188,11 +188,12 @@ def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> lis
         for method in cfg.methods:
             cutoff = None
             converged = True
+            frame = ""
             t0 = time.perf_counter()
             if method in ("exact", "effective"):
                 solve = exact_ground_state if method == "exact" else effective_ground_state
                 gs = solve(p, cfg.cutoff_tol, n_start)
-                cutoff, energy, mean_n = gs.cutoff, gs.energy, gs.mean_n
+                cutoff, energy, mean_n, frame = gs.cutoff, gs.energy, gs.mean_n, gs.frame
             elif method == "variational":
                 sol = variational_solve(p)
                 energy, mean_n = sol.energy, sol.mean_n
@@ -212,6 +213,7 @@ def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> lis
                         "value": value,
                         "cutoff": cutoff.n_max if cutoff else "",
                         "converged": converged,
+                        "frame": frame,
                         "wall_time": wall,
                     }
                 )
@@ -243,6 +245,7 @@ def _echo_records(cfg: SweepConfig, omega_c: float, n_start: int, threads: int) 
                             "value": float(sweep.l_matrix[i, j]),
                             "cutoff": sweep.cutoffs[i] if sweep.cutoffs[i] is not None else "",
                             "converged": bool(sweep.converged[i]),
+                            "frame": sweep.frames[i],
                             "wall_time": float(sweep.wall_times[i]),
                         }
                     )
@@ -317,7 +320,7 @@ def run(
         "provenance": report.provenance,
         "records": records,
     }
-    (out / "report.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
+    (out / "report.json").write_text(json.dumps(payload, sort_keys=True))
     return report
 
 

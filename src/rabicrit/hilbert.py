@@ -123,6 +123,11 @@ class BandMatrix:
         """The leading m x m principal block."""
         return BandMatrix(self.band[:, :m])
 
+    def even(self) -> "BandMatrix":
+        """Rows and columns 0, 2, 4, ..., with half the half-width: an
+        invariant block of H when its odd diagonals are zero."""
+        return BandMatrix(self.band[0::2, 0::2])
+
 
 @dataclass(frozen=True)
 class QuantumState:

@@ -122,6 +122,7 @@ def test_run_writes_outputs(tmp_path):
     assert payload["schema_version"] == 1
     assert "config_hash" in payload["provenance"]
     assert len(payload["records"]) == 18
+    assert payload["records"] == report.records
 
     # determinism: identical config -> byte-identical CSV
     first = csv_path.read_bytes()
@@ -192,6 +193,24 @@ def test_report_wall_time_is_per_point(tmp_path):
     per_point = [w.pop() for w in walls.values()]
     assert all(w > 0.0 for w in per_point)
     assert len(set(per_point)) == len(per_point)
+
+
+def test_report_frame(tmp_path):
+    # the exact method's frame above the transition depends on convergence,
+    # not on lambda alone: the bare chains win at eta = 1000, the displaced
+    # band at eta = 1e5; closed forms have no frame
+    cfg = default_config("fig2", str(tmp_path / "fig2"))
+    cfg.methods = ["exact", "effective", "variational"]
+    frames = {(rec["method"], rec["eta"]): rec["frame"] for rec in run(cfg).records}
+    assert frames[("exact", 1e3)] == "bare"
+    assert frames[("exact", 1e5)] == "displaced"
+    assert frames[("effective", 1e3)] == "displaced"
+    assert frames[("variational", 1e3)] == ""
+    cfg = _tiny_config(tmp_path / "echo")
+    cfg.methods = ["exact", "analytic"]
+    frames = {(rec["method"], rec["lambda"]): rec["frame"] for rec in run(cfg).records}
+    assert frames == {("exact", 0.5): "bare", ("exact", 0.9): "bare", ("exact", 1.2): "displaced",
+                      ("analytic", 0.5): "", ("analytic", 0.9): "", ("analytic", 1.2): ""}
 
 
 def test_cli_has_no_seed_flag(tmp_path):

@@ -2,11 +2,15 @@
 dense oracle.
 
 The exact method solves the Rabi Hamiltonian as a real tridiagonal matrix
-(the two parity chains of the bare frame, lam <= 1) or as a real band matrix
-of half-width 3 (the displaced frame, lam > 1); the effective method solves
-its fourth-order Hamiltonians as real band matrices of half-width 4. The
-dense complex `Operator` path below (cutoff doubling, `ground_state`, dense
-branches and `decoherence_factor`) is the reference they must reproduce.
+(the two parity chains of the bare frame) or as a real band matrix of
+half-width 3 (the displaced frame). Below the transition it uses the bare
+frame; above it, the first frame whose ground energy converges in one
+doubling search (bare first at each cutoff, and not below the mean-field
+photon number alpha_lambda^2). The effective method solves its fourth-order
+Hamiltonians as real band matrices of half-width 4, below the transition on
+the even photon numbers. The dense complex `Operator` path below (cutoff
+doubling over the same frames, `ground_state`, dense branches and
+`decoherence_factor`) is the reference they must reproduce.
 """
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 
 from scipy.linalg import eig_banded
 
+import rabicrit.dynamics as dynamics
 import rabicrit.spectra as spectra
 from rabicrit.dynamics import decoherence_factor, exact_ground_state, loschmidt_echo_sweep
 from rabicrit.errors import ConvergenceError
@@ -81,19 +86,24 @@ def _spin_fastest_order(cutoff):
 
 
 def _dense_exact(p, probe, times, tol=TOL):
-    """(cutoff, energy, mean_n, gamma, L) by the dense complex path."""
+    """(cutoff, energy, mean_n, gamma, L) by the dense complex path, in the
+    frame that converges first: the bare frame below the transition; above
+    it, one doubling search over the bare frame and then the displaced one
+    at each cutoff."""
+    bare = lambda c: build_rabi(p, c)
     if p.lam <= 1.0:
-        builder = lambda c: build_rabi(p, c)
-        cutoff = converge_cutoff(builder, tol)
-        gs = ground_state(builder(cutoff))
+        alpha, cutoff = 0.0, converge_cutoff(bare, tol)
+    else:
+        alpha = alpha_lambda(p)
+        frame, cutoff = converge_cutoff((bare, lambda c: build_displaced_rabi(p, alpha, c)[0]), tol)
+        alpha = (0.0, alpha)[frame]
+    if alpha == 0.0:
+        gs = ground_state(bare(cutoff))
         h_g = build_branch(p, probe, "g", cutoff)
         h_e = build_branch(p, probe, "e", cutoff)
         mean_n, gamma = photon_moments(gs.state)
     else:
-        alpha = alpha_lambda(p)
-        builder = lambda c: build_displaced_rabi(p, alpha, c)[0]
-        cutoff = converge_cutoff(builder, tol)
-        gs = ground_state(builder(cutoff))
+        gs = ground_state(build_displaced_rabi(p, alpha, cutoff)[0])
 
         def branch(omega_b, const):
             h, _ = build_displaced_rabi(RabiParams(omega_b, p.omega_0, p.g), alpha, cutoff)
@@ -167,6 +177,36 @@ def test_exact_path_matches_dense_oracle():
         decay = 1.0 - l_dense
         excess = np.abs((1.0 - l_band) - decay) - (1e-6 * decay + 1e-13)
         assert excess.max() <= 0.0, f"lam = {lam}: 1 - L off by {excess.max():.3g} beyond bound"
+
+
+def test_exact_frame_is_the_first_to_converge():
+    # above the transition the bare parity chains win where tunnelling
+    # between the wells matters, the displaced band where the wells are far
+    # apart (alpha_lambda^2 = 25 and 511)
+    gs = exact_ground_state(RabiParams.from_dimensionless(1.005, 5000.0), TOL)
+    assert (gs.frame, gs.alpha, gs.cutoff.n_max) == ("bare", 0.0, 128)
+    p = RabiParams.from_dimensionless(1.05, 1e5)
+    gs = exact_ground_state(p, TOL)
+    assert (gs.frame, gs.alpha, gs.cutoff.n_max) == ("displaced", alpha_lambda(p), 32)
+    assert converge_cutoff(lambda c: build_displaced_rabi_band(p, gs.alpha, c), TOL) == gs.cutoff
+
+
+def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
+    # at eta = 1e5 every superradiant point converges in the displaced frame
+    # below the cutoff alpha_lambda^2 >= 499, so no bare chain is built
+    built = []
+
+    def counted(p, cutoff):
+        built.append(cutoff.n_max)
+        return build_rabi_parity(p, cutoff)
+
+    monkeypatch.setattr(dynamics, "build_rabi_parity", counted)
+    lams = [lam for lam in default_config("fig5").lambda_grid if lam > 1.0]
+    for lam in lams:
+        assert exact_ground_state(RabiParams.from_dimensionless(lam, 1e5), TOL).frame == "displaced"
+    assert built == []
+    exact_ground_state(RabiParams.from_dimensionless(1.005, 5000.0), TOL)
+    assert min(built) >= 32 and 128 in built  # alpha_lambda^2 = 25
 
 
 def _even_chain_echo(p, probe, cutoff, times):
