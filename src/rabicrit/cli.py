@@ -82,9 +82,9 @@ def main(argv=None) -> int:
     else:
         config = default_config(args.command, args.out, args.cutoff_tol)
     report = run(config, out_dir=args.out, threads=args.threads)
-    n_bad = sum(1 for rec in report.records if not rec["converged"])
-    print(f"{config.figure}: {len(report.records)} records written to {args.out} "
-          f"({n_bad} degraded)")
+    n_rows = sum(len(pt.value) for pt in report.points)
+    n_bad = sum(len(pt.value) for pt in report.points if not pt.converged)
+    print(f"{config.figure}: {n_rows} records written to {args.out} ({n_bad} degraded)")
     return 1 if report.degraded else 0
 
 

@@ -21,10 +21,13 @@ from functools import partial
 import numpy as np
 
 from .analytic import CRITICAL_BAND, short_time_le, variance_np, variance_sp
-from .errors import DimensionMismatchError, PhaseDomainError
+from .errors import ConvergenceError, DimensionMismatchError, PhaseDomainError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
+    _effective_np_coeffs,
+    _effective_sp_coeffs,
+    _quartic_band,
     alpha_lambda,
     build_displaced_rabi_band,
     build_effective_np_band,
@@ -301,11 +304,15 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_
     physical photon number is n + alpha x + alpha^2, so the branch shift
     carries the displacement terms on the superradiant side. In the bare
     frame the branches conserve photon parity and the ground state is even,
-    so they are restricted to the even photon numbers.
+    so they are restricted to the even photon numbers. The Hamiltonian's
+    constant (-omega_0/2 at leading order) is left out of both branches: it
+    is a global phase of D, and kept in, its roundoff eps omega_0 would grow
+    into a phase error of L with t.
     """
     chi = probe.chi
     gs = effective_ground_state(p, cutoff_tol, n_start)
-    h0 = _effective_band(p, gs.alpha, gs.cutoff).band
+    c2, c4, _ = (_effective_sp_coeffs if gs.alpha else _effective_np_coeffs)(p)
+    h0 = _quartic_band(p.omega_c, c2, c4, 0.0, gs.cutoff).band
     n_phys = photon_number_band(gs.alpha, gs.cutoff).band
     h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
     h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)
@@ -339,12 +346,14 @@ def _echo_point(
         else:
             gamma = max(variational_solve(p).gamma_prime, 0.0)
         return EchoPoint(lam, short_time_le(gamma, chi, times), gamma, None, True, "")
-    if method == "exact":
-        h_g, h_e, ground, gamma, cutoff, frame = _exact_branches(p, probe, cutoff_tol, n_start)
-    elif method == "effective":
-        h_g, h_e, ground, gamma, cutoff, frame = _effective_branches(p, probe, cutoff_tol, n_start)
-    else:
+    if method not in ("exact", "effective"):
         raise ValueError(f"unknown method {method!r}")
+    branches = _exact_branches if method == "exact" else _effective_branches
+    try:
+        h_g, h_e, ground, gamma, cutoff, frame = branches(p, probe, cutoff_tol, n_start)
+    except ConvergenceError:
+        # recorded as a degraded point; the sweep goes on
+        return EchoPoint(lam, np.full_like(times, np.nan), np.nan, None, False, "")
     series = decoherence_factor(h_g, h_e, ground, times, gamma=gamma)
     return EchoPoint(lam, series.l_values, gamma, cutoff.n_max, True, frame)
 
@@ -366,7 +375,9 @@ def loschmidt_echo_sweep(
     'effective' (boson-only fourth-order Hamiltonians),
     'analytic' / 'variational' (Gaussian law with the respective variance;
     valid for epsilon * t << 1, epsilon the ground-state excitation
-    frequency, and evaluated at every requested t regardless).
+    frequency, and evaluated at every requested t regardless). A point whose
+    cutoff search does not converge below the hard cap is returned with
+    `converged` False and NaN echo and `gamma`; the other points go on.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     times = np.asarray(times, dtype=float)

@@ -8,6 +8,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .dynamics import (
     exact_ground_state,
     loschmidt_echo_sweep,
 )
+from .errors import ConvergenceError
 from .hamiltonians import ProbeParams, RabiParams, build_branch, build_rabi, build_tripartite
 from .hilbert import FockCutoff, QuantumState
 from .spectra import converge_cutoff, ground_state, photon_moments
@@ -123,14 +125,63 @@ class SweepConfig:
 
 
 @dataclass
+class SweepPoint:
+    """One sweep point: one (eta, method, lambda) of an echo figure, or one
+    (eta, method) of fig1/fig2. Its rows share every field but the three
+    per-row columns `omega_c_t`, `value_name` and `value`.
+
+    A point whose cutoff search did not converge is degraded: `converged` is
+    False, its values are NaN, and `cutoff` and `frame` are empty.
+    """
+
+    figure: str
+    method: str
+    lam: float
+    eta: float
+    chi: float | str              # "" on the fig1/fig2 rows
+    cutoff: int | str             # "" where no cutoff was found
+    converged: bool
+    frame: str
+    wall_time: float              # seconds spent on this point
+    omega_c_t: list               # per row: the time, or "" on the fig1/fig2 rows
+    value_name: list[str]
+    value: list[float]
+
+    def records(self) -> list[dict]:
+        """The point's rows as `report.json` records."""
+        return [
+            {
+                "figure": self.figure,
+                "method": self.method,
+                "lambda": self.lam,
+                "eta": self.eta,
+                "chi": self.chi,
+                "omega_c_t": t,
+                "value_name": name,
+                "value": value,
+                "cutoff": self.cutoff,
+                "converged": self.converged,
+                "frame": self.frame,
+                "wall_time": self.wall_time,
+            }
+            for t, name, value in zip(self.omega_c_t, self.value_name, self.value)
+        ]
+
+
+@dataclass
 class RunReport:
-    records: list[dict] = field(default_factory=list)
+    points: list[SweepPoint] = field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
     provenance: dict = field(default_factory=dict)
 
     @property
+    def records(self) -> list[dict]:
+        """Every row as the record written to `report.json`."""
+        return [rec for pt in self.points for rec in pt.records()]
+
+    @property
     def degraded(self) -> bool:
-        return any(not rec["converged"] for rec in self.records)
+        return any(not pt.converged for pt in self.points)
 
 
 def _fmt(x) -> str:
@@ -179,49 +230,38 @@ def default_config(figure: str, out_dir: str = ".", cutoff_tol: float = 1e-8) ->
     raise ValueError(f"no default config for figure {figure!r}")
 
 
-def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> list[dict]:
-    """fig1/fig2 rows: ground energy and mean photon number vs eta."""
+def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> list[SweepPoint]:
+    """fig1/fig2 points: ground energy and mean photon number vs eta."""
     lam = cfg.lambda_grid[0]
-    records = []
+    points = []
     for eta in cfg.eta_grid:
         p = RabiParams.from_dimensionless(lam, eta, omega_c)
         for method in cfg.methods:
-            cutoff = None
-            converged = True
-            frame = ""
+            cutoff, converged, frame = "", True, ""
             t0 = time.perf_counter()
             if method in ("exact", "effective"):
                 solve = exact_ground_state if method == "exact" else effective_ground_state
-                gs = solve(p, cfg.cutoff_tol, n_start)
-                cutoff, energy, mean_n, frame = gs.cutoff, gs.energy, gs.mean_n, gs.frame
+                try:
+                    gs = solve(p, cfg.cutoff_tol, n_start)
+                except ConvergenceError:
+                    converged, energy, mean_n = False, np.nan, np.nan
+                else:
+                    cutoff, energy, mean_n, frame = gs.cutoff.n_max, gs.energy, gs.mean_n, gs.frame
             elif method == "variational":
                 sol = variational_solve(p)
                 energy, mean_n = sol.energy, sol.mean_n
             else:
                 raise ValueError(f"method {method!r} not meaningful for {cfg.figure}")
             wall = time.perf_counter() - t0
-            for name, value in (("energy", energy), ("mean_n", mean_n)):
-                records.append(
-                    {
-                        "figure": cfg.figure,
-                        "method": method,
-                        "lambda": lam,
-                        "eta": eta,
-                        "chi": "",
-                        "omega_c_t": "",
-                        "value_name": name,
-                        "value": value,
-                        "cutoff": cutoff.n_max if cutoff else "",
-                        "converged": converged,
-                        "frame": frame,
-                        "wall_time": wall,
-                    }
-                )
-    return records
+            points.append(SweepPoint(
+                cfg.figure, method, lam, eta, "", cutoff, converged, frame, wall,
+                ["", ""], ["energy", "mean_n"], [energy, mean_n],
+            ))
+    return points
 
 
-def _echo_records(cfg: SweepConfig, omega_c: float, n_start: int, threads: int) -> list[dict]:
-    records = []
+def _echo_records(cfg: SweepConfig, omega_c: float, n_start: int, threads: int) -> list[SweepPoint]:
+    points = []
     probe = ProbeParams.from_chi(cfg.chi, omega_c)
     lambdas = [v for v in cfg.lambda_grid if abs(v - 1.0) >= CRITICAL_BAND]
     for eta in cfg.eta_grid:
@@ -231,47 +271,68 @@ def _echo_records(cfg: SweepConfig, omega_c: float, n_start: int, threads: int) 
                 p, probe, lambdas, cfg.time_grid, method,
                 cutoff_tol=cfg.cutoff_tol, n_start=n_start, threads=threads,
             )
-            for i, lam in enumerate(sweep.lambdas):
-                for j, t in enumerate(sweep.times):
-                    records.append(
-                        {
-                            "figure": cfg.figure,
-                            "method": method,
-                            "lambda": float(lam),
-                            "eta": eta,
-                            "chi": cfg.chi,
-                            "omega_c_t": float(t),
-                            "value_name": "loschmidt_echo",
-                            "value": float(sweep.l_matrix[i, j]),
-                            "cutoff": sweep.cutoffs[i] if sweep.cutoffs[i] is not None else "",
-                            "converged": bool(sweep.converged[i]),
-                            "frame": sweep.frames[i],
-                            "wall_time": float(sweep.wall_times[i]),
-                        }
-                    )
-    return records
+            times = sweep.times.tolist()
+            names = ["loschmidt_echo"] * len(times)
+            for i, lam in enumerate(sweep.lambdas.tolist()):
+                cutoff = sweep.cutoffs[i]
+                points.append(SweepPoint(
+                    cfg.figure, method, lam, eta, cfg.chi,
+                    cutoff if cutoff is not None else "", bool(sweep.converged[i]),
+                    sweep.frames[i], float(sweep.wall_times[i]),
+                    times, names, sweep.l_matrix[i].tolist(),
+                ))
+    return points
 
 
-def write_csv(records: list[dict], path: Path):
+def write_csv(points: list[SweepPoint], path: Path):
+    """`<figure>.csv`, a row per record; floats as `_fmt` writes them."""
     lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    rec["figure"],
-                    rec["method"],
-                    _fmt(rec["lambda"]),
-                    _fmt(rec["eta"]),
-                    _fmt(rec["chi"]),
-                    _fmt(rec["omega_c_t"]),
-                    rec["value_name"],
-                    _fmt(rec["value"]),
-                    str(rec["cutoff"]),
-                    str(rec["converged"]).lower(),
-                ]
-            )
-        )
+    for pt in points:
+        head = f"{pt.figure},{pt.method},{pt.lam:.17g},{pt.eta:.17g},{_fmt(pt.chi)},"
+        tail = f",{pt.cutoff},{'true' if pt.converged else 'false'}"
+        for t, name, value in zip(pt.omega_c_t, pt.value_name, pt.value):
+            lines.append(f"{head}{_fmt(t)},{name},{value:.17g}{tail}")
     path.write_text("\n".join(lines) + "\n")
+
+
+def _json_items(items: list) -> list[str]:
+    """Each of `items` as `json.dumps` writes it (floats by repr, NaN and
+    Infinity included), from one call of its C encoder. No item's text
+    contains ', '."""
+    return json.dumps(items)[1:-1].split(", ")
+
+
+def write_report(report: RunReport, path: Path):
+    """`report.json`: the bytes of `json.dumps(payload, sort_keys=True)` for the
+    payload {schema_version, provenance, records}. In sorted order a record's
+    per-row keys `omega_c_t`, `value` and `value_name` fall between `method`
+    and `wall_time`, so a point's other fields are written once, around them.
+    """
+    points = report.points
+    shared = _json_items([
+        x for pt in points
+        for x in (pt.chi, pt.converged, pt.cutoff, pt.eta, pt.figure, pt.frame, pt.lam,
+                  pt.method, pt.wall_time)
+    ])
+    rows = zip(
+        _json_items([t for pt in points for t in pt.omega_c_t]),
+        _json_items([v for pt in points for v in pt.value]),
+        _json_items([name for pt in points for name in pt.value_name]),
+    )
+    records = []
+    for k, pt in enumerate(points):
+        chi, converged, cutoff, eta, figure, frame, lam, method, wall = shared[9 * k:9 * k + 9]
+        head = (f'{{"chi": {chi}, "converged": {converged}, "cutoff": {cutoff}, "eta": {eta}, '
+                f'"figure": {figure}, "frame": {frame}, "lambda": {lam}, "method": {method}, '
+                f'"omega_c_t": ')
+        tail = f', "wall_time": {wall}}}'
+        for t, value, name in islice(rows, len(pt.value)):
+            records.append(f'{head}{t}, "value": {value}, "value_name": {name}{tail}')
+    path.write_text(
+        f'{{"provenance": {json.dumps(report.provenance, sort_keys=True)}, '
+        f'"records": [{", ".join(records)}], '
+        f'"schema_version": {json.dumps(report.schema_version)}}}'
+    )
 
 
 def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
@@ -302,25 +363,20 @@ def run(
     out = Path(out_dir if out_dir is not None else config.output_path)
     out.mkdir(parents=True, exist_ok=True)
     if config.figure in ("fig1", "fig2"):
-        records = _ground_state_records(config, omega_c, n_start)
+        points = _ground_state_records(config, omega_c, n_start)
     else:
-        records = _echo_records(config, omega_c, n_start, threads)
+        points = _echo_records(config, omega_c, n_start, threads)
     report = RunReport(
-        records=records,
+        points=points,
         provenance={
             "config_hash": hashlib.sha256(config.canonical_text().encode()).hexdigest(),
             "code_version": __version__,
         },
     )
     csv_path = out / f"{config.figure}.csv"
-    write_csv(records, csv_path)
+    write_csv(points, csv_path)
     write_gnuplot_script(config, csv_path.name, out / f"{config.figure}.gp")
-    payload = {
-        "schema_version": report.schema_version,
-        "provenance": report.provenance,
-        "records": records,
-    }
-    (out / "report.json").write_text(json.dumps(payload, sort_keys=True))
+    write_report(report, out / "report.json")
     return report
 
 

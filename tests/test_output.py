@@ -1,0 +1,135 @@
+"""The sweep outputs against the per-record writer they replace.
+
+`run` writes `<figure>.csv` and `report.json` per sweep point: each point's
+constant fields are formatted once, and only the per-row columns `omega_c_t`,
+`value_name` and `value` per row. The oracle below is the per-record writer:
+every record formatted field by field, and `json.dumps(payload,
+sort_keys=True)`. Both files must equal its output byte for byte.
+"""
+
+import json
+import math
+
+import pytest
+
+import rabicrit.spectra as spectra
+from rabicrit.cli import main
+from rabicrit.experiments import CSV_HEADER, SweepConfig, default_config, run
+
+
+def _fmt(x) -> str:
+    if x is None or x == "":
+        return ""
+    return f"{float(x):.17g}"
+
+
+def _oracle_csv(records) -> str:
+    lines = [CSV_HEADER]
+    for rec in records:
+        lines.append(
+            ",".join(
+                [
+                    rec["figure"],
+                    rec["method"],
+                    _fmt(rec["lambda"]),
+                    _fmt(rec["eta"]),
+                    _fmt(rec["chi"]),
+                    _fmt(rec["omega_c_t"]),
+                    rec["value_name"],
+                    _fmt(rec["value"]),
+                    str(rec["cutoff"]),
+                    str(rec["converged"]).lower(),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_json(report) -> str:
+    payload = {
+        "schema_version": report.schema_version,
+        "provenance": report.provenance,
+        "records": report.records,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def _assert_oracle_bytes(report, out, figure):
+    assert (out / f"{figure}.csv").read_text() == _oracle_csv(report.records)
+    assert (out / "report.json").read_text() == _oracle_json(report)
+
+
+def _echo_config(out, methods):
+    return SweepConfig(
+        figure="custom",
+        lambda_grid=[0.0, 0.5, 1.2],
+        eta_grid=[500.0, 5000.0],
+        time_grid=[0.0, 20.0, 40.0],
+        chi=1e-3,
+        methods=methods,
+        output_path=str(out),
+    )
+
+
+def test_echo_outputs_match_record_oracle(tmp_path):
+    report = run(_echo_config(tmp_path, ["exact", "effective", "analytic"]))
+    _assert_oracle_bytes(report, tmp_path, "custom")
+    # 2 etas x 3 methods x 3 lambdas, 3 times each
+    assert len(report.points) == 18
+    assert len(report.records) == 54
+    for rec in report.records:
+        if rec["lambda"] == 0.0 or rec["method"] == "analytic":
+            assert (rec["cutoff"], rec["frame"]) == ("", "")
+        else:
+            assert rec["cutoff"] > 0 and rec["frame"] in ("bare", "displaced")
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_ground_outputs_match_record_oracle(tmp_path, figure):
+    cfg = default_config(figure, str(tmp_path))
+    cfg.eta_grid = [1e3, 1e5]
+    report = run(cfg)
+    _assert_oracle_bytes(report, tmp_path, figure)
+    assert len(report.records) == 2 * len(cfg.eta_grid) * len(cfg.methods)
+
+
+def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
+    # at cap 16 only points that converge at cutoff 8 are solved; the others
+    # are degraded rows (NaN, converged=false, no cutoff or frame), the sweep
+    # goes on, and the CLI exits with status 1
+    monkeypatch.setattr(spectra, "CUTOFF_HARD_CAP", 16)
+    cfg = _echo_config(tmp_path / "echo", ["exact", "analytic"])
+    cfg.lambda_grid, cfg.eta_grid = [0.3, 0.9, 1.2], [500.0]
+    report = run(cfg)
+    _assert_oracle_bytes(report, tmp_path / "echo", "custom")
+    capped = {("exact", 0.9), ("exact", 1.2)}
+    assert {(pt.method, pt.lam) for pt in report.points if not pt.converged} == capped
+    assert report.degraded
+
+    rows = (tmp_path / "echo" / "custom.csv").read_text().splitlines()[1:]
+    records = json.loads((tmp_path / "echo" / "report.json").read_text())["records"]
+    assert len(rows) == len(records) == 18
+    for row, rec in zip(rows, records):
+        fields = row.split(",")
+        if (rec["method"], rec["lambda"]) in capped:
+            assert fields[7:] == ["nan", "", "false"]
+            assert math.isnan(rec["value"])
+            assert (rec["converged"], rec["cutoff"], rec["frame"]) == (False, "", "")
+        else:
+            assert fields[9] == "true" and math.isfinite(float(fields[7]))
+            assert rec["converged"] is True and math.isfinite(rec["value"])
+    assert '"value": NaN' in (tmp_path / "echo" / "report.json").read_text()
+
+    cfg = default_config("fig1", str(tmp_path / "fig1"))
+    cfg.eta_grid = [1e3]
+    report = run(cfg)
+    _assert_oracle_bytes(report, tmp_path / "fig1", "fig1")
+    assert {pt.method: pt.converged for pt in report.points} == {
+        "exact": False, "effective": False, "variational": True}
+
+    path = tmp_path / "sweep.cfg"
+    path.write_text(cfg.canonical_text())
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
+    out = capsys.readouterr().out
+    assert "6 records written" in out and "(4 degraded)" in out
+    assert main(["fig1", "--out", str(tmp_path / "cli")]) == 1

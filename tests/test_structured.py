@@ -26,6 +26,9 @@ from rabicrit.experiments import default_config, run
 from rabicrit.hamiltonians import (
     ProbeParams,
     RabiParams,
+    _effective_np_coeffs,
+    _effective_sp_coeffs,
+    _quartic_dense,
     alpha_lambda,
     build_branch,
     build_displaced_rabi,
@@ -302,6 +305,40 @@ def test_effective_path_matches_dense_oracle():
         decay = 1.0 - l_dense
         excess = np.abs((1.0 - l_band) - decay) - (1e-6 * decay + 1e-13)
         assert excess.max() <= 0.0, f"lam = {lam}: 1 - L off by {excess.max():.3g} beyond bound"
+
+
+def test_effective_branches_carry_no_constant():
+    # the effective Hamiltonian's constant (-omega_0/2 at leading order) is
+    # common to both branches, a global phase of D; left in the branch bands,
+    # its roundoff eps omega_0 grows into a phase error of L with t (up to
+    # 7e-9 at eta = 1e6, t = 100). Oracle: the dense path with the constant
+    # left out, at the sweep's cutoff. The ground vector is still solved with
+    # the constant (its eigenvalue is the reported ground energy); its own
+    # roundoff, of order eps omega_0 / gap, leaves 2.2e-11 at lam = 1.01,
+    # eta = 1e6, hence the looser bound there.
+    probe = ProbeParams.from_chi(1e-3)
+    times = np.linspace(0.0, 100.0, 21)
+    lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.2, 1.4]
+    for eta, bound in ((1e5, 1e-11), (1e6, 5e-11)):
+        sweep = loschmidt_echo_sweep(
+            RabiParams.from_dimensionless(0.5, eta), probe, lams, times, "effective",
+            cutoff_tol=TOL,
+        )
+        for i, lam in enumerate(lams):
+            p = RabiParams.from_dimensionless(lam, eta)
+            cutoff = FockCutoff(sweep.cutoffs[i])
+            if lam <= 1.0:
+                (c2, c4, _), alpha = _effective_np_coeffs(p), 0.0
+            else:
+                (c2, c4, _), alpha = _effective_sp_coeffs(p), alpha_lambda(p)
+            h0 = _quartic_dense(p.omega_c, c2, c4, 0.0, cutoff)
+            ident = identity(h0.dims)
+            n_phys = number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ident
+            h_g = h0 - probe.chi * n_phys + (-0.5 * probe.omega_s) * ident
+            h_e = h0 + probe.chi * n_phys + (0.5 * probe.omega_s + probe.chi) * ident
+            l_dense = decoherence_factor(h_g, h_e, ground_state(h0).state, times, gamma=0.0).l_values
+            err = np.abs(sweep.l_matrix[i] - l_dense).max()
+            assert err <= bound, (eta, lam, err)
 
 
 def test_effective_ground_records_match_dense(tmp_path):
