@@ -13,7 +13,7 @@ from .errors import (
     TruncationError,
 )
 from .hamiltonians import DisplacedFrame, ProbeParams, RabiParams
-from .hilbert import FockCutoff, Operator, QuantumState
+from .hilbert import FockCutoff
 
 __all__ = [
     "ConvergenceError",
@@ -21,10 +21,8 @@ __all__ = [
     "DisplacedFrame",
     "FockCutoff",
     "LayoutError",
-    "Operator",
     "PhaseDomainError",
     "ProbeParams",
-    "QuantumState",
     "RabiParams",
     "RabicritError",
     "TruncationError",

@@ -18,6 +18,24 @@ from .experiments import SweepConfig, default_config, run, validate_dispersive
 from .hamiltonians import ProbeParams, RabiParams
 
 
+def _checked(cast, test, wanted: str):
+    """An argparse type: `cast`, then reject a value failing `test` (NaN too)."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse's "invalid float value" message
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_positive = _checked(float, lambda v: v > 0, "positive")
+_non_negative = _checked(float, lambda v: v >= 0, "non-negative")
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--cutoff-tol", type=float, default=1e-8,
@@ -45,13 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate-dispersive",
                         help="tripartite check of the dispersive approximation")
-    sp.add_argument("--lam", type=float, default=0.5)
-    sp.add_argument("--eta", type=float, default=200.0)
+    sp.add_argument("--lam", type=_non_negative, default=0.5)
+    sp.add_argument("--eta", type=_positive, default=200.0)
     sp.add_argument("--g-s", type=float, default=0.05)
     sp.add_argument("--detuning-ratio", type=float, default=100.0,
                     help="Delta_s / g_s")
-    sp.add_argument("--t-max", type=float, default=20.0)
-    sp.add_argument("--n-times", type=int, default=41)
+    sp.add_argument("--t-max", type=_non_negative, default=20.0)
+    sp.add_argument("--n-times", type=_positive_int, default=41)
     sp.add_argument("--threshold", type=float, default=0.05,
                     help="maximum tolerated relative deviation")
     _add_common(sp)

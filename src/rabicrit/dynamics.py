@@ -1,14 +1,15 @@
 """Branch time evolution, decoherence factor, exact Loschmidt echo, and the
 probe's reduced state.
 
-Time propagation reuses one spectral decomposition per Hamiltonian; the
-Hamiltonians are time independent. The exact and effective methods solve real
-band matrices (the exact method's bare-frame parity chains,
-`hamiltonians.build_rabi_parity`, and above the transition, where its cutoff
-search converges there first, the displaced band
-`hamiltonians.build_displaced_rabi_band`; the effective builders
-`build_effective_np_band` / `build_effective_sp_band`) through one ground-state
-path; the dense `Operator` path serves the tripartite check and the tests.
+Every Hamiltonian is a real symmetric `BandMatrix`. Time propagation reuses
+one spectral decomposition per Hamiltonian (they are time independent) and
+evolves a state to every requested time in one matrix product (`evolved`).
+The exact and effective methods find their ground states through one path:
+the exact method on the bare-frame parity chains
+(`hamiltonians.build_rabi_parity`) or, above the transition where its cutoff
+search converges there first, on the displaced band
+(`hamiltonians.build_displaced_rabi_band`); the effective method on
+`build_effective_np_band` / `build_effective_sp_band`.
 """
 
 from __future__ import annotations
@@ -35,54 +36,46 @@ from .hamiltonians import (
     build_rabi_parity,
     photon_number_band,
 )
-from .hilbert import BandMatrix, FockCutoff, Operator, QuantumState
+from .hilbert import BandMatrix, FockCutoff
 from .spectra import (
+    band_ground_energy,
     band_ground_state,
     band_spectrum,
     converge_cutoff,
     displaced_photon_moments,
-    photon_moments,
 )
 from .variational import solve as variational_solve
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """Eigenvalues (ascending) and real orthonormal eigenvectors (columns) of
+    a real symmetric matrix."""
+
     energies: np.ndarray
     vectors: np.ndarray
-    dims: tuple[int, ...]
 
     @classmethod
-    def of(cls, h: Operator | BandMatrix) -> "SpectralDecomposition":
-        if isinstance(h, BandMatrix):
-            w, v = band_spectrum(h)
-        elif not h.is_hermitian():
-            raise ValueError("spectral decomposition requires a Hermitian operator")
-        else:
-            w, v = np.linalg.eigh(h.mat)
-        return cls(w, v, h.dims)
-
-
-def evolve(decomp: SpectralDecomposition, psi0: QuantumState, t: float) -> QuantumState:
-    """psi(t) = V exp(-i Lambda t) V^dag psi0."""
-    if psi0.dim != decomp.vectors.shape[0]:
-        raise DimensionMismatchError(
-            f"state dim {psi0.dim} vs decomposition dim {decomp.vectors.shape[0]}"
-        )
-    coeff = decomp.vectors.conj().T @ psi0.vec
-    vec = decomp.vectors @ (np.exp(-1j * decomp.energies * t) * coeff)
-    return QuantumState(vec, psi0.dims)
+    def of(cls, h: BandMatrix) -> "SpectralDecomposition":
+        return cls(*band_spectrum(h))
 
 
 def _matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """v @ z for complex z. A real v (the band solvers' eigenvectors) is not
-    cast to complex: it multiplies the interleaved real and imaginary parts
-    of z in one real product."""
-    if np.iscomplexobj(v):
-        return v @ z
+    """v @ z for a real v and a complex (or real) z, as one real product on
+    the interleaved real and imaginary parts of z, so v is never cast to
+    complex."""
     z = np.ascontiguousarray(z, dtype=complex)
     out = v @ z.view(float).reshape(z.shape[0], -1)
     return out.view(complex).reshape(v.shape[0], *z.shape[1:])
+
+
+def evolved(d: SpectralDecomposition, vec: np.ndarray, times: np.ndarray,
+            e_ref: float) -> np.ndarray:
+    """exp(-i (H - e_ref) t) vec at every t of `times`, a column per time,
+    in one matrix product: V (exp(-i (E - e_ref) t) * V^T vec)."""
+    coeff = _matmul(d.vectors.T, vec)
+    phases = np.exp(-1j * np.outer(d.energies - e_ref, times))
+    return _matmul(d.vectors, phases * coeff[:, None])
 
 
 @dataclass(frozen=True)
@@ -94,37 +87,34 @@ class EchoSeries:
 
 
 def decoherence_factor(
-    h_g: Operator | BandMatrix,
-    h_e: Operator | BandMatrix,
-    ground: QuantumState,
+    h_g: BandMatrix,
+    h_e: BandMatrix,
+    ground: np.ndarray,
     times,
-    gamma: float | None = None,
+    gamma: float,
 ) -> EchoSeries:
-    """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>.
+    """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>, each
+    branch evolved to every time in one matrix product (`branch_echo`).
+    `gamma` is the photon-number variance of `ground`, carried for the
+    short-time comparisons."""
+    return branch_echo(SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e),
+                       ground, times, gamma)
 
-    Each branch is evolved to every time in one matrix product,
-    Phi_b = V_b (exp(-i E_b t) * V_b^dag |G>). `gamma` is the photon-number
-    variance used by short-time comparisons; if omitted it is computed from
-    `ground` assuming the last tensor factor is the boson (valid in the bare
-    frame only).
-    """
-    if h_g.dims != h_e.dims:
-        raise DimensionMismatchError(f"branch dims differ: {h_g.dims} vs {h_e.dims}")
+
+def branch_echo(dg: SpectralDecomposition, de: SpectralDecomposition, ground: np.ndarray,
+                times, gamma: float) -> EchoSeries:
+    """The decoherence factor of `decoherence_factor` from the spectra of
+    the two branches."""
+    if dg.vectors.shape != de.vectors.shape:
+        raise DimensionMismatchError(
+            f"branch dims differ: {dg.vectors.shape[0]} vs {de.vectors.shape[0]}"
+        )
     times = np.asarray(times, dtype=float)
-    dg = SpectralDecomposition.of(h_g)
-    de = SpectralDecomposition.of(h_e)
     # A common energy offset is a global phase that cancels in D; removing it
     # keeps the phases E t small (E is near -omega_0/2).
     e_ref = dg.energies[0]
-
-    def evolved(d: SpectralDecomposition) -> np.ndarray:
-        coeff = _matmul(d.vectors.conj().T, ground.vec)
-        phases = np.exp(-1j * np.outer(d.energies - e_ref, times))
-        return _matmul(d.vectors, phases * coeff[:, None])
-
-    d_vals = np.sum(evolved(dg).conj() * evolved(de), axis=0)
-    if gamma is None:
-        _, gamma = photon_moments(ground)
+    d_vals = np.sum(evolved(dg, ground, times, e_ref).conj()
+                    * evolved(de, ground, times, e_ref), axis=0)
     return EchoSeries(
         times=times,
         d_values=d_vals,
@@ -187,7 +177,7 @@ class BandGround:
     alpha: float
     cutoff: FockCutoff
     energy: float
-    state: QuantumState
+    vector: np.ndarray
     mean_n: float
     gamma: float
 
@@ -198,15 +188,15 @@ class BandGround:
 
 def _band_ground(alphas, search, solve, cutoff_tol: float, n_start: int) -> BandGround:
     """One cutoff search over the frames displaced by each of `alphas`, in
-    that order, on the lowest eigenvalue of `search(alpha, cutoff)`; then one
-    ground vector, `solve(alpha, cutoff)` -> (energy, amplitudes in Fock
-    rows), in the first frame to converge, at its cutoff, and its physical
+    that order, on the ground energy `search(alpha, cutoff)`; then one ground
+    vector, `solve(alpha, cutoff)` -> (energy, amplitudes in Fock rows), in
+    the first frame to converge, at its cutoff, and its physical
     photon-number moments."""
     found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol, n_start)
     alpha, cutoff = alphas[found.frame], found.cutoff
     energy, vec = solve(alpha, cutoff)
     mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
-    return BandGround(alpha, cutoff, energy, QuantumState(vec), mean_n, gamma)
+    return BandGround(alpha, cutoff, energy, vec, mean_n, gamma)
 
 
 def _exact_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
@@ -236,10 +226,10 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> Ba
     alphas = (0.0,) if p.lam <= 1.0 else (0.0, alpha_lambda(p))
     n_bare = alphas[-1] ** 2
 
-    def search(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
+    def search(alpha: float, cutoff: FockCutoff) -> float | None:
         if alpha == 0.0 and cutoff.n_max < n_bare:
             return None
-        return _exact_band(p, alpha, cutoff)
+        return band_ground_energy(_exact_band(p, alpha, cutoff))
 
     def solve(alpha: float, cutoff: FockCutoff):
         return band_ground_state(_ground_sector(p, alpha, cutoff))
@@ -247,10 +237,15 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> Ba
     return _band_ground(alphas, search, solve, cutoff_tol, n_start)
 
 
-def _effective_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
-    if alpha == 0.0:
-        return build_effective_np_band(p, cutoff)
-    return build_effective_sp_band(p, cutoff)
+def _effective_coeffs(p: RabiParams, alpha: float) -> tuple[float, float, float]:
+    """(c2, c4, const) of the effective Hamiltonian in the bare frame
+    (alpha = 0, normal phase) or the displaced one (superradiant phase)."""
+    return (_effective_sp_coeffs if alpha else _effective_np_coeffs)(p)
+
+
+def _effective_energy(p: RabiParams, alpha: float, cutoff: FockCutoff) -> float:
+    h = build_effective_sp_band(p, cutoff) if alpha else build_effective_np_band(p, cutoff)
+    return band_ground_energy(h)
 
 
 def effective_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> BandGround:
@@ -258,43 +253,56 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -
     `p` (the superradiant one in the frame displaced by alpha_lambda). The
     normal-phase Hamiltonian conserves photon parity, so its ground vector is
     solved on the even photon numbers alone; the cutoff search sees them all.
+    The vector is solved without the Hamiltonian's constant (-omega_0/2 at
+    leading order), which is added to its eigenvalue: kept in the band, the
+    constant's roundoff, of order eps omega_0 / gap, would stay in the vector.
     """
 
     def solve(alpha: float, cutoff: FockCutoff):
-        h = _effective_band(p, alpha, cutoff)
+        c2, c4, const = _effective_coeffs(p, alpha)
+        h = _quartic_band(p.omega_c, c2, c4, 0.0, cutoff)
         if alpha:
-            return band_ground_state(h)
-        energy, even = band_ground_state(h.even())
-        vec = np.zeros(cutoff.dim)
-        vec[0::2] = even
-        return energy, vec
+            energy, vec = band_ground_state(h)
+        else:
+            energy, even = band_ground_state(h.even())
+            vec = np.zeros(cutoff.dim)
+            vec[0::2] = even
+        return energy + const, vec
 
     return _band_ground(
         (alpha_lambda(p) if p.lam > 1.0 else 0.0,),
-        partial(_effective_band, p), solve, cutoff_tol, n_start,
+        partial(_effective_energy, p), solve, cutoff_tol, n_start,
     )
+
+
+def exact_branch_bands(p: RabiParams, probe: ProbeParams, alpha: float,
+                       cutoff: FockCutoff) -> tuple[BandMatrix, BandMatrix]:
+    """(h_g, h_e): the Rabi Hamiltonian conditioned on the probe in |g> or
+    |e>, in the block of `_exact_band` that holds the ground state.
+
+    Branch 'g': cavity frequency omega_c - chi, constant -omega_s/2.
+    Branch 'e': cavity frequency omega_c + chi, constant omega_s/2 + chi.
+    Bare frame (alpha = 0): the even parity chain, which the branches
+    conserve. Displaced frame: one common displacement applied to the
+    ground-state Hamiltonian and both branches (frame invariance of the echo
+    makes this exact; per-branch displacements would not be).
+    """
+    chi = probe.chi
+
+    def branch(omega_b: float, const: float) -> BandMatrix:
+        shifted = RabiParams(omega_b, p.omega_0, p.g)
+        return _ground_sector(shifted, alpha, cutoff).shifted(const)
+
+    return (branch(p.omega_c - chi, -0.5 * probe.omega_s),
+            branch(p.omega_c + chi, 0.5 * probe.omega_s + chi))
 
 
 def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
     """(h_g, h_e, ground, gamma, cutoff, frame) in the common frame of the
-    ground state (`exact_ground_state`).
-
-    Bare frame: branch cavity frequencies omega_c -+ chi, restricted to the
-    even parity chain, which the branches conserve. Displaced frame: one
-    common displacement alpha_lambda applied to the ground-state Hamiltonian
-    and both branches (frame invariance of the echo makes this exact;
-    per-branch displacements would not be).
-    """
-    chi = probe.chi
+    ground state (`exact_ground_state`)."""
     gs = exact_ground_state(p, cutoff_tol, n_start)
-
-    def branch(omega_b: float, const: float) -> BandMatrix:
-        shifted = RabiParams(omega_b, p.omega_0, p.g)
-        return _ground_sector(shifted, gs.alpha, gs.cutoff).shifted(const)
-
-    h_g = branch(p.omega_c - chi, -0.5 * probe.omega_s)
-    h_e = branch(p.omega_c + chi, 0.5 * probe.omega_s + chi)
-    return h_g, h_e, gs.state, gs.gamma, gs.cutoff, gs.frame
+    h_g, h_e = exact_branch_bands(p, probe, gs.alpha, gs.cutoff)
+    return h_g, h_e, gs.vector, gs.gamma, gs.cutoff, gs.frame
 
 
 def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
@@ -311,14 +319,14 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_
     """
     chi = probe.chi
     gs = effective_ground_state(p, cutoff_tol, n_start)
-    c2, c4, _ = (_effective_sp_coeffs if gs.alpha else _effective_np_coeffs)(p)
+    c2, c4, _ = _effective_coeffs(p, gs.alpha)
     h0 = _quartic_band(p.omega_c, c2, c4, 0.0, gs.cutoff).band
     n_phys = photon_number_band(gs.alpha, gs.cutoff).band
     h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
     h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)
-    ground = gs.state
+    ground = gs.vector
     if not gs.alpha:
-        h_g, h_e, ground = h_g.even(), h_e.even(), QuantumState(ground.vec[0::2])
+        h_g, h_e, ground = h_g.even(), h_e.even(), ground[0::2]
     return h_g, h_e, ground, gs.gamma, gs.cutoff, gs.frame
 
 

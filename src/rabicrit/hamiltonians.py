@@ -1,13 +1,14 @@
-"""Hamiltonian builders for the Rabi model, its dispersive-probe branches,
-the displaced frame, and the low-spin effective (boson-only) Hamiltonians.
+"""Hamiltonian builders for the Rabi model, the displaced frame, the
+probe + Rabi (tripartite) model, and the low-spin effective (boson-only)
+Hamiltonians.
 
-The `build_*` builders return dense Hermitian `Operator` values, used by the
-tripartite check and as the tests' reference. The `*_band` / `*_parity`
-builders return the same Hamiltonians as real `BandMatrix` values, which is
-what the exact and effective methods solve: the Rabi Hamiltonians in a
-permuted basis, the effective Hamiltonians and the physical photon number in
-natural Fock order. Natural units: the library accepts any positive omega_c;
-the CLI fixes omega_c = 1.
+Every builder returns a real symmetric `BandMatrix` in a basis ordered by
+photon number: the Rabi Hamiltonian as its two parity chains
+(`build_rabi_parity`) or spin-fastest in the displaced frame
+(`build_displaced_rabi_band`), the tripartite model with both spins fastest
+(`build_tripartite_band`), the effective Hamiltonians and the physical photon
+number in natural Fock order. Spin states are ordered (|e>, |g>). Natural
+units: the library accepts any positive omega_c; the CLI fixes omega_c = 1.
 """
 
 from __future__ import annotations
@@ -18,19 +19,7 @@ from math import atan, pi, sqrt
 import numpy as np
 
 from .errors import PhaseDomainError
-from .hilbert import (
-    BandMatrix,
-    FockCutoff,
-    Operator,
-    annihilation,
-    identity,
-    number,
-    pauli,
-    quadrature_x,
-    sigma_minus,
-    sigma_plus,
-    tensor,
-)
+from .hilbert import BandMatrix, FockCutoff
 
 
 @dataclass(frozen=True)
@@ -147,84 +136,9 @@ def displaced_frame(p: RabiParams, alpha_disp: float) -> DisplacedFrame:
     return DisplacedFrame(alpha_disp, theta, lam**2 * p.omega_0, g_tilde)
 
 
-def build_rabi(p: RabiParams, cutoff: FockCutoff) -> Operator:
-    """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag)."""
-    nb = cutoff.dim
-    i2 = identity((2,))
-    ib = identity((nb,))
-    h = (
-        p.omega_c * tensor(i2, number(cutoff))
-        + (0.5 * p.omega_0) * tensor(pauli("z"), ib)
-        - p.g * tensor(pauli("x"), quadrature_x(cutoff))
-    )
-    return h
-
-
-def build_branch(p: RabiParams, probe: ProbeParams, branch: str, cutoff: FockCutoff) -> Operator:
-    """Conditional Rabi Hamiltonian given the probe in |e> or |g>.
-
-    branch 'e': cavity frequency omega_c + chi, constant +(omega_s/2 + chi).
-    branch 'g': cavity frequency omega_c - chi, constant -omega_s/2.
-    """
-    if branch not in ("e", "g"):
-        raise ValueError(f"branch must be 'e' or 'g', got {branch!r}")
-    chi = probe.chi
-    if branch == "e":
-        omega_b = p.omega_c + chi
-        const = 0.5 * probe.omega_s + chi
-    else:
-        omega_b = p.omega_c - chi
-        const = -0.5 * probe.omega_s
-    shifted = RabiParams(omega_b, p.omega_0, p.g)
-    h = build_rabi(shifted, cutoff)
-    return h + const * identity(h.dims)
-
-
-def build_tripartite(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff) -> Operator:
-    """Full Jaynes-Cummings probe plus Rabi model, before the dispersive step.
-
-    Space: probe-spin (x) Rabi-spin (x) Fock, dimension 4 (n_max + 1).
-    """
-    nb = cutoff.dim
-    i2 = identity((2,))
-    ib = identity((nb,))
-    a = annihilation(cutoff)
-    rabi = tensor(i2, build_rabi(p, cutoff))
-    h_probe = (0.5 * probe.omega_s) * tensor(pauli("z"), tensor(i2, ib))
-    h_jc = (-probe.g_s) * (
-        tensor(sigma_minus(), tensor(i2, a.dag()))
-        + tensor(sigma_plus(), tensor(i2, a))
-    )
-    return rabi + h_probe + h_jc
-
-
-def build_displaced_rabi(
-    p: RabiParams, alpha_disp: float, cutoff: FockCutoff
-) -> tuple[Operator, DisplacedFrame]:
-    """Rabi Hamiltonian conjugated by D(alpha_disp), expanded term-by-term.
-
-    H~ = omega_c (a^dag + alpha)(a + alpha) - g (a + a^dag) sigma_x
-         + (omega_0/2) sigma_z - 2 g alpha sigma_x.
-
-    Built analytically (not by numerical conjugation with the truncated
-    displacement unitary), so it stays exactly Hermitian for any alpha.
-    """
-    nb = cutoff.dim
-    i2 = identity((2,))
-    ib = identity((nb,))
-    x = quadrature_x(cutoff)
-    boson = p.omega_c * (number(cutoff) + alpha_disp * x + alpha_disp**2 * ib)
-    h = (
-        tensor(i2, boson)
-        + (0.5 * p.omega_0) * tensor(pauli("z"), ib)
-        - p.g * tensor(pauli("x"), x)
-        - (2.0 * p.g * alpha_disp) * tensor(pauli("x"), ib)
-    )
-    return h, displaced_frame(p, alpha_disp)
-
-
 def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
-    """`build_rabi` as a real tridiagonal matrix in parity order.
+    """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag) as a
+    real tridiagonal matrix in parity order.
 
     Rows 0..n_max are the even parity chain |g,0>, |e,1>, |g,2>, ..., which
     holds the ground state; rows n_max+1.. are the odd chain |e,0>, |g,1>,
@@ -244,10 +158,15 @@ def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
 
 
 def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCutoff) -> BandMatrix:
-    """`build_displaced_rabi` as a real band matrix of half-width 3.
+    """The Rabi Hamiltonian conjugated by D(alpha_disp) as a real band matrix
+    of half-width 3:
 
-    Spin-fastest basis: row 2 k + s is spin s (0 for |e>, 1 for |g>) with k
-    photons in the displaced frame.
+    H~ = omega_c (a^dag + alpha)(a + alpha) - g (a + a^dag) sigma_x
+         + (omega_0/2) sigma_z - 2 g alpha sigma_x,
+
+    built term by term (not by conjugating with a truncated displacement), so
+    it stays exactly symmetric for any alpha. Spin-fastest basis: row 2 k + s
+    is spin s (0 for |e>, 1 for |g>) with k photons in the displaced frame.
     """
     k = np.arange(cutoff.dim, dtype=float)
     root = np.sqrt(k[1:])
@@ -262,8 +181,30 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCuto
     return BandMatrix(band)
 
 
+def build_tripartite_band(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff) -> BandMatrix:
+    """The Jaynes-Cummings probe plus the Rabi model, before the dispersive
+    step, as a real band matrix of half-width 6:
+
+    H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a).
+
+    Photons slowest, then the probe spin, then the Rabi spin: row
+    4 k + 2 s_probe + s_rabi has k photons (s = 0 for |e>, 1 for |g>).
+    """
+    k = np.arange(cutoff.dim, dtype=float)
+    spin = np.array([1.0, -1.0])
+    hop = np.sqrt(k[1:])[:, None]              # <k+1| a^dag |k>
+    band = np.zeros((7, 4 * cutoff.dim))
+    band[0] = (p.omega_c * k[:, None, None] + 0.5 * p.omega_0 * spin
+               + 0.5 * probe.omega_s * spin[:, None]).ravel()
+    rows = band[:, :4 * cutoff.n_max].reshape(7, cutoff.n_max, 4)  # a view: rows[d, k, j] = band[d, 4 k + j]
+    rows[5, :, 0::2] = -p.g * hop              # <k+1, s, g| H |k, s, e>
+    rows[3, :, 1::2] = -p.g * hop              # <k+1, s, e| H |k, s, g>
+    rows[6, :, :2] = -probe.g_s * hop          # <k+1, g, r| H |k, e, r>
+    return BandMatrix(band)
+
+
 def _effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
-    """(c2, c4, const) of the normal phase; see `build_effective_np`."""
+    """(c2, c4, const) of the normal phase; see `build_effective_np_band`."""
     lam = p.lam
     c2 = p.omega_c * lam**2 / 4.0
     c4 = lam**4 * p.omega_c**2 / (16.0 * p.omega_0)
@@ -272,7 +213,7 @@ def _effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
 
 
 def _effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
-    """(c2, c4, const) of the superradiant phase; see `build_effective_sp`."""
+    """(c2, c4, const) of the superradiant phase; see `build_effective_sp_band`."""
     lam = p.lam
     if lam <= 1.0:
         raise PhaseDomainError(
@@ -291,24 +232,12 @@ def _effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
     return gt**2 / w0t, gt**4 / w0t**3, const
 
 
-def _quartic_dense(omega_c: float, c2: float, c4: float, const: float,
-                     cutoff: FockCutoff) -> Operator:
-    x = quadrature_x(cutoff)
-    x2 = x @ x
-    return (
-        omega_c * number(cutoff)
-        - c2 * x2
-        + c4 * (x2 @ x2)
-        + const * identity(x.dims)
-    )
-
-
 def _quartic_band(omega_c: float, c2: float, c4: float, const: float,
                     cutoff: FockCutoff) -> BandMatrix:
     """omega_c n - c2 x^2 + c4 x^4 + const in natural Fock order, half-width 4.
 
-    x^2 and x^4 are the products of the truncated x, as in `_quartic_dense`:
-    the last diagonal entry of x^2 is n_max, not 2 n_max + 1.
+    x^2 and x^4 are the products of the truncated x = a + a^dag: the last
+    diagonal entry of x^2 is n_max, not 2 n_max + 1.
     """
     k = np.arange(cutoff.dim, dtype=float)
     x2_diag = 2.0 * k + 1.0
@@ -326,33 +255,21 @@ def _quartic_band(omega_c: float, c2: float, c4: float, const: float,
     return BandMatrix(band)
 
 
-def build_effective_np(p: RabiParams, cutoff: FockCutoff) -> Operator:
-    """Fourth-order low-spin effective Hamiltonian of the normal phase.
+def build_effective_np_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+    """Fourth-order low-spin effective Hamiltonian of the normal phase, a real
+    band matrix of half-width 4 with rows in natural Fock order.
 
     Boson-only: omega_c n - (omega_c lam^2/4) x^2 + (lam^4 omega_c^2 /
     (16 omega_0)) x^4 - omega_0/2 + lam^2 omega_c^2 / (4 omega_0),
     with x = a + a^dag.
     """
-    return _quartic_dense(p.omega_c, *_effective_np_coeffs(p), cutoff)
-
-
-def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
-    """Fourth-order low-spin effective Hamiltonian of the superradiant phase.
-
-    Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
-    """
-    return _quartic_dense(p.omega_c, *_effective_sp_coeffs(p), cutoff)
-
-
-def build_effective_np_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
-    """`build_effective_np` as a real band matrix of half-width 4, rows in
-    natural Fock order."""
     return _quartic_band(p.omega_c, *_effective_np_coeffs(p), cutoff)
 
 
 def build_effective_sp_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
-    """`build_effective_sp` as a real band matrix of half-width 4, rows in
-    natural Fock order of the frame displaced by alpha_lambda."""
+    """Fourth-order low-spin effective Hamiltonian of the superradiant phase,
+    a real band matrix of half-width 4 with rows in natural Fock order of the
+    frame displaced by alpha_lambda; requires lam > 1."""
     return _quartic_band(p.omega_c, *_effective_sp_coeffs(p), cutoff)
 
 

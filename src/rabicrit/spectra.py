@@ -1,10 +1,9 @@
-"""Ground states by dense Hermitian eigendecomposition (`Operator`) or by
-real band and tridiagonal eigensolvers and band inverse iteration
-(`BandMatrix`), photon statistics, parity, and automatic cutoff convergence."""
+"""Ground states and spectra of real symmetric band matrices (tridiagonal
+and band eigensolvers, band inverse iteration), physical photon-number
+moments, and automatic cutoff convergence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -12,8 +11,8 @@ from scipy.linalg import eig_banded, eigh_tridiagonal
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .errors import ConvergenceError, LayoutError
-from .hilbert import BandMatrix, FockCutoff, Operator, QuantumState
+from .errors import ConvergenceError
+from .hilbert import BandMatrix, FockCutoff
 
 CUTOFF_HARD_CAP = 4096
 # inverse iteration for a band ground vector: residual bound in units of
@@ -22,41 +21,11 @@ RESIDUAL_EPS = 8.0
 INVERSE_ITERATION_MAX = 8
 
 
-@dataclass(frozen=True)
-class GroundStateResult:
-    energy: float
-    state: QuantumState
-    cutoff_used: FockCutoff
-    converged: bool
-    energy_drift: float
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude amplitude real-positive (global phase)."""
     k = int(np.argmax(np.abs(vec)))
     phase = vec[k] / abs(vec[k])
     return vec * phase.conjugate()
-
-
-def ground_state(h: Operator) -> GroundStateResult:
-    """Lowest eigenpair of a Hermitian operator.
-
-    The cutoff recorded is inferred from the last (boson) subsystem label.
-    Convergence against cutoff doubling is the caller's concern; see
-    `converge_cutoff` / `converged_ground_state`.
-    """
-    if not h.is_hermitian():
-        raise ValueError("ground_state requires a Hermitian operator")
-    w, v = np.linalg.eigh(h.mat)
-    vec = _fix_phase(v[:, 0])
-    state = QuantumState(vec / np.linalg.norm(vec), h.dims)
-    return GroundStateResult(
-        energy=float(w[0]),
-        state=state,
-        cutoff_used=FockCutoff(h.dims[-1] - 1),
-        converged=True,
-        energy_drift=0.0,
-    )
 
 
 def _band_eigh(h: BandMatrix, lowest: bool, eigvals_only: bool = False):
@@ -119,34 +88,6 @@ def band_spectrum(h: BandMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _band_eigh(h, lowest=False)
 
 
-def photon_moments(psi: QuantumState, boson_axis: int = -1) -> tuple[float, float]:
-    """Mean and variance of the photon number in `psi`.
-
-    `boson_axis` indexes the entry of `psi.dims` that is the Fock factor.
-    """
-    ndims = len(psi.dims)
-    axis = boson_axis % ndims
-    nb = psi.dims[axis]
-    if nb < 2:
-        raise LayoutError(f"axis {boson_axis} of dims {psi.dims} is not a boson factor")
-    amp = psi.vec.reshape(psi.dims)
-    amp = np.moveaxis(amp, axis, -1).reshape(-1, nb)
-    prob = (np.abs(amp) ** 2).sum(axis=0)
-    n = np.arange(nb, dtype=float)
-    mean = float(prob @ n)
-    mean2 = float(prob @ n**2)
-    return mean, max(mean2 - mean**2, 0.0)
-
-
-def operator_moments(psi: QuantumState, op: Operator) -> tuple[float, float]:
-    """Mean and variance of a Hermitian operator in `psi`."""
-    v = psi.vec
-    ov = op.mat @ v
-    mean = float(np.real(np.vdot(v, ov)))
-    mean2 = float(np.real(np.vdot(ov, ov)))
-    return mean, max(mean2 - mean**2, 0.0)
-
-
 def displaced_photon_moments(amp: np.ndarray, alpha: float) -> tuple[float, float]:
     """Mean and variance of the physical photon number n + alpha x + alpha^2,
     that is (a^dag + alpha)(a + alpha), in a displaced frame.
@@ -164,17 +105,6 @@ def displaced_photon_moments(amp: np.ndarray, alpha: float) -> tuple[float, floa
     return mean, max(mean2 - mean**2, 0.0)
 
 
-def parity_operator(cutoff: FockCutoff) -> Operator:
-    """Pi = exp{i pi [a^dag a + (1 + sigma_z)/2]} on spin (x) Fock.
-
-    Diagonal with entries (-1)^(n + 1) on the |e> block and (-1)^n on |g>.
-    """
-    n = np.arange(cutoff.dim)
-    fock_sign = (-1.0) ** n
-    diag = np.concatenate([-fock_sign, fock_sign]).astype(complex)
-    return Operator(np.diag(diag), (2, cutoff.dim))
-
-
 class FrameCutoff(NamedTuple):
     """The cutoff a search over several frames chose, and the index of the
     frame whose ground energy converged there first."""
@@ -188,64 +118,35 @@ class FrameCutoff(NamedTuple):
 
 
 def converge_cutoff(
-    builder: Callable[[FockCutoff], Operator | BandMatrix | None]
-    | tuple[Callable[[FockCutoff], Operator | BandMatrix | None], ...],
+    frames: tuple[Callable[[FockCutoff], float | None], ...],
     tol: float,
     n_start: int = 8,
-) -> FockCutoff | FrameCutoff:
+) -> FrameCutoff:
     """Smallest tested cutoff whose ground energy shifts by < tol on doubling.
 
-    Doubling sequence n_start, 2 n_start, ...; hard cap 4096. A `BandMatrix`
-    builder is searched by its lowest eigenvalue alone.
-
-    `builder` may also be a tuple of builders of one Hamiltonian in several
-    frames. They share the doubling loop: at each cutoff they are tested in
-    order, and the first whose energy converges is returned as a
-    `FrameCutoff`. A builder returns None at the cutoffs too small for its
-    frame to converge; the frame is neither built nor solved there.
+    Doubling sequence n_start, 2 n_start, ...; hard cap 4096. Each of
+    `frames` maps a cutoff to the ground energy of one Hamiltonian in one
+    frame, or to None at the cutoffs too small for that frame to converge,
+    where it is not tried. The frames share the doubling loop: at each cutoff
+    they are tested in order, and the first whose energy converges is
+    returned with its index.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    builders = builder if isinstance(builder, tuple) else (builder,)
     known: dict[tuple[int, int], float | None] = {}
 
     def energy(frame: int, n: int) -> float | None:
         if (frame, n) not in known:
-            h = builders[frame](FockCutoff(n))
-            if h is None:
-                known[frame, n] = None
-            else:
-                known[frame, n] = (band_ground_energy(h) if isinstance(h, BandMatrix)
-                                   else ground_state(h).energy)
+            known[frame, n] = frames[frame](FockCutoff(n))
         return known[frame, n]
 
     n = n_start
     while 2 * n <= CUTOFF_HARD_CAP:
-        for frame in range(len(builders)):
+        for frame in range(len(frames)):
             e_n = energy(frame, n)
             if e_n is not None and abs(energy(frame, 2 * n) - e_n) < tol:
-                cutoff = FockCutoff(n)
-                return FrameCutoff(frame, cutoff) if builders is builder else cutoff
+                return FrameCutoff(frame, FockCutoff(n))
         n *= 2
     raise ConvergenceError(
         f"ground energy not converged to {tol} below cutoff {CUTOFF_HARD_CAP}"
-    )
-
-
-def converged_ground_state(
-    builder: Callable[[FockCutoff], Operator],
-    tol: float,
-    n_start: int = 8,
-) -> GroundStateResult:
-    """Ground state at the converged cutoff, with the doubling drift recorded."""
-    cutoff = converge_cutoff(builder, tol, n_start)
-    res = ground_state(builder(cutoff))
-    e_double = ground_state(builder(FockCutoff(2 * cutoff.n_max))).energy
-    drift = abs(res.energy - e_double)
-    return GroundStateResult(
-        energy=res.energy,
-        state=res.state,
-        cutoff_used=cutoff,
-        converged=drift < tol,
-        energy_drift=drift,
     )

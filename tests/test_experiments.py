@@ -54,6 +54,35 @@ def test_config_validation():
         bad.validate()
 
 
+@pytest.mark.parametrize("grid, values", [
+    ("eta_grid", [-100.0]),
+    ("eta_grid", [0.0, 500.0]),
+    ("lambda_grid", [-0.5, 0.5]),
+    ("time_grid", [-1.0, 0.0, 20.0]),   # an echo figure's time
+])
+def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
+    # rejected before any point is solved; the message names the grid
+    cfg = _tiny_config(tmp_path)
+    setattr(cfg, grid, values)
+    with pytest.raises(ValueError, match=grid):
+        run(cfg)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-times", "0"),
+    ("--eta", "0"),
+    ("--eta", "-200"),
+    ("--t-max", "-1"),
+    ("--lam", "-0.5"),
+])
+def test_cli_validate_dispersive_rejects_bad_arguments(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-dispersive", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = _tiny_config(tmp_path)
     path = tmp_path / "sweep.cfg"

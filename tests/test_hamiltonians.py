@@ -5,22 +5,31 @@ import math
 import numpy as np
 import pytest
 
-from rabicrit.errors import PhaseDomainError
-from rabicrit.hamiltonians import (
-    DisplacedFrame,
-    ProbeParams,
-    RabiParams,
-    alpha_lambda,
+from oracle import (
     build_branch,
     build_displaced_rabi,
     build_effective_np,
     build_effective_sp,
     build_rabi,
     build_tripartite,
+    ground_state,
+    identity,
+    number,
+    parity_operator,
+    pauli,
+    sigma_minus,
+    sigma_plus,
+    tensor,
+)
+from rabicrit.errors import PhaseDomainError
+from rabicrit.hamiltonians import (
+    DisplacedFrame,
+    ProbeParams,
+    RabiParams,
+    alpha_lambda,
     displaced_frame,
 )
-from rabicrit.hilbert import FockCutoff, identity, number, pauli, sigma_minus, sigma_plus, tensor
-from rabicrit.spectra import ground_state, parity_operator
+from rabicrit.hilbert import FockCutoff
 
 C32 = FockCutoff(32)
 

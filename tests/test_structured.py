@@ -13,6 +13,8 @@ doubling over the same frames, `ground_state`, dense branches and
 `decoherence_factor`) is the reference they must reproduce.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,46 +22,49 @@ from scipy.linalg import eig_banded
 
 import rabicrit.dynamics as dynamics
 import rabicrit.spectra as spectra
-from rabicrit.dynamics import decoherence_factor, exact_ground_state, loschmidt_echo_sweep
+from oracle import (
+    QuantumState,
+    _quartic_dense,
+    build_branch,
+    build_displaced_rabi,
+    build_effective_np,
+    build_effective_sp,
+    build_rabi,
+    build_tripartite,
+    converge_cutoff,
+    decoherence_factor,
+    ground_state,
+    identity,
+    number,
+    operator_moments,
+    photon_moments,
+    quadrature_x,
+    tensor,
+)
+from oracle import validate_dispersive as dense_validate_dispersive
+from rabicrit.dynamics import exact_ground_state, loschmidt_echo_sweep
 from rabicrit.errors import ConvergenceError
-from rabicrit.experiments import default_config, run
+from rabicrit.experiments import default_config, run, validate_dispersive
 from rabicrit.hamiltonians import (
     ProbeParams,
     RabiParams,
     _effective_np_coeffs,
     _effective_sp_coeffs,
-    _quartic_dense,
     alpha_lambda,
-    build_branch,
-    build_displaced_rabi,
     build_displaced_rabi_band,
-    build_effective_np,
     build_effective_np_band,
-    build_effective_sp,
     build_effective_sp_band,
-    build_rabi,
     build_rabi_parity,
+    build_tripartite_band,
     photon_number_band,
 )
-from rabicrit.hilbert import (
-    BandMatrix,
-    FockCutoff,
-    QuantumState,
-    identity,
-    number,
-    quadrature_x,
-    tensor,
-)
+from rabicrit.hilbert import BandMatrix, FockCutoff
 from rabicrit.spectra import (
     CUTOFF_HARD_CAP,
     band_ground_energy,
     band_ground_state,
     band_spectrum,
-    converge_cutoff,
     displaced_photon_moments,
-    ground_state,
-    operator_moments,
-    photon_moments,
 )
 
 TOL = 1e-8
@@ -133,6 +138,51 @@ def test_band_builders_are_permuted_dense_builders():
     order = _spin_fastest_order(c)
     dense = build_displaced_rabi(p, alpha, c)[0].mat.real
     assert np.array_equal(dense[np.ix_(order, order)], _dense(build_displaced_rabi_band(p, alpha, c)))
+
+
+def test_tripartite_band_is_permuted_dense_tripartite():
+    # band row 4 k + 2 s_probe + s_rabi is dense row
+    # (s_probe, s_rabi, k) of the probe (x) Rabi spin (x) Fock product
+    c = FockCutoff(9)
+    k, s_probe, s_rabi = np.meshgrid(np.arange(c.dim), [0, 1], [0, 1], indexing="ij")
+    order = (2 * c.dim * s_probe + c.dim * s_rabi + k).ravel()
+    for lam, probe in ((0.8, ProbeParams(6.0, 0.05, 5.0)), (1.3, ProbeParams(1.2, 0.1, 0.2))):
+        p = RabiParams.from_dimensionless(lam, 20.0)
+        dense = build_tripartite(p, probe, c).mat
+        band = build_tripartite_band(p, probe, c)
+        assert band.band.shape == (7, 4 * c.dim)
+        assert np.abs(dense.imag).max() == 0.0
+        assert np.array_equal(dense.real[np.ix_(order, order)], _dense(band))
+
+
+DEFAULT_PROBE = ProbeParams(6.0, 0.05, 5.0)  # the CLI's g_s = 0.05, Delta_s / g_s = 100
+
+
+@pytest.mark.parametrize("lam, eta, probe, n_max, bound", [
+    (0.5, 200.0, DEFAULT_PROBE, None, 1e-12),
+    (0.4, 40.0, DEFAULT_PROBE, None, 1e-12),
+    (0.5, 40.0, ProbeParams(2.0, 0.0, 1.0), 24, 1e-12),   # decoupled probe
+    (0.9, 1000.0, DEFAULT_PROBE, None, 1e-12),
+    (0.5, 40.0, ProbeParams(1.2, 0.1, 0.2), 24, 1e-12),   # outside the dispersive regime
+    # above the transition the ground doublet is nearly degenerate, so the
+    # tripartite eigenvectors carry more roundoff
+    (1.2, 200.0, DEFAULT_PROBE, 128, 1e-7),
+])
+def test_tripartite_check_matches_dense_oracle(lam, eta, probe, n_max, bound):
+    p = RabiParams.from_dimensionless(lam, eta)
+    cutoff = FockCutoff(n_max) if n_max else None
+    times = np.linspace(0.0, 20.0, 41)
+    reports = []
+    for check in (validate_dispersive, dense_validate_dispersive):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = check(p, probe, times, cutoff=cutoff)
+        reports.append((report, [str(w.message) for w in caught]))
+    (band, band_warnings), (dense, dense_warnings) = reports
+    assert np.abs(band.coherence_exact - dense.coherence_exact).max() <= bound
+    assert np.abs(band.coherence_predicted - dense.coherence_predicted).max() <= bound
+    assert band.dispersive_regime == dense.dispersive_regime
+    assert band_warnings == dense_warnings
 
 
 def test_band_solvers_match_dense_eigh():
@@ -312,14 +362,13 @@ def test_effective_branches_carry_no_constant():
     # common to both branches, a global phase of D; left in the branch bands,
     # its roundoff eps omega_0 grows into a phase error of L with t (up to
     # 7e-9 at eta = 1e6, t = 100). Oracle: the dense path with the constant
-    # left out, at the sweep's cutoff. The ground vector is still solved with
-    # the constant (its eigenvalue is the reported ground energy); its own
-    # roundoff, of order eps omega_0 / gap, leaves 2.2e-11 at lam = 1.01,
-    # eta = 1e6, hence the looser bound there.
+    # left out, at the sweep's cutoff. The ground vector is solved without the
+    # constant too: kept in, its roundoff, of order eps omega_0 / gap, left
+    # 2.2e-11 at lam = 1.01, eta = 1e6.
     probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.2, 1.4]
-    for eta, bound in ((1e5, 1e-11), (1e6, 5e-11)):
+    for eta, bound in ((1e5, 1e-11), (1e6, 1e-11)):
         sweep = loschmidt_echo_sweep(
             RabiParams.from_dimensionless(0.5, eta), probe, lams, times, "effective",
             cutoff_tol=TOL,

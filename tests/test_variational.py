@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from oracle import DUAL_PATH_RTOL, closed_form_x
 from rabicrit.analytic import squeezing_np, superradiant_frame, variance_np
 from rabicrit.errors import PhaseDomainError
+from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import RabiParams
 from rabicrit.variational import (
     NORMAL,
@@ -35,8 +37,21 @@ def test_stationarity_grid(lam, eta):
     assert sol.residual < 1e-10
     assert sol.second_derivative > 0.0
     # dual-path agreement between bracketing and closed-form roots
-    x, x_closed = sol.diagnostics["x"], sol.diagnostics["x_closed"]
+    x, x_closed = sol.diagnostics["x"], closed_form_x(sol.phase, lam, eta)
     assert abs(x - x_closed) <= 1e-10 * x
+
+
+def test_newton_root_matches_closed_form():
+    # dual path: Newton's root of the stationarity cubic against the published
+    # closed form, on the figures' lambda grid plus 2 and 3 and the decoupled
+    # limit, at eta = 1, 10, ..., 1e8
+    lams = [0.0] + critical_lambda_grid() + [2.0, 3.0]
+    for eta in 10.0 ** np.arange(9):
+        for lam in lams:
+            phase = NORMAL if lam < 1.0 else SUPERRADIANT
+            x = solve_squeeze(phase, RabiParams.from_dimensionless(lam, eta)).diagnostics["x"]
+            x_closed = closed_form_x(phase, lam, eta)
+            assert abs(x_closed - x) <= DUAL_PATH_RTOL * x, (lam, eta, x, x_closed)
 
 
 def test_normal_limit_to_closed_form():
