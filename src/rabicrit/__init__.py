@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
-    LayoutError,
     PhaseDomainError,
     RabicritError,
     TruncationError,
@@ -20,7 +19,6 @@ __all__ = [
     "DimensionMismatchError",
     "DisplacedFrame",
     "FockCutoff",
-    "LayoutError",
     "PhaseDomainError",
     "ProbeParams",
     "RabiParams",

@@ -10,7 +10,7 @@ from math import exp, log, sinh, sqrt
 import numpy as np
 
 from .errors import PhaseDomainError
-from .hamiltonians import RabiParams, displaced_frame
+from .hamiltonians import RabiParams, alpha_lambda, displaced_frame
 
 # |lam - 1| below this is reported as critical rather than evaluated: the
 # closed forms diverge and would silently overflow downstream plots.
@@ -63,9 +63,7 @@ def superradiant_frame(p: RabiParams) -> tuple[float, float]:
     """(alpha_lambda, r_sp) of the displaced superradiant description."""
     lam = p.lam
     _check_superradiant(lam)
-    alpha = sqrt(p.omega_0 * (lam**4 - 1.0) / (4.0 * lam**2 * p.omega_c))
-    r_sp = -0.25 * log(1.0 - lam**-4)
-    return alpha, r_sp
+    return alpha_lambda(p), -0.25 * log(1.0 - lam**-4)
 
 
 def variance_sp(p: RabiParams) -> float:

@@ -34,14 +34,11 @@ def _checked(cast, test, wanted: str):
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _positive = _checked(float, lambda v: v > 0, "positive")
 _non_negative = _checked(float, lambda v: v >= 0, "non-negative")
+_nonzero = _checked(float, lambda v: abs(v) > 0, "nonzero")
 
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--cutoff-tol", type=float, default=1e-8,
-                        help="ground-energy tolerance for cutoff doubling")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep points")
+_OUT = {"default": ".", "help": "output directory"}
+_CUTOFF_TOL = {"type": _positive, "default": 1e-8,
+               "help": "ground-energy tolerance for cutoff doubling"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,24 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
         sp = sub.add_parser(fig, help=f"reproduce {fig} as CSV")
-        _add_common(sp)
+        sp.add_argument("--out", **_OUT)
+        sp.add_argument("--cutoff-tol", **_CUTOFF_TOL)
 
     sp = sub.add_parser("sweep", help="run a sweep described by a config file")
     sp.add_argument("--config", required=True, help="flat key = value config file")
-    _add_common(sp)
+    sp.add_argument("--out", **_OUT)
 
     sp = sub.add_parser("validate-dispersive",
                         help="tripartite check of the dispersive approximation")
     sp.add_argument("--lam", type=_non_negative, default=0.5)
     sp.add_argument("--eta", type=_positive, default=200.0)
-    sp.add_argument("--g-s", type=float, default=0.05)
-    sp.add_argument("--detuning-ratio", type=float, default=100.0,
+    sp.add_argument("--g-s", type=_positive, default=0.05)
+    sp.add_argument("--detuning-ratio", type=_nonzero, default=100.0,
                     help="Delta_s / g_s")
     sp.add_argument("--t-max", type=_non_negative, default=20.0)
     sp.add_argument("--n-times", type=_positive_int, default=41)
-    sp.add_argument("--threshold", type=float, default=0.05,
+    sp.add_argument("--threshold", type=_positive, default=0.05,
                     help="maximum tolerated relative deviation")
-    _add_common(sp)
+    sp.add_argument("--cutoff-tol", **_CUTOFF_TOL)
 
     return parser
 
@@ -98,8 +96,8 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         config = SweepConfig.from_file(args.config)
     else:
-        config = default_config(args.command, args.out, args.cutoff_tol)
-    report = run(config, out_dir=args.out, threads=args.threads)
+        config = default_config(args.command, args.cutoff_tol)
+    report = run(config, args.out)
     n_rows = sum(len(pt.value) for pt in report.points)
     n_bad = sum(len(pt.value) for pt in report.points if not pt.converged)
     print(f"{config.figure}: {n_rows} records written to {args.out} ({n_bad} degraded)")

@@ -15,13 +15,12 @@ search converges there first, on the displaced band
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .analytic import CRITICAL_BAND, short_time_le, variance_np, variance_sp
+from .analytic import CRITICAL_BAND, short_time_le, variance
 from .errors import ConvergenceError, DimensionMismatchError, PhaseDomainError
 from .hamiltonians import (
     ProbeParams,
@@ -83,26 +82,18 @@ class EchoSeries:
     times: np.ndarray
     d_values: np.ndarray
     l_values: np.ndarray
-    gamma_used: float
 
 
-def decoherence_factor(
-    h_g: BandMatrix,
-    h_e: BandMatrix,
-    ground: np.ndarray,
-    times,
-    gamma: float,
-) -> EchoSeries:
+def decoherence_factor(h_g: BandMatrix, h_e: BandMatrix, ground: np.ndarray,
+                       times) -> EchoSeries:
     """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>, each
-    branch evolved to every time in one matrix product (`branch_echo`).
-    `gamma` is the photon-number variance of `ground`, carried for the
-    short-time comparisons."""
+    branch evolved to every time in one matrix product (`branch_echo`)."""
     return branch_echo(SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e),
-                       ground, times, gamma)
+                       ground, times)
 
 
 def branch_echo(dg: SpectralDecomposition, de: SpectralDecomposition, ground: np.ndarray,
-                times, gamma: float) -> EchoSeries:
+                times) -> EchoSeries:
     """The decoherence factor of `decoherence_factor` from the spectra of
     the two branches."""
     if dg.vectors.shape != de.vectors.shape:
@@ -115,12 +106,7 @@ def branch_echo(dg: SpectralDecomposition, de: SpectralDecomposition, ground: np
     e_ref = dg.energies[0]
     d_vals = np.sum(evolved(dg, ground, times, e_ref).conj()
                     * evolved(de, ground, times, e_ref), axis=0)
-    return EchoSeries(
-        times=times,
-        d_values=d_vals,
-        l_values=np.abs(d_vals) ** 2,
-        gamma_used=gamma,
-    )
+    return EchoSeries(times=times, d_values=d_vals, l_values=np.abs(d_vals) ** 2)
 
 
 def probe_reduced_state(probe: ProbeParams, d: complex) -> np.ndarray:
@@ -186,13 +172,13 @@ class BandGround:
         return "displaced" if self.alpha else "bare"
 
 
-def _band_ground(alphas, search, solve, cutoff_tol: float, n_start: int) -> BandGround:
+def _band_ground(alphas, search, solve, cutoff_tol: float) -> BandGround:
     """One cutoff search over the frames displaced by each of `alphas`, in
     that order, on the ground energy `search(alpha, cutoff)`; then one ground
     vector, `solve(alpha, cutoff)` -> (energy, amplitudes in Fock rows), in
     the first frame to converge, at its cutoff, and its physical
     photon-number moments."""
-    found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol, n_start)
+    found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol)
     alpha, cutoff = alphas[found.frame], found.cutoff
     energy, vec = solve(alpha, cutoff)
     mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
@@ -212,7 +198,7 @@ def _ground_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatri
     return h.leading(cutoff.dim) if alpha == 0.0 else h
 
 
-def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> BandGround:
+def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """Exact ground state. Below the transition it is solved in the bare
     frame. Above it, one doubling loop searches the bare frame and the frame
     displaced by alpha_lambda, the bare one first at each cutoff, and the
@@ -234,7 +220,7 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> Ba
     def solve(alpha: float, cutoff: FockCutoff):
         return band_ground_state(_ground_sector(p, alpha, cutoff))
 
-    return _band_ground(alphas, search, solve, cutoff_tol, n_start)
+    return _band_ground(alphas, search, solve, cutoff_tol)
 
 
 def _effective_coeffs(p: RabiParams, alpha: float) -> tuple[float, float, float]:
@@ -248,7 +234,7 @@ def _effective_energy(p: RabiParams, alpha: float, cutoff: FockCutoff) -> float:
     return band_ground_energy(h)
 
 
-def effective_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -> BandGround:
+def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """Ground state of the fourth-order effective Hamiltonian of the phase of
     `p` (the superradiant one in the frame displaced by alpha_lambda). The
     normal-phase Hamiltonian conserves photon parity, so its ground vector is
@@ -271,7 +257,7 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float, n_start: int = 8) -
 
     return _band_ground(
         (alpha_lambda(p) if p.lam > 1.0 else 0.0,),
-        partial(_effective_energy, p), solve, cutoff_tol, n_start,
+        partial(_effective_energy, p), solve, cutoff_tol,
     )
 
 
@@ -297,15 +283,15 @@ def exact_branch_bands(p: RabiParams, probe: ProbeParams, alpha: float,
             branch(p.omega_c + chi, 0.5 * probe.omega_s + chi))
 
 
-def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
+def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float):
     """(h_g, h_e, ground, gamma, cutoff, frame) in the common frame of the
     ground state (`exact_ground_state`)."""
-    gs = exact_ground_state(p, cutoff_tol, n_start)
+    gs = exact_ground_state(p, cutoff_tol)
     h_g, h_e = exact_branch_bands(p, probe, gs.alpha, gs.cutoff)
     return h_g, h_e, gs.vector, gs.gamma, gs.cutoff, gs.frame
 
 
-def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_start: int):
+def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float):
     """Boson-only effective Hamiltonians with the dispersive cavity shift.
 
     The probe couples through chi sigma_z^(s) n; in the displaced frame the
@@ -318,7 +304,7 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float, n_
     into a phase error of L with t.
     """
     chi = probe.chi
-    gs = effective_ground_state(p, cutoff_tol, n_start)
+    gs = effective_ground_state(p, cutoff_tol)
     c2, c4, _ = _effective_coeffs(p, gs.alpha)
     h0 = _quartic_band(p.omega_c, c2, c4, 0.0, gs.cutoff).band
     n_phys = photon_number_band(gs.alpha, gs.cutoff).band
@@ -338,7 +324,6 @@ def _echo_point(
     times: np.ndarray,
     method: str,
     cutoff_tol: float,
-    n_start: int,
 ) -> EchoPoint:
     chi = probe.chi
     if lam == 0.0:
@@ -350,7 +335,7 @@ def _echo_point(
                 f"lam={lam} is inside the critical guard band for method {method!r}"
             )
         if method == "analytic":
-            gamma = variance_np(p) if lam < 1.0 else variance_sp(p)
+            gamma = variance(p)
         else:
             gamma = max(variational_solve(p).gamma_prime, 0.0)
         return EchoPoint(lam, short_time_le(gamma, chi, times), gamma, None, True, "")
@@ -358,11 +343,11 @@ def _echo_point(
         raise ValueError(f"unknown method {method!r}")
     branches = _exact_branches if method == "exact" else _effective_branches
     try:
-        h_g, h_e, ground, gamma, cutoff, frame = branches(p, probe, cutoff_tol, n_start)
+        h_g, h_e, ground, gamma, cutoff, frame = branches(p, probe, cutoff_tol)
     except ConvergenceError:
         # recorded as a degraded point; the sweep goes on
         return EchoPoint(lam, np.full_like(times, np.nan), np.nan, None, False, "")
-    series = decoherence_factor(h_g, h_e, ground, times, gamma=gamma)
+    series = decoherence_factor(h_g, h_e, ground, times)
     return EchoPoint(lam, series.l_values, gamma, cutoff.n_max, True, frame)
 
 
@@ -373,8 +358,6 @@ def loschmidt_echo_sweep(
     times,
     method: str,
     cutoff_tol: float = 1e-8,
-    n_start: int = 8,
-    threads: int = 1,
 ) -> EchoSweep:
     """Echo surface L(lam, t); `p` supplies (omega_c, eta), lam varies per row.
 
@@ -393,17 +376,11 @@ def loschmidt_echo_sweep(
         raise ValueError("lambda and time grids must be non-empty")
     eta, omega_c = p.eta, p.omega_c
 
-    def work(lam: float) -> tuple[EchoPoint, float]:
+    points, walls = [], []
+    for lam in lambdas:
         t0 = time.perf_counter()
-        point = _echo_point(lam, eta, omega_c, probe, times, method, cutoff_tol, n_start)
-        return point, time.perf_counter() - t0
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, lambdas))
-    else:
-        results = [work(lam) for lam in lambdas]
-    points = [pt for pt, _ in results]
+        points.append(_echo_point(lam, eta, omega_c, probe, times, method, cutoff_tol))
+        walls.append(time.perf_counter() - t0)
     return EchoSweep(
         lambdas=lambdas,
         times=times,
@@ -413,5 +390,5 @@ def loschmidt_echo_sweep(
         cutoffs=[pt.cutoff for pt in points],
         converged=[pt.converged for pt in points],
         frames=[pt.frame for pt in points],
-        wall_times=np.array([wall for _, wall in results]),
+        wall_times=np.array(walls),
     )

@@ -19,7 +19,3 @@ class ConvergenceError(RabicritError, RuntimeError):
 
 class DimensionMismatchError(RabicritError, ValueError):
     """Operands live on incompatible Hilbert spaces."""
-
-
-class LayoutError(RabicritError, ValueError):
-    """A state/operator subsystem layout does not match the request."""

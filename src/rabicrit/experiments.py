@@ -51,7 +51,6 @@ _CONFIG_KEYS = {
     "chi",
     "methods",
     "cutoff_tol",
-    "output_path",
 }
 
 
@@ -64,7 +63,6 @@ class SweepConfig:
     chi: float
     methods: list[str]
     cutoff_tol: float = 1e-8
-    output_path: str = "."
 
     def validate(self):
         if self.figure not in FIGURES:
@@ -85,9 +83,9 @@ class SweepConfig:
             raise ValueError("eta_grid values must be positive")
         if not all(v >= 0 for v in self.time_grid):
             raise ValueError("time_grid values must be non-negative")
-        if self.figure in ("fig3", "fig4", "fig5") and self.chi <= 0:
+        if self.figure in ("fig3", "fig4", "fig5") and not self.chi > 0:
             raise ValueError("chi must be positive for echo figures")
-        if self.cutoff_tol <= 0:
+        if not self.cutoff_tol > 0:
             raise ValueError("cutoff_tol must be positive")
         for m in self.methods:
             if m not in METHODS:
@@ -120,7 +118,6 @@ class SweepConfig:
             chi=float(raw.get("chi", "0")),
             methods=raw.get("methods", "analytic").replace(",", " ").split(),
             cutoff_tol=float(raw.get("cutoff_tol", "1e-8")),
-            output_path=raw.get("output_path", "."),
         )
         cfg.validate()
         return cfg
@@ -134,7 +131,6 @@ class SweepConfig:
             f"chi = {_fmt(self.chi)}",
             "methods = " + " ".join(self.methods),
             f"cutoff_tol = {_fmt(self.cutoff_tol)}",
-            f"output_path = {self.output_path}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -214,50 +210,50 @@ def critical_lambda_grid(step_fine: float = 0.005, step_coarse: float = 0.02) ->
     return [float(v) for v in grid if abs(v - 1.0) >= CRITICAL_BAND]
 
 
-def default_config(figure: str, out_dir: str = ".", cutoff_tol: float = 1e-8) -> SweepConfig:
+def default_config(figure: str, cutoff_tol: float = 1e-8) -> SweepConfig:
     """Per-figure default grids; eta and chi follow the reference setups."""
     if figure == "fig1":
         return SweepConfig(
             "fig1", [0.99], [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5], [0.0], 0.0,
-            ["exact", "effective", "variational"], cutoff_tol, out_dir,
+            ["exact", "effective", "variational"], cutoff_tol,
         )
     if figure == "fig2":
         return SweepConfig(
             "fig2", [1.01], [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5], [0.0], 0.0,
-            ["exact", "effective", "variational"], cutoff_tol, out_dir,
+            ["exact", "effective", "variational"], cutoff_tol,
         )
     if figure == "fig3":
         return SweepConfig(
             "fig3", critical_lambda_grid(), [5000.0],
             [float(t) for t in np.arange(0.0, 101.0, 2.0)], 1e-3,
-            ["analytic"], cutoff_tol, out_dir,
+            ["analytic"], cutoff_tol,
         )
     if figure == "fig4":
         return SweepConfig(
             "fig4", critical_lambda_grid(), [2000.0, 4000.0, 6000.0, 8000.0, 10000.0],
-            [60.0], 1e-3, ["analytic"], cutoff_tol, out_dir,
+            [60.0], 1e-3, ["analytic"], cutoff_tol,
         )
     if figure == "fig5":
         return SweepConfig(
             "fig5", critical_lambda_grid(), [1e5], [60.0], 1e-3,
-            ["exact", "effective", "variational", "analytic"], cutoff_tol, out_dir,
+            ["exact", "effective", "variational", "analytic"], cutoff_tol,
         )
     raise ValueError(f"no default config for figure {figure!r}")
 
 
-def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> list[SweepPoint]:
+def _ground_state_records(cfg: SweepConfig) -> list[SweepPoint]:
     """fig1/fig2 points: ground energy and mean photon number vs eta."""
     lam = cfg.lambda_grid[0]
     points = []
     for eta in cfg.eta_grid:
-        p = RabiParams.from_dimensionless(lam, eta, omega_c)
+        p = RabiParams.from_dimensionless(lam, eta)
         for method in cfg.methods:
             cutoff, converged, frame = "", True, ""
             t0 = time.perf_counter()
             if method in ("exact", "effective"):
                 solve = exact_ground_state if method == "exact" else effective_ground_state
                 try:
-                    gs = solve(p, cfg.cutoff_tol, n_start)
+                    gs = solve(p, cfg.cutoff_tol)
                 except ConvergenceError:
                     converged, energy, mean_n = False, np.nan, np.nan
                 else:
@@ -275,16 +271,15 @@ def _ground_state_records(cfg: SweepConfig, omega_c: float, n_start: int) -> lis
     return points
 
 
-def _echo_records(cfg: SweepConfig, omega_c: float, n_start: int, threads: int) -> list[SweepPoint]:
+def _echo_records(cfg: SweepConfig) -> list[SweepPoint]:
     points = []
-    probe = ProbeParams.from_chi(cfg.chi, omega_c)
+    probe = ProbeParams.from_chi(cfg.chi)
     lambdas = [v for v in cfg.lambda_grid if abs(v - 1.0) >= CRITICAL_BAND]
     for eta in cfg.eta_grid:
-        p = RabiParams.from_dimensionless(0.5, eta, omega_c)  # lam overridden per row
+        p = RabiParams.from_dimensionless(0.5, eta)  # lam overridden per row
         for method in cfg.methods:
             sweep = loschmidt_echo_sweep(
-                p, probe, lambdas, cfg.time_grid, method,
-                cutoff_tol=cfg.cutoff_tol, n_start=n_start, threads=threads,
+                p, probe, lambdas, cfg.time_grid, method, cutoff_tol=cfg.cutoff_tol
             )
             times = sweep.times.tolist()
             names = ["loschmidt_echo"] * len(times)
@@ -366,21 +361,16 @@ def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
     path.write_text(body)
 
 
-def run(
-    config: SweepConfig,
-    out_dir=None,
-    omega_c: float = 1.0,
-    n_start: int = 8,
-    threads: int = 1,
-) -> RunReport:
-    """Execute a sweep, writing `<figure>.csv`, `<figure>.gp`, `report.json`."""
+def run(config: SweepConfig, out_dir) -> RunReport:
+    """Execute a sweep at omega_c = 1, writing `<figure>.csv`, `<figure>.gp`
+    and `report.json` into `out_dir`."""
     config.validate()
-    out = Path(out_dir if out_dir is not None else config.output_path)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.figure in ("fig1", "fig2"):
-        points = _ground_state_records(config, omega_c, n_start)
+        points = _ground_state_records(config)
     else:
-        points = _echo_records(config, omega_c, n_start, threads)
+        points = _echo_records(config)
     report = RunReport(
         points=points,
         provenance={
@@ -426,7 +416,7 @@ def validate_dispersive(
         ).cutoff
     # the Rabi ground state: row k of the even chain is |g,k> (k even) or |e,k>
     _, even = band_ground_state(build_rabi_parity(p, cutoff).leading(cutoff.dim))
-    mean_n, gamma = displaced_photon_moments(even[:, None], 0.0)
+    mean_n, _ = displaced_photon_moments(even[:, None], 0.0)
     dispersive = abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(mean_n + 1.0)
     if not dispersive:
         warnings.warn(
@@ -447,7 +437,7 @@ def validate_dispersive(
     coherence_exact = 2.0 * np.abs(np.sum(psi[:, 1].conj() * psi[:, 0], axis=(0, 1)))
     # branch-echo prediction, on the even chain that holds the ground state
     h_g, h_e = exact_branch_bands(p, probe, 0.0, cutoff)
-    series = decoherence_factor(h_g, h_e, even, times, gamma)
+    series = decoherence_factor(h_g, h_e, even, times)
     coherence_pred = 2.0 * abs(np.conj(probe.alpha) * probe.beta) * np.abs(series.d_values)
     denom = np.maximum(coherence_pred, 1e-15)
     max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))

@@ -14,6 +14,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .errors import ConvergenceError
 from .hilbert import BandMatrix, FockCutoff
 
+# the cutoff search doubles from N_START up to CUTOFF_HARD_CAP
+N_START = 8
 CUTOFF_HARD_CAP = 4096
 # inverse iteration for a band ground vector: residual bound in units of
 # eps ||H||, and the most solves it may take to meet it
@@ -118,15 +120,13 @@ class FrameCutoff(NamedTuple):
 
 
 def converge_cutoff(
-    frames: tuple[Callable[[FockCutoff], float | None], ...],
-    tol: float,
-    n_start: int = 8,
+    frames: tuple[Callable[[FockCutoff], float | None], ...], tol: float
 ) -> FrameCutoff:
     """Smallest tested cutoff whose ground energy shifts by < tol on doubling.
 
-    Doubling sequence n_start, 2 n_start, ...; hard cap 4096. Each of
-    `frames` maps a cutoff to the ground energy of one Hamiltonian in one
-    frame, or to None at the cutoffs too small for that frame to converge,
+    Doubling sequence N_START, 2 N_START, ...; hard cap CUTOFF_HARD_CAP.
+    Each of `frames` maps a cutoff to the ground energy of one Hamiltonian in
+    one frame, or to None at the cutoffs too small for that frame to converge,
     where it is not tried. The frames share the doubling loop: at each cutoff
     they are tested in order, and the first whose energy converges is
     returned with its index.
@@ -140,7 +140,7 @@ def converge_cutoff(
             known[frame, n] = frames[frame](FockCutoff(n))
         return known[frame, n]
 
-    n = n_start
+    n = N_START
     while 2 * n <= CUTOFF_HARD_CAP:
         for frame in range(len(frames)):
             e_n = energy(frame, n)

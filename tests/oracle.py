@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from rabicrit import dynamics, spectra
-from rabicrit.errors import DimensionMismatchError, LayoutError
+from rabicrit.errors import DimensionMismatchError, RabicritError
 from rabicrit.experiments import DispersiveReport
 from rabicrit.hamiltonians import (
     DisplacedFrame,
@@ -48,6 +48,10 @@ from rabicrit.variational import NORMAL, _cubic_coeffs
 
 HERMITICITY_RTOL = 1e-12
 DUAL_PATH_RTOL = 1e-10
+
+
+class LayoutError(RabicritError, ValueError):
+    """A state/operator subsystem layout does not match the request."""
 
 
 # --- dense operators and states ----------------------------------------------
@@ -417,22 +421,20 @@ def _ground_energy(builder):
     return energy
 
 
-def converge_cutoff(builder, tol: float, n_start: int = 8) -> FockCutoff | FrameCutoff:
+def converge_cutoff(builder, tol: float) -> FockCutoff | FrameCutoff:
     """`spectra.converge_cutoff` over dense (or band) builders: one builder
     gives its `FockCutoff`, a tuple of builders of one Hamiltonian in several
     frames the `FrameCutoff` of the first frame to converge."""
     if isinstance(builder, tuple):
-        return spectra.converge_cutoff(tuple(map(_ground_energy, builder)), tol, n_start)
-    return spectra.converge_cutoff((_ground_energy(builder),), tol, n_start).cutoff
+        return spectra.converge_cutoff(tuple(map(_ground_energy, builder)), tol)
+    return spectra.converge_cutoff((_ground_energy(builder),), tol).cutoff
 
 
 def converged_ground_state(
-    builder: Callable[[FockCutoff], Operator],
-    tol: float,
-    n_start: int = 8,
+    builder: Callable[[FockCutoff], Operator], tol: float
 ) -> GroundStateResult:
     """Ground state at the converged cutoff, with the doubling drift recorded."""
-    cutoff = converge_cutoff(builder, tol, n_start)
+    cutoff = converge_cutoff(builder, tol)
     res = ground_state(builder(cutoff))
     e_double = ground_state(builder(FockCutoff(2 * cutoff.n_max))).energy
     drift = abs(res.energy - e_double)
@@ -480,15 +482,10 @@ def decoherence_factor(
     h_e: Operator | BandMatrix,
     ground: QuantumState,
     times,
-    gamma: float | None = None,
 ) -> dynamics.EchoSeries:
-    """`dynamics.decoherence_factor` on dense (or band) branches. If `gamma`
-    is omitted it is computed from `ground` assuming the last tensor factor
-    is the boson (valid in the bare frame only)."""
-    if gamma is None:
-        _, gamma = photon_moments(ground)
+    """`dynamics.decoherence_factor` on dense (or band) branches."""
     return dynamics.branch_echo(SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e),
-                                ground.vec, times, gamma)
+                                ground.vec, times)
 
 
 # --- the tripartite check -----------------------------------------------------

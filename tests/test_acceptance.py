@@ -297,7 +297,7 @@ def test_criterion_10_fig5_three_method_consistency():
     lams = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 1.05, 1.1, 1.2, 1.3, 1.4, 1.5]
     times = np.array([60.0])
     sweeps = {
-        m: loschmidt_echo_sweep(p, probe, lams, times, m, cutoff_tol=1e-8, threads=4)
+        m: loschmidt_echo_sweep(p, probe, lams, times, m, cutoff_tol=1e-8)
         for m in ("exact", "effective", "variational")
     }
     assert time.perf_counter() - t0 < 600.0

@@ -203,16 +203,6 @@ def test_sweep_exact_vs_effective_smoke():
     assert all(ex.converged) and all(ef.converged)
 
 
-def test_sweep_threading_matches_serial():
-    p = RabiParams.from_dimensionless(0.5, 500.0)
-    probe = ProbeParams.from_chi(1e-3)
-    times = np.linspace(0.0, 20.0, 5)
-    lams = [0.3, 0.7, 1.2, 1.4]
-    serial = loschmidt_echo_sweep(p, probe, lams, times, "exact")
-    threaded = loschmidt_echo_sweep(p, probe, lams, times, "exact", threads=4)
-    assert np.array_equal(serial.l_matrix, threaded.l_matrix)
-
-
 def test_frame_invariance_random_displacement():
     from oracle import displacement, identity, tensor
 

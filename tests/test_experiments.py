@@ -19,7 +19,7 @@ from rabicrit.hamiltonians import ProbeParams, RabiParams
 from rabicrit.hilbert import FockCutoff
 
 
-def _tiny_config(out):
+def _tiny_config():
     return SweepConfig(
         figure="custom",
         lambda_grid=[0.5, 0.9, 1.2],
@@ -28,26 +28,25 @@ def _tiny_config(out):
         chi=1e-3,
         methods=["analytic", "variational"],
         cutoff_tol=1e-8,
-        output_path=str(out),
     )
 
 
 def test_config_validation():
-    cfg = _tiny_config(".")
+    cfg = _tiny_config()
     cfg.validate()
-    bad = _tiny_config(".")
+    bad = _tiny_config()
     bad.lambda_grid = []
     with pytest.raises(ValueError):
         bad.validate()
-    bad = _tiny_config(".")
+    bad = _tiny_config()
     bad.lambda_grid = [0.9, 0.5]
     with pytest.raises(ValueError):
         bad.validate()
-    bad = _tiny_config(".")
+    bad = _tiny_config()
     bad.methods = ["quantum"]
     with pytest.raises(ValueError):
         bad.validate()
-    bad = _tiny_config(".")
+    bad = _tiny_config()
     bad.figure = "fig3"
     bad.chi = 0.0
     with pytest.raises(ValueError):
@@ -62,10 +61,10 @@ def test_config_validation():
 ])
 def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
     # rejected before any point is solved; the message names the grid
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config()
     setattr(cfg, grid, values)
     with pytest.raises(ValueError, match=grid):
-        run(cfg)
+        run(cfg, tmp_path)
     assert not list(tmp_path.iterdir())
 
 
@@ -75,6 +74,12 @@ def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
     ("--eta", "-200"),
     ("--t-max", "-1"),
     ("--lam", "-0.5"),
+    ("--g-s", "0"),
+    ("--detuning-ratio", "0"),
+    ("--detuning-ratio", "nan"),
+    ("--threshold", "0"),
+    ("--threshold", "nan"),
+    ("--cutoff-tol", "0"),
 ])
 def test_cli_validate_dispersive_rejects_bad_arguments(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -83,8 +88,40 @@ def test_cli_validate_dispersive_rejects_bad_arguments(capsys, flag, value):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{cfg}", "--out", "{out}", "--cutoff-tol", "1e-3"],  # the config's is used
+    ["fig3", "--out", "{out}", "--threads", "2"],
+    ["validate-dispersive", "--out", "D"],  # writes no file
+], ids=["sweep", "fig3", "validate-dispersive"])
+def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(_tiny_config().canonical_text())
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(cfg=path, out=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_config_hash_ignores_output_directory(tmp_path):
+    # the hash covers what determines the results, not where they are written
+    hashes = set()
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["fig1", "--out", str(out)]) == 0
+        hashes.add(json.loads((out / "report.json").read_text())["provenance"]["config_hash"])
+    assert len(hashes) == 1
+
+
+def test_config_rejects_nan_settings():
+    for name in ("cutoff_tol", "chi"):
+        bad = _tiny_config()
+        bad.figure = "fig3"
+        setattr(bad, name, float("nan"))
+        with pytest.raises(ValueError, match=name):
+            bad.validate()
+
+
 def test_config_file_roundtrip(tmp_path):
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config()
     path = tmp_path / "sweep.cfg"
     path.write_text(cfg.canonical_text())
     parsed = SweepConfig.from_file(path)
@@ -99,13 +136,17 @@ def test_config_file_unknown_key(tmp_path):
     path.write_text("figure = custom\nwavelength = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
         SweepConfig.from_file(path)
+    # the output directory is set on the command line (`--out`) only
+    path.write_text("figure = custom\noutput_path = out\n")
+    with pytest.raises(ValueError, match="unknown key 'output_path'"):
+        SweepConfig.from_file(path)
     path.write_text("just a line without equals\n")
     with pytest.raises(ValueError, match="key = value"):
         SweepConfig.from_file(path)
 
 
 def test_empty_grid_no_output(tmp_path):
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config()
     cfg.lambda_grid = []
     with pytest.raises(ValueError):
         run(cfg, out_dir=tmp_path)
@@ -136,7 +177,7 @@ def test_default_configs():
 
 
 def test_run_writes_outputs(tmp_path):
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config()
     report = run(cfg, out_dir=tmp_path)
     csv_path = tmp_path / "custom.csv"
     assert csv_path.exists()
@@ -160,7 +201,7 @@ def test_run_writes_outputs(tmp_path):
 
 
 def test_csv_float_formatting(tmp_path):
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config()
     run(cfg, out_dir=tmp_path)
     row = (tmp_path / "custom.csv").read_text().splitlines()[1].split(",")
     value = row[7]
@@ -170,7 +211,7 @@ def test_csv_float_formatting(tmp_path):
 
 
 def test_cli_sweep_and_exit_codes(tmp_path):
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config()
     path = tmp_path / "sweep.cfg"
     path.write_text(cfg.canonical_text())
     rc = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
@@ -211,7 +252,7 @@ def test_validate_dispersive_warns_outside_regime():
 
 
 def test_report_wall_time_is_per_point(tmp_path):
-    cfg = _tiny_config(tmp_path)
+    cfg = _tiny_config()
     cfg.methods = ["exact"]
     report = run(cfg, out_dir=tmp_path)
     walls = {}
@@ -228,16 +269,18 @@ def test_report_frame(tmp_path):
     # the exact method's frame above the transition depends on convergence,
     # not on lambda alone: the bare chains win at eta = 1000, the displaced
     # band at eta = 1e5; closed forms have no frame
-    cfg = default_config("fig2", str(tmp_path / "fig2"))
+    cfg = default_config("fig2")
     cfg.methods = ["exact", "effective", "variational"]
-    frames = {(rec["method"], rec["eta"]): rec["frame"] for rec in run(cfg).records}
+    frames = {(rec["method"], rec["eta"]): rec["frame"]
+              for rec in run(cfg, tmp_path / "fig2").records}
     assert frames[("exact", 1e3)] == "bare"
     assert frames[("exact", 1e5)] == "displaced"
     assert frames[("effective", 1e3)] == "displaced"
     assert frames[("variational", 1e3)] == ""
-    cfg = _tiny_config(tmp_path / "echo")
+    cfg = _tiny_config()
     cfg.methods = ["exact", "analytic"]
-    frames = {(rec["method"], rec["lambda"]): rec["frame"] for rec in run(cfg).records}
+    frames = {(rec["method"], rec["lambda"]): rec["frame"]
+              for rec in run(cfg, tmp_path / "echo").records}
     assert frames == {("exact", 0.5): "bare", ("exact", 0.9): "bare", ("exact", 1.2): "displaced",
                       ("analytic", 0.5): "", ("analytic", 0.9): "", ("analytic", 1.2): ""}
 

@@ -59,7 +59,7 @@ def _assert_oracle_bytes(report, out, figure):
     assert (out / "report.json").read_text() == _oracle_json(report)
 
 
-def _echo_config(out, methods):
+def _echo_config(methods):
     return SweepConfig(
         figure="custom",
         lambda_grid=[0.0, 0.5, 1.2],
@@ -67,12 +67,11 @@ def _echo_config(out, methods):
         time_grid=[0.0, 20.0, 40.0],
         chi=1e-3,
         methods=methods,
-        output_path=str(out),
     )
 
 
 def test_echo_outputs_match_record_oracle(tmp_path):
-    report = run(_echo_config(tmp_path, ["exact", "effective", "analytic"]))
+    report = run(_echo_config(["exact", "effective", "analytic"]), tmp_path)
     _assert_oracle_bytes(report, tmp_path, "custom")
     # 2 etas x 3 methods x 3 lambdas, 3 times each
     assert len(report.points) == 18
@@ -86,9 +85,9 @@ def test_echo_outputs_match_record_oracle(tmp_path):
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2"])
 def test_ground_outputs_match_record_oracle(tmp_path, figure):
-    cfg = default_config(figure, str(tmp_path))
+    cfg = default_config(figure)
     cfg.eta_grid = [1e3, 1e5]
-    report = run(cfg)
+    report = run(cfg, tmp_path)
     _assert_oracle_bytes(report, tmp_path, figure)
     assert len(report.records) == 2 * len(cfg.eta_grid) * len(cfg.methods)
 
@@ -98,9 +97,9 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     # are degraded rows (NaN, converged=false, no cutoff or frame), the sweep
     # goes on, and the CLI exits with status 1
     monkeypatch.setattr(spectra, "CUTOFF_HARD_CAP", 16)
-    cfg = _echo_config(tmp_path / "echo", ["exact", "analytic"])
+    cfg = _echo_config(["exact", "analytic"])
     cfg.lambda_grid, cfg.eta_grid = [0.3, 0.9, 1.2], [500.0]
-    report = run(cfg)
+    report = run(cfg, tmp_path / "echo")
     _assert_oracle_bytes(report, tmp_path / "echo", "custom")
     capped = {("exact", 0.9), ("exact", 1.2)}
     assert {(pt.method, pt.lam) for pt in report.points if not pt.converged} == capped
@@ -120,9 +119,9 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
             assert rec["converged"] is True and math.isfinite(rec["value"])
     assert '"value": NaN' in (tmp_path / "echo" / "report.json").read_text()
 
-    cfg = default_config("fig1", str(tmp_path / "fig1"))
+    cfg = default_config("fig1")
     cfg.eta_grid = [1e3]
-    report = run(cfg)
+    report = run(cfg, tmp_path / "fig1")
     _assert_oracle_bytes(report, tmp_path / "fig1", "fig1")
     assert {pt.method: pt.converged for pt in report.points} == {
         "exact": False, "effective": False, "variational": True}

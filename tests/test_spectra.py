@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracle import (
+    LayoutError,
     Operator,
     QuantumState,
     build_rabi,
@@ -18,7 +19,7 @@ from oracle import (
     photon_moments,
     squeeze,
 )
-from rabicrit.errors import ConvergenceError, LayoutError
+from rabicrit.errors import ConvergenceError
 from rabicrit.hamiltonians import RabiParams
 from rabicrit.hilbert import FockCutoff
 
@@ -110,7 +111,7 @@ def test_ground_state_definite_parity():
 
 def test_converge_cutoff_decoupled():
     p = RabiParams(1.0, 3.0, 0.0)
-    c = converge_cutoff(lambda cc: build_rabi(p, cc), 1e-12, n_start=8)
+    c = converge_cutoff(lambda cc: build_rabi(p, cc), 1e-12)
     assert c.n_max == 8
 
 
@@ -132,7 +133,7 @@ def test_converge_cutoff_errors():
         return Operator(np.diag([-float(cc.n_max), 1.0]), (2,))
 
     with pytest.raises(ConvergenceError):
-        converge_cutoff(drifting, 1e-12, n_start=8)
+        converge_cutoff(drifting, 1e-12)
 
 
 def test_ground_energy_monotone_in_cutoff():

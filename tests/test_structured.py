@@ -122,7 +122,7 @@ def _dense_exact(p, probe, times, tol=TOL):
         ib = identity((cutoff.dim,))
         n_phys = tensor(identity((2,)), number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ib)
         mean_n, gamma = operator_moments(gs.state, n_phys)
-    series = decoherence_factor(h_g, h_e, gs.state, times, gamma=gamma)
+    series = decoherence_factor(h_g, h_e, gs.state, times)
     return cutoff, gs.energy, mean_n, gamma, series.l_values
 
 
@@ -347,7 +347,7 @@ def test_effective_path_matches_dense_oracle():
         h_g = h0 - probe.chi * n_phys + (-0.5 * probe.omega_s) * ident
         h_e = h0 + probe.chi * n_phys + (0.5 * probe.omega_s + probe.chi) * ident
         _, gamma = operator_moments(gs.state, n_phys)
-        l_dense = decoherence_factor(h_g, h_e, gs.state, times, gamma=gamma).l_values
+        l_dense = decoherence_factor(h_g, h_e, gs.state, times).l_values
         assert sweep.cutoffs[i] == cutoff.n_max, lam
         assert sweep.gammas[i] == pytest.approx(gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
@@ -385,7 +385,7 @@ def test_effective_branches_carry_no_constant():
             n_phys = number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ident
             h_g = h0 - probe.chi * n_phys + (-0.5 * probe.omega_s) * ident
             h_e = h0 + probe.chi * n_phys + (0.5 * probe.omega_s + probe.chi) * ident
-            l_dense = decoherence_factor(h_g, h_e, ground_state(h0).state, times, gamma=0.0).l_values
+            l_dense = decoherence_factor(h_g, h_e, ground_state(h0).state, times).l_values
             err = np.abs(sweep.l_matrix[i] - l_dense).max()
             assert err <= bound, (eta, lam, err)
 
@@ -393,9 +393,9 @@ def test_effective_branches_carry_no_constant():
 def test_effective_ground_records_match_dense(tmp_path):
     # the fig1 (lam = 0.99) and fig2 (lam = 1.01) effective rows
     for figure in ("fig1", "fig2"):
-        cfg = default_config(figure, str(tmp_path / figure))
+        cfg = default_config(figure)
         cfg.methods = ["effective"]
-        records = run(cfg).records
+        records = run(cfg, tmp_path / figure).records
         assert len(records) == 2 * len(cfg.eta_grid)
         for rec in records:
             p = RabiParams.from_dimensionless(rec["lambda"], rec["eta"])
