@@ -97,11 +97,11 @@ def main(argv=None) -> int:
         config = SweepConfig.from_file(args.config)
     else:
         config = default_config(args.command, args.cutoff_tol)
-    report = run(config, args.out)
-    n_rows = sum(len(pt.value) for pt in report.points)
-    n_bad = sum(len(pt.value) for pt in report.points if not pt.converged)
+    points = run(config, args.out)
+    n_rows = sum(len(pt.value) for pt in points)
+    n_bad = sum(len(pt.value) for pt in points if not pt.converged)
     print(f"{config.figure}: {n_rows} records written to {args.out} ({n_bad} degraded)")
-    return 1 if report.degraded else 0
+    return 1 if n_bad else 0
 
 
 if __name__ == "__main__":

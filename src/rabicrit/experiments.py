@@ -9,8 +9,7 @@ import hashlib
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .spectra import (
 )
 from .variational import solve as variational_solve
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,converged"
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
@@ -83,13 +82,22 @@ class SweepConfig:
             raise ValueError("eta_grid values must be positive")
         if not all(v >= 0 for v in self.time_grid):
             raise ValueError("time_grid values must be non-negative")
-        if self.figure in ("fig3", "fig4", "fig5") and not self.chi > 0:
-            raise ValueError("chi must be positive for echo figures")
         if not self.cutoff_tol > 0:
             raise ValueError("cutoff_tol must be positive")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if self.figure in ("fig1", "fig2"):
+            if "analytic" in self.methods:
+                raise ValueError(f"figure {self.figure} has no 'analytic' method")
+        elif not self.chi > 0:
+            raise ValueError("chi must be positive for echo figures")
+        # the closed forms diverge at the critical point; exact and effective solve it
+        closed = [m for m in self.methods if m in ("analytic", "variational")]
+        if closed and any(abs(v - 1.0) < CRITICAL_BAND for v in self.lambda_grid):
+            raise ValueError(
+                f"lambda_grid values within {CRITICAL_BAND:g} of 1 have no {' or '.join(closed)} value"
+            )
 
     @classmethod
     def from_file(cls, path) -> "SweepConfig":
@@ -137,9 +145,9 @@ class SweepConfig:
 
 @dataclass
 class SweepPoint:
-    """One sweep point: one (eta, method, lambda) of an echo figure, or one
-    (eta, method) of fig1/fig2. Its rows share every field but the three
-    per-row columns `omega_c_t`, `value_name` and `value`.
+    """One sweep point, one (eta, method, lambda), and one record of
+    `report.json`. Its rows share every field but the three per-row columns
+    `omega_c_t`, `value_name` and `value`, which are lists.
 
     A point whose cutoff search did not converge is degraded: `converged` is
     False, its values are NaN, and `cutoff` and `frame` are empty.
@@ -157,42 +165,6 @@ class SweepPoint:
     omega_c_t: list               # per row: the time, or "" on the fig1/fig2 rows
     value_name: list[str]
     value: list[float]
-
-    def records(self) -> list[dict]:
-        """The point's rows as `report.json` records."""
-        return [
-            {
-                "figure": self.figure,
-                "method": self.method,
-                "lambda": self.lam,
-                "eta": self.eta,
-                "chi": self.chi,
-                "omega_c_t": t,
-                "value_name": name,
-                "value": value,
-                "cutoff": self.cutoff,
-                "converged": self.converged,
-                "frame": self.frame,
-                "wall_time": self.wall_time,
-            }
-            for t, name, value in zip(self.omega_c_t, self.value_name, self.value)
-        ]
-
-
-@dataclass
-class RunReport:
-    points: list[SweepPoint] = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
-    provenance: dict = field(default_factory=dict)
-
-    @property
-    def records(self) -> list[dict]:
-        """Every row as the record written to `report.json`."""
-        return [rec for pt in self.points for rec in pt.records()]
-
-    @property
-    def degraded(self) -> bool:
-        return any(not pt.converged for pt in self.points)
 
 
 def _fmt(x) -> str:
@@ -242,44 +214,42 @@ def default_config(figure: str, cutoff_tol: float = 1e-8) -> SweepConfig:
 
 
 def _ground_state_records(cfg: SweepConfig) -> list[SweepPoint]:
-    """fig1/fig2 points: ground energy and mean photon number vs eta."""
-    lam = cfg.lambda_grid[0]
+    """fig1/fig2 points: ground energy and mean photon number."""
     points = []
     for eta in cfg.eta_grid:
-        p = RabiParams.from_dimensionless(lam, eta)
         for method in cfg.methods:
-            cutoff, converged, frame = "", True, ""
-            t0 = time.perf_counter()
-            if method in ("exact", "effective"):
-                solve = exact_ground_state if method == "exact" else effective_ground_state
-                try:
-                    gs = solve(p, cfg.cutoff_tol)
-                except ConvergenceError:
-                    converged, energy, mean_n = False, np.nan, np.nan
+            for lam in cfg.lambda_grid:
+                p = RabiParams.from_dimensionless(lam, eta)
+                cutoff, converged, frame = "", True, ""
+                t0 = time.perf_counter()
+                if method == "variational":
+                    sol = variational_solve(p)
+                    energy, mean_n = sol.energy, sol.mean_n
                 else:
-                    cutoff, energy, mean_n, frame = gs.cutoff.n_max, gs.energy, gs.mean_n, gs.frame
-            elif method == "variational":
-                sol = variational_solve(p)
-                energy, mean_n = sol.energy, sol.mean_n
-            else:
-                raise ValueError(f"method {method!r} not meaningful for {cfg.figure}")
-            wall = time.perf_counter() - t0
-            points.append(SweepPoint(
-                cfg.figure, method, lam, eta, "", cutoff, converged, frame, wall,
-                ["", ""], ["energy", "mean_n"], [energy, mean_n],
-            ))
+                    solve = exact_ground_state if method == "exact" else effective_ground_state
+                    try:
+                        gs = solve(p, cfg.cutoff_tol)
+                    except ConvergenceError:
+                        converged, energy, mean_n = False, np.nan, np.nan
+                    else:
+                        cutoff, energy, mean_n, frame = (
+                            gs.cutoff.n_max, gs.energy, gs.mean_n, gs.frame)
+                wall = time.perf_counter() - t0
+                points.append(SweepPoint(
+                    cfg.figure, method, lam, eta, "", cutoff, converged, frame, wall,
+                    ["", ""], ["energy", "mean_n"], [energy, mean_n],
+                ))
     return points
 
 
 def _echo_records(cfg: SweepConfig) -> list[SweepPoint]:
     points = []
     probe = ProbeParams.from_chi(cfg.chi)
-    lambdas = [v for v in cfg.lambda_grid if abs(v - 1.0) >= CRITICAL_BAND]
     for eta in cfg.eta_grid:
         p = RabiParams.from_dimensionless(0.5, eta)  # lam overridden per row
         for method in cfg.methods:
             sweep = loschmidt_echo_sweep(
-                p, probe, lambdas, cfg.time_grid, method, cutoff_tol=cfg.cutoff_tol
+                p, probe, cfg.lambda_grid, cfg.time_grid, method, cutoff_tol=cfg.cutoff_tol
             )
             times = sweep.times.tolist()
             names = ["loschmidt_echo"] * len(times)
@@ -305,44 +275,16 @@ def write_csv(points: list[SweepPoint], path: Path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _json_items(items: list) -> list[str]:
-    """Each of `items` as `json.dumps` writes it (floats by repr, NaN and
-    Infinity included), from one call of its C encoder. No item's text
-    contains ', '."""
-    return json.dumps(items)[1:-1].split(", ")
-
-
-def write_report(report: RunReport, path: Path):
-    """`report.json`: the bytes of `json.dumps(payload, sort_keys=True)` for the
-    payload {schema_version, provenance, records}. In sorted order a record's
-    per-row keys `omega_c_t`, `value` and `value_name` fall between `method`
-    and `wall_time`, so a point's other fields are written once, around them.
-    """
-    points = report.points
-    shared = _json_items([
-        x for pt in points
-        for x in (pt.chi, pt.converged, pt.cutoff, pt.eta, pt.figure, pt.frame, pt.lam,
-                  pt.method, pt.wall_time)
-    ])
-    rows = zip(
-        _json_items([t for pt in points for t in pt.omega_c_t]),
-        _json_items([v for pt in points for v in pt.value]),
-        _json_items([name for pt in points for name in pt.value_name]),
-    )
+def write_report(points: list[SweepPoint], provenance: dict, path: Path):
+    """`report.json`: {points, provenance, schema_version}, a record per
+    point holding its per-row columns as lists."""
     records = []
-    for k, pt in enumerate(points):
-        chi, converged, cutoff, eta, figure, frame, lam, method, wall = shared[9 * k:9 * k + 9]
-        head = (f'{{"chi": {chi}, "converged": {converged}, "cutoff": {cutoff}, "eta": {eta}, '
-                f'"figure": {figure}, "frame": {frame}, "lambda": {lam}, "method": {method}, '
-                f'"omega_c_t": ')
-        tail = f', "wall_time": {wall}}}'
-        for t, value, name in islice(rows, len(pt.value)):
-            records.append(f'{head}{t}, "value": {value}, "value_name": {name}{tail}')
-    path.write_text(
-        f'{{"provenance": {json.dumps(report.provenance, sort_keys=True)}, '
-        f'"records": [{", ".join(records)}], '
-        f'"schema_version": {json.dumps(report.schema_version)}}}'
-    )
+    for pt in points:
+        rec = dict(vars(pt))
+        rec["lambda"] = rec.pop("lam")
+        records.append(rec)
+    payload = {"points": records, "provenance": provenance, "schema_version": SCHEMA_VERSION}
+    path.write_text(json.dumps(payload, sort_keys=True))
 
 
 def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
@@ -361,9 +303,9 @@ def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
     path.write_text(body)
 
 
-def run(config: SweepConfig, out_dir) -> RunReport:
+def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
     """Execute a sweep at omega_c = 1, writing `<figure>.csv`, `<figure>.gp`
-    and `report.json` into `out_dir`."""
+    and `report.json` into `out_dir`; return its points."""
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -371,18 +313,15 @@ def run(config: SweepConfig, out_dir) -> RunReport:
         points = _ground_state_records(config)
     else:
         points = _echo_records(config)
-    report = RunReport(
-        points=points,
-        provenance={
-            "config_hash": hashlib.sha256(config.canonical_text().encode()).hexdigest(),
-            "code_version": __version__,
-        },
-    )
     csv_path = out / f"{config.figure}.csv"
     write_csv(points, csv_path)
     write_gnuplot_script(config, csv_path.name, out / f"{config.figure}.gp")
-    write_report(report, out / "report.json")
-    return report
+    provenance = {
+        "config_hash": hashlib.sha256(config.canonical_text().encode()).hexdigest(),
+        "code_version": __version__,
+    }
+    write_report(points, provenance, out / "report.json")
+    return points
 
 
 @dataclass(frozen=True)

@@ -58,13 +58,16 @@ def test_config_validation():
     ("eta_grid", [0.0, 500.0]),
     ("lambda_grid", [-0.5, 0.5]),
     ("time_grid", [-1.0, 0.0, 20.0]),   # an echo figure's time
+    ("chi", -1e-3),                      # a custom echo's probe
+    ("figure", "fig1"),                  # with the analytic method
 ])
 def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
-    # rejected before any point is solved; the message names the grid
+    # rejected before any point is solved or the output directory made; the
+    # message names the setting
     cfg = _tiny_config()
     setattr(cfg, grid, values)
     with pytest.raises(ValueError, match=grid):
-        run(cfg, tmp_path)
+        run(cfg, tmp_path / "out")
     assert not list(tmp_path.iterdir())
 
 
@@ -111,13 +114,14 @@ def test_config_hash_ignores_output_directory(tmp_path):
     assert len(hashes) == 1
 
 
-def test_config_rejects_nan_settings():
-    for name in ("cutoff_tol", "chi"):
+def test_config_rejects_nan_settings(tmp_path):
+    for figure, name in (("fig3", "cutoff_tol"), ("fig3", "chi"), ("custom", "chi")):
         bad = _tiny_config()
-        bad.figure = "fig3"
+        bad.figure = figure
         setattr(bad, name, float("nan"))
         with pytest.raises(ValueError, match=name):
-            bad.validate()
+            run(bad, tmp_path / "out")
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -178,7 +182,7 @@ def test_default_configs():
 
 def test_run_writes_outputs(tmp_path):
     cfg = _tiny_config()
-    report = run(cfg, out_dir=tmp_path)
+    points = run(cfg, out_dir=tmp_path)
     csv_path = tmp_path / "custom.csv"
     assert csv_path.exists()
     assert (tmp_path / "custom.gp").exists()
@@ -186,13 +190,18 @@ def test_run_writes_outputs(tmp_path):
     assert lines[0] == CSV_HEADER
     # 3 lambdas x 3 times x 2 methods
     assert len(lines) == 1 + 18
-    assert not report.degraded
+    assert all(pt.converged for pt in points)
 
+    # one record per point, its per-row columns as lists
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert "config_hash" in payload["provenance"]
-    assert len(payload["records"]) == 18
-    assert payload["records"] == report.records
+    assert len(payload["points"]) == 6
+    assert sum(len(rec["value"]) for rec in payload["points"]) == 18
+    assert payload["points"] == [
+        {**{k: v for k, v in vars(pt).items() if k != "lam"}, "lambda": pt.lam}
+        for pt in points
+    ]
 
     # determinism: identical config -> byte-identical CSV
     first = csv_path.read_bytes()
@@ -254,13 +263,11 @@ def test_validate_dispersive_warns_outside_regime():
 def test_report_wall_time_is_per_point(tmp_path):
     cfg = _tiny_config()
     cfg.methods = ["exact"]
-    report = run(cfg, out_dir=tmp_path)
-    walls = {}
-    for rec in report.records:
-        walls.setdefault(rec["lambda"], set()).add(rec["wall_time"])
+    run(cfg, out_dir=tmp_path)
+    records = json.loads((tmp_path / "report.json").read_text())["points"]
     # one time per point, shared by its rows; points differ in cost
-    assert all(len(w) == 1 for w in walls.values())
-    per_point = [w.pop() for w in walls.values()]
+    assert [rec["lambda"] for rec in records] == cfg.lambda_grid
+    per_point = [rec["wall_time"] for rec in records]
     assert all(w > 0.0 for w in per_point)
     assert len(set(per_point)) == len(per_point)
 
@@ -271,16 +278,14 @@ def test_report_frame(tmp_path):
     # band at eta = 1e5; closed forms have no frame
     cfg = default_config("fig2")
     cfg.methods = ["exact", "effective", "variational"]
-    frames = {(rec["method"], rec["eta"]): rec["frame"]
-              for rec in run(cfg, tmp_path / "fig2").records}
+    frames = {(pt.method, pt.eta): pt.frame for pt in run(cfg, tmp_path / "fig2")}
     assert frames[("exact", 1e3)] == "bare"
     assert frames[("exact", 1e5)] == "displaced"
     assert frames[("effective", 1e3)] == "displaced"
     assert frames[("variational", 1e3)] == ""
     cfg = _tiny_config()
     cfg.methods = ["exact", "analytic"]
-    frames = {(rec["method"], rec["lambda"]): rec["frame"]
-              for rec in run(cfg, tmp_path / "echo").records}
+    frames = {(pt.method, pt.lam): pt.frame for pt in run(cfg, tmp_path / "echo")}
     assert frames == {("exact", 0.5): "bare", ("exact", 0.9): "bare", ("exact", 1.2): "displaced",
                       ("analytic", 0.5): "", ("analytic", 0.9): "", ("analytic", 1.2): ""}
 
@@ -288,3 +293,38 @@ def test_report_frame(tmp_path):
 def test_cli_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit):
         main(["fig4", "--out", str(tmp_path), "--seed", "3"])
+
+
+def test_ground_figures_sweep_every_lambda(tmp_path):
+    # fig1/fig2 points run in the echo order (eta, method, lambda)
+    cfg = default_config("fig1")
+    cfg.lambda_grid, cfg.eta_grid = [0.5, 0.99], [1e3]
+    cfg.methods = ["exact", "variational"]
+    run(cfg, tmp_path)
+    rows = [row.split(",") for row in (tmp_path / "fig1.csv").read_text().splitlines()[1:]]
+    assert [(f[1], float(f[2]), f[6]) for f in rows] == [
+        (method, lam, name)
+        for method in ("exact", "variational")
+        for lam in (0.5, 0.99)
+        for name in ("energy", "mean_n")
+    ]
+    assert all(f[9] == "true" for f in rows)
+
+
+def test_critical_lambda_is_solved_or_rejected(tmp_path):
+    # the exact method solves lam = 1; the closed forms have no value there
+    cfg = _tiny_config()
+    cfg.lambda_grid, cfg.eta_grid, cfg.time_grid = [0.5, 1.0], [1000.0], [0.0, 50.0]
+    cfg.methods = ["exact"]
+    run(cfg, tmp_path / "exact")
+    rows = [row.split(",") for row in (tmp_path / "exact" / "custom.csv").read_text().splitlines()[1:]]
+    critical = [f for f in rows if float(f[2]) == 1.0]
+    assert [float(f[5]) for f in critical] == [0.0, 50.0]
+    assert all(f[8] == "64" and f[9] == "true" for f in critical)
+    assert float(critical[0][7]) == pytest.approx(1.0, abs=1e-12)
+    assert float(critical[1][7]) == pytest.approx(0.9999966, abs=1e-6)
+    for method in ("analytic", "variational"):
+        cfg.methods = ["exact", method]
+        with pytest.raises(ValueError, match="lambda_grid"):
+            run(cfg, tmp_path / method)
+        assert not (tmp_path / method).exists()

@@ -1,10 +1,12 @@
 """The sweep outputs against the per-record writer they replace.
 
-`run` writes `<figure>.csv` and `report.json` per sweep point: each point's
-constant fields are formatted once, and only the per-row columns `omega_c_t`,
-`value_name` and `value` per row. The oracle below is the per-record writer:
-every record formatted field by field, and `json.dumps(payload,
-sort_keys=True)`. Both files must equal its output byte for byte.
+`run` writes `<figure>.csv` per sweep point: each point's constant fields
+are formatted once, and only the per-row columns `omega_c_t`, `value_name`
+and `value` per row. The oracle below is the per-record writer: every row of
+every point expanded into a record and formatted field by field; the CSV
+must equal its output byte for byte. `report.json` holds one record per
+point, its per-row columns as lists; expanded row by row, it must give the
+same records.
 """
 
 import json
@@ -21,6 +23,41 @@ def _fmt(x) -> str:
     if x is None or x == "":
         return ""
     return f"{float(x):.17g}"
+
+
+def _records(points) -> list[dict]:
+    """Every row of `points` as one record."""
+    return [
+        {
+            "figure": pt.figure,
+            "method": pt.method,
+            "lambda": pt.lam,
+            "eta": pt.eta,
+            "chi": pt.chi,
+            "omega_c_t": t,
+            "value_name": name,
+            "value": value,
+            "cutoff": pt.cutoff,
+            "converged": pt.converged,
+            "frame": pt.frame,
+            "wall_time": pt.wall_time,
+        }
+        for pt in points
+        for t, name, value in zip(pt.omega_c_t, pt.value_name, pt.value)
+    ]
+
+
+def _expanded(report_path) -> list[dict]:
+    """The point records of `report.json`, expanded to one record per row."""
+    payload = json.loads(report_path.read_text())
+    assert set(payload) == {"points", "provenance", "schema_version"}
+    assert payload["schema_version"] == 2
+    rows = []
+    for pt in payload["points"]:
+        shared = {k: v for k, v in pt.items() if k not in ("omega_c_t", "value_name", "value")}
+        for t, name, value in zip(pt["omega_c_t"], pt["value_name"], pt["value"]):
+            rows.append({**shared, "omega_c_t": t, "value_name": name, "value": value})
+    return rows
 
 
 def _oracle_csv(records) -> str:
@@ -45,18 +82,13 @@ def _oracle_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _oracle_json(report) -> str:
-    payload = {
-        "schema_version": report.schema_version,
-        "provenance": report.provenance,
-        "records": report.records,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def _assert_oracle_bytes(report, out, figure):
-    assert (out / f"{figure}.csv").read_text() == _oracle_csv(report.records)
-    assert (out / "report.json").read_text() == _oracle_json(report)
+def _assert_oracle_bytes(points, out, figure):
+    records = _records(points)
+    assert (out / f"{figure}.csv").read_text() == _oracle_csv(records)
+    # compared as JSON text, where NaN equals NaN; floats are written by
+    # repr, so equal text is equal values
+    assert json.dumps(_expanded(out / "report.json"), sort_keys=True) == json.dumps(
+        records, sort_keys=True)
 
 
 def _echo_config(methods):
@@ -71,12 +103,12 @@ def _echo_config(methods):
 
 
 def test_echo_outputs_match_record_oracle(tmp_path):
-    report = run(_echo_config(["exact", "effective", "analytic"]), tmp_path)
-    _assert_oracle_bytes(report, tmp_path, "custom")
+    points = run(_echo_config(["exact", "effective", "analytic"]), tmp_path)
+    _assert_oracle_bytes(points, tmp_path, "custom")
     # 2 etas x 3 methods x 3 lambdas, 3 times each
-    assert len(report.points) == 18
-    assert len(report.records) == 54
-    for rec in report.records:
+    assert len(points) == 18
+    assert len(_records(points)) == 54
+    for rec in _records(points):
         if rec["lambda"] == 0.0 or rec["method"] == "analytic":
             assert (rec["cutoff"], rec["frame"]) == ("", "")
         else:
@@ -87,9 +119,9 @@ def test_echo_outputs_match_record_oracle(tmp_path):
 def test_ground_outputs_match_record_oracle(tmp_path, figure):
     cfg = default_config(figure)
     cfg.eta_grid = [1e3, 1e5]
-    report = run(cfg, tmp_path)
-    _assert_oracle_bytes(report, tmp_path, figure)
-    assert len(report.records) == 2 * len(cfg.eta_grid) * len(cfg.methods)
+    points = run(cfg, tmp_path)
+    _assert_oracle_bytes(points, tmp_path, figure)
+    assert len(_records(points)) == 2 * len(cfg.eta_grid) * len(cfg.methods)
 
 
 def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
@@ -99,14 +131,13 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(spectra, "CUTOFF_HARD_CAP", 16)
     cfg = _echo_config(["exact", "analytic"])
     cfg.lambda_grid, cfg.eta_grid = [0.3, 0.9, 1.2], [500.0]
-    report = run(cfg, tmp_path / "echo")
-    _assert_oracle_bytes(report, tmp_path / "echo", "custom")
+    points = run(cfg, tmp_path / "echo")
+    _assert_oracle_bytes(points, tmp_path / "echo", "custom")
     capped = {("exact", 0.9), ("exact", 1.2)}
-    assert {(pt.method, pt.lam) for pt in report.points if not pt.converged} == capped
-    assert report.degraded
+    assert {(pt.method, pt.lam) for pt in points if not pt.converged} == capped
 
     rows = (tmp_path / "echo" / "custom.csv").read_text().splitlines()[1:]
-    records = json.loads((tmp_path / "echo" / "report.json").read_text())["records"]
+    records = _expanded(tmp_path / "echo" / "report.json")
     assert len(rows) == len(records) == 18
     for row, rec in zip(rows, records):
         fields = row.split(",")
@@ -117,13 +148,16 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
         else:
             assert fields[9] == "true" and math.isfinite(float(fields[7]))
             assert rec["converged"] is True and math.isfinite(rec["value"])
-    assert '"value": NaN' in (tmp_path / "echo" / "report.json").read_text()
+    payload = json.loads((tmp_path / "echo" / "report.json").read_text())
+    for pt in payload["points"]:
+        if (pt["method"], pt["lambda"]) in capped:
+            assert len(pt["value"]) == 3 and all(math.isnan(v) for v in pt["value"])
 
     cfg = default_config("fig1")
     cfg.eta_grid = [1e3]
-    report = run(cfg, tmp_path / "fig1")
-    _assert_oracle_bytes(report, tmp_path / "fig1", "fig1")
-    assert {pt.method: pt.converged for pt in report.points} == {
+    points = run(cfg, tmp_path / "fig1")
+    _assert_oracle_bytes(points, tmp_path / "fig1", "fig1")
+    assert {pt.method: pt.converged for pt in points} == {
         "exact": False, "effective": False, "variational": True}
 
     path = tmp_path / "sweep.cfg"

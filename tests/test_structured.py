@@ -395,16 +395,17 @@ def test_effective_ground_records_match_dense(tmp_path):
     for figure in ("fig1", "fig2"):
         cfg = default_config(figure)
         cfg.methods = ["effective"]
-        records = run(cfg, tmp_path / figure).records
-        assert len(records) == 2 * len(cfg.eta_grid)
-        for rec in records:
-            p = RabiParams.from_dimensionless(rec["lambda"], rec["eta"])
+        points = run(cfg, tmp_path / figure)
+        assert len(points) == len(cfg.eta_grid)
+        for pt in points:
+            p = RabiParams.from_dimensionless(pt.lam, pt.eta)
             cutoff, gs, _, n_phys = _dense_effective(p)
             mean_n, _ = operator_moments(gs.state, n_phys)
-            assert rec["cutoff"] == cutoff.n_max
-            expected = gs.energy if rec["value_name"] == "energy" else mean_n
-            rel = 1e-13 if rec["value_name"] == "energy" else 1e-9
-            assert rec["value"] == pytest.approx(expected, rel=rel, abs=0.0), (figure, rec)
+            assert pt.cutoff == cutoff.n_max
+            assert pt.value_name == ["energy", "mean_n"]
+            energy, n = pt.value
+            assert energy == pytest.approx(gs.energy, rel=1e-13, abs=0.0), (figure, pt)
+            assert n == pytest.approx(mean_n, rel=1e-9, abs=0.0), (figure, pt)
 
 
 def test_inverse_iteration_vector_matches_eig_banded():
