@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .experiments import SweepConfig, default_config, run, validate_dispersive
 from .hamiltonians import ProbeParams, RabiParams
+from .spectra import CUTOFF_TOL
 
 
 def _checked(cast, test, wanted: str):
@@ -37,7 +38,7 @@ _non_negative = _checked(float, lambda v: v >= 0, "non-negative")
 _nonzero = _checked(float, lambda v: abs(v) > 0, "nonzero")
 
 _OUT = {"default": ".", "help": "output directory"}
-_CUTOFF_TOL = {"type": _positive, "default": 1e-8,
+_CUTOFF_TOL = {"type": _positive, "default": CUTOFF_TOL,
                "help": "ground-energy tolerance for cutoff doubling"}
 
 

@@ -14,14 +14,13 @@ search converges there first, on the displaced band
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .analytic import CRITICAL_BAND, short_time_le, variance
-from .errors import ConvergenceError, DimensionMismatchError, PhaseDomainError
+from .errors import DimensionMismatchError, PhaseDomainError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
@@ -122,29 +121,6 @@ def probe_reduced_state(probe: ProbeParams, d: complex) -> np.ndarray:
         dtype=complex,
     )
     return rho
-
-
-@dataclass(frozen=True)
-class EchoPoint:
-    lam: float
-    l_values: np.ndarray
-    gamma: float
-    cutoff: int | None
-    converged: bool
-    frame: str                    # "bare" or "displaced"; "" where nothing is diagonalised
-
-
-@dataclass(frozen=True)
-class EchoSweep:
-    lambdas: np.ndarray
-    times: np.ndarray
-    method: str
-    l_matrix: np.ndarray          # shape (len(lambdas), len(times))
-    gammas: np.ndarray
-    cutoffs: list
-    converged: list
-    frames: list                  # each point's frame, as `EchoPoint.frame`
-    wall_times: np.ndarray        # seconds spent on each lambda's point
 
 
 @dataclass(frozen=True)
@@ -283,16 +259,9 @@ def exact_branch_bands(p: RabiParams, probe: ProbeParams, alpha: float,
             branch(p.omega_c + chi, 0.5 * probe.omega_s + chi))
 
 
-def _exact_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float):
-    """(h_g, h_e, ground, gamma, cutoff, frame) in the common frame of the
-    ground state (`exact_ground_state`)."""
-    gs = exact_ground_state(p, cutoff_tol)
-    h_g, h_e = exact_branch_bands(p, probe, gs.alpha, gs.cutoff)
-    return h_g, h_e, gs.vector, gs.gamma, gs.cutoff, gs.frame
-
-
-def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float):
-    """Boson-only effective Hamiltonians with the dispersive cavity shift.
+def _effective_branches(p: RabiParams, probe: ProbeParams, gs: BandGround):
+    """(h_g, h_e, ground): boson-only effective Hamiltonians with the
+    dispersive cavity shift, in the frame of the effective ground state `gs`.
 
     The probe couples through chi sigma_z^(s) n; in the displaced frame the
     physical photon number is n + alpha x + alpha^2, so the branch shift
@@ -304,91 +273,62 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, cutoff_tol: float):
     into a phase error of L with t.
     """
     chi = probe.chi
-    gs = effective_ground_state(p, cutoff_tol)
     c2, c4, _ = _effective_coeffs(p, gs.alpha)
     h0 = _quartic_band(p.omega_c, c2, c4, 0.0, gs.cutoff).band
     n_phys = photon_number_band(gs.alpha, gs.cutoff).band
     h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
     h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)
-    ground = gs.vector
-    if not gs.alpha:
-        h_g, h_e, ground = h_g.even(), h_e.even(), ground[0::2]
-    return h_g, h_e, ground, gs.gamma, gs.cutoff, gs.frame
+    if gs.alpha:
+        return h_g, h_e, gs.vector
+    return h_g.even(), h_e.even(), gs.vector[0::2]
 
 
-def _echo_point(
-    lam: float,
-    eta: float,
-    omega_c: float,
-    probe: ProbeParams,
-    times: np.ndarray,
-    method: str,
-    cutoff_tol: float,
-) -> EchoPoint:
-    chi = probe.chi
-    if lam == 0.0:
-        return EchoPoint(lam, np.ones_like(times), 0.0, None, True, "")
-    p = RabiParams.from_dimensionless(lam, eta, omega_c)
-    if method in ("analytic", "variational"):
-        if abs(lam - 1.0) < CRITICAL_BAND:
-            raise PhaseDomainError(
-                f"lam={lam} is inside the critical guard band for method {method!r}"
-            )
-        if method == "analytic":
-            gamma = variance(p)
-        else:
-            gamma = max(variational_solve(p).gamma_prime, 0.0)
-        return EchoPoint(lam, short_time_le(gamma, chi, times), gamma, None, True, "")
-    if method not in ("exact", "effective"):
-        raise ValueError(f"unknown method {method!r}")
-    branches = _exact_branches if method == "exact" else _effective_branches
-    try:
-        h_g, h_e, ground, gamma, cutoff, frame = branches(p, probe, cutoff_tol)
-    except ConvergenceError:
-        # recorded as a degraded point; the sweep goes on
-        return EchoPoint(lam, np.full_like(times, np.nan), np.nan, None, False, "")
-    series = decoherence_factor(h_g, h_e, ground, times)
-    return EchoPoint(lam, series.l_values, gamma, cutoff.n_max, True, frame)
+@dataclass(frozen=True)
+class EchoPoint:
+    """The echo L(t) at one coupling, the photon-number variance `gamma` of
+    the ground state it probes, and that ground state: the `BandGround` of
+    the exact or effective method, which holds the point's cutoff and frame,
+    or None for the closed forms and at lam = 0, where nothing is
+    diagonalised."""
+
+    l_values: np.ndarray
+    gamma: float
+    ground: BandGround | None
 
 
-def loschmidt_echo_sweep(
-    p: RabiParams,
-    probe: ProbeParams,
-    lambdas,
-    times,
-    method: str,
-    cutoff_tol: float = 1e-8,
-) -> EchoSweep:
-    """Echo surface L(lam, t); `p` supplies (omega_c, eta), lam varies per row.
+def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
+               cutoff_tol: float) -> EchoPoint:
+    """Echo L(t) at the coupling of `p`, at every t of `times`.
 
     Methods: 'exact' (bare-frame branches for lam <= 1; above, branches in
     the frame of `exact_ground_state`, bare or commonly displaced),
     'effective' (boson-only fourth-order Hamiltonians),
     'analytic' / 'variational' (Gaussian law with the respective variance;
     valid for epsilon * t << 1, epsilon the ground-state excitation
-    frequency, and evaluated at every requested t regardless). A point whose
-    cutoff search does not converge below the hard cap is returned with
-    `converged` False and NaN echo and `gamma`; the other points go on.
+    frequency, and evaluated at every requested t regardless). The exact and
+    effective methods raise `ConvergenceError` when the cutoff search reaches
+    the hard cap.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
     times = np.asarray(times, dtype=float)
-    if lambdas.size == 0 or times.size == 0:
-        raise ValueError("lambda and time grids must be non-empty")
-    eta, omega_c = p.eta, p.omega_c
-
-    points, walls = [], []
-    for lam in lambdas:
-        t0 = time.perf_counter()
-        points.append(_echo_point(lam, eta, omega_c, probe, times, method, cutoff_tol))
-        walls.append(time.perf_counter() - t0)
-    return EchoSweep(
-        lambdas=lambdas,
-        times=times,
-        method=method,
-        l_matrix=np.array([pt.l_values for pt in points]),
-        gammas=np.array([pt.gamma for pt in points]),
-        cutoffs=[pt.cutoff for pt in points],
-        converged=[pt.converged for pt in points],
-        frames=[pt.frame for pt in points],
-        wall_times=np.array(walls),
-    )
+    if p.lam == 0.0:
+        return EchoPoint(np.ones_like(times), 0.0, None)
+    if method in ("analytic", "variational"):
+        if abs(p.lam - 1.0) < CRITICAL_BAND:
+            raise PhaseDomainError(
+                f"lam={p.lam} is inside the critical guard band for method {method!r}"
+            )
+        if method == "analytic":
+            gamma = variance(p)
+        else:
+            gamma = max(variational_solve(p).gamma_prime, 0.0)
+        return EchoPoint(short_time_le(gamma, probe.chi, times), gamma, None)
+    if method == "exact":
+        gs = exact_ground_state(p, cutoff_tol)
+        h_g, h_e = exact_branch_bands(p, probe, gs.alpha, gs.cutoff)
+        ground = gs.vector
+    elif method == "effective":
+        gs = effective_ground_state(p, cutoff_tol)
+        h_g, h_e, ground = _effective_branches(p, probe, gs)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return EchoPoint(decoherence_factor(h_g, h_e, ground, times).l_values, gs.gamma, gs)

@@ -9,7 +9,7 @@ import hashlib
 import json
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +19,17 @@ from .analytic import CRITICAL_BAND
 from .dynamics import (
     SpectralDecomposition,
     decoherence_factor,
+    echo_point,
     effective_ground_state,
     evolved,
     exact_branch_bands,
     exact_ground_state,
-    loschmidt_echo_sweep,
 )
 from .errors import ConvergenceError
 from .hamiltonians import ProbeParams, RabiParams, build_rabi_parity, build_tripartite_band
 from .hilbert import FockCutoff
 from .spectra import (
+    CUTOFF_TOL,
     band_ground_energy,
     band_ground_state,
     converge_cutoff,
@@ -40,17 +41,8 @@ SCHEMA_VERSION = 2
 CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,converged"
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
+GROUND_FIGURES = ("fig1", "fig2")  # the ground state itself, no echo
 METHODS = ("exact", "effective", "variational", "analytic")
-
-_CONFIG_KEYS = {
-    "figure",
-    "lambda_grid",
-    "eta_grid",
-    "time_grid",
-    "chi",
-    "methods",
-    "cutoff_tol",
-}
 
 
 @dataclass
@@ -61,7 +53,7 @@ class SweepConfig:
     time_grid: list[float]
     chi: float
     methods: list[str]
-    cutoff_tol: float = 1e-8
+    cutoff_tol: float = CUTOFF_TOL
 
     def validate(self):
         if self.figure not in FIGURES:
@@ -87,9 +79,14 @@ class SweepConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if self.figure in ("fig1", "fig2"):
+        if self.figure in GROUND_FIGURES:
             if "analytic" in self.methods:
                 raise ValueError(f"figure {self.figure} has no 'analytic' method")
+            # no echo: a time or a probe would change the hash, not the results
+            if self.time_grid != [0.0]:
+                raise ValueError(f"figure {self.figure} takes time_grid = 0 only")
+            if self.chi != 0.0:
+                raise ValueError(f"figure {self.figure} takes chi = 0 only")
         elif not self.chi > 0:
             raise ValueError("chi must be positive for echo figures")
         # the closed forms diverge at the critical point; exact and effective solve it
@@ -102,6 +99,7 @@ class SweepConfig:
     @classmethod
     def from_file(cls, path) -> "SweepConfig":
         """Parse the flat one-key-per-line `key = value` config format."""
+        keys = {f.name for f in fields(cls)}
         raw = {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.strip()
@@ -111,7 +109,7 @@ class SweepConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value
 
@@ -125,22 +123,21 @@ class SweepConfig:
             time_grid=floats(raw.get("time_grid", "")),
             chi=float(raw.get("chi", "0")),
             methods=raw.get("methods", "analytic").replace(",", " ").split(),
-            cutoff_tol=float(raw.get("cutoff_tol", "1e-8")),
+            cutoff_tol=float(raw.get("cutoff_tol", CUTOFF_TOL)),
         )
         cfg.validate()
         return cfg
 
     def canonical_text(self) -> str:
-        lines = [
-            f"figure = {self.figure}",
-            "lambda_grid = " + " ".join(_fmt(v) for v in self.lambda_grid),
-            "eta_grid = " + " ".join(_fmt(v) for v in self.eta_grid),
-            "time_grid = " + " ".join(_fmt(v) for v in self.time_grid),
-            f"chi = {_fmt(self.chi)}",
-            "methods = " + " ".join(self.methods),
-            f"cutoff_tol = {_fmt(self.cutoff_tol)}",
-        ]
-        return "\n".join(lines) + "\n"
+        """One `key = value` line per field, as `from_file` reads it back:
+        lists joined by spaces, strings as they are, numbers by `_fmt`."""
+
+        def text(v) -> str:
+            if isinstance(v, list):
+                return " ".join(map(text, v))
+            return v if isinstance(v, str) else _fmt(v)
+
+        return "".join(f"{f.name} = {text(getattr(self, f.name))}\n" for f in fields(self))
 
 
 @dataclass
@@ -182,7 +179,7 @@ def critical_lambda_grid(step_fine: float = 0.005, step_coarse: float = 0.02) ->
     return [float(v) for v in grid if abs(v - 1.0) >= CRITICAL_BAND]
 
 
-def default_config(figure: str, cutoff_tol: float = 1e-8) -> SweepConfig:
+def default_config(figure: str, cutoff_tol: float = CUTOFF_TOL) -> SweepConfig:
     """Per-figure default grids; eta and chi follow the reference setups."""
     if figure == "fig1":
         return SweepConfig(
@@ -213,55 +210,38 @@ def default_config(figure: str, cutoff_tol: float = 1e-8) -> SweepConfig:
     raise ValueError(f"no default config for figure {figure!r}")
 
 
-def _ground_state_records(cfg: SweepConfig) -> list[SweepPoint]:
-    """fig1/fig2 points: ground energy and mean photon number."""
-    points = []
-    for eta in cfg.eta_grid:
-        for method in cfg.methods:
-            for lam in cfg.lambda_grid:
-                p = RabiParams.from_dimensionless(lam, eta)
-                cutoff, converged, frame = "", True, ""
-                t0 = time.perf_counter()
-                if method == "variational":
-                    sol = variational_solve(p)
-                    energy, mean_n = sol.energy, sol.mean_n
-                else:
-                    solve = exact_ground_state if method == "exact" else effective_ground_state
-                    try:
-                        gs = solve(p, cfg.cutoff_tol)
-                    except ConvergenceError:
-                        converged, energy, mean_n = False, np.nan, np.nan
-                    else:
-                        cutoff, energy, mean_n, frame = (
-                            gs.cutoff.n_max, gs.energy, gs.mean_n, gs.frame)
-                wall = time.perf_counter() - t0
-                points.append(SweepPoint(
-                    cfg.figure, method, lam, eta, "", cutoff, converged, frame, wall,
-                    ["", ""], ["energy", "mean_n"], [energy, mean_n],
-                ))
-    return points
-
-
-def _echo_records(cfg: SweepConfig) -> list[SweepPoint]:
-    points = []
-    probe = ProbeParams.from_chi(cfg.chi)
-    for eta in cfg.eta_grid:
-        p = RabiParams.from_dimensionless(0.5, eta)  # lam overridden per row
-        for method in cfg.methods:
-            sweep = loschmidt_echo_sweep(
-                p, probe, cfg.lambda_grid, cfg.time_grid, method, cutoff_tol=cfg.cutoff_tol
-            )
-            times = sweep.times.tolist()
-            names = ["loschmidt_echo"] * len(times)
-            for i, lam in enumerate(sweep.lambdas.tolist()):
-                cutoff = sweep.cutoffs[i]
-                points.append(SweepPoint(
-                    cfg.figure, method, lam, eta, cfg.chi,
-                    cutoff if cutoff is not None else "", bool(sweep.converged[i]),
-                    sweep.frames[i], float(sweep.wall_times[i]),
-                    times, names, sweep.l_matrix[i].tolist(),
-                ))
-    return points
+def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
+           lam: float) -> SweepPoint:
+    """One sweep point: the echo of `probe` at every time of `time_grid` or,
+    on fig1/fig2 (`probe` None), the ground energy and mean photon number. A
+    point whose cutoff search reaches the hard cap is degraded; the sweep
+    goes on."""
+    t0 = time.perf_counter()
+    p = RabiParams.from_dimensionless(lam, eta)
+    if probe is None:
+        chi, times, names = "", ["", ""], ["energy", "mean_n"]
+    else:
+        chi, times = cfg.chi, [float(t) for t in cfg.time_grid]
+        names = ["loschmidt_echo"] * len(times)
+    gs, converged = None, True
+    try:
+        if probe is not None:
+            echo = echo_point(p, probe, times, method, cfg.cutoff_tol)
+            gs, values = echo.ground, echo.l_values.tolist()
+        elif method == "variational":
+            sol = variational_solve(p)
+            values = [sol.energy, sol.mean_n]
+        else:
+            solve = exact_ground_state if method == "exact" else effective_ground_state
+            gs = solve(p, cfg.cutoff_tol)
+            values = [gs.energy, gs.mean_n]
+    except ConvergenceError:
+        converged, values = False, [np.nan] * len(names)
+    wall = time.perf_counter() - t0
+    return SweepPoint(
+        cfg.figure, method, lam, eta, chi, gs.cutoff.n_max if gs else "", converged,
+        gs.frame if gs else "", wall, times, names, values,
+    )
 
 
 def write_csv(points: list[SweepPoint], path: Path):
@@ -309,10 +289,11 @@ def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.figure in ("fig1", "fig2"):
-        points = _ground_state_records(config)
-    else:
-        points = _echo_records(config)
+    probe = None if config.figure in GROUND_FIGURES else ProbeParams.from_chi(config.chi)
+    points = [_point(config, probe, eta, method, lam)
+              for eta in config.eta_grid
+              for method in config.methods
+              for lam in config.lambda_grid]
     csv_path = out / f"{config.figure}.csv"
     write_csv(points, csv_path)
     write_gnuplot_script(config, csv_path.name, out / f"{config.figure}.gp")
@@ -338,7 +319,7 @@ def validate_dispersive(
     probe: ProbeParams,
     times,
     cutoff: FockCutoff | None = None,
-    cutoff_tol: float = 1e-8,
+    cutoff_tol: float = CUTOFF_TOL,
 ) -> DispersiveReport:
     """Compare the probe coherence from exact tripartite evolution against the
     branch-echo prediction |D(t)| |alpha* beta| * 2.

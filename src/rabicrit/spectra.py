@@ -14,9 +14,11 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .errors import ConvergenceError
 from .hilbert import BandMatrix, FockCutoff
 
-# the cutoff search doubles from N_START up to CUTOFF_HARD_CAP
+# the cutoff search doubles from N_START up to CUTOFF_HARD_CAP, and stops
+# where the ground energy shifts by less than a tolerance, by default CUTOFF_TOL
 N_START = 8
 CUTOFF_HARD_CAP = 4096
+CUTOFF_TOL = 1e-8
 # inverse iteration for a band ground vector: residual bound in units of
 # eps ||H||, and the most solves it may take to meet it
 RESIDUAL_EPS = 8.0

@@ -477,6 +477,28 @@ def evolve(decomp: SpectralDecomposition, psi0: QuantumState, t: float) -> Quant
     return QuantumState(vec, psi0.dims)
 
 
+@dataclass(frozen=True)
+class EchoSweep:
+    """`dynamics.echo_point` at each lambda of a grid, stacked."""
+
+    l_matrix: np.ndarray          # shape (len(lams), len(times))
+    gammas: np.ndarray
+    cutoffs: list                 # None where nothing is diagonalised
+
+
+def echo_sweep(eta: float, probe: ProbeParams, lams, times, method: str,
+               cutoff_tol: float = spectra.CUTOFF_TOL) -> EchoSweep:
+    """The echo at each lambda of `lams` (eta fixed, omega_c = 1)."""
+    points = [dynamics.echo_point(RabiParams.from_dimensionless(lam, eta), probe, times,
+                                  method, cutoff_tol)
+              for lam in lams]
+    return EchoSweep(
+        l_matrix=np.array([pt.l_values for pt in points]),
+        gammas=np.array([pt.gamma for pt in points]),
+        cutoffs=[pt.ground.cutoff.n_max if pt.ground else None for pt in points],
+    )
+
+
 def decoherence_factor(
     h_g: Operator | BandMatrix,
     h_e: Operator | BandMatrix,

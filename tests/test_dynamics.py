@@ -11,13 +11,14 @@ from oracle import (
     build_branch,
     build_rabi,
     decoherence_factor,
+    echo_sweep,
     evolve,
     ground_state,
     pauli,
     photon_moments,
 )
 from rabicrit.analytic import short_time_le
-from rabicrit.dynamics import EchoSeries, loschmidt_echo_sweep, probe_reduced_state
+from rabicrit.dynamics import EchoSeries, echo_point, probe_reduced_state
 from rabicrit.errors import DimensionMismatchError, PhaseDomainError
 from rabicrit.hamiltonians import ProbeParams, RabiParams
 from rabicrit.hilbert import FockCutoff
@@ -173,34 +174,30 @@ def test_probe_reduced_state():
 
 
 def test_sweep_lambda_zero():
-    p = RabiParams.from_dimensionless(0.5, 100.0)
     probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 30.0, 4)
     for method in ("exact", "effective", "variational", "analytic"):
-        sweep = loschmidt_echo_sweep(p, probe, [0.0], times, method)
+        sweep = echo_sweep(100.0, probe, [0.0], times, method)
         assert np.abs(sweep.l_matrix - 1.0).max() < 1e-12
 
 
 def test_sweep_guard_band_and_validation():
-    p = RabiParams.from_dimensionless(0.5, 100.0)
     probe = ProbeParams.from_chi(1e-3)
     with pytest.raises(PhaseDomainError):
-        loschmidt_echo_sweep(p, probe, [1.0 + 1e-9], [0.0, 1.0], "analytic")
+        echo_point(RabiParams.from_dimensionless(1.0 + 1e-9, 100.0), probe, [0.0, 1.0],
+                   "analytic", 1e-8)
     with pytest.raises(ValueError):
-        loschmidt_echo_sweep(p, probe, [], [0.0, 1.0], "exact")
-    with pytest.raises(ValueError):
-        loschmidt_echo_sweep(p, probe, [0.5], [0.0, 1.0], "bogus")
+        echo_point(RabiParams.from_dimensionless(0.5, 100.0), probe, [0.0, 1.0], "bogus", 1e-8)
 
 
 def test_sweep_exact_vs_effective_smoke():
-    p = RabiParams.from_dimensionless(0.5, 2000.0)
     probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 30.0, 4)
     lams = [0.5, 1.2]
-    ex = loschmidt_echo_sweep(p, probe, lams, times, "exact", cutoff_tol=1e-9)
-    ef = loschmidt_echo_sweep(p, probe, lams, times, "effective", cutoff_tol=1e-9)
+    ex = echo_sweep(2000.0, probe, lams, times, "exact", cutoff_tol=1e-9)
+    ef = echo_sweep(2000.0, probe, lams, times, "effective", cutoff_tol=1e-9)
     assert np.abs(ex.l_matrix - ef.l_matrix).max() < 5e-3
-    assert all(ex.converged) and all(ef.converged)
+    assert None not in ex.cutoffs + ef.cutoffs
 
 
 def test_frame_invariance_random_displacement():

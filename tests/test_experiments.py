@@ -71,6 +71,23 @@ def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key, value", [
+    ("time_grid", [0.0, 10.0, 20.0]),
+    ("time_grid", [10.0]),
+    ("chi", 0.5),
+    ("chi", float("nan")),
+])
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_ground_figures_reject_echo_settings(tmp_path, figure, key, value):
+    # fig1/fig2 have no echo: a time or a probe would change the config hash
+    # and not the results
+    cfg = default_config(figure)
+    setattr(cfg, key, value)
+    with pytest.raises(ValueError, match=key):
+        run(cfg, tmp_path / "out")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--n-times", "0"),
     ("--eta", "0"),
@@ -133,6 +150,19 @@ def test_config_file_roundtrip(tmp_path):
     assert parsed.methods == cfg.methods
     assert parsed.chi == cfg.chi
     assert parsed.canonical_text() == cfg.canonical_text()
+
+
+def test_canonical_text_is_pinned():
+    # `config_hash` hashes this text; changing it moves every report's hash
+    assert default_config("fig1").canonical_text() == (
+        "figure = fig1\n"
+        "lambda_grid = 0.98999999999999999\n"
+        "eta_grid = 1000 2000 5000 10000 20000 50000 100000\n"
+        "time_grid = 0\n"
+        "chi = 0\n"
+        "methods = exact effective variational\n"
+        "cutoff_tol = 1e-08\n"
+    )
 
 
 def test_config_file_unknown_key(tmp_path):

@@ -1,0 +1,19 @@
+"""Every ```python block of README.md runs as written, so a renamed or
+deleted public name shows up as a test failure."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_runs(block):
+    exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})

@@ -33,6 +33,7 @@ from oracle import (
     build_tripartite,
     converge_cutoff,
     decoherence_factor,
+    echo_sweep,
     ground_state,
     identity,
     number,
@@ -42,7 +43,7 @@ from oracle import (
     tensor,
 )
 from oracle import validate_dispersive as dense_validate_dispersive
-from rabicrit.dynamics import exact_ground_state, loschmidt_echo_sweep
+from rabicrit.dynamics import exact_ground_state
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import default_config, run, validate_dispersive
 from rabicrit.hamiltonians import (
@@ -212,9 +213,7 @@ def test_exact_path_matches_dense_oracle():
     probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
-    sweep = loschmidt_echo_sweep(
-        RabiParams.from_dimensionless(0.5, eta), probe, lams, times, "exact", cutoff_tol=TOL
-    )
+    sweep = echo_sweep(eta, probe, lams, times, "exact", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams.from_dimensionless(lam, eta)
         cutoff, energy, mean_n, gamma, l_dense = _dense_exact(p, probe, times)
@@ -288,7 +287,7 @@ def test_normal_phase_point_at_cutoff_cap():
     assert np.all((l_cap >= 0.0) & (l_cap <= 1.0 + 1e-12))
     assert gamma == pytest.approx(gamma_half, rel=1e-9)
     assert np.abs(l_cap - l_half).max() < 1e-6
-    sweep = loschmidt_echo_sweep(p, probe, [p.lam], times, "exact", cutoff_tol=TOL)
+    sweep = echo_sweep(p.eta, probe, [p.lam], times, "exact", cutoff_tol=TOL)
     assert gamma == pytest.approx(sweep.gammas[0], rel=1e-6)
 
 
@@ -337,9 +336,7 @@ def test_effective_path_matches_dense_oracle():
     probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
-    sweep = loschmidt_echo_sweep(
-        RabiParams.from_dimensionless(0.5, eta), probe, lams, times, "effective", cutoff_tol=TOL
-    )
+    sweep = echo_sweep(eta, probe, lams, times, "effective", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams.from_dimensionless(lam, eta)
         cutoff, gs, h0, n_phys = _dense_effective(p)
@@ -369,10 +366,7 @@ def test_effective_branches_carry_no_constant():
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.2, 1.4]
     for eta, bound in ((1e5, 1e-11), (1e6, 1e-11)):
-        sweep = loschmidt_echo_sweep(
-            RabiParams.from_dimensionless(0.5, eta), probe, lams, times, "effective",
-            cutoff_tol=TOL,
-        )
+        sweep = echo_sweep(eta, probe, lams, times, "effective", cutoff_tol=TOL)
         for i, lam in enumerate(lams):
             p = RabiParams.from_dimensionless(lam, eta)
             cutoff = FockCutoff(sweep.cutoffs[i])
