@@ -4,12 +4,14 @@ probe's reduced state.
 Every Hamiltonian is a real symmetric `BandMatrix`. Time propagation reuses
 one spectral decomposition per Hamiltonian (they are time independent) and
 evolves a state to every requested time in one matrix product (`evolved`).
-The exact and effective methods find their ground states through one path:
-the exact method on the bare-frame parity chains
-(`hamiltonians.build_rabi_parity`) or, above the transition where its cutoff
-search converges there first, on the displaced band
-(`hamiltonians.build_displaced_rabi_band`); the effective method on
-`build_effective_np_band` / `build_effective_sp_band`.
+The exact and effective methods find their ground states through one path,
+which bisects the ground energy once per cutoff the search tries and hands the
+one at the chosen cutoff to the ground-vector solve: the exact method on the
+bare-frame parity chains (`hamiltonians.build_rabi_parity`) or, above the
+transition where its cutoff search converges there first, on the displaced
+band (`hamiltonians.build_displaced_rabi_band`); the effective method, in both
+phases, on the even photon numbers of its Hamiltonian without the constant
+(`hamiltonians._quartic_band(...).even()`), which conserves photon parity.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .hamiltonians import (
     _quartic_band,
     alpha_lambda,
     build_displaced_rabi_band,
-    build_effective_np_band,
-    build_effective_sp_band,
     build_rabi_parity,
     photon_number_band,
 )
@@ -151,12 +151,18 @@ class BandGround:
 def _band_ground(alphas, search, solve, cutoff_tol: float) -> BandGround:
     """One cutoff search over the frames displaced by each of `alphas`, in
     that order, on the ground energy `search(alpha, cutoff)`; then one ground
-    vector, `solve(alpha, cutoff)` -> (energy, amplitudes in Fock rows), in
-    the first frame to converge, at its cutoff, and its physical
-    photon-number moments."""
-    found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol)
+    vector, `solve(alpha, cutoff, energy)` -> (energy, amplitudes in Fock
+    rows), in the first frame to converge, at its cutoff, given the ground
+    energy the search found there; and its physical photon-number moments."""
+    energies = {}
+
+    def searched(alpha: float, cutoff: FockCutoff) -> float | None:
+        energies[alpha, cutoff] = energy = search(alpha, cutoff)
+        return energy
+
+    found = converge_cutoff(tuple(partial(searched, a) for a in alphas), cutoff_tol)
     alpha, cutoff = alphas[found.frame], found.cutoff
-    energy, vec = solve(alpha, cutoff)
+    energy, vec = solve(alpha, cutoff, energies[alpha, cutoff])
     mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
     return BandGround(alpha, cutoff, energy, vec, mean_n, gamma)
 
@@ -193,8 +199,9 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
             return None
         return band_ground_energy(_exact_band(p, alpha, cutoff))
 
-    def solve(alpha: float, cutoff: FockCutoff):
-        return band_ground_state(_ground_sector(p, alpha, cutoff))
+    def solve(alpha: float, cutoff: FockCutoff, energy: float):
+        # the even chain (bare frame) is bisected anew by dstebz + dstein
+        return band_ground_state(_ground_sector(p, alpha, cutoff), energy)
 
     return _band_ground(alphas, search, solve, cutoff_tol)
 
@@ -205,36 +212,33 @@ def _effective_coeffs(p: RabiParams, alpha: float) -> tuple[float, float, float]
     return (_effective_sp_coeffs if alpha else _effective_np_coeffs)(p)
 
 
-def _effective_energy(p: RabiParams, alpha: float, cutoff: FockCutoff) -> float:
-    h = build_effective_sp_band(p, cutoff) if alpha else build_effective_np_band(p, cutoff)
-    return band_ground_energy(h)
-
-
 def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """Ground state of the fourth-order effective Hamiltonian of the phase of
     `p` (the superradiant one in the frame displaced by alpha_lambda). The
-    normal-phase Hamiltonian conserves photon parity, so its ground vector is
-    solved on the even photon numbers alone; the cutoff search sees them all.
-    The vector is solved without the Hamiltonian's constant (-omega_0/2 at
-    leading order), which is added to its eigenvalue: kept in the band, the
-    constant's roundoff, of order eps omega_0 / gap, would stay in the vector.
+    Hamiltonian conserves photon parity in both phases, so the cutoff search
+    and the ground vector both use its even photon numbers alone, a band of
+    half the dimension and half-width 2, and the energy the search bisected
+    is the one the vector is solved at. Both use the Hamiltonian without its
+    constant (-omega_0/2 at leading order), which is added once, to the
+    reported energy: kept in the band, the constant's roundoff, of order
+    eps omega_0 / gap, would stay in the vector.
     """
+    alpha = alpha_lambda(p) if p.lam > 1.0 else 0.0
+    c2, c4, const = _effective_coeffs(p, alpha)
 
-    def solve(alpha: float, cutoff: FockCutoff):
-        c2, c4, const = _effective_coeffs(p, alpha)
-        h = _quartic_band(p.omega_c, c2, c4, 0.0, cutoff)
-        if alpha:
-            energy, vec = band_ground_state(h)
-        else:
-            energy, even = band_ground_state(h.even())
-            vec = np.zeros(cutoff.dim)
-            vec[0::2] = even
+    def even_band(cutoff: FockCutoff) -> BandMatrix:
+        return _quartic_band(p.omega_c, c2, c4, cutoff).even()
+
+    def search(alpha: float, cutoff: FockCutoff) -> float:
+        return band_ground_energy(even_band(cutoff))
+
+    def solve(alpha: float, cutoff: FockCutoff, energy: float):
+        energy, even = band_ground_state(even_band(cutoff), energy)
+        vec = np.zeros(cutoff.dim)
+        vec[0::2] = even
         return energy + const, vec
 
-    return _band_ground(
-        (alpha_lambda(p) if p.lam > 1.0 else 0.0,),
-        partial(_effective_energy, p), solve, cutoff_tol,
-    )
+    return _band_ground((alpha,), search, solve, cutoff_tol)
 
 
 def exact_branch_bands(p: RabiParams, probe: ProbeParams, alpha: float,
@@ -274,7 +278,7 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, gs: BandGround):
     """
     chi = probe.chi
     c2, c4, _ = _effective_coeffs(p, gs.alpha)
-    h0 = _quartic_band(p.omega_c, c2, c4, 0.0, gs.cutoff).band
+    h0 = _quartic_band(p.omega_c, c2, c4, gs.cutoff).band
     n_phys = photon_number_band(gs.alpha, gs.cutoff).band
     h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
     h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)

@@ -10,6 +10,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -245,13 +246,15 @@ def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
 
 
 def write_csv(points: list[SweepPoint], path: Path):
-    """`<figure>.csv`, a row per record; floats as `_fmt` writes them."""
+    """`<figure>.csv`, a row per record; floats as `_fmt` writes them. Every
+    point shares the sweep's time column, so each time is formatted once."""
+    time_text = cache(_fmt)
     lines = [CSV_HEADER]
     for pt in points:
         head = f"{pt.figure},{pt.method},{pt.lam:.17g},{pt.eta:.17g},{_fmt(pt.chi)},"
         tail = f",{pt.cutoff},{'true' if pt.converged else 'false'}"
         for t, name, value in zip(pt.omega_c_t, pt.value_name, pt.value):
-            lines.append(f"{head}{_fmt(t)},{name},{value:.17g}{tail}")
+            lines.append(f"{head}{time_text(t)},{name},{value:.17g}{tail}")
     path.write_text("\n".join(lines) + "\n")
 
 

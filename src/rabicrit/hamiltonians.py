@@ -1,6 +1,7 @@
 """Hamiltonian builders for the Rabi model, the displaced frame, the
 probe + Rabi (tripartite) model, and the low-spin effective (boson-only)
-Hamiltonians.
+Hamiltonians (`_quartic_band`, without their constants, from the coefficients
+of each phase).
 
 Every builder returns a real symmetric `BandMatrix` in a basis ordered by
 photon number: the Rabi Hamiltonian as its two parity chains
@@ -204,7 +205,10 @@ def build_tripartite_band(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff)
 
 
 def _effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
-    """(c2, c4, const) of the normal phase; see `build_effective_np_band`."""
+    """(c2, c4, const) of the fourth-order low-spin effective Hamiltonian of
+    the normal phase, omega_c n - c2 x^2 + c4 x^4 + const with x = a + a^dag:
+    c2 = omega_c lam^2 / 4, c4 = lam^4 omega_c^2 / (16 omega_0) and
+    const = -omega_0/2 + lam^2 omega_c^2 / (4 omega_0)."""
     lam = p.lam
     c2 = p.omega_c * lam**2 / 4.0
     c4 = lam**4 * p.omega_c**2 / (16.0 * p.omega_0)
@@ -213,7 +217,8 @@ def _effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
 
 
 def _effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
-    """(c2, c4, const) of the superradiant phase; see `build_effective_sp_band`."""
+    """(c2, c4, const) of the effective Hamiltonian of the superradiant phase,
+    of the same form in the frame displaced by alpha_lambda; requires lam > 1."""
     lam = p.lam
     if lam <= 1.0:
         raise PhaseDomainError(
@@ -232,9 +237,10 @@ def _effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
     return gt**2 / w0t, gt**4 / w0t**3, const
 
 
-def _quartic_band(omega_c: float, c2: float, c4: float, const: float,
-                    cutoff: FockCutoff) -> BandMatrix:
-    """omega_c n - c2 x^2 + c4 x^4 + const in natural Fock order, half-width 4.
+def _quartic_band(omega_c: float, c2: float, c4: float, cutoff: FockCutoff) -> BandMatrix:
+    """omega_c n - c2 x^2 + c4 x^4 in natural Fock order, half-width 4: an
+    effective Hamiltonian without its constant. Its odd diagonals are zero
+    (it conserves photon parity), so `even()` is an invariant block.
 
     x^2 and x^4 are the products of the truncated x = a + a^dag: the last
     diagonal entry of x^2 is n_max, not 2 n_max + 1.
@@ -249,34 +255,15 @@ def _quartic_band(omega_c: float, c2: float, c4: float, const: float,
     x4_off2 = x2_off * (x2_diag[:-2] + x2_diag[2:])
     x4_off4 = x2_off[:-2] * x2_off[2:]
     band = np.zeros((5, cutoff.dim))
-    band[0] = omega_c * k - c2 * x2_diag + c4 * x4_diag + const
+    band[0] = omega_c * k - c2 * x2_diag + c4 * x4_diag
     band[2, :x2_off.size] = -c2 * x2_off + c4 * x4_off2
     band[4, :x4_off4.size] = c4 * x4_off4
     return BandMatrix(band)
 
 
-def build_effective_np_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
-    """Fourth-order low-spin effective Hamiltonian of the normal phase, a real
-    band matrix of half-width 4 with rows in natural Fock order.
-
-    Boson-only: omega_c n - (omega_c lam^2/4) x^2 + (lam^4 omega_c^2 /
-    (16 omega_0)) x^4 - omega_0/2 + lam^2 omega_c^2 / (4 omega_0),
-    with x = a + a^dag.
-    """
-    return _quartic_band(p.omega_c, *_effective_np_coeffs(p), cutoff)
-
-
-def build_effective_sp_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
-    """Fourth-order low-spin effective Hamiltonian of the superradiant phase,
-    a real band matrix of half-width 4 with rows in natural Fock order of the
-    frame displaced by alpha_lambda; requires lam > 1."""
-    return _quartic_band(p.omega_c, *_effective_sp_coeffs(p), cutoff)
-
-
 def photon_number_band(alpha: float, cutoff: FockCutoff) -> BandMatrix:
     """The physical photon number n + alpha x + alpha^2 of a frame displaced
-    by alpha (alpha = 0: the bare frame), in the layout of the effective band
-    builders."""
+    by alpha (alpha = 0: the bare frame), in the layout of `_quartic_band`."""
     k = np.arange(cutoff.dim, dtype=float)
     band = np.zeros((5, cutoff.dim))
     band[0] = k + alpha**2

@@ -1,15 +1,32 @@
-"""Ground states and spectra of real symmetric band matrices (tridiagonal
-and band eigensolvers, band inverse iteration), physical photon-number
-moments, and automatic cutoff convergence."""
+"""Ground states and spectra of real symmetric band matrices, physical
+photon-number moments, and automatic cutoff convergence.
+
+`_band_eigh` is the one eigensolver kernel. It calls the LAPACK drivers that
+`scipy.linalg.eigh_tridiagonal` and `eig_banded` pick, with the same
+arguments, so its results are theirs bit for bit without their per-call
+argument handling: dstebz + dstein for the lowest eigenpair of a tridiagonal
+matrix, dstevd for its full spectrum, dsbevx for the lowest eigenvalue of a
+wider band and dsbevd for its full spectrum. A band's ground vector comes
+from inverse iteration (dgbtrf / dgbtrs) at its bisection eigenvalue.
+"""
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import (
+    dgbtrf,
+    dgbtrs,
+    dlamch,
+    dsbevd,
+    dsbevx,
+    dstebz,
+    dstein,
+    dstevd,
+)
 
 from .errors import ConvergenceError
 from .hilbert import BandMatrix, FockCutoff
@@ -23,6 +40,8 @@ CUTOFF_TOL = 1e-8
 # eps ||H||, and the most solves it may take to meet it
 RESIDUAL_EPS = 8.0
 INVERSE_ITERATION_MAX = 8
+# dsbevx's absolute tolerance, as eig_banded sets it: twice the safe minimum
+SBEVX_ABSTOL = 2.0 * dlamch("S")
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -32,12 +51,46 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * phase.conjugate()
 
 
+def _check(info: int, driver: str):
+    if info != 0:
+        raise LinAlgError(f"{driver} failed (LAPACK info={info})")
+
+
 def _band_eigh(h: BandMatrix, lowest: bool, eigvals_only: bool = False):
-    select, select_range = ("i", (0, 0)) if lowest else ("a", None)
-    if h.band.shape[0] == 2:
-        return eigh_tridiagonal(h.band[0], h.band[1, :-1], eigvals_only, select, select_range)
-    return eig_banded(h.band, lower=True, eigvals_only=eigvals_only,
-                      select=select, select_range=select_range)
+    """The lowest eigenpair (`lowest`) or all eigenpairs, in ascending order,
+    of a real symmetric band matrix: eigenvalues `w`, and unless
+    `eigvals_only` the eigenvectors `v` as columns. Raises `ValueError` on a
+    non-finite entry and `LinAlgError` when a driver reports failure."""
+    band = h.band
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    vectors = not eigvals_only
+    if h.dim == 1:
+        # eigh_tridiagonal's shortcut, and what both band drivers return
+        w, v = band[0, :1].copy(), np.ones((1, 1))
+    elif band.shape[0] == 2:
+        d, e = band[0], band[1, :-1]
+        if lowest:
+            # index range 1..1, abstol 0; block order when dstein follows
+            m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0,
+                                                "B" if vectors else "E")
+            _check(info, "dstebz")
+            w = w[:m]
+            if vectors:
+                v, info = dstein(d, e, w, iblock, isplit)
+                _check(info, "dstein")
+        else:
+            w, v, info = dstevd(d, e, compute_v=vectors)
+            _check(info, "dstevd")
+    elif lowest:
+        w, v, m, _, info = dsbevx(band, 0.0, 1.0, 1, 1, compute_v=vectors, range=2,
+                                  lower=1, abstol=SBEVX_ABSTOL, mmax=1, overwrite_ab=0)
+        _check(info, "dsbevx")
+        w, v = w[:m], v[:, :m]
+    else:
+        w, v, info = dsbevd(band, compute_v=vectors, lower=1, overwrite_ab=0)
+        _check(info, "dsbevd")
+    return w if eigvals_only else (w, v)
 
 
 def band_ground_energy(h: BandMatrix) -> float:
@@ -45,21 +98,23 @@ def band_ground_energy(h: BandMatrix) -> float:
     return float(_band_eigh(h, lowest=True, eigvals_only=True)[0])
 
 
-def band_ground_state(h: BandMatrix) -> tuple[float, np.ndarray]:
+def band_ground_state(h: BandMatrix, energy: float | None = None) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a real symmetric band matrix, phase-fixed.
 
-    A tridiagonal matrix goes to `eigh_tridiagonal`. A wider band takes the
-    bisection eigenvalue E0 and inverse iteration on the band itself (one LU
-    factorisation, then a solve per step), which never forms the dense
-    orthogonal factor of the band reduction; it stops once, after at least
-    two solves, ||(H - E0) x|| <= RESIDUAL_EPS eps ||H||. The shift sits a few
-    ulps below E0, so H - shift is never exactly singular (say, for a
-    diagonal H).
+    A tridiagonal matrix goes to dstebz + dstein, and `energy` is not used. A
+    wider band takes its lowest eigenvalue E0, `energy` when given (as
+    `band_ground_energy` returned it for this matrix) or else bisected here,
+    and inverse iteration on the band itself (one LU factorisation, then a
+    solve per step), which never forms the dense orthogonal factor of the
+    band reduction; it stops once, after at least two solves,
+    ||(H - E0) x|| <= RESIDUAL_EPS eps ||H||. The shift sits a few ulps below
+    E0, so H - shift is never exactly singular (say, for a diagonal H).
     """
     if h.band.shape[0] == 2:
         w, v = _band_eigh(h, lowest=True)
         return float(w[0]), _fix_phase(v[:, 0])
-    energy = band_ground_energy(h)
+    if energy is None:
+        energy = band_ground_energy(h)
     n, width = h.dim, h.band.shape[0] - 1
     row_max = np.abs(h.band).max(axis=1)
     bound = np.finfo(float).eps * (row_max[0] + 2.0 * row_max[1:].sum())  # eps ||H||_inf

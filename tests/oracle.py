@@ -8,7 +8,10 @@ the tests' oracle:
     second with Fock levels 0..n_max), ladder operators, Pauli matrices,
     tensor products, displacement and squeezing by `expm`;
   * the dense builders of the Rabi, branch, tripartite, displaced-frame and
-    effective Hamiltonians;
+    effective Hamiltonians, and the effective Hamiltonians as full real bands
+    with their constants (`build_effective_np_band`,
+    `build_effective_sp_band`), which the library's effective method once
+    searched and solved; it now uses the constant-free even block;
   * ground states by full eigendecomposition, photon-number and operator
     moments, the parity operator, single-time evolution;
   * the dense tripartite check of the dispersive approximation;
@@ -40,6 +43,7 @@ from rabicrit.hamiltonians import (
     RabiParams,
     _effective_np_coeffs,
     _effective_sp_coeffs,
+    _quartic_band,
     displaced_frame,
 )
 from rabicrit.hilbert import BandMatrix, FockCutoff
@@ -334,6 +338,20 @@ def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
     Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
     """
     return _quartic_dense(p.omega_c, *_effective_sp_coeffs(p), cutoff)
+
+
+def build_effective_np_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+    """`build_effective_np` as a real band of half-width 4 in natural Fock
+    order, its constant on the diagonal."""
+    c2, c4, const = _effective_np_coeffs(p)
+    return _quartic_band(p.omega_c, c2, c4, cutoff).shifted(const)
+
+
+def build_effective_sp_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+    """`build_effective_sp` as a real band of half-width 4 in natural Fock
+    order of the frame displaced by alpha_lambda; requires lam > 1."""
+    c2, c4, const = _effective_sp_coeffs(p)
+    return _quartic_band(p.omega_c, c2, c4, cutoff).shifted(const)
 
 
 # --- ground states and moments ----------------------------------------------

@@ -1,0 +1,80 @@
+"""The eigensolver kernel `spectra._band_eigh` against scipy.
+
+The kernel calls the LAPACK drivers that `scipy.linalg.eigh_tridiagonal` and
+`eig_banded` pick, with the same arguments, so it must return their results
+bit for bit, and keep their checks: a non-finite entry raises `ValueError`,
+a driver that reports failure raises `LinAlgError`.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from scipy.linalg import LinAlgError, eig_banded, eigh_tridiagonal
+
+import rabicrit.spectra as spectra
+from rabicrit.hamiltonians import RabiParams, build_rabi_parity
+from rabicrit.hilbert import BandMatrix, FockCutoff
+
+
+def _scipy_eigh(h: BandMatrix, lowest: bool, eigvals_only: bool):
+    select, select_range = ("i", (0, 0)) if lowest else ("a", None)
+    if h.band.shape[0] == 2:
+        return eigh_tridiagonal(h.band[0], h.band[1, :-1], eigvals_only, select, select_range)
+    return eig_banded(h.band, lower=True, eigvals_only=eigvals_only,
+                      select=select, select_range=select_range)
+
+
+def _assert_bitwise(h: BandMatrix):
+    for lowest, eigvals_only in product((True, False), repeat=2):
+        got = spectra._band_eigh(h, lowest, eigvals_only)
+        ref = _scipy_eigh(h, lowest, eigvals_only)
+        if eigvals_only:
+            got, ref = (got,), (ref,)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape, (lowest, eigvals_only)
+            assert np.array_equal(a, b), (lowest, eigvals_only)
+
+
+@pytest.mark.parametrize("width, dim", product((1, 2, 3, 4), (1, 2, 9, 130)))
+def test_band_eigh_equals_scipy_bit_for_bit(width, dim):
+    rng = np.random.default_rng(1000 * width + dim)
+    _assert_bitwise(BandMatrix(rng.standard_normal((width + 1, dim))))
+
+
+def test_band_eigh_equals_scipy_across_a_zero_off_diagonal():
+    # a tridiagonal matrix that splits into two blocks, as the two parity
+    # chains of `build_rabi_parity` do at their join
+    rng = np.random.default_rng(7)
+    band = rng.standard_normal((2, 20))
+    band[1, 9] = 0.0
+    _assert_bitwise(BandMatrix(band))
+    for lam in (0.5, 1.2):
+        _assert_bitwise(build_rabi_parity(RabiParams.from_dimensionless(lam, 50.0), FockCutoff(24)))
+
+
+@pytest.mark.parametrize("width", (1, 3))
+def test_band_eigh_rejects_non_finite_entries(width):
+    band = np.random.default_rng(3).standard_normal((width + 1, 9))
+    band[0, 4] = np.nan
+    for lowest, eigvals_only in product((True, False), repeat=2):
+        with pytest.raises(ValueError):
+            spectra._band_eigh(BandMatrix(band), lowest, eigvals_only)
+
+
+@pytest.mark.parametrize("driver, width, lowest", [
+    ("dstebz", 1, True), ("dstein", 1, True), ("dstevd", 1, False),
+    ("dsbevx", 2, True), ("dsbevd", 2, False),
+])
+def test_band_eigh_raises_when_a_driver_fails(monkeypatch, driver, width, lowest):
+    # a positive info, as LAPACK returns when it does not converge
+    real = getattr(spectra, driver)
+
+    def failing(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(spectra, driver, failing)
+    h = BandMatrix(np.random.default_rng(5).standard_normal((width + 1, 9)))
+    with pytest.raises(LinAlgError, match=driver):
+        spectra._band_eigh(h, lowest)

@@ -7,8 +7,8 @@ half-width 3 (the displaced frame). Below the transition it uses the bare
 frame; above it, the first frame whose ground energy converges in one
 doubling search (bare first at each cutoff, and not below the mean-field
 photon number alpha_lambda^2). The effective method solves its fourth-order
-Hamiltonians as real band matrices of half-width 4, below the transition on
-the even photon numbers. The dense complex `Operator` path below (cutoff
+Hamiltonians, without their constants, on the even photon numbers in both
+phases: real band matrices of half-width 2. The dense complex `Operator` path below (cutoff
 doubling over the same frames, `ground_state`, dense branches and
 `decoherence_factor`) is the reference they must reproduce.
 """
@@ -28,7 +28,9 @@ from oracle import (
     build_branch,
     build_displaced_rabi,
     build_effective_np,
+    build_effective_np_band,
     build_effective_sp,
+    build_effective_sp_band,
     build_rabi,
     build_tripartite,
     converge_cutoff,
@@ -53,8 +55,6 @@ from rabicrit.hamiltonians import (
     _effective_sp_coeffs,
     alpha_lambda,
     build_displaced_rabi_band,
-    build_effective_np_band,
-    build_effective_sp_band,
     build_rabi_parity,
     build_tripartite_band,
     photon_number_band,
@@ -418,6 +418,41 @@ def test_inverse_iteration_vector_matches_eig_banded():
             assert np.abs(vec - ref).max() < 1e-9, (lam, eta, np.abs(vec - ref).max())
             resid = _dense(h) @ vec - energy * vec
             assert np.linalg.norm(resid) <= 8.0 * np.finfo(float).eps * np.abs(_dense(h)).sum(axis=1).max()
+
+
+def test_effective_even_search_matches_full_band_with_constant():
+    # the effective method searches its cutoff on the constant-free even
+    # block; the full band with the constant must pick the same cutoff, and
+    # its ground energy there agree, on the fig1/fig2 and fig5 grids
+    fig5 = default_config("fig5")
+    cases = [(lam, eta) for figure in ("fig1", "fig2")
+             for lam in default_config(figure).lambda_grid
+             for eta in default_config(figure).eta_grid]
+    cases += [(lam, eta) for lam in fig5.lambda_grid for eta in fig5.eta_grid]
+    for lam, eta in cases:
+        p = RabiParams.from_dimensionless(lam, eta)
+        build = build_effective_sp_band if lam > 1.0 else build_effective_np_band
+        cutoff = converge_cutoff(lambda c: build(p, c), TOL)
+        gs = dynamics.effective_ground_state(p, TOL)
+        assert gs.cutoff == cutoff, (lam, eta)
+        energy = band_ground_energy(build(p, cutoff))
+        assert gs.energy == pytest.approx(energy, rel=1e-12, abs=0.0), (lam, eta)
+
+
+def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
+    # the displaced band's ground vector is solved at the energy its cutoff
+    # search bisected, not at a second bisection of the same band
+    for lam, eta in ((1.005, 1e5), (1.05, 1e5), (1.3, 200.0)):
+        p = RabiParams.from_dimensionless(lam, eta)
+        gs = exact_ground_state(p, TOL)
+        assert gs.frame == "displaced", (lam, eta)
+        h = build_displaced_rabi_band(p, gs.alpha, gs.cutoff)
+        energy, vec = band_ground_state(h)
+        given, vec_given = band_ground_state(h, band_ground_energy(h))
+        assert given == energy
+        assert np.array_equal(vec_given, vec)
+        assert gs.energy == energy
+        assert np.array_equal(gs.vector, vec)
 
 
 def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):
