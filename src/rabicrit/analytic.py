@@ -4,8 +4,7 @@ Gaussian law for the Loschmidt echo."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import exp, log, sinh, sqrt
+from math import exp, log, sinh
 
 import numpy as np
 
@@ -33,17 +32,6 @@ def _check_superradiant(lam: float):
             f"lam={lam} is critical or normal; superradiant closed forms "
             "require lam > 1"
         )
-
-
-@dataclass(frozen=True)
-class AnalyticGroundState:
-    phase: str               # "normal" | "superradiant"
-    r: float                 # squeezing parameter
-    alpha_disp: float        # displacement (0 in the normal phase)
-    epsilon: float           # excitation frequency of the diagonalized form
-    energy: float            # ground energy on the low spin branch
-    gamma: float             # photon-number variance
-    mean_n: float            # average photon number
 
 
 def squeezing_np(lam: float) -> float:
@@ -102,40 +90,3 @@ def short_time_le(gamma, chi: float, t) -> np.ndarray | float:
         raise ValueError("t must be non-negative")
     out = np.exp(-4.0 * gamma * chi**2 * t**2)
     return out if out.ndim else float(out)
-
-
-def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
-    """Infinite-eta ground-state summary in whichever phase lam selects.
-
-    The superradiant branch energy uses the tilded spin splitting
-    omega0~ = lam^2 omega_0 (the rotated two-level spacing), which is the
-    form consistent with the known ground energy -omega_0 (lam^2 +
-    lam^-2)/4 for lam > 1.
-    """
-    lam = p.lam
-    if lam < 1.0:
-        r = squeezing_np(lam)
-        eps = p.omega_c * sqrt(1.0 - lam**2)
-        energy = 0.5 * (eps - p.omega_c - p.omega_0)
-        return AnalyticGroundState(
-            phase="normal",
-            r=r,
-            alpha_disp=0.0,
-            epsilon=eps,
-            energy=energy,
-            gamma=variance_np(p),
-            mean_n=sinh(r) ** 2,
-        )
-    alpha, r = superradiant_frame(p)
-    frame = displaced_frame(p, alpha)
-    eps = p.omega_c * sqrt(1.0 - lam**-4)
-    energy = 0.5 * (eps - p.omega_c - frame.omega0_tilde) + p.omega_c * alpha**2
-    return AnalyticGroundState(
-        phase="superradiant",
-        r=r,
-        alpha_disp=alpha,
-        epsilon=eps,
-        energy=energy,
-        gamma=variance_sp(p),
-        mean_n=sinh(r) ** 2 + alpha**2,
-    )

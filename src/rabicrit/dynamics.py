@@ -1,5 +1,5 @@
-"""Branch time evolution, decoherence factor, exact Loschmidt echo, and the
-probe's reduced state.
+"""Branch time evolution, the decoherence factor, the exact and effective
+ground states, and the Loschmidt echo at one coupling (`echo_point`).
 
 Every Hamiltonian is a real symmetric `BandMatrix`. Time propagation reuses
 one spectral decomposition per Hamiltonian (they are time independent) and
@@ -21,8 +21,8 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import CRITICAL_BAND, short_time_le, variance
-from .errors import DimensionMismatchError, PhaseDomainError
+from .analytic import short_time_le, variance
+from .errors import DimensionMismatchError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
@@ -106,21 +106,6 @@ def branch_echo(dg: SpectralDecomposition, de: SpectralDecomposition, ground: np
     d_vals = np.sum(evolved(dg, ground, times, e_ref).conj()
                     * evolved(de, ground, times, e_ref), axis=0)
     return EchoSeries(times=times, d_values=d_vals, l_values=np.abs(d_vals) ** 2)
-
-
-def probe_reduced_state(probe: ProbeParams, d: complex) -> np.ndarray:
-    """2x2 probe density matrix in the (|e>, |g>) basis for a given D(t)."""
-    if abs(d) > 1.0 + 1e-10:
-        raise ValueError(f"|D| = {abs(d)} exceeds 1 beyond tolerance")
-    a, b = probe.alpha, probe.beta
-    rho = np.array(
-        [
-            [abs(b) ** 2, d * np.conj(a) * b],
-            [np.conj(d) * a * np.conj(b), abs(a) ** 2],
-        ],
-        dtype=complex,
-    )
-    return rho
 
 
 @dataclass(frozen=True)
@@ -307,20 +292,17 @@ def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
     Methods: 'exact' (bare-frame branches for lam <= 1; above, branches in
     the frame of `exact_ground_state`, bare or commonly displaced),
     'effective' (boson-only fourth-order Hamiltonians),
-    'analytic' / 'variational' (Gaussian law with the respective variance;
-    valid for epsilon * t << 1, epsilon the ground-state excitation
-    frequency, and evaluated at every requested t regardless). The exact and
-    effective methods raise `ConvergenceError` when the cutoff search reaches
-    the hard cap.
+    'analytic' / 'variational' (Gaussian law with the respective variance,
+    the variational one clamped at 0; valid for epsilon * t << 1, epsilon the
+    ground-state excitation frequency, and evaluated at every requested t
+    regardless; `PhaseDomainError` within CRITICAL_BAND of lam = 1). The
+    exact and effective methods raise `ConvergenceError` when the cutoff
+    search reaches the hard cap.
     """
     times = np.asarray(times, dtype=float)
     if p.lam == 0.0:
         return EchoPoint(np.ones_like(times), 0.0, None)
     if method in ("analytic", "variational"):
-        if abs(p.lam - 1.0) < CRITICAL_BAND:
-            raise PhaseDomainError(
-                f"lam={p.lam} is inside the critical guard band for method {method!r}"
-            )
         if method == "analytic":
             gamma = variance(p)
         else:

@@ -44,6 +44,8 @@ CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,con
 FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
 GROUND_FIGURES = ("fig1", "fig2")  # the ground state itself, no echo
 METHODS = ("exact", "effective", "variational", "analytic")
+LAMBDA_STEP_FINE = 0.005     # steps of `critical_lambda_grid` on [0.9, 1.1]
+LAMBDA_STEP_COARSE = 0.02    # and elsewhere
 
 
 @dataclass
@@ -80,6 +82,8 @@ class SweepConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must list one or more methods, each once: {self.methods}")
         if self.figure in GROUND_FIGURES:
             if "analytic" in self.methods:
                 raise ValueError(f"figure {self.figure} has no 'analytic' method")
@@ -112,6 +116,8 @@ class SweepConfig:
             key, value = key.strip(), value.strip()
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
             raw[key] = value
 
         def floats(s):
@@ -171,11 +177,12 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def critical_lambda_grid(step_fine: float = 0.005, step_coarse: float = 0.02) -> list[float]:
+def critical_lambda_grid() -> list[float]:
     """Default lam/lam_c grid: fine sampling only near the critical point."""
-    lo = np.arange(step_coarse, 0.9, step_coarse)
-    mid = np.arange(0.9, 1.1 + step_fine / 2, step_fine)
-    hi = np.arange(1.1 + step_coarse, 1.5 + step_coarse / 2, step_coarse)
+    fine, coarse = LAMBDA_STEP_FINE, LAMBDA_STEP_COARSE
+    lo = np.arange(coarse, 0.9, coarse)
+    mid = np.arange(0.9, 1.1 + fine / 2, fine)
+    hi = np.arange(1.1 + coarse, 1.5 + coarse / 2, coarse)
     grid = np.unique(np.round(np.concatenate([lo, mid, hi]), 10))
     return [float(v) for v in grid if abs(v - 1.0) >= CRITICAL_BAND]
 

@@ -15,7 +15,7 @@ units: the library accepts any positive omega_c; the CLI fixes omega_c = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan, pi, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -49,11 +49,6 @@ class RabiParams:
     def eta(self) -> float:
         return self.omega_0 / self.omega_c
 
-    @property
-    def g_c(self) -> float:
-        """Critical coupling sqrt(omega_c omega_0) / 2."""
-        return sqrt(self.omega_c * self.omega_0) / 2.0
-
     @classmethod
     def from_dimensionless(cls, lam: float, eta: float, omega_c: float = 1.0) -> "RabiParams":
         omega_0 = eta * omega_c
@@ -62,32 +57,26 @@ class RabiParams:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Auxiliary-atom parameters and its initial superposition.
-
-    chi defaults to g_s^2 / delta_s; supplying it explicitly is allowed but
-    must be consistent with (g_s, delta_s).
-    """
+    """Auxiliary-atom parameters and its initial superposition. The
+    dispersive shift `chi` is derived, never stored."""
 
     omega_s: float
     g_s: float
     delta_s: float
     alpha: complex = 1.0 / sqrt(2.0)
     beta: complex = 1.0 / sqrt(2.0)
-    chi: float | None = None
 
     def __post_init__(self):
         if self.delta_s == 0.0:
             raise ValueError("delta_s must be nonzero (dispersive regime)")
-        derived = self.g_s**2 / self.delta_s
-        if self.chi is None:
-            object.__setattr__(self, "chi", derived)
-        elif abs(self.chi - derived) > 1e-12 * max(1.0, abs(derived)):
-            raise ValueError(
-                f"chi={self.chi} inconsistent with g_s^2/delta_s={derived}"
-            )
         nrm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, must be 1")
+
+    @property
+    def chi(self) -> float:
+        """Dispersive shift g_s^2 / delta_s."""
+        return self.g_s**2 / self.delta_s
 
     @classmethod
     def from_chi(
@@ -112,7 +101,6 @@ class DisplacedFrame:
     """Parameters of the displaced frame D(alpha_disp)."""
 
     alpha_disp: float
-    theta: float          # spin mixing angle, tan(2 theta) = -4 g alpha / omega_0
     omega0_tilde: float   # lam^2 omega_0
     g_tilde: float        # sqrt(omega_c omega_0) / (2 lam)
 
@@ -127,14 +115,11 @@ def alpha_lambda(p: RabiParams) -> float:
 
 def displaced_frame(p: RabiParams, alpha_disp: float) -> DisplacedFrame:
     lam = p.lam
-    theta = 0.5 * atan(-4.0 * p.g * alpha_disp / p.omega_0)
-    if theta <= -pi / 4.0:
-        theta += pi / 2.0
     if lam > 0:
         g_tilde = sqrt(p.omega_c * p.omega_0) / (2.0 * lam)
     else:
         g_tilde = float("inf")
-    return DisplacedFrame(alpha_disp, theta, lam**2 * p.omega_0, g_tilde)
+    return DisplacedFrame(alpha_disp, lam**2 * p.omega_0, g_tilde)
 
 
 def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:

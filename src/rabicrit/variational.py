@@ -1,10 +1,10 @@
 """Finite-eta variational ground states from a single-mode squeezing ansatz.
 
-The stationarity condition in either phase is, with x = e^{2 s}, a real cubic
-c3 x^3 + c2 x^2 - 1 = 0 with c3 > 0, solved by Newton's method from a
-doubling bracket. The tests check the root against the published
-Cardano-style closed form, evaluated in extended precision.
-"""
+`solve(p)` takes the phase from lam, solves its stationarity condition once
+and returns a frozen `VariationalSolution`. With x = e^{2 s} that condition
+is a real cubic c3 x^3 + c2 x^2 - 1 = 0 with c3 > 0, solved by Newton's
+method from a doubling bracket. The tests check the root against the
+published Cardano-style closed form, evaluated in extended precision."""
 
 from __future__ import annotations
 
@@ -19,17 +19,16 @@ NORMAL = "normal"
 SUPERRADIANT = "superradiant"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariationalSolution:
+    """Squeezing parameter, energy, and mean and variance of the photon
+    number of the variational ground state of `phase`."""
+
     phase: str
     s: float
-    residual: float
-    second_derivative: float
-    energy: float | None = None
-    mean_n: float | None = None
-    gamma_prime: float | None = None
-    gamma_prime_negative: bool = False
-    diagnostics: dict | None = None
+    energy: float
+    mean_n: float
+    gamma_prime: float
 
 
 def _cubic_coeffs(phase: str, p: RabiParams) -> tuple[float, float]:
@@ -88,67 +87,33 @@ def _energy_at(phase: str, s: float, p: RabiParams) -> float:
     )
 
 
-def solve_squeeze(phase: str, p: RabiParams) -> VariationalSolution:
-    """Variational squeezing parameter from the cubic stationarity condition."""
-    if abs(p.lam - 1.0) < CRITICAL_BAND:
-        raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
-    c3, c2 = _cubic_coeffs(phase, p)
-    x = _newton_root(c3, c2)
-    s = 0.5 * log(x)
-    # residual of dE/ds at the root, and its curvature by central differences
-    residual = abs(p.omega_c / (2.0 * x) * (c3 * x**3 + c2 * x**2 - 1.0))
-    h = 1e-4
-    d2 = (
-        _energy_at(phase, s + h, p) - 2.0 * _energy_at(phase, s, p) + _energy_at(phase, s - h, p)
-    ) / h**2
-    return VariationalSolution(
-        phase=phase,
-        s=s,
-        residual=residual,
-        second_derivative=d2,
-        diagnostics={"x": x, "c3": c3, "c2": c2},
-    )
-
-
-def gs_energy(phase: str, sol: VariationalSolution, p: RabiParams) -> float:
-    """Variational ground energy at the solved squeezing parameter."""
-    if sol.phase != phase:
-        raise ValueError(f"solution phase {sol.phase!r} does not match {phase!r}")
-    sol.energy = _energy_at(phase, sol.s, p)
-    return sol.energy
-
-
-def photon_stats(phase: str, sol: VariationalSolution, p: RabiParams) -> tuple[float, float]:
-    """(mean photon number, photon-number variance) at the solved parameter."""
-    if sol.phase != phase:
-        raise ValueError(f"solution phase {sol.phase!r} does not match {phase!r}")
-    s = sol.s
+def _photon_moments(phase: str, s: float, p: RabiParams) -> tuple[float, float]:
+    """(mean, variance) of the physical photon number at squeezing s."""
     if phase == NORMAL:
         q2 = (p.g / p.omega_0) ** 2
         q4 = q2**2
         mean_n = sinh(s) ** 2 + q2 - 8.0 * q4 * exp(2.0 * s)
         gamma = 0.5 * sinh(2.0 * s) ** 2 + q2 * exp(-2.0 * s) - 8.0 * q4 * exp(4.0 * s)
-    else:
-        frame = displaced_frame(p, alpha_lambda(p))
-        q2 = (frame.g_tilde / frame.omega0_tilde) ** 2
-        q4 = q2**2
-        a2 = frame.alpha_disp**2
-        mean_n = sinh(s) ** 2 + q2 - (8.0 / 3.0) * q4 * exp(2.0 * s) + a2
-        gamma = (
-            0.5 * sinh(2.0 * s) ** 2
-            + q2 * exp(-2.0 * s)
-            + (a2 - (8.0 / 3.0) * q4 * exp(2.0 * s)) * exp(2.0 * s)
-        )
-    sol.mean_n = mean_n
-    sol.gamma_prime = gamma
-    sol.gamma_prime_negative = gamma < 0.0
+        return mean_n, gamma
+    frame = displaced_frame(p, alpha_lambda(p))
+    q2 = (frame.g_tilde / frame.omega0_tilde) ** 2
+    q4 = q2**2
+    a2 = frame.alpha_disp**2
+    mean_n = sinh(s) ** 2 + q2 - (8.0 / 3.0) * q4 * exp(2.0 * s) + a2
+    gamma = (
+        0.5 * sinh(2.0 * s) ** 2
+        + q2 * exp(-2.0 * s)
+        + (a2 - (8.0 / 3.0) * q4 * exp(2.0 * s)) * exp(2.0 * s)
+    )
     return mean_n, gamma
 
 
 def solve(p: RabiParams) -> VariationalSolution:
-    """Phase-dispatched full solution: squeeze parameter, energy, photon stats."""
+    """Variational ground state in the phase lam selects: normal below 1,
+    superradiant above; `PhaseDomainError` within CRITICAL_BAND of 1."""
+    if abs(p.lam - 1.0) < CRITICAL_BAND:
+        raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
     phase = NORMAL if p.lam < 1.0 else SUPERRADIANT
-    sol = solve_squeeze(phase, p)
-    gs_energy(phase, sol, p)
-    photon_stats(phase, sol, p)
-    return sol
+    s = 0.5 * log(_newton_root(*_cubic_coeffs(phase, p)))
+    mean_n, gamma = _photon_moments(phase, s, p)
+    return VariationalSolution(phase, s, _energy_at(phase, s, p), mean_n, gamma)

@@ -14,9 +14,15 @@ the tests' oracle:
     searched and solved; it now uses the constant-free even block;
   * ground states by full eigendecomposition, photon-number and operator
     moments, the parity operator, single-time evolution;
-  * the dense tripartite check of the dispersive approximation;
+  * the dense tripartite check of the dispersive approximation, and the
+    probe's reduced state for a given decoherence factor;
+  * the infinite-eta ground-state summary of either phase
+    (`analytic_ground_state`) and the spin mixing angle of the displaced
+    frame (`spin_mixing_angle`);
   * the published closed-form root of the variational cubic, evaluated in
-    50-digit arithmetic, which Newton's root must match to DUAL_PATH_RTOL.
+    50-digit arithmetic, which Newton's root must match to DUAL_PATH_RTOL,
+    and the stationarity residual and curvature of the variational energy,
+    recomputed from the squeezing parameter `variational.solve` returns.
 
 Cutoff doubling and the echo's evolution kernel are the library's own
 (`spectra.converge_cutoff`, `dynamics.branch_echo`), fed here from dense
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import sinh
+from math import atan, exp, pi, sinh, sqrt
 from typing import Callable
 
 import mpmath as mp
@@ -35,6 +41,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from rabicrit import dynamics, spectra
+from rabicrit.analytic import squeezing_np, superradiant_frame, variance_np, variance_sp
 from rabicrit.errors import DimensionMismatchError, RabicritError
 from rabicrit.experiments import DispersiveReport
 from rabicrit.hamiltonians import (
@@ -48,7 +55,7 @@ from rabicrit.hamiltonians import (
 )
 from rabicrit.hilbert import BandMatrix, FockCutoff
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
-from rabicrit.variational import NORMAL, _cubic_coeffs
+from rabicrit.variational import NORMAL, VariationalSolution, _cubic_coeffs, _energy_at
 
 HERMITICITY_RTOL = 1e-12
 DUAL_PATH_RTOL = 1e-10
@@ -310,6 +317,15 @@ def build_displaced_rabi(
     return h, displaced_frame(p, alpha_disp)
 
 
+def spin_mixing_angle(p: RabiParams, alpha_disp: float) -> float:
+    """Spin mixing angle theta of the frame displaced by alpha_disp,
+    tan(2 theta) = -4 g alpha_disp / omega_0, in (-pi/4, pi/4]."""
+    theta = 0.5 * atan(-4.0 * p.g * alpha_disp / p.omega_0)
+    if theta <= -pi / 4.0:
+        theta += pi / 2.0
+    return theta
+
+
 def _quartic_dense(omega_c: float, c2: float, c4: float, const: float,
                      cutoff: FockCutoff) -> Operator:
     x = quadrature_x(cutoff)
@@ -528,6 +544,20 @@ def decoherence_factor(
                                 ground.vec, times)
 
 
+def probe_reduced_state(probe: ProbeParams, d: complex) -> np.ndarray:
+    """2x2 probe density matrix in the (|e>, |g>) basis for a given D(t)."""
+    if abs(d) > 1.0 + 1e-10:
+        raise ValueError(f"|D| = {abs(d)} exceeds 1 beyond tolerance")
+    a, b = probe.alpha, probe.beta
+    return np.array(
+        [
+            [abs(b) ** 2, d * np.conj(a) * b],
+            [np.conj(d) * a * np.conj(b), abs(a) ** 2],
+        ],
+        dtype=complex,
+    )
+
+
 # --- the tripartite check -----------------------------------------------------
 
 
@@ -586,7 +616,71 @@ def validate_dispersive(
     )
 
 
-# --- the variational closed form ---------------------------------------------
+# --- the closed forms ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AnalyticGroundState:
+    phase: str               # "normal" | "superradiant"
+    r: float                 # squeezing parameter
+    alpha_disp: float        # displacement (0 in the normal phase)
+    epsilon: float           # excitation frequency of the diagonalized form
+    energy: float            # ground energy on the low spin branch
+    gamma: float             # photon-number variance
+    mean_n: float            # average photon number
+
+
+def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
+    """Infinite-eta ground-state summary in whichever phase lam selects.
+
+    The superradiant branch energy uses the tilded spin splitting
+    omega0~ = lam^2 omega_0 (the rotated two-level spacing), which is the
+    form consistent with the known ground energy -omega_0 (lam^2 +
+    lam^-2)/4 for lam > 1.
+    """
+    lam = p.lam
+    if lam < 1.0:
+        r = squeezing_np(lam)
+        eps = p.omega_c * sqrt(1.0 - lam**2)
+        energy = 0.5 * (eps - p.omega_c - p.omega_0)
+        return AnalyticGroundState(
+            phase="normal",
+            r=r,
+            alpha_disp=0.0,
+            epsilon=eps,
+            energy=energy,
+            gamma=variance_np(p),
+            mean_n=sinh(r) ** 2,
+        )
+    alpha, r = superradiant_frame(p)
+    frame = displaced_frame(p, alpha)
+    eps = p.omega_c * sqrt(1.0 - lam**-4)
+    energy = 0.5 * (eps - p.omega_c - frame.omega0_tilde) + p.omega_c * alpha**2
+    return AnalyticGroundState(
+        phase="superradiant",
+        r=r,
+        alpha_disp=alpha,
+        epsilon=eps,
+        energy=energy,
+        gamma=variance_sp(p),
+        mean_n=sinh(r) ** 2 + alpha**2,
+    )
+
+
+def stationarity(sol: VariationalSolution, p: RabiParams) -> tuple[float, float, float]:
+    """(x, residual, curvature) of the variational energy at the solution's
+    squeezing parameter s: the root x = e^{2 s} of the stationarity cubic,
+    the residual |dE/ds| = omega_c / (2 x) |c3 x^3 + c2 x^2 - 1| there, and
+    d^2E/ds^2 by central differences with step 1e-4."""
+    x = exp(2.0 * sol.s)
+    c3, c2 = _cubic_coeffs(sol.phase, p)
+    residual = abs(p.omega_c / (2.0 * x) * (c3 * x**3 + c2 * x**2 - 1.0))
+    h = 1e-4
+    curvature = (
+        _energy_at(sol.phase, sol.s + h, p) - 2.0 * _energy_at(sol.phase, sol.s, p)
+        + _energy_at(sol.phase, sol.s - h, p)
+    ) / h**2
+    return x, residual, curvature
 
 
 def _closed_form_x(phase: str, lam: float, eta: float) -> float:

@@ -29,6 +29,7 @@ import pytest
 from oracle import (
     Operator,
     QuantumState,
+    analytic_ground_state,
     build_branch,
     build_displaced_rabi,
     build_effective_np,
@@ -46,9 +47,10 @@ from oracle import (
     parity_operator,
     photon_moments,
     quadrature_x,
+    stationarity,
     tensor,
 )
-from rabicrit.analytic import analytic_ground_state, short_time_le, variance_np
+from rabicrit.analytic import short_time_le, variance_np
 from rabicrit.hamiltonians import ProbeParams, RabiParams, alpha_lambda
 from rabicrit.hilbert import FockCutoff
 from rabicrit.experiments import validate_dispersive
@@ -174,10 +176,12 @@ def test_criterion_05_variational_stationarity():
     t0 = time.perf_counter()
     for lam in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
         for eta in (1e3, 1e4, 1e5):
-            sol = variational_solve(RabiParams.from_dimensionless(lam, eta))
-            assert sol.residual < 1e-10
-            assert sol.second_derivative > 0.0
-            x, xc = sol.diagnostics["x"], closed_form_x(sol.phase, lam, eta)
+            p = RabiParams.from_dimensionless(lam, eta)
+            sol = variational_solve(p)
+            x, residual, curvature = stationarity(sol, p)
+            assert residual < 1e-10
+            assert curvature > 0.0
+            xc = closed_form_x(sol.phase, lam, eta)
             assert abs(x - xc) <= 1e-10 * x
     assert time.perf_counter() - t0 < 1.0
 

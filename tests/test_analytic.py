@@ -7,7 +7,6 @@ import pytest
 
 from rabicrit.analytic import (
     CRITICAL_BAND,
-    analytic_ground_state,
     short_time_le,
     squeezing_np,
     superradiant_frame,
@@ -16,7 +15,7 @@ from rabicrit.analytic import (
     variance_sp,
 )
 from rabicrit.errors import PhaseDomainError
-from oracle import build_rabi, ground_state, photon_moments
+from oracle import analytic_ground_state, build_rabi, ground_state, photon_moments
 from rabicrit.hamiltonians import RabiParams
 from rabicrit.hilbert import FockCutoff
 from rabicrit.variational import solve

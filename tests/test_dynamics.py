@@ -16,9 +16,10 @@ from oracle import (
     ground_state,
     pauli,
     photon_moments,
+    probe_reduced_state,
 )
 from rabicrit.analytic import short_time_le
-from rabicrit.dynamics import EchoSeries, echo_point, probe_reduced_state
+from rabicrit.dynamics import EchoSeries, echo_point
 from rabicrit.errors import DimensionMismatchError, PhaseDomainError
 from rabicrit.hamiltonians import ProbeParams, RabiParams
 from rabicrit.hilbert import FockCutoff

@@ -179,6 +179,22 @@ def test_config_file_unknown_key(tmp_path):
         SweepConfig.from_file(path)
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("methods = exact\nmethods = analytic\n", "'methods' given twice"),
+    ("methods = exact exact\n", "each once"),
+    ("methods = ,\n", "each once"),
+], ids=["key_twice", "method_twice", "no_method"])
+def test_sweep_rejects_config_fault(tmp_path, lines, message):
+    # each of these once ran with exit status 0: the second key silently
+    # won, every row was written twice, or the CSV held only its header
+    path = tmp_path / "sweep.cfg"
+    path.write_text("figure = custom\nlambda_grid = 0.5\neta_grid = 100\n"
+                    "time_grid = 0\nchi = 0.001\n" + lines)
+    with pytest.raises(ValueError, match=message):
+        main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_grid_no_output(tmp_path):
     cfg = _tiny_config()
     cfg.lambda_grid = []

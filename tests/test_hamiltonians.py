@@ -19,6 +19,7 @@ from oracle import (
     pauli,
     sigma_minus,
     sigma_plus,
+    spin_mixing_angle,
     tensor,
 )
 from rabicrit.errors import PhaseDomainError
@@ -38,7 +39,6 @@ def test_rabi_params_derived():
     p = RabiParams(1.0, 100.0, 2.0)
     assert p.lam == pytest.approx(0.4)
     assert p.eta == pytest.approx(100.0)
-    assert p.g_c == pytest.approx(5.0)
     q = RabiParams.from_dimensionless(0.4, 100.0)
     assert q.g == pytest.approx(2.0)
     assert q.lam == pytest.approx(0.4)
@@ -51,7 +51,7 @@ def test_rabi_params_derived():
 def test_probe_params():
     pr = ProbeParams(2.0, 0.1, 1.0)
     assert pr.chi == pytest.approx(0.01)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ProbeParams(2.0, 0.1, 1.0, chi=0.5)
     with pytest.raises(ValueError):
         ProbeParams(2.0, 0.1, 0.0)
@@ -174,13 +174,14 @@ def test_displaced_frame_record():
     p = RabiParams.from_dimensionless(1.1, 5000.0)
     al = alpha_lambda(p)
     frame = displaced_frame(p, al)
+    theta = spin_mixing_angle(p, al)
     assert isinstance(frame, DisplacedFrame)
-    assert -math.pi / 4 < frame.theta <= math.pi / 4
+    assert -math.pi / 4 < theta <= math.pi / 4
     assert frame.omega0_tilde == pytest.approx(1.1**2 * 5000.0)
     assert frame.g_tilde == pytest.approx(math.sqrt(5000.0) / (2 * 1.1))
     # the displacement removes the linear boson term:
     # omega_c alpha + g sin(2 theta) = 0 at alpha = +alpha_lambda
-    assert abs(p.omega_c * al + p.g * math.sin(2 * frame.theta)) < 1e-10
+    assert abs(p.omega_c * al + p.g * math.sin(2 * theta)) < 1e-10
 
 
 def test_effective_np_limits():

@@ -1,23 +1,18 @@
 """Tests for the finite-frequency-ratio variational ground states."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oracle import DUAL_PATH_RTOL, closed_form_x
+from oracle import DUAL_PATH_RTOL, closed_form_x, stationarity
 from rabicrit.analytic import squeezing_np, superradiant_frame, variance_np
+from rabicrit.dynamics import echo_point
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import critical_lambda_grid
-from rabicrit.hamiltonians import RabiParams
-from rabicrit.variational import (
-    NORMAL,
-    SUPERRADIANT,
-    gs_energy,
-    photon_stats,
-    solve,
-    solve_squeeze,
-)
+from rabicrit.hamiltonians import ProbeParams, RabiParams
+from rabicrit.variational import NORMAL, SUPERRADIANT, _cubic_coeffs, solve
 
 
 def test_decoupled_limit():
@@ -33,11 +28,13 @@ def test_decoupled_limit():
 @pytest.mark.parametrize("lam", [0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
 @pytest.mark.parametrize("eta", [1e3, 1e4, 1e5])
 def test_stationarity_grid(lam, eta):
-    sol = solve(RabiParams.from_dimensionless(lam, eta))
-    assert sol.residual < 1e-10
-    assert sol.second_derivative > 0.0
+    p = RabiParams.from_dimensionless(lam, eta)
+    sol = solve(p)
+    x, residual, curvature = stationarity(sol, p)
+    assert residual < 1e-10
+    assert curvature > 0.0
     # dual-path agreement between bracketing and closed-form roots
-    x, x_closed = sol.diagnostics["x"], closed_form_x(sol.phase, lam, eta)
+    x_closed = closed_form_x(sol.phase, lam, eta)
     assert abs(x - x_closed) <= 1e-10 * x
 
 
@@ -49,7 +46,7 @@ def test_newton_root_matches_closed_form():
     for eta in 10.0 ** np.arange(9):
         for lam in lams:
             phase = NORMAL if lam < 1.0 else SUPERRADIANT
-            x = solve_squeeze(phase, RabiParams.from_dimensionless(lam, eta)).diagnostics["x"]
+            x = math.exp(2.0 * solve(RabiParams.from_dimensionless(lam, eta)).s)
             x_closed = closed_form_x(phase, lam, eta)
             assert abs(x_closed - x) <= DUAL_PATH_RTOL * x, (lam, eta, x, x_closed)
 
@@ -60,7 +57,7 @@ def test_normal_limit_to_closed_form():
     r_inf = squeezing_np(lam)
     gaps = []
     for eta in (1e3, 1e4, 1e5):
-        sol = solve_squeeze(NORMAL, RabiParams.from_dimensionless(lam, eta))
+        sol = solve(RabiParams.from_dimensionless(lam, eta))
         gaps.append(abs(sol.s - r_inf))
     assert 5.0 < gaps[0] / gaps[1] < 20.0
     exponent = -np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(gaps), 1)[0]
@@ -71,7 +68,7 @@ def test_superradiant_limit_to_closed_form():
     lam = 1.2
     _, r_inf = superradiant_frame(RabiParams.from_dimensionless(lam, 1e3))
     gaps = [
-        abs(solve_squeeze(SUPERRADIANT, RabiParams.from_dimensionless(lam, eta)).s - r_inf)
+        abs(solve(RabiParams.from_dimensionless(lam, eta)).s - r_inf)
         for eta in (1e3, 1e4, 1e5)
     ]
     exponent = -np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(gaps), 1)[0]
@@ -84,14 +81,19 @@ def test_gamma_prime_limit():
     p = RabiParams.from_dimensionless(lam, 1e5)
     sol = solve(p)
     assert sol.gamma_prime == pytest.approx(variance_np(p), rel=1e-3)
-    assert not sol.gamma_prime_negative
 
 
-def test_gamma_prime_negative_flagged_not_fatal():
-    # flag mirrors the sign; never raises
-    for lam, eta in ((0.5, 1e3), (0.9, 10.0), (1.5, 5.0)):
-        sol = solve(RabiParams.from_dimensionless(lam, eta))
-        assert sol.gamma_prime_negative == (sol.gamma_prime < 0.0)
+def test_gamma_prime_negative_clamped_not_fatal():
+    # at eta = 1 the finite-eta correction outweighs the leading terms: the
+    # variance is returned negative, not raised, and the echo clamps it at 0
+    p = RabiParams.from_dimensionless(0.9, 1.0)
+    sol = solve(p)
+    assert sol.gamma_prime < 0.0
+    echo = echo_point(p, ProbeParams.from_chi(1e-3), [0.0, 10.0, 60.0], "variational", 1e-8)
+    assert echo.gamma == 0.0
+    assert np.all(echo.l_values == 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.gamma_prime = 0.0
 
 
 def test_energy_matches_mean_field_scale():
@@ -103,15 +105,10 @@ def test_energy_matches_mean_field_scale():
 
 def test_phase_mismatch_errors():
     p = RabiParams.from_dimensionless(0.5, 1e3)
-    sol = solve_squeeze(NORMAL, p)
-    with pytest.raises(ValueError):
-        gs_energy(SUPERRADIANT, sol, p)
-    with pytest.raises(ValueError):
-        photon_stats(SUPERRADIANT, sol, p)
     with pytest.raises(PhaseDomainError):
-        solve_squeeze(SUPERRADIANT, p)
+        _cubic_coeffs(SUPERRADIANT, p)
     with pytest.raises(ValueError):
-        solve_squeeze("sideways", RabiParams.from_dimensionless(1.5, 1e3))
+        _cubic_coeffs("sideways", RabiParams.from_dimensionless(1.5, 1e3))
 
 
 def test_guard_band_rejected():
