@@ -11,14 +11,14 @@ from .errors import (
     RabicritError,
     TruncationError,
 )
-from .hamiltonians import DisplacedFrame, ProbeParams, RabiParams
+from .hamiltonians import Phase, ProbeParams, RabiParams
 from .hilbert import FockCutoff
 
 __all__ = [
     "ConvergenceError",
     "DimensionMismatchError",
-    "DisplacedFrame",
     "FockCutoff",
+    "Phase",
     "PhaseDomainError",
     "ProbeParams",
     "RabiParams",

@@ -1,6 +1,6 @@
-"""Closed-form infinite-frequency-ratio results: squeezing parameters,
-displacement, photon-number variances in both phases, and the short-time
-Gaussian law for the Loschmidt echo."""
+"""Closed-form infinite-frequency-ratio results: the photon-number variance
+of the ground state of either phase, read from its `Phase` record, and the
+short-time Gaussian law for the Loschmidt echo."""
 
 from __future__ import annotations
 
@@ -9,69 +9,37 @@ from math import exp, log, sinh
 import numpy as np
 
 from .errors import PhaseDomainError
-from .hamiltonians import RabiParams, alpha_lambda, displaced_frame
+from .hamiltonians import Phase, RabiParams, phase
 
 # |lam - 1| below this is reported as critical rather than evaluated: the
 # closed forms diverge and would silently overflow downstream plots.
 CRITICAL_BAND = 1e-6
 
 
-def _check_normal(lam: float):
-    if lam < 0:
-        raise PhaseDomainError(f"lam must be non-negative, got {lam}")
-    if 1.0 - lam < CRITICAL_BAND:
-        raise PhaseDomainError(
-            f"lam={lam} is critical or superradiant; normal-phase closed forms "
-            "require lam < 1"
-        )
+def near_critical(lam: float) -> bool:
+    """Whether lam lies within CRITICAL_BAND of the transition."""
+    return abs(lam - 1.0) < CRITICAL_BAND
 
 
-def _check_superradiant(lam: float):
-    if lam - 1.0 < CRITICAL_BAND:
-        raise PhaseDomainError(
-            f"lam={lam} is critical or normal; superradiant closed forms "
-            "require lam > 1"
-        )
-
-
-def squeezing_np(lam: float) -> float:
-    """Normal-phase squeezing r = -ln(1 - lam^2)/4, for 0 <= lam < 1."""
-    _check_normal(lam)
-    return -0.25 * log(1.0 - lam**2)
-
-
-def variance_np(p: RabiParams) -> float:
-    """Photon-number variance of the normal-phase ground state:
-    sinh^2(2 r)/2 + (g/omega_0)^2 e^{-2 r}."""
-    r = squeezing_np(p.lam)
-    return 0.5 * sinh(2.0 * r) ** 2 + (p.g / p.omega_0) ** 2 * exp(-2.0 * r)
-
-
-def superradiant_frame(p: RabiParams) -> tuple[float, float]:
-    """(alpha_lambda, r_sp) of the displaced superradiant description."""
-    lam = p.lam
-    _check_superradiant(lam)
-    return alpha_lambda(p), -0.25 * log(1.0 - lam**-4)
-
-
-def variance_sp(p: RabiParams) -> float:
-    """Photon-number variance of the superradiant ground state:
-    sinh^2(2 r)/2 + alpha^2 e^{2 r} + (g~/omega0~)^2 e^{-2 r}."""
-    alpha, r = superradiant_frame(p)
-    frame = displaced_frame(p, alpha)
-    ratio2 = (frame.g_tilde / frame.omega0_tilde) ** 2
-    return (
-        0.5 * sinh(2.0 * r) ** 2
-        + alpha**2 * exp(2.0 * r)
-        + ratio2 * exp(-2.0 * r)
-    )
+def closed_form_phase(p: RabiParams) -> Phase:
+    """`phase(p)` for the closed forms (here and the variational method);
+    `PhaseDomainError` within CRITICAL_BAND of lam = 1."""
+    if near_critical(p.lam):
+        raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
+    return phase(p)
 
 
 def variance(p: RabiParams) -> float:
-    """Phase-dispatched closed-form variance."""
-    if p.lam < 1.0:
-        return variance_np(p)
-    return variance_sp(p)
+    """Photon-number variance of the ground state of the phase of `p`:
+    sinh^2(2 r)/2 + alpha^2 e^{2 r} + (c2/omega_t) e^{-2 r}, with the
+    squeezing r = -ln(1 - mu)/4."""
+    ph = closed_form_phase(p)
+    r = -0.25 * log(1.0 - ph.mu)
+    return (
+        0.5 * sinh(2.0 * r) ** 2
+        + ph.alpha**2 * exp(2.0 * r)
+        + ph.c2 / ph.omega_t * exp(-2.0 * r)
+    )
 
 
 def short_time_le(gamma, chi: float, t) -> np.ndarray | float:

@@ -11,7 +11,8 @@ bare-frame parity chains (`hamiltonians.build_rabi_parity`) or, above the
 transition where its cutoff search converges there first, on the displaced
 band (`hamiltonians.build_displaced_rabi_band`); the effective method, in both
 phases, on the even photon numbers of its Hamiltonian without the constant
-(`hamiltonians._quartic_band(...).even()`), which conserves photon parity.
+(`hamiltonians._quartic_band(...).even()`, from the coefficients of the
+`hamiltonians.phase` record), which conserves photon parity.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from .errors import DimensionMismatchError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
-    _effective_np_coeffs,
-    _effective_sp_coeffs,
     _quartic_band,
-    alpha_lambda,
     build_displaced_rabi_band,
     build_rabi_parity,
+    phase,
     photon_number_band,
 )
 from .hilbert import BandMatrix, FockCutoff
@@ -139,15 +138,9 @@ def _band_ground(alphas, search, solve, cutoff_tol: float) -> BandGround:
     vector, `solve(alpha, cutoff, energy)` -> (energy, amplitudes in Fock
     rows), in the first frame to converge, at its cutoff, given the ground
     energy the search found there; and its physical photon-number moments."""
-    energies = {}
-
-    def searched(alpha: float, cutoff: FockCutoff) -> float | None:
-        energies[alpha, cutoff] = energy = search(alpha, cutoff)
-        return energy
-
-    found = converge_cutoff(tuple(partial(searched, a) for a in alphas), cutoff_tol)
+    found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol)
     alpha, cutoff = alphas[found.frame], found.cutoff
-    energy, vec = solve(alpha, cutoff, energies[alpha, cutoff])
+    energy, vec = solve(alpha, cutoff, found.energy)
     mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
     return BandGround(alpha, cutoff, energy, vec, mean_n, gamma)
 
@@ -176,8 +169,9 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     it is not built below that cutoff. The search sees both parity chains,
     as a dense solve would; the state comes from one solve of the even chain.
     """
-    alphas = (0.0,) if p.lam <= 1.0 else (0.0, alpha_lambda(p))
-    n_bare = alphas[-1] ** 2
+    alpha = phase(p).alpha
+    alphas = (0.0, alpha) if alpha else (0.0,)
+    n_bare = alpha**2
 
     def search(alpha: float, cutoff: FockCutoff) -> float | None:
         if alpha == 0.0 and cutoff.n_max < n_bare:
@@ -191,12 +185,6 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     return _band_ground(alphas, search, solve, cutoff_tol)
 
 
-def _effective_coeffs(p: RabiParams, alpha: float) -> tuple[float, float, float]:
-    """(c2, c4, const) of the effective Hamiltonian in the bare frame
-    (alpha = 0, normal phase) or the displaced one (superradiant phase)."""
-    return (_effective_sp_coeffs if alpha else _effective_np_coeffs)(p)
-
-
 def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """Ground state of the fourth-order effective Hamiltonian of the phase of
     `p` (the superradiant one in the frame displaced by alpha_lambda). The
@@ -208,11 +196,10 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     reported energy: kept in the band, the constant's roundoff, of order
     eps omega_0 / gap, would stay in the vector.
     """
-    alpha = alpha_lambda(p) if p.lam > 1.0 else 0.0
-    c2, c4, const = _effective_coeffs(p, alpha)
+    ph = phase(p)
 
     def even_band(cutoff: FockCutoff) -> BandMatrix:
-        return _quartic_band(p.omega_c, c2, c4, cutoff).even()
+        return _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff).even()
 
     def search(alpha: float, cutoff: FockCutoff) -> float:
         return band_ground_energy(even_band(cutoff))
@@ -221,9 +208,9 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
         energy, even = band_ground_state(even_band(cutoff), energy)
         vec = np.zeros(cutoff.dim)
         vec[0::2] = even
-        return energy + const, vec
+        return energy + ph.const, vec
 
-    return _band_ground((alpha,), search, solve, cutoff_tol)
+    return _band_ground((ph.alpha,), search, solve, cutoff_tol)
 
 
 def exact_branch_bands(p: RabiParams, probe: ProbeParams, alpha: float,
@@ -261,9 +248,8 @@ def _effective_branches(p: RabiParams, probe: ProbeParams, gs: BandGround):
     is a global phase of D, and kept in, its roundoff eps omega_0 would grow
     into a phase error of L with t.
     """
-    chi = probe.chi
-    c2, c4, _ = _effective_coeffs(p, gs.alpha)
-    h0 = _quartic_band(p.omega_c, c2, c4, gs.cutoff).band
+    chi, ph = probe.chi, phase(p)
+    h0 = _quartic_band(ph.omega_c, ph.c2, ph.c4, gs.cutoff).band
     n_phys = photon_number_band(gs.alpha, gs.cutoff).band
     h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
     h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)

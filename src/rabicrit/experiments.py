@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import CRITICAL_BAND
+from .analytic import CRITICAL_BAND, near_critical
 from .dynamics import (
     SpectralDecomposition,
     decoherence_factor,
@@ -96,7 +96,7 @@ class SweepConfig:
             raise ValueError("chi must be positive for echo figures")
         # the closed forms diverge at the critical point; exact and effective solve it
         closed = [m for m in self.methods if m in ("analytic", "variational")]
-        if closed and any(abs(v - 1.0) < CRITICAL_BAND for v in self.lambda_grid):
+        if closed and any(map(near_critical, self.lambda_grid)):
             raise ValueError(
                 f"lambda_grid values within {CRITICAL_BAND:g} of 1 have no {' or '.join(closed)} value"
             )
@@ -184,7 +184,7 @@ def critical_lambda_grid() -> list[float]:
     mid = np.arange(0.9, 1.1 + fine / 2, fine)
     hi = np.arange(1.1 + coarse, 1.5 + coarse / 2, coarse)
     grid = np.unique(np.round(np.concatenate([lo, mid, hi]), 10))
-    return [float(v) for v in grid if abs(v - 1.0) >= CRITICAL_BAND]
+    return [float(v) for v in grid if not near_critical(v)]
 
 
 def default_config(figure: str, cutoff_tol: float = CUTOFF_TOL) -> SweepConfig:
@@ -285,7 +285,7 @@ def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
             f"splot '{csv_name}' every ::1 using 3:6:8 with points title 'L'\n"
         )
     else:
-        xcol = 4 if len(cfg.eta_grid) > 1 else 3
+        xcol = 3 if len(cfg.lambda_grid) > 1 else 4
         body = (
             f"set datafile separator ','\n"
             f"plot '{csv_name}' every ::1 using {xcol}:8 with points title '{cfg.figure}'\n"

@@ -1,7 +1,13 @@
-"""Hamiltonian builders for the Rabi model, the displaced frame, the
-probe + Rabi (tripartite) model, and the low-spin effective (boson-only)
-Hamiltonians (`_quartic_band`, without their constants, from the coefficients
-of each phase).
+"""Parameters, the phase record, and the Hamiltonian builders for the Rabi
+model, the displaced frame, the probe + Rabi (tripartite) model, and the
+low-spin effective (boson-only) Hamiltonians.
+
+`phase(p)` is the one place that decides the phase from lam. Its `Phase`
+record holds the low-spin picture of that side of the transition (the
+displacement `alpha`, the spin splitting `omega_t`, the coupling `mu`) and
+derives from it the coefficients c2, c4 and const of the phase's
+fourth-order effective Hamiltonian; `_quartic_band` builds that Hamiltonian
+without its constant.
 
 Every builder returns a real symmetric `BandMatrix` in a basis ordered by
 photon number: the Rabi Hamiltonian as its two parity chains
@@ -9,7 +15,8 @@ photon number: the Rabi Hamiltonian as its two parity chains
 (`build_displaced_rabi_band`), the tripartite model with both spins fastest
 (`build_tripartite_band`), the effective Hamiltonians and the physical photon
 number in natural Fock order. Spin states are ordered (|e>, |g>). Natural
-units: the library accepts any positive omega_c; the CLI fixes omega_c = 1.
+units: the constructors accept any positive omega_c; `from_dimensionless`,
+`from_chi` and the CLI fix omega_c = 1.
 """
 
 from __future__ import annotations
@@ -50,9 +57,9 @@ class RabiParams:
         return self.omega_0 / self.omega_c
 
     @classmethod
-    def from_dimensionless(cls, lam: float, eta: float, omega_c: float = 1.0) -> "RabiParams":
-        omega_0 = eta * omega_c
-        return cls(omega_c, omega_0, lam * sqrt(omega_0 * omega_c) / 2.0)
+    def from_dimensionless(cls, lam: float, eta: float) -> "RabiParams":
+        """The parameters of (lam, eta) with omega_c = 1."""
+        return cls(1.0, eta, lam * sqrt(eta) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,30 +86,12 @@ class ProbeParams:
         return self.g_s**2 / self.delta_s
 
     @classmethod
-    def from_chi(
-        cls,
-        chi: float,
-        omega_c: float = 1.0,
-        delta_s: float | None = None,
-        alpha: complex = 1.0 / sqrt(2.0),
-        beta: complex = 1.0 / sqrt(2.0),
-    ) -> "ProbeParams":
-        """Pick a (g_s, delta_s) pair realizing the requested dispersive shift."""
-        if delta_s is None:
-            delta_s = omega_c
-        if chi * delta_s <= 0:
-            raise ValueError("chi and delta_s must have the same sign")
-        g_s = sqrt(chi * delta_s)
-        return cls(omega_c + delta_s, g_s, delta_s, alpha, beta)
-
-
-@dataclass(frozen=True)
-class DisplacedFrame:
-    """Parameters of the displaced frame D(alpha_disp)."""
-
-    alpha_disp: float
-    omega0_tilde: float   # lam^2 omega_0
-    g_tilde: float        # sqrt(omega_c omega_0) / (2 lam)
+    def from_chi(cls, chi: float) -> "ProbeParams":
+        """The probe detuned by delta_s = omega_c = 1 whose dispersive shift
+        is chi, in an equal superposition."""
+        if chi <= 0:
+            raise ValueError("chi must be positive")
+        return cls(2.0, sqrt(chi), 1.0)
 
 
 def alpha_lambda(p: RabiParams) -> float:
@@ -113,13 +102,49 @@ def alpha_lambda(p: RabiParams) -> float:
     return sqrt(p.omega_0 * (lam**4 - 1.0) / (4.0 * lam**2 * p.omega_c))
 
 
-def displaced_frame(p: RabiParams, alpha_disp: float) -> DisplacedFrame:
+@dataclass(frozen=True)
+class Phase:
+    """The low-spin picture of one side of the transition (Hwang, Puebla &
+    Plenio, PRL 115, 180404 (2015)): the cavity, in the frame displaced by
+    `alpha`, couples through `mu` to a two-level system of splitting
+    `omega_t`. Normal phase: alpha = 0, omega_t = omega_0, mu = lam^2.
+    Superradiant phase: alpha = alpha_lambda, omega_t = lam^2 omega_0,
+    mu = lam^-4.
+
+    Its fourth-order effective Hamiltonian, in that frame, is
+    omega_c n - c2 x^2 + c4 x^4 + const with x = a + a^dag.
+    """
+
+    omega_c: float
+    alpha: float
+    omega_t: float
+    mu: float
+
+    @property
+    def name(self) -> str:
+        return "superradiant" if self.alpha else "normal"
+
+    @property
+    def c2(self) -> float:
+        return self.omega_c * self.mu / 4.0
+
+    @property
+    def c4(self) -> float:
+        return self.c2**2 / self.omega_t
+
+    @property
+    def const(self) -> float:
+        return (-0.5 * self.omega_t + self.omega_c * self.c2 / self.omega_t
+                + self.omega_c * self.alpha**2)
+
+
+def phase(p: RabiParams) -> Phase:
+    """The phase lam selects: superradiant above 1; normal up to and at 1,
+    where mu = 1 and the effective Hamiltonian is a quartic oscillator."""
     lam = p.lam
-    if lam > 0:
-        g_tilde = sqrt(p.omega_c * p.omega_0) / (2.0 * lam)
-    else:
-        g_tilde = float("inf")
-    return DisplacedFrame(alpha_disp, lam**2 * p.omega_0, g_tilde)
+    if lam > 1.0:
+        return Phase(p.omega_c, alpha_lambda(p), lam**2 * p.omega_0, lam**-4)
+    return Phase(p.omega_c, 0.0, p.omega_0, lam**2)
 
 
 def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
@@ -187,39 +212,6 @@ def build_tripartite_band(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff)
     rows[3, :, 1::2] = -p.g * hop              # <k+1, s, e| H |k, s, g>
     rows[6, :, :2] = -probe.g_s * hop          # <k+1, g, r| H |k, e, r>
     return BandMatrix(band)
-
-
-def _effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
-    """(c2, c4, const) of the fourth-order low-spin effective Hamiltonian of
-    the normal phase, omega_c n - c2 x^2 + c4 x^4 + const with x = a + a^dag:
-    c2 = omega_c lam^2 / 4, c4 = lam^4 omega_c^2 / (16 omega_0) and
-    const = -omega_0/2 + lam^2 omega_c^2 / (4 omega_0)."""
-    lam = p.lam
-    c2 = p.omega_c * lam**2 / 4.0
-    c4 = lam**4 * p.omega_c**2 / (16.0 * p.omega_0)
-    const = -0.5 * p.omega_0 + lam**2 * p.omega_c**2 / (4.0 * p.omega_0)
-    return c2, c4, const
-
-
-def _effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
-    """(c2, c4, const) of the effective Hamiltonian of the superradiant phase,
-    of the same form in the frame displaced by alpha_lambda; requires lam > 1."""
-    lam = p.lam
-    if lam <= 1.0:
-        raise PhaseDomainError(
-            f"superradiant effective Hamiltonian requires lam > 1, got lam={lam}"
-        )
-    frame = displaced_frame(p, alpha_lambda(p))
-    gt, w0t = frame.g_tilde, frame.omega0_tilde
-    # constant terms kept explicit so ground energies match the bare-frame
-    # curves; the g~^2 omega_c / omega0~^2 form is the one consistent with the
-    # variational energy constant omega_c^2 / (4 omega0~ lam^4).
-    const = (
-        -0.5 * w0t
-        + gt**2 * p.omega_c / w0t**2
-        + p.omega_c * frame.alpha_disp**2
-    )
-    return gt**2 / w0t, gt**4 / w0t**3, const
 
 
 def _quartic_band(omega_c: float, c2: float, c4: float, cutoff: FockCutoff) -> BandMatrix:

@@ -165,11 +165,13 @@ def displaced_photon_moments(amp: np.ndarray, alpha: float) -> tuple[float, floa
 
 
 class FrameCutoff(NamedTuple):
-    """The cutoff a search over several frames chose, and the index of the
-    frame whose ground energy converged there first."""
+    """The cutoff a search over several frames chose, the index of the
+    frame whose ground energy converged there first, and that frame's ground
+    energy at the cutoff."""
 
     frame: int
     cutoff: FockCutoff
+    energy: float
 
     @property
     def n_max(self) -> int:
@@ -186,7 +188,7 @@ def converge_cutoff(
     one frame, or to None at the cutoffs too small for that frame to converge,
     where it is not tried. The frames share the doubling loop: at each cutoff
     they are tested in order, and the first whose energy converges is
-    returned with its index.
+    returned with its index and its energy at that cutoff.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -202,7 +204,7 @@ def converge_cutoff(
         for frame in range(len(frames)):
             e_n = energy(frame, n)
             if e_n is not None and abs(energy(frame, 2 * n) - e_n) < tol:
-                return FrameCutoff(frame, FockCutoff(n))
+                return FrameCutoff(frame, FockCutoff(n), e_n)
         n *= 2
     raise ConvergenceError(
         f"ground energy not converged to {tol} below cutoff {CUTOFF_HARD_CAP}"

@@ -1,8 +1,14 @@
 """Finite-eta variational ground states from a single-mode squeezing ansatz.
 
-`solve(p)` takes the phase from lam, solves its stationarity condition once
-and returns a frozen `VariationalSolution`. With x = e^{2 s} that condition
-is a real cubic c3 x^3 + c2 x^2 - 1 = 0 with c3 > 0, solved by Newton's
+`solve(p)` reads the `Phase` record of `p` and returns a frozen
+`VariationalSolution`. The variational energy is the mean of the phase's
+effective Hamiltonian omega_c n - c2 x^2 + c4 x^4 + const in the vacuum
+squeezed by s,
+
+    E(s) = omega_c sinh^2 s - c2 e^{2 s} + 3 c4 e^{4 s} + const,
+
+and with x = e^{2 s} its stationarity condition is, in both phases, the real
+cubic (24 c4 / omega_c) x^3 + (1 - mu) x^2 - 1 = 0, solved once by Newton's
 method from a doubling bracket. The tests check the root against the
 published Cardano-style closed form, evaluated in extended precision."""
 
@@ -11,18 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, log, sinh
 
-from .analytic import CRITICAL_BAND
-from .errors import PhaseDomainError, RabicritError
-from .hamiltonians import RabiParams, alpha_lambda, displaced_frame
-
-NORMAL = "normal"
-SUPERRADIANT = "superradiant"
+from .analytic import closed_form_phase
+from .errors import RabicritError
+from .hamiltonians import Phase, RabiParams
 
 
 @dataclass(frozen=True)
 class VariationalSolution:
     """Squeezing parameter, energy, and mean and variance of the photon
-    number of the variational ground state of `phase`."""
+    number of the variational ground state of `phase` ('normal' or
+    'superradiant')."""
 
     phase: str
     s: float
@@ -31,15 +35,9 @@ class VariationalSolution:
     gamma_prime: float
 
 
-def _cubic_coeffs(phase: str, p: RabiParams) -> tuple[float, float]:
-    lam, eta = p.lam, p.eta
-    if phase == NORMAL:
-        return 3.0 * lam**4 / (2.0 * eta), 1.0 - lam**2
-    if phase == SUPERRADIANT:
-        if lam <= 1.0:
-            raise PhaseDomainError(f"superradiant ansatz requires lam > 1, got {lam}")
-        return 3.0 / (2.0 * eta * lam**10), 1.0 - lam**-4
-    raise ValueError(f"unknown phase {phase!r}")
+def _cubic_coeffs(ph: Phase) -> tuple[float, float]:
+    """(c3, c2) of the stationarity cubic c3 x^3 + c2 x^2 - 1 = 0."""
+    return 24.0 * ph.c4 / ph.omega_c, 1.0 - ph.mu
 
 
 def _newton_root(c3: float, c2: float) -> float:
@@ -64,41 +62,21 @@ def _newton_root(c3: float, c2: float) -> float:
         x = x_next
 
 
-def _energy_at(phase: str, s: float, p: RabiParams) -> float:
-    wc = p.omega_c
-    lam = p.lam
-    if phase == NORMAL:
-        return (
-            wc * sinh(s) ** 2
-            - (wc * lam**2 / 4.0) * exp(2.0 * s)
-            + (3.0 * lam**4 * wc**2 / (16.0 * p.omega_0)) * exp(4.0 * s)
-            - 0.5 * p.omega_0
-            + lam**2 * wc**2 / (4.0 * p.omega_0)
-        )
-    frame = displaced_frame(p, alpha_lambda(p))
-    w0t = frame.omega0_tilde
-    return (
-        wc * sinh(s) ** 2
-        - (wc / (4.0 * lam**4)) * exp(2.0 * s)
-        + (3.0 * wc**2 / (16.0 * w0t * lam**8)) * exp(4.0 * s)
-        - 0.5 * w0t
-        + wc**2 / (4.0 * w0t * lam**4)
-        + wc * frame.alpha_disp**2
-    )
+def _energy_at(ph: Phase, s: float) -> float:
+    """E(s), the variational energy at squeezing s."""
+    return (ph.omega_c * sinh(s) ** 2 - ph.c2 * exp(2.0 * s) + 3.0 * ph.c4 * exp(4.0 * s)
+            + ph.const)
 
 
-def _photon_moments(phase: str, s: float, p: RabiParams) -> tuple[float, float]:
+def _photon_moments(ph: Phase, s: float) -> tuple[float, float]:
     """(mean, variance) of the physical photon number at squeezing s."""
-    if phase == NORMAL:
-        q2 = (p.g / p.omega_0) ** 2
-        q4 = q2**2
+    q2 = ph.c2 / ph.omega_t
+    q4 = q2**2
+    if not ph.alpha:
         mean_n = sinh(s) ** 2 + q2 - 8.0 * q4 * exp(2.0 * s)
         gamma = 0.5 * sinh(2.0 * s) ** 2 + q2 * exp(-2.0 * s) - 8.0 * q4 * exp(4.0 * s)
         return mean_n, gamma
-    frame = displaced_frame(p, alpha_lambda(p))
-    q2 = (frame.g_tilde / frame.omega0_tilde) ** 2
-    q4 = q2**2
-    a2 = frame.alpha_disp**2
+    a2 = ph.alpha**2
     mean_n = sinh(s) ** 2 + q2 - (8.0 / 3.0) * q4 * exp(2.0 * s) + a2
     gamma = (
         0.5 * sinh(2.0 * s) ** 2
@@ -111,9 +89,7 @@ def _photon_moments(phase: str, s: float, p: RabiParams) -> tuple[float, float]:
 def solve(p: RabiParams) -> VariationalSolution:
     """Variational ground state in the phase lam selects: normal below 1,
     superradiant above; `PhaseDomainError` within CRITICAL_BAND of 1."""
-    if abs(p.lam - 1.0) < CRITICAL_BAND:
-        raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
-    phase = NORMAL if p.lam < 1.0 else SUPERRADIANT
-    s = 0.5 * log(_newton_root(*_cubic_coeffs(phase, p)))
-    mean_n, gamma = _photon_moments(phase, s, p)
-    return VariationalSolution(phase, s, _energy_at(phase, s, p), mean_n, gamma)
+    ph = closed_form_phase(p)
+    s = 0.5 * log(_newton_root(*_cubic_coeffs(ph)))
+    mean_n, gamma = _photon_moments(ph, s)
+    return VariationalSolution(ph.name, s, _energy_at(ph, s), mean_n, gamma)

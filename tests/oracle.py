@@ -7,6 +7,13 @@ the tests' oracle:
     (basis ordering: spin factor first with basis (|e>, |g>), boson factor
     second with Fock levels 0..n_max), ladder operators, Pauli matrices,
     tensor products, displacement and squeezing by `expm`;
+  * each phase written out in lam: the displaced frame's `DisplacedFrame`
+    (alpha, omega0~ = lam^2 omega_0, g~), the effective coefficients
+    (`effective_np_coeffs`, `effective_sp_coeffs`), the variational cubic and
+    energy (`cubic_coeffs`, `energy_at`), and the closed-form squeezing and
+    variances (`squeezing_np`, `variance_np`, `superradiant_frame`,
+    `variance_sp`). The library reads all of them from one record,
+    `hamiltonians.phase(p)`, which is tested against these references;
   * the dense builders of the Rabi, branch, tripartite, displaced-frame and
     effective Hamiltonians, and the effective Hamiltonians as full real bands
     with their constants (`build_effective_np_band`,
@@ -22,7 +29,8 @@ the tests' oracle:
   * the published closed-form root of the variational cubic, evaluated in
     50-digit arithmetic, which Newton's root must match to DUAL_PATH_RTOL,
     and the stationarity residual and curvature of the variational energy,
-    recomputed from the squeezing parameter `variational.solve` returns.
+    recomputed in lam (`cubic_coeffs`, `energy_at`) from the squeezing
+    parameter `variational.solve` returns.
 
 Cutoff doubling and the echo's evolution kernel are the library's own
 (`spectra.converge_cutoff`, `dynamics.branch_echo`), fed here from dense
@@ -33,7 +41,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import atan, exp, pi, sinh, sqrt
+from math import atan, exp, log, pi, sinh, sqrt
 from typing import Callable
 
 import mpmath as mp
@@ -41,21 +49,13 @@ import numpy as np
 from scipy.linalg import expm
 
 from rabicrit import dynamics, spectra
-from rabicrit.analytic import squeezing_np, superradiant_frame, variance_np, variance_sp
-from rabicrit.errors import DimensionMismatchError, RabicritError
+from rabicrit.analytic import CRITICAL_BAND
+from rabicrit.errors import DimensionMismatchError, PhaseDomainError, RabicritError
 from rabicrit.experiments import DispersiveReport
-from rabicrit.hamiltonians import (
-    DisplacedFrame,
-    ProbeParams,
-    RabiParams,
-    _effective_np_coeffs,
-    _effective_sp_coeffs,
-    _quartic_band,
-    displaced_frame,
-)
+from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band, alpha_lambda
 from rabicrit.hilbert import BandMatrix, FockCutoff
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
-from rabicrit.variational import NORMAL, VariationalSolution, _cubic_coeffs, _energy_at
+from rabicrit.variational import VariationalSolution
 
 HERMITICITY_RTOL = 1e-12
 DUAL_PATH_RTOL = 1e-10
@@ -238,6 +238,136 @@ def squeeze(r: float, cutoff: FockCutoff) -> Operator:
     return Operator(expm(gen), (cutoff.dim,))
 
 
+# --- per-phase references in lam ---------------------------------------------
+#
+# The library reads every phase-dependent coefficient from one record,
+# `hamiltonians.phase(p)`. These are the same quantities written out for each
+# phase in lam, eta and the displaced frame's g~ = sqrt(omega_c omega_0) /
+# (2 lam) and omega0~ = lam^2 omega_0, as they were derived; the record is
+# tested against them.
+
+NORMAL = "normal"
+SUPERRADIANT = "superradiant"
+
+
+@dataclass(frozen=True)
+class DisplacedFrame:
+    """Parameters of the displaced frame D(alpha_disp)."""
+
+    alpha_disp: float
+    omega0_tilde: float   # lam^2 omega_0
+    g_tilde: float        # sqrt(omega_c omega_0) / (2 lam)
+
+
+def displaced_frame(p: RabiParams, alpha_disp: float) -> DisplacedFrame:
+    lam = p.lam
+    return DisplacedFrame(alpha_disp, lam**2 * p.omega_0, sqrt(p.omega_c * p.omega_0) / (2.0 * lam))
+
+
+def effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
+    """(c2, c4, const) of the fourth-order low-spin effective Hamiltonian of
+    the normal phase, omega_c n - c2 x^2 + c4 x^4 + const with x = a + a^dag:
+    c2 = omega_c lam^2 / 4, c4 = lam^4 omega_c^2 / (16 omega_0) and
+    const = -omega_0/2 + lam^2 omega_c^2 / (4 omega_0)."""
+    lam = p.lam
+    c2 = p.omega_c * lam**2 / 4.0
+    c4 = lam**4 * p.omega_c**2 / (16.0 * p.omega_0)
+    const = -0.5 * p.omega_0 + lam**2 * p.omega_c**2 / (4.0 * p.omega_0)
+    return c2, c4, const
+
+
+def effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
+    """(c2, c4, const) of the effective Hamiltonian of the superradiant phase,
+    of the same form in the frame displaced by alpha_lambda: c2 = g~^2 /
+    omega0~, c4 = g~^4 / omega0~^3 and const = -omega0~/2 + g~^2 omega_c /
+    omega0~^2 + omega_c alpha_lambda^2; requires lam > 1."""
+    lam = p.lam
+    if lam <= 1.0:
+        raise PhaseDomainError(
+            f"superradiant effective Hamiltonian requires lam > 1, got lam={lam}"
+        )
+    frame = displaced_frame(p, alpha_lambda(p))
+    gt, w0t = frame.g_tilde, frame.omega0_tilde
+    # constant terms kept explicit so ground energies match the bare-frame
+    # curves; the g~^2 omega_c / omega0~^2 form is the one consistent with the
+    # variational energy constant omega_c^2 / (4 omega0~ lam^4).
+    const = (
+        -0.5 * w0t
+        + gt**2 * p.omega_c / w0t**2
+        + p.omega_c * frame.alpha_disp**2
+    )
+    return gt**2 / w0t, gt**4 / w0t**3, const
+
+
+def squeezing_np(lam: float) -> float:
+    """Normal-phase squeezing r = -ln(1 - lam^2)/4, for 0 <= lam < 1 outside
+    the critical band."""
+    if lam < 0:
+        raise PhaseDomainError(f"lam must be non-negative, got {lam}")
+    if 1.0 - lam < CRITICAL_BAND:
+        raise PhaseDomainError(f"lam={lam}: normal-phase closed forms require lam < 1")
+    return -0.25 * log(1.0 - lam**2)
+
+
+def variance_np(p: RabiParams) -> float:
+    """Photon-number variance of the normal-phase ground state:
+    sinh^2(2 r)/2 + (g/omega_0)^2 e^{-2 r}."""
+    r = squeezing_np(p.lam)
+    return 0.5 * sinh(2.0 * r) ** 2 + (p.g / p.omega_0) ** 2 * exp(-2.0 * r)
+
+
+def superradiant_frame(p: RabiParams) -> tuple[float, float]:
+    """(alpha_lambda, r_sp) of the displaced superradiant description, with
+    r_sp = -ln(1 - lam^-4)/4, for lam > 1 outside the critical band."""
+    lam = p.lam
+    if lam - 1.0 < CRITICAL_BAND:
+        raise PhaseDomainError(f"lam={lam}: superradiant closed forms require lam > 1")
+    return alpha_lambda(p), -0.25 * log(1.0 - lam**-4)
+
+
+def variance_sp(p: RabiParams) -> float:
+    """Photon-number variance of the superradiant ground state:
+    sinh^2(2 r)/2 + alpha^2 e^{2 r} + (g~/omega0~)^2 e^{-2 r}."""
+    alpha, r = superradiant_frame(p)
+    frame = displaced_frame(p, alpha)
+    ratio2 = (frame.g_tilde / frame.omega0_tilde) ** 2
+    return 0.5 * sinh(2.0 * r) ** 2 + alpha**2 * exp(2.0 * r) + ratio2 * exp(-2.0 * r)
+
+
+def cubic_coeffs(phase: str, p: RabiParams) -> tuple[float, float]:
+    """(c3, c2) of the variational stationarity cubic c3 x^3 + c2 x^2 - 1
+    of `phase`: (3 lam^4 / (2 eta), 1 - lam^2) or (3 / (2 eta lam^10),
+    1 - lam^-4)."""
+    lam, eta = p.lam, p.eta
+    if phase == NORMAL:
+        return 3.0 * lam**4 / (2.0 * eta), 1.0 - lam**2
+    return 3.0 / (2.0 * eta * lam**10), 1.0 - lam**-4
+
+
+def energy_at(phase: str, s: float, p: RabiParams) -> float:
+    """The variational energy of `phase` at squeezing s."""
+    wc = p.omega_c
+    lam = p.lam
+    if phase == NORMAL:
+        return (
+            wc * sinh(s) ** 2
+            - (wc * lam**2 / 4.0) * exp(2.0 * s)
+            + (3.0 * lam**4 * wc**2 / (16.0 * p.omega_0)) * exp(4.0 * s)
+            - 0.5 * p.omega_0
+            + lam**2 * wc**2 / (4.0 * p.omega_0)
+        )
+    frame = displaced_frame(p, alpha_lambda(p))
+    w0t = frame.omega0_tilde
+    return (
+        wc * sinh(s) ** 2
+        - (wc / (4.0 * lam**4)) * exp(2.0 * s)
+        + (3.0 * wc**2 / (16.0 * w0t * lam**8)) * exp(4.0 * s)
+        - 0.5 * w0t
+        + wc**2 / (4.0 * w0t * lam**4)
+        + wc * frame.alpha_disp**2
+    )
+
+
 # --- dense Hamiltonians ----------------------------------------------------
 
 
@@ -345,7 +475,7 @@ def build_effective_np(p: RabiParams, cutoff: FockCutoff) -> Operator:
     (16 omega_0)) x^4 - omega_0/2 + lam^2 omega_c^2 / (4 omega_0),
     with x = a + a^dag.
     """
-    return _quartic_dense(p.omega_c, *_effective_np_coeffs(p), cutoff)
+    return _quartic_dense(p.omega_c, *effective_np_coeffs(p), cutoff)
 
 
 def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
@@ -353,20 +483,20 @@ def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
 
     Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
     """
-    return _quartic_dense(p.omega_c, *_effective_sp_coeffs(p), cutoff)
+    return _quartic_dense(p.omega_c, *effective_sp_coeffs(p), cutoff)
 
 
 def build_effective_np_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
     """`build_effective_np` as a real band of half-width 4 in natural Fock
     order, its constant on the diagonal."""
-    c2, c4, const = _effective_np_coeffs(p)
+    c2, c4, const = effective_np_coeffs(p)
     return _quartic_band(p.omega_c, c2, c4, cutoff).shifted(const)
 
 
 def build_effective_sp_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
     """`build_effective_sp` as a real band of half-width 4 in natural Fock
     order of the frame displaced by alpha_lambda; requires lam > 1."""
-    c2, c4, const = _effective_sp_coeffs(p)
+    c2, c4, const = effective_sp_coeffs(p)
     return _quartic_band(p.omega_c, c2, c4, cutoff).shifted(const)
 
 
@@ -673,12 +803,12 @@ def stationarity(sol: VariationalSolution, p: RabiParams) -> tuple[float, float,
     the residual |dE/ds| = omega_c / (2 x) |c3 x^3 + c2 x^2 - 1| there, and
     d^2E/ds^2 by central differences with step 1e-4."""
     x = exp(2.0 * sol.s)
-    c3, c2 = _cubic_coeffs(sol.phase, p)
+    c3, c2 = cubic_coeffs(sol.phase, p)
     residual = abs(p.omega_c / (2.0 * x) * (c3 * x**3 + c2 * x**2 - 1.0))
     h = 1e-4
     curvature = (
-        _energy_at(sol.phase, sol.s + h, p) - 2.0 * _energy_at(sol.phase, sol.s, p)
-        + _energy_at(sol.phase, sol.s - h, p)
+        energy_at(sol.phase, sol.s + h, p) - 2.0 * energy_at(sol.phase, sol.s, p)
+        + energy_at(sol.phase, sol.s - h, p)
     ) / h**2
     return x, residual, curvature
 
@@ -722,7 +852,7 @@ def _closed_form_x(phase: str, lam: float, eta: float) -> float:
 def closed_form_x(phase: str, lam: float, eta: float) -> float:
     """The closed-form root x = e^{2 s} of the variational cubic; in the
     decoupled limit (lam = 0) the cubic degenerates to c2 x^2 = 1."""
-    c3, c2 = _cubic_coeffs(phase, RabiParams.from_dimensionless(lam, eta))
+    c3, c2 = cubic_coeffs(phase, RabiParams.from_dimensionless(lam, eta))
     if c3 == 0.0:
         return c2**-0.5
     return _closed_form_x(phase, lam, eta)

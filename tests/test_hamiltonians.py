@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 from oracle import (
+    NORMAL,
+    SUPERRADIANT,
     build_branch,
     build_displaced_rabi,
     build_effective_np,
     build_effective_sp,
     build_rabi,
     build_tripartite,
+    cubic_coeffs,
+    effective_np_coeffs,
+    effective_sp_coeffs,
+    energy_at,
     ground_state,
     identity,
     number,
@@ -21,16 +27,15 @@ from oracle import (
     sigma_plus,
     spin_mixing_angle,
     tensor,
+    variance_np,
+    variance_sp,
 )
+from rabicrit.analytic import CRITICAL_BAND, variance
 from rabicrit.errors import PhaseDomainError
-from rabicrit.hamiltonians import (
-    DisplacedFrame,
-    ProbeParams,
-    RabiParams,
-    alpha_lambda,
-    displaced_frame,
-)
+from rabicrit.experiments import critical_lambda_grid
+from rabicrit.hamiltonians import Phase, ProbeParams, RabiParams, alpha_lambda, phase
 from rabicrit.hilbert import FockCutoff
+from rabicrit.variational import _cubic_coeffs, _energy_at, solve
 
 C32 = FockCutoff(32)
 
@@ -60,6 +65,8 @@ def test_probe_params():
     pc = ProbeParams.from_chi(1e-3)
     assert pc.chi == pytest.approx(1e-3)
     assert pc.delta_s == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        ProbeParams.from_chi(-1e-3)
 
 
 def test_build_rabi_decoupled():
@@ -173,15 +180,68 @@ def test_alpha_lambda_value():
 def test_displaced_frame_record():
     p = RabiParams.from_dimensionless(1.1, 5000.0)
     al = alpha_lambda(p)
-    frame = displaced_frame(p, al)
+    frame = phase(p)
     theta = spin_mixing_angle(p, al)
-    assert isinstance(frame, DisplacedFrame)
+    assert isinstance(frame, Phase)
+    assert frame.alpha == al
     assert -math.pi / 4 < theta <= math.pi / 4
-    assert frame.omega0_tilde == pytest.approx(1.1**2 * 5000.0)
-    assert frame.g_tilde == pytest.approx(math.sqrt(5000.0) / (2 * 1.1))
+    assert frame.omega_t == pytest.approx(1.1**2 * 5000.0)
+    # g~ = sqrt(c2 omega_t), since c2 = g~^2 / omega_t
+    assert math.sqrt(frame.c2 * frame.omega_t) == pytest.approx(math.sqrt(5000.0) / (2 * 1.1))
     # the displacement removes the linear boson term:
     # omega_c alpha + g sin(2 theta) = 0 at alpha = +alpha_lambda
     assert abs(p.omega_c * al + p.g * math.sin(2 * theta)) < 1e-10
+
+
+def _rel(a: float, b: float) -> float:
+    return abs(a - b) / abs(b) if b else abs(a)
+
+
+def test_phase_record_matches_each_phase_in_lam():
+    # the record's effective coefficients, the variational cubic and energy
+    # read from it, and the closed-form variance, against each phase written
+    # out in lam, on the figures' lambda grid plus 0, 1, 2 and 3
+    lams = [0.0, 1.0] + critical_lambda_grid() + [2.0, 3.0]
+    worst = 0.0
+    for eta in 10.0 ** np.arange(9):
+        for lam in lams:
+            p = RabiParams.from_dimensionless(lam, eta)
+            ph = phase(p)
+            name = NORMAL if lam <= 1.0 else SUPERRADIANT
+            assert ph.name == name
+            if name == NORMAL:
+                assert ph.alpha == 0.0
+                coeffs = effective_np_coeffs(p)
+            else:
+                assert ph.alpha == alpha_lambda(p)
+                coeffs = effective_sp_coeffs(p)
+            pairs = list(zip((ph.c2, ph.c4, ph.const), coeffs))
+            pairs += zip(_cubic_coeffs(ph), cubic_coeffs(name, p))
+            pairs += [(_energy_at(ph, s), energy_at(name, s, p)) for s in (-0.1, 0.0, 0.1)]
+            if abs(lam - 1.0) >= CRITICAL_BAND:
+                s = solve(p).s
+                pairs.append((_energy_at(ph, s), energy_at(name, s, p)))
+                pairs.append((variance(p), (variance_np if name == NORMAL else variance_sp)(p)))
+            worst = max(worst, max(_rel(a, b) for a, b in pairs))
+    assert worst <= 1e-12, worst
+
+
+def test_phase_record_at_the_critical_point():
+    # lam = 1 is the normal phase with mu = 1: the effective Hamiltonian is
+    # the quartic oscillator omega_c n - (omega_c/4) x^2 + omega_c^2 x^4 / (16 omega_0)
+    for eta in (1.0, 5000.0, 1e8):
+        p = RabiParams.from_dimensionless(1.0, eta)
+        ph = phase(p)
+        assert (ph.name, ph.alpha, ph.omega_t, ph.mu) == (NORMAL, 0.0, p.omega_0, 1.0)
+        assert ph.c2 == pytest.approx(p.omega_c / 4.0, rel=1e-15)
+        assert ph.c4 == pytest.approx(p.omega_c**2 / (16.0 * p.omega_0), rel=1e-15)
+    # inside the critical band both closed forms raise
+    for lam in (1.0 - 1e-7, 1.0, 1.0 + 1e-7):
+        p = RabiParams.from_dimensionless(lam, 1e3)
+        with pytest.raises(PhaseDomainError):
+            variance(p)
+        with pytest.raises(PhaseDomainError):
+            solve(p)
 
 
 def test_effective_np_limits():
@@ -199,8 +259,7 @@ def test_effective_sp_domain_and_coeff():
     with pytest.raises(PhaseDomainError):
         build_effective_sp(RabiParams.from_dimensionless(0.9, 1000.0), C32)
     p = RabiParams.from_dimensionless(1.01, 10000.0)
-    frame = displaced_frame(p, alpha_lambda(p))
-    coeff = -(frame.g_tilde**2) / frame.omega0_tilde
+    coeff = -phase(p).c2
     assert coeff == pytest.approx(-1.0 / (4 * 1.01**4))
     assert coeff == pytest.approx(-0.2402, abs=2e-4)
 

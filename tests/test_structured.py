@@ -36,6 +36,8 @@ from oracle import (
     converge_cutoff,
     decoherence_factor,
     echo_sweep,
+    effective_np_coeffs,
+    effective_sp_coeffs,
     ground_state,
     identity,
     number,
@@ -51,8 +53,6 @@ from rabicrit.experiments import default_config, run, validate_dispersive
 from rabicrit.hamiltonians import (
     ProbeParams,
     RabiParams,
-    _effective_np_coeffs,
-    _effective_sp_coeffs,
     alpha_lambda,
     build_displaced_rabi_band,
     build_rabi_parity,
@@ -104,8 +104,8 @@ def _dense_exact(p, probe, times, tol=TOL):
         alpha, cutoff = 0.0, converge_cutoff(bare, tol)
     else:
         alpha = alpha_lambda(p)
-        frame, cutoff = converge_cutoff((bare, lambda c: build_displaced_rabi(p, alpha, c)[0]), tol)
-        alpha = (0.0, alpha)[frame]
+        found = converge_cutoff((bare, lambda c: build_displaced_rabi(p, alpha, c)[0]), tol)
+        alpha, cutoff = (0.0, alpha)[found.frame], found.cutoff
     if alpha == 0.0:
         gs = ground_state(bare(cutoff))
         h_g = build_branch(p, probe, "g", cutoff)
@@ -371,9 +371,9 @@ def test_effective_branches_carry_no_constant():
             p = RabiParams.from_dimensionless(lam, eta)
             cutoff = FockCutoff(sweep.cutoffs[i])
             if lam <= 1.0:
-                (c2, c4, _), alpha = _effective_np_coeffs(p), 0.0
+                (c2, c4, _), alpha = effective_np_coeffs(p), 0.0
             else:
-                (c2, c4, _), alpha = _effective_sp_coeffs(p), alpha_lambda(p)
+                (c2, c4, _), alpha = effective_sp_coeffs(p), alpha_lambda(p)
             h0 = _quartic_dense(p.omega_c, c2, c4, 0.0, cutoff)
             ident = identity(h0.dims)
             n_phys = number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ident
@@ -453,6 +453,18 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
         assert np.array_equal(vec_given, vec)
         assert gs.energy == energy
         assert np.array_equal(gs.vector, vec)
+
+
+def test_cutoff_search_returns_the_energy_at_its_cutoff():
+    # `converge_cutoff` hands over the ground energy it bisected at the chosen
+    # cutoff, in the frame that converged there, and the solve reports it
+    p = RabiParams.from_dimensionless(1.05, 1e5)
+    bare = lambda c: band_ground_energy(build_rabi_parity(p, c).leading(c.dim))
+    displaced = lambda c: band_ground_energy(build_displaced_rabi_band(p, alpha_lambda(p), c))
+    found = spectra.converge_cutoff((bare, displaced), TOL)
+    assert (found.frame, found.n_max) == (1, 32)
+    assert found.energy == displaced(found.cutoff)
+    assert exact_ground_state(p, TOL).energy == found.energy
 
 
 def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):

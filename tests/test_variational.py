@@ -6,13 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from oracle import DUAL_PATH_RTOL, closed_form_x, stationarity
-from rabicrit.analytic import squeezing_np, superradiant_frame, variance_np
+from oracle import (
+    DUAL_PATH_RTOL,
+    NORMAL,
+    SUPERRADIANT,
+    closed_form_x,
+    squeezing_np,
+    stationarity,
+    superradiant_frame,
+)
+from rabicrit.analytic import variance
 from rabicrit.dynamics import echo_point
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import ProbeParams, RabiParams
-from rabicrit.variational import NORMAL, SUPERRADIANT, _cubic_coeffs, solve
+from rabicrit.variational import solve
 
 
 def test_decoupled_limit():
@@ -80,7 +88,7 @@ def test_gamma_prime_limit():
     lam = 0.9
     p = RabiParams.from_dimensionless(lam, 1e5)
     sol = solve(p)
-    assert sol.gamma_prime == pytest.approx(variance_np(p), rel=1e-3)
+    assert sol.gamma_prime == pytest.approx(variance(p), rel=1e-3)
 
 
 def test_gamma_prime_negative_clamped_not_fatal():
@@ -101,14 +109,6 @@ def test_energy_matches_mean_field_scale():
     p = RabiParams.from_dimensionless(0.5, 1e4)
     sol = solve(p)
     assert sol.energy / p.omega_0 == pytest.approx(-0.5, abs=1e-3)
-
-
-def test_phase_mismatch_errors():
-    p = RabiParams.from_dimensionless(0.5, 1e3)
-    with pytest.raises(PhaseDomainError):
-        _cubic_coeffs(SUPERRADIANT, p)
-    with pytest.raises(ValueError):
-        _cubic_coeffs("sideways", RabiParams.from_dimensionless(1.5, 1e3))
 
 
 def test_guard_band_rejected():
