@@ -12,7 +12,11 @@ transition where its cutoff search converges there first, on the displaced
 band (`hamiltonians.build_displaced_rabi_band`); the effective method, in both
 phases, on the even photon numbers of its Hamiltonian without the constant
 (`hamiltonians._quartic_band(...).even()`, from the coefficients of the
-`hamiltonians.phase` record), which conserves photon parity.
+`hamiltonians.phase` record), which conserves photon parity. Each ground
+state (`BandGround`) carries the band H its vector lives in and the physical
+photon number N in that basis (`hamiltonians.photon_number_band`), and both
+methods' probe branches are H -/+ chi N plus the probe's energy, from one
+function (`probe_branches`).
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ from .hilbert import BandMatrix, FockCutoff
 from .spectra import (
     band_ground_energy,
     band_ground_state,
+    band_moments,
     band_spectrum,
     converge_cutoff,
-    displaced_photon_moments,
 )
 from .variational import solve as variational_solve
 
@@ -109,19 +113,25 @@ def branch_echo(dg: SpectralDecomposition, de: SpectralDecomposition, ground: np
 
 @dataclass(frozen=True)
 class BandGround:
-    """Ground state of the exact or effective method at its converged cutoff,
-    in the band basis of its frame: the bare frame (`alpha` = 0) or the frame
-    displaced by `alpha` = alpha_lambda. Below the transition both methods
-    use the bare frame. Above it the effective method uses the displaced
-    frame; the exact method uses whichever of the two its cutoff search
-    converges in first (see `exact_ground_state`). The exact method's basis
-    is the even parity chain in the bare frame and spin-fastest in the
-    displaced one; the effective method's is natural Fock order. `mean_n` and
-    `gamma` are the moments of the physical photon number.
+    """Ground state of the exact or effective method at its converged cutoff:
+    the band `h` its `vector` lives in, and the physical photon number `n` in
+    that same basis, so that the probe branches are `probe_branches(h, n,
+    probe)`. The frame is the bare one (`alpha` = 0) or the one displaced by
+    `alpha` = alpha_lambda. Below the transition both methods use the bare
+    frame. Above it the effective method uses the displaced frame; the exact
+    method uses whichever of the two its cutoff search converges in first
+    (see `exact_ground_state`). The exact method's `h` is the even parity
+    chain in the bare frame and the spin-fastest band in the displaced one;
+    the effective method's is its Hamiltonian without the constant, on the
+    even photon numbers in the bare frame and in natural Fock order in the
+    displaced one. `mean_n` and `gamma` are the moments of `n`; `energy`
+    includes every constant.
     """
 
     alpha: float
     cutoff: FockCutoff
+    h: BandMatrix
+    n: BandMatrix
     energy: float
     vector: np.ndarray
     mean_n: float
@@ -135,27 +145,23 @@ class BandGround:
 def _band_ground(alphas, search, solve, cutoff_tol: float) -> BandGround:
     """One cutoff search over the frames displaced by each of `alphas`, in
     that order, on the ground energy `search(alpha, cutoff)`; then one ground
-    vector, `solve(alpha, cutoff, energy)` -> (energy, amplitudes in Fock
-    rows), in the first frame to converge, at its cutoff, given the ground
-    energy the search found there; and its physical photon-number moments."""
+    vector, `solve(alpha, cutoff, energy)` -> (h, n, energy, vector), in the
+    first frame to converge, at its cutoff, given the ground energy the
+    search found there; and the moments of its physical photon number n."""
     found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol)
     alpha, cutoff = alphas[found.frame], found.cutoff
-    energy, vec = solve(alpha, cutoff, found.energy)
-    mean_n, gamma = displaced_photon_moments(vec.reshape(cutoff.dim, -1), alpha)
-    return BandGround(alpha, cutoff, energy, vec, mean_n, gamma)
+    h, n, energy, vec = solve(alpha, cutoff, found.energy)
+    return BandGround(alpha, cutoff, h, n, energy, vec, *band_moments(n, vec))
 
 
-def _exact_band(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
-    """Both parity chains (alpha = 0) or the displaced frame (alpha > 0)."""
+def exact_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> tuple[BandMatrix, BandMatrix]:
+    """(h, n): the block of the Rabi Hamiltonian that holds the ground state,
+    and the physical photon number in its basis. Bare frame (alpha = 0): the
+    even parity chain, whose row k has k photons and which every probe branch
+    conserves. Displaced frame: the whole spin-fastest band."""
     if alpha == 0.0:
-        return build_rabi_parity(p, cutoff)
-    return build_displaced_rabi_band(p, alpha, cutoff)
-
-
-def _ground_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
-    """The block of `_exact_band` that holds the ground state."""
-    h = _exact_band(p, alpha, cutoff)
-    return h.leading(cutoff.dim) if alpha == 0.0 else h
+        return build_rabi_parity(p, cutoff).leading(cutoff.dim), photon_number_band(0.0, cutoff, 1)
+    return build_displaced_rabi_band(p, alpha, cutoff), photon_number_band(alpha, cutoff, 2)
 
 
 def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
@@ -174,13 +180,16 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     n_bare = alpha**2
 
     def search(alpha: float, cutoff: FockCutoff) -> float | None:
-        if alpha == 0.0 and cutoff.n_max < n_bare:
+        if alpha:
+            return band_ground_energy(build_displaced_rabi_band(p, alpha, cutoff))
+        if cutoff.n_max < n_bare:
             return None
-        return band_ground_energy(_exact_band(p, alpha, cutoff))
+        return band_ground_energy(build_rabi_parity(p, cutoff))
 
     def solve(alpha: float, cutoff: FockCutoff, energy: float):
         # the even chain (bare frame) is bisected anew by dstebz + dstein
-        return band_ground_state(_ground_sector(p, alpha, cutoff), energy)
+        h, n = exact_sector(p, alpha, cutoff)
+        return (h, n, *band_ground_state(h, energy))
 
     return _band_ground(alphas, search, solve, cutoff_tol)
 
@@ -191,71 +200,50 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     Hamiltonian conserves photon parity in both phases, so the cutoff search
     and the ground vector both use its even photon numbers alone, a band of
     half the dimension and half-width 2, and the energy the search bisected
-    is the one the vector is solved at. Both use the Hamiltonian without its
-    constant (-omega_0/2 at leading order), which is added once, to the
-    reported energy: kept in the band, the constant's roundoff, of order
-    eps omega_0 / gap, would stay in the vector.
+    is the one the vector is solved at. Below the transition the photon
+    number conserves parity too, and the state stays on the even block;
+    above it, its displacement term alpha x does not, and the state is
+    embedded in the full band. Both use the Hamiltonian without its constant
+    (-omega_0/2 at leading order), which is added once, to the reported
+    energy: kept in the band, the constant's roundoff, of order
+    eps omega_0 / gap, would stay in the vector and, in the branches, grow
+    into a phase error of L with t.
     """
     ph = phase(p)
 
-    def even_band(cutoff: FockCutoff) -> BandMatrix:
-        return _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff).even()
-
     def search(alpha: float, cutoff: FockCutoff) -> float:
-        return band_ground_energy(even_band(cutoff))
+        return band_ground_energy(_quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff).even())
 
     def solve(alpha: float, cutoff: FockCutoff, energy: float):
-        energy, even = band_ground_state(even_band(cutoff), energy)
+        h = _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff)
+        n = photon_number_band(alpha, cutoff, 1)
+        energy, even = band_ground_state(h.even(), energy)
+        if not alpha:
+            return h.even(), n.even(), energy + ph.const, even
         vec = np.zeros(cutoff.dim)
         vec[0::2] = even
-        return energy + ph.const, vec
+        return h, n, energy + ph.const, vec
 
     return _band_ground((ph.alpha,), search, solve, cutoff_tol)
 
 
-def exact_branch_bands(p: RabiParams, probe: ProbeParams, alpha: float,
-                       cutoff: FockCutoff) -> tuple[BandMatrix, BandMatrix]:
-    """(h_g, h_e): the Rabi Hamiltonian conditioned on the probe in |g> or
-    |e>, in the block of `_exact_band` that holds the ground state.
+# the methods that diagonalise, by name
+GROUND_STATES = {"exact": exact_ground_state, "effective": effective_ground_state}
 
-    Branch 'g': cavity frequency omega_c - chi, constant -omega_s/2.
-    Branch 'e': cavity frequency omega_c + chi, constant omega_s/2 + chi.
-    Bare frame (alpha = 0): the even parity chain, which the branches
-    conserve. Displaced frame: one common displacement applied to the
-    ground-state Hamiltonian and both branches (frame invariance of the echo
-    makes this exact; per-branch displacements would not be).
+
+def probe_branches(h: BandMatrix, n: BandMatrix, probe: ProbeParams) -> tuple[BandMatrix, BandMatrix]:
+    """(h_g, h_e): the Hamiltonian `h` conditioned on the probe in |g> or
+    |e>, h - chi n - omega_s/2 and h + chi n + omega_s/2 + chi, with `n` the
+    physical photon number in the basis of `h` (no wider a band). The probe
+    shifts the cavity frequency by -/+ chi: in either frame, h -/+ chi n is
+    the Rabi Hamiltonian rebuilt at omega_c -/+ chi, in which omega_c enters
+    only as omega_c n.
     """
     chi = probe.chi
-
-    def branch(omega_b: float, const: float) -> BandMatrix:
-        shifted = RabiParams(omega_b, p.omega_0, p.g)
-        return _ground_sector(shifted, alpha, cutoff).shifted(const)
-
-    return (branch(p.omega_c - chi, -0.5 * probe.omega_s),
-            branch(p.omega_c + chi, 0.5 * probe.omega_s + chi))
-
-
-def _effective_branches(p: RabiParams, probe: ProbeParams, gs: BandGround):
-    """(h_g, h_e, ground): boson-only effective Hamiltonians with the
-    dispersive cavity shift, in the frame of the effective ground state `gs`.
-
-    The probe couples through chi sigma_z^(s) n; in the displaced frame the
-    physical photon number is n + alpha x + alpha^2, so the branch shift
-    carries the displacement terms on the superradiant side. In the bare
-    frame the branches conserve photon parity and the ground state is even,
-    so they are restricted to the even photon numbers. The Hamiltonian's
-    constant (-omega_0/2 at leading order) is left out of both branches: it
-    is a global phase of D, and kept in, its roundoff eps omega_0 would grow
-    into a phase error of L with t.
-    """
-    chi, ph = probe.chi, phase(p)
-    h0 = _quartic_band(ph.omega_c, ph.c2, ph.c4, gs.cutoff).band
-    n_phys = photon_number_band(gs.alpha, gs.cutoff).band
-    h_g = BandMatrix(h0 - chi * n_phys).shifted(-0.5 * probe.omega_s)
-    h_e = BandMatrix(h0 + chi * n_phys).shifted(0.5 * probe.omega_s + chi)
-    if gs.alpha:
-        return h_g, h_e, gs.vector
-    return h_g.even(), h_e.even(), gs.vector[0::2]
+    n_band = np.zeros_like(h.band)
+    n_band[:n.band.shape[0]] = n.band
+    return (BandMatrix(h.band - chi * n_band).shifted(-0.5 * probe.omega_s),
+            BandMatrix(h.band + chi * n_band).shifted(0.5 * probe.omega_s + chi))
 
 
 @dataclass(frozen=True)
@@ -275,13 +263,13 @@ def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
                cutoff_tol: float) -> EchoPoint:
     """Echo L(t) at the coupling of `p`, at every t of `times`.
 
-    Methods: 'exact' (bare-frame branches for lam <= 1; above, branches in
-    the frame of `exact_ground_state`, bare or commonly displaced),
-    'effective' (boson-only fourth-order Hamiltonians),
-    'analytic' / 'variational' (Gaussian law with the respective variance,
-    the variational one clamped at 0; valid for epsilon * t << 1, epsilon the
-    ground-state excitation frequency, and evaluated at every requested t
-    regardless; `PhaseDomainError` within CRITICAL_BAND of lam = 1). The
+    Methods: 'exact' and 'effective' (`GROUND_STATES`; the branches are
+    `probe_branches` of the ground state's band and photon number, in its
+    frame), 'analytic' / 'variational' (Gaussian law with the respective
+    variance, the variational one clamped at 0; valid for epsilon * t << 1,
+    epsilon the ground-state excitation frequency, and evaluated at every
+    requested t regardless; `PhaseDomainError` within CRITICAL_BAND of
+    lam = 1). The
     exact and effective methods raise `ConvergenceError` when the cutoff
     search reaches the hard cap.
     """
@@ -294,13 +282,8 @@ def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
         else:
             gamma = max(variational_solve(p).gamma_prime, 0.0)
         return EchoPoint(short_time_le(gamma, probe.chi, times), gamma, None)
-    if method == "exact":
-        gs = exact_ground_state(p, cutoff_tol)
-        h_g, h_e = exact_branch_bands(p, probe, gs.alpha, gs.cutoff)
-        ground = gs.vector
-    elif method == "effective":
-        gs = effective_ground_state(p, cutoff_tol)
-        h_g, h_e, ground = _effective_branches(p, probe, gs)
-    else:
+    if method not in GROUND_STATES:
         raise ValueError(f"unknown method {method!r}")
-    return EchoPoint(decoherence_factor(h_g, h_e, ground, times).l_values, gs.gamma, gs)
+    gs = GROUND_STATES[method](p, cutoff_tol)
+    h_g, h_e = probe_branches(gs.h, gs.n, probe)
+    return EchoPoint(decoherence_factor(h_g, h_e, gs.vector, times).l_values, gs.gamma, gs)

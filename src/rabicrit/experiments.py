@@ -1,7 +1,10 @@
 """Figure-reproduction sweeps, flat-file config parsing, CSV/JSON reports,
 and the tripartite check of the dispersive approximation: the probe + Rabi
 evolution, one real band of half-width 6 diagonalised once, against the
-branch-echo prediction from the exact method's bare-frame branches."""
+branch-echo prediction from the exact method's even parity chain and its
+photon number (`dynamics.exact_sector`), through the branches every echo
+uses (`dynamics.probe_branches`). A sweep point solves its ground state by
+the method table of `dynamics` (`GROUND_STATES`) or a closed form."""
 
 from __future__ import annotations
 
@@ -18,13 +21,13 @@ import numpy as np
 from . import __version__
 from .analytic import CRITICAL_BAND, near_critical
 from .dynamics import (
+    GROUND_STATES,
     SpectralDecomposition,
     decoherence_factor,
     echo_point,
-    effective_ground_state,
     evolved,
-    exact_branch_bands,
-    exact_ground_state,
+    exact_sector,
+    probe_branches,
 )
 from .errors import ConvergenceError
 from .hamiltonians import ProbeParams, RabiParams, build_rabi_parity, build_tripartite_band
@@ -33,8 +36,8 @@ from .spectra import (
     CUTOFF_TOL,
     band_ground_energy,
     band_ground_state,
+    band_moments,
     converge_cutoff,
-    displaced_photon_moments,
 )
 from .variational import solve as variational_solve
 
@@ -240,8 +243,7 @@ def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
             sol = variational_solve(p)
             values = [sol.energy, sol.mean_n]
         else:
-            solve = exact_ground_state if method == "exact" else effective_ground_state
-            gs = solve(p, cfg.cutoff_tol)
+            gs = GROUND_STATES[method](p, cfg.cutoff_tol)
             values = [gs.energy, gs.mean_n]
     except ConvergenceError:
         converged, values = False, [np.nan] * len(names)
@@ -278,6 +280,8 @@ def write_report(points: list[SweepPoint], provenance: dict, path: Path):
 
 
 def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
+    """`<figure>.gp`: L against lambda and omega_c t when both are swept,
+    else against lambda, or omega_c t, or eta, the first of them swept."""
     if len(cfg.time_grid) > 1 and len(cfg.lambda_grid) > 1:
         body = (
             f"set datafile separator ','\n"
@@ -285,7 +289,7 @@ def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
             f"splot '{csv_name}' every ::1 using 3:6:8 with points title 'L'\n"
         )
     else:
-        xcol = 3 if len(cfg.lambda_grid) > 1 else 4
+        xcol = 3 if len(cfg.lambda_grid) > 1 else 6 if len(cfg.time_grid) > 1 else 4
         body = (
             f"set datafile separator ','\n"
             f"plot '{csv_name}' every ::1 using {xcol}:8 with points title '{cfg.figure}'\n"
@@ -345,8 +349,9 @@ def validate_dispersive(
             (lambda c: band_ground_energy(build_rabi_parity(p, c)),), cutoff_tol
         ).cutoff
     # the Rabi ground state: row k of the even chain is |g,k> (k even) or |e,k>
-    _, even = band_ground_state(build_rabi_parity(p, cutoff).leading(cutoff.dim))
-    mean_n, _ = displaced_photon_moments(even[:, None], 0.0)
+    h, n = exact_sector(p, 0.0, cutoff)
+    _, even = band_ground_state(h)
+    mean_n, _ = band_moments(n, even)
     dispersive = abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(mean_n + 1.0)
     if not dispersive:
         warnings.warn(
@@ -366,7 +371,7 @@ def validate_dispersive(
     # sigma_- = |g><e| on the probe
     coherence_exact = 2.0 * np.abs(np.sum(psi[:, 1].conj() * psi[:, 0], axis=(0, 1)))
     # branch-echo prediction, on the even chain that holds the ground state
-    h_g, h_e = exact_branch_bands(p, probe, 0.0, cutoff)
+    h_g, h_e = probe_branches(h, n, probe)
     series = decoherence_factor(h_g, h_e, even, times)
     coherence_pred = 2.0 * abs(np.conj(probe.alpha) * probe.beta) * np.abs(series.d_values)
     denom = np.maximum(coherence_pred, 1e-15)

@@ -13,10 +13,12 @@ Every builder returns a real symmetric `BandMatrix` in a basis ordered by
 photon number: the Rabi Hamiltonian as its two parity chains
 (`build_rabi_parity`) or spin-fastest in the displaced frame
 (`build_displaced_rabi_band`), the tripartite model with both spins fastest
-(`build_tripartite_band`), the effective Hamiltonians and the physical photon
-number in natural Fock order. Spin states are ordered (|e>, |g>). Natural
-units: the constructors accept any positive omega_c; `from_dimensionless`,
-`from_chi` and the CLI fix omega_c = 1.
+(`build_tripartite_band`) and the effective Hamiltonians in natural Fock
+order. `photon_number_band` builds the physical photon number N in each of
+these bases but the tripartite one; a probe branch of any method is then
+H -/+ chi N plus the probe's energy (`dynamics.probe_branches`). Spin states
+are ordered (|e>, |g>). Natural units: the constructors accept any positive
+omega_c; `from_dimensionless`, `from_chi` and the CLI fix omega_c = 1.
 """
 
 from __future__ import annotations
@@ -238,11 +240,14 @@ def _quartic_band(omega_c: float, c2: float, c4: float, cutoff: FockCutoff) -> B
     return BandMatrix(band)
 
 
-def photon_number_band(alpha: float, cutoff: FockCutoff) -> BandMatrix:
-    """The physical photon number n + alpha x + alpha^2 of a frame displaced
-    by alpha (alpha = 0: the bare frame), in the layout of `_quartic_band`."""
+def photon_number_band(alpha: float, cutoff: FockCutoff, spins: int) -> BandMatrix:
+    """The physical photon number N = n + alpha x + alpha^2 of the frame
+    displaced by alpha (alpha = 0: the bare frame), half-width `spins`, in a
+    basis ordered by photon number with `spins` spin states fastest: 1 for
+    natural Fock order and the parity chains (row k has k photons), 2 for the
+    spin-fastest band of `build_displaced_rabi_band`."""
     k = np.arange(cutoff.dim, dtype=float)
-    band = np.zeros((5, cutoff.dim))
-    band[0] = k + alpha**2
-    band[1, :-1] = alpha * np.sqrt(k[1:])
+    band = np.zeros((spins + 1, spins * cutoff.dim))
+    band[0] = np.repeat(k + alpha**2, spins)
+    band[spins, :-spins] = alpha * np.repeat(np.sqrt(k[1:]), spins)
     return BandMatrix(band)

@@ -1,5 +1,6 @@
-"""Ground states and spectra of real symmetric band matrices, physical
-photon-number moments, and automatic cutoff convergence.
+"""Ground states and spectra of real symmetric band matrices, the mean and
+variance of a band observable (`band_moments`, which reads the physical
+photon number's in every basis), and automatic cutoff convergence.
 
 `_band_eigh` is the one eigensolver kernel. It calls the LAPACK drivers that
 `scipy.linalg.eigh_tridiagonal` and `eig_banded` pick, with the same
@@ -147,21 +148,12 @@ def band_spectrum(h: BandMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _band_eigh(h, lowest=False)
 
 
-def displaced_photon_moments(amp: np.ndarray, alpha: float) -> tuple[float, float]:
-    """Mean and variance of the physical photon number n + alpha x + alpha^2,
-    that is (a^dag + alpha)(a + alpha), in a displaced frame.
-
-    Row k of `amp` holds the amplitudes with k photons in that frame (a
-    column per spin state, or a single column); alpha = 0 is the bare frame.
-    """
-    k = np.arange(amp.shape[0], dtype=float)
-    root = np.sqrt(k[1:])[:, None]
-    n_amp = (k + alpha**2)[:, None] * amp
-    n_amp[1:] += alpha * root * amp[:-1]
-    n_amp[:-1] += alpha * root * amp[1:]
-    mean = float(np.vdot(amp, n_amp).real)
-    mean2 = float(np.vdot(n_amp, n_amp).real)
-    return mean, max(mean2 - mean**2, 0.0)
+def band_moments(n: BandMatrix, vec: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the observable `n`, a real symmetric band matrix,
+    in the real unit vector `vec`, from one product n vec (dsbmv)."""
+    n_vec = dsbmv(n.band.shape[0] - 1, 1.0, n.band, vec, lower=1)
+    mean = float(vec @ n_vec)
+    return mean, max(float(n_vec @ n_vec) - mean**2, 0.0)
 
 
 class FrameCutoff(NamedTuple):

@@ -23,6 +23,9 @@ the tests' oracle:
     moments, the parity operator, single-time evolution;
   * the dense tripartite check of the dispersive approximation, and the
     probe's reduced state for a given decoherence factor;
+  * the finite-difference ground state of the quartic oscillator
+    P^2/2 + Y^4/4, the critical point's universal limit
+    (`QuarticOscillator`);
   * the infinite-eta ground-state summary of either phase
     (`analytic_ground_state`) and the spin mixing angle of the displaced
     frame (`spin_mixing_angle`);
@@ -46,7 +49,7 @@ from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from rabicrit import dynamics, spectra
 from rabicrit.analytic import CRITICAL_BAND
@@ -744,6 +747,52 @@ def validate_dispersive(
         max_rel_deviation=max_rel,
         dispersive_regime=abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(mean_n + 1.0),
     )
+
+
+# --- the quartic oscillator at the critical point ----------------------------
+
+
+@dataclass(frozen=True)
+class QuarticOscillator:
+    """Ground state of the dimensionless oscillator P^2/2 + Y^4/4
+    (P = -i d/dY) by finite differences: `points` grid points on
+    [-half_width, half_width], P^2 the three-point second difference with
+    psi = 0 beyond the grid.
+
+    At lam = 1 the normal-phase effective Hamiltonian
+    omega_c n - (omega_c/4) x^2 + omega_c x^4 / (16 eta) equals
+    omega_c eta^(-1/3) [P^2/2 + Y^4/4] - omega_c/2 with x = sqrt(2) eta^(1/6) Y
+    (Hwang, Puebla & Plenio, PRL 115, 180404 (2015)). There the photon number
+    is n = (eta^(1/3) Y^2 + eta^(-1/3) P^2)/2 - 1/2, and its variance tends
+    to eta^(2/3) Var(Y^2)/4 as eta -> infinity.
+    """
+
+    y: np.ndarray
+    psi: np.ndarray      # real, unit norm as a vector on the grid
+    energy: float
+
+    @classmethod
+    def solve(cls, points: int = 8000, half_width: float = 8.0) -> "QuarticOscillator":
+        y = np.linspace(-half_width, half_width, points)
+        step = y[1] - y[0]
+        w, v = eigh_tridiagonal(1.0 / step**2 + y**4 / 4.0, np.full(points - 1, -0.5 / step**2),
+                                select="i", select_range=(0, 0))
+        return cls(y, v[:, 0], float(w[0]))
+
+    @property
+    def var_y2(self) -> float:
+        """Var(Y^2)."""
+        prob = self.psi**2
+        return float(prob @ self.y**4 - (prob @ self.y**2) ** 2)
+
+    def photon_moments(self, eta: float) -> tuple[float, float]:
+        """Mean and variance of n = (eta^(1/3) Y^2 + eta^(-1/3) P^2)/2 - 1/2."""
+        scale = eta ** (1.0 / 3.0)
+        padded = np.concatenate([[0.0], self.psi, [0.0]])
+        p2_psi = -(padded[2:] - 2.0 * self.psi + padded[:-2]) / (self.y[1] - self.y[0]) ** 2
+        n_psi = 0.5 * (scale * self.y**2 * self.psi + p2_psi / scale) - 0.5 * self.psi
+        mean = float(self.psi @ n_psi)
+        return mean, float(n_psi @ n_psi) - mean**2
 
 
 # --- the closed forms ---------------------------------------------------------

@@ -227,12 +227,24 @@ def test_default_configs():
         default_config("fig9")
 
 
-@pytest.mark.parametrize("figure, axis", [("fig1", "eta"), ("fig4", "lambda"), ("fig5", "lambda")])
-def test_gnuplot_script_plots_the_swept_axis(tmp_path, figure, axis):
+def _time_series_config():
+    return SweepConfig("custom", [0.5], [100.0], [0.0, 10.0, 20.0], 1e-3, ["analytic"])
+
+
+@pytest.mark.parametrize("config, axis", [
     # fig1 sweeps eta at one lambda; fig4 is L(lambda) at t = 60 for five
-    # etas, fig5 L(lambda) at one eta
-    path = tmp_path / f"{figure}.gp"
-    write_gnuplot_script(default_config(figure), f"{figure}.csv", path)
+    # etas, fig5 L(lambda) at one eta; a custom config with one lambda, one
+    # eta and three times is L(t)
+    (lambda: default_config("fig1"), "eta"),
+    (lambda: default_config("fig4"), "lambda"),
+    (lambda: default_config("fig5"), "lambda"),
+    (_time_series_config, "omega_c_t"),
+], ids=["fig1-eta", "fig4-lambda", "fig5-lambda", "time_series-omega_c_t"])
+def test_gnuplot_script_plots_the_swept_axis(tmp_path, config, axis):
+    cfg = config()
+    cfg.validate()
+    path = tmp_path / f"{cfg.figure}.gp"
+    write_gnuplot_script(cfg, f"{cfg.figure}.csv", path)
     xcol, ycol = path.read_text().split(" using ")[1].split()[0].split(":")
     assert CSV_HEADER.split(",")[int(xcol) - 1] == axis
     assert CSV_HEADER.split(",")[int(ycol) - 1] == "value"

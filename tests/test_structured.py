@@ -64,8 +64,8 @@ from rabicrit.spectra import (
     CUTOFF_HARD_CAP,
     band_ground_energy,
     band_ground_state,
+    band_moments,
     band_spectrum,
-    displaced_photon_moments,
 )
 
 TOL = 1e-8
@@ -120,11 +120,16 @@ def _dense_exact(p, probe, times, tol=TOL):
 
         h_g = branch(p.omega_c - probe.chi, -0.5 * probe.omega_s)
         h_e = branch(p.omega_c + probe.chi, 0.5 * probe.omega_s + probe.chi)
-        ib = identity((cutoff.dim,))
-        n_phys = tensor(identity((2,)), number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ib)
+        n_phys = _dense_photon_number(alpha, cutoff)
         mean_n, gamma = operator_moments(gs.state, n_phys)
     series = decoherence_factor(h_g, h_e, gs.state, times)
     return cutoff, gs.energy, mean_n, gamma, series.l_values
+
+
+def _dense_photon_number(alpha, cutoff):
+    """I_2 (x) (n + alpha x + alpha^2), spin first, by the dense oracle."""
+    n_dense = number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * identity((cutoff.dim,))
+    return tensor(identity((2,)), n_dense)
 
 
 def test_band_builders_are_permuted_dense_builders():
@@ -139,6 +144,54 @@ def test_band_builders_are_permuted_dense_builders():
     order = _spin_fastest_order(c)
     dense = build_displaced_rabi(p, alpha, c)[0].mat.real
     assert np.array_equal(dense[np.ix_(order, order)], _dense(build_displaced_rabi_band(p, alpha, c)))
+    # the physical photon number in the same spin-fastest basis
+    n_band = photon_number_band(alpha, c, 2)
+    assert n_band.band.shape == (3, 2 * c.dim)
+    dense = _dense_photon_number(alpha, c).mat
+    assert np.abs(dense.imag).max() == 0.0
+    assert np.array_equal(dense.real[np.ix_(order, order)], _dense(n_band))
+
+
+def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
+    # H -/+ chi N plus the probe's energy is the Hamiltonian rebuilt at
+    # omega_c -/+ chi, on the even parity chain and in the displaced frame
+    eps = np.finfo(float).eps
+    c = FockCutoff(40)
+    probe = ProbeParams(6.0, 0.05, 5.0)
+    constants = (-0.5 * probe.omega_s, 0.5 * probe.omega_s + probe.chi)
+    for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
+        p = RabiParams.from_dimensionless(lam, eta)
+        shifted = [RabiParams(p.omega_c + sign * probe.chi, p.omega_0, p.g) for sign in (-1, 1)]
+        chain = lambda q: build_rabi_parity(q, c).leading(c.dim)
+        cases = [(chain, photon_number_band(0.0, c, 1))]
+        if lam > 1.0:
+            alpha = alpha_lambda(p)
+            cases.append((lambda q: build_displaced_rabi_band(q, alpha, c),
+                          photon_number_band(alpha, c, 2)))
+        for build, n in cases:
+            h = build(p)
+            for branch, q, const in zip(dynamics.probe_branches(h, n, probe), shifted, constants):
+                ref = build(q).shifted(const)
+                assert branch.band.shape == ref.band.shape
+                err = np.abs(branch.band - ref.band).max()
+                assert err <= 4.0 * eps * np.abs(ref.band).max(), (lam, eta, err)
+
+
+def test_band_moments_match_dense_operator_moments():
+    # the physical photon number's moments of the displaced band's ground
+    # vector, spin-fastest, against the dense oracle in the spin-first basis
+    c = FockCutoff(30)
+    for lam, eta in ((1.3, 20.0), (1.05, 200.0)):
+        p = RabiParams.from_dimensionless(lam, eta)
+        alpha = alpha_lambda(p)
+        _, vec = band_ground_state(build_displaced_rabi_band(p, alpha, c))
+        dense_vec = np.zeros(2 * c.dim)
+        dense_vec[_spin_fastest_order(c)] = vec
+        mean_n, gamma = band_moments(photon_number_band(alpha, c, 2), vec)
+        ref_mean, ref_gamma = operator_moments(QuantumState(dense_vec, (2, c.dim)),
+                                               _dense_photon_number(alpha, c))
+        assert mean_n == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
+        assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
 
 
 def test_tripartite_band_is_permuted_dense_tripartite():
@@ -268,7 +321,7 @@ def _even_chain_echo(p, probe, cutoff, times):
         return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff).leading(cutoff.dim)
 
     _, vec = band_ground_state(chain(p.omega_c))
-    _, gamma = displaced_photon_moments(vec[:, None], 0.0)
+    _, gamma = band_moments(photon_number_band(0.0, cutoff, 1), vec)
     series = decoherence_factor(
         chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi), QuantumState(vec), times
     )
@@ -315,15 +368,15 @@ def test_effective_band_builders_equal_dense_builders():
         cases = []
         for lam, eta in ((0.5, 20.0), (0.99, 1e5), (1.01, 1e5), (1.3, 20.0)):
             p = RabiParams.from_dimensionless(lam, eta)
-            cases.append((build_effective_np(p, c), build_effective_np_band(p, c)))
+            cases.append((build_effective_np(p, c), build_effective_np_band(p, c), 5))
             if lam > 1.0:
-                cases.append((build_effective_sp(p, c), build_effective_sp_band(p, c)))
+                cases.append((build_effective_sp(p, c), build_effective_sp_band(p, c), 5))
                 alpha = alpha_lambda(p)
                 n_dense = number(c) + alpha * quadrature_x(c) + alpha**2 * identity((c.dim,))
-                cases.append((n_dense, photon_number_band(alpha, c)))
-        cases.append((number(c), photon_number_band(0.0, c)))
-        for dense, band in cases:
-            assert band.band.shape == (5, c.dim)
+                cases.append((n_dense, photon_number_band(alpha, c, 1), 2))
+        cases.append((number(c), photon_number_band(0.0, c, 1), 2))
+        for dense, band, rows in cases:
+            assert band.band.shape == (rows, c.dim)
             assert np.abs(dense.mat.imag).max() == 0.0
             err = np.abs(dense.mat.real - _dense(band)).max()
             assert err <= 4.0 * eps * np.abs(dense.mat).max(), (n_max, err)
