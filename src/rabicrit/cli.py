@@ -8,6 +8,7 @@ validation threshold is missed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,7 +43,9 @@ _CUTOFF_TOL = {"type": _positive, "default": CUTOFF_TOL,
                "help": "ground-energy tolerance for cutoff doubling"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (`main` may run many times in one)."""
     parser = argparse.ArgumentParser(
         prog="rabicrit",
         description="Quantum Rabi model criticality: ground states, photon "

@@ -109,7 +109,7 @@ class SweepConfig:
         """Parse the flat one-key-per-line `key = value` config format."""
         keys = {f.name for f in fields(cls)}
         raw = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -264,7 +264,7 @@ def write_csv(points: list[SweepPoint], path: Path):
         tail = f",{pt.cutoff},{'true' if pt.converged else 'false'}"
         for t, name, value in zip(pt.omega_c_t, pt.value_name, pt.value):
             lines.append(f"{head}{time_text(t)},{name},{value:.17g}{tail}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_report(points: list[SweepPoint], provenance: dict, path: Path):
@@ -276,7 +276,7 @@ def write_report(points: list[SweepPoint], provenance: dict, path: Path):
         rec["lambda"] = rec.pop("lam")
         records.append(rec)
     payload = {"points": records, "provenance": provenance, "schema_version": SCHEMA_VERSION}
-    path.write_text(json.dumps(payload, sort_keys=True))
+    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
 def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
@@ -294,7 +294,7 @@ def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
             f"set datafile separator ','\n"
             f"plot '{csv_name}' every ::1 using {xcol}:8 with points title '{cfg.figure}'\n"
         )
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
 
 
 def run(config: SweepConfig, out_dir) -> list[SweepPoint]:

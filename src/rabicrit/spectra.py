@@ -9,28 +9,61 @@ argument handling: dstebz + dstein for the lowest eigenpair of a tridiagonal
 matrix, dstevd for its full spectrum, dsbevx for the lowest eigenvalue of a
 wider band and dsbevd for its full spectrum. A band's ground vector comes
 from inverse iteration (dgbtrf / dgbtrs) at its bisection eigenvalue.
+
+The drivers are scipy's own f2py functions, the very objects that
+`scipy.linalg.lapack` and `scipy.linalg.blas` expose, taken from the two
+compiled modules `scipy.linalg._flapack` and `scipy.linalg._fblas`. Those
+are loaded by file, after `import scipy` alone, so the `scipy.linalg`
+package init (about a quarter of a second: `array_api_compat`, `numpy.f2py`,
+`numpy.testing`) never runs at start-up. `_scipy_linalg_extension` keeps one
+instance of each module per process, whichever of this module and
+`scipy.linalg` is imported first.
 """
 
 from __future__ import annotations
 
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
+from types import ModuleType
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import (
-    dgbtrf,
-    dgbtrs,
-    dlamch,
-    dsbevd,
-    dsbevx,
-    dstebz,
-    dstein,
-    dstevd,
-)
+import scipy
+from numpy.linalg import LinAlgError  # the class scipy.linalg.LinAlgError names
 
 from .errors import ConvergenceError
 from .hilbert import BandMatrix, FockCutoff
+
+
+def _scipy_linalg_extension(name: str) -> ModuleType:
+    """The compiled module `scipy.linalg.<name>`, loaded from its file without
+    the `scipy.linalg` package init, or the instance already in `sys.modules`.
+    Raises `ImportError` naming the directory when no file has that name."""
+    qualname = f"scipy.linalg.{name}"
+    if qualname in sys.modules:
+        return sys.modules[qualname]
+    directory = Path(scipy.__file__).parent / "linalg"
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / (name + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no extension module {name} ({', '.join(EXTENSION_SUFFIXES)}) "
+                          f"in {directory}", name=qualname, path=str(directory))
+    loader = ExtensionFileLoader(qualname, str(path))
+    module = module_from_spec(spec_from_file_location(qualname, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[qualname] = module
+    return module
+
+
+_flapack = _scipy_linalg_extension("_flapack")
+dgbtrf, dgbtrs, dlamch = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dlamch
+dsbevd, dsbevx = _flapack.dsbevd, _flapack.dsbevx
+dstebz, dstein, dstevd = _flapack.dstebz, _flapack.dstein, _flapack.dstevd
+dsbmv = _scipy_linalg_extension("_fblas").dsbmv
 
 # the cutoff search doubles from N_START up to CUTOFF_HARD_CAP, and stops
 # where the ground energy shifts by less than a tolerance, by default CUTOFF_TOL
