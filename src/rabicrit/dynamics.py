@@ -4,12 +4,14 @@ ground states, and the Loschmidt echo at one coupling (`echo_point`).
 Every Hamiltonian is a real symmetric `BandMatrix`. Time propagation reuses
 one spectral decomposition per Hamiltonian (they are time independent) and
 evolves a state to every requested time in one matrix product (`evolved`).
-The exact and effective methods find their ground states through one path,
-which bisects the ground energy once per cutoff the search tries and hands the
-one at the chosen cutoff to the ground-vector solve: the exact method on the
-bare-frame parity chains (`hamiltonians.build_rabi_parity`) or, above the
-transition where its cutoff search converges there first, on the displaced
-band (`hamiltonians.build_displaced_rabi_band`); the effective method, in both
+The exact and effective methods find their ground states through one path:
+each hands its bands, one builder per frame, to the cutoff search
+(`spectra.converge_cutoff`), which bisects the ground energy once per cutoff
+it tries and hands the one at the chosen cutoff to the ground-vector solve.
+The exact method solves on the bare-frame parity chains
+(`hamiltonians.build_rabi_parity`) or, above the transition where its cutoff
+search converges there first, on the displaced band
+(`hamiltonians.build_displaced_rabi_band`); the effective method, in both
 phases, on the even photon numbers of its Hamiltonian without the constant
 (`hamiltonians._quartic_band(...).even()`, from the coefficients of the
 `hamiltonians.phase` record), which conserves photon parity. Each ground
@@ -38,13 +40,7 @@ from .hamiltonians import (
     photon_number_band,
 )
 from .hilbert import BandMatrix, FockCutoff
-from .spectra import (
-    band_ground_energy,
-    band_ground_state,
-    band_moments,
-    band_spectrum,
-    converge_cutoff,
-)
+from .spectra import band_ground_state, band_moments, band_spectrum, converge_cutoff
 from .variational import solve as variational_solve
 
 
@@ -144,10 +140,11 @@ class BandGround:
 
 def _band_ground(alphas, search, solve, cutoff_tol: float) -> BandGround:
     """One cutoff search over the frames displaced by each of `alphas`, in
-    that order, on the ground energy `search(alpha, cutoff)`; then one ground
-    vector, `solve(alpha, cutoff, energy)` -> (h, n, energy, vector), in the
-    first frame to converge, at its cutoff, given the ground energy the
-    search found there; and the moments of its physical photon number n."""
+    that order, on the band `search(alpha, cutoff)` (None where the frame is
+    not built); then one ground vector, `solve(alpha, cutoff, energy)` ->
+    (h, n, energy, vector), in the first frame to converge, at its cutoff,
+    given the ground energy the search bisected there; and the moments of its
+    physical photon number n."""
     found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol)
     alpha, cutoff = alphas[found.frame], found.cutoff
     h, n, energy, vec = solve(alpha, cutoff, found.energy)
@@ -179,12 +176,12 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     alphas = (0.0, alpha) if alpha else (0.0,)
     n_bare = alpha**2
 
-    def search(alpha: float, cutoff: FockCutoff) -> float | None:
+    def search(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
         if alpha:
-            return band_ground_energy(build_displaced_rabi_band(p, alpha, cutoff))
+            return build_displaced_rabi_band(p, alpha, cutoff)
         if cutoff.n_max < n_bare:
             return None
-        return band_ground_energy(build_rabi_parity(p, cutoff))
+        return build_rabi_parity(p, cutoff)
 
     def solve(alpha: float, cutoff: FockCutoff, energy: float):
         # the even chain (bare frame) is bisected anew by dstebz + dstein
@@ -211,8 +208,8 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """
     ph = phase(p)
 
-    def search(alpha: float, cutoff: FockCutoff) -> float:
-        return band_ground_energy(_quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff).even())
+    def search(alpha: float, cutoff: FockCutoff) -> BandMatrix:
+        return _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff).even()
 
     def solve(alpha: float, cutoff: FockCutoff, energy: float):
         h = _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff)

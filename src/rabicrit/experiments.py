@@ -8,12 +8,11 @@ the method table of `dynamics` (`GROUND_STATES`) or a closed form."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 import warnings
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,18 @@ from .dynamics import (
 from .errors import ConvergenceError
 from .hamiltonians import ProbeParams, RabiParams, build_rabi_parity, build_tripartite_band
 from .hilbert import FockCutoff
-from .spectra import (
-    CUTOFF_TOL,
-    band_ground_energy,
-    band_ground_state,
-    band_moments,
-    converge_cutoff,
-)
+from .spectra import CUTOFF_TOL, band_ground_state, band_moments, converge_cutoff
 from .variational import solve as variational_solve
+
+# CPython's built-in SHA-256, as `random` takes its sha512: `hashlib` would
+# map OpenSSL's libcrypto into the process for this one digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA_VERSION = 2
 CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,converged"
@@ -312,7 +315,7 @@ def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
     write_csv(points, csv_path)
     write_gnuplot_script(config, csv_path.name, out / f"{config.figure}.gp")
     provenance = {
-        "config_hash": hashlib.sha256(config.canonical_text().encode()).hexdigest(),
+        "config_hash": sha256(config.canonical_text().encode()).hexdigest(),
         "code_version": __version__,
     }
     write_report(points, provenance, out / "report.json")
@@ -345,9 +348,7 @@ def validate_dispersive(
     if cutoff is None:
         # both parity chains, so the cutoff is the one a search of the whole
         # Rabi Hamiltonian finds
-        cutoff = converge_cutoff(
-            (lambda c: band_ground_energy(build_rabi_parity(p, c)),), cutoff_tol
-        ).cutoff
+        cutoff = converge_cutoff((partial(build_rabi_parity, p),), cutoff_tol).cutoff
     # the Rabi ground state: row k of the even chain is |g,k> (k even) or |e,k>
     h, n = exact_sector(p, 0.0, cutoff)
     _, even = band_ground_state(h)

@@ -45,9 +45,10 @@ class RabiParams:
     g: float
 
     def __post_init__(self):
-        if self.omega_c <= 0 or self.omega_0 <= 0:
+        # written so that NaN fails each test too
+        if not (self.omega_c > 0 and self.omega_0 > 0):
             raise ValueError("omega_c and omega_0 must be strictly positive")
-        if self.g < 0:
+        if not self.g >= 0:
             raise ValueError("g must be non-negative")
 
     @property
@@ -91,7 +92,7 @@ class ProbeParams:
     def from_chi(cls, chi: float) -> "ProbeParams":
         """The probe detuned by delta_s = omega_c = 1 whose dispersive shift
         is chi, in an equal superposition."""
-        if chi <= 0:
+        if not chi > 0:
             raise ValueError("chi must be positive")
         return cls(2.0, sqrt(chi), 1.0)
 

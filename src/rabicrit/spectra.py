@@ -1,6 +1,9 @@
 """Ground states and spectra of real symmetric band matrices, the mean and
 variance of a band observable (`band_moments`, which reads the physical
-photon number's in every basis), and automatic cutoff convergence.
+photon number's in every basis), and automatic cutoff convergence
+(`converge_cutoff`), which bisects the ground energy at each cutoff it tries
+and compares it with the doubled cutoff's by two band Cholesky
+factorisations (dpbtrf), not by a second eigenvalue solve.
 
 `_band_eigh` is the one eigensolver kernel. It calls the LAPACK drivers that
 `scipy.linalg.eigh_tridiagonal` and `eig_banded` pick, with the same
@@ -61,7 +64,7 @@ def _scipy_linalg_extension(name: str) -> ModuleType:
 
 _flapack = _scipy_linalg_extension("_flapack")
 dgbtrf, dgbtrs, dlamch = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dlamch
-dsbevd, dsbevx = _flapack.dsbevd, _flapack.dsbevx
+dpbtrf, dsbevd, dsbevx = _flapack.dpbtrf, _flapack.dsbevd, _flapack.dsbevx
 dstebz, dstein, dstevd = _flapack.dstebz, _flapack.dstein, _flapack.dstevd
 dsbmv = _scipy_linalg_extension("_fblas").dsbmv
 
@@ -203,33 +206,55 @@ class FrameCutoff(NamedTuple):
         return self.cutoff.n_max
 
 
+def _definite(h: BandMatrix, shift: float) -> bool:
+    """Whether h - shift is positive definite, that is whether every
+    eigenvalue of h lies above `shift`: one band Cholesky factorisation,
+    which stops at the first pivot that is not positive."""
+    return dpbtrf(h.shifted(-shift).band, lower=1)[1] == 0
+
+
+def _within(h: BandMatrix, energy: float, tol: float) -> bool:
+    """Whether the lowest eigenvalue E of h lies within tol of `energy`,
+    energy - tol < E <= energy + tol: h - (energy - tol) is positive definite
+    and h - (energy + tol) is not. Both bounds are checked, because E may lie
+    on either side of `energy`."""
+    return _definite(h, energy - tol) and not _definite(h, energy + tol)
+
+
 def converge_cutoff(
-    frames: tuple[Callable[[FockCutoff], float | None], ...], tol: float
+    frames: tuple[Callable[[FockCutoff], BandMatrix | None], ...], tol: float
 ) -> FrameCutoff:
     """Smallest tested cutoff whose ground energy shifts by < tol on doubling.
 
     Doubling sequence N_START, 2 N_START, ...; hard cap CUTOFF_HARD_CAP.
-    Each of `frames` maps a cutoff to the ground energy of one Hamiltonian in
-    one frame, or to None at the cutoffs too small for that frame to converge,
+    Each of `frames` maps a cutoff to the band of one Hamiltonian in one
+    frame, or to None at the cutoffs too small for that frame to converge,
     where it is not tried. The frames share the doubling loop: at each cutoff
-    they are tested in order, and the first whose energy converges is
-    returned with its index and its energy at that cutoff.
+    n they are tested in order, and the first whose energy converges is
+    returned with its index and its ground energy E(n) at that cutoff.
+
+    E(n) is bisected (`band_ground_energy`). Whether the doubled cutoff's
+    lowest eigenvalue E(2n) lies within tol of E(n), on either side (doubling
+    need not lower it: the effective band at n is not the leading block of
+    its band at 2n), is decided by two Cholesky factorisations of H(2n)
+    (`_within`), not by bisecting E(2n). E(2n) is bisected only when n fails,
+    as the next cutoff's E(n), and the band H(2n) of a frame that fails is
+    kept for it, so that each frame builds each cutoff once.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    known: dict[tuple[int, int], float | None] = {}
-
-    def energy(frame: int, n: int) -> float | None:
-        if (frame, n) not in known:
-            known[frame, n] = frames[frame](FockCutoff(n))
-        return known[frame, n]
-
+    built: dict[int, BandMatrix] = {}  # each failed frame's H(2n), its next H(n)
     n = N_START
     while 2 * n <= CUTOFF_HARD_CAP:
-        for frame in range(len(frames)):
-            e_n = energy(frame, n)
-            if e_n is not None and abs(energy(frame, 2 * n) - e_n) < tol:
+        for frame, build in enumerate(frames):
+            h = built.pop(frame) if frame in built else build(FockCutoff(n))
+            if h is None:
+                continue
+            e_n = band_ground_energy(h)
+            h_doubled = build(FockCutoff(2 * n))
+            if _within(h_doubled, e_n, tol):
                 return FrameCutoff(frame, FockCutoff(n), e_n)
+            built[frame] = h_doubled
         n *= 2
     raise ConvergenceError(
         f"ground energy not converged to {tol} below cutoff {CUTOFF_HARD_CAP}"

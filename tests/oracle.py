@@ -35,9 +35,12 @@ the tests' oracle:
     recomputed in lam (`cubic_coeffs`, `energy_at`) from the squeezing
     parameter `variational.solve` returns.
 
-Cutoff doubling and the echo's evolution kernel are the library's own
-(`spectra.converge_cutoff`, `dynamics.branch_echo`), fed here from dense
-Hamiltonians; a `BandMatrix` is accepted wherever a Hamiltonian is.
+The cutoff search by energy comparison (`energy_search`): at each doubled
+cutoff it bisects the ground energy again and compares the two, the decision
+`spectra.converge_cutoff` makes by two Cholesky factorisations instead; it
+takes dense or band builders. The echo's evolution kernel is the library's
+own (`dynamics.branch_echo`), fed here from dense Hamiltonians; a
+`BandMatrix` is accepted wherever a Hamiltonian is.
 """
 
 from __future__ import annotations
@@ -53,7 +56,12 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from rabicrit import dynamics, spectra
 from rabicrit.analytic import CRITICAL_BAND
-from rabicrit.errors import DimensionMismatchError, PhaseDomainError, RabicritError
+from rabicrit.errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    PhaseDomainError,
+    RabicritError,
+)
 from rabicrit.experiments import DispersiveReport
 from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band, alpha_lambda
 from rabicrit.hilbert import BandMatrix, FockCutoff
@@ -575,26 +583,43 @@ def parity_operator(cutoff: FockCutoff) -> Operator:
     return Operator(np.diag(diag), (2, cutoff.dim))
 
 
-def _ground_energy(builder):
-    """`builder` as a frame of `spectra.converge_cutoff`: cutoff -> ground
-    energy, or None where it builds nothing."""
+def energy_search(frames, tol: float) -> FrameCutoff:
+    """The reference of `spectra.converge_cutoff`, by energy comparison: over
+    the same doubling sequence and frames (each a builder, cutoff -> dense
+    `Operator` or `BandMatrix`, or None where that frame is not built), the
+    first frame at the first cutoff n whose ground energy moves by less than
+    tol, |E(2n) - E(n)| < tol, with E(2n) bisected (or diagonalised) too."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    known: dict[tuple[int, int], float | None] = {}
 
-    def energy(cutoff: FockCutoff) -> float | None:
-        h = builder(cutoff)
-        if h is None:
-            return None
-        return band_ground_energy(h) if isinstance(h, BandMatrix) else ground_state(h).energy
+    def energy(frame: int, n: int) -> float | None:
+        if (frame, n) not in known:
+            h = frames[frame](FockCutoff(n))
+            if h is not None:
+                h = band_ground_energy(h) if isinstance(h, BandMatrix) else ground_state(h).energy
+            known[frame, n] = h
+        return known[frame, n]
 
-    return energy
+    n = spectra.N_START
+    while 2 * n <= spectra.CUTOFF_HARD_CAP:
+        for frame in range(len(frames)):
+            e_n = energy(frame, n)
+            if e_n is not None and abs(energy(frame, 2 * n) - e_n) < tol:
+                return FrameCutoff(frame, FockCutoff(n), e_n)
+        n *= 2
+    raise ConvergenceError(
+        f"ground energy not converged to {tol} below cutoff {spectra.CUTOFF_HARD_CAP}"
+    )
 
 
 def converge_cutoff(builder, tol: float) -> FockCutoff | FrameCutoff:
-    """`spectra.converge_cutoff` over dense (or band) builders: one builder
-    gives its `FockCutoff`, a tuple of builders of one Hamiltonian in several
-    frames the `FrameCutoff` of the first frame to converge."""
+    """`energy_search` over dense (or band) builders: one builder gives its
+    `FockCutoff`, a tuple of builders of one Hamiltonian in several frames
+    the `FrameCutoff` of the first frame to converge."""
     if isinstance(builder, tuple):
-        return spectra.converge_cutoff(tuple(map(_ground_energy, builder)), tol)
-    return spectra.converge_cutoff((_ground_energy(builder),), tol).cutoff
+        return energy_search(builder, tol)
+    return energy_search((builder,), tol).cutoff
 
 
 def converged_ground_state(

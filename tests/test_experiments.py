@@ -1,6 +1,7 @@
 """Tests for sweep configs, CSV/report output, the CLI, and the tripartite
 check of the dispersive approximation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -130,6 +131,14 @@ def test_config_hash_ignores_output_directory(tmp_path):
         assert main(["fig1", "--out", str(out)]) == 0
         hashes.add(json.loads((out / "report.json").read_text())["provenance"]["config_hash"])
     assert len(hashes) == 1
+
+
+def test_config_hash_is_the_sha256_of_the_canonical_text(tmp_path):
+    # the built-in SHA-256 the library takes, against hashlib's
+    cfg = default_config("fig1")
+    run(cfg, out_dir=tmp_path)
+    provenance = json.loads((tmp_path / "report.json").read_text())["provenance"]
+    assert provenance["config_hash"] == hashlib.sha256(cfg.canonical_text().encode()).hexdigest()
 
 
 def test_config_rejects_nan_settings(tmp_path):

@@ -53,6 +53,14 @@ def test_rabi_params_derived():
         RabiParams(1.0, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+])
+def test_rabi_params_reject_nan(args):
+    with pytest.raises(ValueError):
+        RabiParams(*args)
+
+
 def test_probe_params():
     pr = ProbeParams(2.0, 0.1, 1.0)
     assert pr.chi == pytest.approx(0.01)
@@ -67,6 +75,8 @@ def test_probe_params():
     assert pc.delta_s == pytest.approx(1.0)
     with pytest.raises(ValueError):
         ProbeParams.from_chi(-1e-3)
+    with pytest.raises(ValueError, match="chi must be positive"):
+        ProbeParams.from_chi(math.nan)
 
 
 def test_build_rabi_decoupled():

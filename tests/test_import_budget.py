@@ -5,13 +5,16 @@ a fresh child process.
 `rabicrit.cli`, and the library has no use for it; this keeps it out.
 The `scipy.linalg` package init costs more than the rest of the import
 together (its `array_api_compat` pulls in `numpy.f2py` and `numpy.testing`),
-while `rabicrit.spectra` needs only nine f2py functions from its two compiled
+while `rabicrit.spectra` needs only ten f2py functions from its two compiled
 modules; `spectra` loads those by file (naming the directory when a file is
 missing), so the package stays out too. In either import order there must be
 one instance of each module, and the functions must be the very objects
 `scipy.linalg` exposes.
 `mpmath` is a test dependency only (the variational closed-form check lives
 in the tests), so the CLI must neither import it nor need it.
+The report's config hash is one SHA-256, taken from CPython's built-in module:
+`hashlib` would map OpenSSL's libcrypto (`_hashlib`, about 3.6 MB of resident
+memory) into the process for it.
 The CLI reads and writes its files as UTF-8 whatever the locale.
 """
 
@@ -56,6 +59,13 @@ def test_cli_runs_without_mpmath(tmp_path):
     assert '"passed": true' in out.stdout
 
 
+def test_cli_run_does_not_load_openssl(tmp_path):
+    run = ("import sys; from rabicrit.cli import main; main(sys.argv[1:]); "
+           "print('_hashlib' in sys.modules)")
+    out = _child("-c", run, "fig1", "--out", str(tmp_path))
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_cli_import_does_not_load_scipy_linalg():
     out = _child("-c", "import rabicrit.cli, sys; "
                        "print([m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing') "
@@ -67,7 +77,8 @@ _SAME_DRIVERS = """
 import sys
 import scipy.linalg
 from rabicrit import spectra
-lapack = ("dgbtrf", "dgbtrs", "dlamch", "dsbevd", "dsbevx", "dstebz", "dstein", "dstevd")
+lapack = ("dgbtrf", "dgbtrs", "dlamch", "dpbtrf", "dsbevd", "dsbevx", "dstebz", "dstein",
+          "dstevd")
 print(sys.modules["scipy.linalg._flapack"] is spectra._flapack,
       all(getattr(spectra, name) is getattr(scipy.linalg.lapack, name) for name in lapack),
       spectra.dsbmv is scipy.linalg.blas.dsbmv,

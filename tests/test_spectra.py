@@ -1,10 +1,20 @@
 """Tests for ground-state selection, photon statistics, parity, and cutoff
-convergence."""
+convergence.
+
+The library's cutoff search (`spectra.converge_cutoff`) decides whether the
+ground energy moved by less than tol on doubling by two Cholesky
+factorisations of the doubled band; the oracle's (`energy_search`, and
+`converge_cutoff` over dense builders) bisects both energies and compares
+them. The tests below hold the two decisions equal.
+"""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracle import (
     LayoutError,
@@ -13,15 +23,17 @@ from oracle import (
     build_rabi,
     converge_cutoff,
     converged_ground_state,
+    energy_search,
     ground_state,
     operator_moments,
     parity_operator,
     photon_moments,
     squeeze,
 )
+from rabicrit import dynamics, spectra
 from rabicrit.errors import ConvergenceError
-from rabicrit.hamiltonians import RabiParams
-from rabicrit.hilbert import FockCutoff
+from rabicrit.hamiltonians import RabiParams, build_rabi_parity
+from rabicrit.hilbert import BandMatrix, FockCutoff
 
 
 def test_ground_state_decoupled():
@@ -111,29 +123,123 @@ def test_ground_state_definite_parity():
 
 def test_converge_cutoff_decoupled():
     p = RabiParams(1.0, 3.0, 0.0)
-    c = converge_cutoff(lambda cc: build_rabi(p, cc), 1e-12)
-    assert c.n_max == 8
+    found = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-12)
+    assert found.n_max == 8
+    assert found.energy == -1.5
+    assert converge_cutoff(lambda cc: build_rabi(p, cc), 1e-12) == found.cutoff
 
 
 def test_converge_cutoff_self_consistent():
+    # the library's cutoff on the parity chains, checked by dense energies
     p = RabiParams.from_dimensionless(0.99, 5000.0)
-    c = converge_cutoff(lambda cc: build_rabi(p, cc), 1e-9)
+    c = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-9).cutoff
     e1 = ground_state(build_rabi(p, c)).energy
     e2 = ground_state(build_rabi(p, FockCutoff(2 * c.n_max))).energy
     assert abs(e1 - e2) < 1e-9
+    assert converge_cutoff(lambda cc: build_rabi(p, cc), 1e-9) == c
 
 
 def test_converge_cutoff_errors():
     p = RabiParams(1.0, 3.0, 0.0)
-    with pytest.raises(ValueError):
-        converge_cutoff(lambda cc: build_rabi(p, cc), 0.0)
+    for tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValueError):
+            spectra.converge_cutoff((partial(build_rabi_parity, p),), tol)
+        with pytest.raises(ValueError):
+            converge_cutoff(lambda cc: build_rabi(p, cc), tol)
 
-    # synthetic never-converging family: ground energy drifts with the cutoff
+    # synthetic never-converging family: ground energy drifts with the
+    # cutoff, up to the cap, each cutoff built once
+    built = []
+
     def drifting(cc):
+        built.append(cc.n_max)
+        return BandMatrix(np.array([[-float(cc.n_max), 1.0], [0.0, 0.0]]))
+
+    with pytest.raises(ConvergenceError):
+        spectra.converge_cutoff((drifting,), 1e-12)
+    assert built == [spectra.N_START << k for k in range(10)]
+    assert built[-1] == spectra.CUTOFF_HARD_CAP
+
+    def drifting_dense(cc):
         return Operator(np.diag([-float(cc.n_max), 1.0]), (2,))
 
     with pytest.raises(ConvergenceError):
-        converge_cutoff(drifting, 1e-12)
+        converge_cutoff(drifting_dense, 1e-12)
+
+
+@given(width=st.integers(1, 4), dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-3.0, 8.0), offset=st.floats(-2.0, 2.0), tol=st.floats(-10.0, 0.0))
+@settings(max_examples=300, deadline=None)
+def test_definiteness_decides_as_the_energy_comparison(width, dim, seed, scale, offset, tol):
+    # `_within`, H - (e - tol) positive definite and H - (e + tol) not,
+    # against |E - e| < tol with E bisected, on random bands of any norm, for
+    # an e within two tolerances of E. Away from the boundary |E - e| = tol
+    # they must agree: Cholesky succeeds or fails within a few eps ||H|| of E
+    # (at most 3.2 eps ||H||_inf on 3,000 random bands), the bisection is as
+    # accurate, and forming e -/+ tol rounds by eps (|e| + tol)
+    rng = np.random.default_rng(seed)
+    band = 10.0**scale * rng.standard_normal((width + 1, dim))
+    h = BandMatrix(band)
+    energy = spectra.band_ground_energy(h)
+    row_max = np.abs(band).max(axis=1)
+    norm = row_max[0] + 2.0 * row_max[1:].sum()  # ||H||_inf
+    tol = 10.0**tol * norm
+    e = energy + offset * tol
+    margin = 16.0 * np.finfo(float).eps * (norm + abs(e) + tol)
+    assume(abs(abs(energy - e) - tol) > margin)
+    assert spectra._within(h, e, tol) == (abs(energy - e) < tol)
+
+
+@pytest.mark.parametrize("method", ["exact", "effective"])
+def test_cutoff_search_equals_the_energy_comparison(monkeypatch, method):
+    # the method's own band builders, searched by both decisions: the same
+    # frame, cutoff and bisected energy, bit for bit
+    compared = []
+
+    def both(frames, tol):
+        found = spectra.converge_cutoff(frames, tol)
+        compared.append((found, energy_search(frames, tol)))
+        return found
+
+    monkeypatch.setattr(dynamics, "converge_cutoff", both)
+    for eta in (1e3, 1e5, 1e7):
+        for lam in (0.5, 0.99, 0.9999, 1.0, 1.001, 1.01, 1.05, 1.3):
+            compared.clear()
+            dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
+            ((found, reference),) = compared
+            assert found == reference, (lam, eta)
+
+
+@pytest.mark.parametrize("method, points", [
+    ("exact", [(0.5, 1e3), (0.99, 1e5), (1.005, 5000.0), (1.05, 500.0), (1.05, 1e5)]),
+    ("effective", [(0.5, 1e3), (0.99, 1e5), (1.05, 1e5)]),
+])
+def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
+    # the accepted cutoff's doubled band is only factorised: every eigensolve
+    # of the ground-state path is smaller. At lam = 1.05, eta = 500 the
+    # displaced frame is accepted at a cutoff where the bare chains, of the
+    # same doubled dimension, are built too
+    dims, searches = [], []
+    eigh = spectra._band_eigh
+
+    def counted(h, lowest, eigvals_only=False):
+        dims.append(h.dim)
+        return eigh(h, lowest, eigvals_only)
+
+    def search(frames, tol):
+        found = spectra.converge_cutoff(frames, tol)
+        searches.append((frames, found))
+        return found
+
+    monkeypatch.setattr(spectra, "_band_eigh", counted)
+    monkeypatch.setattr(dynamics, "converge_cutoff", search)
+    for lam, eta in points:
+        dims.clear()
+        searches.clear()
+        dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
+        ((frames, found),) = searches
+        doubled = frames[found.frame](FockCutoff(2 * found.n_max)).dim
+        assert dims and max(dims) < doubled, (lam, eta, max(dims), doubled)
 
 
 def test_ground_energy_monotone_in_cutoff():

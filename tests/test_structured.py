@@ -293,7 +293,8 @@ def test_exact_frame_is_the_first_to_converge():
     p = RabiParams.from_dimensionless(1.05, 1e5)
     gs = exact_ground_state(p, TOL)
     assert (gs.frame, gs.alpha, gs.cutoff.n_max) == ("displaced", alpha_lambda(p), 32)
-    assert converge_cutoff(lambda c: build_displaced_rabi_band(p, gs.alpha, c), TOL) == gs.cutoff
+    displaced = lambda c: build_displaced_rabi_band(p, gs.alpha, c)
+    assert spectra.converge_cutoff((displaced,), TOL).cutoff == gs.cutoff
 
 
 def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
@@ -485,7 +486,7 @@ def test_effective_even_search_matches_full_band_with_constant():
     for lam, eta in cases:
         p = RabiParams.from_dimensionless(lam, eta)
         build = build_effective_sp_band if lam > 1.0 else build_effective_np_band
-        cutoff = converge_cutoff(lambda c: build(p, c), TOL)
+        cutoff = spectra.converge_cutoff((lambda c: build(p, c),), TOL).cutoff
         gs = dynamics.effective_ground_state(p, TOL)
         assert gs.cutoff == cutoff, (lam, eta)
         energy = band_ground_energy(build(p, cutoff))
@@ -512,11 +513,11 @@ def test_cutoff_search_returns_the_energy_at_its_cutoff():
     # `converge_cutoff` hands over the ground energy it bisected at the chosen
     # cutoff, in the frame that converged there, and the solve reports it
     p = RabiParams.from_dimensionless(1.05, 1e5)
-    bare = lambda c: band_ground_energy(build_rabi_parity(p, c).leading(c.dim))
-    displaced = lambda c: band_ground_energy(build_displaced_rabi_band(p, alpha_lambda(p), c))
+    bare = lambda c: build_rabi_parity(p, c).leading(c.dim)
+    displaced = lambda c: build_displaced_rabi_band(p, alpha_lambda(p), c)
     found = spectra.converge_cutoff((bare, displaced), TOL)
     assert (found.frame, found.n_max) == (1, 32)
-    assert found.energy == displaced(found.cutoff)
+    assert found.energy == band_ground_energy(displaced(found.cutoff))
     assert exact_ground_state(p, TOL).energy == found.energy
 
 
