@@ -8,17 +8,19 @@ The exact and effective methods find their ground states through one path:
 each hands its bands, one builder per frame, to the cutoff search
 (`spectra.converge_cutoff`), which bisects the ground energy once per cutoff
 it tries and hands the one at the chosen cutoff to the ground-vector solve.
-The exact method solves on the bare-frame parity chains
-(`hamiltonians.build_rabi_parity`) or, above the transition where its cutoff
-search converges there first, on the displaced band
-(`hamiltonians.build_displaced_rabi_band`); the effective method, in both
+The exact method solves on the bare frame's even parity chain
+(`hamiltonians.build_rabi_parity`), which holds the ground state, or, above
+the transition where its cutoff search converges there first, on the
+displaced band (`hamiltonians.build_displaced_rabi_band`), each the same band
+for the search and the solve (`exact_sector`); the effective method, in both
 phases, on the even photon numbers of its Hamiltonian without the constant
 (`hamiltonians._quartic_band(...).even()`, from the coefficients of the
-`hamiltonians.phase` record), which conserves photon parity. Each ground
-state (`BandGround`) carries the band H its vector lives in and the physical
-photon number N in that basis (`hamiltonians.photon_number_band`), and both
-methods' probe branches are H -/+ chi N plus the probe's energy, from one
-function (`probe_branches`).
+`hamiltonians.phase` record), which conserves photon parity. Every ground
+vector comes from one kernel, inverse iteration at the searched energy
+(`spectra.band_ground_state`). Each ground state (`BandGround`) carries the
+band H its vector lives in and the physical photon number N in that basis
+(`hamiltonians.photon_number_band`), and both methods' probe branches are
+H -/+ chi N plus the probe's energy, from one function (`probe_branches`).
 """
 
 from __future__ import annotations
@@ -151,14 +153,16 @@ def _band_ground(alphas, search, solve, cutoff_tol: float) -> BandGround:
     return BandGround(alpha, cutoff, h, n, energy, vec, *band_moments(n, vec))
 
 
-def exact_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> tuple[BandMatrix, BandMatrix]:
-    """(h, n): the block of the Rabi Hamiltonian that holds the ground state,
-    and the physical photon number in its basis. Bare frame (alpha = 0): the
-    even parity chain, whose row k has k photons and which every probe branch
-    conserves. Displaced frame: the whole spin-fastest band."""
+def exact_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
+    """The band of the Rabi Hamiltonian that holds the ground state in the
+    frame displaced by `alpha`, on which the exact method both searches its
+    cutoff and solves its ground vector. Bare frame (alpha = 0): the even
+    parity chain, whose row k has k photons and which every probe branch
+    conserves. Displaced frame: the whole spin-fastest band, two rows per
+    photon number."""
     if alpha == 0.0:
-        return build_rabi_parity(p, cutoff).leading(cutoff.dim), photon_number_band(0.0, cutoff, 1)
-    return build_displaced_rabi_band(p, alpha, cutoff), photon_number_band(alpha, cutoff, 2)
+        return build_rabi_parity(p, cutoff)
+    return build_displaced_rabi_band(p, alpha, cutoff)
 
 
 def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
@@ -169,23 +173,22 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     displaced frame where the two wells are far apart, the bare one where
     tunnelling between them still matters. The bare frame holds both wells
     only with about alpha_lambda^2 photons, the mean-field photon number, so
-    it is not built below that cutoff. The search sees both parity chains,
-    as a dense solve would; the state comes from one solve of the even chain.
+    it is not built below that cutoff. Each frame is one band
+    (`exact_sector`), the same for the search and the solve, and the vector
+    is solved at the energy the search bisected.
     """
     alpha = phase(p).alpha
     alphas = (0.0, alpha) if alpha else (0.0,)
     n_bare = alpha**2
 
     def search(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
-        if alpha:
-            return build_displaced_rabi_band(p, alpha, cutoff)
-        if cutoff.n_max < n_bare:
+        if not alpha and cutoff.n_max < n_bare:
             return None
-        return build_rabi_parity(p, cutoff)
+        return exact_sector(p, alpha, cutoff)
 
     def solve(alpha: float, cutoff: FockCutoff, energy: float):
-        # the even chain (bare frame) is bisected anew by dstebz + dstein
-        h, n = exact_sector(p, alpha, cutoff)
+        h = exact_sector(p, alpha, cutoff)
+        n = photon_number_band(alpha, cutoff, h.dim // cutoff.dim)  # spins per photon number
         return (h, n, *band_ground_state(h, energy))
 
     return _band_ground(alphas, search, solve, cutoff_tol)

@@ -1,10 +1,11 @@
 """Figure-reproduction sweeps, flat-file config parsing, CSV/JSON reports,
 and the tripartite check of the dispersive approximation: the probe + Rabi
 evolution, one real band of half-width 6 diagonalised once, against the
-branch-echo prediction from the exact method's even parity chain and its
-photon number (`dynamics.exact_sector`), through the branches every echo
-uses (`dynamics.probe_branches`). A sweep point solves its ground state by
-the method table of `dynamics` (`GROUND_STATES`) or a closed form."""
+branch-echo prediction from the exact method's bare-frame band, the even
+parity chain (`dynamics.exact_sector`), and its photon number, through the
+branches every echo uses (`dynamics.probe_branches`). A sweep point solves
+its ground state by the method table of `dynamics` (`GROUND_STATES`) or a
+closed form."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .dynamics import (
     probe_branches,
 )
 from .errors import ConvergenceError
-from .hamiltonians import ProbeParams, RabiParams, build_rabi_parity, build_tripartite_band
+from .hamiltonians import ProbeParams, RabiParams, build_tripartite_band, photon_number_band
 from .hilbert import FockCutoff
 from .spectra import CUTOFF_TOL, band_ground_state, band_moments, converge_cutoff
 from .variational import solve as variational_solve
@@ -345,13 +346,13 @@ def validate_dispersive(
     |Delta_s| >> g_s sqrt(<n> + 1) is violated.
     """
     times = np.asarray(times, dtype=float)
+    energy = None  # at a given cutoff, the solve bisects it
     if cutoff is None:
-        # both parity chains, so the cutoff is the one a search of the whole
-        # Rabi Hamiltonian finds
-        cutoff = converge_cutoff((partial(build_rabi_parity, p),), cutoff_tol).cutoff
+        found = converge_cutoff((partial(exact_sector, p, 0.0),), cutoff_tol)
+        cutoff, energy = found.cutoff, found.energy
     # the Rabi ground state: row k of the even chain is |g,k> (k even) or |e,k>
-    h, n = exact_sector(p, 0.0, cutoff)
-    _, even = band_ground_state(h)
+    h, n = exact_sector(p, 0.0, cutoff), photon_number_band(0.0, cutoff, 1)
+    _, even = band_ground_state(h, energy)
     mean_n, _ = band_moments(n, even)
     dispersive = abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(mean_n + 1.0)
     if not dispersive:

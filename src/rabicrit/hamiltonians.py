@@ -10,8 +10,8 @@ fourth-order effective Hamiltonian; `_quartic_band` builds that Hamiltonian
 without its constant.
 
 Every builder returns a real symmetric `BandMatrix` in a basis ordered by
-photon number: the Rabi Hamiltonian as its two parity chains
-(`build_rabi_parity`) or spin-fastest in the displaced frame
+photon number: the Rabi Hamiltonian on its even parity chain, which holds
+the ground state (`build_rabi_parity`), or spin-fastest in the displaced frame
 (`build_displaced_rabi_band`), the tripartite model with both spins fastest
 (`build_tripartite_band`) and the effective Hamiltonians in natural Fock
 order. `photon_number_band` builds the physical photon number N in each of
@@ -24,7 +24,7 @@ omega_c; `from_dimensionless`, `from_chi` and the CLI fix omega_c = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -77,10 +77,13 @@ class ProbeParams:
     beta: complex = 1.0 / sqrt(2.0)
 
     def __post_init__(self):
-        if self.delta_s == 0.0:
+        # written so that NaN fails each test too
+        if not (isfinite(self.omega_s) and isfinite(self.g_s)):
+            raise ValueError("omega_s and g_s must be finite")
+        if not abs(self.delta_s) > 0:
             raise ValueError("delta_s must be nonzero (dispersive regime)")
         nrm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, must be 1")
 
     @property
@@ -151,23 +154,20 @@ def phase(p: RabiParams) -> Phase:
 
 
 def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
-    """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag) as a
-    real tridiagonal matrix in parity order.
+    """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag) on
+    its even parity chain |g,0>, |e,1>, |g,2>, ..., a real tridiagonal matrix
+    whose row k has k photons.
 
-    Rows 0..n_max are the even parity chain |g,0>, |e,1>, |g,2>, ..., which
-    holds the ground state; rows n_max+1.. are the odd chain |e,0>, |g,1>,
-    .... Row k of either chain has k photons. The Hamiltonian conserves
-    parity, so the sub-diagonal entry joining the chains is zero and
-    `leading(cutoff.dim)` is the even chain alone.
+    H conserves the parity exp(i pi (a^dag a + (1 + sigma_z)/2)), so the
+    chain is an invariant block, and the model's ground state is even at
+    every lam. Above lam = 1 the odd chain's lowest level joins it as a
+    nearly degenerate doublet, split by the tunnelling between the two wells.
     """
     k = np.arange(cutoff.dim, dtype=float)
     spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
-    hop = -p.g * np.sqrt(k + 1.0)
-    hop[-1] = 0.0
-    band = np.array([
-        np.concatenate([p.omega_c * k + spin, p.omega_c * k - spin]),
-        np.concatenate([hop, hop]),
-    ])
+    band = np.zeros((2, cutoff.dim))
+    band[0] = p.omega_c * k + spin
+    band[1, :-1] = -p.g * np.sqrt(k[1:])
     return BandMatrix(band)
 
 
@@ -245,7 +245,7 @@ def photon_number_band(alpha: float, cutoff: FockCutoff, spins: int) -> BandMatr
     """The physical photon number N = n + alpha x + alpha^2 of the frame
     displaced by alpha (alpha = 0: the bare frame), half-width `spins`, in a
     basis ordered by photon number with `spins` spin states fastest: 1 for
-    natural Fock order and the parity chains (row k has k photons), 2 for the
+    natural Fock order and the even parity chain (row k has k photons), 2 for the
     spin-fastest band of `build_displaced_rabi_band`."""
     k = np.arange(cutoff.dim, dtype=float)
     band = np.zeros((spins + 1, spins * cutoff.dim))

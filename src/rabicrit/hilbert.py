@@ -5,7 +5,9 @@ solved in.
 real symmetric band matrix: each Hamiltonian of the exact and effective
 methods and of the tripartite check is real symmetric and banded in a basis
 ordered by photon number (see the `*_band` / `*_parity` builders in
-`hamiltonians`).
+`hamiltonians`). Each is built as the block it is solved on; the one block
+taken from a built band is `even()`, the effective Hamiltonian's even photon
+numbers.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class BandMatrix:
         band = self.band.copy()
         band[0] += const
         return BandMatrix(band)
-
-    def leading(self, m: int) -> "BandMatrix":
-        """The leading m x m principal block."""
-        return BandMatrix(self.band[:, :m])
 
     def even(self) -> "BandMatrix":
         """Rows and columns 0, 2, 4, ..., with half the half-width: an

@@ -8,10 +8,11 @@ factorisations (dpbtrf), not by a second eigenvalue solve.
 `_band_eigh` is the one eigensolver kernel. It calls the LAPACK drivers that
 `scipy.linalg.eigh_tridiagonal` and `eig_banded` pick, with the same
 arguments, so its results are theirs bit for bit without their per-call
-argument handling: dstebz + dstein for the lowest eigenpair of a tridiagonal
-matrix, dstevd for its full spectrum, dsbevx for the lowest eigenvalue of a
-wider band and dsbevd for its full spectrum. A band's ground vector comes
-from inverse iteration (dgbtrf / dgbtrs) at its bisection eigenvalue.
+argument handling, in two modes: the lowest eigenvalue alone, by bisection
+(dstebz for a tridiagonal matrix, dsbevx for a wider band), and the full
+spectrum with eigenvectors (dstevd, dsbevd). Every ground vector, of a
+tridiagonal matrix or a wider band, comes from one kernel, inverse iteration
+(dgbtrf / dgbtrs) at its bisection eigenvalue (`band_ground_state`).
 
 The drivers are scipy's own f2py functions, the very objects that
 `scipy.linalg.lapack` and `scipy.linalg.blas` expose, taken from the two
@@ -65,7 +66,7 @@ def _scipy_linalg_extension(name: str) -> ModuleType:
 _flapack = _scipy_linalg_extension("_flapack")
 dgbtrf, dgbtrs, dlamch = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dlamch
 dpbtrf, dsbevd, dsbevx = _flapack.dpbtrf, _flapack.dsbevd, _flapack.dsbevx
-dstebz, dstein, dstevd = _flapack.dstebz, _flapack.dstein, _flapack.dstevd
+dstebz, dstevd = _flapack.dstebz, _flapack.dstevd
 dsbmv = _scipy_linalg_extension("_fblas").dsbmv
 
 # the cutoff search doubles from N_START up to CUTOFF_HARD_CAP, and stops
@@ -93,63 +94,55 @@ def _check(info: int, driver: str):
         raise LinAlgError(f"{driver} failed (LAPACK info={info})")
 
 
-def _band_eigh(h: BandMatrix, lowest: bool, eigvals_only: bool = False):
-    """The lowest eigenpair (`lowest`) or all eigenpairs, in ascending order,
-    of a real symmetric band matrix: eigenvalues `w`, and unless
-    `eigvals_only` the eigenvectors `v` as columns. Raises `ValueError` on a
-    non-finite entry and `LinAlgError` when a driver reports failure."""
+def _band_eigh(h: BandMatrix, lowest: bool):
+    """The lowest eigenvalue `w` (`lowest`, an array of one), or all
+    eigenvalues `w` in ascending order and the eigenvectors `v` as columns,
+    of a real symmetric band matrix. Raises `ValueError` on a non-finite
+    entry and `LinAlgError` when a driver reports failure."""
     band = h.band
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    vectors = not eigvals_only
     if h.dim == 1:
         # eigh_tridiagonal's shortcut, and what both band drivers return
-        w, v = band[0, :1].copy(), np.ones((1, 1))
-    elif band.shape[0] == 2:
+        w = band[0, :1].copy()
+        return w if lowest else (w, np.ones((1, 1)))
+    if band.shape[0] == 2:
         d, e = band[0], band[1, :-1]
         if lowest:
-            # index range 1..1, abstol 0; block order when dstein follows
-            m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0,
-                                                "B" if vectors else "E")
+            # index range 1..1, abstol 0
+            m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "E")
             _check(info, "dstebz")
-            w = w[:m]
-            if vectors:
-                v, info = dstein(d, e, w, iblock, isplit)
-                _check(info, "dstein")
-        else:
-            w, v, info = dstevd(d, e, compute_v=vectors)
-            _check(info, "dstevd")
-    elif lowest:
-        w, v, m, _, info = dsbevx(band, 0.0, 1.0, 1, 1, compute_v=vectors, range=2,
+            return w[:m]
+        w, v, info = dstevd(d, e, compute_v=1)
+        _check(info, "dstevd")
+        return w, v
+    if lowest:
+        w, _, m, _, info = dsbevx(band, 0.0, 1.0, 1, 1, compute_v=0, range=2,
                                   lower=1, abstol=SBEVX_ABSTOL, mmax=1, overwrite_ab=0)
         _check(info, "dsbevx")
-        w, v = w[:m], v[:, :m]
-    else:
-        w, v, info = dsbevd(band, compute_v=vectors, lower=1, overwrite_ab=0)
-        _check(info, "dsbevd")
-    return w if eigvals_only else (w, v)
+        return w[:m]
+    w, v, info = dsbevd(band, compute_v=1, lower=1, overwrite_ab=0)
+    _check(info, "dsbevd")
+    return w, v
 
 
 def band_ground_energy(h: BandMatrix) -> float:
     """Lowest eigenvalue of a real symmetric band matrix (bisection only)."""
-    return float(_band_eigh(h, lowest=True, eigvals_only=True)[0])
+    return float(_band_eigh(h, lowest=True)[0])
 
 
 def band_ground_state(h: BandMatrix, energy: float | None = None) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a real symmetric band matrix, phase-fixed.
+    """Lowest eigenpair of a real symmetric band matrix, tridiagonal or
+    wider, phase-fixed.
 
-    A tridiagonal matrix goes to dstebz + dstein, and `energy` is not used. A
-    wider band takes its lowest eigenvalue E0, `energy` when given (as
-    `band_ground_energy` returned it for this matrix) or else bisected here,
-    and inverse iteration on the band itself (one LU factorisation, then a
-    solve per step), which never forms the dense orthogonal factor of the
-    band reduction; it stops once, after at least two solves,
+    The lowest eigenvalue E0 is `energy` when given (as `band_ground_energy`
+    returned it for this matrix) or else bisected here. The vector comes from
+    inverse iteration on the band itself (one LU factorisation, then a solve
+    per step), which never forms the dense orthogonal factor of the band
+    reduction; it stops once, after at least two solves,
     ||(H - E0) x|| <= RESIDUAL_EPS eps ||H||. The shift sits a few ulps below
     E0, so H - shift is never exactly singular (say, for a diagonal H).
     """
-    if h.band.shape[0] == 2:
-        w, v = _band_eigh(h, lowest=True)
-        return float(w[0]), _fix_phase(v[:, 0])
     if energy is None:
         energy = band_ground_energy(h)
     n, width = h.dim, h.band.shape[0] - 1

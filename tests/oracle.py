@@ -15,7 +15,9 @@ the tests' oracle:
     `variance_sp`). The library reads all of them from one record,
     `hamiltonians.phase(p)`, which is tested against these references;
   * the dense builders of the Rabi, branch, tripartite, displaced-frame and
-    effective Hamiltonians, and the effective Hamiltonians as full real bands
+    effective Hamiltonians, the Rabi Hamiltonian as both its parity chains
+    (`build_rabi_parity_chains`), which the library's bare frame once
+    searched, and the effective Hamiltonians as full real bands
     with their constants (`build_effective_np_band`,
     `build_effective_sp_band`), which the library's effective method once
     searched and solved; it now uses the constant-free even block;
@@ -509,6 +511,22 @@ def build_effective_sp_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
     order of the frame displaced by alpha_lambda; requires lam > 1."""
     c2, c4, const = effective_sp_coeffs(p)
     return _quartic_band(p.omega_c, c2, c4, cutoff).shifted(const)
+
+
+def build_rabi_parity_chains(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+    """`build_rabi` as a real tridiagonal matrix in parity order, both parity
+    chains: rows 0..n_max are the even chain |g,0>, |e,1>, |g,2>, ... (the
+    library's `build_rabi_parity`), rows n_max+1.. the odd chain |e,0>,
+    |g,1>, .... Row k of either chain has k photons; the sub-diagonal entry
+    joining the chains is zero."""
+    k = np.arange(cutoff.dim, dtype=float)
+    spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
+    hop = -p.g * np.sqrt(k + 1.0)
+    hop[-1] = 0.0
+    return BandMatrix(np.array([
+        np.concatenate([p.omega_c * k + spin, p.omega_c * k - spin]),
+        np.concatenate([hop, hop]),
+    ]))
 
 
 # --- ground states and moments ----------------------------------------------

@@ -79,6 +79,16 @@ def test_probe_params():
         ProbeParams.from_chi(math.nan)
 
 
+@pytest.mark.parametrize("field", ["omega_s", "g_s", "delta_s", "alpha", "beta"])
+def test_probe_params_reject_nan(field):
+    # each guard is written so that NaN fails it; a NaN amplitude makes the
+    # norm NaN, which the norm check must reject too
+    fields = {"omega_s": 2.0, "g_s": 0.1, "delta_s": 1.0, "alpha": 0.6, "beta": 0.8}
+    fields[field] = math.nan
+    with pytest.raises(ValueError):
+        ProbeParams(**fields)
+
+
 def test_build_rabi_decoupled():
     p = RabiParams(1.0, 3.0, 0.0)
     gs = ground_state(build_rabi(p, C32))

@@ -77,8 +77,7 @@ _SAME_DRIVERS = """
 import sys
 import scipy.linalg
 from rabicrit import spectra
-lapack = ("dgbtrf", "dgbtrs", "dlamch", "dpbtrf", "dsbevd", "dsbevx", "dstebz", "dstein",
-          "dstevd")
+lapack = ("dgbtrf", "dgbtrs", "dlamch", "dpbtrf", "dsbevd", "dsbevx", "dstebz", "dstevd")
 print(sys.modules["scipy.linalg._flapack"] is spectra._flapack,
       all(getattr(spectra, name) is getattr(scipy.linalg.lapack, name) for name in lapack),
       spectra.dsbmv is scipy.linalg.blas.dsbmv,

@@ -21,6 +21,7 @@ from oracle import (
     Operator,
     QuantumState,
     build_rabi,
+    build_rabi_parity_chains,
     converge_cutoff,
     converged_ground_state,
     energy_search,
@@ -32,6 +33,7 @@ from oracle import (
 )
 from rabicrit import dynamics, spectra
 from rabicrit.errors import ConvergenceError
+from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import RabiParams, build_rabi_parity
 from rabicrit.hilbert import BandMatrix, FockCutoff
 
@@ -130,7 +132,7 @@ def test_converge_cutoff_decoupled():
 
 
 def test_converge_cutoff_self_consistent():
-    # the library's cutoff on the parity chains, checked by dense energies
+    # the library's cutoff on the even parity chain, checked by dense energies
     p = RabiParams.from_dimensionless(0.99, 5000.0)
     c = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-9).cutoff
     e1 = ground_state(build_rabi(p, c)).energy
@@ -222,9 +224,9 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
     dims, searches = [], []
     eigh = spectra._band_eigh
 
-    def counted(h, lowest, eigvals_only=False):
+    def counted(h, lowest):
         dims.append(h.dim)
-        return eigh(h, lowest, eigvals_only)
+        return eigh(h, lowest)
 
     def search(frames, tol):
         found = spectra.converge_cutoff(frames, tol)
@@ -240,6 +242,61 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
         ((frames, found),) = searches
         doubled = frames[found.frame](FockCutoff(2 * found.n_max)).dim
         assert dims and max(dims) < doubled, (lam, eta, max(dims), doubled)
+
+
+def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
+    # the bare frame is the even parity chain alone; searched over both
+    # parity chains, as a dense solve sees the Rabi Hamiltonian, with the
+    # same alpha_lambda^2 gate, it must pick the same frame and cutoff (or
+    # reach the cap too), its energy equal to roundoff
+    compared = []
+
+    def capped(frames, tol):
+        try:
+            return spectra.converge_cutoff(frames, tol)
+        except ConvergenceError:
+            return None
+
+    def both(frames, tol):
+        chains = lambda c: None if frames[0](c) is None else build_rabi_parity_chains(p, c)
+        compared.append((capped(frames, tol), capped((chains, *frames[1:]), tol)))
+        return spectra.converge_cutoff(frames, tol)
+
+    monkeypatch.setattr(dynamics, "converge_cutoff", both)
+    lams = sorted(set(critical_lambda_grid()) | {0.3, 0.9999, 1.0, 1.0005, 1.001, 1.005, 2.0, 3.0})
+    for eta in (1.0, 10.0, 50.0, 200.0, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 1e6, 1e7):
+        for lam in lams:
+            p = RabiParams.from_dimensionless(lam, eta)
+            compared.clear()
+            try:
+                dynamics.exact_ground_state(p, 1e-8)
+            except ConvergenceError:
+                pass
+            ((even, chains),) = compared
+            assert (even is None) == (chains is None), (lam, eta)
+            if even is not None:
+                assert (even.frame, even.cutoff) == (chains.frame, chains.cutoff), (lam, eta)
+                assert even.energy == pytest.approx(chains.energy, rel=1e-14, abs=0.0), (lam, eta)
+
+
+@pytest.mark.parametrize("lam, eta", [(0.5, 1e3), (0.99, 1e5), (0.9999, 1e6)])
+def test_bare_frame_bisects_once_per_tried_cutoff(monkeypatch, lam, eta):
+    # the bare frame is one band, the even chain of dimension n + 1: the
+    # search bisects it once at each cutoff n it tries, and the solve runs
+    # inverse iteration at the last of those energies without bisecting again
+    calls = []
+    eigh = spectra._band_eigh
+
+    def counted(h, lowest):
+        calls.append((h.dim, lowest))
+        return eigh(h, lowest)
+
+    monkeypatch.setattr(spectra, "_band_eigh", counted)
+    gs = dynamics.exact_ground_state(RabiParams.from_dimensionless(lam, eta), 1e-8)
+    assert gs.frame == "bare"
+    tried = [n for n in (spectra.N_START << k for k in range(10)) if n <= gs.cutoff.n_max]
+    assert tried[-1] == gs.cutoff.n_max
+    assert calls == [(n + 1, True) for n in tried]
 
 
 def test_ground_energy_monotone_in_cutoff():

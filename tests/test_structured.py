@@ -2,7 +2,7 @@
 dense oracle.
 
 The exact method solves the Rabi Hamiltonian as a real tridiagonal matrix
-(the two parity chains of the bare frame) or as a real band matrix of
+(the even parity chain of the bare frame) or as a real band matrix of
 half-width 3 (the displaced frame). Below the transition it uses the bare
 frame; above it, the first frame whose ground energy converges in one
 doubling search (bare first at each cutoff, and not below the mean-field
@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scipy.linalg import eig_banded
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 import rabicrit.dynamics as dynamics
 import rabicrit.spectra as spectra
@@ -32,6 +32,7 @@ from oracle import (
     build_effective_sp,
     build_effective_sp_band,
     build_rabi,
+    build_rabi_parity_chains,
     build_tripartite,
     converge_cutoff,
     decoherence_factor,
@@ -82,7 +83,7 @@ def _dense(h: BandMatrix) -> np.ndarray:
 
 
 def _parity_order(cutoff):
-    """Dense (spin-first) index of each row of `build_rabi_parity`."""
+    """Dense (spin-first) index of each row of `build_rabi_parity_chains`."""
     k = np.arange(cutoff.dim)
     g, e = cutoff.dim + k, k
     return np.concatenate([np.where(k % 2 == 0, g, e), np.where(k % 2 == 0, e, g)])
@@ -138,7 +139,11 @@ def test_band_builders_are_permuted_dense_builders():
     order = _parity_order(c)
     dense = build_rabi(p, c).mat
     assert np.abs(dense.imag).max() == 0.0
-    assert np.array_equal(dense.real[np.ix_(order, order)], _dense(build_rabi_parity(p, c)))
+    chains = build_rabi_parity_chains(p, c)
+    assert np.array_equal(dense.real[np.ix_(order, order)], _dense(chains))
+    # the even chain is the leading block, split off by a zero entry
+    assert chains.band[1, c.n_max] == 0.0
+    assert np.array_equal(build_rabi_parity(p, c).band, chains.band[:, :c.dim])
     p = RabiParams.from_dimensionless(1.3, 20.0)
     alpha = alpha_lambda(p)
     order = _spin_fastest_order(c)
@@ -162,8 +167,7 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
         p = RabiParams.from_dimensionless(lam, eta)
         shifted = [RabiParams(p.omega_c + sign * probe.chi, p.omega_0, p.g) for sign in (-1, 1)]
-        chain = lambda q: build_rabi_parity(q, c).leading(c.dim)
-        cases = [(chain, photon_number_band(0.0, c, 1))]
+        cases = [(lambda q: build_rabi_parity(q, c), photon_number_band(0.0, c, 1))]
         if lam > 1.0:
             alpha = alpha_lambda(p)
             cases.append((lambda q: build_displaced_rabi_band(q, alpha, c),
@@ -241,9 +245,10 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, n_max, bound):
 
 def test_band_solvers_match_dense_eigh():
     c = FockCutoff(40)
-    chains = build_rabi_parity(RabiParams.from_dimensionless(0.9, 50.0), c)
+    p = RabiParams.from_dimensionless(0.9, 50.0)
+    chain = build_rabi_parity(p, c)
     displaced = build_displaced_rabi_band(RabiParams.from_dimensionless(1.2, 50.0), 2.0, c)
-    for h in (chains, displaced):
+    for h in (chain, displaced):
         w, v = np.linalg.eigh(_dense(h))
         assert band_ground_energy(h) == pytest.approx(w[0], abs=1e-11)
         energy, vec = band_ground_state(h)
@@ -253,9 +258,9 @@ def test_band_solvers_match_dense_eigh():
         w_all, v_all = band_spectrum(h)
         assert np.abs(w_all - w).max() < 1e-11
         assert np.abs(_dense(h) @ v_all - v_all * w_all).max() < 1e-10
-    # the even parity chain holds the ground state
-    assert band_ground_energy(chains.leading(c.dim)) == pytest.approx(
-        band_ground_energy(chains), abs=1e-11
+    # the even parity chain holds the ground state of both chains
+    assert band_ground_energy(chain) == pytest.approx(
+        band_ground_energy(build_rabi_parity_chains(p, c)), abs=1e-11
     )
 
 
@@ -285,7 +290,7 @@ def test_exact_path_matches_dense_oracle():
 
 
 def test_exact_frame_is_the_first_to_converge():
-    # above the transition the bare parity chains win where tunnelling
+    # above the transition the bare even chain wins where tunnelling
     # between the wells matters, the displaced band where the wells are far
     # apart (alpha_lambda^2 = 25 and 511)
     gs = exact_ground_state(RabiParams.from_dimensionless(1.005, 5000.0), TOL)
@@ -319,7 +324,7 @@ def _even_chain_echo(p, probe, cutoff, times):
     """(gamma, L) from the even parity chain at a fixed cutoff."""
 
     def chain(omega_c):
-        return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff).leading(cutoff.dim)
+        return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff)
 
     _, vec = band_ground_state(chain(p.omega_c))
     _, gamma = band_moments(photon_number_band(0.0, cutoff, 1), vec)
@@ -457,21 +462,28 @@ def test_effective_ground_records_match_dense(tmp_path):
 
 
 def test_inverse_iteration_vector_matches_eig_banded():
-    # near the transition, where the gap is small and eta scales ||H||
+    # near the transition, where the gap is small and eta scales ||H||: the
+    # displaced and effective bands against eig_banded, the even parity chain
+    # against eigh_tridiagonal
+    cases = []
     for lam, eta, n_max in ((1.005, 5000.0, 512), (1.005, 1e5, 512), (0.995, 1e5, 256)):
-        p = RabiParams.from_dimensionless(lam, eta)
-        c = FockCutoff(n_max)
-        bands = [build_effective_np_band(p, c)] if lam < 1.0 else [
+        p, c = RabiParams.from_dimensionless(lam, eta), FockCutoff(n_max)
+        cases += [build_effective_np_band(p, c)] if lam < 1.0 else [
             build_displaced_rabi_band(p, alpha_lambda(p), c), build_effective_sp_band(p, c)]
-        for h in bands:
-            energy, vec = band_ground_state(h)
+    for lam, eta, n_max in ((0.995, 1e5, 256), (1.005, 5000.0, 128), (0.9999, 1e6, 2048)):
+        cases.append(build_rabi_parity(RabiParams.from_dimensionless(lam, eta), FockCutoff(n_max)))
+    for h in cases:
+        energy, vec = band_ground_state(h)
+        if h.band.shape[0] == 2:
+            w, v = eigh_tridiagonal(h.band[0], h.band[1, :-1], select="i", select_range=(0, 0))
+        else:
             w, v = eig_banded(h.band, lower=True, select="i", select_range=(0, 0))
-            ref = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
-            assert energy == w[0]
-            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
-            assert np.abs(vec - ref).max() < 1e-9, (lam, eta, np.abs(vec - ref).max())
-            resid = _dense(h) @ vec - energy * vec
-            assert np.linalg.norm(resid) <= 8.0 * np.finfo(float).eps * np.abs(_dense(h)).sum(axis=1).max()
+        ref = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
+        assert energy == w[0]
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(vec - ref).max() < 1e-9, (h.band.shape, np.abs(vec - ref).max())
+        resid = _dense(h) @ vec - energy * vec
+        assert np.linalg.norm(resid) <= 8.0 * np.finfo(float).eps * np.abs(_dense(h)).sum(axis=1).max()
 
 
 def test_effective_even_search_matches_full_band_with_constant():
@@ -494,13 +506,15 @@ def test_effective_even_search_matches_full_band_with_constant():
 
 
 def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
-    # the displaced band's ground vector is solved at the energy its cutoff
-    # search bisected, not at a second bisection of the same band
-    for lam, eta in ((1.005, 1e5), (1.05, 1e5), (1.3, 200.0)):
+    # the ground vector is solved at the energy its cutoff search bisected,
+    # not at a second bisection of the same band, in either frame
+    for lam, eta, frame in ((1.005, 1e5, "displaced"), (1.05, 1e5, "displaced"),
+                            (1.3, 200.0, "displaced"), (1.005, 5000.0, "bare"),
+                            (0.99, 1e5, "bare"), (0.9999, 1e6, "bare")):
         p = RabiParams.from_dimensionless(lam, eta)
         gs = exact_ground_state(p, TOL)
-        assert gs.frame == "displaced", (lam, eta)
-        h = build_displaced_rabi_band(p, gs.alpha, gs.cutoff)
+        assert gs.frame == frame, (lam, eta)
+        h = dynamics.exact_sector(p, gs.alpha, gs.cutoff)
         energy, vec = band_ground_state(h)
         given, vec_given = band_ground_state(h, band_ground_energy(h))
         assert given == energy
@@ -513,7 +527,7 @@ def test_cutoff_search_returns_the_energy_at_its_cutoff():
     # `converge_cutoff` hands over the ground energy it bisected at the chosen
     # cutoff, in the frame that converged there, and the solve reports it
     p = RabiParams.from_dimensionless(1.05, 1e5)
-    bare = lambda c: build_rabi_parity(p, c).leading(c.dim)
+    bare = lambda c: build_rabi_parity(p, c)
     displaced = lambda c: build_displaced_rabi_band(p, alpha_lambda(p), c)
     found = spectra.converge_cutoff((bare, displaced), TOL)
     assert (found.frame, found.n_max) == (1, 32)
