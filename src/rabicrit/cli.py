@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from math import isfinite
 
 import numpy as np
 
@@ -21,11 +22,12 @@ from .spectra import CUTOFF_TOL
 
 
 def _checked(cast, test, wanted: str):
-    """An argparse type: `cast`, then reject a value failing `test` (NaN too)."""
+    """An argparse type: `cast`, then reject a value that is not finite or
+    fails `test`."""
 
     def parse(text: str):
         value = cast(text)
-        if not test(value):
+        if not (isfinite(value) and test(value)):
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
@@ -34,9 +36,9 @@ def _checked(cast, test, wanted: str):
 
 
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-_positive = _checked(float, lambda v: v > 0, "positive")
-_non_negative = _checked(float, lambda v: v >= 0, "non-negative")
-_nonzero = _checked(float, lambda v: abs(v) > 0, "nonzero")
+_positive = _checked(float, lambda v: v > 0, "finite and positive")
+_non_negative = _checked(float, lambda v: v >= 0, "finite and non-negative")
+_nonzero = _checked(float, lambda v: v != 0, "finite and nonzero")
 
 _OUT = {"default": ".", "help": "output directory"}
 _CUTOFF_TOL = {"type": _positive, "default": CUTOFF_TOL,

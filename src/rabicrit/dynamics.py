@@ -1,9 +1,9 @@
 """Branch time evolution, the decoherence factor, the exact and effective
 ground states, and the Loschmidt echo at one coupling (`echo_point`).
 
-Every Hamiltonian is a real symmetric `BandMatrix`. Time propagation reuses
-one spectral decomposition per Hamiltonian (they are time independent) and
-evolves a state to every requested time in one matrix product (`evolved`).
+Every Hamiltonian is a real symmetric `BandMatrix`. The echo is one
+function, `decoherence_factor`, which returns D(t): it evolves the ground
+state to every time in one product per branch spectrum (`evolved`).
 The exact and effective methods find their ground states through one path:
 each hands its bands, one builder per frame, to the cutoff search
 (`spectra.converge_cutoff`), which bisects the ground energy once per cutoff
@@ -20,7 +20,7 @@ vector comes from one kernel, inverse iteration at the searched energy
 (`spectra.band_ground_state`). Each ground state (`BandGround`) carries the
 band H its vector lives in and the physical photon number N in that basis
 (`hamiltonians.photon_number_band`), and both methods' probe branches are
-H -/+ chi N plus the probe's energy, from one function (`probe_branches`).
+H -/+ chi N, from one function (`probe_branches`).
 """
 
 from __future__ import annotations
@@ -46,19 +46,6 @@ from .spectra import band_ground_state, band_moments, band_spectrum, converge_cu
 from .variational import solve as variational_solve
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and real orthonormal eigenvectors (columns) of
-    a real symmetric matrix."""
-
-    energies: np.ndarray
-    vectors: np.ndarray
-
-    @classmethod
-    def of(cls, h: BandMatrix) -> "SpectralDecomposition":
-        return cls(*band_spectrum(h))
-
-
 def _matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     """v @ z for a real v and a complex (or real) z, as one real product on
     the interleaved real and imaginary parts of z, so v is never cast to
@@ -68,45 +55,29 @@ def _matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out.view(complex).reshape(v.shape[0], *z.shape[1:])
 
 
-def evolved(d: SpectralDecomposition, vec: np.ndarray, times: np.ndarray,
+def evolved(energies: np.ndarray, vectors: np.ndarray, vec: np.ndarray, times: np.ndarray,
             e_ref: float) -> np.ndarray:
-    """exp(-i (H - e_ref) t) vec at every t of `times`, a column per time,
-    in one matrix product: V (exp(-i (E - e_ref) t) * V^T vec)."""
-    coeff = _matmul(d.vectors.T, vec)
-    phases = np.exp(-1j * np.outer(d.energies - e_ref, times))
-    return _matmul(d.vectors, phases * coeff[:, None])
-
-
-@dataclass(frozen=True)
-class EchoSeries:
-    times: np.ndarray
-    d_values: np.ndarray
-    l_values: np.ndarray
+    """exp(-i (H - e_ref) t) vec at every t of `times`, a column per time, from
+    H's `band_spectrum` (E, V) in one product: V (exp(-i (E - e_ref) t) * V^T vec)."""
+    coeff = _matmul(vectors.T, vec)
+    phases = np.exp(-1j * np.outer(energies - e_ref, times))
+    return _matmul(vectors, phases * coeff[:, None])
 
 
 def decoherence_factor(h_g: BandMatrix, h_e: BandMatrix, ground: np.ndarray,
-                       times) -> EchoSeries:
-    """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>, each
-    branch evolved to every time in one matrix product (`branch_echo`)."""
-    return branch_echo(SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e),
-                       ground, times)
-
-
-def branch_echo(dg: SpectralDecomposition, de: SpectralDecomposition, ground: np.ndarray,
-                times) -> EchoSeries:
-    """The decoherence factor of `decoherence_factor` from the spectra of
-    the two branches."""
-    if dg.vectors.shape != de.vectors.shape:
-        raise DimensionMismatchError(
-            f"branch dims differ: {dg.vectors.shape[0]} vs {de.vectors.shape[0]}"
-        )
+                       times) -> np.ndarray:
+    """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>, at
+    every t of `times`, each branch evolved to every time in one matrix
+    product (`evolved`). The echo is L(t) = |D(t)|^2."""
+    if h_g.dim != h_e.dim:
+        raise DimensionMismatchError(f"branch dims differ: {h_g.dim} vs {h_e.dim}")
     times = np.asarray(times, dtype=float)
-    # A common energy offset is a global phase that cancels in D; removing it
-    # keeps the phases E t small (E is near -omega_0/2).
-    e_ref = dg.energies[0]
-    d_vals = np.sum(evolved(dg, ground, times, e_ref).conj()
-                    * evolved(de, ground, times, e_ref), axis=0)
-    return EchoSeries(times=times, d_values=d_vals, l_values=np.abs(d_vals) ** 2)
+    (w_g, v_g), (w_e, v_e) = band_spectrum(h_g), band_spectrum(h_e)
+    # A common energy offset is a global phase that cancels in |D|; removing
+    # it keeps the phases E t small (E is near -omega_0/2).
+    e_ref = w_g[0]
+    return np.sum(evolved(w_g, v_g, ground, times, e_ref).conj()
+                  * evolved(w_e, v_e, ground, times, e_ref), axis=0)
 
 
 @dataclass(frozen=True)
@@ -232,18 +203,17 @@ GROUND_STATES = {"exact": exact_ground_state, "effective": effective_ground_stat
 
 
 def probe_branches(h: BandMatrix, n: BandMatrix, probe: ProbeParams) -> tuple[BandMatrix, BandMatrix]:
-    """(h_g, h_e): the Hamiltonian `h` conditioned on the probe in |g> or
-    |e>, h - chi n - omega_s/2 and h + chi n + omega_s/2 + chi, with `n` the
-    physical photon number in the basis of `h` (no wider a band). The probe
-    shifts the cavity frequency by -/+ chi: in either frame, h -/+ chi n is
-    the Rabi Hamiltonian rebuilt at omega_c -/+ chi, in which omega_c enters
-    only as omega_c n.
+    """(h_g, h_e) = (h - chi n, h + chi n): the Hamiltonian `h` conditioned
+    on the probe in |g> or |e>, with `n` the physical photon number in the
+    basis of `h` (no wider a band). The probe shifts the cavity frequency by
+    -/+ chi: in either frame, h -/+ chi n is the Rabi Hamiltonian rebuilt at
+    omega_c -/+ chi, in which omega_c enters only as omega_c n. The probe's
+    own energy is left out of both: it changes only the phase of D.
     """
     chi = probe.chi
     n_band = np.zeros_like(h.band)
     n_band[:n.band.shape[0]] = n.band
-    return (BandMatrix(h.band - chi * n_band).shifted(-0.5 * probe.omega_s),
-            BandMatrix(h.band + chi * n_band).shifted(0.5 * probe.omega_s + chi))
+    return BandMatrix(h.band - chi * n_band), BandMatrix(h.band + chi * n_band)
 
 
 @dataclass(frozen=True)
@@ -251,8 +221,7 @@ class EchoPoint:
     """The echo L(t) at one coupling, the photon-number variance `gamma` of
     the ground state it probes, and that ground state: the `BandGround` of
     the exact or effective method, which holds the point's cutoff and frame,
-    or None for the closed forms and at lam = 0, where nothing is
-    diagonalised."""
+    or None for the closed forms, which diagonalise nothing."""
 
     l_values: np.ndarray
     gamma: float
@@ -274,8 +243,6 @@ def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
     search reaches the hard cap.
     """
     times = np.asarray(times, dtype=float)
-    if p.lam == 0.0:
-        return EchoPoint(np.ones_like(times), 0.0, None)
     if method in ("analytic", "variational"):
         if method == "analytic":
             gamma = variance(p)
@@ -286,4 +253,4 @@ def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
         raise ValueError(f"unknown method {method!r}")
     gs = GROUND_STATES[method](p, cutoff_tol)
     h_g, h_e = probe_branches(gs.h, gs.n, probe)
-    return EchoPoint(decoherence_factor(h_g, h_e, gs.vector, times).l_values, gs.gamma, gs)
+    return EchoPoint(np.abs(decoherence_factor(h_g, h_e, gs.vector, times)) ** 2, gs.gamma, gs)

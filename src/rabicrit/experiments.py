@@ -1,11 +1,11 @@
-"""Figure-reproduction sweeps, flat-file config parsing, CSV/JSON reports,
-and the tripartite check of the dispersive approximation: the probe + Rabi
-evolution, one real band of half-width 6 diagonalised once, against the
-branch-echo prediction from the exact method's bare-frame band, the even
-parity chain (`dynamics.exact_sector`), and its photon number, through the
-branches every echo uses (`dynamics.probe_branches`). A sweep point solves
-its ground state by the method table of `dynamics` (`GROUND_STATES`) or a
-closed form."""
+"""Figure-reproduction sweeps, flat-file config parsing (every value checked
+finite before the output directory is made), CSV/JSON reports, and the
+tripartite check of the dispersive approximation: the probe + Rabi band
+(half-width 6), diagonalised once and evolved by `dynamics.evolved`, against
+|D| of `dynamics.decoherence_factor` on the branches H -/+ chi N
+(`dynamics.probe_branches`) of the exact method's bare-frame band, the even
+parity chain (`dynamics.exact_sector`). A sweep point solves its ground state
+by the method table of `dynamics` (`GROUND_STATES`) or a closed form."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import time
 import warnings
 from dataclasses import dataclass, fields
 from functools import cache, partial
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from . import __version__
 from .analytic import CRITICAL_BAND, near_critical
 from .dynamics import (
     GROUND_STATES,
-    SpectralDecomposition,
     decoherence_factor,
     echo_point,
     evolved,
@@ -32,7 +32,7 @@ from .dynamics import (
 from .errors import ConvergenceError
 from .hamiltonians import ProbeParams, RabiParams, build_tripartite_band, photon_number_band
 from .hilbert import FockCutoff
-from .spectra import CUTOFF_TOL, band_ground_state, band_moments, converge_cutoff
+from .spectra import CUTOFF_TOL, band_ground_state, band_moments, band_spectrum, converge_cutoff
 from .variational import solve as variational_solve
 
 # CPython's built-in SHA-256, as `random` takes its sha512: `hashlib` would
@@ -75,15 +75,19 @@ class SweepConfig:
         ):
             if not grid:
                 raise ValueError(f"{name} must be non-empty")
+            if not all(map(isfinite, grid)):
+                raise ValueError(f"{name} values must be finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
-        # written so that NaN fails each test too
         if not all(v >= 0 for v in self.lambda_grid):
             raise ValueError("lambda_grid values must be non-negative")
         if not all(v > 0 for v in self.eta_grid):
             raise ValueError("eta_grid values must be positive")
         if not all(v >= 0 for v in self.time_grid):
             raise ValueError("time_grid values must be non-negative")
+        for name in ("chi", "cutoff_tol"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.cutoff_tol > 0:
             raise ValueError("cutoff_tol must be positive")
         for m in self.methods:
@@ -367,15 +371,15 @@ def validate_dispersive(
     rabi[1::2, 0], rabi[0::2, 1] = even[1::2], even[0::2]
     probe_vec = np.array([probe.beta, probe.alpha], dtype=complex)
     psi0 = (probe_vec[:, None] * rabi[:, None, :]).ravel()
-    decomp = SpectralDecomposition.of(build_tripartite_band(p, probe, cutoff))
-    psi = evolved(decomp, psi0, times, decomp.energies[0]).reshape(cutoff.dim, 2, 2, -1)
+    w, v = band_spectrum(build_tripartite_band(p, probe, cutoff))
+    psi = evolved(w, v, psi0, times, w[0]).reshape(cutoff.dim, 2, 2, -1)
     # coherence magnitude convention: 2 |<sigma_->| = 2 |rho_eg|, with
     # sigma_- = |g><e| on the probe
     coherence_exact = 2.0 * np.abs(np.sum(psi[:, 1].conj() * psi[:, 0], axis=(0, 1)))
     # branch-echo prediction, on the even chain that holds the ground state
     h_g, h_e = probe_branches(h, n, probe)
-    series = decoherence_factor(h_g, h_e, even, times)
-    coherence_pred = 2.0 * abs(np.conj(probe.alpha) * probe.beta) * np.abs(series.d_values)
+    d = decoherence_factor(h_g, h_e, even, times)
+    coherence_pred = 2.0 * abs(np.conj(probe.alpha) * probe.beta) * np.abs(d)
     denom = np.maximum(coherence_pred, 1e-15)
     max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))
     return DispersiveReport(

@@ -16,9 +16,9 @@ the ground state (`build_rabi_parity`), or spin-fastest in the displaced frame
 (`build_tripartite_band`) and the effective Hamiltonians in natural Fock
 order. `photon_number_band` builds the physical photon number N in each of
 these bases but the tripartite one; a probe branch of any method is then
-H -/+ chi N plus the probe's energy (`dynamics.probe_branches`). Spin states
-are ordered (|e>, |g>). Natural units: the constructors accept any positive
-omega_c; `from_dimensionless`, `from_chi` and the CLI fix omega_c = 1.
+H -/+ chi N (`dynamics.probe_branches`). Spin states are ordered (|e>, |g>).
+Natural units: the constructors accept any positive and finite omega_c;
+`from_dimensionless`, `from_chi` and the CLI fix omega_c = 1.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class RabiParams:
     g: float
 
     def __post_init__(self):
-        # written so that NaN fails each test too
+        if not all(map(isfinite, (self.omega_c, self.omega_0, self.g))):
+            raise ValueError("omega_c, omega_0 and g must be finite")
         if not (self.omega_c > 0 and self.omega_0 > 0):
             raise ValueError("omega_c and omega_0 must be strictly positive")
         if not self.g >= 0:
@@ -77,13 +78,12 @@ class ProbeParams:
     beta: complex = 1.0 / sqrt(2.0)
 
     def __post_init__(self):
-        # written so that NaN fails each test too
-        if not (isfinite(self.omega_s) and isfinite(self.g_s)):
-            raise ValueError("omega_s and g_s must be finite")
+        if not all(map(isfinite, (self.omega_s, self.g_s, self.delta_s))):
+            raise ValueError("omega_s, g_s and delta_s must be finite")
         if not abs(self.delta_s) > 0:
             raise ValueError("delta_s must be nonzero (dispersive regime)")
         nrm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(nrm - 1.0) <= 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # a NaN amplitude fails it too
             raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, must be 1")
 
     @property

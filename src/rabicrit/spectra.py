@@ -29,6 +29,7 @@ from __future__ import annotations
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_file_location
+from math import isfinite
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, NamedTuple
@@ -234,8 +235,8 @@ def converge_cutoff(
     as the next cutoff's E(n), and the band H(2n) of a frame that fails is
     kept for it, so that each frame builds each cutoff once.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     built: dict[int, BandMatrix] = {}  # each failed frame's H(2n), its next H(n)
     n = N_START
     while 2 * n <= CUTOFF_HARD_CAP:

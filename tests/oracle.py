@@ -40,21 +40,23 @@ the tests' oracle:
 The cutoff search by energy comparison (`energy_search`): at each doubled
 cutoff it bisects the ground energy again and compares the two, the decision
 `spectra.converge_cutoff` makes by two Cholesky factorisations instead; it
-takes dense or band builders. The echo's evolution kernel is the library's
-own (`dynamics.branch_echo`), fed here from dense Hamiltonians; a
-`BandMatrix` is accepted wherever a Hamiltonian is.
+takes dense or band builders. The echo (`decoherence_factor`) is the
+oracle's own: the full spectrum of each branch by dense `eigh` (or scipy's
+band solvers for a `BandMatrix`, accepted wherever a Hamiltonian is), both
+branches evolved to every time in one product, so it shares no code with
+`dynamics.decoherence_factor`, which it checks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import atan, exp, log, pi, sinh, sqrt
+from math import atan, exp, isfinite, log, pi, sinh, sqrt
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 
 from rabicrit import dynamics, spectra
 from rabicrit.analytic import CRITICAL_BAND
@@ -607,8 +609,8 @@ def energy_search(frames, tol: float) -> FrameCutoff:
     `Operator` or `BandMatrix`, or None where that frame is not built), the
     first frame at the first cutoff n whose ground energy moves by less than
     tol, |E(2n) - E(n)| < tol, with E(2n) bisected (or diagonalised) too."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     known: dict[tuple[int, int], float | None] = {}
 
     def energy(frame: int, n: int) -> float | None:
@@ -660,31 +662,45 @@ def converged_ground_state(
 # --- dynamics -----------------------------------------------------------------
 
 
-class SpectralDecomposition(dynamics.SpectralDecomposition):
-    """`dynamics.SpectralDecomposition` of a `BandMatrix` or of a dense real
-    symmetric `Operator` (every Hamiltonian here is real), so that the
-    library's evolution kernel, which takes real eigenvectors, applies."""
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Eigenvalues (ascending) and real orthonormal eigenvectors (columns) of
+    a dense real symmetric `Operator`, by `numpy.linalg.eigh`, or of a
+    `BandMatrix`, by scipy's `eigh_tridiagonal` or `eig_banded` (every
+    Hamiltonian here is real)."""
+
+    energies: np.ndarray
+    vectors: np.ndarray
 
     @classmethod
     def of(cls, h: Operator | BandMatrix) -> "SpectralDecomposition":
         if isinstance(h, BandMatrix):
-            return super().of(h)
+            if h.band.shape[0] == 2:
+                return cls(*eigh_tridiagonal(h.band[0], h.band[1, :-1]))
+            return cls(*eig_banded(h.band, lower=True))
         if not h.is_hermitian():
             raise ValueError("spectral decomposition requires a Hermitian operator")
         if np.abs(h.mat.imag).max() > 0.0:
             raise ValueError("the dense oracle evolves real symmetric operators only")
         return cls(*np.linalg.eigh(h.mat.real))
 
+    def evolved(self, vec: np.ndarray, times, e_ref: float = 0.0) -> np.ndarray:
+        """exp(-i (H - e_ref) t) vec at every t of `times`, a column per
+        time. The real eigenvectors multiply the real and imaginary parts
+        apart, so they are never copied to complex."""
+        v = self.vectors
+        if vec.shape[0] != v.shape[0]:
+            raise DimensionMismatchError(
+                f"state dim {vec.shape[0]} vs decomposition dim {v.shape[0]}"
+            )
+        coeff = v.T @ vec.real + 1j * (v.T @ vec.imag)
+        z = np.exp(-1j * np.outer(self.energies - e_ref, times)) * coeff[:, None]
+        return v @ z.real + 1j * (v @ z.imag)
+
 
 def evolve(decomp: SpectralDecomposition, psi0: QuantumState, t: float) -> QuantumState:
-    """psi(t) = V exp(-i Lambda t) V^dag psi0 at one time t."""
-    if psi0.dim != decomp.vectors.shape[0]:
-        raise DimensionMismatchError(
-            f"state dim {psi0.dim} vs decomposition dim {decomp.vectors.shape[0]}"
-        )
-    coeff = decomp.vectors.conj().T @ psi0.vec
-    vec = decomp.vectors @ (np.exp(-1j * decomp.energies * t) * coeff)
-    return QuantumState(vec, psi0.dims)
+    """psi(t) = V exp(-i Lambda t) V^T psi0 at one time t."""
+    return QuantumState(decomp.evolved(psi0.vec, [t])[:, 0], psi0.dims)
 
 
 @dataclass(frozen=True)
@@ -709,15 +725,32 @@ def echo_sweep(eta: float, probe: ProbeParams, lams, times, method: str,
     )
 
 
+@dataclass(frozen=True)
+class EchoSeries:
+    times: np.ndarray
+    d_values: np.ndarray
+    l_values: np.ndarray
+
+
 def decoherence_factor(
     h_g: Operator | BandMatrix,
     h_e: Operator | BandMatrix,
     ground: QuantumState,
     times,
-) -> dynamics.EchoSeries:
-    """`dynamics.decoherence_factor` on dense (or band) branches."""
-    return dynamics.branch_echo(SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e),
-                                ground.vec, times)
+) -> EchoSeries:
+    """D(t) = <G| exp(i H_g t) exp(-i H_e t) |G> and L = |D|^2 at every t of
+    `times`, from the full spectrum of each branch (`SpectralDecomposition`),
+    both branches evolved to every time in one product. Energies are
+    measured from H_g's lowest, a common phase of both branches that |D|
+    does not see, so that the phases E t stay small."""
+    if h_g.dim != h_e.dim:
+        raise DimensionMismatchError(f"branch dims differ: {h_g.dim} vs {h_e.dim}")
+    times = np.asarray(times, dtype=float)
+    dg, de = SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e)
+    e_ref = dg.energies[0]
+    d = np.sum(dg.evolved(ground.vec, times, e_ref).conj()
+               * de.evolved(ground.vec, times, e_ref), axis=0)
+    return EchoSeries(times=times, d_values=d, l_values=np.abs(d) ** 2)
 
 
 def probe_reduced_state(probe: ProbeParams, d: complex) -> np.ndarray:
@@ -745,8 +778,8 @@ def validate_dispersive(
     cutoff_tol: float = 1e-8,
 ) -> DispersiveReport:
     """Dense reference of `experiments.validate_dispersive`: the tripartite
-    evolution by dense eigendecomposition, one time at a time, against the
-    branch-echo prediction |D(t)| |alpha* beta| * 2 on both parity sectors.
+    evolution by dense eigendecomposition, every time in one product, against
+    the branch-echo prediction |D(t)| |alpha* beta| * 2 on both parity sectors.
 
     Report-only: warns (never fails) when the dispersive condition
     |Delta_s| >> g_s sqrt(<n> + 1) is violated.
@@ -772,10 +805,8 @@ def validate_dispersive(
     sm[1, 0] = 1.0  # |g><e| on the probe
     sm_full = np.kron(sm, np.eye(rabi_dim))
     # coherence magnitude convention: 2 |<sigma_->| = 2 |rho_eg|
-    coherence_exact = np.empty_like(times)
-    for k, t in enumerate(times):
-        psi_t = evolve(decomp, psi0, t)
-        coherence_exact[k] = 2.0 * abs(np.vdot(psi_t.vec, sm_full @ psi_t.vec))
+    psi = decomp.evolved(psi0.vec, times)
+    coherence_exact = 2.0 * np.abs(np.sum(psi.conj() * (sm_full @ psi), axis=0))
     # branch-echo prediction
     h_g = build_branch(p, probe, "g", cutoff)
     h_e = build_branch(p, probe, "e", cutoff)

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from oracle import (
+    EchoSeries,
     Operator,
     QuantumState,
     SpectralDecomposition,
@@ -19,9 +20,10 @@ from oracle import (
     probe_reduced_state,
 )
 from rabicrit.analytic import short_time_le
-from rabicrit.dynamics import EchoSeries, echo_point
+from rabicrit import dynamics
+from rabicrit.dynamics import echo_point
 from rabicrit.errors import DimensionMismatchError, PhaseDomainError
-from rabicrit.hamiltonians import ProbeParams, RabiParams
+from rabicrit.hamiltonians import ProbeParams, RabiParams, build_rabi_parity, photon_number_band
 from rabicrit.hilbert import FockCutoff
 
 C = FockCutoff(32)
@@ -128,6 +130,14 @@ def test_decoherence_factor_dim_mismatch():
     he = build_branch(p, probe, "e", FockCutoff(16))
     with pytest.raises(DimensionMismatchError):
         decoherence_factor(hg, he, gs.state, [0.0, 1.0])
+    # the library's echo on band branches, the even parity chains
+
+    def branches(c):
+        return dynamics.probe_branches(build_rabi_parity(p, c), photon_number_band(0.0, c, 1), probe)
+
+    (hg, _), (_, he) = branches(C), branches(FockCutoff(16))
+    with pytest.raises(DimensionMismatchError):
+        dynamics.decoherence_factor(hg, he, np.eye(C.dim)[0], [0.0, 1.0])
 
 
 def test_short_time_law_in_domain():
@@ -175,11 +185,21 @@ def test_probe_reduced_state():
 
 
 def test_sweep_lambda_zero():
+    # no shortcut: at g = 0 the ground state |0>|g> is an eigenstate of both
+    # branches, and every method gives L = 1 exactly; the exact and effective
+    # methods solve it at the first cutoff, in the bare frame
     probe = ProbeParams.from_chi(1e-3)
-    times = np.linspace(0.0, 30.0, 4)
-    for method in ("exact", "effective", "variational", "analytic"):
-        sweep = echo_sweep(100.0, probe, [0.0], times, method)
-        assert np.abs(sweep.l_matrix - 1.0).max() < 1e-12
+    times = np.linspace(0.0, 100.0, 26)
+    for eta in (1.0, 100.0, 5000.0, 1e5):
+        p = RabiParams.from_dimensionless(0.0, eta)
+        for method in ("exact", "effective", "variational", "analytic"):
+            point = echo_point(p, probe, times, method, 1e-8)
+            assert np.all(point.l_values == 1.0), (eta, method)
+            if method in ("exact", "effective"):
+                assert (point.ground.cutoff.n_max, point.ground.frame) == (8, "bare")
+                assert 0.0 <= point.gamma < 1e-40
+            else:
+                assert point.ground is None and point.gamma == 0.0
 
 
 def test_sweep_guard_band_and_validation():

@@ -102,6 +102,15 @@ def test_ground_figures_reject_echo_settings(tmp_path, figure, key, value):
     ("--threshold", "0"),
     ("--threshold", "nan"),
     ("--cutoff-tol", "0"),
+    # non-finite values once passed the parser: tracebacks, or a report
+    ("--lam", "inf"),
+    ("--eta", "inf"),
+    ("--g-s", "inf"),
+    ("--detuning-ratio", "inf"),
+    ("--detuning-ratio", "-inf"),
+    ("--t-max", "inf"),
+    ("--threshold", "inf"),
+    ("--cutoff-tol", "inf"),
 ])
 def test_cli_validate_dispersive_rejects_bad_arguments(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -142,12 +151,13 @@ def test_config_hash_is_the_sha256_of_the_canonical_text(tmp_path):
 
 
 def test_config_rejects_nan_settings(tmp_path):
-    for figure, name in (("fig3", "cutoff_tol"), ("fig3", "chi"), ("custom", "chi")):
-        bad = _tiny_config()
-        bad.figure = figure
-        setattr(bad, name, float("nan"))
-        with pytest.raises(ValueError, match=name):
-            run(bad, tmp_path / "out")
+    for value in (float("nan"), float("inf")):
+        for figure, name in (("fig3", "cutoff_tol"), ("fig3", "chi"), ("custom", "chi")):
+            bad = _tiny_config()
+            bad.figure = figure
+            setattr(bad, name, value)
+            with pytest.raises(ValueError, match=name):
+                run(bad, tmp_path / "out")
     assert not list(tmp_path.iterdir())
 
 
@@ -193,13 +203,24 @@ def test_config_file_unknown_key(tmp_path):
     ("methods = exact\nmethods = analytic\n", "'methods' given twice"),
     ("methods = exact exact\n", "each once"),
     ("methods = ,\n", "each once"),
-], ids=["key_twice", "method_twice", "no_method"])
+    ("methods = exact\ncutoff_tol = inf\n", "cutoff_tol must be finite"),
+    ("methods = exact\ntime_grid = 0 inf\n", "time_grid values must be finite"),
+    ("methods = exact\neta_grid = inf\n", "eta_grid values must be finite"),
+    ("methods = exact\nlambda_grid = 0.5 inf\n", "lambda_grid values must be finite"),
+    ("methods = exact\nchi = inf\n", "chi must be finite"),
+], ids=["key_twice", "method_twice", "no_method", "tol_inf", "time_inf", "eta_inf",
+        "lambda_inf", "chi_inf"])
 def test_sweep_rejects_config_fault(tmp_path, lines, message):
-    # each of these once ran with exit status 0: the second key silently
-    # won, every row was written twice, or the CSV held only its header
+    # each of these once ran: with exit status 0, where the second key
+    # silently won, every row was written twice, the CSV held only its
+    # header, or an infinite tolerance marked unconverged rows converged;
+    # or a non-finite grid value wrote NaN rows, or a traceback after the
+    # output directory was made. A key the case sets replaces the base's.
+    base = {"figure": "custom", "lambda_grid": "0.5", "eta_grid": "100",
+            "time_grid": "0", "chi": "0.001"}
+    given = {line.partition("=")[0].strip() for line in lines.splitlines()}
     path = tmp_path / "sweep.cfg"
-    path.write_text("figure = custom\nlambda_grid = 0.5\neta_grid = 100\n"
-                    "time_grid = 0\nchi = 0.001\n" + lines)
+    path.write_text("".join(f"{k} = {v}\n" for k, v in base.items() if k not in given) + lines)
     with pytest.raises(ValueError, match=message):
         main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()

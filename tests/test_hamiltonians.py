@@ -55,6 +55,7 @@ def test_rabi_params_derived():
 
 @pytest.mark.parametrize("args", [
     (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+    (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
 ])
 def test_rabi_params_reject_nan(args):
     with pytest.raises(ValueError):
@@ -81,12 +82,13 @@ def test_probe_params():
 
 @pytest.mark.parametrize("field", ["omega_s", "g_s", "delta_s", "alpha", "beta"])
 def test_probe_params_reject_nan(field):
-    # each guard is written so that NaN fails it; a NaN amplitude makes the
-    # norm NaN, which the norm check must reject too
-    fields = {"omega_s": 2.0, "g_s": 0.1, "delta_s": 1.0, "alpha": 0.6, "beta": 0.8}
-    fields[field] = math.nan
-    with pytest.raises(ValueError):
-        ProbeParams(**fields)
+    # each guard rejects NaN and infinity; a NaN or infinite amplitude makes
+    # the norm NaN or infinite, which the norm check must reject too
+    for value in (math.nan, math.inf):
+        fields = {"omega_s": 2.0, "g_s": 0.1, "delta_s": 1.0, "alpha": 0.6, "beta": 0.8}
+        fields[field] = value
+        with pytest.raises(ValueError):
+            ProbeParams(**fields)
 
 
 def test_build_rabi_decoupled():

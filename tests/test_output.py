@@ -109,8 +109,11 @@ def test_echo_outputs_match_record_oracle(tmp_path):
     assert len(points) == 18
     assert len(_records(points)) == 54
     for rec in _records(points):
-        if rec["lambda"] == 0.0 or rec["method"] == "analytic":
+        if rec["method"] == "analytic":
             assert (rec["cutoff"], rec["frame"]) == ("", "")
+        elif rec["lambda"] == 0.0:
+            # solved like any other point: at g = 0, at the first cutoff
+            assert (rec["cutoff"], rec["frame"], rec["value"]) == (8, "bare", 1.0)
         else:
             assert rec["cutoff"] > 0 and rec["frame"] in ("bare", "displaced")
 

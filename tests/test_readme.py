@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
 
 
 def test_readme_has_python_blocks():

@@ -143,7 +143,7 @@ def test_converge_cutoff_self_consistent():
 
 def test_converge_cutoff_errors():
     p = RabiParams(1.0, 3.0, 0.0)
-    for tol in (0.0, -1e-8, math.nan):
+    for tol in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError):
             spectra.converge_cutoff((partial(build_rabi_parity, p),), tol)
         with pytest.raises(ValueError):

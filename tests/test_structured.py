@@ -158,12 +158,14 @@ def test_band_builders_are_permuted_dense_builders():
 
 
 def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
-    # H -/+ chi N plus the probe's energy is the Hamiltonian rebuilt at
-    # omega_c -/+ chi, on the even parity chain and in the displaced frame
+    # H -/+ chi N is the Hamiltonian rebuilt at omega_c -/+ chi, on the even
+    # parity chain and in the displaced frame, with no constant: the probe's
+    # energy (-omega_s/2 and omega_s/2 + chi) changes only the phase of D,
+    # so a probe of the same chi at another omega_s gives the same branches
     eps = np.finfo(float).eps
     c = FockCutoff(40)
     probe = ProbeParams(6.0, 0.05, 5.0)
-    constants = (-0.5 * probe.omega_s, 0.5 * probe.omega_s + probe.chi)
+    same_chi = ProbeParams(2.0, 0.05, 5.0)
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
         p = RabiParams.from_dimensionless(lam, eta)
         shifted = [RabiParams(p.omega_c + sign * probe.chi, p.omega_0, p.g) for sign in (-1, 1)]
@@ -174,11 +176,14 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
                           photon_number_band(alpha, c, 2)))
         for build, n in cases:
             h = build(p)
-            for branch, q, const in zip(dynamics.probe_branches(h, n, probe), shifted, constants):
-                ref = build(q).shifted(const)
+            branches = dynamics.probe_branches(h, n, probe)
+            for branch, q in zip(branches, shifted):
+                ref = build(q)
                 assert branch.band.shape == ref.band.shape
                 err = np.abs(branch.band - ref.band).max()
                 assert err <= 4.0 * eps * np.abs(ref.band).max(), (lam, eta, err)
+            for branch, other in zip(branches, dynamics.probe_branches(h, n, same_chi)):
+                assert np.array_equal(branch.band, other.band)
 
 
 def test_band_moments_match_dense_operator_moments():
@@ -320,28 +325,31 @@ def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
     assert min(built) >= 32 and 128 in built  # alpha_lambda^2 = 25
 
 
-def _even_chain_echo(p, probe, cutoff, times):
-    """(gamma, L) from the even parity chain at a fixed cutoff."""
+def _even_chain(p, probe, cutoff):
+    """(gamma, (h_g, h_e), ground vector) on the even parity chain at a fixed
+    cutoff, the branches rebuilt at omega_c -/+ chi."""
 
     def chain(omega_c):
         return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff)
 
     _, vec = band_ground_state(chain(p.omega_c))
     _, gamma = band_moments(photon_number_band(0.0, cutoff, 1), vec)
-    series = decoherence_factor(
-        chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi), QuantumState(vec), times
-    )
-    return gamma, series.l_values
+    return gamma, (chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi)), vec
 
 
 def test_normal_phase_point_at_cutoff_cap():
     # a near-critical point solved at the largest cutoff the search reaches
-    # agrees with the same point at half that cutoff
+    # agrees with the same point at half that cutoff; there the library's
+    # echo, on the same branches, agrees with the oracle's, D itself
     p = RabiParams.from_dimensionless(0.9999, 1e6)
     probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 100.0, 6)
-    gamma, l_cap = _even_chain_echo(p, probe, FockCutoff(CUTOFF_HARD_CAP), times)
-    gamma_half, l_half = _even_chain_echo(p, probe, FockCutoff(CUTOFF_HARD_CAP // 2), times)
+    gamma, branches, vec = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP))
+    l_cap = decoherence_factor(*branches, QuantumState(vec), times).l_values
+    gamma_half, branches, vec = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP // 2))
+    half = decoherence_factor(*branches, QuantumState(vec), times)
+    l_half = half.l_values
+    assert np.abs(dynamics.decoherence_factor(*branches, vec, times) - half.d_values).max() <= 1e-9
     assert l_cap[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all((l_cap >= 0.0) & (l_cap <= 1.0 + 1e-12))
     assert gamma == pytest.approx(gamma_half, rel=1e-9)
