@@ -130,11 +130,11 @@ def test_decoherence_factor_dim_mismatch():
     he = build_branch(p, probe, "e", FockCutoff(16))
     with pytest.raises(DimensionMismatchError):
         decoherence_factor(hg, he, gs.state, [0.0, 1.0])
-    # the library's echo on band branches, the even parity chains
 
     def branches(c):
         return dynamics.probe_branches(build_rabi_parity(p, c), photon_number_band(0.0, c, 1), probe)
 
+    # the library's echo on band branches, the even parity chains
     (hg, _), (_, he) = branches(C), branches(FockCutoff(16))
     with pytest.raises(DimensionMismatchError):
         dynamics.decoherence_factor(hg, he, np.eye(C.dim)[0], [0.0, 1.0])
