@@ -20,7 +20,9 @@ vector comes from one kernel, inverse iteration at the searched energy
 (`spectra.band_ground_state`). Each ground state (`BandGround`) carries the
 band H its vector lives in and the physical photon number N in that basis
 (`hamiltonians.photon_number_band`), and both methods' probe branches are
-H -/+ chi N, from one function (`probe_branches`).
+H -/+ chi N, from one function (`probe_branches`). The tripartite check
+(`experiments.validate_dispersive`) runs the exact method's path on its bare
+frame alone (`_exact_ground`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import partial
 import numpy as np
 
 from .analytic import short_time_le, variance
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, PhaseDomainError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
@@ -136,21 +138,14 @@ def exact_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
     return build_displaced_rabi_band(p, alpha, cutoff)
 
 
-def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
-    """Exact ground state. Below the transition it is solved in the bare
-    frame. Above it, one doubling loop searches the bare frame and the frame
-    displaced by alpha_lambda, the bare one first at each cutoff, and the
-    state is solved in the first whose ground energy converges: the
-    displaced frame where the two wells are far apart, the bare one where
-    tunnelling between them still matters. The bare frame holds both wells
-    only with about alpha_lambda^2 photons, the mean-field photon number, so
-    it is not built below that cutoff. Each frame is one band
-    (`exact_sector`), the same for the search and the solve, and the vector
-    is solved at the energy the search bisected.
-    """
-    alpha = phase(p).alpha
-    alphas = (0.0, alpha) if alpha else (0.0,)
-    n_bare = alpha**2
+def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -> BandGround:
+    """The exact method's `_band_ground` over the frames displaced by each of
+    `alphas`: each frame is one band (`exact_sector`), the same for the
+    search and the solve, and the vector is solved at the energy the search
+    bisected. Above the transition the bare frame holds both wells only with
+    about alpha_lambda^2 photons, the mean-field photon number, so it is not
+    built below that cutoff."""
+    n_bare = phase(p).alpha ** 2
 
     def search(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
         if not alpha and cutoff.n_max < n_bare:
@@ -163,6 +158,18 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
         return (h, n, *band_ground_state(h, energy))
 
     return _band_ground(alphas, search, solve, cutoff_tol)
+
+
+def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
+    """Exact ground state. Below the transition it is solved in the bare
+    frame. Above it, one doubling loop searches the bare frame and the frame
+    displaced by alpha_lambda, the bare one first at each cutoff, and the
+    state is solved in the first whose ground energy converges: the
+    displaced frame where the two wells are far apart, the bare one where
+    tunnelling between them still matters (`_exact_ground`).
+    """
+    alpha = phase(p).alpha
+    return _exact_ground(p, (0.0, alpha) if alpha else (0.0,), cutoff_tol)
 
 
 def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
@@ -235,19 +242,22 @@ def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
     Methods: 'exact' and 'effective' (`GROUND_STATES`; the branches are
     `probe_branches` of the ground state's band and photon number, in its
     frame), 'analytic' / 'variational' (Gaussian law with the respective
-    variance, the variational one clamped at 0; valid for epsilon * t << 1,
-    epsilon the ground-state excitation frequency, and evaluated at every
-    requested t regardless; `PhaseDomainError` within CRITICAL_BAND of
-    lam = 1). The
-    exact and effective methods raise `ConvergenceError` when the cutoff
-    search reaches the hard cap.
+    variance; valid for epsilon * t << 1, epsilon the ground-state excitation
+    frequency, and evaluated at every requested t regardless;
+    `PhaseDomainError` within CRITICAL_BAND of lam = 1, and for a negative
+    variational variance, which the finite-eta correction gives at small
+    eta). The exact and effective methods raise `ConvergenceError` when the
+    cutoff search reaches the hard cap.
     """
     times = np.asarray(times, dtype=float)
     if method in ("analytic", "variational"):
         if method == "analytic":
             gamma = variance(p)
         else:
-            gamma = max(variational_solve(p).gamma_prime, 0.0)
+            gamma = variational_solve(p).gamma_prime
+            if gamma < 0.0:
+                raise PhaseDomainError(f"variational variance {gamma} < 0 "
+                                       f"at lam={p.lam}, eta={p.eta}")
         return EchoPoint(short_time_le(gamma, probe.chi, times), gamma, None)
     if method not in GROUND_STATES:
         raise ValueError(f"unknown method {method!r}")

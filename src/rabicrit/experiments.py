@@ -3,9 +3,11 @@ finite before the output directory is made), CSV/JSON reports, and the
 tripartite check of the dispersive approximation: the probe + Rabi band
 (half-width 6), diagonalised once and evolved by `dynamics.evolved`, against
 |D| of `dynamics.decoherence_factor` on the branches H -/+ chi N
-(`dynamics.probe_branches`) of the exact method's bare-frame band, the even
-parity chain (`dynamics.exact_sector`). A sweep point solves its ground state
-by the method table of `dynamics` (`GROUND_STATES`) or a closed form."""
+(`dynamics.probe_branches`) of the Rabi ground state that the exact method's
+ground path (`dynamics._exact_ground`) finds on its bare frame, the even
+parity chain. A sweep point solves its ground state by the method table of
+`dynamics` (`GROUND_STATES`) or a closed form; one whose cutoff search reaches
+the hard cap, or whose variational variance is negative, is degraded."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 import time
 import warnings
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import cache
 from math import isfinite
 from pathlib import Path
 
@@ -23,16 +25,15 @@ from . import __version__
 from .analytic import CRITICAL_BAND, near_critical
 from .dynamics import (
     GROUND_STATES,
+    _exact_ground,
     decoherence_factor,
     echo_point,
     evolved,
-    exact_sector,
     probe_branches,
 )
-from .errors import ConvergenceError
-from .hamiltonians import ProbeParams, RabiParams, build_tripartite_band, photon_number_band
-from .hilbert import FockCutoff
-from .spectra import CUTOFF_TOL, band_ground_state, band_moments, band_spectrum, converge_cutoff
+from .errors import ConvergenceError, PhaseDomainError
+from .hamiltonians import ProbeParams, RabiParams, build_tripartite_band
+from .spectra import CUTOFF_TOL, band_spectrum
 from .variational import solve as variational_solve
 
 # CPython's built-in SHA-256, as `random` takes its sha512: `hashlib` would
@@ -233,8 +234,8 @@ def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
            lam: float) -> SweepPoint:
     """One sweep point: the echo of `probe` at every time of `time_grid` or,
     on fig1/fig2 (`probe` None), the ground energy and mean photon number. A
-    point whose cutoff search reaches the hard cap is degraded; the sweep
-    goes on."""
+    point whose cutoff search reaches the hard cap, or whose variational
+    variance is negative, is degraded; the sweep goes on."""
     t0 = time.perf_counter()
     p = RabiParams.from_dimensionless(lam, eta)
     if probe is None:
@@ -253,7 +254,7 @@ def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
         else:
             gs = GROUND_STATES[method](p, cfg.cutoff_tol)
             values = [gs.energy, gs.mean_n]
-    except ConvergenceError:
+    except (ConvergenceError, PhaseDomainError):
         converged, values = False, [np.nan] * len(names)
     wall = time.perf_counter() - t0
     return SweepPoint(
@@ -329,61 +330,49 @@ def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
 
 @dataclass(frozen=True)
 class DispersiveReport:
-    times: np.ndarray
     coherence_exact: np.ndarray
     coherence_predicted: np.ndarray
     max_rel_deviation: float
     dispersive_regime: bool
 
 
-def validate_dispersive(
-    p: RabiParams,
-    probe: ProbeParams,
-    times,
-    cutoff: FockCutoff | None = None,
-    cutoff_tol: float = CUTOFF_TOL,
-) -> DispersiveReport:
-    """Compare the probe coherence from exact tripartite evolution against the
-    branch-echo prediction |D(t)| |alpha* beta| * 2.
+def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
+                        cutoff_tol: float = CUTOFF_TOL) -> DispersiveReport:
+    """Compare the probe coherence from exact tripartite evolution, the probe
+    prepared in (|g> + |e>)/sqrt(2), against the branch-echo prediction
+    |D(t)|, at the cutoff the exact method's bare-frame search chooses.
 
     Report-only: warns (never fails) when the dispersive condition
     |Delta_s| >> g_s sqrt(<n> + 1) is violated.
     """
     times = np.asarray(times, dtype=float)
-    energy = None  # at a given cutoff, the solve bisects it
-    if cutoff is None:
-        found = converge_cutoff((partial(exact_sector, p, 0.0),), cutoff_tol)
-        cutoff, energy = found.cutoff, found.energy
-    # the Rabi ground state: row k of the even chain is |g,k> (k even) or |e,k>
-    h, n = exact_sector(p, 0.0, cutoff), photon_number_band(0.0, cutoff, 1)
-    _, even = band_ground_state(h, energy)
-    mean_n, _ = band_moments(n, even)
-    dispersive = abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(mean_n + 1.0)
+    # the Rabi ground state on the exact method's bare frame, the even chain,
+    # whose row k is |g,k> (k even) or |e,k>
+    gs = _exact_ground(p, (0.0,), cutoff_tol)
+    dispersive = abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(gs.mean_n + 1.0)
     if not dispersive:
         warnings.warn(
             "dispersive condition |Delta_s| >> g_s sqrt(<n>+1) is violated; "
             "large deviations expected",
             stacklevel=2,
         )
-    # exact tripartite evolution, probe initialized in alpha|g> + beta|e>, in
-    # the band's order: photons, then probe spin, then Rabi spin (|e>, |g>)
-    rabi = np.zeros((cutoff.dim, 2))
-    rabi[1::2, 0], rabi[0::2, 1] = even[1::2], even[0::2]
-    probe_vec = np.array([probe.beta, probe.alpha], dtype=complex)
-    psi0 = (probe_vec[:, None] * rabi[:, None, :]).ravel()
-    w, v = band_spectrum(build_tripartite_band(p, probe, cutoff))
-    psi = evolved(w, v, psi0, times, w[0]).reshape(cutoff.dim, 2, 2, -1)
+    # exact tripartite evolution from the probe's (|g> + |e>)/sqrt(2) times the
+    # Rabi ground state, in the band's order: photons, then probe spin, then
+    # Rabi spin (|e>, |g>)
+    dim = gs.cutoff.dim
+    rabi = np.zeros((dim, 2))
+    rabi[1::2, 0], rabi[0::2, 1] = gs.vector[1::2], gs.vector[0::2]
+    psi0 = np.repeat(rabi[:, None, :] / np.sqrt(2.0), 2, axis=1).ravel()
+    w, v = band_spectrum(build_tripartite_band(p, probe, gs.cutoff))
+    psi = evolved(w, v, psi0, times, w[0]).reshape(dim, 2, 2, -1)
     # coherence magnitude convention: 2 |<sigma_->| = 2 |rho_eg|, with
     # sigma_- = |g><e| on the probe
     coherence_exact = 2.0 * np.abs(np.sum(psi[:, 1].conj() * psi[:, 0], axis=(0, 1)))
-    # branch-echo prediction, on the even chain that holds the ground state
-    h_g, h_e = probe_branches(h, n, probe)
-    d = decoherence_factor(h_g, h_e, even, times)
-    coherence_pred = 2.0 * abs(np.conj(probe.alpha) * probe.beta) * np.abs(d)
+    # the branch echo predicts 2 |rho_eg| = 2 (1/2) |D| = |D|
+    coherence_pred = np.abs(decoherence_factor(*probe_branches(gs.h, gs.n, probe), gs.vector, times))
     denom = np.maximum(coherence_pred, 1e-15)
     max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))
     return DispersiveReport(
-        times=times,
         coherence_exact=coherence_exact,
         coherence_predicted=coherence_pred,
         max_rel_deviation=max_rel,

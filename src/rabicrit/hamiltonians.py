@@ -16,7 +16,8 @@ the ground state (`build_rabi_parity`), or spin-fastest in the displaced frame
 (`build_tripartite_band`) and the effective Hamiltonians in natural Fock
 order. `photon_number_band` builds the physical photon number N in each of
 these bases but the tripartite one; a probe branch of any method is then
-H -/+ chi N (`dynamics.probe_branches`). Spin states are ordered (|e>, |g>).
+H -/+ chi N (`dynamics.probe_branches`). The probe atom (`ProbeParams`) is
+prepared in (|g> + |e>)/sqrt(2). Spin states are ordered (|e>, |g>).
 Natural units: the constructors accept any positive and finite omega_c;
 `from_dimensionless`, `from_chi` and the CLI fix omega_c = 1.
 """
@@ -68,23 +69,18 @@ class RabiParams:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Auxiliary-atom parameters and its initial superposition. The
-    dispersive shift `chi` is derived, never stored."""
+    """Auxiliary-atom parameters; the atom is prepared in (|g> + |e>)/sqrt(2).
+    The dispersive shift `chi` is derived, never stored."""
 
     omega_s: float
     g_s: float
     delta_s: float
-    alpha: complex = 1.0 / sqrt(2.0)
-    beta: complex = 1.0 / sqrt(2.0)
 
     def __post_init__(self):
         if not all(map(isfinite, (self.omega_s, self.g_s, self.delta_s))):
             raise ValueError("omega_s, g_s and delta_s must be finite")
         if not abs(self.delta_s) > 0:
             raise ValueError("delta_s must be nonzero (dispersive regime)")
-        nrm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(nrm - 1.0) <= 1e-12:  # a NaN amplitude fails it too
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {nrm}, must be 1")
 
     @property
     def chi(self) -> float:
@@ -94,7 +90,7 @@ class ProbeParams:
     @classmethod
     def from_chi(cls, chi: float) -> "ProbeParams":
         """The probe detuned by delta_s = omega_c = 1 whose dispersive shift
-        is chi, in an equal superposition."""
+        is chi."""
         if not chi > 0:
             raise ValueError("chi must be positive")
         return cls(2.0, sqrt(chi), 1.0)

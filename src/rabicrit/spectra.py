@@ -12,7 +12,8 @@ argument handling, in two modes: the lowest eigenvalue alone, by bisection
 (dstebz for a tridiagonal matrix, dsbevx for a wider band), and the full
 spectrum with eigenvectors (dstevd, dsbevd). Every ground vector, of a
 tridiagonal matrix or a wider band, comes from one kernel, inverse iteration
-(dgbtrf / dgbtrs) at its bisection eigenvalue (`band_ground_state`).
+(dgbtrf / dgbtrs) at the eigenvalue the cutoff search bisected
+(`band_ground_state`).
 
 The drivers are scipy's own f2py functions, the very objects that
 `scipy.linalg.lapack` and `scipy.linalg.blas` expose, taken from the two
@@ -132,20 +133,18 @@ def band_ground_energy(h: BandMatrix) -> float:
     return float(_band_eigh(h, lowest=True)[0])
 
 
-def band_ground_state(h: BandMatrix, energy: float | None = None) -> tuple[float, np.ndarray]:
+def band_ground_state(h: BandMatrix, energy: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of a real symmetric band matrix, tridiagonal or
     wider, phase-fixed.
 
-    The lowest eigenvalue E0 is `energy` when given (as `band_ground_energy`
-    returned it for this matrix) or else bisected here. The vector comes from
+    The lowest eigenvalue E0 is `energy`, as `band_ground_energy` returned it
+    for this matrix (the cutoff search's bisection). The vector comes from
     inverse iteration on the band itself (one LU factorisation, then a solve
     per step), which never forms the dense orthogonal factor of the band
     reduction; it stops once, after at least two solves,
     ||(H - E0) x|| <= RESIDUAL_EPS eps ||H||. The shift sits a few ulps below
     E0, so H - shift is never exactly singular (say, for a diagonal H).
     """
-    if energy is None:
-        energy = band_ground_energy(h)
     n, width = h.dim, h.band.shape[0] - 1
     row_max = np.abs(h.band).max(axis=1)
     bound = np.finfo(float).eps * (row_max[0] + 2.0 * row_max[1:].sum())  # eps ||H||_inf

@@ -170,18 +170,17 @@ def test_short_time_law_taylor_order():
 
 
 def test_probe_reduced_state():
-    probe = ProbeParams.from_chi(1e-3)
-    rho = probe_reduced_state(probe, 1.0)
+    rho = probe_reduced_state(1.0)
     assert np.trace(rho) == pytest.approx(1.0)
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
-    rho = probe_reduced_state(probe, 0.0)
+    rho = probe_reduced_state(0.0)
     assert np.trace(rho @ rho).real == pytest.approx(0.5, abs=1e-12)
-    rho = probe_reduced_state(probe, 0.5)
+    rho = probe_reduced_state(0.5)
     ev = np.linalg.eigvalsh(rho)
     assert np.allclose(sorted(ev), [0.25, 0.75])
     assert np.trace(rho @ rho).real == pytest.approx((1 + 0.25) / 2.0, abs=1e-12)
     with pytest.raises(ValueError):
-        probe_reduced_state(probe, 1.5)
+        probe_reduced_state(1.5)
 
 
 def test_sweep_lambda_zero():

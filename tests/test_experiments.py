@@ -18,7 +18,6 @@ from rabicrit.experiments import (
     write_gnuplot_script,
 )
 from rabicrit.hamiltonians import ProbeParams, RabiParams
-from rabicrit.hilbert import FockCutoff
 
 
 def _tiny_config():
@@ -349,7 +348,7 @@ def test_cli_validate_dispersive_fast(capsys):
 def test_validate_dispersive_decoupled_probe():
     p = RabiParams.from_dimensionless(0.5, 40.0)
     probe = ProbeParams(2.0, 0.0, 1.0)
-    report = validate_dispersive(p, probe, np.linspace(0.0, 10.0, 5), cutoff=FockCutoff(24))
+    report = validate_dispersive(p, probe, np.linspace(0.0, 10.0, 5))
     assert report.max_rel_deviation < 1e-10
 
 
@@ -357,7 +356,7 @@ def test_validate_dispersive_warns_outside_regime():
     p = RabiParams.from_dimensionless(0.5, 40.0)
     probe = ProbeParams(1.2, 0.1, 0.2)  # Delta_s / g_s = 2
     with pytest.warns(UserWarning):
-        validate_dispersive(p, probe, [0.0, 1.0], cutoff=FockCutoff(24))
+        validate_dispersive(p, probe, [0.0, 1.0])
 
 
 def test_report_wall_time_is_per_point(tmp_path):

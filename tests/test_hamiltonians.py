@@ -69,8 +69,6 @@ def test_probe_params():
         ProbeParams(2.0, 0.1, 1.0, chi=0.5)
     with pytest.raises(ValueError):
         ProbeParams(2.0, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        ProbeParams(2.0, 0.1, 1.0, alpha=1.0, beta=1.0)
     pc = ProbeParams.from_chi(1e-3)
     assert pc.chi == pytest.approx(1e-3)
     assert pc.delta_s == pytest.approx(1.0)
@@ -80,12 +78,11 @@ def test_probe_params():
         ProbeParams.from_chi(math.nan)
 
 
-@pytest.mark.parametrize("field", ["omega_s", "g_s", "delta_s", "alpha", "beta"])
+@pytest.mark.parametrize("field", ["omega_s", "g_s", "delta_s"])
 def test_probe_params_reject_nan(field):
-    # each guard rejects NaN and infinity; a NaN or infinite amplitude makes
-    # the norm NaN or infinite, which the norm check must reject too
+    # each guard rejects NaN and infinity
     for value in (math.nan, math.inf):
-        fields = {"omega_s": 2.0, "g_s": 0.1, "delta_s": 1.0, "alpha": 0.6, "beta": 0.8}
+        fields = {"omega_s": 2.0, "g_s": 0.1, "delta_s": 1.0}
         fields[field] = value
         with pytest.raises(ValueError):
             ProbeParams(**fields)

@@ -193,7 +193,8 @@ def test_band_moments_match_dense_operator_moments():
     for lam, eta in ((1.3, 20.0), (1.05, 200.0)):
         p = RabiParams.from_dimensionless(lam, eta)
         alpha = alpha_lambda(p)
-        _, vec = band_ground_state(build_displaced_rabi_band(p, alpha, c))
+        h = build_displaced_rabi_band(p, alpha, c)
+        _, vec = band_ground_state(h, band_ground_energy(h))
         dense_vec = np.zeros(2 * c.dim)
         dense_vec[_spin_fastest_order(c)] = vec
         mean_n, gamma = band_moments(photon_number_band(alpha, c, 2), vec)
@@ -221,25 +222,25 @@ def test_tripartite_band_is_permuted_dense_tripartite():
 DEFAULT_PROBE = ProbeParams(6.0, 0.05, 5.0)  # the CLI's g_s = 0.05, Delta_s / g_s = 100
 
 
-@pytest.mark.parametrize("lam, eta, probe, n_max, bound", [
-    (0.5, 200.0, DEFAULT_PROBE, None, 1e-12),
-    (0.4, 40.0, DEFAULT_PROBE, None, 1e-12),
-    (0.5, 40.0, ProbeParams(2.0, 0.0, 1.0), 24, 1e-12),   # decoupled probe
-    (0.9, 1000.0, DEFAULT_PROBE, None, 1e-12),
-    (0.5, 40.0, ProbeParams(1.2, 0.1, 0.2), 24, 1e-12),   # outside the dispersive regime
+@pytest.mark.parametrize("lam, eta, probe, bound", [
+    (0.5, 200.0, DEFAULT_PROBE, 1e-12),
+    (0.4, 40.0, DEFAULT_PROBE, 1e-12),
+    (0.5, 40.0, ProbeParams(2.0, 0.0, 1.0), 1e-12),   # decoupled probe
+    (0.9, 1000.0, DEFAULT_PROBE, 1e-12),
+    (0.5, 40.0, ProbeParams(1.2, 0.1, 0.2), 1e-12),   # outside the dispersive regime
     # above the transition the ground doublet is nearly degenerate, so the
     # tripartite eigenvectors carry more roundoff
-    (1.2, 200.0, DEFAULT_PROBE, 128, 1e-7),
+    (1.2, 200.0, DEFAULT_PROBE, 1e-7),
 ])
-def test_tripartite_check_matches_dense_oracle(lam, eta, probe, n_max, bound):
+def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
+    # both checks search their cutoff: 8 at (0.5, 40), 128 at (1.2, 200)
     p = RabiParams.from_dimensionless(lam, eta)
-    cutoff = FockCutoff(n_max) if n_max else None
     times = np.linspace(0.0, 20.0, 41)
     reports = []
     for check in (validate_dispersive, dense_validate_dispersive):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = check(p, probe, times, cutoff=cutoff)
+            report = check(p, probe, times)
         reports.append((report, [str(w.message) for w in caught]))
     (band, band_warnings), (dense, dense_warnings) = reports
     assert np.abs(band.coherence_exact - dense.coherence_exact).max() <= bound
@@ -256,7 +257,7 @@ def test_band_solvers_match_dense_eigh():
     for h in (chain, displaced):
         w, v = np.linalg.eigh(_dense(h))
         assert band_ground_energy(h) == pytest.approx(w[0], abs=1e-11)
-        energy, vec = band_ground_state(h)
+        energy, vec = band_ground_state(h, band_ground_energy(h))
         assert energy == pytest.approx(w[0], abs=1e-11)
         assert abs(abs(vec @ v[:, 0]) - 1.0) < 1e-12
         assert vec[np.argmax(np.abs(vec))] > 0.0
@@ -332,7 +333,8 @@ def _even_chain(p, probe, cutoff):
     def chain(omega_c):
         return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff)
 
-    _, vec = band_ground_state(chain(p.omega_c))
+    h = chain(p.omega_c)
+    _, vec = band_ground_state(h, band_ground_energy(h))
     _, gamma = band_moments(photon_number_band(0.0, cutoff, 1), vec)
     return gamma, (chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi)), vec
 
@@ -481,7 +483,7 @@ def test_inverse_iteration_vector_matches_eig_banded():
     for lam, eta, n_max in ((0.995, 1e5, 256), (1.005, 5000.0, 128), (0.9999, 1e6, 2048)):
         cases.append(build_rabi_parity(RabiParams.from_dimensionless(lam, eta), FockCutoff(n_max)))
     for h in cases:
-        energy, vec = band_ground_state(h)
+        energy, vec = band_ground_state(h, band_ground_energy(h))
         if h.band.shape[0] == 2:
             w, v = eigh_tridiagonal(h.band[0], h.band[1, :-1], select="i", select_range=(0, 0))
         else:
@@ -523,10 +525,7 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
         gs = exact_ground_state(p, TOL)
         assert gs.frame == frame, (lam, eta)
         h = dynamics.exact_sector(p, gs.alpha, gs.cutoff)
-        energy, vec = band_ground_state(h)
-        given, vec_given = band_ground_state(h, band_ground_energy(h))
-        assert given == energy
-        assert np.array_equal(vec_given, vec)
+        energy, vec = band_ground_state(h, band_ground_energy(h))
         assert gs.energy == energy
         assert np.array_equal(gs.vector, vec)
 
@@ -547,4 +546,4 @@ def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):
     h = build_effective_np_band(RabiParams.from_dimensionless(0.9, 1e3), FockCutoff(16))
     monkeypatch.setattr(spectra, "RESIDUAL_EPS", 0.0)
     with pytest.raises(ConvergenceError):
-        band_ground_state(h)
+        band_ground_state(h, band_ground_energy(h))

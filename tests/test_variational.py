@@ -16,9 +16,10 @@ from oracle import (
     superradiant_frame,
 )
 from rabicrit.analytic import variance
+from rabicrit.cli import main
 from rabicrit.dynamics import echo_point
 from rabicrit.errors import PhaseDomainError
-from rabicrit.experiments import critical_lambda_grid
+from rabicrit.experiments import SweepConfig, critical_lambda_grid, run
 from rabicrit.hamiltonians import ProbeParams, RabiParams
 from rabicrit.variational import solve
 
@@ -91,17 +92,27 @@ def test_gamma_prime_limit():
     assert sol.gamma_prime == pytest.approx(variance(p), rel=1e-3)
 
 
-def test_gamma_prime_negative_clamped_not_fatal():
+def test_gamma_prime_negative_clamped_not_fatal(tmp_path):
     # at eta = 1 the finite-eta correction outweighs the leading terms: the
-    # variance is returned negative, not raised, and the echo clamps it at 0
+    # variance is returned negative, not raised. Clamped at 0 it would give a
+    # flat echo, L = 1, so the echo raises instead, and a sweep records the
+    # point as degraded (converged=false, NaN values, exit status 1) and goes on
     p = RabiParams.from_dimensionless(0.9, 1.0)
     sol = solve(p)
     assert sol.gamma_prime < 0.0
-    echo = echo_point(p, ProbeParams.from_chi(1e-3), [0.0, 10.0, 60.0], "variational", 1e-8)
-    assert echo.gamma == 0.0
-    assert np.all(echo.l_values == 1.0)
+    with pytest.raises(PhaseDomainError, match="variance"):
+        echo_point(p, ProbeParams.from_chi(1e-3), [0.0, 10.0, 60.0], "variational", 1e-8)
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.gamma_prime = 0.0
+
+    cfg = SweepConfig("custom", [0.5, 0.9], [1.0], [0.0, 60.0], 1e-3, ["variational"])
+    assert solve(RabiParams.from_dimensionless(0.5, 1.0)).gamma_prime > 0.0
+    ok, bad = run(cfg, tmp_path / "run")
+    assert ok.converged and all(map(math.isfinite, ok.value)) and ok.value[1] < 1.0
+    assert not bad.converged and all(map(math.isnan, bad.value))
+    path = tmp_path / "sweep.cfg"
+    path.write_text(cfg.canonical_text())
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
 
 
 def test_energy_matches_mean_field_scale():
