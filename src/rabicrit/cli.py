@@ -1,8 +1,9 @@
 """Command-line interface: figure reproduction, config-driven sweeps, and the
 dispersive-approximation check.
 
-Exit status is nonzero iff any sweep point is degraded (non-converged) or a
-validation threshold is missed.
+Exit status is 1 when a sweep point is degraded (non-converged), or the
+dispersive check misses its threshold or finds no converged ground state;
+2 for a bad flag or config file. Errors are one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import isfinite
 import numpy as np
 
 from . import __version__
+from .errors import ConvergenceError
 from .experiments import SweepConfig, default_config, run, validate_dispersive
 from .hamiltonians import ProbeParams, RabiParams
 from .spectra import CUTOFF_TOL
@@ -89,7 +91,11 @@ def main(argv=None) -> int:
         delta_s = args.detuning_ratio * args.g_s
         probe = ProbeParams(1.0 + delta_s, args.g_s, delta_s)
         times = np.linspace(0.0, args.t_max, args.n_times)
-        report = validate_dispersive(p, probe, times, cutoff_tol=args.cutoff_tol)
+        try:
+            report = validate_dispersive(p, probe, times, cutoff_tol=args.cutoff_tol)
+        except ConvergenceError as exc:
+            print(f"rabicrit validate-dispersive: error: {exc}", file=sys.stderr)
+            return 1
         summary = {
             "max_rel_deviation": report.max_rel_deviation,
             "dispersive_regime": bool(report.dispersive_regime),
@@ -100,7 +106,10 @@ def main(argv=None) -> int:
         return 0 if summary["passed"] else 1
 
     if args.command == "sweep":
-        config = SweepConfig.from_file(args.config)
+        try:
+            config = SweepConfig.from_file(args.config)
+        except (ValueError, OSError) as exc:
+            build_parser().exit(2, f"rabicrit sweep: error: {exc}\n")
     else:
         config = default_config(args.command, args.cutoff_tol)
     points = run(config, args.out)

@@ -4,21 +4,22 @@ ground states, and the Loschmidt echo at one coupling (`echo_point`).
 Every Hamiltonian is a real symmetric `BandMatrix`. The echo is one
 function, `decoherence_factor`, which returns D(t): it evolves the ground
 state to every time in one product per branch spectrum (`evolved`).
-The exact and effective methods find their ground states through one path:
-each hands its bands, one builder per frame, to the cutoff search
+The exact and effective methods find their ground states the same way, in
+three calls: the cutoff search over their bands, one builder per frame
 (`spectra.converge_cutoff`), which bisects the ground energy once per cutoff
-it tries and hands the one at the chosen cutoff to the ground-vector solve.
-The exact method solves on the bare frame's even parity chain
+it tries and returns the band and the energy at the one it chooses; the
+ground vector on that band at that energy, by inverse iteration
+(`spectra.band_ground_state`); and the moments of the physical photon number
+(`spectra.band_moments`). So each band is built once. The exact method
+solves on the bare frame's even parity chain
 (`hamiltonians.build_rabi_parity`), which holds the ground state, or, above
 the transition where its cutoff search converges there first, on the
-displaced band (`hamiltonians.build_displaced_rabi_band`), each the same band
-for the search and the solve (`exact_sector`); the effective method, in both
-phases, on the even photon numbers of its Hamiltonian without the constant
-(`hamiltonians._quartic_band(...).even()`, from the coefficients of the
-`hamiltonians.phase` record), which conserves photon parity. Every ground
-vector comes from one kernel, inverse iteration at the searched energy
-(`spectra.band_ground_state`). Each ground state (`BandGround`) carries the
-band H its vector lives in and the physical photon number N in that basis
+displaced band (`hamiltonians.build_displaced_rabi_band`); the effective
+method, in both phases, on the even photon numbers of its Hamiltonian
+without the constant (`hamiltonians._quartic_band(...).even()`, from the
+coefficients of the `hamiltonians.phase` record), which conserves photon
+parity. Each ground state (`BandGround`) carries the band H its vector lives
+in and the physical photon number N in that basis
 (`hamiltonians.photon_number_band`), and both methods' probe branches are
 H -/+ chi N, from one function (`probe_branches`). The tripartite check
 (`experiments.validate_dispersive`) runs the exact method's path on its bare
@@ -33,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .analytic import short_time_le, variance
-from .errors import DimensionMismatchError, PhaseDomainError
+from .errors import ConvergenceError, DimensionMismatchError, PhaseDomainError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
@@ -44,7 +45,7 @@ from .hamiltonians import (
     photon_number_band,
 )
 from .hilbert import BandMatrix, FockCutoff
-from .spectra import band_ground_state, band_moments, band_spectrum, converge_cutoff
+from .spectra import CUTOFF_HARD_CAP, band_ground_state, band_moments, band_spectrum, converge_cutoff
 from .variational import solve as variational_solve
 
 
@@ -113,51 +114,34 @@ class BandGround:
         return "displaced" if self.alpha else "bare"
 
 
-def _band_ground(alphas, search, solve, cutoff_tol: float) -> BandGround:
-    """One cutoff search over the frames displaced by each of `alphas`, in
-    that order, on the band `search(alpha, cutoff)` (None where the frame is
-    not built); then one ground vector, `solve(alpha, cutoff, energy)` ->
-    (h, n, energy, vector), in the first frame to converge, at its cutoff,
-    given the ground energy the search bisected there; and the moments of its
-    physical photon number n."""
-    found = converge_cutoff(tuple(partial(search, a) for a in alphas), cutoff_tol)
-    alpha, cutoff = alphas[found.frame], found.cutoff
-    h, n, energy, vec = solve(alpha, cutoff, found.energy)
-    return BandGround(alpha, cutoff, h, n, energy, vec, *band_moments(n, vec))
-
-
-def exact_sector(p: RabiParams, alpha: float, cutoff: FockCutoff) -> BandMatrix:
-    """The band of the Rabi Hamiltonian that holds the ground state in the
-    frame displaced by `alpha`, on which the exact method both searches its
-    cutoff and solves its ground vector. Bare frame (alpha = 0): the even
-    parity chain, whose row k has k photons and which every probe branch
-    conserves. Displaced frame: the whole spin-fastest band, two rows per
-    photon number."""
-    if alpha == 0.0:
-        return build_rabi_parity(p, cutoff)
-    return build_displaced_rabi_band(p, alpha, cutoff)
-
-
 def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -> BandGround:
-    """The exact method's `_band_ground` over the frames displaced by each of
-    `alphas`: each frame is one band (`exact_sector`), the same for the
-    search and the solve, and the vector is solved at the energy the search
-    bisected. Above the transition the bare frame holds both wells only with
-    about alpha_lambda^2 photons, the mean-field photon number, so it is not
-    built below that cutoff."""
+    """The exact ground state over the frames displaced by each of `alphas`,
+    in that order: the cutoff search, the ground vector on the band it
+    returns, and the physical photon number's moments. The bare frame
+    (alpha = 0) is the even parity chain, whose row k has k photons; a
+    displaced one the spin-fastest band, two rows per photon number. Above
+    the transition the bare frame holds both wells only from about
+    alpha_lambda^2 photons, so it is not built below that cutoff; alone and
+    beyond every cutoff the search tries, it raises `ConvergenceError` before
+    any band is built."""
     n_bare = phase(p).alpha ** 2
+    if alphas == (0.0,) and n_bare > CUTOFF_HARD_CAP // 2:
+        raise ConvergenceError(
+            f"bare frame needs a cutoff of alpha_lambda^2 = {n_bare:.6g} photons to hold "
+            f"both wells, above the largest the search tries ({CUTOFF_HARD_CAP // 2})"
+        )
 
-    def search(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
-        if not alpha and cutoff.n_max < n_bare:
-            return None
-        return exact_sector(p, alpha, cutoff)
+    def band(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
+        if alpha:
+            return build_displaced_rabi_band(p, alpha, cutoff)
+        return None if cutoff.n_max < n_bare else build_rabi_parity(p, cutoff)
 
-    def solve(alpha: float, cutoff: FockCutoff, energy: float):
-        h = exact_sector(p, alpha, cutoff)
-        n = photon_number_band(alpha, cutoff, h.dim // cutoff.dim)  # spins per photon number
-        return (h, n, *band_ground_state(h, energy))
-
-    return _band_ground(alphas, search, solve, cutoff_tol)
+    found = converge_cutoff(tuple(partial(band, a) for a in alphas), cutoff_tol)
+    alpha = alphas[found.frame]
+    vec = band_ground_state(found.band, found.energy)
+    n = photon_number_band(alpha, found.cutoff, 2 if alpha else 1)
+    return BandGround(alpha, found.cutoff, found.band, n, found.energy, vec,
+                      *band_moments(n, vec))
 
 
 def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
@@ -188,21 +172,18 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     into a phase error of L with t.
     """
     ph = phase(p)
-
-    def search(alpha: float, cutoff: FockCutoff) -> BandMatrix:
-        return _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff).even()
-
-    def solve(alpha: float, cutoff: FockCutoff, energy: float):
-        h = _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff)
-        n = photon_number_band(alpha, cutoff, 1)
-        energy, even = band_ground_state(h.even(), energy)
-        if not alpha:
-            return h.even(), n.even(), energy + ph.const, even
-        vec = np.zeros(cutoff.dim)
+    found = converge_cutoff((lambda c: _quartic_band(ph.omega_c, ph.c2, ph.c4, c).even(),),
+                            cutoff_tol)
+    cutoff = found.cutoff
+    even = band_ground_state(found.band, found.energy)
+    n = photon_number_band(ph.alpha, cutoff, 1)
+    if ph.alpha:
+        h, vec = _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff), np.zeros(cutoff.dim)
         vec[0::2] = even
-        return h, n, energy + ph.const, vec
-
-    return _band_ground((ph.alpha,), search, solve, cutoff_tol)
+    else:
+        h, n, vec = found.band, n.even(), even
+    return BandGround(ph.alpha, cutoff, h, n, found.energy + ph.const, vec,
+                      *band_moments(n, vec))
 
 
 # the methods that diagonalise, by name

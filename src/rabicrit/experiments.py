@@ -1,13 +1,14 @@
 """Figure-reproduction sweeps, flat-file config parsing (every value checked
-finite before the output directory is made), CSV/JSON reports, and the
-tripartite check of the dispersive approximation: the probe + Rabi band
-(half-width 6), diagonalised once and evolved by `dynamics.evolved`, against
-|D| of `dynamics.decoherence_factor` on the branches H -/+ chi N
-(`dynamics.probe_branches`) of the Rabi ground state that the exact method's
-ground path (`dynamics._exact_ground`) finds on its bare frame, the even
-parity chain. A sweep point solves its ground state by the method table of
-`dynamics` (`GROUND_STATES`) or a closed form; one whose cutoff search reaches
-the hard cap, or whose variational variance is negative, is degraded."""
+finite before the output directory is made; errors name file, line and
+key), CSV/JSON reports, and the tripartite check of the dispersive
+approximation: the probe + Rabi band (half-width 6), diagonalised once and
+evolved by `dynamics.evolved`, against |D| of `dynamics.decoherence_factor`
+on the branches H -/+ chi N (`dynamics.probe_branches`) of the Rabi ground
+state of the exact method's ground path (`dynamics._exact_ground`) on its
+bare frame, the even parity chain. A sweep point solves its ground state by
+the method table of `dynamics` (`GROUND_STATES`) or a closed form; one whose
+cutoff search reaches the hard cap, or whose variational variance is
+negative, is degraded."""
 
 from __future__ import annotations
 
@@ -117,7 +118,7 @@ class SweepConfig:
     def from_file(cls, path) -> "SweepConfig":
         """Parse the flat one-key-per-line `key = value` config format."""
         keys = {f.name for f in fields(cls)}
-        raw = {}
+        raw, lineno_of = {}, {}
         for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -130,19 +131,25 @@ class SweepConfig:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
-            raw[key] = value
+            raw[key], lineno_of[key] = value, lineno
 
-        def floats(s):
-            return [float(v) for v in s.replace(",", " ").split()]
+        def number(key, text):
+            try:
+                return float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno_of[key]}: {key}: not a number: {text!r}") from None
+
+        def floats(key):
+            return [number(key, v) for v in raw.get(key, "").replace(",", " ").split()]
 
         cfg = cls(
             figure=raw.get("figure", "custom"),
-            lambda_grid=floats(raw.get("lambda_grid", "")),
-            eta_grid=floats(raw.get("eta_grid", "")),
-            time_grid=floats(raw.get("time_grid", "")),
-            chi=float(raw.get("chi", "0")),
+            lambda_grid=floats("lambda_grid"),
+            eta_grid=floats("eta_grid"),
+            time_grid=floats("time_grid"),
+            chi=number("chi", raw.get("chi", "0")),
             methods=raw.get("methods", "analytic").replace(",", " ").split(),
-            cutoff_tol=float(raw.get("cutoff_tol", CUTOFF_TOL)),
+            cutoff_tol=number("cutoff_tol", raw.get("cutoff_tol", CUTOFF_TOL)),
         )
         cfg.validate()
         return cfg

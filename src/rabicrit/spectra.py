@@ -1,9 +1,9 @@
 """Ground states and spectra of real symmetric band matrices, the mean and
 variance of a band observable (`band_moments`, which reads the physical
 photon number's in every basis), and automatic cutoff convergence
-(`converge_cutoff`), which bisects the ground energy at each cutoff it tries
-and compares it with the doubled cutoff's by two band Cholesky
-factorisations (dpbtrf), not by a second eigenvalue solve.
+(`converge_cutoff`), which bisects the ground energy at each cutoff it tries,
+compares it with the doubled cutoff's by two band Cholesky factorisations
+(dpbtrf), not by a second eigenvalue solve, and returns both at its cutoff.
 
 `_band_eigh` is the one eigensolver kernel. It calls the LAPACK drivers that
 `scipy.linalg.eigh_tridiagonal` and `eig_banded` pick, with the same
@@ -12,8 +12,8 @@ argument handling, in two modes: the lowest eigenvalue alone, by bisection
 (dstebz for a tridiagonal matrix, dsbevx for a wider band), and the full
 spectrum with eigenvectors (dstevd, dsbevd). Every ground vector, of a
 tridiagonal matrix or a wider band, comes from one kernel, inverse iteration
-(dgbtrf / dgbtrs) at the eigenvalue the cutoff search bisected
-(`band_ground_state`).
+(dgbtrf / dgbtrs) on the band the cutoff search returned, at the eigenvalue
+it bisected there (`band_ground_state`).
 
 The drivers are scipy's own f2py functions, the very objects that
 `scipy.linalg.lapack` and `scipy.linalg.blas` expose, taken from the two
@@ -133,9 +133,9 @@ def band_ground_energy(h: BandMatrix) -> float:
     return float(_band_eigh(h, lowest=True)[0])
 
 
-def band_ground_state(h: BandMatrix, energy: float) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a real symmetric band matrix, tridiagonal or
-    wider, phase-fixed.
+def band_ground_state(h: BandMatrix, energy: float) -> np.ndarray:
+    """Ground vector of a real symmetric band matrix, tridiagonal or wider,
+    phase-fixed.
 
     The lowest eigenvalue E0 is `energy`, as `band_ground_energy` returned it
     for this matrix (the cutoff search's bisection). The vector comes from
@@ -165,7 +165,7 @@ def band_ground_state(h: BandMatrix, energy: float) -> tuple[float, np.ndarray]:
         # 4 eps ||H|| / gap, an error the residual bound still admits
         if solves > 1 and (np.linalg.norm(dsbmv(width, 1.0, residual, x[:, 0], lower=1))
                            <= RESIDUAL_EPS * bound):
-            return energy, _fix_phase(x[:, 0])
+            return _fix_phase(x[:, 0])
     raise ConvergenceError(
         f"inverse iteration: no ground vector within {RESIDUAL_EPS} eps ||H|| "
         f"after {INVERSE_ITERATION_MAX} solves (dimension {n})"
@@ -188,11 +188,12 @@ def band_moments(n: BandMatrix, vec: np.ndarray) -> tuple[float, float]:
 class FrameCutoff(NamedTuple):
     """The cutoff a search over several frames chose, the index of the
     frame whose ground energy converged there first, and that frame's ground
-    energy at the cutoff."""
+    energy and band at the cutoff."""
 
     frame: int
     cutoff: FockCutoff
     energy: float
+    band: BandMatrix
 
     @property
     def n_max(self) -> int:
@@ -224,7 +225,7 @@ def converge_cutoff(
     frame, or to None at the cutoffs too small for that frame to converge,
     where it is not tried. The frames share the doubling loop: at each cutoff
     n they are tested in order, and the first whose energy converges is
-    returned with its index and its ground energy E(n) at that cutoff.
+    returned with its index, its ground energy E(n) and its band H(n).
 
     E(n) is bisected (`band_ground_energy`). Whether the doubled cutoff's
     lowest eigenvalue E(2n) lies within tol of E(n), on either side (doubling
@@ -246,7 +247,7 @@ def converge_cutoff(
             e_n = band_ground_energy(h)
             h_doubled = build(FockCutoff(2 * n))
             if _within(h_doubled, e_n, tol):
-                return FrameCutoff(frame, FockCutoff(n), e_n)
+                return FrameCutoff(frame, FockCutoff(n), e_n, h)
             built[frame] = h_doubled
         n *= 2
     raise ConvergenceError(

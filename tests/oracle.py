@@ -608,7 +608,8 @@ def energy_search(frames, tol: float) -> FrameCutoff:
     the same doubling sequence and frames (each a builder, cutoff -> dense
     `Operator` or `BandMatrix`, or None where that frame is not built), the
     first frame at the first cutoff n whose ground energy moves by less than
-    tol, |E(2n) - E(n)| < tol, with E(2n) bisected (or diagonalised) too."""
+    tol, |E(2n) - E(n)| < tol, with E(2n) bisected (or diagonalised) too,
+    and its matrix at n."""
     if not (isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     known: dict[tuple[int, int], float | None] = {}
@@ -626,7 +627,7 @@ def energy_search(frames, tol: float) -> FrameCutoff:
         for frame in range(len(frames)):
             e_n = energy(frame, n)
             if e_n is not None and abs(energy(frame, 2 * n) - e_n) < tol:
-                return FrameCutoff(frame, FockCutoff(n), e_n)
+                return FrameCutoff(frame, FockCutoff(n), e_n, frames[frame](FockCutoff(n)))
         n *= 2
     raise ConvergenceError(
         f"ground energy not converged to {tol} below cutoff {spectra.CUTOFF_HARD_CAP}"

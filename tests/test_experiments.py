@@ -209,7 +209,7 @@ def test_config_file_unknown_key(tmp_path):
     ("methods = exact\nchi = inf\n", "chi must be finite"),
 ], ids=["key_twice", "method_twice", "no_method", "tol_inf", "time_inf", "eta_inf",
         "lambda_inf", "chi_inf"])
-def test_sweep_rejects_config_fault(tmp_path, lines, message):
+def test_sweep_rejects_config_fault(tmp_path, capsys, lines, message):
     # each of these once ran: with exit status 0, where the second key
     # silently won, every row was written twice, the CSV held only its
     # header, or an infinite tolerance marked unconverged rows converged;
@@ -221,8 +221,44 @@ def test_sweep_rejects_config_fault(tmp_path, lines, message):
     path = tmp_path / "sweep.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in base.items() if k not in given) + lines)
     with pytest.raises(ValueError, match=message):
+        SweepConfig.from_file(path)
+    with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("methods = exact\ncolour = red\n", "sweep.cfg:2: unknown key 'colour'"),
+    (None, "No such file or directory"),
+    ("methods = exact\nchi = abc\n", "sweep.cfg:2: chi: not a number: 'abc'"),
+    ("lambda_grid = 0.5, 0.9x\n", "sweep.cfg:1: lambda_grid: not a number: '0.9x'"),
+], ids=["unknown_key", "missing_file", "not_a_number", "grid_not_a_number"])
+def test_cli_sweep_reports_config_error_in_one_line(tmp_path, capsys, text, message):
+    # as argparse reports a bad flag: exit status 2 and one line on stderr,
+    # naming the file, line and key, with no traceback
+    path = tmp_path / "sweep.cfg"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rabicrit sweep: error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_dispersive_reports_unsearchable_bare_frame(capsys):
+    # the bare chain holds both wells only from alpha_lambda^2 = 45,139
+    # photons, above every cutoff the search tries: one line, exit status 1
+    assert main(["validate-dispersive", "--lam", "1.5", "--eta", "1e5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rabicrit validate-dispersive: error: ") and err.count("\n") == 1, err
+    assert "alpha_lambda^2" in err
 
 
 def test_empty_grid_no_output(tmp_path):

@@ -194,7 +194,7 @@ def test_band_moments_match_dense_operator_moments():
         p = RabiParams.from_dimensionless(lam, eta)
         alpha = alpha_lambda(p)
         h = build_displaced_rabi_band(p, alpha, c)
-        _, vec = band_ground_state(h, band_ground_energy(h))
+        vec = band_ground_state(h, band_ground_energy(h))
         dense_vec = np.zeros(2 * c.dim)
         dense_vec[_spin_fastest_order(c)] = vec
         mean_n, gamma = band_moments(photon_number_band(alpha, c, 2), vec)
@@ -249,6 +249,20 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
     assert band_warnings == dense_warnings
 
 
+def test_tripartite_check_reports_an_unsearchable_bare_frame(monkeypatch):
+    # at lam = 1.5, eta = 1e5 the bare chain holds both wells only from
+    # alpha_lambda^2 = 45,139 photons, above every cutoff the search tries:
+    # the check says so before it builds a band
+    def never(*args):
+        raise AssertionError("a band was built")
+
+    monkeypatch.setattr(dynamics, "build_rabi_parity", never)
+    monkeypatch.setattr(dynamics, "build_displaced_rabi_band", never)
+    p = RabiParams.from_dimensionless(1.5, 1e5)
+    with pytest.raises(ConvergenceError, match=r"alpha_lambda\^2 = 45138.9 photons"):
+        validate_dispersive(p, DEFAULT_PROBE, np.linspace(0.0, 20.0, 41))
+
+
 def test_band_solvers_match_dense_eigh():
     c = FockCutoff(40)
     p = RabiParams.from_dimensionless(0.9, 50.0)
@@ -256,9 +270,9 @@ def test_band_solvers_match_dense_eigh():
     displaced = build_displaced_rabi_band(RabiParams.from_dimensionless(1.2, 50.0), 2.0, c)
     for h in (chain, displaced):
         w, v = np.linalg.eigh(_dense(h))
-        assert band_ground_energy(h) == pytest.approx(w[0], abs=1e-11)
-        energy, vec = band_ground_state(h, band_ground_energy(h))
+        energy = band_ground_energy(h)
         assert energy == pytest.approx(w[0], abs=1e-11)
+        vec = band_ground_state(h, energy)
         assert abs(abs(vec @ v[:, 0]) - 1.0) < 1e-12
         assert vec[np.argmax(np.abs(vec))] > 0.0
         w_all, v_all = band_spectrum(h)
@@ -326,6 +340,30 @@ def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
     assert min(built) >= 32 and 128 in built  # alpha_lambda^2 = 25
 
 
+@pytest.mark.parametrize("method, lam, eta, frame", [
+    ("exact", 0.5, 5000.0, "bare"),
+    ("exact", 1.005, 5000.0, "bare"),        # the even chain, at cutoff 128
+    ("exact", 1.3, 1e5, "displaced"),        # the displaced band, at cutoff 8
+    ("effective", 0.5, 5000.0, "bare"),
+])
+def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
+    # the cutoff search returns the band it converged on, and the ground
+    # vector is solved on that band: no builder runs twice at one cutoff
+    built = []
+    for name in ("build_rabi_parity", "build_displaced_rabi_band", "_quartic_band",
+                 "photon_number_band"):
+
+        def counted(*args, name=name, build=getattr(dynamics, name)):
+            built.append((name, next(a.n_max for a in args if isinstance(a, FockCutoff))))
+            return build(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    gs = dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), TOL)
+    assert gs.frame == frame
+    assert ("photon_number_band", gs.cutoff.n_max) in built
+    assert sorted(built) == sorted(set(built)), built
+
+
 def _even_chain(p, probe, cutoff):
     """(gamma, (h_g, h_e), ground vector) on the even parity chain at a fixed
     cutoff, the branches rebuilt at omega_c -/+ chi."""
@@ -334,7 +372,7 @@ def _even_chain(p, probe, cutoff):
         return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff)
 
     h = chain(p.omega_c)
-    _, vec = band_ground_state(h, band_ground_energy(h))
+    vec = band_ground_state(h, band_ground_energy(h))
     _, gamma = band_moments(photon_number_band(0.0, cutoff, 1), vec)
     return gamma, (chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi)), vec
 
@@ -483,7 +521,8 @@ def test_inverse_iteration_vector_matches_eig_banded():
     for lam, eta, n_max in ((0.995, 1e5, 256), (1.005, 5000.0, 128), (0.9999, 1e6, 2048)):
         cases.append(build_rabi_parity(RabiParams.from_dimensionless(lam, eta), FockCutoff(n_max)))
     for h in cases:
-        energy, vec = band_ground_state(h, band_ground_energy(h))
+        energy = band_ground_energy(h)
+        vec = band_ground_state(h, energy)
         if h.band.shape[0] == 2:
             w, v = eigh_tridiagonal(h.band[0], h.band[1, :-1], select="i", select_range=(0, 0))
         else:
@@ -524,8 +563,13 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
         p = RabiParams.from_dimensionless(lam, eta)
         gs = exact_ground_state(p, TOL)
         assert gs.frame == frame, (lam, eta)
-        h = dynamics.exact_sector(p, gs.alpha, gs.cutoff)
-        energy, vec = band_ground_state(h, band_ground_energy(h))
+        if gs.alpha:
+            h = build_displaced_rabi_band(p, gs.alpha, gs.cutoff)
+        else:
+            h = build_rabi_parity(p, gs.cutoff)
+        energy = band_ground_energy(h)
+        vec = band_ground_state(h, energy)
+        assert np.array_equal(gs.h.band, h.band)
         assert gs.energy == energy
         assert np.array_equal(gs.vector, vec)
 
