@@ -52,7 +52,7 @@ def short_time_le(gamma, chi: float, t) -> np.ndarray | float:
     """
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
-        raise ValueError("gamma must be non-negative")
+        raise PhaseDomainError(f"the photon-number variance gamma = {gamma} is negative")
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be non-negative")

@@ -29,12 +29,12 @@ frame alone (`_exact_ground`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .analytic import short_time_le, variance
-from .errors import ConvergenceError, DimensionMismatchError, PhaseDomainError
+from .errors import ConvergenceError, DimensionMismatchError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
@@ -172,13 +172,14 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     into a phase error of L with t.
     """
     ph = phase(p)
-    found = converge_cutoff((lambda c: _quartic_band(ph.omega_c, ph.c2, ph.c4, c).even(),),
-                            cutoff_tol)
+    # one build per cutoff: above the transition the full band is the searched one
+    band = cache(partial(_quartic_band, ph.omega_c, ph.c2, ph.c4))
+    found = converge_cutoff((lambda c: band(c).even(),), cutoff_tol)
     cutoff = found.cutoff
     even = band_ground_state(found.band, found.energy)
     n = photon_number_band(ph.alpha, cutoff, 1)
     if ph.alpha:
-        h, vec = _quartic_band(ph.omega_c, ph.c2, ph.c4, cutoff), np.zeros(cutoff.dim)
+        h, vec = band(cutoff), np.zeros(cutoff.dim)
         vec[0::2] = even
     else:
         h, n, vec = found.band, n.even(), even
@@ -232,13 +233,7 @@ def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
     """
     times = np.asarray(times, dtype=float)
     if method in ("analytic", "variational"):
-        if method == "analytic":
-            gamma = variance(p)
-        else:
-            gamma = variational_solve(p).gamma_prime
-            if gamma < 0.0:
-                raise PhaseDomainError(f"variational variance {gamma} < 0 "
-                                       f"at lam={p.lam}, eta={p.eta}")
+        gamma = variance(p) if method == "analytic" else variational_solve(p).gamma_prime
         return EchoPoint(short_time_le(gamma, probe.chi, times), gamma, None)
     if method not in GROUND_STATES:
         raise ValueError(f"unknown method {method!r}")

@@ -12,8 +12,9 @@ without its constant.
 Every builder returns a real symmetric `BandMatrix` in a basis ordered by
 photon number: the Rabi Hamiltonian on its even parity chain, which holds
 the ground state (`build_rabi_parity`), or spin-fastest in the displaced frame
-(`build_displaced_rabi_band`), the tripartite model with both spins fastest
-(`build_tripartite_band`) and the effective Hamiltonians in natural Fock
+(`build_displaced_rabi_band`), the tripartite model on its two total-parity
+blocks, each the probe spin fastest over the Rabi parity chains
+(`build_tripartite_blocks`), and the effective Hamiltonians in natural Fock
 order. `photon_number_band` builds the physical photon number N in each of
 these bases but the tripartite one; a probe branch of any method is then
 H -/+ chi N (`dynamics.probe_branches`). The probe atom (`ProbeParams`) is
@@ -191,26 +192,28 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCuto
     return BandMatrix(band)
 
 
-def build_tripartite_band(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff) -> BandMatrix:
+def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
+                            cutoff: FockCutoff) -> tuple[BandMatrix, BandMatrix]:
     """The Jaynes-Cummings probe plus the Rabi model, before the dispersive
-    step, as a real band matrix of half-width 6:
-
-    H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a).
-
-    Photons slowest, then the probe spin, then the Rabi spin: row
-    4 k + 2 s_probe + s_rabi has k photons (s = 0 for |e>, 1 for |g>).
+    step, H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a),
+    on its two blocks of total parity (the Rabi parity times the probe's): real
+    band matrices of half-width 2. Row 2 k is the probe in |g> with row k of
+    one Rabi parity chain, row 2 k + 1 the probe in |e> with row k of the
+    other. The first block pairs |g> with the even chain (`build_rabi_parity`);
+    the odd chain |e,0>, |g,1>, |e,2>, ... is the even one with sigma_z flipped.
     """
     k = np.arange(cutoff.dim, dtype=float)
-    spin = np.array([1.0, -1.0])
-    hop = np.sqrt(k[1:])[:, None]              # <k+1| a^dag |k>
-    band = np.zeros((7, 4 * cutoff.dim))
-    band[0] = (p.omega_c * k[:, None, None] + 0.5 * p.omega_0 * spin
-               + 0.5 * probe.omega_s * spin[:, None]).ravel()
-    rows = band[:, :4 * cutoff.n_max].reshape(7, cutoff.n_max, 4)  # a view: rows[d, k, j] = band[d, 4 k + j]
-    rows[5, :, 0::2] = -p.g * hop              # <k+1, s, g| H |k, s, e>
-    rows[3, :, 1::2] = -p.g * hop              # <k+1, s, e| H |k, s, g>
-    rows[6, :, :2] = -probe.g_s * hop          # <k+1, g, r| H |k, e, r>
-    return BandMatrix(band)
+    even = build_rabi_parity(p, cutoff).band
+    odd = 2.0 * p.omega_c * k - even[0]  # the odd chain's diagonal: sigma_z flipped
+    blocks = []
+    for g_chain, e_chain in ((even[0], odd), (odd, even[0])):
+        band = np.zeros((3, 2 * cutoff.dim))
+        band[0, 0::2] = g_chain - 0.5 * probe.omega_s
+        band[0, 1::2] = e_chain + 0.5 * probe.omega_s
+        band[1, 1:-1:2] = -probe.g_s * np.sqrt(k[1:])  # <k+1, g| H |k, e>
+        band[2, :-2] = np.repeat(even[1, :-1], 2)       # <k+1| H_rabi |k>, both chains
+        blocks.append(BandMatrix(band))
+    return tuple(blocks)
 
 
 def _quartic_band(omega_c: float, c2: float, c4: float, cutoff: FockCutoff) -> BandMatrix:

@@ -21,6 +21,7 @@ import pytest
 from scipy.linalg import eig_banded, eigh_tridiagonal
 
 import rabicrit.dynamics as dynamics
+import rabicrit.experiments as experiments
 import rabicrit.spectra as spectra
 from oracle import (
     QuantumState,
@@ -57,7 +58,7 @@ from rabicrit.hamiltonians import (
     alpha_lambda,
     build_displaced_rabi_band,
     build_rabi_parity,
-    build_tripartite_band,
+    build_tripartite_blocks,
     photon_number_band,
 )
 from rabicrit.hilbert import BandMatrix, FockCutoff
@@ -204,19 +205,38 @@ def test_band_moments_match_dense_operator_moments():
         assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
 
 
-def test_tripartite_band_is_permuted_dense_tripartite():
-    # band row 4 k + 2 s_probe + s_rabi is dense row
-    # (s_probe, s_rabi, k) of the probe (x) Rabi spin (x) Fock product
+def _tripartite_block_order(cutoff):
+    """Dense index, in the probe (x) Rabi spin (x) Fock product (spins
+    (|e>, |g>)), of each row of the two `build_tripartite_blocks`: row 2 k is
+    the probe in |g> with row k of one Rabi parity chain, row 2 k + 1 the
+    probe in |e> with row k of the other, the even chain first with |g>."""
+    k = np.arange(cutoff.dim)
+    even_spin, odd_spin = np.where(k % 2 == 0, 1, 0), np.where(k % 2 == 0, 0, 1)
+    orders = []
+    for g_spin, e_spin in ((even_spin, odd_spin), (odd_spin, even_spin)):
+        g_rows = 2 * cutoff.dim + cutoff.dim * g_spin + k
+        e_rows = cutoff.dim * e_spin + k
+        orders.append(np.column_stack([g_rows, e_rows]).ravel())
+    return orders
+
+
+def test_tripartite_blocks_are_dense_parity_blocks():
+    # each block is the dense tripartite Hamiltonian on that block's rows,
+    # the dense model has no entry between the blocks, and the blocks' rows
+    # hold every state once
     c = FockCutoff(9)
-    k, s_probe, s_rabi = np.meshgrid(np.arange(c.dim), [0, 1], [0, 1], indexing="ij")
-    order = (2 * c.dim * s_probe + c.dim * s_rabi + k).ravel()
+    orders = _tripartite_block_order(c)
+    assert np.array_equal(np.sort(np.concatenate(orders)), np.arange(4 * c.dim))
     for lam, probe in ((0.8, ProbeParams(6.0, 0.05, 5.0)), (1.3, ProbeParams(1.2, 0.1, 0.2))):
         p = RabiParams.from_dimensionless(lam, 20.0)
         dense = build_tripartite(p, probe, c).mat
-        band = build_tripartite_band(p, probe, c)
-        assert band.band.shape == (7, 4 * c.dim)
         assert np.abs(dense.imag).max() == 0.0
-        assert np.array_equal(dense.real[np.ix_(order, order)], _dense(band))
+        blocks = build_tripartite_blocks(p, probe, c)
+        assert len(blocks) == 2
+        for block, order in zip(blocks, orders):
+            assert block.band.shape == (3, 2 * c.dim)
+            assert np.array_equal(dense.real[np.ix_(order, order)], _dense(block))
+        assert not dense[np.ix_(*orders)].any()
 
 
 DEFAULT_PROBE = ProbeParams(6.0, 0.05, 5.0)  # the CLI's g_s = 0.05, Delta_s / g_s = 100
@@ -247,6 +267,22 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
     assert np.abs(band.coherence_predicted - dense.coherence_predicted).max() <= bound
     assert band.dispersive_regime == dense.dispersive_regime
     assert band_warnings == dense_warnings
+
+
+def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
+    # the check diagonalises each parity block once, at the cutoff its
+    # search chose, and no band of the whole tripartite space
+    solved = []
+
+    def counted(h, solve=experiments.band_spectrum):
+        solved.append((h.dim, h.band.shape[0] - 1))
+        return solve(h)
+
+    monkeypatch.setattr(experiments, "band_spectrum", counted)
+    p = RabiParams.from_dimensionless(1.2, 200.0)
+    cutoff = dynamics._exact_ground(p, (0.0,), TOL).cutoff
+    validate_dispersive(p, DEFAULT_PROBE, np.linspace(0.0, 20.0, 41))
+    assert solved == [(2 * cutoff.dim, 2)] * 2
 
 
 def test_tripartite_check_reports_an_unsearchable_bare_frame(monkeypatch):
@@ -345,6 +381,8 @@ def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
     ("exact", 1.005, 5000.0, "bare"),        # the even chain, at cutoff 128
     ("exact", 1.3, 1e5, "displaced"),        # the displaced band, at cutoff 8
     ("effective", 0.5, 5000.0, "bare"),
+    ("effective", 1.3, 1e5, "displaced"),    # the full band, at cutoff 8
+    ("effective", 1.01, 1e5, "displaced"),   # the full band, at cutoff 64
 ])
 def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
     # the cutoff search returns the band it converged on, and the ground
