@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConvergenceError,
-    DimensionMismatchError,
     PhaseDomainError,
     RabicritError,
     TruncationError,
@@ -16,7 +15,6 @@ from .hilbert import FockCutoff
 
 __all__ = [
     "ConvergenceError",
-    "DimensionMismatchError",
     "FockCutoff",
     "Phase",
     "PhaseDomainError",

@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from math import isfinite
+from pathlib import Path
 
 import numpy as np
 
@@ -112,6 +113,10 @@ def main(argv=None) -> int:
             build_parser().exit(2, f"rabicrit sweep: error: {exc}\n")
     else:
         config = default_config(args.command, args.cutoff_tol)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        build_parser().exit(2, f"rabicrit {args.command}: error: --out: {exc}\n")
     points = run(config, args.out)
     n_rows = sum(len(pt.value) for pt in points)
     n_bad = sum(len(pt.value) for pt in points if not pt.converged)

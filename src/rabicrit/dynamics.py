@@ -1,9 +1,11 @@
-"""Branch time evolution, the decoherence factor, the exact and effective
-ground states, and the Loschmidt echo at one coupling (`echo_point`).
+"""Branch time evolution, the exact and effective ground states, and the
+decoherence factor of a ground state.
 
 Every Hamiltonian is a real symmetric `BandMatrix`. The echo is one
-function, `decoherence_factor`, which returns D(t): it evolves the ground
-state to every time in one product per branch spectrum (`evolved`).
+function, `decoherence_factor(gs, probe, times)`, which returns D(t), so
+that L(t) = |D(t)|^2: it builds the ground state's probe branches and
+evolves the ground state to every time in one product per branch spectrum
+(`evolved`).
 The exact and effective methods find their ground states the same way, in
 three calls: the cutoff search over their bands, one builder per frame
 (`spectra.converge_cutoff`), which bisects the ground energy once per cutoff
@@ -21,7 +23,9 @@ coefficients of the `hamiltonians.phase` record), which conserves photon
 parity. Each ground state (`BandGround`) carries the band H its vector lives
 in and the physical photon number N in that basis
 (`hamiltonians.photon_number_band`), and both methods' probe branches are
-H -/+ chi N, from one function (`probe_branches`). The tripartite check
+H -/+ chi N, from one function (`probe_branches`), which only
+`decoherence_factor` calls. A sweep point (`experiments._point`) looks the
+two methods up by name in `GROUND_STATES`; the tripartite check
 (`experiments.validate_dispersive`) runs the exact method's path on its bare
 frame alone (`_exact_ground`).
 """
@@ -33,8 +37,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .analytic import short_time_le, variance
-from .errors import ConvergenceError, DimensionMismatchError
+from .errors import ConvergenceError
 from .hamiltonians import (
     ProbeParams,
     RabiParams,
@@ -46,7 +49,6 @@ from .hamiltonians import (
 )
 from .hilbert import BandMatrix, FockCutoff
 from .spectra import CUTOFF_HARD_CAP, band_ground_state, band_moments, band_spectrum, converge_cutoff
-from .variational import solve as variational_solve
 
 
 def _matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -65,22 +67,6 @@ def evolved(energies: np.ndarray, vectors: np.ndarray, vec: np.ndarray, times: n
     coeff = _matmul(vectors.T, vec)
     phases = np.exp(-1j * np.outer(energies - e_ref, times))
     return _matmul(vectors, phases * coeff[:, None])
-
-
-def decoherence_factor(h_g: BandMatrix, h_e: BandMatrix, ground: np.ndarray,
-                       times) -> np.ndarray:
-    """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>, at
-    every t of `times`, each branch evolved to every time in one matrix
-    product (`evolved`). The echo is L(t) = |D(t)|^2."""
-    if h_g.dim != h_e.dim:
-        raise DimensionMismatchError(f"branch dims differ: {h_g.dim} vs {h_e.dim}")
-    times = np.asarray(times, dtype=float)
-    (w_g, v_g), (w_e, v_e) = band_spectrum(h_g), band_spectrum(h_e)
-    # A common energy offset is a global phase that cancels in |D|; removing
-    # it keeps the phases E t small (E is near -omega_0/2).
-    e_ref = w_g[0]
-    return np.sum(evolved(w_g, v_g, ground, times, e_ref).conj()
-                  * evolved(w_e, v_e, ground, times, e_ref), axis=0)
 
 
 @dataclass(frozen=True)
@@ -205,38 +191,16 @@ def probe_branches(h: BandMatrix, n: BandMatrix, probe: ProbeParams) -> tuple[Ba
     return BandMatrix(h.band - chi * n_band), BandMatrix(h.band + chi * n_band)
 
 
-@dataclass(frozen=True)
-class EchoPoint:
-    """The echo L(t) at one coupling, the photon-number variance `gamma` of
-    the ground state it probes, and that ground state: the `BandGround` of
-    the exact or effective method, which holds the point's cutoff and frame,
-    or None for the closed forms, which diagonalise nothing."""
-
-    l_values: np.ndarray
-    gamma: float
-    ground: BandGround | None
-
-
-def echo_point(p: RabiParams, probe: ProbeParams, times, method: str,
-               cutoff_tol: float) -> EchoPoint:
-    """Echo L(t) at the coupling of `p`, at every t of `times`.
-
-    Methods: 'exact' and 'effective' (`GROUND_STATES`; the branches are
-    `probe_branches` of the ground state's band and photon number, in its
-    frame), 'analytic' / 'variational' (Gaussian law with the respective
-    variance; valid for epsilon * t << 1, epsilon the ground-state excitation
-    frequency, and evaluated at every requested t regardless;
-    `PhaseDomainError` within CRITICAL_BAND of lam = 1, and for a negative
-    variational variance, which the finite-eta correction gives at small
-    eta). The exact and effective methods raise `ConvergenceError` when the
-    cutoff search reaches the hard cap.
-    """
+def decoherence_factor(gs: BandGround, probe: ProbeParams, times) -> np.ndarray:
+    """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>, at
+    every t of `times`, for the ground state `gs` of the exact or effective
+    method and its branches `probe_branches(gs.h, gs.n, probe)`, each branch
+    evolved to every time in one matrix product (`evolved`). The echo is
+    L(t) = |D(t)|^2."""
     times = np.asarray(times, dtype=float)
-    if method in ("analytic", "variational"):
-        gamma = variance(p) if method == "analytic" else variational_solve(p).gamma_prime
-        return EchoPoint(short_time_le(gamma, probe.chi, times), gamma, None)
-    if method not in GROUND_STATES:
-        raise ValueError(f"unknown method {method!r}")
-    gs = GROUND_STATES[method](p, cutoff_tol)
-    h_g, h_e = probe_branches(gs.h, gs.n, probe)
-    return EchoPoint(np.abs(decoherence_factor(h_g, h_e, gs.vector, times)) ** 2, gs.gamma, gs)
+    (w_g, v_g), (w_e, v_e) = map(band_spectrum, probe_branches(gs.h, gs.n, probe))
+    # A common energy offset is a global phase that cancels in |D|; removing
+    # it keeps the phases E t small (E is near -omega_0/2).
+    e_ref = w_g[0]
+    return np.sum(evolved(w_g, v_g, gs.vector, times, e_ref).conj()
+                  * evolved(w_e, v_e, gs.vector, times, e_ref), axis=0)

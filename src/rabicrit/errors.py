@@ -15,7 +15,3 @@ class PhaseDomainError(RabicritError, ValueError):
 
 class ConvergenceError(RabicritError, RuntimeError):
     """Cutoff doubling or an eigensolver failed to converge."""
-
-
-class DimensionMismatchError(RabicritError, ValueError):
-    """Operands live on incompatible Hilbert spaces."""

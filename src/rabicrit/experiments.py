@@ -4,12 +4,16 @@ key), CSV/JSON reports, and the tripartite check of the dispersive
 approximation: the probe + Rabi model on its two parity blocks (half-width
 2, `hamiltonians.build_tripartite_blocks`), each diagonalised once and
 evolved by `dynamics.evolved`, against |D| of `dynamics.decoherence_factor`
-on the branches H -/+ chi N (`dynamics.probe_branches`) of the Rabi ground
-state of the exact method's ground path (`dynamics._exact_ground`) on its
-bare frame, the even parity chain. A sweep point solves its ground state by
-the method table of `dynamics` (`GROUND_STATES`) or a closed form; one whose
-cutoff search reaches the hard cap, or whose variational variance is
-negative, is degraded."""
+on the Rabi ground state of the exact method's ground path
+(`dynamics._exact_ground`) on its bare frame, the even parity chain.
+
+A sweep point (`_point`) is the one place that picks a method's path: the
+exact and effective methods solve a ground state from the method table of
+`dynamics` (`GROUND_STATES`) and take its echo from
+`dynamics.decoherence_factor`; the variational and analytic methods take
+the Gaussian law (`analytic.short_time_le`) at their own photon-number
+variance. A point whose cutoff search reaches the hard cap, or whose
+variational variance is negative, is degraded."""
 
 from __future__ import annotations
 
@@ -24,15 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import CRITICAL_BAND, near_critical
-from .dynamics import (
-    GROUND_STATES,
-    _exact_ground,
-    decoherence_factor,
-    echo_point,
-    evolved,
-    probe_branches,
-)
+from .analytic import CRITICAL_BAND, near_critical, short_time_le, variance
+from .dynamics import GROUND_STATES, _exact_ground, decoherence_factor, evolved
 from .errors import ConvergenceError, PhaseDomainError
 from .hamiltonians import ProbeParams, RabiParams, build_tripartite_blocks
 from .spectra import CUTOFF_TOL, band_spectrum
@@ -240,10 +237,11 @@ def default_config(figure: str, cutoff_tol: float = CUTOFF_TOL) -> SweepConfig:
 
 def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
            lam: float) -> SweepPoint:
-    """One sweep point: the echo of `probe` at every time of `time_grid` or,
-    on fig1/fig2 (`probe` None), the ground energy and mean photon number. A
-    point whose cutoff search reaches the hard cap, or whose variational
-    variance is negative, is degraded; the sweep goes on."""
+    """One sweep point: the echo L = |D|^2 of `probe` at every time of
+    `time_grid` or, on fig1/fig2 (`probe` None), the ground energy and mean
+    photon number. `method` is one of `METHODS`, which `SweepConfig.validate`
+    checks. A point whose cutoff search reaches the hard cap, or whose
+    variational variance is negative, is degraded; the sweep goes on."""
     t0 = time.perf_counter()
     p = RabiParams.from_dimensionless(lam, eta)
     if probe is None:
@@ -253,15 +251,16 @@ def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
         names = ["loschmidt_echo"] * len(times)
     gs, converged = None, True
     try:
-        if probe is not None:
-            echo = echo_point(p, probe, times, method, cfg.cutoff_tol)
-            gs, values = echo.ground, echo.l_values.tolist()
+        if method in GROUND_STATES:
+            gs = GROUND_STATES[method](p, cfg.cutoff_tol)
+            values = ([gs.energy, gs.mean_n] if probe is None
+                      else (np.abs(decoherence_factor(gs, probe, times)) ** 2).tolist())
         elif method == "variational":
             sol = variational_solve(p)
-            values = [sol.energy, sol.mean_n]
+            values = ([sol.energy, sol.mean_n] if probe is None
+                      else short_time_le(sol.gamma_prime, probe.chi, times).tolist())
         else:
-            gs = GROUND_STATES[method](p, cfg.cutoff_tol)
-            values = [gs.energy, gs.mean_n]
+            values = short_time_le(variance(p), probe.chi, times).tolist()
     except (ConvergenceError, PhaseDomainError):
         converged, values = False, [np.nan] * len(names)
     wall = time.perf_counter() - t0
@@ -298,20 +297,28 @@ def write_report(points: list[SweepPoint], provenance: dict, path: Path):
 
 def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
     """`<figure>.gp`: L against lambda and omega_c t when both are swept,
-    else against lambda, or omega_c t, or eta, the first of them swept."""
+    else against lambda, or omega_c t, or eta, the first of them swept; on
+    fig1/fig2 the energy and the mean photon number, each its own series on
+    its own y axis."""
+    head = "set datafile separator ','\n"
     if len(cfg.time_grid) > 1 and len(cfg.lambda_grid) > 1:
         body = (
-            f"set datafile separator ','\n"
             f"set xlabel 'lambda/lambda_c'\nset ylabel 'omega_c t'\n"
             f"splot '{csv_name}' every ::1 using 3:6:8 with points title 'L'\n"
         )
     else:
         xcol = 3 if len(cfg.lambda_grid) > 1 else 6 if len(cfg.time_grid) > 1 else 4
-        body = (
-            f"set datafile separator ','\n"
-            f"plot '{csv_name}' every ::1 using {xcol}:8 with points title '{cfg.figure}'\n"
-        )
-    path.write_text(body, encoding="utf-8")
+        if cfg.figure in GROUND_FIGURES:
+            # a ground point writes an energy row, then a mean_n row
+            series = ", ".join(
+                f"'{csv_name}' every ::1 using {xcol}:(strcol(7) eq '{name}' ? $8 : NaN) "
+                f"axes x1{axis} with points title '{name}'"
+                for name, axis in (("energy", "y1"), ("mean_n", "y2"))
+            )
+            body = f"set y2tics\nplot {series}\n"
+        else:
+            body = f"plot '{csv_name}' every ::1 using {xcol}:8 with points title '{cfg.figure}'\n"
+    path.write_text(head + body, encoding="utf-8")
 
 
 def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
@@ -377,7 +384,7 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     overlap = g[0::2].conj() * e[1::2] + e[0::2].conj() * g[1::2]
     coherence_exact = 2.0 * np.abs(overlap.sum(axis=0))
     # the branch echo predicts 2 |rho_eg| = 2 (1/2) |D| = |D|
-    coherence_pred = np.abs(decoherence_factor(*probe_branches(gs.h, gs.n, probe), gs.vector, times))
+    coherence_pred = np.abs(decoherence_factor(gs, probe, times))
     denom = np.maximum(coherence_pred, 1e-15)
     max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))
     return DispersiveReport(

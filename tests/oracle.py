@@ -44,7 +44,9 @@ takes dense or band builders. The echo (`decoherence_factor`) is the
 oracle's own: the full spectrum of each branch by dense `eigh` (or scipy's
 band solvers for a `BandMatrix`, accepted wherever a Hamiltonian is), both
 branches evolved to every time in one product, so it shares no code with
-`dynamics.decoherence_factor`, which it checks.
+`dynamics.decoherence_factor`, which it checks. `echo_sweep` stacks the
+sweep's own points (`experiments._point`) and does not pick a method's path
+itself.
 """
 
 from __future__ import annotations
@@ -58,15 +60,10 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 
-from rabicrit import dynamics, spectra
+from rabicrit import spectra
 from rabicrit.analytic import CRITICAL_BAND
-from rabicrit.errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    PhaseDomainError,
-    RabicritError,
-)
-from rabicrit.experiments import DispersiveReport
+from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
+from rabicrit.experiments import DispersiveReport, SweepConfig, _point
 from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band, alpha_lambda
 from rabicrit.hilbert import BandMatrix, FockCutoff
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
@@ -78,6 +75,10 @@ DUAL_PATH_RTOL = 1e-10
 
 class LayoutError(RabicritError, ValueError):
     """A state/operator subsystem layout does not match the request."""
+
+
+class DimensionMismatchError(RabicritError, ValueError):
+    """Operands live on incompatible Hilbert spaces."""
 
 
 # --- dense operators and states ----------------------------------------------
@@ -706,23 +707,25 @@ def evolve(decomp: SpectralDecomposition, psi0: QuantumState, t: float) -> Quant
 
 @dataclass(frozen=True)
 class EchoSweep:
-    """`dynamics.echo_point` at each lambda of a grid, stacked."""
+    """The sweep's own points (`experiments._point`) at each lambda of a
+    grid, stacked."""
 
     l_matrix: np.ndarray          # shape (len(lams), len(times))
-    gammas: np.ndarray
     cutoffs: list                 # None where nothing is diagonalised
 
 
 def echo_sweep(eta: float, probe: ProbeParams, lams, times, method: str,
                cutoff_tol: float = spectra.CUTOFF_TOL) -> EchoSweep:
-    """The echo at each lambda of `lams` (eta fixed, omega_c = 1)."""
-    points = [dynamics.echo_point(RabiParams.from_dimensionless(lam, eta), probe, times,
-                                  method, cutoff_tol)
-              for lam in lams]
+    """The echo at each lambda of `lams` (eta fixed, omega_c = 1), as a sweep
+    computes it; a degraded point raises `RabicritError`."""
+    cfg = SweepConfig("custom", list(lams), [eta], list(times), probe.chi, [method], cutoff_tol)
+    points = [_point(cfg, probe, eta, method, lam) for lam in lams]
+    for pt in points:
+        if not pt.converged:
+            raise RabicritError(f"{method} point at lam = {pt.lam}, eta = {eta} is degraded")
     return EchoSweep(
-        l_matrix=np.array([pt.l_values for pt in points]),
-        gammas=np.array([pt.gamma for pt in points]),
-        cutoffs=[pt.ground.cutoff.n_max if pt.ground else None for pt in points],
+        l_matrix=np.array([pt.value for pt in points]),
+        cutoffs=[pt.cutoff or None for pt in points],
     )
 
 

@@ -1,10 +1,13 @@
 """Tests for branch evolution, the decoherence factor, and echo sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from oracle import (
+    DimensionMismatchError,
     EchoSeries,
     Operator,
     QuantumState,
@@ -19,11 +22,11 @@ from oracle import (
     photon_moments,
     probe_reduced_state,
 )
-from rabicrit.analytic import short_time_le
-from rabicrit import dynamics
-from rabicrit.dynamics import echo_point
-from rabicrit.errors import DimensionMismatchError, PhaseDomainError
-from rabicrit.hamiltonians import ProbeParams, RabiParams, build_rabi_parity, photon_number_band
+from rabicrit import variational
+from rabicrit.analytic import short_time_le, variance
+from rabicrit.dynamics import GROUND_STATES, decoherence_factor as band_decoherence_factor
+from rabicrit.experiments import METHODS, SweepConfig, _point, run
+from rabicrit.hamiltonians import ProbeParams, RabiParams
 from rabicrit.hilbert import FockCutoff
 
 C = FockCutoff(32)
@@ -131,14 +134,6 @@ def test_decoherence_factor_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         decoherence_factor(hg, he, gs.state, [0.0, 1.0])
 
-    def branches(c):
-        return dynamics.probe_branches(build_rabi_parity(p, c), photon_number_band(0.0, c, 1), probe)
-
-    # the library's echo on band branches, the even parity chains
-    (hg, _), (_, he) = branches(C), branches(FockCutoff(16))
-    with pytest.raises(DimensionMismatchError):
-        dynamics.decoherence_factor(hg, he, np.eye(C.dim)[0], [0.0, 1.0])
-
 
 def test_short_time_law_in_domain():
     # quadratic-cumulant law holds while the echo is still in its initial decay
@@ -183,31 +178,69 @@ def test_probe_reduced_state():
         probe_reduced_state(1.5)
 
 
-def test_sweep_lambda_zero():
+@pytest.mark.parametrize("method", METHODS)
+def test_sweep_lambda_zero(tmp_path, method):
     # no shortcut: at g = 0 the ground state |0>|g> is an eigenstate of both
     # branches, and every method gives L = 1 exactly; the exact and effective
     # methods solve it at the first cutoff, in the bare frame
-    probe = ProbeParams.from_chi(1e-3)
-    times = np.linspace(0.0, 100.0, 26)
-    for eta in (1.0, 100.0, 5000.0, 1e5):
-        p = RabiParams.from_dimensionless(0.0, eta)
-        for method in ("exact", "effective", "variational", "analytic"):
-            point = echo_point(p, probe, times, method, 1e-8)
-            assert np.all(point.l_values == 1.0), (eta, method)
-            if method in ("exact", "effective"):
-                assert (point.ground.cutoff.n_max, point.ground.frame) == (8, "bare")
-                assert 0.0 <= point.gamma < 1e-40
-            else:
-                assert point.ground is None and point.gamma == 0.0
+    etas = [1.0, 100.0, 5000.0, 1e5]
+    times = [float(t) for t in np.linspace(0.0, 100.0, 26)]
+    points = run(SweepConfig("custom", [0.0], etas, times, 1e-3, [method], 1e-8), tmp_path)
+    assert [pt.eta for pt in points] == etas
+    for pt in points:
+        p = RabiParams.from_dimensionless(0.0, pt.eta)
+        assert pt.converged and pt.value == [1.0] * len(times), pt.eta
+        if method in GROUND_STATES:
+            assert (pt.cutoff, pt.frame) == (8, "bare")
+            assert 0.0 <= GROUND_STATES[method](p, 1e-8).gamma < 1e-40
+        else:
+            assert (pt.cutoff, pt.frame) == ("", "")
+            assert (variance(p) if method == "analytic" else variational.solve(p).gamma_prime) == 0.0
 
 
-def test_sweep_guard_band_and_validation():
-    probe = ProbeParams.from_chi(1e-3)
-    with pytest.raises(PhaseDomainError):
-        echo_point(RabiParams.from_dimensionless(1.0 + 1e-9, 100.0), probe, [0.0, 1.0],
-                   "analytic", 1e-8)
-    with pytest.raises(ValueError):
-        echo_point(RabiParams.from_dimensionless(0.5, 100.0), probe, [0.0, 1.0], "bogus", 1e-8)
+def test_sweep_echo_is_each_methods_own_path(tmp_path):
+    # a sweep point adds nothing to a method's path, bit for bit: the exact and
+    # effective echoes are |D|^2 of the ground state the method table solves,
+    # the closed forms the Gaussian law at their own variance and the probe's
+    # chi (sqrt(chi)^2 is not chi in floating point)
+    cfg = SweepConfig("custom", [0.5, 0.95, 1.2], [1000.0], [0.0, 10.0, 60.0], 1e-3,
+                      list(METHODS), 1e-8)
+    probe = ProbeParams.from_chi(cfg.chi)
+    points = run(cfg, tmp_path)
+    assert len(points) == 12
+    for pt in points:
+        p = RabiParams.from_dimensionless(pt.lam, pt.eta)
+        if pt.method in GROUND_STATES:
+            gs = GROUND_STATES[pt.method](p, cfg.cutoff_tol)
+            expected = np.abs(band_decoherence_factor(gs, probe, cfg.time_grid)) ** 2
+        else:
+            gamma = variance(p) if pt.method == "analytic" else variational.solve(p).gamma_prime
+            expected = short_time_le(gamma, probe.chi, cfg.time_grid)
+        assert pt.value == expected.tolist(), (pt.method, pt.lam)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sweep_point_in_critical_band(method):
+    # within CRITICAL_BAND of lam = 1 the closed forms have no value, and a
+    # point there is degraded (a config asking for one is rejected before the
+    # sweep); the exact and effective methods solve it
+    lam = 1.0 + 1e-9
+    cfg = SweepConfig("custom", [lam], [100.0], [0.0, 1.0], 1e-3, [method], 1e-8)
+    pt = _point(cfg, ProbeParams.from_chi(cfg.chi), 100.0, method, lam)
+    if method in GROUND_STATES:
+        assert pt.converged and pt.frame and pt.value[0] == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert not pt.converged and (pt.cutoff, pt.frame) == ("", "")
+        assert all(map(math.isnan, pt.value))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sweep_rejects_unknown_method(tmp_path, method):
+    # before any point is solved or the output directory made
+    cfg = SweepConfig("custom", [0.5], [100.0], [0.0, 1.0], 1e-3, [method, "bogus"], 1e-8)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_exact_vs_effective_smoke():

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from rabicrit import experiments
 from rabicrit.cli import main
 from rabicrit.experiments import (
     CSV_HEADER,
@@ -251,6 +252,26 @@ def test_cli_sweep_reports_config_error_in_one_line(tmp_path, capsys, text, mess
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["existing_file", "below_a_file"])
+@pytest.mark.parametrize("command", ["fig3", "sweep"])
+def test_cli_reports_unusable_out_in_one_line(tmp_path, capsys, monkeypatch, command, out):
+    # an --out that cannot be made a directory is a bad flag: exit status 2
+    # and one line on stderr, with no traceback, before any point is solved
+    (tmp_path / "file").write_text("")
+    config = tmp_path / "sweep.cfg"
+    config.write_text(_tiny_config().canonical_text())
+    solved = []
+    monkeypatch.setattr(experiments, "_point", lambda *args: solved.append(args))
+    argv = [command] if command == "fig3" else [command, "--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"rabicrit {command}: error: --out: ") and err.count("\n") == 1, err
+    assert solved == []
+
+
 def test_cli_validate_dispersive_reports_unsearchable_bare_frame(capsys):
     # the bare chain holds both wells only from alpha_lambda^2 = 45,139
     # photons, above every cutoff the search tries: one line, exit status 1
@@ -310,9 +331,32 @@ def test_gnuplot_script_plots_the_swept_axis(tmp_path, config, axis):
     cfg.validate()
     path = tmp_path / f"{cfg.figure}.gp"
     write_gnuplot_script(cfg, f"{cfg.figure}.csv", path)
-    xcol, ycol = path.read_text().split(" using ")[1].split()[0].split(":")
-    assert CSV_HEADER.split(",")[int(xcol) - 1] == axis
-    assert CSV_HEADER.split(",")[int(ycol) - 1] == "value"
+    # every series: x the swept column, y the value column (fig1/fig2 select
+    # their rows by value name, `(strcol(7) eq 'energy' ? $8 : NaN)`)
+    for using in path.read_text().split(" using ")[1:]:
+        xcol, ycol = using.split(":", 1)
+        assert CSV_HEADER.split(",")[int(xcol) - 1] == axis
+        value_col = CSV_HEADER.split(",").index("value") + 1
+        assert ycol.split()[0] == str(value_col) or f"? ${value_col} :" in ycol
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_gnuplot_script_draws_energy_and_mean_n_apart(tmp_path, figure):
+    # a ground point writes an energy row (down to -5e4) and a mean_n row
+    # (about 1-10): one series each, selected by value name, each on its own
+    # y axis, so mean_n is not drawn flat against the energies
+    path = tmp_path / f"{figure}.gp"
+    write_gnuplot_script(default_config(figure), f"{figure}.csv", path)
+    text = path.read_text()
+    names = CSV_HEADER.split(",")
+    name_col, value_col = names.index("value_name") + 1, names.index("value") + 1
+    series = text.split("plot ", 1)[1].strip().split(", ")
+    assert series == [
+        f"'{figure}.csv' every ::1 using 4:(strcol({name_col}) eq '{name}' ? ${value_col} : NaN) "
+        f"axes x1{axis} with points title '{name}'"
+        for name, axis in (("energy", "y1"), ("mean_n", "y2"))
+    ]
+    assert "set y2tics\n" in text
 
 
 def test_run_writes_outputs(tmp_path):

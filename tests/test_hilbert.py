@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import (
+    DimensionMismatchError,
     Operator,
     QuantumState,
     annihilation,
@@ -23,7 +24,7 @@ from oracle import (
     squeeze,
     tensor,
 )
-from rabicrit.errors import DimensionMismatchError, TruncationError
+from rabicrit.errors import TruncationError
 from rabicrit.hilbert import FockCutoff
 
 

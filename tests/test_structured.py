@@ -49,7 +49,7 @@ from oracle import (
     tensor,
 )
 from oracle import validate_dispersive as dense_validate_dispersive
-from rabicrit.dynamics import exact_ground_state
+from rabicrit.dynamics import effective_ground_state, exact_ground_state
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import default_config, run, validate_dispersive
 from rabicrit.hamiltonians import (
@@ -336,7 +336,6 @@ def test_exact_path_matches_dense_oracle():
         assert gs.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
         assert gs.mean_n == pytest.approx(mean_n, rel=1e-9, abs=0.0)
         assert gs.gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
-        assert sweep.gammas[i] == pytest.approx(gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
         assert np.abs(l_band - l_dense).max() <= 1e-9, lam
         # relative to 1 - L, above a roundoff floor of ~500 eps on L itself
@@ -403,37 +402,37 @@ def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
 
 
 def _even_chain(p, probe, cutoff):
-    """(gamma, (h_g, h_e), ground vector) on the even parity chain at a fixed
-    cutoff, the branches rebuilt at omega_c -/+ chi."""
+    """(ground state, (h_g, h_e)) on the even parity chain at a fixed cutoff,
+    the branches rebuilt at omega_c -/+ chi."""
 
     def chain(omega_c):
         return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff)
 
-    h = chain(p.omega_c)
-    vec = band_ground_state(h, band_ground_energy(h))
-    _, gamma = band_moments(photon_number_band(0.0, cutoff, 1), vec)
-    return gamma, (chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi)), vec
+    h, n = chain(p.omega_c), photon_number_band(0.0, cutoff, 1)
+    energy = band_ground_energy(h)
+    vec = band_ground_state(h, energy)
+    gs = dynamics.BandGround(0.0, cutoff, h, n, energy, vec, *band_moments(n, vec))
+    return gs, (chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi))
 
 
 def test_normal_phase_point_at_cutoff_cap():
     # a near-critical point solved at the largest cutoff the search reaches
     # agrees with the same point at half that cutoff; there the library's
-    # echo, on the same branches, agrees with the oracle's, D itself
+    # echo, on its own branches, agrees with the oracle's, D itself
     p = RabiParams.from_dimensionless(0.9999, 1e6)
     probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 100.0, 6)
-    gamma, branches, vec = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP))
-    l_cap = decoherence_factor(*branches, QuantumState(vec), times).l_values
-    gamma_half, branches, vec = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP // 2))
-    half = decoherence_factor(*branches, QuantumState(vec), times)
+    gs, branches = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP))
+    l_cap = decoherence_factor(*branches, QuantumState(gs.vector), times).l_values
+    gs_half, branches = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP // 2))
+    half = decoherence_factor(*branches, QuantumState(gs_half.vector), times)
     l_half = half.l_values
-    assert np.abs(dynamics.decoherence_factor(*branches, vec, times) - half.d_values).max() <= 1e-9
+    assert np.abs(dynamics.decoherence_factor(gs_half, probe, times) - half.d_values).max() <= 1e-9
     assert l_cap[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all((l_cap >= 0.0) & (l_cap <= 1.0 + 1e-12))
-    assert gamma == pytest.approx(gamma_half, rel=1e-9)
+    assert gs.gamma == pytest.approx(gs_half.gamma, rel=1e-9)
     assert np.abs(l_cap - l_half).max() < 1e-6
-    sweep = echo_sweep(p.eta, probe, [p.lam], times, "exact", cutoff_tol=TOL)
-    assert gamma == pytest.approx(sweep.gammas[0], rel=1e-6)
+    assert gs.gamma == pytest.approx(exact_ground_state(p, TOL).gamma, rel=1e-6)
 
 
 def _dense_effective(p, tol=TOL):
@@ -491,7 +490,7 @@ def test_effective_path_matches_dense_oracle():
         _, gamma = operator_moments(gs.state, n_phys)
         l_dense = decoherence_factor(h_g, h_e, gs.state, times).l_values
         assert sweep.cutoffs[i] == cutoff.n_max, lam
-        assert sweep.gammas[i] == pytest.approx(gamma, rel=1e-9, abs=0.0)
+        assert effective_ground_state(p, TOL).gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
         assert np.abs(l_band - l_dense).max() <= 1e-9, lam
         decay = 1.0 - l_dense

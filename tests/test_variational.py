@@ -15,9 +15,8 @@ from oracle import (
     stationarity,
     superradiant_frame,
 )
-from rabicrit.analytic import variance
+from rabicrit.analytic import short_time_le, variance
 from rabicrit.cli import main
-from rabicrit.dynamics import echo_point
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import SweepConfig, critical_lambda_grid, run
 from rabicrit.hamiltonians import ProbeParams, RabiParams
@@ -95,13 +94,14 @@ def test_gamma_prime_limit():
 def test_gamma_prime_negative_clamped_not_fatal(tmp_path):
     # at eta = 1 the finite-eta correction outweighs the leading terms: the
     # variance is returned negative, not raised. Clamped at 0 it would give a
-    # flat echo, L = 1, so the echo raises instead, and a sweep records the
-    # point as degraded (converged=false, NaN values, exit status 1) and goes on
+    # flat echo, L = 1, so the Gaussian law raises instead, and a sweep records
+    # the point as degraded (converged=false, NaN values, exit status 1) and
+    # goes on
     p = RabiParams.from_dimensionless(0.9, 1.0)
     sol = solve(p)
     assert sol.gamma_prime < 0.0
     with pytest.raises(PhaseDomainError, match="variance"):
-        echo_point(p, ProbeParams.from_chi(1e-3), [0.0, 10.0, 60.0], "variational", 1e-8)
+        short_time_le(sol.gamma_prime, ProbeParams.from_chi(1e-3).chi, [0.0, 10.0, 60.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.gamma_prime = 0.0
 
