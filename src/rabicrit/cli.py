@@ -89,8 +89,7 @@ def main(argv=None) -> int:
 
     if args.command == "validate-dispersive":
         p = RabiParams.from_dimensionless(args.lam, args.eta)
-        delta_s = args.detuning_ratio * args.g_s
-        probe = ProbeParams(1.0 + delta_s, args.g_s, delta_s)
+        probe = ProbeParams(args.g_s, args.detuning_ratio * args.g_s)
         times = np.linspace(0.0, args.t_max, args.n_times)
         try:
             report = validate_dispersive(p, probe, times, cutoff_tol=args.cutoff_tol)

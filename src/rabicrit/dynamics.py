@@ -2,8 +2,9 @@
 decoherence factor of a ground state.
 
 Every Hamiltonian is a real symmetric `BandMatrix`. The echo is one
-function, `decoherence_factor(gs, probe, times)`, which returns D(t), so
-that L(t) = |D(t)|^2: it builds the ground state's probe branches and
+function, `decoherence_factor(gs, chi, times)`, which returns D(t), so
+that L(t) = |D(t)|^2: it builds the ground state's probe branches at the
+probe's dispersive shift chi (a float: the probe enters nowhere else) and
 evolves the ground state to every time in one product per branch spectrum
 (`evolved`).
 The exact and effective methods find their ground states the same way, in
@@ -39,7 +40,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .hamiltonians import (
-    ProbeParams,
     RabiParams,
     _quartic_band,
     build_displaced_rabi_band,
@@ -74,7 +74,7 @@ class BandGround:
     """Ground state of the exact or effective method at its converged cutoff:
     the band `h` its `vector` lives in, and the physical photon number `n` in
     that same basis, so that the probe branches are `probe_branches(h, n,
-    probe)`. The frame is the bare one (`alpha` = 0) or the one displaced by
+    chi)`. The frame is the bare one (`alpha` = 0) or the one displaced by
     `alpha` = alpha_lambda. Below the transition both methods use the bare
     frame. Above it the effective method uses the displaced frame; the exact
     method uses whichever of the two its cutoff search converges in first
@@ -177,28 +177,28 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
 GROUND_STATES = {"exact": exact_ground_state, "effective": effective_ground_state}
 
 
-def probe_branches(h: BandMatrix, n: BandMatrix, probe: ProbeParams) -> tuple[BandMatrix, BandMatrix]:
+def probe_branches(h: BandMatrix, n: BandMatrix, chi: float) -> tuple[BandMatrix, BandMatrix]:
     """(h_g, h_e) = (h - chi n, h + chi n): the Hamiltonian `h` conditioned
     on the probe in |g> or |e>, with `n` the physical photon number in the
-    basis of `h` (no wider a band). The probe shifts the cavity frequency by
-    -/+ chi: in either frame, h -/+ chi n is the Rabi Hamiltonian rebuilt at
-    omega_c -/+ chi, in which omega_c enters only as omega_c n. The probe's
-    own energy is left out of both: it changes only the phase of D.
+    basis of `h` (no wider a band). A probe of dispersive shift
+    chi = g_s^2 / Delta_s shifts the cavity frequency by -/+ chi: in either
+    frame, h -/+ chi n is the Rabi Hamiltonian rebuilt at omega_c -/+ chi,
+    in which omega_c enters only as omega_c n. The probe's own energy is
+    left out of both: it changes only the phase of D.
     """
-    chi = probe.chi
     n_band = np.zeros_like(h.band)
     n_band[:n.band.shape[0]] = n.band
     return BandMatrix(h.band - chi * n_band), BandMatrix(h.band + chi * n_band)
 
 
-def decoherence_factor(gs: BandGround, probe: ProbeParams, times) -> np.ndarray:
+def decoherence_factor(gs: BandGround, chi: float, times) -> np.ndarray:
     """D(t) = <Phi_g(t)|Phi_e(t)> with |Phi_b(t)> = exp(-i H_b t)|G>, at
     every t of `times`, for the ground state `gs` of the exact or effective
-    method and its branches `probe_branches(gs.h, gs.n, probe)`, each branch
+    method and its branches `probe_branches(gs.h, gs.n, chi)`, each branch
     evolved to every time in one matrix product (`evolved`). The echo is
     L(t) = |D(t)|^2."""
     times = np.asarray(times, dtype=float)
-    (w_g, v_g), (w_e, v_e) = map(band_spectrum, probe_branches(gs.h, gs.n, probe))
+    (w_g, v_g), (w_e, v_e) = map(band_spectrum, probe_branches(gs.h, gs.n, chi))
     # A common energy offset is a global phase that cancels in |D|; removing
     # it keeps the phases E t small (E is near -omega_0/2).
     e_ref = w_g[0]

@@ -1,10 +1,11 @@
 """Figure-reproduction sweeps, flat-file config parsing (every value checked
 finite before the output directory is made; errors name file, line and
 key), CSV/JSON reports, and the tripartite check of the dispersive
-approximation: the probe + Rabi model on its two parity blocks (half-width
-2, `hamiltonians.build_tripartite_blocks`), each diagonalised once and
-evolved by `dynamics.evolved`, against |D| of `dynamics.decoherence_factor`
-on the Rabi ground state of the exact method's ground path
+approximation: the probe (`hamiltonians.ProbeParams(g_s, delta_s)`) + Rabi
+model on its two parity blocks (half-width 2,
+`hamiltonians.build_tripartite_blocks`), each diagonalised once and evolved
+by `dynamics.evolved`, against |D| of `dynamics.decoherence_factor` at the
+probe's chi on the Rabi ground state of the exact method's ground path
 (`dynamics._exact_ground`) on its bare frame, the even parity chain.
 
 A sweep point (`_point`) is the one place that picks a method's path: the
@@ -12,8 +13,9 @@ exact and effective methods solve a ground state from the method table of
 `dynamics` (`GROUND_STATES`) and take its echo from
 `dynamics.decoherence_factor`; the variational and analytic methods take
 the Gaussian law (`analytic.short_time_le`) at their own photon-number
-variance. A point whose cutoff search reaches the hard cap, or whose
-variational variance is negative, is degraded."""
+variance. Every echo is taken at the chi the config holds, and records, so
+a sweep builds no probe. A point whose cutoff search reaches the hard cap,
+or whose variational variance is negative, is degraded."""
 
 from __future__ import annotations
 
@@ -235,16 +237,17 @@ def default_config(figure: str, cutoff_tol: float = CUTOFF_TOL) -> SweepConfig:
     raise ValueError(f"no default config for figure {figure!r}")
 
 
-def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
-           lam: float) -> SweepPoint:
-    """One sweep point: the echo L = |D|^2 of `probe` at every time of
-    `time_grid` or, on fig1/fig2 (`probe` None), the ground energy and mean
-    photon number. `method` is one of `METHODS`, which `SweepConfig.validate`
-    checks. A point whose cutoff search reaches the hard cap, or whose
-    variational variance is negative, is degraded; the sweep goes on."""
+def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
+    """One sweep point: the echo L = |D|^2 at the config's chi at every time
+    of `time_grid` or, on fig1/fig2 (`GROUND_FIGURES`), the ground energy and
+    mean photon number. `method` is one of `METHODS`, which
+    `SweepConfig.validate` checks. A point whose cutoff search reaches the
+    hard cap, or whose variational variance is negative, is degraded; the
+    sweep goes on."""
     t0 = time.perf_counter()
     p = RabiParams.from_dimensionless(lam, eta)
-    if probe is None:
+    ground = cfg.figure in GROUND_FIGURES
+    if ground:
         chi, times, names = "", ["", ""], ["energy", "mean_n"]
     else:
         chi, times = cfg.chi, [float(t) for t in cfg.time_grid]
@@ -253,14 +256,14 @@ def _point(cfg: SweepConfig, probe: ProbeParams | None, eta: float, method: str,
     try:
         if method in GROUND_STATES:
             gs = GROUND_STATES[method](p, cfg.cutoff_tol)
-            values = ([gs.energy, gs.mean_n] if probe is None
-                      else (np.abs(decoherence_factor(gs, probe, times)) ** 2).tolist())
+            values = ([gs.energy, gs.mean_n] if ground
+                      else (np.abs(decoherence_factor(gs, chi, times)) ** 2).tolist())
         elif method == "variational":
             sol = variational_solve(p)
-            values = ([sol.energy, sol.mean_n] if probe is None
-                      else short_time_le(sol.gamma_prime, probe.chi, times).tolist())
+            values = ([sol.energy, sol.mean_n] if ground
+                      else short_time_le(sol.gamma_prime, chi, times).tolist())
         else:
-            values = short_time_le(variance(p), probe.chi, times).tolist()
+            values = short_time_le(variance(p), chi, times).tolist()
     except (ConvergenceError, PhaseDomainError):
         converged, values = False, [np.nan] * len(names)
     wall = time.perf_counter() - t0
@@ -327,8 +330,7 @@ def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    probe = None if config.figure in GROUND_FIGURES else ProbeParams.from_chi(config.chi)
-    points = [_point(config, probe, eta, method, lam)
+    points = [_point(config, eta, method, lam)
               for eta in config.eta_grid
               for method in config.methods
               for lam in config.lambda_grid]
@@ -358,13 +360,13 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     |D(t)|, at the cutoff the exact method's bare-frame search chooses.
 
     Report-only: warns (never fails) when the dispersive condition
-    |Delta_s| >> g_s sqrt(<n> + 1) is violated.
+    |Delta_s| >> |g_s| sqrt(<n> + 1) is violated.
     """
     times = np.asarray(times, dtype=float)
     # the Rabi ground state on the exact method's bare frame, the even chain,
     # whose row k is |g,k> (k even) or |e,k>
     gs = _exact_ground(p, (0.0,), cutoff_tol)
-    dispersive = abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(gs.mean_n + 1.0)
+    dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(gs.mean_n + 1.0)
     if not dispersive:
         warnings.warn(
             "dispersive condition |Delta_s| >> g_s sqrt(<n>+1) is violated; "
@@ -384,7 +386,7 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     overlap = g[0::2].conj() * e[1::2] + e[0::2].conj() * g[1::2]
     coherence_exact = 2.0 * np.abs(overlap.sum(axis=0))
     # the branch echo predicts 2 |rho_eg| = 2 (1/2) |D| = |D|
-    coherence_pred = np.abs(decoherence_factor(gs, probe, times))
+    coherence_pred = np.abs(decoherence_factor(gs, probe.chi, times))
     denom = np.maximum(coherence_pred, 1e-15)
     max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))
     return DispersiveReport(

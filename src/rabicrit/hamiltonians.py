@@ -17,10 +17,13 @@ blocks, each the probe spin fastest over the Rabi parity chains
 (`build_tripartite_blocks`), and the effective Hamiltonians in natural Fock
 order. `photon_number_band` builds the physical photon number N in each of
 these bases but the tripartite one; a probe branch of any method is then
-H -/+ chi N (`dynamics.probe_branches`). The probe atom (`ProbeParams`) is
-prepared in (|g> + |e>)/sqrt(2). Spin states are ordered (|e>, |g>).
+H -/+ chi N (`dynamics.probe_branches`). The probe atom (`ProbeParams`)
+holds its coupling g_s and its detuning delta_s from the cavity, is
+prepared in (|g> + |e>)/sqrt(2), and enters the echo only through its
+dispersive shift chi = g_s^2 / delta_s; only the tripartite model reads its
+frequency, omega_c + delta_s. Spin states are ordered (|e>, |g>).
 Natural units: the constructors accept any positive and finite omega_c;
-`from_dimensionless`, `from_chi` and the CLI fix omega_c = 1.
+`from_dimensionless` and the CLI fix omega_c = 1.
 """
 
 from __future__ import annotations
@@ -70,16 +73,16 @@ class RabiParams:
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """Auxiliary-atom parameters; the atom is prepared in (|g> + |e>)/sqrt(2).
-    The dispersive shift `chi` is derived, never stored."""
+    """Auxiliary atom coupled by `g_s` and detuned by `delta_s` from the
+    cavity, so that its frequency is omega_c + delta_s; it is prepared in
+    (|g> + |e>)/sqrt(2). The dispersive shift `chi` is derived, never stored."""
 
-    omega_s: float
     g_s: float
     delta_s: float
 
     def __post_init__(self):
-        if not all(map(isfinite, (self.omega_s, self.g_s, self.delta_s))):
-            raise ValueError("omega_s, g_s and delta_s must be finite")
+        if not all(map(isfinite, (self.g_s, self.delta_s))):
+            raise ValueError("g_s and delta_s must be finite")
         if not abs(self.delta_s) > 0:
             raise ValueError("delta_s must be nonzero (dispersive regime)")
 
@@ -87,14 +90,6 @@ class ProbeParams:
     def chi(self) -> float:
         """Dispersive shift g_s^2 / delta_s."""
         return self.g_s**2 / self.delta_s
-
-    @classmethod
-    def from_chi(cls, chi: float) -> "ProbeParams":
-        """The probe detuned by delta_s = omega_c = 1 whose dispersive shift
-        is chi."""
-        if not chi > 0:
-            raise ValueError("chi must be positive")
-        return cls(2.0, sqrt(chi), 1.0)
 
 
 def alpha_lambda(p: RabiParams) -> float:
@@ -195,21 +190,23 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCuto
 def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
                             cutoff: FockCutoff) -> tuple[BandMatrix, BandMatrix]:
     """The Jaynes-Cummings probe plus the Rabi model, before the dispersive
-    step, H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a),
-    on its two blocks of total parity (the Rabi parity times the probe's): real
-    band matrices of half-width 2. Row 2 k is the probe in |g> with row k of
-    one Rabi parity chain, row 2 k + 1 the probe in |e> with row k of the
-    other. The first block pairs |g> with the even chain (`build_rabi_parity`);
-    the odd chain |e,0>, |g,1>, |e,2>, ... is the even one with sigma_z flipped.
+    step, H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a)
+    with omega_s = omega_c + delta_s, on its two blocks of total parity (the
+    Rabi parity times the probe's): real band matrices of half-width 2. Row
+    2 k is the probe in |g> with row k of one Rabi parity chain, row 2 k + 1
+    the probe in |e> with row k of the other. The first block pairs |g> with
+    the even chain (`build_rabi_parity`); the odd chain |e,0>, |g,1>, |e,2>,
+    ... is the even one with sigma_z flipped.
     """
     k = np.arange(cutoff.dim, dtype=float)
+    omega_s = p.omega_c + probe.delta_s
     even = build_rabi_parity(p, cutoff).band
     odd = 2.0 * p.omega_c * k - even[0]  # the odd chain's diagonal: sigma_z flipped
     blocks = []
     for g_chain, e_chain in ((even[0], odd), (odd, even[0])):
         band = np.zeros((3, 2 * cutoff.dim))
-        band[0, 0::2] = g_chain - 0.5 * probe.omega_s
-        band[0, 1::2] = e_chain + 0.5 * probe.omega_s
+        band[0, 0::2] = g_chain - 0.5 * omega_s
+        band[0, 1::2] = e_chain + 0.5 * omega_s
         band[1, 1:-1:2] = -probe.g_s * np.sqrt(k[1:])  # <k+1, g| H |k, e>
         band[2, :-2] = np.repeat(even[1, :-1], 2)       # <k+1| H_rabi |k>, both chains
         blocks.append(BandMatrix(band))

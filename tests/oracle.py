@@ -71,6 +71,8 @@ from rabicrit.variational import VariationalSolution
 
 HERMITICITY_RTOL = 1e-12
 DUAL_PATH_RTOL = 1e-10
+# a probe of the figures' chi = 1e-3, detuned by Delta_s = 1 (omega_c at lam, eta)
+FIGURE_PROBE = ProbeParams(sqrt(1e-3), 1.0)
 
 
 class LayoutError(RabicritError, ValueError):
@@ -401,27 +403,29 @@ def build_rabi(p: RabiParams, cutoff: FockCutoff) -> Operator:
 
 
 def build_branch(p: RabiParams, probe: ProbeParams, branch: str, cutoff: FockCutoff) -> Operator:
-    """Conditional Rabi Hamiltonian given the probe in |e> or |g>.
+    """Conditional Rabi Hamiltonian given the probe in |e> or |g>, the probe
+    at omega_s = omega_c + delta_s.
 
     branch 'e': cavity frequency omega_c + chi, constant +(omega_s/2 + chi).
     branch 'g': cavity frequency omega_c - chi, constant -omega_s/2.
     """
     if branch not in ("e", "g"):
         raise ValueError(f"branch must be 'e' or 'g', got {branch!r}")
-    chi = probe.chi
+    chi, omega_s = probe.chi, p.omega_c + probe.delta_s
     if branch == "e":
         omega_b = p.omega_c + chi
-        const = 0.5 * probe.omega_s + chi
+        const = 0.5 * omega_s + chi
     else:
         omega_b = p.omega_c - chi
-        const = -0.5 * probe.omega_s
+        const = -0.5 * omega_s
     shifted = RabiParams(omega_b, p.omega_0, p.g)
     h = build_rabi(shifted, cutoff)
     return h + const * identity(h.dims)
 
 
 def build_tripartite(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff) -> Operator:
-    """Full Jaynes-Cummings probe plus Rabi model, before the dispersive step.
+    """Full Jaynes-Cummings probe plus Rabi model, before the dispersive step,
+    the probe at omega_s = omega_c + delta_s.
 
     Space: probe-spin (x) Rabi-spin (x) Fock, dimension 4 (n_max + 1).
     """
@@ -430,7 +434,7 @@ def build_tripartite(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff) -> O
     ib = identity((nb,))
     a = annihilation(cutoff)
     rabi = tensor(i2, build_rabi(p, cutoff))
-    h_probe = (0.5 * probe.omega_s) * tensor(pauli("z"), tensor(i2, ib))
+    h_probe = (0.5 * (p.omega_c + probe.delta_s)) * tensor(pauli("z"), tensor(i2, ib))
     h_jc = (-probe.g_s) * (
         tensor(sigma_minus(), tensor(i2, a.dag()))
         + tensor(sigma_plus(), tensor(i2, a))
@@ -714,12 +718,13 @@ class EchoSweep:
     cutoffs: list                 # None where nothing is diagonalised
 
 
-def echo_sweep(eta: float, probe: ProbeParams, lams, times, method: str,
+def echo_sweep(eta: float, chi: float, lams, times, method: str,
                cutoff_tol: float = spectra.CUTOFF_TOL) -> EchoSweep:
-    """The echo at each lambda of `lams` (eta fixed, omega_c = 1), as a sweep
-    computes it; a degraded point raises `RabicritError`."""
-    cfg = SweepConfig("custom", list(lams), [eta], list(times), probe.chi, [method], cutoff_tol)
-    points = [_point(cfg, probe, eta, method, lam) for lam in lams]
+    """The echo at dispersive shift `chi` at each lambda of `lams` (eta
+    fixed, omega_c = 1), as a sweep computes it; a degraded point raises
+    `RabicritError`."""
+    cfg = SweepConfig("custom", list(lams), [eta], list(times), chi, [method], cutoff_tol)
+    points = [_point(cfg, eta, method, lam) for lam in lams]
     for pt in points:
         if not pt.converged:
             raise RabicritError(f"{method} point at lam = {pt.lam}, eta = {eta} is degraded")
@@ -777,13 +782,14 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     prediction |D(t)| on both parity sectors.
 
     Report-only: warns (never fails) when the dispersive condition
-    |Delta_s| >> g_s sqrt(<n> + 1) is violated.
+    |Delta_s| >> |g_s| sqrt(<n> + 1) is violated.
     """
     times = np.asarray(times, dtype=float)
     cutoff = converge_cutoff(lambda c: build_rabi(p, c), cutoff_tol)
     gs = ground_state(build_rabi(p, cutoff))
     mean_n, _ = photon_moments(gs.state)
-    if abs(probe.delta_s) < 10.0 * probe.g_s * np.sqrt(mean_n + 1.0):
+    dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(mean_n + 1.0)
+    if not dispersive:
         warnings.warn(
             "dispersive condition |Delta_s| >> g_s sqrt(<n>+1) is violated; "
             "large deviations expected",
@@ -812,7 +818,7 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
         coherence_exact=coherence_exact,
         coherence_predicted=coherence_pred,
         max_rel_deviation=max_rel,
-        dispersive_regime=abs(probe.delta_s) >= 10.0 * probe.g_s * np.sqrt(mean_n + 1.0),
+        dispersive_regime=dispersive,
     )
 
 

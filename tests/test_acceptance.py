@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from oracle import (
+    FIGURE_PROBE,
     Operator,
     QuantumState,
     QuarticOscillator,
@@ -124,7 +125,7 @@ def test_criterion_02_decoupled_limit():
     c = FockCutoff(24)
     gs = ground_state(build_rabi(p, c))
     assert abs(gs.energy + 0.5 * p.omega_0) < 1e-12
-    probe = ProbeParams.from_chi(1e-3)
+    probe = FIGURE_PROBE
     series = decoherence_factor(
         build_branch(p, probe, "g", c),
         build_branch(p, probe, "e", c),
@@ -143,7 +144,7 @@ def test_criterion_03_short_time_law():
     # roundoff in L alone can be a percent of it.
     t0 = time.perf_counter()
     p = RabiParams.from_dimensionless(0.5, 5000.0)
-    probe = ProbeParams.from_chi(1e-3)
+    probe = FIGURE_PROBE
     gs, _, gamma, cutoff = _exact_ground(p)
     eps = analytic_ground_state(p).epsilon
     t_max = min(np.sqrt(1e-2 / (4.0 * gamma * probe.chi**2)), 0.1 / eps)
@@ -250,19 +251,19 @@ def test_criterion_07_fig2_superradiant_ground_state():
 
 def test_criterion_08_fig4_eta_independence_and_revival():
     t0 = time.perf_counter()
-    probe = ProbeParams.from_chi(1e-3)
+    chi = 1e-3
     times = np.array([60.0])
     # normal phase: analytic L at t = 60 coincides for eta = 2000 vs 10000
     lams_np = np.round(np.arange(0.1, 0.951, 0.05), 10)
     curves = {}
     for eta in (2000.0, 10000.0):
-        curves[eta] = echo_sweep(eta, probe, lams_np, times, "analytic").l_matrix[:, 0]
+        curves[eta] = echo_sweep(eta, chi, lams_np, times, "analytic").l_matrix[:, 0]
     assert np.abs(curves[2000.0] - curves[10000.0]).max() < 1e-3
     # superradiant revival peak strictly decreasing with eta
     lams_sp = np.round(np.arange(1.005, 1.5001, 0.005), 10)
     peaks = []
     for eta in (2000.0, 4000.0, 6000.0, 8000.0, 10000.0):
-        l_vals = echo_sweep(eta, probe, lams_sp, times, "analytic").l_matrix[:, 0]
+        l_vals = echo_sweep(eta, chi, lams_sp, times, "analytic").l_matrix[:, 0]
         peaks.append(l_vals.max())
     assert all(b < a for a, b in zip(peaks, peaks[1:])), peaks
     assert time.perf_counter() - t0 < 30.0
@@ -270,7 +271,7 @@ def test_criterion_08_fig4_eta_independence_and_revival():
 
 def test_criterion_09_fig3_criticality_signature():
     t0 = time.perf_counter()
-    probe = ProbeParams.from_chi(1e-3)
+    chi = 1e-3
     times = np.array([60.0])
     # the dip sharpens toward the critical point, so sample progressively finer
     fine = np.concatenate(
@@ -278,9 +279,9 @@ def test_criterion_09_fig3_criticality_signature():
     )
     fine = np.round(fine, 10)
     fine = fine[np.abs(fine - 1.0) >= 1e-6]
-    l_fine = echo_sweep(5000.0, probe, fine, times, "analytic").l_matrix[:, 0]
+    l_fine = echo_sweep(5000.0, chi, fine, times, "analytic").l_matrix[:, 0]
     assert l_fine.min() < 0.05, f"min analytic L on [0.98, 1) is {l_fine.min():.3g}"
-    l_half = echo_sweep(5000.0, probe, [0.5], times, "analytic").l_matrix[0, 0]
+    l_half = echo_sweep(5000.0, chi, [0.5], times, "analytic").l_matrix[0, 0]
     assert l_half > 0.9
     assert time.perf_counter() - t0 < 10.0
 
@@ -294,11 +295,11 @@ def test_criterion_10_fig5_three_method_consistency():
     # variances themselves are compared too (5%, as criteria 6 and 7 allow
     # for <n>).
     t0 = time.perf_counter()
-    probe = ProbeParams.from_chi(1e-3)
+    chi = 1e-3
     lams = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98, 1.05, 1.1, 1.2, 1.3, 1.4, 1.5]
     times = np.array([60.0])
     sweeps = {
-        m: echo_sweep(1e5, probe, lams, times, m, cutoff_tol=1e-8)
+        m: echo_sweep(1e5, chi, lams, times, m, cutoff_tol=1e-8)
         for m in ("exact", "effective", "variational")
     }
     assert time.perf_counter() - t0 < 600.0
@@ -307,7 +308,7 @@ def test_criterion_10_fig5_three_method_consistency():
     assert dev_ex_ef <= 0.05, f"exact vs effective deviate by {dev_ex_ef:.3g}"
     params = [RabiParams.from_dimensionless(lam, 1e5) for lam in lams]
     gamma_ex = np.array([exact_ground_state(p, 1e-8).gamma for p in params])
-    law_ex = np.array([short_time_le(g, probe.chi, times[0]) for g in gamma_ex])
+    law_ex = np.array([short_time_le(g, chi, times[0]) for g in gamma_ex])
     dev_var = np.abs(curves["variational"] - law_ex)
     assert dev_var.max() <= 0.05, (
         f"variational vs Gaussian law at the exact gamma deviate by "
@@ -326,7 +327,7 @@ def test_criterion_11_dispersive_validity():
     p = RabiParams.from_dimensionless(0.5, 200.0)
     g_s, ratio = 0.05, 100.0
     delta_s = ratio * g_s
-    probe = ProbeParams(p.omega_c + delta_s, g_s, delta_s)
+    probe = ProbeParams(g_s, delta_s)
     report = validate_dispersive(p, probe, np.linspace(0.0, 20.0, 41))
     assert report.dispersive_regime
     assert report.max_rel_deviation < 0.05
@@ -338,7 +339,7 @@ def test_criterion_11_dispersive_validity():
 def test_criterion_12_frame_invariance():
     t0 = time.perf_counter()
     rng = np.random.default_rng(12)
-    probe = ProbeParams.from_chi(1e-3)
+    probe = FIGURE_PROBE
     times = np.linspace(0.0, 30.0, 7)
     cutoff = FockCutoff(100)
     points = [

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from oracle import (
+    FIGURE_PROBE,
     DimensionMismatchError,
     EchoSeries,
     Operator,
@@ -70,7 +71,7 @@ def test_decoherence_factor_trivial_limits():
     times = np.linspace(0.0, 100.0, 26)
     # chi = 0: branches differ by a constant only
     p, gs = _rabi_ground(0.7, 50.0)
-    probe0 = ProbeParams(2.0, 0.0, 1.0)
+    probe0 = ProbeParams(0.0, 1.0)
     series = decoherence_factor(
         build_branch(p, probe0, "g", C), build_branch(p, probe0, "e", C), gs.state, times
     )
@@ -78,18 +79,17 @@ def test_decoherence_factor_trivial_limits():
 
     # g = 0: |0>|g> is an eigenstate of both branches
     p0, gs0 = _rabi_ground(0.0, 50.0)
-    probe = ProbeParams.from_chi(1e-3)
     series = decoherence_factor(
-        build_branch(p0, probe, "g", C), build_branch(p0, probe, "e", C), gs0.state, times
+        build_branch(p0, FIGURE_PROBE, "g", C), build_branch(p0, FIGURE_PROBE, "e", C),
+        gs0.state, times,
     )
     assert np.abs(series.l_values - 1.0).max() < 1e-12
 
 
 def test_decoherence_factor_invariants():
     p, gs = _rabi_ground(0.8, 100.0)
-    probe = ProbeParams.from_chi(1e-3)
-    hg = build_branch(p, probe, "g", C)
-    he = build_branch(p, probe, "e", C)
+    hg = build_branch(p, FIGURE_PROBE, "g", C)
+    he = build_branch(p, FIGURE_PROBE, "e", C)
     times = np.linspace(0.0, 40.0, 21)
     series = decoherence_factor(hg, he, gs.state, times)
     assert isinstance(series, EchoSeries)
@@ -114,7 +114,7 @@ def test_decoherence_factor_against_expm():
     cutoff = FockCutoff(20)
     p = RabiParams.from_dimensionless(0.5, 30.0)
     gs = ground_state(build_rabi(p, cutoff))
-    probe = ProbeParams.from_chi(5e-3)
+    probe = ProbeParams(math.sqrt(5e-3), 1.0)
     hg = build_branch(p, probe, "g", cutoff)
     he = build_branch(p, probe, "e", cutoff)
     times = np.array([0.0, 1.3, 7.7, 23.0])
@@ -128,9 +128,8 @@ def test_decoherence_factor_against_expm():
 
 def test_decoherence_factor_dim_mismatch():
     p, gs = _rabi_ground(0.5, 30.0)
-    probe = ProbeParams.from_chi(1e-3)
-    hg = build_branch(p, probe, "g", C)
-    he = build_branch(p, probe, "e", FockCutoff(16))
+    hg = build_branch(p, FIGURE_PROBE, "g", C)
+    he = build_branch(p, FIGURE_PROBE, "e", FockCutoff(16))
     with pytest.raises(DimensionMismatchError):
         decoherence_factor(hg, he, gs.state, [0.0, 1.0])
 
@@ -138,27 +137,26 @@ def test_decoherence_factor_dim_mismatch():
 def test_short_time_law_in_domain():
     # quadratic-cumulant law holds while the echo is still in its initial decay
     p, gs = _rabi_ground(0.5, 5000.0)
-    probe = ProbeParams.from_chi(1e-3)
     _, gamma = photon_moments(gs.state)
     times = np.linspace(0.0, 5.0, 11)
     series = decoherence_factor(
-        build_branch(p, probe, "g", C), build_branch(p, probe, "e", C), gs.state, times
+        build_branch(p, FIGURE_PROBE, "g", C), build_branch(p, FIGURE_PROBE, "e", C),
+        gs.state, times,
     )
-    gauss = short_time_le(gamma, probe.chi, times)
+    gauss = short_time_le(gamma, FIGURE_PROBE.chi, times)
     assert np.abs(series.l_values - gauss).max() / np.abs(gauss).min() < 1e-2
 
 
 def test_short_time_law_taylor_order():
     # |L_exact - exp(-4 gamma chi^2 t^2)| vanishes faster than chi^2 t^2
     p, gs = _rabi_ground(0.5, 5000.0)
-    probe = ProbeParams.from_chi(1e-3)
     _, gamma = photon_moments(gs.state)
-    hg = build_branch(p, probe, "g", C)
-    he = build_branch(p, probe, "e", C)
+    hg = build_branch(p, FIGURE_PROBE, "g", C)
+    he = build_branch(p, FIGURE_PROBE, "e", C)
     ts = np.array([0.8, 0.4, 0.2, 0.1])
     series = decoherence_factor(hg, he, gs.state, ts)
-    ratios = np.abs(series.l_values - short_time_le(gamma, probe.chi, ts)) / (
-        probe.chi**2 * ts**2
+    ratios = np.abs(series.l_values - short_time_le(gamma, FIGURE_PROBE.chi, ts)) / (
+        FIGURE_PROBE.chi**2 * ts**2
     )
     # the ratio itself must shrink with t (error is o(chi^2 t^2))
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -201,21 +199,22 @@ def test_sweep_lambda_zero(tmp_path, method):
 def test_sweep_echo_is_each_methods_own_path(tmp_path):
     # a sweep point adds nothing to a method's path, bit for bit: the exact and
     # effective echoes are |D|^2 of the ground state the method table solves,
-    # the closed forms the Gaussian law at their own variance and the probe's
-    # chi (sqrt(chi)^2 is not chi in floating point)
+    # the closed forms the Gaussian law at their own variance, and every echo
+    # is taken at the chi the point records, the config's (not at a probe's
+    # g_s^2 / delta_s: sqrt(chi)^2 is not chi in floating point)
     cfg = SweepConfig("custom", [0.5, 0.95, 1.2], [1000.0], [0.0, 10.0, 60.0], 1e-3,
                       list(METHODS), 1e-8)
-    probe = ProbeParams.from_chi(cfg.chi)
     points = run(cfg, tmp_path)
     assert len(points) == 12
     for pt in points:
+        assert pt.chi == cfg.chi
         p = RabiParams.from_dimensionless(pt.lam, pt.eta)
         if pt.method in GROUND_STATES:
             gs = GROUND_STATES[pt.method](p, cfg.cutoff_tol)
-            expected = np.abs(band_decoherence_factor(gs, probe, cfg.time_grid)) ** 2
+            expected = np.abs(band_decoherence_factor(gs, cfg.chi, cfg.time_grid)) ** 2
         else:
             gamma = variance(p) if pt.method == "analytic" else variational.solve(p).gamma_prime
-            expected = short_time_le(gamma, probe.chi, cfg.time_grid)
+            expected = short_time_le(gamma, cfg.chi, cfg.time_grid)
         assert pt.value == expected.tolist(), (pt.method, pt.lam)
 
 
@@ -226,7 +225,7 @@ def test_sweep_point_in_critical_band(method):
     # sweep); the exact and effective methods solve it
     lam = 1.0 + 1e-9
     cfg = SweepConfig("custom", [lam], [100.0], [0.0, 1.0], 1e-3, [method], 1e-8)
-    pt = _point(cfg, ProbeParams.from_chi(cfg.chi), 100.0, method, lam)
+    pt = _point(cfg, 100.0, method, lam)
     if method in GROUND_STATES:
         assert pt.converged and pt.frame and pt.value[0] == pytest.approx(1.0, abs=1e-12)
     else:
@@ -244,11 +243,10 @@ def test_sweep_rejects_unknown_method(tmp_path, method):
 
 
 def test_sweep_exact_vs_effective_smoke():
-    probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 30.0, 4)
     lams = [0.5, 1.2]
-    ex = echo_sweep(2000.0, probe, lams, times, "exact", cutoff_tol=1e-9)
-    ef = echo_sweep(2000.0, probe, lams, times, "effective", cutoff_tol=1e-9)
+    ex = echo_sweep(2000.0, 1e-3, lams, times, "exact", cutoff_tol=1e-9)
+    ef = echo_sweep(2000.0, 1e-3, lams, times, "effective", cutoff_tol=1e-9)
     assert np.abs(ex.l_matrix - ef.l_matrix).max() < 5e-3
     assert None not in ex.cutoffs + ef.cutoffs
 
@@ -257,10 +255,9 @@ def test_frame_invariance_random_displacement():
     from oracle import displacement, identity, tensor
 
     p, gs = _rabi_ground(0.7, 200.0, FockCutoff(80))
-    probe = ProbeParams.from_chi(1e-3)
     cc = FockCutoff(80)
-    hg = build_branch(p, probe, "g", cc)
-    he = build_branch(p, probe, "e", cc)
+    hg = build_branch(p, FIGURE_PROBE, "g", cc)
+    he = build_branch(p, FIGURE_PROBE, "e", cc)
     times = np.linspace(0.0, 25.0, 6)
     base = decoherence_factor(hg, he, gs.state, times).l_values
     d = tensor(identity((2,)), displacement(0.35, cc))

@@ -427,16 +427,23 @@ def test_cli_validate_dispersive_fast(capsys):
 
 def test_validate_dispersive_decoupled_probe():
     p = RabiParams.from_dimensionless(0.5, 40.0)
-    probe = ProbeParams(2.0, 0.0, 1.0)
+    probe = ProbeParams(0.0, 1.0)
     report = validate_dispersive(p, probe, np.linspace(0.0, 10.0, 5))
     assert report.max_rel_deviation < 1e-10
 
 
 def test_validate_dispersive_warns_outside_regime():
+    # Delta_s / |g_s| = 2. The sign of the coupling is a phase convention of
+    # the probe: -g_s gives the same coherence as g_s, and violates
+    # |Delta_s| >> |g_s| sqrt(<n>+1) as g_s does
     p = RabiParams.from_dimensionless(0.5, 40.0)
-    probe = ProbeParams(1.2, 0.1, 0.2)  # Delta_s / g_s = 2
-    with pytest.warns(UserWarning):
-        validate_dispersive(p, probe, [0.0, 1.0])
+    times = np.linspace(0.0, 20.0, 41)
+    reports = []
+    for g_s in (0.1, -0.1):
+        with pytest.warns(UserWarning, match="dispersive condition"):
+            reports.append(validate_dispersive(p, ProbeParams(g_s, 0.2), times))
+    assert [r.dispersive_regime for r in reports] == [False, False]
+    assert reports[1].max_rel_deviation == pytest.approx(reports[0].max_rel_deviation, rel=1e-9)
 
 
 def test_report_wall_time_is_per_point(tmp_path):

@@ -1,11 +1,13 @@
 """Tests for the Hamiltonian builders and parameter records."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from oracle import (
+    FIGURE_PROBE,
     NORMAL,
     SUPERRADIANT,
     build_branch,
@@ -63,26 +65,22 @@ def test_rabi_params_reject_nan(args):
 
 
 def test_probe_params():
-    pr = ProbeParams(2.0, 0.1, 1.0)
+    # the probe is its coupling and its detuning; its frequency is
+    # omega_c + delta_s, and chi is derived
+    assert [f.name for f in dataclasses.fields(ProbeParams)] == ["g_s", "delta_s"]
+    pr = ProbeParams(0.1, 1.0)
     assert pr.chi == pytest.approx(0.01)
     with pytest.raises(TypeError):
-        ProbeParams(2.0, 0.1, 1.0, chi=0.5)
+        ProbeParams(0.1, 1.0, chi=0.5)
     with pytest.raises(ValueError):
-        ProbeParams(2.0, 0.1, 0.0)
-    pc = ProbeParams.from_chi(1e-3)
-    assert pc.chi == pytest.approx(1e-3)
-    assert pc.delta_s == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        ProbeParams.from_chi(-1e-3)
-    with pytest.raises(ValueError, match="chi must be positive"):
-        ProbeParams.from_chi(math.nan)
+        ProbeParams(0.1, 0.0)
 
 
-@pytest.mark.parametrize("field", ["omega_s", "g_s", "delta_s"])
+@pytest.mark.parametrize("field", ["g_s", "delta_s"])
 def test_probe_params_reject_nan(field):
     # each guard rejects NaN and infinity
     for value in (math.nan, math.inf):
-        fields = {"omega_s": 2.0, "g_s": 0.1, "delta_s": 1.0}
+        fields = {"g_s": 0.1, "delta_s": 1.0}
         fields[field] = value
         with pytest.raises(ValueError):
             ProbeParams(**fields)
@@ -117,35 +115,33 @@ def test_build_rabi_cutoff_stable():
 
 def test_branch_difference():
     p = RabiParams.from_dimensionless(0.7, 50.0)
-    probe = ProbeParams.from_chi(1e-3)
-    he = build_branch(p, probe, "e", C32)
-    hg = build_branch(p, probe, "g", C32)
+    he = build_branch(p, FIGURE_PROBE, "e", C32)
+    hg = build_branch(p, FIGURE_PROBE, "g", C32)
     n_full = tensor(identity((2,)), number(C32))
-    diff = he.mat - hg.mat - 2.0 * probe.chi * n_full.mat
-    diff -= (probe.omega_s + probe.chi) * np.eye(he.dim)
+    diff = he.mat - hg.mat - 2.0 * FIGURE_PROBE.chi * n_full.mat
+    diff -= (p.omega_c + FIGURE_PROBE.delta_s + FIGURE_PROBE.chi) * np.eye(he.dim)
     assert np.abs(diff).max() < 1e-12
 
-    # chi = 0: branches identical up to the omega_s constant
-    probe0 = ProbeParams(2.0, 0.0, 1.0)
+    # chi = 0: branches identical up to the probe frequency omega_c + delta_s
+    probe0 = ProbeParams(0.0, 1.0)
     he0 = build_branch(p, probe0, "e", C32)
     hg0 = build_branch(p, probe0, "g", C32)
-    assert np.abs(he0.mat - hg0.mat - probe0.omega_s * np.eye(he0.dim)).max() < 1e-12
+    assert np.abs(he0.mat - hg0.mat - 2.0 * np.eye(he0.dim)).max() < 1e-12
     with pytest.raises(ValueError):
-        build_branch(p, probe, "x", C32)
+        build_branch(p, FIGURE_PROBE, "x", C32)
 
 
 def test_branch_cavity_coefficient():
     # chi = 0.001 omega_c -> g branch cavity term reads 0.999 omega_c
     p = RabiParams(1.0, 50.0, 0.0)
-    probe = ProbeParams.from_chi(1e-3)
-    hg = build_branch(p, probe, "g", C32)
+    hg = build_branch(p, FIGURE_PROBE, "g", C32)
     # <e,1|H|e,1> - <e,0|H|e,0> = omega_g
     assert hg.mat[1, 1].real - hg.mat[0, 0].real == pytest.approx(0.999)
 
 
 def test_tripartite_decoupled_probe():
     p = RabiParams.from_dimensionless(0.6, 20.0)
-    probe = ProbeParams(2.0, 0.0, 1.0)
+    probe = ProbeParams(0.0, 1.0)  # at omega_s = omega_c + 1 = 2
     h3 = build_tripartite(p, probe, FockCutoff(20))
     assert h3.is_hermitian()
     w3 = np.linalg.eigvalsh(h3.mat)
@@ -157,7 +153,7 @@ def test_tripartite_decoupled_probe():
 def test_tripartite_jc_excitation_conserved():
     # with g = 0 the JC excitation number n + sigma_+ sigma_- commutes with H
     p = RabiParams(1.0, 5.0, 0.0)
-    probe = ProbeParams(2.0, 0.3, 1.0)
+    probe = ProbeParams(0.3, 1.0)
     c = FockCutoff(16)
     h3 = build_tripartite(p, probe, c)
     i2, ib = identity((2,)), identity((c.dim,))
@@ -285,11 +281,10 @@ def test_effective_sp_domain_and_coeff():
 
 def test_all_builders_hermitian():
     p = RabiParams.from_dimensionless(1.2, 100.0)
-    probe = ProbeParams.from_chi(1e-3)
     ops = [
         build_rabi(p, C32),
-        build_branch(p, probe, "e", C32),
-        build_tripartite(p, probe, FockCutoff(16)),
+        build_branch(p, FIGURE_PROBE, "e", C32),
+        build_tripartite(p, FIGURE_PROBE, FockCutoff(16)),
         build_displaced_rabi(p, alpha_lambda(p), C32)[0],
         build_effective_np(RabiParams.from_dimensionless(0.5, 100.0), C32),
         build_effective_sp(p, C32),

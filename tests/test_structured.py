@@ -24,6 +24,7 @@ import rabicrit.dynamics as dynamics
 import rabicrit.experiments as experiments
 import rabicrit.spectra as spectra
 from oracle import (
+    FIGURE_PROBE,
     QuantumState,
     _quartic_dense,
     build_branch,
@@ -71,6 +72,7 @@ from rabicrit.spectra import (
 )
 
 TOL = 1e-8
+DEFAULT_PROBE = ProbeParams(0.05, 5.0)  # the CLI's g_s = 0.05, Delta_s / g_s = 100
 
 
 def _dense(h: BandMatrix) -> np.ndarray:
@@ -120,8 +122,9 @@ def _dense_exact(p, probe, times, tol=TOL):
             h, _ = build_displaced_rabi(RabiParams(omega_b, p.omega_0, p.g), alpha, cutoff)
             return h + const * identity(h.dims)
 
-        h_g = branch(p.omega_c - probe.chi, -0.5 * probe.omega_s)
-        h_e = branch(p.omega_c + probe.chi, 0.5 * probe.omega_s + probe.chi)
+        omega_s = p.omega_c + probe.delta_s
+        h_g = branch(p.omega_c - probe.chi, -0.5 * omega_s)
+        h_e = branch(p.omega_c + probe.chi, 0.5 * omega_s + probe.chi)
         n_phys = _dense_photon_number(alpha, cutoff)
         mean_n, gamma = operator_moments(gs.state, n_phys)
     series = decoherence_factor(h_g, h_e, gs.state, times)
@@ -161,15 +164,13 @@ def test_band_builders_are_permuted_dense_builders():
 def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
     # H -/+ chi N is the Hamiltonian rebuilt at omega_c -/+ chi, on the even
     # parity chain and in the displaced frame, with no constant: the probe's
-    # energy (-omega_s/2 and omega_s/2 + chi) changes only the phase of D,
-    # so a probe of the same chi at another omega_s gives the same branches
+    # energy (-omega_s/2 and omega_s/2 + chi) changes only the phase of D
     eps = np.finfo(float).eps
     c = FockCutoff(40)
-    probe = ProbeParams(6.0, 0.05, 5.0)
-    same_chi = ProbeParams(2.0, 0.05, 5.0)
+    chi = DEFAULT_PROBE.chi
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
         p = RabiParams.from_dimensionless(lam, eta)
-        shifted = [RabiParams(p.omega_c + sign * probe.chi, p.omega_0, p.g) for sign in (-1, 1)]
+        shifted = [RabiParams(p.omega_c + sign * chi, p.omega_0, p.g) for sign in (-1, 1)]
         cases = [(lambda q: build_rabi_parity(q, c), photon_number_band(0.0, c, 1))]
         if lam > 1.0:
             alpha = alpha_lambda(p)
@@ -177,14 +178,11 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
                           photon_number_band(alpha, c, 2)))
         for build, n in cases:
             h = build(p)
-            branches = dynamics.probe_branches(h, n, probe)
-            for branch, q in zip(branches, shifted):
+            for branch, q in zip(dynamics.probe_branches(h, n, chi), shifted):
                 ref = build(q)
                 assert branch.band.shape == ref.band.shape
                 err = np.abs(branch.band - ref.band).max()
                 assert err <= 4.0 * eps * np.abs(ref.band).max(), (lam, eta, err)
-            for branch, other in zip(branches, dynamics.probe_branches(h, n, same_chi)):
-                assert np.array_equal(branch.band, other.band)
 
 
 def test_band_moments_match_dense_operator_moments():
@@ -227,7 +225,7 @@ def test_tripartite_blocks_are_dense_parity_blocks():
     c = FockCutoff(9)
     orders = _tripartite_block_order(c)
     assert np.array_equal(np.sort(np.concatenate(orders)), np.arange(4 * c.dim))
-    for lam, probe in ((0.8, ProbeParams(6.0, 0.05, 5.0)), (1.3, ProbeParams(1.2, 0.1, 0.2))):
+    for lam, probe in ((0.8, DEFAULT_PROBE), (1.3, ProbeParams(0.1, 0.2))):
         p = RabiParams.from_dimensionless(lam, 20.0)
         dense = build_tripartite(p, probe, c).mat
         assert np.abs(dense.imag).max() == 0.0
@@ -239,15 +237,14 @@ def test_tripartite_blocks_are_dense_parity_blocks():
         assert not dense[np.ix_(*orders)].any()
 
 
-DEFAULT_PROBE = ProbeParams(6.0, 0.05, 5.0)  # the CLI's g_s = 0.05, Delta_s / g_s = 100
 
 
 @pytest.mark.parametrize("lam, eta, probe, bound", [
     (0.5, 200.0, DEFAULT_PROBE, 1e-12),
     (0.4, 40.0, DEFAULT_PROBE, 1e-12),
-    (0.5, 40.0, ProbeParams(2.0, 0.0, 1.0), 1e-12),   # decoupled probe
+    (0.5, 40.0, ProbeParams(0.0, 1.0), 1e-12),        # decoupled probe
     (0.9, 1000.0, DEFAULT_PROBE, 1e-12),
-    (0.5, 40.0, ProbeParams(1.2, 0.1, 0.2), 1e-12),   # outside the dispersive regime
+    (0.5, 40.0, ProbeParams(0.1, 0.2), 1e-12),        # outside the dispersive regime
     # above the transition the ground doublet is nearly degenerate, so the
     # tripartite eigenvectors carry more roundoff
     (1.2, 200.0, DEFAULT_PROBE, 1e-7),
@@ -267,6 +264,21 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
     assert np.abs(band.coherence_predicted - dense.coherence_predicted).max() <= bound
     assert band.dispersive_regime == dense.dispersive_regime
     assert band_warnings == dense_warnings
+
+
+def test_tripartite_check_at_another_cavity_frequency():
+    # at omega_c = 2 the probe detuned by Delta_s = 1 sits at omega_s = 3, not
+    # at 2 (resonant with the cavity, where chi = g_s^2 / Delta_s would not hold
+    # and the deviation was 0.027); the oracle places it there independently
+    p = RabiParams(2.0, 400.0, 0.5 * np.sqrt(800.0) / 2.0)  # lam = 0.5, eta = 200
+    assert (p.lam, p.eta) == pytest.approx((0.5, 200.0), rel=1e-15)
+    times = np.linspace(0.0, 20.0, 41)
+    band = validate_dispersive(p, FIGURE_PROBE, times)
+    dense = dense_validate_dispersive(p, FIGURE_PROBE, times)
+    assert np.abs(band.coherence_exact - dense.coherence_exact).max() <= 1e-12
+    assert np.abs(band.coherence_predicted - dense.coherence_predicted).max() <= 1e-12
+    assert band.dispersive_regime and dense.dispersive_regime
+    assert band.max_rel_deviation < 2e-3
 
 
 def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
@@ -324,13 +336,12 @@ def test_exact_path_matches_dense_oracle():
     # both sides of the transition; the relative bound on 1 - L sees a wrong
     # probe shift even where L stays close to 1
     eta = 1000.0
-    probe = ProbeParams.from_chi(1e-3)
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
-    sweep = echo_sweep(eta, probe, lams, times, "exact", cutoff_tol=TOL)
+    sweep = echo_sweep(eta, 1e-3, lams, times, "exact", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams.from_dimensionless(lam, eta)
-        cutoff, energy, mean_n, gamma, l_dense = _dense_exact(p, probe, times)
+        cutoff, energy, mean_n, gamma, l_dense = _dense_exact(p, FIGURE_PROBE, times)
         gs = exact_ground_state(p, TOL)
         assert sweep.cutoffs[i] == gs.cutoff.n_max == cutoff.n_max, lam
         assert gs.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
@@ -401,7 +412,7 @@ def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
     assert sorted(built) == sorted(set(built)), built
 
 
-def _even_chain(p, probe, cutoff):
+def _even_chain(p, chi, cutoff):
     """(ground state, (h_g, h_e)) on the even parity chain at a fixed cutoff,
     the branches rebuilt at omega_c -/+ chi."""
 
@@ -412,7 +423,7 @@ def _even_chain(p, probe, cutoff):
     energy = band_ground_energy(h)
     vec = band_ground_state(h, energy)
     gs = dynamics.BandGround(0.0, cutoff, h, n, energy, vec, *band_moments(n, vec))
-    return gs, (chain(p.omega_c - probe.chi), chain(p.omega_c + probe.chi))
+    return gs, (chain(p.omega_c - chi), chain(p.omega_c + chi))
 
 
 def test_normal_phase_point_at_cutoff_cap():
@@ -420,14 +431,14 @@ def test_normal_phase_point_at_cutoff_cap():
     # agrees with the same point at half that cutoff; there the library's
     # echo, on its own branches, agrees with the oracle's, D itself
     p = RabiParams.from_dimensionless(0.9999, 1e6)
-    probe = ProbeParams.from_chi(1e-3)
+    chi = 1e-3
     times = np.linspace(0.0, 100.0, 6)
-    gs, branches = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP))
+    gs, branches = _even_chain(p, chi, FockCutoff(CUTOFF_HARD_CAP))
     l_cap = decoherence_factor(*branches, QuantumState(gs.vector), times).l_values
-    gs_half, branches = _even_chain(p, probe, FockCutoff(CUTOFF_HARD_CAP // 2))
+    gs_half, branches = _even_chain(p, chi, FockCutoff(CUTOFF_HARD_CAP // 2))
     half = decoherence_factor(*branches, QuantumState(gs_half.vector), times)
     l_half = half.l_values
-    assert np.abs(dynamics.decoherence_factor(gs_half, probe, times) - half.d_values).max() <= 1e-9
+    assert np.abs(dynamics.decoherence_factor(gs_half, chi, times) - half.d_values).max() <= 1e-9
     assert l_cap[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all((l_cap >= 0.0) & (l_cap <= 1.0 + 1e-12))
     assert gs.gamma == pytest.approx(gs_half.gamma, rel=1e-9)
@@ -475,20 +486,25 @@ def test_effective_band_builders_equal_dense_builders():
 
 def test_effective_path_matches_dense_oracle():
     # both sides of the transition at the fig5 eta; the relative bound on
-    # 1 - L sees a wrong probe shift even where L stays close to 1
-    eta = 1e5
-    probe = ProbeParams.from_chi(1e-3)
+    # 1 - L sees a wrong probe shift even where L stays close to 1. The dense
+    # echo is taken without the Hamiltonian's constant (-omega_0/2 at leading
+    # order), a global phase of D: kept in, its roundoff eps omega_0 t is noise
+    # of up to 1.2e-9 on the dense L at t = 100 (lam = 1.4, over chi within
+    # four ulp of 1e-3), above the bound
+    eta, chi, omega_s = 1e5, 1e-3, 2.0
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
-    sweep = echo_sweep(eta, probe, lams, times, "effective", cutoff_tol=TOL)
+    sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams.from_dimensionless(lam, eta)
-        cutoff, gs, h0, n_phys = _dense_effective(p)
-        ident = identity(h0.dims)
-        h_g = h0 - probe.chi * n_phys + (-0.5 * probe.omega_s) * ident
-        h_e = h0 + probe.chi * n_phys + (0.5 * probe.omega_s + probe.chi) * ident
+        cutoff, gs, _, n_phys = _dense_effective(p)
+        c2, c4, _ = effective_np_coeffs(p) if lam <= 1.0 else effective_sp_coeffs(p)
+        h_free = _quartic_dense(p.omega_c, c2, c4, 0.0, cutoff)
+        ident = identity(h_free.dims)
+        h_g = h_free - chi * n_phys + (-0.5 * omega_s) * ident
+        h_e = h_free + chi * n_phys + (0.5 * omega_s + chi) * ident
         _, gamma = operator_moments(gs.state, n_phys)
-        l_dense = decoherence_factor(h_g, h_e, gs.state, times).l_values
+        l_dense = decoherence_factor(h_g, h_e, ground_state(h_free).state, times).l_values
         assert sweep.cutoffs[i] == cutoff.n_max, lam
         assert effective_ground_state(p, TOL).gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
@@ -506,11 +522,11 @@ def test_effective_branches_carry_no_constant():
     # left out, at the sweep's cutoff. The ground vector is solved without the
     # constant too: kept in, its roundoff, of order eps omega_0 / gap, left
     # 2.2e-11 at lam = 1.01, eta = 1e6.
-    probe = ProbeParams.from_chi(1e-3)
+    chi, omega_s = 1e-3, 2.0
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.2, 1.4]
     for eta, bound in ((1e5, 1e-11), (1e6, 1e-11)):
-        sweep = echo_sweep(eta, probe, lams, times, "effective", cutoff_tol=TOL)
+        sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
         for i, lam in enumerate(lams):
             p = RabiParams.from_dimensionless(lam, eta)
             cutoff = FockCutoff(sweep.cutoffs[i])
@@ -521,8 +537,8 @@ def test_effective_branches_carry_no_constant():
             h0 = _quartic_dense(p.omega_c, c2, c4, 0.0, cutoff)
             ident = identity(h0.dims)
             n_phys = number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ident
-            h_g = h0 - probe.chi * n_phys + (-0.5 * probe.omega_s) * ident
-            h_e = h0 + probe.chi * n_phys + (0.5 * probe.omega_s + probe.chi) * ident
+            h_g = h0 - chi * n_phys + (-0.5 * omega_s) * ident
+            h_e = h0 + chi * n_phys + (0.5 * omega_s + chi) * ident
             l_dense = decoherence_factor(h_g, h_e, ground_state(h0).state, times).l_values
             err = np.abs(sweep.l_matrix[i] - l_dense).max()
             assert err <= bound, (eta, lam, err)

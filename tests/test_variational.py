@@ -19,7 +19,7 @@ from rabicrit.analytic import short_time_le, variance
 from rabicrit.cli import main
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import SweepConfig, critical_lambda_grid, run
-from rabicrit.hamiltonians import ProbeParams, RabiParams
+from rabicrit.hamiltonians import RabiParams
 from rabicrit.variational import solve
 
 
@@ -101,7 +101,7 @@ def test_gamma_prime_negative_clamped_not_fatal(tmp_path):
     sol = solve(p)
     assert sol.gamma_prime < 0.0
     with pytest.raises(PhaseDomainError, match="variance"):
-        short_time_le(sol.gamma_prime, ProbeParams.from_chi(1e-3).chi, [0.0, 10.0, 60.0])
+        short_time_le(sol.gamma_prime, 1e-3, [0.0, 10.0, 60.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.gamma_prime = 0.0
 
