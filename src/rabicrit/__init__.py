@@ -4,23 +4,15 @@ ground states, photon statistics, and the Loschmidt echo."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConvergenceError,
-    PhaseDomainError,
-    RabicritError,
-    TruncationError,
-)
+from .errors import ConvergenceError, PhaseDomainError, RabicritError
 from .hamiltonians import Phase, ProbeParams, RabiParams
-from .hilbert import FockCutoff
 
 __all__ = [
     "ConvergenceError",
-    "FockCutoff",
     "Phase",
     "PhaseDomainError",
     "ProbeParams",
     "RabiParams",
     "RabicritError",
-    "TruncationError",
     "__version__",
 ]

@@ -21,10 +21,10 @@ displaced band (`hamiltonians.build_displaced_rabi_band`); the effective
 method, in both phases, on the even photon numbers of its Hamiltonian
 without the constant (`hamiltonians._quartic_band(...).even()`, from the
 coefficients of the `hamiltonians.phase` record), which conserves photon
-parity. Each ground state (`BandGround`) carries the band H its vector lives
-in and the physical photon number N in that basis
-(`hamiltonians.photon_number_band`), and both methods' probe branches are
-H -/+ chi N, from one function (`probe_branches`), which only
+parity. Each ground state (`BandGround`) carries its Fock cutoff `n_max`
+(an int), the band H its vector lives in and the physical photon number N in
+that basis (`hamiltonians.photon_number_band`), and both methods' probe
+branches are H -/+ chi N, from one function (`probe_branches`), which only
 `decoherence_factor` calls. A sweep point (`experiments._point`) looks the
 two methods up by name in `GROUND_STATES`; the tripartite check
 (`experiments.validate_dispersive`) runs the exact method's path on its bare
@@ -47,7 +47,7 @@ from .hamiltonians import (
     phase,
     photon_number_band,
 )
-from .hilbert import BandMatrix, FockCutoff
+from .hilbert import BandMatrix
 from .spectra import CUTOFF_HARD_CAP, band_ground_state, band_moments, band_spectrum, converge_cutoff
 
 
@@ -87,7 +87,7 @@ class BandGround:
     """
 
     alpha: float
-    cutoff: FockCutoff
+    n_max: int
     h: BandMatrix
     n: BandMatrix
     energy: float
@@ -117,16 +117,16 @@ def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -
             f"both wells, above the largest the search tries ({CUTOFF_HARD_CAP // 2})"
         )
 
-    def band(alpha: float, cutoff: FockCutoff) -> BandMatrix | None:
+    def band(alpha: float, n_max: int) -> BandMatrix | None:
         if alpha:
-            return build_displaced_rabi_band(p, alpha, cutoff)
-        return None if cutoff.n_max < n_bare else build_rabi_parity(p, cutoff)
+            return build_displaced_rabi_band(p, alpha, n_max)
+        return None if n_max < n_bare else build_rabi_parity(p, n_max)
 
     found = converge_cutoff(tuple(partial(band, a) for a in alphas), cutoff_tol)
     alpha = alphas[found.frame]
     vec = band_ground_state(found.band, found.energy)
-    n = photon_number_band(alpha, found.cutoff, 2 if alpha else 1)
-    return BandGround(alpha, found.cutoff, found.band, n, found.energy, vec,
+    n = photon_number_band(alpha, found.n_max, 2 if alpha else 1)
+    return BandGround(alpha, found.n_max, found.band, n, found.energy, vec,
                       *band_moments(n, vec))
 
 
@@ -161,15 +161,14 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     # one build per cutoff: above the transition the full band is the searched one
     band = cache(partial(_quartic_band, ph.omega_c, ph.c2, ph.c4))
     found = converge_cutoff((lambda c: band(c).even(),), cutoff_tol)
-    cutoff = found.cutoff
     even = band_ground_state(found.band, found.energy)
-    n = photon_number_band(ph.alpha, cutoff, 1)
+    n = photon_number_band(ph.alpha, found.n_max, 1)
     if ph.alpha:
-        h, vec = band(cutoff), np.zeros(cutoff.dim)
+        h, vec = band(found.n_max), np.zeros(found.n_max + 1)
         vec[0::2] = even
     else:
         h, n, vec = found.band, n.even(), even
-    return BandGround(ph.alpha, cutoff, h, n, found.energy + ph.const, vec,
+    return BandGround(ph.alpha, found.n_max, h, n, found.energy + ph.const, vec,
                       *band_moments(n, vec))
 
 

@@ -5,10 +5,6 @@ class RabicritError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TruncationError(RabicritError, ValueError):
-    """Fock-space truncation is invalid or insufficient for the request."""
-
-
 class PhaseDomainError(RabicritError, ValueError):
     """A closed-form expression was requested outside its phase of validity."""
 

@@ -268,7 +268,7 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
         converged, values = False, [np.nan] * len(names)
     wall = time.perf_counter() - t0
     return SweepPoint(
-        cfg.figure, method, lam, eta, chi, gs.cutoff.n_max if gs else "", converged,
+        cfg.figure, method, lam, eta, chi, gs.n_max if gs else "", converged,
         gs.frame if gs else "", wall, times, names, values,
     )
 
@@ -376,7 +376,7 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     # exact tripartite evolution from the probe's (|g> + |e>)/sqrt(2) times the
     # Rabi ground state: its |g> part in the first parity block, its |e> part
     # in the second, both evolved from one energy offset to keep their phase
-    (w_g, v_g), (w_e, v_e) = map(band_spectrum, build_tripartite_blocks(p, probe, gs.cutoff))
+    (w_g, v_g), (w_e, v_e) = map(band_spectrum, build_tripartite_blocks(p, probe, gs.n_max))
     psi_g, psi_e = np.zeros(w_g.size), np.zeros(w_e.size)
     psi_g[0::2] = psi_e[1::2] = gs.vector / np.sqrt(2.0)
     g, e = evolved(w_g, v_g, psi_g, times, w_g[0]), evolved(w_e, v_e, psi_e, times, w_g[0])

@@ -34,7 +34,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .errors import PhaseDomainError
-from .hilbert import BandMatrix, FockCutoff
+from .hilbert import BandMatrix
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def phase(p: RabiParams) -> Phase:
     return Phase(p.omega_c, 0.0, p.omega_0, lam**2)
 
 
-def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+def build_rabi_parity(p: RabiParams, n_max: int) -> BandMatrix:
     """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag) on
     its even parity chain |g,0>, |e,1>, |g,2>, ..., a real tridiagonal matrix
     whose row k has k photons.
@@ -155,15 +155,15 @@ def build_rabi_parity(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
     every lam. Above lam = 1 the odd chain's lowest level joins it as a
     nearly degenerate doublet, split by the tunnelling between the two wells.
     """
-    k = np.arange(cutoff.dim, dtype=float)
+    k = np.arange(n_max + 1, dtype=float)
     spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
-    band = np.zeros((2, cutoff.dim))
+    band = np.zeros((2, k.size))
     band[0] = p.omega_c * k + spin
     band[1, :-1] = -p.g * np.sqrt(k[1:])
     return BandMatrix(band)
 
 
-def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCutoff) -> BandMatrix:
+def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, n_max: int) -> BandMatrix:
     """The Rabi Hamiltonian conjugated by D(alpha_disp) as a real band matrix
     of half-width 3:
 
@@ -174,10 +174,10 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCuto
     it stays exactly symmetric for any alpha. Spin-fastest basis: row 2 k + s
     is spin s (0 for |e>, 1 for |g>) with k photons in the displaced frame.
     """
-    k = np.arange(cutoff.dim, dtype=float)
+    k = np.arange(n_max + 1, dtype=float)
     root = np.sqrt(k[1:])
     boson = p.omega_c * (k + alpha_disp**2)
-    band = np.zeros((4, 2 * cutoff.dim))
+    band = np.zeros((4, 2 * k.size))
     band[0, 0::2] = boson + 0.5 * p.omega_0
     band[0, 1::2] = boson - 0.5 * p.omega_0
     band[1, 0::2] = -2.0 * p.g * alpha_disp    # <g,k| H |e,k>
@@ -188,7 +188,7 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, cutoff: FockCuto
 
 
 def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
-                            cutoff: FockCutoff) -> tuple[BandMatrix, BandMatrix]:
+                            n_max: int) -> tuple[BandMatrix, BandMatrix]:
     """The Jaynes-Cummings probe plus the Rabi model, before the dispersive
     step, H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a)
     with omega_s = omega_c + delta_s, on its two blocks of total parity (the
@@ -198,13 +198,13 @@ def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
     the even chain (`build_rabi_parity`); the odd chain |e,0>, |g,1>, |e,2>,
     ... is the even one with sigma_z flipped.
     """
-    k = np.arange(cutoff.dim, dtype=float)
+    k = np.arange(n_max + 1, dtype=float)
     omega_s = p.omega_c + probe.delta_s
-    even = build_rabi_parity(p, cutoff).band
+    even = build_rabi_parity(p, n_max).band
     odd = 2.0 * p.omega_c * k - even[0]  # the odd chain's diagonal: sigma_z flipped
     blocks = []
     for g_chain, e_chain in ((even[0], odd), (odd, even[0])):
-        band = np.zeros((3, 2 * cutoff.dim))
+        band = np.zeros((3, 2 * k.size))
         band[0, 0::2] = g_chain - 0.5 * omega_s
         band[0, 1::2] = e_chain + 0.5 * omega_s
         band[1, 1:-1:2] = -probe.g_s * np.sqrt(k[1:])  # <k+1, g| H |k, e>
@@ -213,7 +213,7 @@ def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
     return tuple(blocks)
 
 
-def _quartic_band(omega_c: float, c2: float, c4: float, cutoff: FockCutoff) -> BandMatrix:
+def _quartic_band(omega_c: float, c2: float, c4: float, n_max: int) -> BandMatrix:
     """omega_c n - c2 x^2 + c4 x^4 in natural Fock order, half-width 4: an
     effective Hamiltonian without its constant. Its odd diagonals are zero
     (it conserves photon parity), so `even()` is an invariant block.
@@ -221,30 +221,30 @@ def _quartic_band(omega_c: float, c2: float, c4: float, cutoff: FockCutoff) -> B
     x^2 and x^4 are the products of the truncated x = a + a^dag: the last
     diagonal entry of x^2 is n_max, not 2 n_max + 1.
     """
-    k = np.arange(cutoff.dim, dtype=float)
+    k = np.arange(n_max + 1, dtype=float)
     x2_diag = 2.0 * k + 1.0
-    x2_diag[-1] = cutoff.n_max
+    x2_diag[-1] = n_max
     x2_off = np.sqrt(k[1:-1] * k[2:])            # <k+2| x^2 |k>
     x4_diag = x2_diag**2
     x4_diag[:-2] += x2_off**2
     x4_diag[2:] += x2_off**2
     x4_off2 = x2_off * (x2_diag[:-2] + x2_diag[2:])
     x4_off4 = x2_off[:-2] * x2_off[2:]
-    band = np.zeros((5, cutoff.dim))
+    band = np.zeros((5, k.size))
     band[0] = omega_c * k - c2 * x2_diag + c4 * x4_diag
     band[2, :x2_off.size] = -c2 * x2_off + c4 * x4_off2
     band[4, :x4_off4.size] = c4 * x4_off4
     return BandMatrix(band)
 
 
-def photon_number_band(alpha: float, cutoff: FockCutoff, spins: int) -> BandMatrix:
+def photon_number_band(alpha: float, n_max: int, spins: int) -> BandMatrix:
     """The physical photon number N = n + alpha x + alpha^2 of the frame
     displaced by alpha (alpha = 0: the bare frame), half-width `spins`, in a
     basis ordered by photon number with `spins` spin states fastest: 1 for
     natural Fock order and the even parity chain (row k has k photons), 2 for the
     spin-fastest band of `build_displaced_rabi_band`."""
-    k = np.arange(cutoff.dim, dtype=float)
-    band = np.zeros((spins + 1, spins * cutoff.dim))
+    k = np.arange(n_max + 1, dtype=float)
+    band = np.zeros((spins + 1, spins * k.size))
     band[0] = np.repeat(k + alpha**2, spins)
     band[spins, :-spins] = alpha * np.repeat(np.sqrt(k[1:]), spins)
     return BandMatrix(band)

@@ -1,9 +1,10 @@
 """Ground states and spectra of real symmetric band matrices, the mean and
 variance of a band observable (`band_moments`, which reads the physical
 photon number's in every basis), and automatic cutoff convergence
-(`converge_cutoff`), which bisects the ground energy at each cutoff it tries,
-compares it with the doubled cutoff's by two band Cholesky factorisations
-(dpbtrf), not by a second eigenvalue solve, and returns both at its cutoff.
+(`converge_cutoff`), which bisects the ground energy at each Fock cutoff
+n_max (an int) it tries, compares it with the doubled cutoff's by two band
+Cholesky factorisations (dpbtrf), not by a second eigenvalue solve, and
+returns both, with n_max, in a `FrameCutoff`.
 
 `_band_eigh` is the one eigensolver kernel. It calls the LAPACK drivers that
 `scipy.linalg.eigh_tridiagonal` and `eig_banded` pick, with the same
@@ -40,7 +41,7 @@ import scipy
 from numpy.linalg import LinAlgError  # the class scipy.linalg.LinAlgError names
 
 from .errors import ConvergenceError
-from .hilbert import BandMatrix, FockCutoff
+from .hilbert import BandMatrix
 
 
 def _scipy_linalg_extension(name: str) -> ModuleType:
@@ -179,25 +180,24 @@ def band_spectrum(h: BandMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def band_moments(n: BandMatrix, vec: np.ndarray) -> tuple[float, float]:
     """Mean and variance of the observable `n`, a real symmetric band matrix,
-    in the real unit vector `vec`, from one product n vec (dsbmv)."""
+    in the real unit vector `vec`, from one product n vec (dsbmv). The
+    variance is the squared norm of the centred residual n vec - mean vec, not
+    <n vec, n vec> - mean^2, whose two terms of order mean^2 cancel."""
     n_vec = dsbmv(n.band.shape[0] - 1, 1.0, n.band, vec, lower=1)
     mean = float(vec @ n_vec)
-    return mean, max(float(n_vec @ n_vec) - mean**2, 0.0)
+    residual = n_vec - mean * vec
+    return mean, float(residual @ residual)
 
 
 class FrameCutoff(NamedTuple):
-    """The cutoff a search over several frames chose, the index of the
+    """The cutoff `n_max` a search over several frames chose, the index of the
     frame whose ground energy converged there first, and that frame's ground
     energy and band at the cutoff."""
 
     frame: int
-    cutoff: FockCutoff
+    n_max: int
     energy: float
     band: BandMatrix
-
-    @property
-    def n_max(self) -> int:
-        return self.cutoff.n_max
 
 
 def _definite(h: BandMatrix, shift: float) -> bool:
@@ -216,7 +216,7 @@ def _within(h: BandMatrix, energy: float, tol: float) -> bool:
 
 
 def converge_cutoff(
-    frames: tuple[Callable[[FockCutoff], BandMatrix | None], ...], tol: float
+    frames: tuple[Callable[[int], BandMatrix | None], ...], tol: float
 ) -> FrameCutoff:
     """Smallest tested cutoff whose ground energy shifts by < tol on doubling.
 
@@ -241,13 +241,13 @@ def converge_cutoff(
     n = N_START
     while 2 * n <= CUTOFF_HARD_CAP:
         for frame, build in enumerate(frames):
-            h = built.pop(frame) if frame in built else build(FockCutoff(n))
+            h = built.pop(frame) if frame in built else build(n)
             if h is None:
                 continue
             e_n = band_ground_energy(h)
-            h_doubled = build(FockCutoff(2 * n))
+            h_doubled = build(2 * n)
             if _within(h_doubled, e_n, tol):
-                return FrameCutoff(frame, FockCutoff(n), e_n, h)
+                return FrameCutoff(frame, n, e_n, h)
             built[frame] = h_doubled
         n *= 2
     raise ConvergenceError(

@@ -5,8 +5,10 @@ The library solves every Hamiltonian as a real symmetric band matrix
 the tests' oracle:
   * `Operator` and `QuantumState` on the truncated spin (x) Fock space
     (basis ordering: spin factor first with basis (|e>, |g>), boson factor
-    second with Fock levels 0..n_max), ladder operators, Pauli matrices,
-    tensor products, displacement and squeezing by `expm`;
+    second with Fock levels 0..n_max, a cutoff that every builder takes as
+    the int n_max), ladder operators, Pauli matrices, tensor products, the
+    physical photon number of a displaced frame (`physical_number`),
+    displacement and squeezing by `expm`;
   * each phase written out in lam: the displaced frame's `DisplacedFrame`
     (alpha, omega0~ = lam^2 omega_0, g~), the effective coefficients
     (`effective_np_coeffs`, `effective_sp_coeffs`), the variational cubic and
@@ -65,7 +67,7 @@ from rabicrit.analytic import CRITICAL_BAND
 from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
 from rabicrit.experiments import DispersiveReport, SweepConfig, _point
 from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band, alpha_lambda
-from rabicrit.hilbert import BandMatrix, FockCutoff
+from rabicrit.hilbert import BandMatrix
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
 from rabicrit.variational import VariationalSolution
 
@@ -172,24 +174,23 @@ def identity(dims) -> Operator:
     return Operator(np.eye(d, dtype=complex), dims)
 
 
-def annihilation(cutoff: FockCutoff) -> Operator:
+def annihilation(n_max: int) -> Operator:
     """Truncated boson annihilation operator: <n|a|n+1> = sqrt(n+1)."""
-    n = cutoff.n_max
-    mat = np.diag(np.sqrt(np.arange(1, n + 1, dtype=float)), k=1).astype(complex)
-    return Operator(mat, (cutoff.dim,))
+    mat = np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
+    return Operator(mat, (n_max + 1,))
 
 
-def creation(cutoff: FockCutoff) -> Operator:
-    return annihilation(cutoff).dag()
+def creation(n_max: int) -> Operator:
+    return annihilation(n_max).dag()
 
 
-def number(cutoff: FockCutoff) -> Operator:
-    return Operator(np.diag(np.arange(cutoff.dim, dtype=complex)), (cutoff.dim,))
+def number(n_max: int) -> Operator:
+    return Operator(np.diag(np.arange(n_max + 1, dtype=complex)), (n_max + 1,))
 
 
-def quadrature_x(cutoff: FockCutoff) -> Operator:
+def quadrature_x(n_max: int) -> Operator:
     """The field quadrature a + a^dagger (unscaled)."""
-    a = annihilation(cutoff)
+    a = annihilation(n_max)
     return a + a.dag()
 
 
@@ -225,35 +226,35 @@ def tensor(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.mat, b.mat), a.dims + b.dims)
 
 
-def displacement(alpha: float, cutoff: FockCutoff) -> Operator:
+def displacement(alpha: float, n_max: int) -> Operator:
     """D(alpha) = exp[alpha (a^dag - a)] on the truncated space.
 
     Warns (does not fail) when the cutoff leaves the displaced vacuum with a
     non-negligible tail above n_max.
     """
-    if cutoff.n_max < alpha**2 + 6.0 * abs(alpha):
+    if n_max < alpha**2 + 6.0 * abs(alpha):
         warnings.warn(
-            f"cutoff n_max={cutoff.n_max} may be too small for displacement "
+            f"cutoff n_max={n_max} may be too small for displacement "
             f"alpha={alpha}; unitarity degrades",
             stacklevel=2,
         )
-    a = annihilation(cutoff)
+    a = annihilation(n_max)
     gen = alpha * (a.dag().mat - a.mat)
-    return Operator(expm(gen), (cutoff.dim,))
+    return Operator(expm(gen), (n_max + 1,))
 
 
-def squeeze(r: float, cutoff: FockCutoff) -> Operator:
+def squeeze(r: float, n_max: int) -> Operator:
     """S(r) = exp[r (a^dag^2 - a^2) / 2] on the truncated space."""
-    if cutoff.n_max < 10.0 * sinh(r) ** 2 + 20.0:
+    if n_max < 10.0 * sinh(r) ** 2 + 20.0:
         warnings.warn(
-            f"cutoff n_max={cutoff.n_max} may be too small for squeezing r={r}; "
+            f"cutoff n_max={n_max} may be too small for squeezing r={r}; "
             "unitarity degrades",
             stacklevel=2,
         )
-    a = annihilation(cutoff).mat
+    a = annihilation(n_max).mat
     ad = a.conj().T
     gen = 0.5 * r * (ad @ ad - a @ a)
-    return Operator(expm(gen), (cutoff.dim,))
+    return Operator(expm(gen), (n_max + 1,))
 
 
 # --- per-phase references in lam ---------------------------------------------
@@ -389,20 +390,20 @@ def energy_at(phase: str, s: float, p: RabiParams) -> float:
 # --- dense Hamiltonians ----------------------------------------------------
 
 
-def build_rabi(p: RabiParams, cutoff: FockCutoff) -> Operator:
+def build_rabi(p: RabiParams, n_max: int) -> Operator:
     """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag)."""
-    nb = cutoff.dim
+    nb = n_max + 1
     i2 = identity((2,))
     ib = identity((nb,))
     h = (
-        p.omega_c * tensor(i2, number(cutoff))
+        p.omega_c * tensor(i2, number(n_max))
         + (0.5 * p.omega_0) * tensor(pauli("z"), ib)
-        - p.g * tensor(pauli("x"), quadrature_x(cutoff))
+        - p.g * tensor(pauli("x"), quadrature_x(n_max))
     )
     return h
 
 
-def build_branch(p: RabiParams, probe: ProbeParams, branch: str, cutoff: FockCutoff) -> Operator:
+def build_branch(p: RabiParams, probe: ProbeParams, branch: str, n_max: int) -> Operator:
     """Conditional Rabi Hamiltonian given the probe in |e> or |g>, the probe
     at omega_s = omega_c + delta_s.
 
@@ -419,21 +420,21 @@ def build_branch(p: RabiParams, probe: ProbeParams, branch: str, cutoff: FockCut
         omega_b = p.omega_c - chi
         const = -0.5 * omega_s
     shifted = RabiParams(omega_b, p.omega_0, p.g)
-    h = build_rabi(shifted, cutoff)
+    h = build_rabi(shifted, n_max)
     return h + const * identity(h.dims)
 
 
-def build_tripartite(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff) -> Operator:
+def build_tripartite(p: RabiParams, probe: ProbeParams, n_max: int) -> Operator:
     """Full Jaynes-Cummings probe plus Rabi model, before the dispersive step,
     the probe at omega_s = omega_c + delta_s.
 
     Space: probe-spin (x) Rabi-spin (x) Fock, dimension 4 (n_max + 1).
     """
-    nb = cutoff.dim
+    nb = n_max + 1
     i2 = identity((2,))
     ib = identity((nb,))
-    a = annihilation(cutoff)
-    rabi = tensor(i2, build_rabi(p, cutoff))
+    a = annihilation(n_max)
+    rabi = tensor(i2, build_rabi(p, n_max))
     h_probe = (0.5 * (p.omega_c + probe.delta_s)) * tensor(pauli("z"), tensor(i2, ib))
     h_jc = (-probe.g_s) * (
         tensor(sigma_minus(), tensor(i2, a.dag()))
@@ -442,8 +443,14 @@ def build_tripartite(p: RabiParams, probe: ProbeParams, cutoff: FockCutoff) -> O
     return rabi + h_probe + h_jc
 
 
+def physical_number(alpha: float, n_max: int) -> Operator:
+    """The physical photon number N = n + alpha x + alpha^2 of the frame
+    displaced by alpha (alpha = 0: the bare frame), on the Fock space."""
+    return number(n_max) + alpha * quadrature_x(n_max) + alpha**2 * identity((n_max + 1,))
+
+
 def build_displaced_rabi(
-    p: RabiParams, alpha_disp: float, cutoff: FockCutoff
+    p: RabiParams, alpha_disp: float, n_max: int
 ) -> tuple[Operator, DisplacedFrame]:
     """Rabi Hamiltonian conjugated by D(alpha_disp), expanded term-by-term.
 
@@ -453,11 +460,11 @@ def build_displaced_rabi(
     Built analytically (not by numerical conjugation with the truncated
     displacement unitary), so it stays exactly Hermitian for any alpha.
     """
-    nb = cutoff.dim
+    nb = n_max + 1
     i2 = identity((2,))
     ib = identity((nb,))
-    x = quadrature_x(cutoff)
-    boson = p.omega_c * (number(cutoff) + alpha_disp * x + alpha_disp**2 * ib)
+    x = quadrature_x(n_max)
+    boson = p.omega_c * physical_number(alpha_disp, n_max)
     h = (
         tensor(i2, boson)
         + (0.5 * p.omega_0) * tensor(pauli("z"), ib)
@@ -477,56 +484,56 @@ def spin_mixing_angle(p: RabiParams, alpha_disp: float) -> float:
 
 
 def _quartic_dense(omega_c: float, c2: float, c4: float, const: float,
-                     cutoff: FockCutoff) -> Operator:
-    x = quadrature_x(cutoff)
+                     n_max: int) -> Operator:
+    x = quadrature_x(n_max)
     x2 = x @ x
     return (
-        omega_c * number(cutoff)
+        omega_c * number(n_max)
         - c2 * x2
         + c4 * (x2 @ x2)
         + const * identity(x.dims)
     )
 
 
-def build_effective_np(p: RabiParams, cutoff: FockCutoff) -> Operator:
+def build_effective_np(p: RabiParams, n_max: int) -> Operator:
     """Fourth-order low-spin effective Hamiltonian of the normal phase.
 
     Boson-only: omega_c n - (omega_c lam^2/4) x^2 + (lam^4 omega_c^2 /
     (16 omega_0)) x^4 - omega_0/2 + lam^2 omega_c^2 / (4 omega_0),
     with x = a + a^dag.
     """
-    return _quartic_dense(p.omega_c, *effective_np_coeffs(p), cutoff)
+    return _quartic_dense(p.omega_c, *effective_np_coeffs(p), n_max)
 
 
-def build_effective_sp(p: RabiParams, cutoff: FockCutoff) -> Operator:
+def build_effective_sp(p: RabiParams, n_max: int) -> Operator:
     """Fourth-order low-spin effective Hamiltonian of the superradiant phase.
 
     Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
     """
-    return _quartic_dense(p.omega_c, *effective_sp_coeffs(p), cutoff)
+    return _quartic_dense(p.omega_c, *effective_sp_coeffs(p), n_max)
 
 
-def build_effective_np_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+def build_effective_np_band(p: RabiParams, n_max: int) -> BandMatrix:
     """`build_effective_np` as a real band of half-width 4 in natural Fock
     order, its constant on the diagonal."""
     c2, c4, const = effective_np_coeffs(p)
-    return _quartic_band(p.omega_c, c2, c4, cutoff).shifted(const)
+    return _quartic_band(p.omega_c, c2, c4, n_max).shifted(const)
 
 
-def build_effective_sp_band(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+def build_effective_sp_band(p: RabiParams, n_max: int) -> BandMatrix:
     """`build_effective_sp` as a real band of half-width 4 in natural Fock
     order of the frame displaced by alpha_lambda; requires lam > 1."""
     c2, c4, const = effective_sp_coeffs(p)
-    return _quartic_band(p.omega_c, c2, c4, cutoff).shifted(const)
+    return _quartic_band(p.omega_c, c2, c4, n_max).shifted(const)
 
 
-def build_rabi_parity_chains(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
+def build_rabi_parity_chains(p: RabiParams, n_max: int) -> BandMatrix:
     """`build_rabi` as a real tridiagonal matrix in parity order, both parity
     chains: rows 0..n_max are the even chain |g,0>, |e,1>, |g,2>, ... (the
     library's `build_rabi_parity`), rows n_max+1.. the odd chain |e,0>,
     |g,1>, .... Row k of either chain has k photons; the sub-diagonal entry
     joining the chains is zero."""
-    k = np.arange(cutoff.dim, dtype=float)
+    k = np.arange(n_max + 1, dtype=float)
     spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
     hop = -p.g * np.sqrt(k + 1.0)
     hop[-1] = 0.0
@@ -543,7 +550,7 @@ def build_rabi_parity_chains(p: RabiParams, cutoff: FockCutoff) -> BandMatrix:
 class GroundStateResult:
     energy: float
     state: QuantumState
-    cutoff_used: FockCutoff
+    n_max: int
     converged: bool
     energy_drift: float
 
@@ -551,7 +558,7 @@ class GroundStateResult:
 def ground_state(h: Operator) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian operator.
 
-    The cutoff recorded is inferred from the last (boson) subsystem label.
+    The cutoff n_max recorded is inferred from the last (boson) subsystem label.
     Convergence against cutoff doubling is the caller's concern; see
     `converge_cutoff` / `converged_ground_state`.
     """
@@ -563,7 +570,7 @@ def ground_state(h: Operator) -> GroundStateResult:
     return GroundStateResult(
         energy=float(w[0]),
         state=state,
-        cutoff_used=FockCutoff(h.dims[-1] - 1),
+        n_max=h.dims[-1] - 1,
         converged=True,
         energy_drift=0.0,
     )
@@ -597,15 +604,15 @@ def operator_moments(psi: QuantumState, op: Operator) -> tuple[float, float]:
     return mean, max(mean2 - mean**2, 0.0)
 
 
-def parity_operator(cutoff: FockCutoff) -> Operator:
+def parity_operator(n_max: int) -> Operator:
     """Pi = exp{i pi [a^dag a + (1 + sigma_z)/2]} on spin (x) Fock.
 
     Diagonal with entries (-1)^(n + 1) on the |e> block and (-1)^n on |g>.
     """
-    n = np.arange(cutoff.dim)
+    n = np.arange(n_max + 1)
     fock_sign = (-1.0) ** n
     diag = np.concatenate([-fock_sign, fock_sign]).astype(complex)
-    return Operator(np.diag(diag), (2, cutoff.dim))
+    return Operator(np.diag(diag), (2, n_max + 1))
 
 
 def energy_search(frames, tol: float) -> FrameCutoff:
@@ -621,7 +628,7 @@ def energy_search(frames, tol: float) -> FrameCutoff:
 
     def energy(frame: int, n: int) -> float | None:
         if (frame, n) not in known:
-            h = frames[frame](FockCutoff(n))
+            h = frames[frame](n)
             if h is not None:
                 h = band_ground_energy(h) if isinstance(h, BandMatrix) else ground_state(h).energy
             known[frame, n] = h
@@ -632,34 +639,34 @@ def energy_search(frames, tol: float) -> FrameCutoff:
         for frame in range(len(frames)):
             e_n = energy(frame, n)
             if e_n is not None and abs(energy(frame, 2 * n) - e_n) < tol:
-                return FrameCutoff(frame, FockCutoff(n), e_n, frames[frame](FockCutoff(n)))
+                return FrameCutoff(frame, n, e_n, frames[frame](n))
         n *= 2
     raise ConvergenceError(
         f"ground energy not converged to {tol} below cutoff {spectra.CUTOFF_HARD_CAP}"
     )
 
 
-def converge_cutoff(builder, tol: float) -> FockCutoff | FrameCutoff:
+def converge_cutoff(builder, tol: float) -> int | FrameCutoff:
     """`energy_search` over dense (or band) builders: one builder gives its
-    `FockCutoff`, a tuple of builders of one Hamiltonian in several frames
+    cutoff n_max, a tuple of builders of one Hamiltonian in several frames
     the `FrameCutoff` of the first frame to converge."""
     if isinstance(builder, tuple):
         return energy_search(builder, tol)
-    return energy_search((builder,), tol).cutoff
+    return energy_search((builder,), tol).n_max
 
 
 def converged_ground_state(
-    builder: Callable[[FockCutoff], Operator], tol: float
+    builder: Callable[[int], Operator], tol: float
 ) -> GroundStateResult:
     """Ground state at the converged cutoff, with the doubling drift recorded."""
-    cutoff = converge_cutoff(builder, tol)
-    res = ground_state(builder(cutoff))
-    e_double = ground_state(builder(FockCutoff(2 * cutoff.n_max))).energy
+    n_max = converge_cutoff(builder, tol)
+    res = ground_state(builder(n_max))
+    e_double = ground_state(builder(2 * n_max)).energy
     drift = abs(res.energy - e_double)
     return GroundStateResult(
         energy=res.energy,
         state=res.state,
-        cutoff_used=cutoff,
+        n_max=n_max,
         converged=drift < tol,
         energy_drift=drift,
     )
@@ -785,8 +792,8 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     |Delta_s| >> |g_s| sqrt(<n> + 1) is violated.
     """
     times = np.asarray(times, dtype=float)
-    cutoff = converge_cutoff(lambda c: build_rabi(p, c), cutoff_tol)
-    gs = ground_state(build_rabi(p, cutoff))
+    n_max = converge_cutoff(lambda c: build_rabi(p, c), cutoff_tol)
+    gs = ground_state(build_rabi(p, n_max))
     mean_n, _ = photon_moments(gs.state)
     dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(mean_n + 1.0)
     if not dispersive:
@@ -796,7 +803,7 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
             stacklevel=2,
         )
     # exact tripartite evolution, probe initialized in (|g> + |e>)/sqrt(2)
-    h3 = build_tripartite(p, probe, cutoff)
+    h3 = build_tripartite(p, probe, n_max)
     decomp = SpectralDecomposition.of(h3)
     probe_vec = np.full(2, 1.0 / sqrt(2.0), dtype=complex)  # (|e>, |g>)
     psi0 = QuantumState(np.kron(probe_vec, gs.state.vec), (2,) + gs.state.dims)
@@ -808,8 +815,8 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     psi = decomp.evolved(psi0.vec, times)
     coherence_exact = 2.0 * np.abs(np.sum(psi.conj() * (sm_full @ psi), axis=0))
     # branch-echo prediction
-    h_g = build_branch(p, probe, "g", cutoff)
-    h_e = build_branch(p, probe, "e", cutoff)
+    h_g = build_branch(p, probe, "g", n_max)
+    h_e = build_branch(p, probe, "e", n_max)
     series = decoherence_factor(h_g, h_e, gs.state, times)
     coherence_pred = np.abs(series.d_values)  # 2 |rho_eg| = 2 (1/2) |D|
     denom = np.maximum(coherence_pred, 1e-15)

@@ -44,18 +44,16 @@ from oracle import (
     echo_sweep,
     ground_state,
     identity,
-    number,
     operator_moments,
     parity_operator,
     photon_moments,
-    quadrature_x,
+    physical_number,
     stationarity,
     tensor,
 )
 from rabicrit.analytic import short_time_le, variance
 from rabicrit.dynamics import effective_ground_state, exact_ground_state
 from rabicrit.hamiltonians import ProbeParams, RabiParams, alpha_lambda
-from rabicrit.hilbert import FockCutoff
 from rabicrit.experiments import validate_dispersive
 from rabicrit.spectra import CUTOFF_TOL
 from rabicrit.variational import solve as variational_solve
@@ -80,10 +78,7 @@ def _exact_ground(p, tol=1e-10):
     builder = lambda c: build_displaced_rabi(p, al, c)[0]
     cutoff = converge_cutoff(builder, tol)
     gs = ground_state(builder(cutoff))
-    n_phys = tensor(
-        identity((2,)),
-        number(cutoff) + al * quadrature_x(cutoff) + al**2 * identity((cutoff.dim,)),
-    )
+    n_phys = tensor(identity((2,)), physical_number(al, cutoff))
     mean_n, gamma = operator_moments(gs.state, n_phys)
     return gs, mean_n, gamma, cutoff
 
@@ -99,7 +94,7 @@ def _effective_ground(p, tol=1e-10):
     builder = lambda c: build_effective_sp(p, c)
     cutoff = converge_cutoff(builder, tol)
     gs = ground_state(builder(cutoff))
-    n_phys = number(cutoff) + al * quadrature_x(cutoff) + al**2 * identity((cutoff.dim,))
+    n_phys = physical_number(al, cutoff)
     mean_n, _ = operator_moments(gs.state, n_phys)
     return gs, mean_n
 
@@ -107,7 +102,7 @@ def _effective_ground(p, tol=1e-10):
 def test_criterion_01_parity_conservation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
-    c = FockCutoff(60)
+    c = 60
     pi = parity_operator(c)
     for _ in range(20):
         p = RabiParams(
@@ -122,7 +117,7 @@ def test_criterion_01_parity_conservation():
 def test_criterion_02_decoupled_limit():
     t0 = time.perf_counter()
     p = RabiParams(1.0, 50.0, 0.0)
-    c = FockCutoff(24)
+    c = 24
     gs = ground_state(build_rabi(p, c))
     assert abs(gs.energy + 0.5 * p.omega_0) < 1e-12
     probe = FIGURE_PROBE
@@ -341,7 +336,7 @@ def test_criterion_12_frame_invariance():
     rng = np.random.default_rng(12)
     probe = FIGURE_PROBE
     times = np.linspace(0.0, 30.0, 7)
-    cutoff = FockCutoff(100)
+    cutoff = 100
     points = [
         (float(rng.uniform(0.1, 0.95)), float(rng.uniform(50.0, 500.0)))
         for _ in range(8)

@@ -16,7 +16,7 @@ from scipy.linalg import LinAlgError, eig_banded, eigh_tridiagonal
 import rabicrit.spectra as spectra
 from oracle import build_rabi_parity_chains
 from rabicrit.hamiltonians import RabiParams, build_rabi_parity
-from rabicrit.hilbert import BandMatrix, FockCutoff
+from rabicrit.hilbert import BandMatrix
 
 
 def _scipy_eigh(h: BandMatrix, lowest: bool):
@@ -53,8 +53,8 @@ def test_band_eigh_equals_scipy_across_a_zero_off_diagonal():
     _assert_bitwise(BandMatrix(band))
     for lam in (0.5, 1.2):
         p = RabiParams.from_dimensionless(lam, 50.0)
-        _assert_bitwise(build_rabi_parity_chains(p, FockCutoff(24)))
-        _assert_bitwise(build_rabi_parity(p, FockCutoff(24)))
+        _assert_bitwise(build_rabi_parity_chains(p, 24))
+        _assert_bitwise(build_rabi_parity(p, 24))
 
 
 @pytest.mark.parametrize("width", (1, 3))

@@ -28,9 +28,8 @@ from rabicrit.analytic import short_time_le, variance
 from rabicrit.dynamics import GROUND_STATES, decoherence_factor as band_decoherence_factor
 from rabicrit.experiments import METHODS, SweepConfig, _point, run
 from rabicrit.hamiltonians import ProbeParams, RabiParams
-from rabicrit.hilbert import FockCutoff
 
-C = FockCutoff(32)
+C = 32
 
 
 def _rabi_ground(lam, eta, cutoff=C):
@@ -111,7 +110,7 @@ def _identity_like(op):
 
 def test_decoherence_factor_against_expm():
     # brute-force matrix-exponential oracle on a small problem
-    cutoff = FockCutoff(20)
+    cutoff = 20
     p = RabiParams.from_dimensionless(0.5, 30.0)
     gs = ground_state(build_rabi(p, cutoff))
     probe = ProbeParams(math.sqrt(5e-3), 1.0)
@@ -129,7 +128,7 @@ def test_decoherence_factor_against_expm():
 def test_decoherence_factor_dim_mismatch():
     p, gs = _rabi_ground(0.5, 30.0)
     hg = build_branch(p, FIGURE_PROBE, "g", C)
-    he = build_branch(p, FIGURE_PROBE, "e", FockCutoff(16))
+    he = build_branch(p, FIGURE_PROBE, "e", 16)
     with pytest.raises(DimensionMismatchError):
         decoherence_factor(hg, he, gs.state, [0.0, 1.0])
 
@@ -254,8 +253,8 @@ def test_sweep_exact_vs_effective_smoke():
 def test_frame_invariance_random_displacement():
     from oracle import displacement, identity, tensor
 
-    p, gs = _rabi_ground(0.7, 200.0, FockCutoff(80))
-    cc = FockCutoff(80)
+    p, gs = _rabi_ground(0.7, 200.0, 80)
+    cc = 80
     hg = build_branch(p, FIGURE_PROBE, "g", cc)
     he = build_branch(p, FIGURE_PROBE, "e", cc)
     times = np.linspace(0.0, 25.0, 6)

@@ -36,10 +36,9 @@ from rabicrit.analytic import CRITICAL_BAND, variance
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import Phase, ProbeParams, RabiParams, alpha_lambda, phase
-from rabicrit.hilbert import FockCutoff
 from rabicrit.variational import _cubic_coeffs, _energy_at, solve
 
-C32 = FockCutoff(32)
+C32 = 32
 
 
 def test_rabi_params_derived():
@@ -91,8 +90,8 @@ def test_build_rabi_decoupled():
     gs = ground_state(build_rabi(p, C32))
     assert gs.energy == pytest.approx(-1.5, abs=1e-12)
     # ground state |0>|g> -> index (spin g = 1) * dim + 0
-    expect = np.zeros(2 * C32.dim)
-    expect[C32.dim] = 1.0
+    expect = np.zeros(2 * (C32 + 1))
+    expect[C32 + 1] = 1.0
     assert np.abs(np.abs(gs.state.vec) - expect).max() < 1e-12
 
 
@@ -108,8 +107,8 @@ def test_build_rabi_parity_commutes():
 
 def test_build_rabi_cutoff_stable():
     p = RabiParams(1.0, 100.0, 2.0)  # lam = 0.4
-    e60 = ground_state(build_rabi(p, FockCutoff(60))).energy
-    e80 = ground_state(build_rabi(p, FockCutoff(80))).energy
+    e60 = ground_state(build_rabi(p, 60)).energy
+    e80 = ground_state(build_rabi(p, 80)).energy
     assert abs(e60 - e80) < 1e-10
 
 
@@ -142,10 +141,10 @@ def test_branch_cavity_coefficient():
 def test_tripartite_decoupled_probe():
     p = RabiParams.from_dimensionless(0.6, 20.0)
     probe = ProbeParams(0.0, 1.0)  # at omega_s = omega_c + 1 = 2
-    h3 = build_tripartite(p, probe, FockCutoff(20))
+    h3 = build_tripartite(p, probe, 20)
     assert h3.is_hermitian()
     w3 = np.linalg.eigvalsh(h3.mat)
-    wr = np.linalg.eigvalsh(build_rabi(p, FockCutoff(20)).mat)
+    wr = np.linalg.eigvalsh(build_rabi(p, 20).mat)
     expect = np.sort(np.concatenate([wr + 1.0, wr - 1.0]))
     assert np.abs(w3 - expect).max() < 1e-10
 
@@ -154,9 +153,9 @@ def test_tripartite_jc_excitation_conserved():
     # with g = 0 the JC excitation number n + sigma_+ sigma_- commutes with H
     p = RabiParams(1.0, 5.0, 0.0)
     probe = ProbeParams(0.3, 1.0)
-    c = FockCutoff(16)
+    c = 16
     h3 = build_tripartite(p, probe, c)
-    i2, ib = identity((2,)), identity((c.dim,))
+    i2, ib = identity((2,)), identity((c + 1,))
     n_exc = tensor(i2, tensor(i2, number(c))) + tensor(
         sigma_plus() @ sigma_minus(), tensor(i2, ib)
     )
@@ -177,10 +176,9 @@ def test_displaced_rabi_spectrum_invariance():
     # the low-lying spectrum is unitarily equivalent; the agreeing window
     # widens (tolerance tightens) as the cutoff grows
     for n_max, levels in ((80, 20), (120, 40)):
-        c = FockCutoff(n_max)
-        w0 = np.linalg.eigvalsh(build_rabi(p, c).mat)
+        w0 = np.linalg.eigvalsh(build_rabi(p, n_max).mat)
         for alpha in (0.5, 2.0):
-            w = np.linalg.eigvalsh(build_displaced_rabi(p, alpha, c)[0].mat)
+            w = np.linalg.eigvalsh(build_displaced_rabi(p, alpha, n_max)[0].mat)
             assert np.abs(w[:levels] - w0[:levels]).max() < 1e-8
 
 
@@ -263,7 +261,7 @@ def test_effective_np_limits():
     p0 = RabiParams(1.0, 7.0, 0.0)
     h = build_effective_np(p0, C32)
     w = np.linalg.eigvalsh(h.mat)
-    assert np.abs(w - (np.arange(C32.dim) - 3.5)).max() < 1e-12
+    assert np.abs(w - (np.arange(C32 + 1) - 3.5)).max() < 1e-12
 
     p = RabiParams.from_dimensionless(1.0, 5000.0)
     # quartic coefficient lam^4 omega_c^2 / (16 omega_0)
@@ -284,7 +282,7 @@ def test_all_builders_hermitian():
     ops = [
         build_rabi(p, C32),
         build_branch(p, FIGURE_PROBE, "e", C32),
-        build_tripartite(p, FIGURE_PROBE, FockCutoff(16)),
+        build_tripartite(p, FIGURE_PROBE, 16),
         build_displaced_rabi(p, alpha_lambda(p), C32)[0],
         build_effective_np(RabiParams.from_dimensionless(0.5, 100.0), C32),
         build_effective_sp(p, C32),

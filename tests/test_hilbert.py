@@ -24,25 +24,15 @@ from oracle import (
     squeeze,
     tensor,
 )
-from rabicrit.errors import TruncationError
-from rabicrit.hilbert import FockCutoff
-
-
-def test_cutoff_rejects_zero():
-    with pytest.raises(TruncationError):
-        FockCutoff(0)
-    with pytest.raises(TruncationError):
-        FockCutoff(-3)
-    assert FockCutoff(5).dim == 6
 
 
 def test_annihilation_nmax1():
-    a = annihilation(FockCutoff(1))
+    a = annihilation(1)
     assert np.array_equal(a.mat, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_number_operator_diagonal():
-    c = FockCutoff(4)
+    c = 4
     n = creation(c) @ annihilation(c)
     assert np.allclose(n.mat, np.diag([0, 1, 2, 3, 4]))
     assert np.array_equal(number(c).mat, np.diag(np.arange(5).astype(complex)))
@@ -50,7 +40,7 @@ def test_number_operator_diagonal():
 
 def test_commutator_truncation_artifact():
     # [a, a^dag] = I except at the highest retained level
-    c = FockCutoff(4)
+    c = 4
     a = annihilation(c)
     comm = (a @ a.dag() - a.dag() @ a).mat
     expect = np.eye(5)
@@ -79,8 +69,8 @@ def test_tensor_identity():
 
 
 def test_tensor_mixed_product_fixed():
-    c = FockCutoff(3)
-    lhs = tensor(pauli("z"), identity((c.dim,))) @ tensor(identity((2,)), number(c))
+    c = 3
+    lhs = tensor(pauli("z"), identity((c + 1,))) @ tensor(identity((2,)), number(c))
     rhs = tensor(pauli("z"), number(c))
     assert np.allclose(lhs.mat, rhs.mat)
 
@@ -126,13 +116,13 @@ def test_tensor_associative():
 
 
 def test_displacement_zero_identity():
-    assert np.allclose(displacement(0.0, FockCutoff(10)).mat, np.eye(11))
+    assert np.allclose(displacement(0.0, 10).mat, np.eye(11))
 
 
 def test_displacement_coherent_mean():
-    c = FockCutoff(40)
+    c = 40
     d = displacement(2.0, c)
-    vac = np.zeros(c.dim)
+    vac = np.zeros(c + 1)
     vac[0] = 1.0
     psi = d.mat @ vac
     mean = np.real(psi.conj() @ number(c).mat @ psi)
@@ -140,25 +130,25 @@ def test_displacement_coherent_mean():
 
 
 def test_displacement_unitary():
-    c = FockCutoff(60)
+    c = 60
     d = displacement(3.0, c)
-    assert np.abs(d.dag().mat @ d.mat - np.eye(c.dim)).max() < 1e-8
+    assert np.abs(d.dag().mat @ d.mat - np.eye(c + 1)).max() < 1e-8
     inv = displacement(-3.0, c)
-    assert np.abs((inv @ d).mat - np.eye(c.dim)).max() < 1e-8
+    assert np.abs((inv @ d).mat - np.eye(c + 1)).max() < 1e-8
 
 
 def test_displacement_warns_on_small_cutoff():
     with pytest.warns(UserWarning):
-        displacement(5.0, FockCutoff(10))
+        displacement(5.0, 10)
 
 
 def test_squeeze_zero_identity():
-    assert np.allclose(squeeze(0.0, FockCutoff(25)).mat, np.eye(26))
+    assert np.allclose(squeeze(0.0, 25).mat, np.eye(26))
 
 
 def test_squeeze_vacuum_moments():
-    c = FockCutoff(40)
-    vac = np.zeros(c.dim)
+    c = 40
+    vac = np.zeros(c + 1)
     vac[0] = 1.0
     psi = squeeze(0.5, c).mat @ vac
     mean = np.real(psi.conj() @ number(c).mat @ psi)

@@ -16,6 +16,8 @@ The report's config hash is one SHA-256, taken from CPython's built-in module:
 `hashlib` would map OpenSSL's libcrypto (`_hashlib`, about 3.6 MB of resident
 memory) into the process for it.
 The CLI reads and writes its files as UTF-8 whatever the locale.
+`import rabicrit` itself (the parameter and phase records and the errors it
+exports) needs numpy alone: neither scipy nor the LAPACK loader in `spectra`.
 """
 
 import os
@@ -36,6 +38,13 @@ def _child(*argv, **env):
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
                           check=True)
+
+
+def test_package_import_does_not_load_scipy():
+    out = _child("-c", "import sys; from rabicrit import Phase, ProbeParams, RabiParams; "
+                       "print(sorted(m for m in sys.modules "
+                       "if m.partition('.')[0] == 'scipy' or m == 'rabicrit.spectra'))")
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_import_does_not_load_scipy_optimize():

@@ -11,6 +11,7 @@ them. The tests below hold the two decisions equal.
 import math
 from functools import partial
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -35,12 +36,12 @@ from rabicrit import dynamics, spectra
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import RabiParams, build_rabi_parity
-from rabicrit.hilbert import BandMatrix, FockCutoff
+from rabicrit.hilbert import BandMatrix
 
 
 def test_ground_state_decoupled():
     p = RabiParams(1.0, 3.0, 0.0)
-    gs = ground_state(build_rabi(p, FockCutoff(16)))
+    gs = ground_state(build_rabi(p, 16))
     assert gs.energy == pytest.approx(-1.5, abs=1e-12)
     expect = np.zeros(2 * 17)
     expect[17] = 1.0  # |g>|0>
@@ -62,7 +63,7 @@ def test_ground_state_rejects_non_hermitian():
 def test_ground_state_phase_convention():
     # largest amplitude made real-positive regardless of eigensolver phase
     p = RabiParams.from_dimensionless(0.8, 20.0)
-    gs = ground_state(build_rabi(p, FockCutoff(24)))
+    gs = ground_state(build_rabi(p, 24))
     k = np.argmax(np.abs(gs.state.vec))
     assert gs.state.vec[k].imag == pytest.approx(0.0, abs=1e-14)
     assert gs.state.vec[k].real > 0
@@ -80,10 +81,10 @@ def test_photon_moments_fock():
 
 
 def test_photon_moments_squeezed_vacuum():
-    c = FockCutoff(60)
-    vac = np.zeros(c.dim)
+    c = 60
+    vac = np.zeros(c + 1)
     vac[0] = 1.0
-    psi = QuantumState(squeeze(0.3, c).mat @ vac, (c.dim,))
+    psi = QuantumState(squeeze(0.3, c).mat @ vac, (c + 1,))
     mean, gamma = photon_moments(psi)
     assert mean == pytest.approx(math.sinh(0.3) ** 2, abs=1e-8)
     assert gamma == pytest.approx(0.5 * math.sinh(0.6) ** 2, abs=1e-8)
@@ -91,7 +92,7 @@ def test_photon_moments_squeezed_vacuum():
 
 def test_operator_moments_matches_photon_moments():
     p = RabiParams.from_dimensionless(0.9, 100.0)
-    c = FockCutoff(40)
+    c = 40
     gs = ground_state(build_rabi(p, c))
     from oracle import identity, number, tensor
 
@@ -102,23 +103,54 @@ def test_operator_moments_matches_photon_moments():
     assert g1 == pytest.approx(g2, abs=1e-10)
 
 
+def _moments_40_digits(n: BandMatrix, vec: np.ndarray):
+    """Mean and variance of the band observable `n` in `vec` (normalised here),
+    in 40-digit arithmetic from the float entries of both."""
+    with mp.workdps(40):
+        v = [mp.mpf(float(x)) for x in vec]
+        nv = [mp.mpf(0)] * len(v)
+        for k in range(n.band.shape[0]):
+            for j in range(len(v) - k):
+                entry = mp.mpf(float(n.band[k, j]))
+                nv[j + k] += entry * v[j]
+                if k:
+                    nv[j] += entry * v[j + k]
+        norm2 = mp.fsum(x * x for x in v)
+        mean = mp.fsum(x * y for x, y in zip(v, nv)) / norm2
+        return mean, mp.fsum((y - mean * x) ** 2 for x, y in zip(v, nv)) / norm2
+
+
+@pytest.mark.parametrize("method, lam, eta", [
+    ("effective", 3.0, 1e8),   # mean_n 2.2e8 at cutoff 8
+    ("exact", 1.1, 1e8),       # mean_n 9.6e6 at cutoff 1024
+])
+def test_photon_number_variance_without_cancellation(method, lam, eta):
+    # at large displacement <N>^2 dwarfs Var(N): <N v, N v> - <N>^2 lost up to
+    # 8 digits here (6.1e-8 relative for the effective method, the variance
+    # quantised to multiples of 16), the centred residual none
+    gs = dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
+    mean, var = _moments_40_digits(gs.n, gs.vector)
+    assert abs(gs.gamma - var) <= 1e-12 * var, (gs.gamma, mp.nstr(var, 20))
+    assert abs(gs.mean_n - mean) <= 1e-14 * mean
+
+
 def test_parity_operator():
-    c = FockCutoff(8)
+    c = 8
     pi = parity_operator(c)
-    assert np.allclose((pi @ pi).mat, np.eye(2 * c.dim))
-    vac_g = np.zeros(2 * c.dim)
-    vac_g[c.dim] = 1.0  # |g>|0>
+    assert np.allclose((pi @ pi).mat, np.eye(2 * (c + 1)))
+    vac_g = np.zeros(2 * (c + 1))
+    vac_g[c + 1] = 1.0  # |g>|0>
     assert np.allclose(pi.mat @ vac_g, vac_g)  # +1 eigenstate
-    vac_e = np.zeros(2 * c.dim)
+    vac_e = np.zeros(2 * (c + 1))
     vac_e[0] = 1.0  # |e>|0>
     assert np.allclose(pi.mat @ vac_e, -vac_e)
 
 
 def test_ground_state_definite_parity():
-    pi = parity_operator(FockCutoff(48))
+    pi = parity_operator(48)
     for lam in (0.3, 0.8, 0.99):
         p = RabiParams.from_dimensionless(lam, 200.0)
-        gs = ground_state(build_rabi(p, FockCutoff(48)))
+        gs = ground_state(build_rabi(p, 48))
         expect = np.vdot(gs.state.vec, pi.mat @ gs.state.vec)
         assert abs(expect) > 1.0 - 1e-8
 
@@ -128,15 +160,15 @@ def test_converge_cutoff_decoupled():
     found = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-12)
     assert found.n_max == 8
     assert found.energy == -1.5
-    assert converge_cutoff(lambda cc: build_rabi(p, cc), 1e-12) == found.cutoff
+    assert converge_cutoff(lambda cc: build_rabi(p, cc), 1e-12) == found.n_max
 
 
 def test_converge_cutoff_self_consistent():
     # the library's cutoff on the even parity chain, checked by dense energies
     p = RabiParams.from_dimensionless(0.99, 5000.0)
-    c = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-9).cutoff
+    c = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-9).n_max
     e1 = ground_state(build_rabi(p, c)).energy
-    e2 = ground_state(build_rabi(p, FockCutoff(2 * c.n_max))).energy
+    e2 = ground_state(build_rabi(p, 2 * c)).energy
     assert abs(e1 - e2) < 1e-9
     assert converge_cutoff(lambda cc: build_rabi(p, cc), 1e-9) == c
 
@@ -153,17 +185,17 @@ def test_converge_cutoff_errors():
     # cutoff, up to the cap, each cutoff built once
     built = []
 
-    def drifting(cc):
-        built.append(cc.n_max)
-        return BandMatrix(np.array([[-float(cc.n_max), 1.0], [0.0, 0.0]]))
+    def drifting(n_max):
+        built.append(n_max)
+        return BandMatrix(np.array([[-float(n_max), 1.0], [0.0, 0.0]]))
 
     with pytest.raises(ConvergenceError):
         spectra.converge_cutoff((drifting,), 1e-12)
     assert built == [spectra.N_START << k for k in range(10)]
     assert built[-1] == spectra.CUTOFF_HARD_CAP
 
-    def drifting_dense(cc):
-        return Operator(np.diag([-float(cc.n_max), 1.0]), (2,))
+    def drifting_dense(n_max):
+        return Operator(np.diag([-float(n_max), 1.0]), (2,))
 
     with pytest.raises(ConvergenceError):
         converge_cutoff(drifting_dense, 1e-12)
@@ -241,7 +273,7 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
         searches.clear()
         dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
         ((frames, found),) = searches
-        doubled = frames[found.frame](FockCutoff(2 * found.n_max)).dim
+        doubled = frames[found.frame](2 * found.n_max).dim
         assert dims and max(dims) < doubled, (lam, eta, max(dims), doubled)
 
 
@@ -276,7 +308,7 @@ def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
             ((even, chains),) = compared
             assert (even is None) == (chains is None), (lam, eta)
             if even is not None:
-                assert (even.frame, even.cutoff) == (chains.frame, chains.cutoff), (lam, eta)
+                assert (even.frame, even.n_max) == (chains.frame, chains.n_max), (lam, eta)
                 assert even.energy == pytest.approx(chains.energy, rel=1e-14, abs=0.0), (lam, eta)
 
 
@@ -295,8 +327,8 @@ def test_bare_frame_bisects_once_per_tried_cutoff(monkeypatch, lam, eta):
     monkeypatch.setattr(spectra, "_band_eigh", counted)
     gs = dynamics.exact_ground_state(RabiParams.from_dimensionless(lam, eta), 1e-8)
     assert gs.frame == "bare"
-    tried = [n for n in (spectra.N_START << k for k in range(10)) if n <= gs.cutoff.n_max]
-    assert tried[-1] == gs.cutoff.n_max
+    tried = [n for n in (spectra.N_START << k for k in range(10)) if n <= gs.n_max]
+    assert tried[-1] == gs.n_max
     assert calls == [(n + 1, True) for n in tried]
 
 
@@ -304,7 +336,7 @@ def test_ground_energy_monotone_in_cutoff():
     # variational property of truncation: energy non-increasing as n_max grows
     p = RabiParams.from_dimensionless(0.95, 500.0)
     energies = [
-        ground_state(build_rabi(p, FockCutoff(n))).energy for n in (8, 16, 32, 64)
+        ground_state(build_rabi(p, n)).energy for n in (8, 16, 32, 64)
     ]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 

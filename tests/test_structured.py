@@ -13,6 +13,7 @@ doubling over the same frames, `ground_state`, dense branches and
 `decoherence_factor`) is the reference they must reproduce.
 """
 
+import inspect
 import warnings
 
 import numpy as np
@@ -46,7 +47,7 @@ from oracle import (
     number,
     operator_moments,
     photon_moments,
-    quadrature_x,
+    physical_number,
     tensor,
 )
 from oracle import validate_dispersive as dense_validate_dispersive
@@ -62,7 +63,7 @@ from rabicrit.hamiltonians import (
     build_tripartite_blocks,
     photon_number_band,
 )
-from rabicrit.hilbert import BandMatrix, FockCutoff
+from rabicrit.hilbert import BandMatrix
 from rabicrit.spectra import (
     CUTOFF_HARD_CAP,
     band_ground_energy,
@@ -85,17 +86,17 @@ def _dense(h: BandMatrix) -> np.ndarray:
     return mat
 
 
-def _parity_order(cutoff):
+def _parity_order(n_max):
     """Dense (spin-first) index of each row of `build_rabi_parity_chains`."""
-    k = np.arange(cutoff.dim)
-    g, e = cutoff.dim + k, k
+    k = np.arange(n_max + 1)
+    g, e = k.size + k, k
     return np.concatenate([np.where(k % 2 == 0, g, e), np.where(k % 2 == 0, e, g)])
 
 
-def _spin_fastest_order(cutoff):
+def _spin_fastest_order(n_max):
     """Dense (spin-first) index of each row of `build_displaced_rabi_band`."""
-    k = np.arange(cutoff.dim)
-    return np.column_stack([k, cutoff.dim + k]).ravel()
+    k = np.arange(n_max + 1)
+    return np.column_stack([k, k.size + k]).ravel()
 
 
 def _dense_exact(p, probe, times, tol=TOL):
@@ -109,7 +110,7 @@ def _dense_exact(p, probe, times, tol=TOL):
     else:
         alpha = alpha_lambda(p)
         found = converge_cutoff((bare, lambda c: build_displaced_rabi(p, alpha, c)[0]), tol)
-        alpha, cutoff = (0.0, alpha)[found.frame], found.cutoff
+        alpha, cutoff = (0.0, alpha)[found.frame], found.n_max
     if alpha == 0.0:
         gs = ground_state(bare(cutoff))
         h_g = build_branch(p, probe, "g", cutoff)
@@ -131,34 +132,34 @@ def _dense_exact(p, probe, times, tol=TOL):
     return cutoff, gs.energy, mean_n, gamma, series.l_values
 
 
-def _dense_photon_number(alpha, cutoff):
+def _dense_photon_number(alpha, n_max):
     """I_2 (x) (n + alpha x + alpha^2), spin first, by the dense oracle."""
-    n_dense = number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * identity((cutoff.dim,))
-    return tensor(identity((2,)), n_dense)
+    return tensor(identity((2,)), physical_number(alpha, n_max))
 
 
 def test_band_builders_are_permuted_dense_builders():
-    c = FockCutoff(9)
-    p = RabiParams.from_dimensionless(0.8, 20.0)
-    order = _parity_order(c)
-    dense = build_rabi(p, c).mat
-    assert np.abs(dense.imag).max() == 0.0
-    chains = build_rabi_parity_chains(p, c)
-    assert np.array_equal(dense.real[np.ix_(order, order)], _dense(chains))
-    # the even chain is the leading block, split off by a zero entry
-    assert chains.band[1, c.n_max] == 0.0
-    assert np.array_equal(build_rabi_parity(p, c).band, chains.band[:, :c.dim])
-    p = RabiParams.from_dimensionless(1.3, 20.0)
-    alpha = alpha_lambda(p)
-    order = _spin_fastest_order(c)
-    dense = build_displaced_rabi(p, alpha, c)[0].mat.real
-    assert np.array_equal(dense[np.ix_(order, order)], _dense(build_displaced_rabi_band(p, alpha, c)))
-    # the physical photon number in the same spin-fastest basis
-    n_band = photon_number_band(alpha, c, 2)
-    assert n_band.band.shape == (3, 2 * c.dim)
-    dense = _dense_photon_number(alpha, c).mat
-    assert np.abs(dense.imag).max() == 0.0
-    assert np.array_equal(dense.real[np.ix_(order, order)], _dense(n_band))
+    for n_max in (0, 9):  # 0: the vacuum alone
+        p = RabiParams.from_dimensionless(0.8, 20.0)
+        order = _parity_order(n_max)
+        dense = build_rabi(p, n_max).mat
+        assert np.abs(dense.imag).max() == 0.0
+        chains = build_rabi_parity_chains(p, n_max)
+        assert np.array_equal(dense.real[np.ix_(order, order)], _dense(chains))
+        # the even chain is the leading block, split off by a zero entry
+        assert chains.band[1, n_max] == 0.0
+        assert np.array_equal(build_rabi_parity(p, n_max).band, chains.band[:, :n_max + 1])
+        p = RabiParams.from_dimensionless(1.3, 20.0)
+        alpha = alpha_lambda(p)
+        order = _spin_fastest_order(n_max)
+        dense = build_displaced_rabi(p, alpha, n_max)[0].mat.real
+        assert np.array_equal(dense[np.ix_(order, order)],
+                              _dense(build_displaced_rabi_band(p, alpha, n_max)))
+        # the physical photon number in the same spin-fastest basis
+        n_band = photon_number_band(alpha, n_max, 2)
+        assert n_band.band.shape == (3, 2 * (n_max + 1))
+        dense = _dense_photon_number(alpha, n_max).mat
+        assert np.abs(dense.imag).max() == 0.0
+        assert np.array_equal(dense.real[np.ix_(order, order)], _dense(n_band))
 
 
 def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
@@ -166,7 +167,7 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
     # parity chain and in the displaced frame, with no constant: the probe's
     # energy (-omega_s/2 and omega_s/2 + chi) changes only the phase of D
     eps = np.finfo(float).eps
-    c = FockCutoff(40)
+    c = 40
     chi = DEFAULT_PROBE.chi
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
         p = RabiParams.from_dimensionless(lam, eta)
@@ -188,32 +189,32 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
 def test_band_moments_match_dense_operator_moments():
     # the physical photon number's moments of the displaced band's ground
     # vector, spin-fastest, against the dense oracle in the spin-first basis
-    c = FockCutoff(30)
+    c = 30
     for lam, eta in ((1.3, 20.0), (1.05, 200.0)):
         p = RabiParams.from_dimensionless(lam, eta)
         alpha = alpha_lambda(p)
         h = build_displaced_rabi_band(p, alpha, c)
         vec = band_ground_state(h, band_ground_energy(h))
-        dense_vec = np.zeros(2 * c.dim)
+        dense_vec = np.zeros(2 * (c + 1))
         dense_vec[_spin_fastest_order(c)] = vec
         mean_n, gamma = band_moments(photon_number_band(alpha, c, 2), vec)
-        ref_mean, ref_gamma = operator_moments(QuantumState(dense_vec, (2, c.dim)),
+        ref_mean, ref_gamma = operator_moments(QuantumState(dense_vec, (2, c + 1)),
                                                _dense_photon_number(alpha, c))
         assert mean_n == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
         assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
 
 
-def _tripartite_block_order(cutoff):
+def _tripartite_block_order(n_max):
     """Dense index, in the probe (x) Rabi spin (x) Fock product (spins
     (|e>, |g>)), of each row of the two `build_tripartite_blocks`: row 2 k is
     the probe in |g> with row k of one Rabi parity chain, row 2 k + 1 the
     probe in |e> with row k of the other, the even chain first with |g>."""
-    k = np.arange(cutoff.dim)
+    k = np.arange(n_max + 1)
     even_spin, odd_spin = np.where(k % 2 == 0, 1, 0), np.where(k % 2 == 0, 0, 1)
     orders = []
     for g_spin, e_spin in ((even_spin, odd_spin), (odd_spin, even_spin)):
-        g_rows = 2 * cutoff.dim + cutoff.dim * g_spin + k
-        e_rows = cutoff.dim * e_spin + k
+        g_rows = 2 * k.size + k.size * g_spin + k
+        e_rows = k.size * e_spin + k
         orders.append(np.column_stack([g_rows, e_rows]).ravel())
     return orders
 
@@ -222,21 +223,19 @@ def test_tripartite_blocks_are_dense_parity_blocks():
     # each block is the dense tripartite Hamiltonian on that block's rows,
     # the dense model has no entry between the blocks, and the blocks' rows
     # hold every state once
-    c = FockCutoff(9)
-    orders = _tripartite_block_order(c)
-    assert np.array_equal(np.sort(np.concatenate(orders)), np.arange(4 * c.dim))
-    for lam, probe in ((0.8, DEFAULT_PROBE), (1.3, ProbeParams(0.1, 0.2))):
-        p = RabiParams.from_dimensionless(lam, 20.0)
-        dense = build_tripartite(p, probe, c).mat
-        assert np.abs(dense.imag).max() == 0.0
-        blocks = build_tripartite_blocks(p, probe, c)
-        assert len(blocks) == 2
-        for block, order in zip(blocks, orders):
-            assert block.band.shape == (3, 2 * c.dim)
-            assert np.array_equal(dense.real[np.ix_(order, order)], _dense(block))
-        assert not dense[np.ix_(*orders)].any()
-
-
+    for n_max in (0, 9):  # 0: the vacuum alone
+        orders = _tripartite_block_order(n_max)
+        assert np.array_equal(np.sort(np.concatenate(orders)), np.arange(4 * (n_max + 1)))
+        for lam, probe in ((0.8, DEFAULT_PROBE), (1.3, ProbeParams(0.1, 0.2))):
+            p = RabiParams.from_dimensionless(lam, 20.0)
+            dense = build_tripartite(p, probe, n_max).mat
+            assert np.abs(dense.imag).max() == 0.0
+            blocks = build_tripartite_blocks(p, probe, n_max)
+            assert len(blocks) == 2
+            for block, order in zip(blocks, orders):
+                assert block.band.shape == (3, 2 * (n_max + 1))
+                assert np.array_equal(dense.real[np.ix_(order, order)], _dense(block))
+            assert not dense[np.ix_(*orders)].any()
 
 
 @pytest.mark.parametrize("lam, eta, probe, bound", [
@@ -292,9 +291,9 @@ def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
 
     monkeypatch.setattr(experiments, "band_spectrum", counted)
     p = RabiParams.from_dimensionless(1.2, 200.0)
-    cutoff = dynamics._exact_ground(p, (0.0,), TOL).cutoff
+    n_max = dynamics._exact_ground(p, (0.0,), TOL).n_max
     validate_dispersive(p, DEFAULT_PROBE, np.linspace(0.0, 20.0, 41))
-    assert solved == [(2 * cutoff.dim, 2)] * 2
+    assert solved == [(2 * (n_max + 1), 2)] * 2
 
 
 def test_tripartite_check_reports_an_unsearchable_bare_frame(monkeypatch):
@@ -312,7 +311,7 @@ def test_tripartite_check_reports_an_unsearchable_bare_frame(monkeypatch):
 
 
 def test_band_solvers_match_dense_eigh():
-    c = FockCutoff(40)
+    c = 40
     p = RabiParams.from_dimensionless(0.9, 50.0)
     chain = build_rabi_parity(p, c)
     displaced = build_displaced_rabi_band(RabiParams.from_dimensionless(1.2, 50.0), 2.0, c)
@@ -343,7 +342,7 @@ def test_exact_path_matches_dense_oracle():
         p = RabiParams.from_dimensionless(lam, eta)
         cutoff, energy, mean_n, gamma, l_dense = _dense_exact(p, FIGURE_PROBE, times)
         gs = exact_ground_state(p, TOL)
-        assert sweep.cutoffs[i] == gs.cutoff.n_max == cutoff.n_max, lam
+        assert sweep.cutoffs[i] == gs.n_max == cutoff, lam
         assert gs.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
         assert gs.mean_n == pytest.approx(mean_n, rel=1e-9, abs=0.0)
         assert gs.gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
@@ -360,12 +359,12 @@ def test_exact_frame_is_the_first_to_converge():
     # between the wells matters, the displaced band where the wells are far
     # apart (alpha_lambda^2 = 25 and 511)
     gs = exact_ground_state(RabiParams.from_dimensionless(1.005, 5000.0), TOL)
-    assert (gs.frame, gs.alpha, gs.cutoff.n_max) == ("bare", 0.0, 128)
+    assert (gs.frame, gs.alpha, gs.n_max) == ("bare", 0.0, 128)
     p = RabiParams.from_dimensionless(1.05, 1e5)
     gs = exact_ground_state(p, TOL)
-    assert (gs.frame, gs.alpha, gs.cutoff.n_max) == ("displaced", alpha_lambda(p), 32)
+    assert (gs.frame, gs.alpha, gs.n_max) == ("displaced", alpha_lambda(p), 32)
     displaced = lambda c: build_displaced_rabi_band(p, gs.alpha, c)
-    assert spectra.converge_cutoff((displaced,), TOL).cutoff == gs.cutoff
+    assert spectra.converge_cutoff((displaced,), TOL).n_max == gs.n_max
 
 
 def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
@@ -373,9 +372,9 @@ def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
     # below the cutoff alpha_lambda^2 >= 499, so no bare chain is built
     built = []
 
-    def counted(p, cutoff):
-        built.append(cutoff.n_max)
-        return build_rabi_parity(p, cutoff)
+    def counted(p, n_max):
+        built.append(n_max)
+        return build_rabi_parity(p, n_max)
 
     monkeypatch.setattr(dynamics, "build_rabi_parity", counted)
     lams = [lam for lam in default_config("fig5").lambda_grid if lam > 1.0]
@@ -402,27 +401,27 @@ def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
                  "photon_number_band"):
 
         def counted(*args, name=name, build=getattr(dynamics, name)):
-            built.append((name, next(a.n_max for a in args if isinstance(a, FockCutoff))))
+            built.append((name, inspect.signature(build).bind(*args).arguments["n_max"]))
             return build(*args)
 
         monkeypatch.setattr(dynamics, name, counted)
     gs = dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), TOL)
     assert gs.frame == frame
-    assert ("photon_number_band", gs.cutoff.n_max) in built
+    assert ("photon_number_band", gs.n_max) in built
     assert sorted(built) == sorted(set(built)), built
 
 
-def _even_chain(p, chi, cutoff):
+def _even_chain(p, chi, n_max):
     """(ground state, (h_g, h_e)) on the even parity chain at a fixed cutoff,
     the branches rebuilt at omega_c -/+ chi."""
 
     def chain(omega_c):
-        return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), cutoff)
+        return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), n_max)
 
-    h, n = chain(p.omega_c), photon_number_band(0.0, cutoff, 1)
+    h, n = chain(p.omega_c), photon_number_band(0.0, n_max, 1)
     energy = band_ground_energy(h)
     vec = band_ground_state(h, energy)
-    gs = dynamics.BandGround(0.0, cutoff, h, n, energy, vec, *band_moments(n, vec))
+    gs = dynamics.BandGround(0.0, n_max, h, n, energy, vec, *band_moments(n, vec))
     return gs, (chain(p.omega_c - chi), chain(p.omega_c + chi))
 
 
@@ -433,9 +432,9 @@ def test_normal_phase_point_at_cutoff_cap():
     p = RabiParams.from_dimensionless(0.9999, 1e6)
     chi = 1e-3
     times = np.linspace(0.0, 100.0, 6)
-    gs, branches = _even_chain(p, chi, FockCutoff(CUTOFF_HARD_CAP))
+    gs, branches = _even_chain(p, chi, CUTOFF_HARD_CAP)
     l_cap = decoherence_factor(*branches, QuantumState(gs.vector), times).l_values
-    gs_half, branches = _even_chain(p, chi, FockCutoff(CUTOFF_HARD_CAP // 2))
+    gs_half, branches = _even_chain(p, chi, CUTOFF_HARD_CAP // 2)
     half = decoherence_factor(*branches, QuantumState(gs_half.vector), times)
     l_half = half.l_values
     assert np.abs(dynamics.decoherence_factor(gs_half, chi, times) - half.d_values).max() <= 1e-9
@@ -450,35 +449,30 @@ def _dense_effective(p, tol=TOL):
     """(cutoff, ground, dense h0, dense physical photon number) of the effective
     method by the dense complex path."""
     if p.lam <= 1.0:
-        builder = lambda c: build_effective_np(p, c)
-        n_phys = number
+        builder, alpha = (lambda c: build_effective_np(p, c)), 0.0
     else:
-        alpha = alpha_lambda(p)
-        builder = lambda c: build_effective_sp(p, c)
-        n_phys = lambda c: number(c) + alpha * quadrature_x(c) + alpha**2 * identity((c.dim,))
+        builder, alpha = (lambda c: build_effective_sp(p, c)), alpha_lambda(p)
     cutoff = converge_cutoff(builder, tol)
     h0 = builder(cutoff)
-    return cutoff, ground_state(h0), h0, n_phys(cutoff)
+    return cutoff, ground_state(h0), h0, physical_number(alpha, cutoff)
 
 
 def test_effective_band_builders_equal_dense_builders():
     # entry by entry up to roundoff of the dense products, including the
     # truncation edge: row n_max of the truncated x^2 is n_max, not 2 n_max + 1
     eps = np.finfo(float).eps
-    for n_max in (1, 2, 3, 5, 8, 33):
-        c = FockCutoff(n_max)
+    for n_max in (0, 1, 2, 3, 5, 8, 33):
         cases = []
         for lam, eta in ((0.5, 20.0), (0.99, 1e5), (1.01, 1e5), (1.3, 20.0)):
             p = RabiParams.from_dimensionless(lam, eta)
-            cases.append((build_effective_np(p, c), build_effective_np_band(p, c), 5))
+            cases.append((build_effective_np(p, n_max), build_effective_np_band(p, n_max), 5))
             if lam > 1.0:
-                cases.append((build_effective_sp(p, c), build_effective_sp_band(p, c), 5))
+                cases.append((build_effective_sp(p, n_max), build_effective_sp_band(p, n_max), 5))
                 alpha = alpha_lambda(p)
-                n_dense = number(c) + alpha * quadrature_x(c) + alpha**2 * identity((c.dim,))
-                cases.append((n_dense, photon_number_band(alpha, c, 1), 2))
-        cases.append((number(c), photon_number_band(0.0, c, 1), 2))
+                cases.append((physical_number(alpha, n_max), photon_number_band(alpha, n_max, 1), 2))
+        cases.append((number(n_max), photon_number_band(0.0, n_max, 1), 2))
         for dense, band, rows in cases:
-            assert band.band.shape == (rows, c.dim)
+            assert band.band.shape == (rows, n_max + 1)
             assert np.abs(dense.mat.imag).max() == 0.0
             err = np.abs(dense.mat.real - _dense(band)).max()
             assert err <= 4.0 * eps * np.abs(dense.mat).max(), (n_max, err)
@@ -505,7 +499,7 @@ def test_effective_path_matches_dense_oracle():
         h_e = h_free + chi * n_phys + (0.5 * omega_s + chi) * ident
         _, gamma = operator_moments(gs.state, n_phys)
         l_dense = decoherence_factor(h_g, h_e, ground_state(h_free).state, times).l_values
-        assert sweep.cutoffs[i] == cutoff.n_max, lam
+        assert sweep.cutoffs[i] == cutoff, lam
         assert effective_ground_state(p, TOL).gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
         assert np.abs(l_band - l_dense).max() <= 1e-9, lam
@@ -529,14 +523,14 @@ def test_effective_branches_carry_no_constant():
         sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
         for i, lam in enumerate(lams):
             p = RabiParams.from_dimensionless(lam, eta)
-            cutoff = FockCutoff(sweep.cutoffs[i])
+            cutoff = sweep.cutoffs[i]
             if lam <= 1.0:
                 (c2, c4, _), alpha = effective_np_coeffs(p), 0.0
             else:
                 (c2, c4, _), alpha = effective_sp_coeffs(p), alpha_lambda(p)
             h0 = _quartic_dense(p.omega_c, c2, c4, 0.0, cutoff)
             ident = identity(h0.dims)
-            n_phys = number(cutoff) + alpha * quadrature_x(cutoff) + alpha**2 * ident
+            n_phys = physical_number(alpha, cutoff)
             h_g = h0 - chi * n_phys + (-0.5 * omega_s) * ident
             h_e = h0 + chi * n_phys + (0.5 * omega_s + chi) * ident
             l_dense = decoherence_factor(h_g, h_e, ground_state(h0).state, times).l_values
@@ -555,7 +549,7 @@ def test_effective_ground_records_match_dense(tmp_path):
             p = RabiParams.from_dimensionless(pt.lam, pt.eta)
             cutoff, gs, _, n_phys = _dense_effective(p)
             mean_n, _ = operator_moments(gs.state, n_phys)
-            assert pt.cutoff == cutoff.n_max
+            assert pt.cutoff == cutoff
             assert pt.value_name == ["energy", "mean_n"]
             energy, n = pt.value
             assert energy == pytest.approx(gs.energy, rel=1e-13, abs=0.0), (figure, pt)
@@ -568,11 +562,11 @@ def test_inverse_iteration_vector_matches_eig_banded():
     # against eigh_tridiagonal
     cases = []
     for lam, eta, n_max in ((1.005, 5000.0, 512), (1.005, 1e5, 512), (0.995, 1e5, 256)):
-        p, c = RabiParams.from_dimensionless(lam, eta), FockCutoff(n_max)
-        cases += [build_effective_np_band(p, c)] if lam < 1.0 else [
-            build_displaced_rabi_band(p, alpha_lambda(p), c), build_effective_sp_band(p, c)]
+        p = RabiParams.from_dimensionless(lam, eta)
+        cases += [build_effective_np_band(p, n_max)] if lam < 1.0 else [
+            build_displaced_rabi_band(p, alpha_lambda(p), n_max), build_effective_sp_band(p, n_max)]
     for lam, eta, n_max in ((0.995, 1e5, 256), (1.005, 5000.0, 128), (0.9999, 1e6, 2048)):
-        cases.append(build_rabi_parity(RabiParams.from_dimensionless(lam, eta), FockCutoff(n_max)))
+        cases.append(build_rabi_parity(RabiParams.from_dimensionless(lam, eta), n_max))
     for h in cases:
         energy = band_ground_energy(h)
         vec = band_ground_state(h, energy)
@@ -600,9 +594,9 @@ def test_effective_even_search_matches_full_band_with_constant():
     for lam, eta in cases:
         p = RabiParams.from_dimensionless(lam, eta)
         build = build_effective_sp_band if lam > 1.0 else build_effective_np_band
-        cutoff = spectra.converge_cutoff((lambda c: build(p, c),), TOL).cutoff
+        cutoff = spectra.converge_cutoff((lambda c: build(p, c),), TOL).n_max
         gs = dynamics.effective_ground_state(p, TOL)
-        assert gs.cutoff == cutoff, (lam, eta)
+        assert gs.n_max == cutoff, (lam, eta)
         energy = band_ground_energy(build(p, cutoff))
         assert gs.energy == pytest.approx(energy, rel=1e-12, abs=0.0), (lam, eta)
 
@@ -617,9 +611,9 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
         gs = exact_ground_state(p, TOL)
         assert gs.frame == frame, (lam, eta)
         if gs.alpha:
-            h = build_displaced_rabi_band(p, gs.alpha, gs.cutoff)
+            h = build_displaced_rabi_band(p, gs.alpha, gs.n_max)
         else:
-            h = build_rabi_parity(p, gs.cutoff)
+            h = build_rabi_parity(p, gs.n_max)
         energy = band_ground_energy(h)
         vec = band_ground_state(h, energy)
         assert np.array_equal(gs.h.band, h.band)
@@ -635,12 +629,12 @@ def test_cutoff_search_returns_the_energy_at_its_cutoff():
     displaced = lambda c: build_displaced_rabi_band(p, alpha_lambda(p), c)
     found = spectra.converge_cutoff((bare, displaced), TOL)
     assert (found.frame, found.n_max) == (1, 32)
-    assert found.energy == band_ground_energy(displaced(found.cutoff))
+    assert found.energy == band_ground_energy(displaced(found.n_max))
     assert exact_ground_state(p, TOL).energy == found.energy
 
 
 def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):
-    h = build_effective_np_band(RabiParams.from_dimensionless(0.9, 1e3), FockCutoff(16))
+    h = build_effective_np_band(RabiParams.from_dimensionless(0.9, 1e3), 16)
     monkeypatch.setattr(spectra, "RESIDUAL_EPS", 0.0)
     with pytest.raises(ConvergenceError):
         band_ground_state(h, band_ground_energy(h))
