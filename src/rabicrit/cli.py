@@ -88,8 +88,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "validate-dispersive":
-        p = RabiParams.from_dimensionless(args.lam, args.eta)
-        probe = ProbeParams(args.g_s, args.detuning_ratio * args.g_s)
+        try:
+            p = RabiParams.from_dimensionless(args.lam, args.eta)
+            probe = ProbeParams(args.g_s, args.detuning_ratio * args.g_s)
+        except ValueError as exc:  # a derived value, g or delta_s or chi, overflowed
+            build_parser().exit(2, f"rabicrit validate-dispersive: error: {exc}\n")
         times = np.linspace(0.0, args.t_max, args.n_times)
         try:
             report = validate_dispersive(p, probe, times, cutoff_tol=args.cutoff_tol)

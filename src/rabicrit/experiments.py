@@ -90,6 +90,14 @@ class SweepConfig:
         for name in ("chi", "cutoff_tol"):
             if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        # the echo's exponent holds chi^2; the largest coupling g = lam sqrt(eta) / 2
+        # sits at the grids' ends
+        if not isfinite(self.chi * self.chi):
+            raise ValueError(f"chi too large: chi^2 of {self.chi:g} is not finite")
+        try:
+            RabiParams.from_dimensionless(self.lambda_grid[-1], self.eta_grid[-1])
+        except ValueError as exc:
+            raise ValueError(f"lambda_grid and eta_grid too large: {exc}") from None
         if not self.cutoff_tol > 0:
             raise ValueError("cutoff_tol must be positive")
         for m in self.methods:

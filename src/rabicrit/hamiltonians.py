@@ -85,6 +85,8 @@ class ProbeParams:
             raise ValueError("g_s and delta_s must be finite")
         if not abs(self.delta_s) > 0:
             raise ValueError("delta_s must be nonzero (dispersive regime)")
+        if not isfinite(self.g_s * self.g_s / self.delta_s):
+            raise ValueError("chi = g_s^2 / delta_s must be finite")
 
     @property
     def chi(self) -> float:

@@ -18,13 +18,11 @@ the tests' oracle:
     `hamiltonians.phase(p)`, which is tested against these references;
   * the dense builders of the Rabi, branch, tripartite, displaced-frame and
     effective Hamiltonians, the Rabi Hamiltonian as both its parity chains
-    (`build_rabi_parity_chains`), which the library's bare frame once
-    searched, and the effective Hamiltonians as full real bands
-    with their constants (`build_effective_np_band`,
-    `build_effective_sp_band`), which the library's effective method once
-    searched and solved; it now uses the constant-free even block;
-  * ground states by full eigendecomposition, photon-number and operator
-    moments, the parity operator, single-time evolution;
+    (`build_rabi_parity_chains`), and the effective Hamiltonians as full
+    real bands with their constants (`build_effective_np_band`,
+    `build_effective_sp_band`);
+  * ground states by full eigendecomposition at a given cutoff, photon-number
+    and operator moments, the parity operator, single-time evolution;
   * the dense tripartite check of the dispersive approximation, and the
     probe's reduced state for a given decoherence factor;
   * the finite-difference ground state of the quartic oscillator
@@ -42,7 +40,11 @@ the tests' oracle:
 The cutoff search by energy comparison (`energy_search`): at each doubled
 cutoff it bisects the ground energy again and compares the two, the decision
 `spectra.converge_cutoff` makes by two Cholesky factorisations instead; it
-takes dense or band builders. The echo (`decoherence_factor`) is the
+takes dense or band builders. `dense_ground(p, method, tol)` is the one dense
+reference ground path of the exact and effective methods, the mirror of
+`dynamics.BandGround`: it picks the phase's frames, searches their cutoff by
+`energy_search`, solves the ground state by full eigendecomposition and takes
+the physical photon number's moments. The echo (`decoherence_factor`) is the
 oracle's own: the full spectrum of each branch by dense `eigh` (or scipy's
 band solvers for a `BandMatrix`, accepted wherever a Hamiltonian is), both
 branches evolved to every time in one product, so it shares no code with
@@ -55,8 +57,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from math import atan, exp, isfinite, log, pi, sinh, sqrt
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -550,30 +552,16 @@ def build_rabi_parity_chains(p: RabiParams, n_max: int) -> BandMatrix:
 class GroundStateResult:
     energy: float
     state: QuantumState
-    n_max: int
-    converged: bool
-    energy_drift: float
 
 
 def ground_state(h: Operator) -> GroundStateResult:
-    """Lowest eigenpair of a Hermitian operator.
-
-    The cutoff n_max recorded is inferred from the last (boson) subsystem label.
-    Convergence against cutoff doubling is the caller's concern; see
-    `converge_cutoff` / `converged_ground_state`.
-    """
+    """Lowest eigenpair of a Hermitian operator, at the cutoff it was built
+    at; `dense_ground` searches the cutoff."""
     if not h.is_hermitian():
         raise ValueError("ground_state requires a Hermitian operator")
     w, v = np.linalg.eigh(h.mat)
     vec = _fix_phase(v[:, 0])
-    state = QuantumState(vec / np.linalg.norm(vec), h.dims)
-    return GroundStateResult(
-        energy=float(w[0]),
-        state=state,
-        n_max=h.dims[-1] - 1,
-        converged=True,
-        energy_drift=0.0,
-    )
+    return GroundStateResult(float(w[0]), QuantumState(vec / np.linalg.norm(vec), h.dims))
 
 
 def photon_moments(psi: QuantumState, boson_axis: int = -1) -> tuple[float, float]:
@@ -591,17 +579,18 @@ def photon_moments(psi: QuantumState, boson_axis: int = -1) -> tuple[float, floa
     prob = (np.abs(amp) ** 2).sum(axis=0)
     n = np.arange(nb, dtype=float)
     mean = float(prob @ n)
-    mean2 = float(prob @ n**2)
-    return mean, max(mean2 - mean**2, 0.0)
+    return mean, float(prob @ (n - mean) ** 2)
 
 
 def operator_moments(psi: QuantumState, op: Operator) -> tuple[float, float]:
-    """Mean and variance of a Hermitian operator in `psi`."""
+    """Mean and variance of a Hermitian operator in `psi`. The variance is the
+    squared norm of the centred residual (O - mean) v, not <O v, O v> -
+    mean^2, whose two terms cancel where the mean dwarfs the spread."""
     v = psi.vec
     ov = op.mat @ v
     mean = float(np.real(np.vdot(v, ov)))
-    mean2 = float(np.real(np.vdot(ov, ov)))
-    return mean, max(mean2 - mean**2, 0.0)
+    residual = ov - mean * v
+    return mean, float(np.real(np.vdot(residual, residual)))
 
 
 def parity_operator(n_max: int) -> Operator:
@@ -646,30 +635,49 @@ def energy_search(frames, tol: float) -> FrameCutoff:
     )
 
 
-def converge_cutoff(builder, tol: float) -> int | FrameCutoff:
-    """`energy_search` over dense (or band) builders: one builder gives its
-    cutoff n_max, a tuple of builders of one Hamiltonian in several frames
-    the `FrameCutoff` of the first frame to converge."""
-    if isinstance(builder, tuple):
-        return energy_search(builder, tol)
-    return energy_search((builder,), tol).n_max
+@dataclass(frozen=True)
+class DenseGround:
+    """The dense reference of `dynamics.BandGround`: the ground state of the
+    exact or effective method at the cutoff `n_max` its `energy_search`
+    chose, in the frame displaced by `alpha` (0: the bare frame), with the
+    dense Hamiltonian `h` it was solved in, constant included, and the
+    physical photon number `n` in the same basis, whose moments `mean_n` and
+    `gamma` are."""
+
+    n_max: int
+    alpha: float
+    h: Operator
+    n: Operator
+    state: QuantumState
+    energy: float
+    mean_n: float
+    gamma: float
 
 
-def converged_ground_state(
-    builder: Callable[[int], Operator], tol: float
-) -> GroundStateResult:
-    """Ground state at the converged cutoff, with the doubling drift recorded."""
-    n_max = converge_cutoff(builder, tol)
-    res = ground_state(builder(n_max))
-    e_double = ground_state(builder(2 * n_max)).energy
-    drift = abs(res.energy - e_double)
-    return GroundStateResult(
-        energy=res.energy,
-        state=res.state,
-        n_max=n_max,
-        converged=drift < tol,
-        energy_drift=drift,
-    )
+def dense_ground(p: RabiParams, method: str, tol: float) -> DenseGround:
+    """The ground state of `method` ('exact' or 'effective') by the dense
+    path, searched over the frames the library searches. The exact method:
+    the bare frame (`build_rabi`) below the transition; above it, the bare
+    frame and the one displaced by alpha_lambda (`build_displaced_rabi`),
+    the bare one first at each cutoff, and the state solved in the first to
+    converge. The effective method: `build_effective_np` below the
+    transition, `build_effective_sp` (displaced by alpha_lambda) above it."""
+    alpha = alpha_lambda(p) if p.lam > 1.0 else 0.0
+    if method == "exact":
+        frames = (partial(build_rabi, p),)
+        if alpha:
+            frames += (lambda c: build_displaced_rabi(p, alpha, c)[0],)
+        found = energy_search(frames, tol)
+        alpha = (0.0, alpha)[found.frame]
+        n = tensor(identity((2,)), physical_number(alpha, found.n_max))
+    elif method == "effective":
+        found = energy_search((partial(build_effective_sp if alpha else build_effective_np, p),), tol)
+        n = physical_number(alpha, found.n_max)
+    else:
+        raise ValueError(f"method must be 'exact' or 'effective', got {method!r}")
+    gs = ground_state(found.band)
+    return DenseGround(found.n_max, alpha, found.band, n, gs.state, gs.energy,
+                       *operator_moments(gs.state, n))
 
 
 # --- dynamics -----------------------------------------------------------------
@@ -792,8 +800,8 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     |Delta_s| >> |g_s| sqrt(<n> + 1) is violated.
     """
     times = np.asarray(times, dtype=float)
-    n_max = converge_cutoff(lambda c: build_rabi(p, c), cutoff_tol)
-    gs = ground_state(build_rabi(p, n_max))
+    found = energy_search((partial(build_rabi, p),), cutoff_tol)
+    n_max, gs = found.n_max, ground_state(found.band)
     mean_n, _ = photon_moments(gs.state)
     dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(mean_n + 1.0)
     if not dispersive:

@@ -2,7 +2,8 @@
 line in `pytest -v`) per criterion.
 
 Regression-locked values were computed once with the stated oracle
-(cutoff-doubling exact diagonalization at tolerance 1e-10) and then frozen.
+(`oracle.dense_ground`: cutoff-doubling exact diagonalization at tolerance
+1e-10) and then frozen.
 
 The Gaussian short-time law L ~ exp(-4 gamma chi^2 t^2) is an expansion in
 epsilon * t, with epsilon the ground-state excitation frequency
@@ -33,21 +34,15 @@ from oracle import (
     QuarticOscillator,
     analytic_ground_state,
     build_branch,
-    build_displaced_rabi,
-    build_effective_np,
-    build_effective_sp,
     build_rabi,
     closed_form_x,
-    converge_cutoff,
     decoherence_factor,
+    dense_ground,
     displacement,
     echo_sweep,
     ground_state,
     identity,
-    operator_moments,
     parity_operator,
-    photon_moments,
-    physical_number,
     stationarity,
     tensor,
 )
@@ -59,44 +54,6 @@ from rabicrit.spectra import CUTOFF_TOL
 from rabicrit.variational import solve as variational_solve
 
 TOL = 1e-10
-
-
-def _exact_ground(p, tol=1e-10):
-    """Phase-appropriate exact ground state and photon moments.
-
-    Bare frame below the transition, displaced frame (common displacement
-    alpha_lambda) above it, with the physical photon operator displaced
-    accordingly.
-    """
-    if p.lam <= 1.0:
-        builder = lambda c: build_rabi(p, c)
-        cutoff = converge_cutoff(builder, tol)
-        gs = ground_state(builder(cutoff))
-        mean_n, gamma = photon_moments(gs.state)
-        return gs, mean_n, gamma, cutoff
-    al = alpha_lambda(p)
-    builder = lambda c: build_displaced_rabi(p, al, c)[0]
-    cutoff = converge_cutoff(builder, tol)
-    gs = ground_state(builder(cutoff))
-    n_phys = tensor(identity((2,)), physical_number(al, cutoff))
-    mean_n, gamma = operator_moments(gs.state, n_phys)
-    return gs, mean_n, gamma, cutoff
-
-
-def _effective_ground(p, tol=1e-10):
-    if p.lam <= 1.0:
-        builder = lambda c: build_effective_np(p, c)
-        cutoff = converge_cutoff(builder, tol)
-        gs = ground_state(builder(cutoff))
-        mean_n, _ = photon_moments(gs.state)
-        return gs, mean_n
-    al = alpha_lambda(p)
-    builder = lambda c: build_effective_sp(p, c)
-    cutoff = converge_cutoff(builder, tol)
-    gs = ground_state(builder(cutoff))
-    n_phys = physical_number(al, cutoff)
-    mean_n, _ = operator_moments(gs.state, n_phys)
-    return gs, mean_n
 
 
 def test_criterion_01_parity_conservation():
@@ -140,17 +97,17 @@ def test_criterion_03_short_time_law():
     t0 = time.perf_counter()
     p = RabiParams.from_dimensionless(0.5, 5000.0)
     probe = FIGURE_PROBE
-    gs, _, gamma, cutoff = _exact_ground(p)
+    gs = dense_ground(p, "exact", TOL)
     eps = analytic_ground_state(p).epsilon
-    t_max = min(np.sqrt(1e-2 / (4.0 * gamma * probe.chi**2)), 0.1 / eps)
+    t_max = min(np.sqrt(1e-2 / (4.0 * gs.gamma * probe.chi**2)), 0.1 / eps)
     times = np.linspace(0.01 / eps, t_max, 60)
     series = decoherence_factor(
-        build_branch(p, probe, "g", cutoff),
-        build_branch(p, probe, "e", cutoff),
+        build_branch(p, probe, "g", gs.n_max),
+        build_branch(p, probe, "e", gs.n_max),
         gs.state,
         times,
     )
-    gauss = short_time_le(gamma, probe.chi, times)
+    gauss = short_time_le(gs.gamma, probe.chi, times)
     rel = np.abs(series.l_values - gauss) / (1.0 - series.l_values + 1e-15)
     assert time.perf_counter() - t0 < 30.0
     assert rel.max() <= 1e-2, (
@@ -164,7 +121,7 @@ def test_criterion_04_infinite_eta_convergence():
     rels = []
     for eta in (1e3, 1e4, 1e5):
         p = RabiParams.from_dimensionless(0.9, eta)
-        _, _, gamma, _ = _exact_ground(p)
+        gamma = dense_ground(p, "exact", TOL).gamma
         rels.append(abs(gamma - variance(p)) / variance(p))
     assert rels[0] > rels[1] > rels[2]
     assert rels[2] < 0.02
@@ -190,30 +147,23 @@ def test_criterion_06_fig1_normal_phase_ground_state():
     lam = 0.99
     for eta in (1e4, 1e5):
         p = RabiParams.from_dimensionless(lam, eta)
-        _, n_ex, _, _ = _exact_ground(p)
-        e_ex = ground_state(
-            build_rabi(p, converge_cutoff(lambda c: build_rabi(p, c), TOL))
-        ).energy
-        gs_ef, n_ef = _effective_ground(p)
+        ex, ef = dense_ground(p, "exact", TOL), dense_ground(p, "effective", TOL)
         sol = variational_solve(p)
-        energies = [e_ex, gs_ef.energy, sol.energy]
-        assert (max(energies) - min(energies)) / abs(e_ex) < 0.005
-        ns = [n_ex, n_ef, sol.mean_n]
-        assert (max(ns) - min(ns)) / n_ex < 0.05
+        energies = [ex.energy, ef.energy, sol.energy]
+        assert (max(energies) - min(energies)) / abs(ex.energy) < 0.005
+        ns = [ex.mean_n, ef.mean_n, sol.mean_n]
+        assert (max(ns) - min(ns)) / ex.mean_n < 0.05
     # at eta = 1e3 only variational vs effective must agree (within 1%)
     p = RabiParams.from_dimensionless(lam, 1e3)
-    gs_ef, n_ef = _effective_ground(p)
+    ef = dense_ground(p, "effective", TOL)
     sol = variational_solve(p)
-    assert abs(gs_ef.energy - sol.energy) / abs(gs_ef.energy) < 0.01
-    assert abs(n_ef - sol.mean_n) / n_ef < 0.01
+    assert abs(ef.energy - sol.energy) / abs(ef.energy) < 0.01
+    assert abs(ef.mean_n - sol.mean_n) / ef.mean_n < 0.01
     # regression locks (first oracle run, cutoff tolerance 1e-10)
     p4 = RabiParams.from_dimensionless(lam, 1e4)
-    _, n_lock, _, _ = _exact_ground(p4)
-    e_lock = ground_state(
-        build_rabi(p4, converge_cutoff(lambda c: build_rabi(p4, c), TOL))
-    ).energy
-    assert e_lock / p4.omega_0 == pytest.approx(-0.5000428564, abs=1e-9)
-    assert n_lock == pytest.approx(1.2660554, rel=1e-6)
+    lock = dense_ground(p4, "exact", TOL)
+    assert lock.energy / p4.omega_0 == pytest.approx(-0.5000428564, abs=1e-9)
+    assert lock.mean_n == pytest.approx(1.2660554, rel=1e-6)
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -222,25 +172,24 @@ def test_criterion_07_fig2_superradiant_ground_state():
     lam = 1.01
     for eta in (1e4, 1e5):
         p = RabiParams.from_dimensionless(lam, eta)
-        gs_ex, n_ex, _, _ = _exact_ground(p)
-        gs_ef, n_ef = _effective_ground(p)
+        ex, ef = dense_ground(p, "exact", TOL), dense_ground(p, "effective", TOL)
         sol = variational_solve(p)
-        energies = [gs_ex.energy, gs_ef.energy, sol.energy]
-        assert (max(energies) - min(energies)) / abs(gs_ex.energy) < 0.005
-        ns = [n_ex, n_ef, sol.mean_n]
-        assert (max(ns) - min(ns)) / n_ex < 0.05
+        energies = [ex.energy, ef.energy, sol.energy]
+        assert (max(energies) - min(energies)) / abs(ex.energy) < 0.005
+        ns = [ex.mean_n, ef.mean_n, sol.mean_n]
+        assert (max(ns) - min(ns)) / ex.mean_n < 0.05
     p = RabiParams.from_dimensionless(lam, 1e3)
-    gs_ef, n_ef = _effective_ground(p)
+    ef = dense_ground(p, "effective", TOL)
     sol = variational_solve(p)
-    assert abs(gs_ef.energy - sol.energy) / abs(gs_ef.energy) < 0.01
-    assert abs(n_ef - sol.mean_n) / n_ef < 0.01
+    assert abs(ef.energy - sol.energy) / abs(ef.energy) < 0.01
+    assert abs(ef.mean_n - sol.mean_n) / ef.mean_n < 0.01
     # mean photon number dominated by the displacement at eta = 1e5
     p5 = RabiParams.from_dimensionless(lam, 1e5)
-    gs5, n5, _, _ = _exact_ground(p5)
-    assert 0.9 <= n5 / alpha_lambda(p5) ** 2 <= 1.1
+    ex5 = dense_ground(p5, "exact", TOL)
+    assert 0.9 <= ex5.mean_n / alpha_lambda(p5) ** 2 <= 1.1
     # regression locks
-    assert gs5.energy / p5.omega_0 == pytest.approx(-0.5001030259, abs=1e-9)
-    assert n5 == pytest.approx(992.25849, rel=1e-6)
+    assert ex5.energy / p5.omega_0 == pytest.approx(-0.5001030259, abs=1e-9)
+    assert ex5.mean_n == pytest.approx(992.25849, rel=1e-6)
     assert time.perf_counter() - t0 < 120.0
 
 

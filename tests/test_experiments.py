@@ -208,8 +208,11 @@ def test_config_file_unknown_key(tmp_path):
     ("methods = exact\neta_grid = inf\n", "eta_grid values must be finite"),
     ("methods = exact\nlambda_grid = 0.5 inf\n", "lambda_grid values must be finite"),
     ("methods = exact\nchi = inf\n", "chi must be finite"),
+    # finite values whose derived ones overflow: a traceback mid-run
+    ("lambda_grid = 1e300\neta_grid = 1e300\n", "lambda_grid and eta_grid too large"),
+    ("chi = 1e200\n", "chi too large"),
 ], ids=["key_twice", "method_twice", "no_method", "tol_inf", "time_inf", "eta_inf",
-        "lambda_inf", "chi_inf"])
+        "lambda_inf", "chi_inf", "coupling_overflow", "chi_squared_overflow"])
 def test_sweep_rejects_config_fault(tmp_path, capsys, lines, message):
     # each of these once ran: with exit status 0, where the second key
     # silently won, every row was written twice, the CSV held only its
@@ -270,6 +273,22 @@ def test_cli_reports_unusable_out_in_one_line(tmp_path, capsys, monkeypatch, com
     assert stdout == ""
     assert err.startswith(f"rabicrit {command}: error: --out: ") and err.count("\n") == 1, err
     assert solved == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--g-s", "1e160"], "chi = g_s^2 / delta_s must be finite"),
+    (["--g-s", "1e200", "--detuning-ratio", "1e200"], "g_s and delta_s must be finite"),
+    (["--lam", "1e300", "--eta", "1e300"], "omega_c, omega_0 and g must be finite"),
+], ids=["chi", "delta_s", "coupling"])
+def test_cli_validate_dispersive_reports_overflow_in_one_line(capsys, argv, message):
+    # each flag is finite but a value derived from them is not: once a
+    # traceback, now exit status 2 and one line on stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-dispersive", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"rabicrit validate-dispersive: error: {message}\n"
 
 
 def test_cli_validate_dispersive_reports_unsearchable_bare_frame(capsys):

@@ -73,6 +73,9 @@ def test_probe_params():
         ProbeParams(0.1, 1.0, chi=0.5)
     with pytest.raises(ValueError):
         ProbeParams(0.1, 0.0)
+    # finite g_s, chi = g_s^2 / delta_s not: once an OverflowError from `chi`
+    with pytest.raises(ValueError, match="chi"):
+        ProbeParams(1e160, 1.0)
 
 
 @pytest.mark.parametrize("field", ["g_s", "delta_s"])

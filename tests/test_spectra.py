@@ -3,9 +3,9 @@ convergence.
 
 The library's cutoff search (`spectra.converge_cutoff`) decides whether the
 ground energy moved by less than tol on doubling by two Cholesky
-factorisations of the doubled band; the oracle's (`energy_search`, and
-`converge_cutoff` over dense builders) bisects both energies and compares
-them. The tests below hold the two decisions equal.
+factorisations of the doubled band; the oracle's (`energy_search`, over dense
+or band builders) bisects both energies and compares them. The tests below
+hold the two decisions equal.
 """
 
 import math
@@ -23,8 +23,7 @@ from oracle import (
     QuantumState,
     build_rabi,
     build_rabi_parity_chains,
-    converge_cutoff,
-    converged_ground_state,
+    dense_ground,
     energy_search,
     ground_state,
     operator_moments,
@@ -35,7 +34,7 @@ from oracle import (
 from rabicrit import dynamics, spectra
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import critical_lambda_grid
-from rabicrit.hamiltonians import RabiParams, build_rabi_parity
+from rabicrit.hamiltonians import RabiParams, build_rabi_parity, photon_number_band
 from rabicrit.hilbert import BandMatrix
 
 
@@ -76,6 +75,13 @@ def test_photon_moments_fock():
     f3 = np.zeros(8)
     f3[3] = 1.0
     assert photon_moments(QuantumState(f3, (8,))) == (3.0, 0.0)
+    # Fock levels 4000 and 4001: <n^2> - <n>^2 was 4.3e-9 off Var(n) = p q
+    two = np.zeros(4002)
+    two[4000:] = np.sqrt([0.3, 0.7])
+    p, q = two[4000:] ** 2
+    mean, var = photon_moments(QuantumState(two))
+    assert mean == pytest.approx(4000.0 + q, rel=1e-15)
+    assert var == pytest.approx(p * q, rel=1e-12)
     with pytest.raises(LayoutError):
         photon_moments(QuantumState(np.array([1.0, 0.0]), (2, 1)))
 
@@ -134,6 +140,21 @@ def test_photon_number_variance_without_cancellation(method, lam, eta):
     assert abs(gs.mean_n - mean) <= 1e-14 * mean
 
 
+def test_dense_photon_number_variance_without_cancellation():
+    # the oracle's moments, on the dense effective ground state at lam = 3,
+    # eta = 1e8 (cutoff 32): <N v, N v> - <N>^2 gave 223606784.0, 6.2e-8
+    # off; the centred residual agrees with `band_moments` on the same vector
+    p = RabiParams.from_dimensionless(3.0, 1e8)
+    gs = dense_ground(p, "effective", 1e-10)
+    assert gs.n_max == 32
+    vec = gs.state.vec.real
+    n = photon_number_band(gs.alpha, gs.n_max, 1)
+    mean, var = spectra.band_moments(n, vec)
+    assert gs.gamma == pytest.approx(var, rel=1e-12, abs=0.0)
+    assert gs.mean_n == pytest.approx(mean, rel=1e-14, abs=0.0)
+    assert abs(gs.gamma - _moments_40_digits(n, vec)[1]) <= 1e-12 * var
+
+
 def test_parity_operator():
     c = 8
     pi = parity_operator(c)
@@ -160,7 +181,7 @@ def test_converge_cutoff_decoupled():
     found = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-12)
     assert found.n_max == 8
     assert found.energy == -1.5
-    assert converge_cutoff(lambda cc: build_rabi(p, cc), 1e-12) == found.n_max
+    assert energy_search((partial(build_rabi, p),), 1e-12).n_max == found.n_max
 
 
 def test_converge_cutoff_self_consistent():
@@ -170,7 +191,7 @@ def test_converge_cutoff_self_consistent():
     e1 = ground_state(build_rabi(p, c)).energy
     e2 = ground_state(build_rabi(p, 2 * c)).energy
     assert abs(e1 - e2) < 1e-9
-    assert converge_cutoff(lambda cc: build_rabi(p, cc), 1e-9) == c
+    assert energy_search((partial(build_rabi, p),), 1e-9).n_max == c
 
 
 def test_converge_cutoff_errors():
@@ -179,7 +200,7 @@ def test_converge_cutoff_errors():
         with pytest.raises(ValueError):
             spectra.converge_cutoff((partial(build_rabi_parity, p),), tol)
         with pytest.raises(ValueError):
-            converge_cutoff(lambda cc: build_rabi(p, cc), tol)
+            energy_search((partial(build_rabi, p),), tol)
 
     # synthetic never-converging family: ground energy drifts with the
     # cutoff, up to the cap, each cutoff built once
@@ -198,7 +219,7 @@ def test_converge_cutoff_errors():
         return Operator(np.diag([-float(n_max), 1.0]), (2,))
 
     with pytest.raises(ConvergenceError):
-        converge_cutoff(drifting_dense, 1e-12)
+        energy_search((drifting_dense,), 1e-12)
 
 
 @given(width=st.integers(1, 4), dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
@@ -339,11 +360,3 @@ def test_ground_energy_monotone_in_cutoff():
         ground_state(build_rabi(p, n)).energy for n in (8, 16, 32, 64)
     ]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
-
-
-def test_converged_ground_state_records_drift():
-    p = RabiParams.from_dimensionless(0.9, 100.0)
-    res = converged_ground_state(lambda cc: build_rabi(p, cc), 1e-10)
-    assert res.converged
-    assert res.energy_drift < 1e-10
-    assert res.state.norm() == pytest.approx(1.0, abs=1e-12)

@@ -8,9 +8,10 @@ frame; above it, the first frame whose ground energy converges in one
 doubling search (bare first at each cutoff, and not below the mean-field
 photon number alpha_lambda^2). The effective method solves its fourth-order
 Hamiltonians, without their constants, on the even photon numbers in both
-phases: real band matrices of half-width 2. The dense complex `Operator` path below (cutoff
-doubling over the same frames, `ground_state`, dense branches and
-`decoherence_factor`) is the reference they must reproduce.
+phases: real band matrices of half-width 2. The dense complex `Operator` path
+(`oracle.dense_ground`: cutoff doubling over the same frames and a full
+eigendecomposition; then dense branches and `decoherence_factor`) is the
+reference they must reproduce.
 """
 
 import inspect
@@ -28,7 +29,6 @@ from oracle import (
     FIGURE_PROBE,
     QuantumState,
     _quartic_dense,
-    build_branch,
     build_displaced_rabi,
     build_effective_np,
     build_effective_np_band,
@@ -37,8 +37,8 @@ from oracle import (
     build_rabi,
     build_rabi_parity_chains,
     build_tripartite,
-    converge_cutoff,
     decoherence_factor,
+    dense_ground,
     echo_sweep,
     effective_np_coeffs,
     effective_sp_coeffs,
@@ -46,7 +46,6 @@ from oracle import (
     identity,
     number,
     operator_moments,
-    photon_moments,
     physical_number,
     tensor,
 )
@@ -99,42 +98,20 @@ def _spin_fastest_order(n_max):
     return np.column_stack([k, k.size + k]).ravel()
 
 
-def _dense_exact(p, probe, times, tol=TOL):
-    """(cutoff, energy, mean_n, gamma, L) by the dense complex path, in the
-    frame that converges first: the bare frame below the transition; above
-    it, one doubling search over the bare frame and then the displaced one
-    at each cutoff."""
-    bare = lambda c: build_rabi(p, c)
-    if p.lam <= 1.0:
-        alpha, cutoff = 0.0, converge_cutoff(bare, tol)
-    else:
-        alpha = alpha_lambda(p)
-        found = converge_cutoff((bare, lambda c: build_displaced_rabi(p, alpha, c)[0]), tol)
-        alpha, cutoff = (0.0, alpha)[found.frame], found.n_max
-    if alpha == 0.0:
-        gs = ground_state(bare(cutoff))
-        h_g = build_branch(p, probe, "g", cutoff)
-        h_e = build_branch(p, probe, "e", cutoff)
-        mean_n, gamma = photon_moments(gs.state)
-    else:
-        gs = ground_state(build_displaced_rabi(p, alpha, cutoff)[0])
+def _dense_exact_echo(p, probe, times):
+    """The dense exact ground state (`dense_ground`) and its echo L, each
+    branch the Rabi Hamiltonian rebuilt at omega_c -/+ chi in the frame the
+    state was solved in (alpha = 0: the bare frame)."""
+    gs = dense_ground(p, "exact", TOL)
 
-        def branch(omega_b, const):
-            h, _ = build_displaced_rabi(RabiParams(omega_b, p.omega_0, p.g), alpha, cutoff)
-            return h + const * identity(h.dims)
+    def branch(omega_b, const):
+        h, _ = build_displaced_rabi(RabiParams(omega_b, p.omega_0, p.g), gs.alpha, gs.n_max)
+        return h + const * identity(h.dims)
 
-        omega_s = p.omega_c + probe.delta_s
-        h_g = branch(p.omega_c - probe.chi, -0.5 * omega_s)
-        h_e = branch(p.omega_c + probe.chi, 0.5 * omega_s + probe.chi)
-        n_phys = _dense_photon_number(alpha, cutoff)
-        mean_n, gamma = operator_moments(gs.state, n_phys)
-    series = decoherence_factor(h_g, h_e, gs.state, times)
-    return cutoff, gs.energy, mean_n, gamma, series.l_values
-
-
-def _dense_photon_number(alpha, n_max):
-    """I_2 (x) (n + alpha x + alpha^2), spin first, by the dense oracle."""
-    return tensor(identity((2,)), physical_number(alpha, n_max))
+    omega_s = p.omega_c + probe.delta_s
+    h_g = branch(p.omega_c - probe.chi, -0.5 * omega_s)
+    h_e = branch(p.omega_c + probe.chi, 0.5 * omega_s + probe.chi)
+    return gs, decoherence_factor(h_g, h_e, gs.state, times).l_values
 
 
 def test_band_builders_are_permuted_dense_builders():
@@ -157,7 +134,7 @@ def test_band_builders_are_permuted_dense_builders():
         # the physical photon number in the same spin-fastest basis
         n_band = photon_number_band(alpha, n_max, 2)
         assert n_band.band.shape == (3, 2 * (n_max + 1))
-        dense = _dense_photon_number(alpha, n_max).mat
+        dense = tensor(identity((2,)), physical_number(alpha, n_max)).mat
         assert np.abs(dense.imag).max() == 0.0
         assert np.array_equal(dense.real[np.ix_(order, order)], _dense(n_band))
 
@@ -199,7 +176,7 @@ def test_band_moments_match_dense_operator_moments():
         dense_vec[_spin_fastest_order(c)] = vec
         mean_n, gamma = band_moments(photon_number_band(alpha, c, 2), vec)
         ref_mean, ref_gamma = operator_moments(QuantumState(dense_vec, (2, c + 1)),
-                                               _dense_photon_number(alpha, c))
+                                               tensor(identity((2,)), physical_number(alpha, c)))
         assert mean_n == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
         assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
 
@@ -340,12 +317,13 @@ def test_exact_path_matches_dense_oracle():
     sweep = echo_sweep(eta, 1e-3, lams, times, "exact", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams.from_dimensionless(lam, eta)
-        cutoff, energy, mean_n, gamma, l_dense = _dense_exact(p, FIGURE_PROBE, times)
+        dense, l_dense = _dense_exact_echo(p, FIGURE_PROBE, times)
         gs = exact_ground_state(p, TOL)
-        assert sweep.cutoffs[i] == gs.n_max == cutoff, lam
-        assert gs.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
-        assert gs.mean_n == pytest.approx(mean_n, rel=1e-9, abs=0.0)
-        assert gs.gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
+        assert sweep.cutoffs[i] == gs.n_max == dense.n_max, lam
+        assert gs.alpha == dense.alpha, lam
+        assert gs.energy == pytest.approx(dense.energy, rel=1e-13, abs=0.0)
+        assert gs.mean_n == pytest.approx(dense.mean_n, rel=1e-9, abs=0.0)
+        assert gs.gamma == pytest.approx(dense.gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
         assert np.abs(l_band - l_dense).max() <= 1e-9, lam
         # relative to 1 - L, above a roundoff floor of ~500 eps on L itself
@@ -445,18 +423,6 @@ def test_normal_phase_point_at_cutoff_cap():
     assert gs.gamma == pytest.approx(exact_ground_state(p, TOL).gamma, rel=1e-6)
 
 
-def _dense_effective(p, tol=TOL):
-    """(cutoff, ground, dense h0, dense physical photon number) of the effective
-    method by the dense complex path."""
-    if p.lam <= 1.0:
-        builder, alpha = (lambda c: build_effective_np(p, c)), 0.0
-    else:
-        builder, alpha = (lambda c: build_effective_sp(p, c)), alpha_lambda(p)
-    cutoff = converge_cutoff(builder, tol)
-    h0 = builder(cutoff)
-    return cutoff, ground_state(h0), h0, physical_number(alpha, cutoff)
-
-
 def test_effective_band_builders_equal_dense_builders():
     # entry by entry up to roundoff of the dense products, including the
     # truncation edge: row n_max of the truncated x^2 is n_max, not 2 n_max + 1
@@ -491,16 +457,15 @@ def test_effective_path_matches_dense_oracle():
     sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams.from_dimensionless(lam, eta)
-        cutoff, gs, _, n_phys = _dense_effective(p)
+        gs = dense_ground(p, "effective", TOL)
         c2, c4, _ = effective_np_coeffs(p) if lam <= 1.0 else effective_sp_coeffs(p)
-        h_free = _quartic_dense(p.omega_c, c2, c4, 0.0, cutoff)
+        h_free = _quartic_dense(p.omega_c, c2, c4, 0.0, gs.n_max)
         ident = identity(h_free.dims)
-        h_g = h_free - chi * n_phys + (-0.5 * omega_s) * ident
-        h_e = h_free + chi * n_phys + (0.5 * omega_s + chi) * ident
-        _, gamma = operator_moments(gs.state, n_phys)
+        h_g = h_free - chi * gs.n + (-0.5 * omega_s) * ident
+        h_e = h_free + chi * gs.n + (0.5 * omega_s + chi) * ident
         l_dense = decoherence_factor(h_g, h_e, ground_state(h_free).state, times).l_values
-        assert sweep.cutoffs[i] == cutoff, lam
-        assert effective_ground_state(p, TOL).gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
+        assert sweep.cutoffs[i] == gs.n_max, lam
+        assert effective_ground_state(p, TOL).gamma == pytest.approx(gs.gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
         assert np.abs(l_band - l_dense).max() <= 1e-9, lam
         decay = 1.0 - l_dense
@@ -547,13 +512,12 @@ def test_effective_ground_records_match_dense(tmp_path):
         assert len(points) == len(cfg.eta_grid)
         for pt in points:
             p = RabiParams.from_dimensionless(pt.lam, pt.eta)
-            cutoff, gs, _, n_phys = _dense_effective(p)
-            mean_n, _ = operator_moments(gs.state, n_phys)
-            assert pt.cutoff == cutoff
+            gs = dense_ground(p, "effective", TOL)
+            assert pt.cutoff == gs.n_max
             assert pt.value_name == ["energy", "mean_n"]
             energy, n = pt.value
             assert energy == pytest.approx(gs.energy, rel=1e-13, abs=0.0), (figure, pt)
-            assert n == pytest.approx(mean_n, rel=1e-9, abs=0.0), (figure, pt)
+            assert n == pytest.approx(gs.mean_n, rel=1e-9, abs=0.0), (figure, pt)
 
 
 def test_inverse_iteration_vector_matches_eig_banded():
