@@ -1,6 +1,7 @@
-"""Closed-form infinite-frequency-ratio results: the photon-number variance
-of the ground state of either phase, read from its `Phase` record, and the
-short-time Gaussian law for the Loschmidt echo."""
+"""Closed-form infinite-frequency-ratio results: the photon-number moments
+of the squeezed, displaced vacuum of a `Phase` record, which the
+variational method shares, the closed-form variance of the ground state of
+either phase, and the short-time Gaussian law for the Loschmidt echo."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .errors import PhaseDomainError
 from .hamiltonians import Phase, RabiParams, phase
 
 # |lam - 1| below this is reported as critical rather than evaluated: the
-# closed forms diverge and would silently overflow downstream plots.
+# closed-form variance diverges and would silently overflow downstream plots.
 CRITICAL_BAND = 1e-6
 
 
@@ -21,25 +22,24 @@ def near_critical(lam: float) -> bool:
     return abs(lam - 1.0) < CRITICAL_BAND
 
 
-def closed_form_phase(p: RabiParams) -> Phase:
-    """`phase(p)` for the closed forms (here and the variational method);
-    `PhaseDomainError` within CRITICAL_BAND of lam = 1."""
-    if near_critical(p.lam):
-        raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
-    return phase(p)
+def squeezed_moments(ph: Phase, s: float) -> tuple[float, float]:
+    """(mean, variance) of the physical photon number in the vacuum squeezed
+    by s and displaced by `ph.alpha`: sinh^2 s + q2 + alpha^2 and
+    sinh^2(2 s)/2 + alpha^2 e^{2 s} + q2 e^{-2 s}, with q2 = c2/omega_t."""
+    q2 = ph.c2 / ph.omega_t
+    a2 = ph.alpha**2
+    mean_n = sinh(s) ** 2 + q2 + a2
+    return mean_n, 0.5 * sinh(2.0 * s) ** 2 + a2 * exp(2.0 * s) + q2 * exp(-2.0 * s)
 
 
 def variance(p: RabiParams) -> float:
-    """Photon-number variance of the ground state of the phase of `p`:
-    sinh^2(2 r)/2 + alpha^2 e^{2 r} + (c2/omega_t) e^{-2 r}, with the
-    squeezing r = -ln(1 - mu)/4."""
-    ph = closed_form_phase(p)
-    r = -0.25 * log(1.0 - ph.mu)
-    return (
-        0.5 * sinh(2.0 * r) ** 2
-        + ph.alpha**2 * exp(2.0 * r)
-        + ph.c2 / ph.omega_t * exp(-2.0 * r)
-    )
+    """Photon-number variance of the ground state of the phase of `p`: the
+    squeezed vacuum's (`squeezed_moments`) at r = -ln(1 - mu)/4;
+    `PhaseDomainError` within CRITICAL_BAND of lam = 1, where r diverges."""
+    if near_critical(p.lam):
+        raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
+    ph = phase(p)
+    return squeezed_moments(ph, -0.25 * log(1.0 - ph.mu))[1]
 
 
 def short_time_le(gamma, chi: float, t) -> np.ndarray | float:

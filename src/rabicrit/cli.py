@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import ConvergenceError
 from .experiments import SweepConfig, default_config, run, validate_dispersive
-from .hamiltonians import ProbeParams, RabiParams
+from .hamiltonians import ProbeParams, RabiParams, phase
 from .spectra import CUTOFF_TOL
 
 
@@ -90,8 +90,9 @@ def main(argv=None) -> int:
     if args.command == "validate-dispersive":
         try:
             p = RabiParams.from_dimensionless(args.lam, args.eta)
+            phase(p)
             probe = ProbeParams(args.g_s, args.detuning_ratio * args.g_s)
-        except ValueError as exc:  # a derived value, g or delta_s or chi, overflowed
+        except ValueError as exc:  # a derived value, g, the phase record, delta_s or chi, overflowed
             build_parser().exit(2, f"rabicrit validate-dispersive: error: {exc}\n")
         times = np.linspace(0.0, args.t_max, args.n_times)
         try:

@@ -15,7 +15,8 @@ exact and effective methods solve a ground state from the method table of
 the Gaussian law (`analytic.short_time_le`) at their own photon-number
 variance. Every echo is taken at the chi the config holds, and records, so
 a sweep builds no probe. A point whose cutoff search reaches the hard cap,
-or whose variational variance is negative, is degraded."""
+whose variational variance is negative, or whose phase record is not
+finite, is degraded."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from . import __version__
 from .analytic import CRITICAL_BAND, near_critical, short_time_le, variance
 from .dynamics import GROUND_STATES, _exact_ground, decoherence_factor, evolved
 from .errors import ConvergenceError, PhaseDomainError
-from .hamiltonians import ProbeParams, RabiParams, build_tripartite_blocks
+from .hamiltonians import ProbeParams, RabiParams, build_tripartite_blocks, phase
 from .spectra import CUTOFF_TOL, band_spectrum
 from .variational import solve as variational_solve
 
@@ -91,13 +92,13 @@ class SweepConfig:
             if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         # the echo's exponent holds chi^2; the largest coupling g = lam sqrt(eta) / 2
-        # sits at the grids' ends
+        # and the largest phase record sit at the grids' ends
         if not isfinite(self.chi * self.chi):
             raise ValueError(f"chi too large: chi^2 of {self.chi:g} is not finite")
         try:
-            RabiParams.from_dimensionless(self.lambda_grid[-1], self.eta_grid[-1])
+            phase(RabiParams.from_dimensionless(self.lambda_grid[-1], self.eta_grid[-1]))
         except ValueError as exc:
-            raise ValueError(f"lambda_grid and eta_grid too large: {exc}") from None
+            raise ValueError(f"lambda_grid and eta_grid out of range: {exc}") from None
         if not self.cutoff_tol > 0:
             raise ValueError("cutoff_tol must be positive")
         for m in self.methods:
@@ -115,12 +116,9 @@ class SweepConfig:
                 raise ValueError(f"figure {self.figure} takes chi = 0 only")
         elif not self.chi > 0:
             raise ValueError("chi must be positive for echo figures")
-        # the closed forms diverge at the critical point; exact and effective solve it
-        closed = [m for m in self.methods if m in ("analytic", "variational")]
-        if closed and any(map(near_critical, self.lambda_grid)):
-            raise ValueError(
-                f"lambda_grid values within {CRITICAL_BAND:g} of 1 have no {' or '.join(closed)} value"
-            )
+        # the closed-form variance diverges at the critical point; the other methods solve it
+        if "analytic" in self.methods and any(map(near_critical, self.lambda_grid)):
+            raise ValueError(f"lambda_grid values within {CRITICAL_BAND:g} of 1 have no analytic value")
 
     @classmethod
     def from_file(cls, path) -> "SweepConfig":
@@ -250,8 +248,8 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     of `time_grid` or, on fig1/fig2 (`GROUND_FIGURES`), the ground energy and
     mean photon number. `method` is one of `METHODS`, which
     `SweepConfig.validate` checks. A point whose cutoff search reaches the
-    hard cap, or whose variational variance is negative, is degraded; the
-    sweep goes on."""
+    hard cap, whose variational variance is negative, or whose phase record
+    is not finite, is degraded; the sweep goes on."""
     t0 = time.perf_counter()
     p = RabiParams.from_dimensionless(lam, eta)
     ground = cfg.figure in GROUND_FIGURES
@@ -367,8 +365,9 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     prepared in (|g> + |e>)/sqrt(2), against the branch-echo prediction
     |D(t)|, at the cutoff the exact method's bare-frame search chooses.
 
-    Report-only: warns (never fails) when the dispersive condition
-    |Delta_s| >> |g_s| sqrt(<n> + 1) is violated.
+    Report-only: `dispersive_regime` is the dispersive condition
+    |Delta_s| >> |g_s| sqrt(<n> + 1) taken as |Delta_s| >= 10 |g_s| sqrt(<n> + 1),
+    a conventional factor 10; below it the check warns, and never fails.
     """
     times = np.asarray(times, dtype=float)
     # the Rabi ground state on the exact method's bare frame, the even chain,

@@ -120,6 +120,10 @@ class Phase:
     omega_t: float
     mu: float
 
+    def __post_init__(self):
+        if not all(map(isfinite, (self.alpha, self.omega_t, self.mu, self.c4, self.const))):
+            raise PhaseDomainError(f"the phase record is not finite: {self}")
+
     @property
     def name(self) -> str:
         return "superradiant" if self.alpha else "normal"
@@ -140,10 +144,15 @@ class Phase:
 
 def phase(p: RabiParams) -> Phase:
     """The phase lam selects: superradiant above 1; normal up to and at 1,
-    where mu = 1 and the effective Hamiltonian is a quartic oscillator."""
+    where mu = 1 and the effective Hamiltonian is a quartic oscillator.
+    `PhaseDomainError` where the record or its coefficients are not finite."""
     lam = p.lam
     if lam > 1.0:
-        return Phase(p.omega_c, alpha_lambda(p), lam**2 * p.omega_0, lam**-4)
+        try:
+            alpha = alpha_lambda(p)
+        except OverflowError:  # lam**4, for lam above about 1e77
+            raise PhaseDomainError(f"alpha_lambda overflows at lam = {lam:g}") from None
+        return Phase(p.omega_c, alpha, lam**2 * p.omega_0, lam**-4)
     return Phase(p.omega_c, 0.0, p.omega_0, lam**2)
 
 

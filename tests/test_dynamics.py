@@ -219,17 +219,19 @@ def test_sweep_echo_is_each_methods_own_path(tmp_path):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_sweep_point_in_critical_band(method):
-    # within CRITICAL_BAND of lam = 1 the closed forms have no value, and a
-    # point there is degraded (a config asking for one is rejected before the
-    # sweep); the exact and effective methods solve it
+    # within CRITICAL_BAND of lam = 1 the closed-form variance has no value,
+    # and an analytic point there is degraded (a config asking for one is
+    # rejected before the sweep); the other methods solve it
     lam = 1.0 + 1e-9
     cfg = SweepConfig("custom", [lam], [100.0], [0.0, 1.0], 1e-3, [method], 1e-8)
     pt = _point(cfg, 100.0, method, lam)
-    if method in GROUND_STATES:
-        assert pt.converged and pt.frame and pt.value[0] == pytest.approx(1.0, abs=1e-12)
-    else:
+    if method == "analytic":
         assert not pt.converged and (pt.cutoff, pt.frame) == ("", "")
         assert all(map(math.isnan, pt.value))
+    else:
+        assert pt.converged and pt.value[0] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < pt.value[1] < 1.0
+        assert bool(pt.frame) == (method in GROUND_STATES)
 
 
 @pytest.mark.parametrize("method", METHODS)

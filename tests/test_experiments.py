@@ -3,12 +3,14 @@ check of the dispersive approximation."""
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from rabicrit import experiments
 from rabicrit.cli import main
+from rabicrit.dynamics import GROUND_STATES
 from rabicrit.experiments import (
     CSV_HEADER,
     SweepConfig,
@@ -19,6 +21,7 @@ from rabicrit.experiments import (
     write_gnuplot_script,
 )
 from rabicrit.hamiltonians import ProbeParams, RabiParams
+from rabicrit.spectra import CUTOFF_TOL
 
 
 def _tiny_config():
@@ -209,10 +212,16 @@ def test_config_file_unknown_key(tmp_path):
     ("methods = exact\nlambda_grid = 0.5 inf\n", "lambda_grid values must be finite"),
     ("methods = exact\nchi = inf\n", "chi must be finite"),
     # finite values whose derived ones overflow: a traceback mid-run
-    ("lambda_grid = 1e300\neta_grid = 1e300\n", "lambda_grid and eta_grid too large"),
+    ("lambda_grid = 1e300\neta_grid = 1e300\n", "lambda_grid and eta_grid out of range"),
     ("chi = 1e200\n", "chi too large"),
+    # alpha_lambda overflows at lam**4; a finite grid builds an infinite phase
+    # record, once written as L = nan rows marked converged, with exit status 0
+    ("lambda_grid = 1e100\n", "out of range: alpha_lambda overflows at lam"),
+    ("lambda_grid = 1e77\neta_grid = 1e200\nmethods = analytic variational\n",
+     "out of range: the phase record is not finite"),
 ], ids=["key_twice", "method_twice", "no_method", "tol_inf", "time_inf", "eta_inf",
-        "lambda_inf", "chi_inf", "coupling_overflow", "chi_squared_overflow"])
+        "lambda_inf", "chi_inf", "coupling_overflow", "chi_squared_overflow",
+        "alpha_overflow", "phase_not_finite"])
 def test_sweep_rejects_config_fault(tmp_path, capsys, lines, message):
     # each of these once ran: with exit status 0, where the second key
     # silently won, every row was written twice, the CSV held only its
@@ -279,7 +288,8 @@ def test_cli_reports_unusable_out_in_one_line(tmp_path, capsys, monkeypatch, com
     (["--g-s", "1e160"], "chi = g_s^2 / delta_s must be finite"),
     (["--g-s", "1e200", "--detuning-ratio", "1e200"], "g_s and delta_s must be finite"),
     (["--lam", "1e300", "--eta", "1e300"], "omega_c, omega_0 and g must be finite"),
-], ids=["chi", "delta_s", "coupling"])
+    (["--lam", "1e100"], "alpha_lambda overflows at lam = 1e+100"),
+], ids=["chi", "delta_s", "coupling", "alpha"])
 def test_cli_validate_dispersive_reports_overflow_in_one_line(capsys, argv, message):
     # each flag is finite but a value derived from them is not: once a
     # traceback, now exit status 2 and one line on stderr
@@ -465,6 +475,20 @@ def test_validate_dispersive_warns_outside_regime():
     assert reports[1].max_rel_deviation == pytest.approx(reports[0].max_rel_deviation, rel=1e-9)
 
 
+def test_validate_dispersive_flags_at_its_documented_boundary():
+    # |Delta_s| >= 10 |g_s| sqrt(<n> + 1), <n> of the exact ground state:
+    # 0.1% above the boundary is dispersive and quiet, 0.1% below is not, and warns
+    p = RabiParams.from_dimensionless(0.5, 40.0)
+    g_s, times = 0.01, np.linspace(0.0, 5.0, 3)
+    boundary = 10.0 * g_s * np.sqrt(GROUND_STATES["exact"](p, CUTOFF_TOL).mean_n + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_dispersive(p, ProbeParams(g_s, boundary * (1 + 1e-3)), times).dispersive_regime
+    with pytest.warns(UserWarning, match="dispersive condition"):
+        report = validate_dispersive(p, ProbeParams(g_s, boundary * (1 - 1e-3)), times)
+    assert not report.dispersive_regime
+
+
 def test_report_wall_time_is_per_point(tmp_path):
     cfg = _tiny_config()
     cfg.methods = ["exact"]
@@ -516,8 +540,20 @@ def test_ground_figures_sweep_every_lambda(tmp_path):
     assert all(f[9] == "true" for f in rows)
 
 
+def test_phase_record_that_overflows_degrades_its_point(tmp_path):
+    # at eta = 1e-320 the record's c2/omega_t overflows: every method's point
+    # there is degraded (once a traceback or a NaN row marked converged), and
+    # the sweep goes on
+    cfg = _tiny_config()
+    cfg.lambda_grid, cfg.eta_grid = [0.5], [1e-320, 1.0]
+    points = run(cfg, tmp_path)
+    assert [(pt.eta, pt.converged) for pt in points] == [
+        (1e-320, False), (1e-320, False), (1.0, True), (1.0, True)]
+
+
 def test_critical_lambda_is_solved_or_rejected(tmp_path):
-    # the exact method solves lam = 1; the closed forms have no value there
+    # the exact and variational methods solve lam = 1; the closed-form
+    # variance has no value there
     cfg = _tiny_config()
     cfg.lambda_grid, cfg.eta_grid, cfg.time_grid = [0.5, 1.0], [1000.0], [0.0, 50.0]
     cfg.methods = ["exact"]
@@ -528,8 +564,11 @@ def test_critical_lambda_is_solved_or_rejected(tmp_path):
     assert all(f[8] == "64" and f[9] == "true" for f in critical)
     assert float(critical[0][7]) == pytest.approx(1.0, abs=1e-12)
     assert float(critical[1][7]) == pytest.approx(0.9999966, abs=1e-6)
-    for method in ("analytic", "variational"):
-        cfg.methods = ["exact", method]
-        with pytest.raises(ValueError, match="lambda_grid"):
-            run(cfg, tmp_path / method)
-        assert not (tmp_path / method).exists()
+    cfg.methods = ["exact", "analytic"]
+    with pytest.raises(ValueError, match="lambda_grid values within 1e-06 of 1 have no analytic"):
+        run(cfg, tmp_path / "analytic")
+    assert not (tmp_path / "analytic").exists()
+    cfg.methods = ["variational"]
+    points = run(cfg, tmp_path / "variational")
+    assert all(pt.converged for pt in points)
+    assert points[1].lam == 1.0 and 0.0 < points[1].value[1] < 1.0

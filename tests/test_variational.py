@@ -41,7 +41,7 @@ def test_stationarity_grid(lam, eta):
     x, residual, curvature = stationarity(sol, p)
     assert residual < 1e-10
     assert curvature > 0.0
-    # dual-path agreement between bracketing and closed-form roots
+    # dual-path agreement between Newton's and the closed-form root
     x_closed = closed_form_x(sol.phase, lam, eta)
     assert abs(x - x_closed) <= 1e-10 * x
 
@@ -122,11 +122,46 @@ def test_energy_matches_mean_field_scale():
     assert sol.energy / p.omega_0 == pytest.approx(-0.5, abs=1e-3)
 
 
-def test_guard_band_rejected():
-    with pytest.raises(PhaseDomainError):
-        solve(RabiParams.from_dimensionless(1.0 + 1e-8, 1e3))
-    with pytest.raises(PhaseDomainError):
-        solve(RabiParams.from_dimensionless(1.0 - 1e-8, 1e3))
+def test_finite_across_the_critical_band():
+    # the cubic keeps its c4 term at mu = 1, so no lam needs a guard
+    for lam in (1.0 - 1e-8, 1.0 + 1e-8):
+        sol = solve(RabiParams.from_dimensionless(lam, 1e3))
+        assert all(map(math.isfinite, (sol.s, sol.energy, sol.mean_n, sol.gamma_prime)))
+        assert sol.gamma_prime > 0.0
+
+
+@pytest.mark.parametrize("eta", [1e4, 1e5, 1e6, 1e7, 1e8, 1e100])
+def test_critical_point_is_the_gaussian_ansatz_in_the_quartic_oscillator(eta):
+    # at lam = 1 (mu = 1, c2 = omega_c/4, c4 = omega_c^2 / (16 omega_0)) the
+    # cubic reads (3 / (2 eta)) x^3 = 1, so x = e^{2 s} = (2 eta/3)^{1/3}. With
+    # sinh^2(2 s)/2 = (x^2 - 2 + x^-2)/8, q2 = 1/(4 eta) and q4 = q2^2, the
+    # variance over its leading term x^2/8 is 1 - 2 x^-2 + x^-4 - eta^-2, within
+    # 2 x^-2 of 1 once x^4 < eta^2
+    sol = solve(RabiParams.from_dimensionless(1.0, eta))
+    x = (2.0 * eta / 3.0) ** (1.0 / 3.0)
+    assert math.exp(2.0 * sol.s) == pytest.approx(x, rel=1e-14)
+    if eta <= 1e8:
+        lead = (2.0 / 3.0) ** (2.0 / 3.0) / 8.0
+        assert abs(sol.gamma_prime * eta ** (-2.0 / 3.0) / lead - 1.0) <= 2.0 / x**2
+
+
+# (lam, eta): (mean_n, gamma_prime), recorded from the code before the
+# normal and superradiant moments shared one expression. These are locks,
+# not derivations: at eta = 2 and 10 the q4 terms are up to a percent of
+# mean_n, so they pin the factors 8 and 8/3 of those terms
+LOCKED_MOMENTS = {
+    (0.5, 2.0): (0.025562542473200413, 0.024341686943030336),
+    (0.9, 10.0): (0.08323618191256543, 0.14919453441061772),
+    (1.2, 2.0): (0.41926385892255047, 0.5047979438557486),
+    (2.0, 10.0): (9.375649253428103, 9.682573322147967),
+}
+
+
+@pytest.mark.parametrize("lam, eta", list(LOCKED_MOMENTS))
+def test_photon_moments_locked(lam, eta):
+    sol = solve(RabiParams.from_dimensionless(lam, eta))
+    assert sol.phase == (NORMAL if lam < 1.0 else SUPERRADIANT)
+    assert (sol.mean_n, sol.gamma_prime) == pytest.approx(LOCKED_MOMENTS[lam, eta], rel=1e-12)
 
 
 def test_superradiant_mean_n_dominated_by_displacement():
