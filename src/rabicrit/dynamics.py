@@ -1,11 +1,12 @@
 """Branch time evolution, the exact and effective ground states, and the
 decoherence factor of a ground state.
 
-Every Hamiltonian is a real symmetric `BandMatrix`. The echo is one
-function, `decoherence_factor(gs, chi, times)`, which returns D(t), so
-that L(t) = |D(t)|^2: it builds the ground state's probe branches at the
-probe's dispersive shift chi (a float: the probe enters nowhere else) and
-evolves the ground state to every time in one product per branch spectrum
+Every Hamiltonian is a real symmetric band matrix, a NumPy array in LAPACK
+lower band storage (see `spectra`). The echo is one function,
+`decoherence_factor(gs, chi, times)`, which returns D(t), so that
+L(t) = |D(t)|^2: it builds the ground state's probe branches at the probe's
+dispersive shift chi (a float: the probe enters nowhere else) and evolves
+the ground state to every time in one product per branch spectrum
 (`evolved`).
 The exact and effective methods find their ground states the same way, in
 three calls: the cutoff search over their bands, one builder per frame
@@ -19,7 +20,7 @@ solves on the bare frame's even parity chain
 the transition where its cutoff search converges there first, on the
 displaced band (`hamiltonians.build_displaced_rabi_band`); the effective
 method, in both phases, on the even photon numbers of its Hamiltonian
-without the constant (`hamiltonians._quartic_band(...).even()`, from the
+without the constant (`hamiltonians._quartic_band(...)[0::2, 0::2]`, from the
 coefficients of the `hamiltonians.phase` record), which conserves photon
 parity. Each ground state (`BandGround`) carries its Fock cutoff `n_max`
 (an int), the band H its vector lives in and the physical photon number N in
@@ -47,7 +48,6 @@ from .hamiltonians import (
     phase,
     photon_number_band,
 )
-from .hilbert import BandMatrix
 from .spectra import CUTOFF_HARD_CAP, band_ground_state, band_moments, band_spectrum, converge_cutoff
 
 
@@ -88,8 +88,8 @@ class BandGround:
 
     alpha: float
     n_max: int
-    h: BandMatrix
-    n: BandMatrix
+    h: np.ndarray
+    n: np.ndarray
     energy: float
     vector: np.ndarray
     mean_n: float
@@ -117,7 +117,7 @@ def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -
             f"both wells, above the largest the search tries ({CUTOFF_HARD_CAP // 2})"
         )
 
-    def band(alpha: float, n_max: int) -> BandMatrix | None:
+    def band(alpha: float, n_max: int) -> np.ndarray | None:
         if alpha:
             return build_displaced_rabi_band(p, alpha, n_max)
         return None if n_max < n_bare else build_rabi_parity(p, n_max)
@@ -160,14 +160,14 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     ph = phase(p)
     # one build per cutoff: above the transition the full band is the searched one
     band = cache(partial(_quartic_band, ph.omega_c, ph.c2, ph.c4))
-    found = converge_cutoff((lambda c: band(c).even(),), cutoff_tol)
+    found = converge_cutoff((lambda c: band(c)[0::2, 0::2],), cutoff_tol)
     even = band_ground_state(found.band, found.energy)
     n = photon_number_band(ph.alpha, found.n_max, 1)
     if ph.alpha:
         h, vec = band(found.n_max), np.zeros(found.n_max + 1)
         vec[0::2] = even
     else:
-        h, n, vec = found.band, n.even(), even
+        h, n, vec = found.band, n[0::2, 0::2], even
     return BandGround(ph.alpha, found.n_max, h, n, found.energy + ph.const, vec,
                       *band_moments(n, vec))
 
@@ -176,7 +176,7 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
 GROUND_STATES = {"exact": exact_ground_state, "effective": effective_ground_state}
 
 
-def probe_branches(h: BandMatrix, n: BandMatrix, chi: float) -> tuple[BandMatrix, BandMatrix]:
+def probe_branches(h: np.ndarray, n: np.ndarray, chi: float) -> tuple[np.ndarray, np.ndarray]:
     """(h_g, h_e) = (h - chi n, h + chi n): the Hamiltonian `h` conditioned
     on the probe in |g> or |e>, with `n` the physical photon number in the
     basis of `h` (no wider a band). A probe of dispersive shift
@@ -185,9 +185,9 @@ def probe_branches(h: BandMatrix, n: BandMatrix, chi: float) -> tuple[BandMatrix
     in which omega_c enters only as omega_c n. The probe's own energy is
     left out of both: it changes only the phase of D.
     """
-    n_band = np.zeros_like(h.band)
-    n_band[:n.band.shape[0]] = n.band
-    return BandMatrix(h.band - chi * n_band), BandMatrix(h.band + chi * n_band)
+    n_band = np.zeros_like(h)
+    n_band[:n.shape[0]] = n
+    return h - chi * n_band, h + chi * n_band
 
 
 def decoherence_factor(gs: BandGround, chi: float, times) -> np.ndarray:

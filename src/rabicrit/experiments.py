@@ -2,7 +2,7 @@
 finite before the output directory is made; errors name file, line and
 key), CSV/JSON reports, and the tripartite check of the dispersive
 approximation: the probe (`hamiltonians.ProbeParams(g_s, delta_s)`) + Rabi
-model on its two parity blocks (half-width 2,
+model on its two parity blocks (real band arrays of half-width 2,
 `hamiltonians.build_tripartite_blocks`), each diagonalised once and evolved
 by `dynamics.evolved`, against |D| of `dynamics.decoherence_factor` at the
 probe's chi on the Rabi ground state of the exact method's ground path
@@ -15,8 +15,8 @@ exact and effective methods solve a ground state from the method table of
 the Gaussian law (`analytic.short_time_le`) at their own photon-number
 variance. Every echo is taken at the chi the config holds, and records, so
 a sweep builds no probe. A point whose cutoff search reaches the hard cap,
-whose variational variance is negative, or whose phase record is not
-finite, is degraded."""
+whose variational photon mean or variance is negative or not finite, or
+whose phase record is not finite, is degraded."""
 
 from __future__ import annotations
 
@@ -248,8 +248,9 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     of `time_grid` or, on fig1/fig2 (`GROUND_FIGURES`), the ground energy and
     mean photon number. `method` is one of `METHODS`, which
     `SweepConfig.validate` checks. A point whose cutoff search reaches the
-    hard cap, whose variational variance is negative, or whose phase record
-    is not finite, is degraded; the sweep goes on."""
+    hard cap, whose variational photon mean or variance is negative or not
+    finite, or whose phase record is not finite, is degraded; the sweep goes
+    on."""
     t0 = time.perf_counter()
     p = RabiParams.from_dimensionless(lam, eta)
     ground = cfg.figure in GROUND_FIGURES

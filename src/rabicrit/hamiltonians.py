@@ -9,9 +9,10 @@ derives from it the coefficients c2, c4 and const of the phase's
 fourth-order effective Hamiltonian; `_quartic_band` builds that Hamiltonian
 without its constant.
 
-Every builder returns a real symmetric `BandMatrix` in a basis ordered by
-photon number: the Rabi Hamiltonian on its even parity chain, which holds
-the ground state (`build_rabi_parity`), or spin-fastest in the displaced frame
+Every builder returns a real symmetric band matrix, a NumPy array in LAPACK
+lower band storage (see `spectra`), in a basis ordered by photon number:
+the Rabi Hamiltonian on its even parity chain, which holds the ground state
+(`build_rabi_parity`), or spin-fastest in the displaced frame
 (`build_displaced_rabi_band`), the tripartite model on its two total-parity
 blocks, each the probe spin fastest over the Rabi parity chains
 (`build_tripartite_blocks`), and the effective Hamiltonians in natural Fock
@@ -34,7 +35,6 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .errors import PhaseDomainError
-from .hilbert import BandMatrix
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def phase(p: RabiParams) -> Phase:
     return Phase(p.omega_c, 0.0, p.omega_0, lam**2)
 
 
-def build_rabi_parity(p: RabiParams, n_max: int) -> BandMatrix:
+def build_rabi_parity(p: RabiParams, n_max: int) -> np.ndarray:
     """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag) on
     its even parity chain |g,0>, |e,1>, |g,2>, ..., a real tridiagonal matrix
     whose row k has k photons.
@@ -171,10 +171,10 @@ def build_rabi_parity(p: RabiParams, n_max: int) -> BandMatrix:
     band = np.zeros((2, k.size))
     band[0] = p.omega_c * k + spin
     band[1, :-1] = -p.g * np.sqrt(k[1:])
-    return BandMatrix(band)
+    return band
 
 
-def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, n_max: int) -> BandMatrix:
+def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, n_max: int) -> np.ndarray:
     """The Rabi Hamiltonian conjugated by D(alpha_disp) as a real band matrix
     of half-width 3:
 
@@ -195,11 +195,11 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, n_max: int) -> B
     band[1, 1:-1:2] = -p.g * root              # <e,k+1| H |g,k>
     band[2, :-2] = p.omega_c * alpha_disp * np.repeat(root, 2)  # <s,k+1| H |s,k>
     band[3, 0:-3:2] = -p.g * root              # <g,k+1| H |e,k>
-    return BandMatrix(band)
+    return band
 
 
 def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
-                            n_max: int) -> tuple[BandMatrix, BandMatrix]:
+                            n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The Jaynes-Cummings probe plus the Rabi model, before the dispersive
     step, H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a)
     with omega_s = omega_c + delta_s, on its two blocks of total parity (the
@@ -211,7 +211,7 @@ def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
     """
     k = np.arange(n_max + 1, dtype=float)
     omega_s = p.omega_c + probe.delta_s
-    even = build_rabi_parity(p, n_max).band
+    even = build_rabi_parity(p, n_max)
     odd = 2.0 * p.omega_c * k - even[0]  # the odd chain's diagonal: sigma_z flipped
     blocks = []
     for g_chain, e_chain in ((even[0], odd), (odd, even[0])):
@@ -220,14 +220,15 @@ def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
         band[0, 1::2] = e_chain + 0.5 * omega_s
         band[1, 1:-1:2] = -probe.g_s * np.sqrt(k[1:])  # <k+1, g| H |k, e>
         band[2, :-2] = np.repeat(even[1, :-1], 2)       # <k+1| H_rabi |k>, both chains
-        blocks.append(BandMatrix(band))
+        blocks.append(band)
     return tuple(blocks)
 
 
-def _quartic_band(omega_c: float, c2: float, c4: float, n_max: int) -> BandMatrix:
+def _quartic_band(omega_c: float, c2: float, c4: float, n_max: int) -> np.ndarray:
     """omega_c n - c2 x^2 + c4 x^4 in natural Fock order, half-width 4: an
     effective Hamiltonian without its constant. Its odd diagonals are zero
-    (it conserves photon parity), so `even()` is an invariant block.
+    (it conserves photon parity), so its even photon numbers,
+    `band[0::2, 0::2]`, are an invariant block.
 
     x^2 and x^4 are the products of the truncated x = a + a^dag: the last
     diagonal entry of x^2 is n_max, not 2 n_max + 1.
@@ -245,10 +246,10 @@ def _quartic_band(omega_c: float, c2: float, c4: float, n_max: int) -> BandMatri
     band[0] = omega_c * k - c2 * x2_diag + c4 * x4_diag
     band[2, :x2_off.size] = -c2 * x2_off + c4 * x4_off2
     band[4, :x4_off4.size] = c4 * x4_off4
-    return BandMatrix(band)
+    return band
 
 
-def photon_number_band(alpha: float, n_max: int, spins: int) -> BandMatrix:
+def photon_number_band(alpha: float, n_max: int, spins: int) -> np.ndarray:
     """The physical photon number N = n + alpha x + alpha^2 of the frame
     displaced by alpha (alpha = 0: the bare frame), half-width `spins`, in a
     basis ordered by photon number with `spins` spin states fastest: 1 for
@@ -258,4 +259,4 @@ def photon_number_band(alpha: float, n_max: int, spins: int) -> BandMatrix:
     band = np.zeros((spins + 1, spins * k.size))
     band[0] = np.repeat(k + alpha**2, spins)
     band[spins, :-spins] = alpha * np.repeat(np.sqrt(k[1:]), spins)
-    return BandMatrix(band)
+    return band

@@ -6,6 +6,12 @@ n_max (an int) it tries, compares it with the doubled cutoff's by two band
 Cholesky factorisations (dpbtrf), not by a second eigenvalue solve, and
 returns both, with n_max, in a `FrameCutoff`.
 
+A band matrix is a NumPy array in LAPACK lower band storage, the form
+every builder in `hamiltonians` returns: `band[i - j, j] = H[i, j]` for
+`0 <= i - j <= half_width`, shape `(half_width + 1, dim)`; two rows make it
+tridiagonal, and the entries past the last row of H (`band[k, dim - k:]`)
+are ignored. No function here writes into a band it is given.
+
 `_band_eigh` is the one eigensolver kernel. It calls the LAPACK drivers that
 `scipy.linalg.eigh_tridiagonal` and `eig_banded` pick, with the same
 arguments, so its results are theirs bit for bit without their per-call
@@ -41,7 +47,6 @@ import scipy
 from numpy.linalg import LinAlgError  # the class scipy.linalg.LinAlgError names
 
 from .errors import ConvergenceError
-from .hilbert import BandMatrix
 
 
 def _scipy_linalg_extension(name: str) -> ModuleType:
@@ -97,15 +102,21 @@ def _check(info: int, driver: str):
         raise LinAlgError(f"{driver} failed (LAPACK info={info})")
 
 
-def _band_eigh(h: BandMatrix, lowest: bool):
+def _shifted(band: np.ndarray, const: float) -> np.ndarray:
+    """The band of H + const * identity, a copy."""
+    band = band.copy()
+    band[0] += const
+    return band
+
+
+def _band_eigh(band: np.ndarray, lowest: bool):
     """The lowest eigenvalue `w` (`lowest`, an array of one), or all
     eigenvalues `w` in ascending order and the eigenvectors `v` as columns,
     of a real symmetric band matrix. Raises `ValueError` on a non-finite
     entry and `LinAlgError` when a driver reports failure."""
-    band = h.band
     if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    if h.dim == 1:
+    if band.shape[1] == 1:
         # eigh_tridiagonal's shortcut, and what both band drivers return
         w = band[0, :1].copy()
         return w if lowest else (w, np.ones((1, 1)))
@@ -129,12 +140,12 @@ def _band_eigh(h: BandMatrix, lowest: bool):
     return w, v
 
 
-def band_ground_energy(h: BandMatrix) -> float:
+def band_ground_energy(band: np.ndarray) -> float:
     """Lowest eigenvalue of a real symmetric band matrix (bisection only)."""
-    return float(_band_eigh(h, lowest=True)[0])
+    return float(_band_eigh(band, lowest=True)[0])
 
 
-def band_ground_state(h: BandMatrix, energy: float) -> np.ndarray:
+def band_ground_state(band: np.ndarray, energy: float) -> np.ndarray:
     """Ground vector of a real symmetric band matrix, tridiagonal or wider,
     phase-fixed.
 
@@ -146,18 +157,18 @@ def band_ground_state(h: BandMatrix, energy: float) -> np.ndarray:
     ||(H - E0) x|| <= RESIDUAL_EPS eps ||H||. The shift sits a few ulps below
     E0, so H - shift is never exactly singular (say, for a diagonal H).
     """
-    n, width = h.dim, h.band.shape[0] - 1
-    row_max = np.abs(h.band).max(axis=1)
+    width, n = band.shape[0] - 1, band.shape[1]
+    row_max = np.abs(band).max(axis=1)
     bound = np.finfo(float).eps * (row_max[0] + 2.0 * row_max[1:].sum())  # eps ||H||_inf
     # LAPACK general band storage of H - shift: `width` rows of fill-in,
     # the mirrored upper diagonals, then the lower band
     ab = np.zeros((3 * width + 1, n))
-    ab[2 * width:] = h.shifted(-(energy - 4.0 * bound)).band
+    ab[2 * width:] = _shifted(band, -(energy - 4.0 * bound))
     for k in range(1, min(width + 1, n)):
         ab[2 * width - k, k:] = ab[2 * width + k, : n - k]
     # an exactly zero pivot would make x non-finite and fail the residual test
     lu, piv, _ = dgbtrf(ab, width, width, overwrite_ab=True)
-    residual = h.shifted(-energy).band
+    residual = _shifted(band, -energy)
     x = np.full((n, 1), 1.0 / np.sqrt(n))
     for solves in range(1, INVERSE_ITERATION_MAX + 1):
         x, _ = dgbtrs(lu, width, width, x, piv, overwrite_b=True)
@@ -173,17 +184,17 @@ def band_ground_state(h: BandMatrix, energy: float) -> np.ndarray:
     )
 
 
-def band_spectrum(h: BandMatrix) -> tuple[np.ndarray, np.ndarray]:
+def band_spectrum(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenvalues (ascending) and eigenvectors of a real band matrix."""
-    return _band_eigh(h, lowest=False)
+    return _band_eigh(band, lowest=False)
 
 
-def band_moments(n: BandMatrix, vec: np.ndarray) -> tuple[float, float]:
+def band_moments(n: np.ndarray, vec: np.ndarray) -> tuple[float, float]:
     """Mean and variance of the observable `n`, a real symmetric band matrix,
     in the real unit vector `vec`, from one product n vec (dsbmv). The
     variance is the squared norm of the centred residual n vec - mean vec, not
     <n vec, n vec> - mean^2, whose two terms of order mean^2 cancel."""
-    n_vec = dsbmv(n.band.shape[0] - 1, 1.0, n.band, vec, lower=1)
+    n_vec = dsbmv(n.shape[0] - 1, 1.0, n, vec, lower=1)
     mean = float(vec @ n_vec)
     residual = n_vec - mean * vec
     return mean, float(residual @ residual)
@@ -197,17 +208,17 @@ class FrameCutoff(NamedTuple):
     frame: int
     n_max: int
     energy: float
-    band: BandMatrix
+    band: np.ndarray
 
 
-def _definite(h: BandMatrix, shift: float) -> bool:
+def _definite(h: np.ndarray, shift: float) -> bool:
     """Whether h - shift is positive definite, that is whether every
     eigenvalue of h lies above `shift`: one band Cholesky factorisation,
     which stops at the first pivot that is not positive."""
-    return dpbtrf(h.shifted(-shift).band, lower=1)[1] == 0
+    return dpbtrf(_shifted(h, -shift), lower=1)[1] == 0
 
 
-def _within(h: BandMatrix, energy: float, tol: float) -> bool:
+def _within(h: np.ndarray, energy: float, tol: float) -> bool:
     """Whether the lowest eigenvalue E of h lies within tol of `energy`,
     energy - tol < E <= energy + tol: h - (energy - tol) is positive definite
     and h - (energy + tol) is not. Both bounds are checked, because E may lie
@@ -216,7 +227,7 @@ def _within(h: BandMatrix, energy: float, tol: float) -> bool:
 
 
 def converge_cutoff(
-    frames: tuple[Callable[[int], BandMatrix | None], ...], tol: float
+    frames: tuple[Callable[[int], np.ndarray | None], ...], tol: float
 ) -> FrameCutoff:
     """Smallest tested cutoff whose ground energy shifts by < tol on doubling.
 
@@ -237,7 +248,7 @@ def converge_cutoff(
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    built: dict[int, BandMatrix] = {}  # each failed frame's H(2n), its next H(n)
+    built: dict[int, np.ndarray] = {}  # each failed frame's H(2n), its next H(n)
     n = N_START
     while 2 * n <= CUTOFF_HARD_CAP:
         for frame, build in enumerate(frames):

@@ -1,8 +1,8 @@
 """Dense reference implementations that the library is tested against.
 
-The library solves every Hamiltonian as a real symmetric band matrix
-(`rabicrit.hilbert.BandMatrix`). This module keeps the dense complex path as
-the tests' oracle:
+The library solves every Hamiltonian as a real symmetric band matrix, a
+NumPy array in LAPACK lower band storage (see `rabicrit.spectra`). This
+module keeps the dense complex path as the tests' oracle:
   * `Operator` and `QuantumState` on the truncated spin (x) Fock space
     (basis ordering: spin factor first with basis (|e>, |g>), boson factor
     second with Fock levels 0..n_max, a cutoff that every builder takes as
@@ -46,7 +46,7 @@ reference ground path of the exact and effective methods, the mirror of
 `energy_search`, solves the ground state by full eigendecomposition and takes
 the physical photon number's moments. The echo (`decoherence_factor`) is the
 oracle's own: the full spectrum of each branch by dense `eigh` (or scipy's
-band solvers for a `BandMatrix`, accepted wherever a Hamiltonian is), both
+band solvers for a band array, accepted wherever a Hamiltonian is), both
 branches evolved to every time in one product, so it shares no code with
 `dynamics.decoherence_factor`, which it checks. `echo_sweep` stacks the
 sweep's own points (`experiments._point`) and does not pick a method's path
@@ -69,7 +69,6 @@ from rabicrit.analytic import CRITICAL_BAND
 from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
 from rabicrit.experiments import DispersiveReport, SweepConfig, _point
 from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band, alpha_lambda
-from rabicrit.hilbert import BandMatrix
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
 from rabicrit.variational import VariationalSolution
 
@@ -515,21 +514,25 @@ def build_effective_sp(p: RabiParams, n_max: int) -> Operator:
     return _quartic_dense(p.omega_c, *effective_sp_coeffs(p), n_max)
 
 
-def build_effective_np_band(p: RabiParams, n_max: int) -> BandMatrix:
+def build_effective_np_band(p: RabiParams, n_max: int) -> np.ndarray:
     """`build_effective_np` as a real band of half-width 4 in natural Fock
     order, its constant on the diagonal."""
     c2, c4, const = effective_np_coeffs(p)
-    return _quartic_band(p.omega_c, c2, c4, n_max).shifted(const)
+    band = _quartic_band(p.omega_c, c2, c4, n_max)
+    band[0] += const
+    return band
 
 
-def build_effective_sp_band(p: RabiParams, n_max: int) -> BandMatrix:
+def build_effective_sp_band(p: RabiParams, n_max: int) -> np.ndarray:
     """`build_effective_sp` as a real band of half-width 4 in natural Fock
     order of the frame displaced by alpha_lambda; requires lam > 1."""
     c2, c4, const = effective_sp_coeffs(p)
-    return _quartic_band(p.omega_c, c2, c4, n_max).shifted(const)
+    band = _quartic_band(p.omega_c, c2, c4, n_max)
+    band[0] += const
+    return band
 
 
-def build_rabi_parity_chains(p: RabiParams, n_max: int) -> BandMatrix:
+def build_rabi_parity_chains(p: RabiParams, n_max: int) -> np.ndarray:
     """`build_rabi` as a real tridiagonal matrix in parity order, both parity
     chains: rows 0..n_max are the even chain |g,0>, |e,1>, |g,2>, ... (the
     library's `build_rabi_parity`), rows n_max+1.. the odd chain |e,0>,
@@ -539,10 +542,10 @@ def build_rabi_parity_chains(p: RabiParams, n_max: int) -> BandMatrix:
     spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
     hop = -p.g * np.sqrt(k + 1.0)
     hop[-1] = 0.0
-    return BandMatrix(np.array([
+    return np.array([
         np.concatenate([p.omega_c * k + spin, p.omega_c * k - spin]),
         np.concatenate([hop, hop]),
-    ]))
+    ])
 
 
 # --- ground states and moments ----------------------------------------------
@@ -607,7 +610,7 @@ def parity_operator(n_max: int) -> Operator:
 def energy_search(frames, tol: float) -> FrameCutoff:
     """The reference of `spectra.converge_cutoff`, by energy comparison: over
     the same doubling sequence and frames (each a builder, cutoff -> dense
-    `Operator` or `BandMatrix`, or None where that frame is not built), the
+    `Operator` or band array, or None where that frame is not built), the
     first frame at the first cutoff n whose ground energy moves by less than
     tol, |E(2n) - E(n)| < tol, with E(2n) bisected (or diagonalised) too,
     and its matrix at n."""
@@ -619,7 +622,7 @@ def energy_search(frames, tol: float) -> FrameCutoff:
         if (frame, n) not in known:
             h = frames[frame](n)
             if h is not None:
-                h = band_ground_energy(h) if isinstance(h, BandMatrix) else ground_state(h).energy
+                h = band_ground_energy(h) if isinstance(h, np.ndarray) else ground_state(h).energy
             known[frame, n] = h
         return known[frame, n]
 
@@ -686,19 +689,19 @@ def dense_ground(p: RabiParams, method: str, tol: float) -> DenseGround:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and real orthonormal eigenvectors (columns) of
-    a dense real symmetric `Operator`, by `numpy.linalg.eigh`, or of a
-    `BandMatrix`, by scipy's `eigh_tridiagonal` or `eig_banded` (every
-    Hamiltonian here is real)."""
+    a dense real symmetric `Operator`, by `numpy.linalg.eigh`, or of a band
+    array, by scipy's `eigh_tridiagonal` or `eig_banded` (every Hamiltonian
+    here is real)."""
 
     energies: np.ndarray
     vectors: np.ndarray
 
     @classmethod
-    def of(cls, h: Operator | BandMatrix) -> "SpectralDecomposition":
-        if isinstance(h, BandMatrix):
-            if h.band.shape[0] == 2:
-                return cls(*eigh_tridiagonal(h.band[0], h.band[1, :-1]))
-            return cls(*eig_banded(h.band, lower=True))
+    def of(cls, h: Operator | np.ndarray) -> "SpectralDecomposition":
+        if isinstance(h, np.ndarray):
+            if h.shape[0] == 2:
+                return cls(*eigh_tridiagonal(h[0], h[1, :-1]))
+            return cls(*eig_banded(h, lower=True))
         if not h.is_hermitian():
             raise ValueError("spectral decomposition requires a Hermitian operator")
         if np.abs(h.mat.imag).max() > 0.0:
@@ -757,8 +760,8 @@ class EchoSeries:
 
 
 def decoherence_factor(
-    h_g: Operator | BandMatrix,
-    h_e: Operator | BandMatrix,
+    h_g: Operator | np.ndarray,
+    h_e: Operator | np.ndarray,
     ground: QuantumState,
     times,
 ) -> EchoSeries:
@@ -767,10 +770,11 @@ def decoherence_factor(
     both branches evolved to every time in one product. Energies are
     measured from H_g's lowest, a common phase of both branches that |D|
     does not see, so that the phases E t stay small."""
-    if h_g.dim != h_e.dim:
-        raise DimensionMismatchError(f"branch dims differ: {h_g.dim} vs {h_e.dim}")
     times = np.asarray(times, dtype=float)
     dg, de = SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e)
+    if dg.energies.size != de.energies.size:
+        raise DimensionMismatchError(
+            f"branch dims differ: {dg.energies.size} vs {de.energies.size}")
     e_ref = dg.energies[0]
     d = np.sum(dg.evolved(ground.vec, times, e_ref).conj()
                * de.evolved(ground.vec, times, e_ref), axis=0)

@@ -36,7 +36,7 @@ from rabicrit.analytic import CRITICAL_BAND, variance
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import Phase, ProbeParams, RabiParams, alpha_lambda, phase
-from rabicrit.variational import _cubic_coeffs, _energy_at, solve
+from rabicrit.variational import _cubic_coeffs, _energy_at, _squeezing, solve
 
 C32 = 32
 
@@ -232,9 +232,11 @@ def test_phase_record_matches_each_phase_in_lam():
                 assert ph.alpha == alpha_lambda(p)
                 coeffs = effective_sp_coeffs(p)
             pairs = list(zip((ph.c2, ph.c4, ph.const), coeffs))
-            pairs += zip(_cubic_coeffs(ph), cubic_coeffs(name, p))
+            c3, mu = _cubic_coeffs(ph)
+            pairs += zip((c3, 1.0 - mu), cubic_coeffs(name, p))
             pairs += [(_energy_at(ph, s), energy_at(name, s, p)) for s in (-0.1, 0.0, 0.1)]
-            s = solve(p).s
+            # the root alone: at eta = 1 the ansatz's moments are negative, and `solve` raises
+            s = _squeezing(c3, mu)
             pairs.append((_energy_at(ph, s), energy_at(name, s, p)))
             if abs(lam - 1.0) >= CRITICAL_BAND:
                 pairs.append((variance(p), (variance_np if name == NORMAL else variance_sp)(p)))

@@ -34,8 +34,15 @@ from oracle import (
 from rabicrit import dynamics, spectra
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import critical_lambda_grid
-from rabicrit.hamiltonians import RabiParams, build_rabi_parity, photon_number_band
-from rabicrit.hilbert import BandMatrix
+from rabicrit.hamiltonians import (
+    RabiParams,
+    _quartic_band,
+    alpha_lambda,
+    build_displaced_rabi_band,
+    build_rabi_parity,
+    phase,
+    photon_number_band,
+)
 
 
 def test_ground_state_decoupled():
@@ -109,15 +116,15 @@ def test_operator_moments_matches_photon_moments():
     assert g1 == pytest.approx(g2, abs=1e-10)
 
 
-def _moments_40_digits(n: BandMatrix, vec: np.ndarray):
+def _moments_40_digits(n: np.ndarray, vec: np.ndarray):
     """Mean and variance of the band observable `n` in `vec` (normalised here),
     in 40-digit arithmetic from the float entries of both."""
     with mp.workdps(40):
         v = [mp.mpf(float(x)) for x in vec]
         nv = [mp.mpf(0)] * len(v)
-        for k in range(n.band.shape[0]):
+        for k in range(n.shape[0]):
             for j in range(len(v) - k):
-                entry = mp.mpf(float(n.band[k, j]))
+                entry = mp.mpf(float(n[k, j]))
                 nv[j + k] += entry * v[j]
                 if k:
                     nv[j] += entry * v[j + k]
@@ -153,6 +160,52 @@ def test_dense_photon_number_variance_without_cancellation():
     assert gs.gamma == pytest.approx(var, rel=1e-12, abs=0.0)
     assert gs.mean_n == pytest.approx(mean, rel=1e-14, abs=0.0)
     assert abs(gs.gamma - _moments_40_digits(n, vec)[1]) <= 1e-12 * var
+
+
+def _shared_bands():
+    """A tridiagonal band (the even parity chain), a wider one (the displaced
+    band, half-width 3), and the effective method's even block, a strided
+    view of its full band, with that full band."""
+    p = RabiParams.from_dimensionless(1.2, 50.0)
+    ph = phase(p)
+    full = _quartic_band(ph.omega_c, ph.c2, ph.c4, 16)
+    return {
+        "tridiagonal": (build_rabi_parity(p, 16), photon_number_band(0.0, 16, 1)),
+        "displaced": (build_displaced_rabi_band(p, alpha_lambda(p), 16),
+                      photon_number_band(alpha_lambda(p), 16, 2)),
+        "even_block": (full[0::2, 0::2], photon_number_band(0.0, 16, 1)[0::2, 0::2]),
+    }, full
+
+
+@pytest.mark.parametrize("which", ["tridiagonal", "displaced", "even_block"])
+def test_no_entry_point_writes_into_its_band(which):
+    # a band is a plain array, and some are shared: the effective method's
+    # cached band feeds both its search and its branches, `converge_cutoff`
+    # keeps a failed frame's H(2n) as the next H(n), and `band_ground_state`
+    # and `probe_branches` both read `FrameCutoff.band`. Every entry point
+    # leaves the arrays it is given bit-identical
+    bands, full = _shared_bands()
+    h, n = bands[which]
+    inputs = (h, n, full)
+    before = [a.copy() for a in inputs]
+    energy = spectra.band_ground_energy(h)
+    vec = spectra.band_ground_state(h, energy)
+    vec_before = vec.copy()
+    calls = {
+        "_band_eigh lowest": lambda: spectra._band_eigh(h, lowest=True),
+        "_band_eigh all": lambda: spectra._band_eigh(h, lowest=False),
+        "band_spectrum": lambda: spectra.band_spectrum(h),
+        "band_ground_state": lambda: spectra.band_ground_state(h, energy),
+        "_within": lambda: spectra._within(h, energy, 1e-8),
+        "_within below": lambda: spectra._within(h, energy - 1.0, 1e-8),
+        "band_moments": lambda: spectra.band_moments(n, vec),
+        "converge_cutoff": lambda: spectra.converge_cutoff((lambda c: h,), 1e-8),
+    }
+    for name, call in calls.items():
+        call()
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes(), name
+        assert vec.tobytes() == vec_before.tobytes(), name
 
 
 def test_parity_operator():
@@ -208,7 +261,7 @@ def test_converge_cutoff_errors():
 
     def drifting(n_max):
         built.append(n_max)
-        return BandMatrix(np.array([[-float(n_max), 1.0], [0.0, 0.0]]))
+        return np.array([[-float(n_max), 1.0], [0.0, 0.0]])
 
     with pytest.raises(ConvergenceError):
         spectra.converge_cutoff((drifting,), 1e-12)
@@ -234,15 +287,14 @@ def test_definiteness_decides_as_the_energy_comparison(width, dim, seed, scale, 
     # accurate, and forming e -/+ tol rounds by eps (|e| + tol)
     rng = np.random.default_rng(seed)
     band = 10.0**scale * rng.standard_normal((width + 1, dim))
-    h = BandMatrix(band)
-    energy = spectra.band_ground_energy(h)
+    energy = spectra.band_ground_energy(band)
     row_max = np.abs(band).max(axis=1)
     norm = row_max[0] + 2.0 * row_max[1:].sum()  # ||H||_inf
     tol = 10.0**tol * norm
     e = energy + offset * tol
     margin = 16.0 * np.finfo(float).eps * (norm + abs(e) + tol)
     assume(abs(abs(energy - e) - tol) > margin)
-    assert spectra._within(h, e, tol) == (abs(energy - e) < tol)
+    assert spectra._within(band, e, tol) == (abs(energy - e) < tol)
 
 
 @pytest.mark.parametrize("method", ["exact", "effective"])
@@ -263,7 +315,7 @@ def test_cutoff_search_equals_the_energy_comparison(monkeypatch, method):
             dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
             ((found, reference),) = compared
             assert found[:3] == reference[:3], (lam, eta)
-            assert np.array_equal(found.band.band, reference.band.band), (lam, eta)
+            assert np.array_equal(found.band, reference.band), (lam, eta)
 
 
 @pytest.mark.parametrize("method, points", [
@@ -279,7 +331,7 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
     eigh = spectra._band_eigh
 
     def counted(h, lowest):
-        dims.append(h.dim)
+        dims.append(h.shape[1])
         return eigh(h, lowest)
 
     def search(frames, tol):
@@ -294,7 +346,7 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
         searches.clear()
         dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
         ((frames, found),) = searches
-        doubled = frames[found.frame](2 * found.n_max).dim
+        doubled = frames[found.frame](2 * found.n_max).shape[1]
         assert dims and max(dims) < doubled, (lam, eta, max(dims), doubled)
 
 
@@ -342,7 +394,7 @@ def test_bare_frame_bisects_once_per_tried_cutoff(monkeypatch, lam, eta):
     eigh = spectra._band_eigh
 
     def counted(h, lowest):
-        calls.append((h.dim, lowest))
+        calls.append((h.shape[1], lowest))
         return eigh(h, lowest)
 
     monkeypatch.setattr(spectra, "_band_eigh", counted)

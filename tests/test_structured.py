@@ -62,7 +62,6 @@ from rabicrit.hamiltonians import (
     build_tripartite_blocks,
     photon_number_band,
 )
-from rabicrit.hilbert import BandMatrix
 from rabicrit.spectra import (
     CUTOFF_HARD_CAP,
     band_ground_energy,
@@ -75,13 +74,13 @@ TOL = 1e-8
 DEFAULT_PROBE = ProbeParams(0.05, 5.0)  # the CLI's g_s = 0.05, Delta_s / g_s = 100
 
 
-def _dense(h: BandMatrix) -> np.ndarray:
-    """The full symmetric matrix stored in `h`."""
-    n = h.dim
+def _dense(h: np.ndarray) -> np.ndarray:
+    """The full symmetric matrix stored in the band `h`."""
+    n = h.shape[1]
     mat = np.zeros((n, n))
-    for k in range(min(h.band.shape[0], n)):
+    for k in range(min(h.shape[0], n)):
         i = np.arange(n - k)
-        mat[i + k, i] = mat[i, i + k] = h.band[k, : n - k]
+        mat[i + k, i] = mat[i, i + k] = h[k, : n - k]
     return mat
 
 
@@ -123,8 +122,8 @@ def test_band_builders_are_permuted_dense_builders():
         chains = build_rabi_parity_chains(p, n_max)
         assert np.array_equal(dense.real[np.ix_(order, order)], _dense(chains))
         # the even chain is the leading block, split off by a zero entry
-        assert chains.band[1, n_max] == 0.0
-        assert np.array_equal(build_rabi_parity(p, n_max).band, chains.band[:, :n_max + 1])
+        assert chains[1, n_max] == 0.0
+        assert np.array_equal(build_rabi_parity(p, n_max), chains[:, :n_max + 1])
         p = RabiParams.from_dimensionless(1.3, 20.0)
         alpha = alpha_lambda(p)
         order = _spin_fastest_order(n_max)
@@ -133,7 +132,7 @@ def test_band_builders_are_permuted_dense_builders():
                               _dense(build_displaced_rabi_band(p, alpha, n_max)))
         # the physical photon number in the same spin-fastest basis
         n_band = photon_number_band(alpha, n_max, 2)
-        assert n_band.band.shape == (3, 2 * (n_max + 1))
+        assert n_band.shape == (3, 2 * (n_max + 1))
         dense = tensor(identity((2,)), physical_number(alpha, n_max)).mat
         assert np.abs(dense.imag).max() == 0.0
         assert np.array_equal(dense.real[np.ix_(order, order)], _dense(n_band))
@@ -158,9 +157,9 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
             h = build(p)
             for branch, q in zip(dynamics.probe_branches(h, n, chi), shifted):
                 ref = build(q)
-                assert branch.band.shape == ref.band.shape
-                err = np.abs(branch.band - ref.band).max()
-                assert err <= 4.0 * eps * np.abs(ref.band).max(), (lam, eta, err)
+                assert branch.shape == ref.shape
+                err = np.abs(branch - ref).max()
+                assert err <= 4.0 * eps * np.abs(ref).max(), (lam, eta, err)
 
 
 def test_band_moments_match_dense_operator_moments():
@@ -210,7 +209,7 @@ def test_tripartite_blocks_are_dense_parity_blocks():
             blocks = build_tripartite_blocks(p, probe, n_max)
             assert len(blocks) == 2
             for block, order in zip(blocks, orders):
-                assert block.band.shape == (3, 2 * (n_max + 1))
+                assert block.shape == (3, 2 * (n_max + 1))
                 assert np.array_equal(dense.real[np.ix_(order, order)], _dense(block))
             assert not dense[np.ix_(*orders)].any()
 
@@ -263,7 +262,7 @@ def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
     solved = []
 
     def counted(h, solve=experiments.band_spectrum):
-        solved.append((h.dim, h.band.shape[0] - 1))
+        solved.append((h.shape[1], h.shape[0] - 1))
         return solve(h)
 
     monkeypatch.setattr(experiments, "band_spectrum", counted)
@@ -438,7 +437,7 @@ def test_effective_band_builders_equal_dense_builders():
                 cases.append((physical_number(alpha, n_max), photon_number_band(alpha, n_max, 1), 2))
         cases.append((number(n_max), photon_number_band(0.0, n_max, 1), 2))
         for dense, band, rows in cases:
-            assert band.band.shape == (rows, n_max + 1)
+            assert band.shape == (rows, n_max + 1)
             assert np.abs(dense.mat.imag).max() == 0.0
             err = np.abs(dense.mat.real - _dense(band)).max()
             assert err <= 4.0 * eps * np.abs(dense.mat).max(), (n_max, err)
@@ -534,14 +533,14 @@ def test_inverse_iteration_vector_matches_eig_banded():
     for h in cases:
         energy = band_ground_energy(h)
         vec = band_ground_state(h, energy)
-        if h.band.shape[0] == 2:
-            w, v = eigh_tridiagonal(h.band[0], h.band[1, :-1], select="i", select_range=(0, 0))
+        if h.shape[0] == 2:
+            w, v = eigh_tridiagonal(h[0], h[1, :-1], select="i", select_range=(0, 0))
         else:
-            w, v = eig_banded(h.band, lower=True, select="i", select_range=(0, 0))
+            w, v = eig_banded(h, lower=True, select="i", select_range=(0, 0))
         ref = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
         assert energy == w[0]
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
-        assert np.abs(vec - ref).max() < 1e-9, (h.band.shape, np.abs(vec - ref).max())
+        assert np.abs(vec - ref).max() < 1e-9, (h.shape, np.abs(vec - ref).max())
         resid = _dense(h) @ vec - energy * vec
         assert np.linalg.norm(resid) <= 8.0 * np.finfo(float).eps * np.abs(_dense(h)).sum(axis=1).max()
 
@@ -580,7 +579,7 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
             h = build_rabi_parity(p, gs.n_max)
         energy = band_ground_energy(h)
         vec = band_ground_state(h, energy)
-        assert np.array_equal(gs.h.band, h.band)
+        assert np.array_equal(gs.h, h)
         assert gs.energy == energy
         assert np.array_equal(gs.vector, vec)
 

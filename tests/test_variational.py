@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,8 +20,8 @@ from rabicrit.analytic import short_time_le, variance
 from rabicrit.cli import main
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import SweepConfig, critical_lambda_grid, run
-from rabicrit.hamiltonians import RabiParams
-from rabicrit.variational import solve
+from rabicrit.hamiltonians import RabiParams, phase
+from rabicrit.variational import _cubic_coeffs, _squeezing, solve
 
 
 def test_decoupled_limit():
@@ -49,13 +50,15 @@ def test_stationarity_grid(lam, eta):
 def test_newton_root_matches_closed_form():
     # dual path: Newton's root of the stationarity cubic against the published
     # closed form, on the figures' lambda grid plus 2 and 3 and the decoupled
-    # limit, at eta = 1, 10, ..., 1e8
+    # limit, at eta = 1, 10, ..., 1e8; the root alone, because at eta = 1 the
+    # ansatz's moments are negative and `solve` raises
     lams = [0.0] + critical_lambda_grid() + [2.0, 3.0]
     for eta in 10.0 ** np.arange(9):
         for lam in lams:
-            phase = NORMAL if lam < 1.0 else SUPERRADIANT
-            x = math.exp(2.0 * solve(RabiParams.from_dimensionless(lam, eta)).s)
-            x_closed = closed_form_x(phase, lam, eta)
+            name = NORMAL if lam < 1.0 else SUPERRADIANT
+            s = _squeezing(*_cubic_coeffs(phase(RabiParams.from_dimensionless(lam, eta))))
+            x = math.exp(2.0 * s)
+            x_closed = closed_form_x(name, lam, eta)
             assert abs(x_closed - x) <= DUAL_PATH_RTOL * x, (lam, eta, x, x_closed)
 
 
@@ -93,17 +96,16 @@ def test_gamma_prime_limit():
 
 def test_gamma_prime_negative_clamped_not_fatal(tmp_path):
     # at eta = 1 the finite-eta correction outweighs the leading terms: the
-    # variance is returned negative, not raised. Clamped at 0 it would give a
-    # flat echo, L = 1, so the Gaussian law raises instead, and a sweep records
-    # the point as degraded (converged=false, NaN values, exit status 1) and
-    # goes on
-    p = RabiParams.from_dimensionless(0.9, 1.0)
-    sol = solve(p)
-    assert sol.gamma_prime < 0.0
+    # variance comes out negative (-0.077). Clamped at 0 it would give a flat
+    # echo, L = 1, so `solve` raises instead, as the Gaussian law does on a
+    # negative variance, and a sweep records the point as degraded
+    # (converged=false, NaN values, exit status 1) and goes on
+    with pytest.raises(PhaseDomainError, match="variance -0.077"):
+        solve(RabiParams.from_dimensionless(0.9, 1.0))
     with pytest.raises(PhaseDomainError, match="variance"):
-        short_time_le(sol.gamma_prime, 1e-3, [0.0, 10.0, 60.0])
+        short_time_le(-0.077, 1e-3, [0.0, 10.0, 60.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
-        sol.gamma_prime = 0.0
+        solve(RabiParams.from_dimensionless(0.5, 1.0)).gamma_prime = 0.0
 
     cfg = SweepConfig("custom", [0.5, 0.9], [1.0], [0.0, 60.0], 1e-3, ["variational"])
     assert solve(RabiParams.from_dimensionless(0.5, 1.0)).gamma_prime > 0.0
@@ -113,6 +115,40 @@ def test_gamma_prime_negative_clamped_not_fatal(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(cfg.canonical_text())
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
+
+
+@pytest.mark.parametrize("eta", [1e-200, 0.5])
+def test_point_outside_the_ansatz_domain_is_degraded(tmp_path, eta):
+    # eta = 1e-200: q4 = (c2/omega_t)^2 overflows; eta = 0.5: the mean photon
+    # number comes out negative (-0.0035) while the ansatz's variance is
+    # negative too. Either way the ansatz has no state there: `solve` raises,
+    # the fig1 point is degraded and the CLI exits 1, without a traceback
+    with pytest.raises(PhaseDomainError):
+        solve(RabiParams.from_dimensionless(0.5, eta))
+    cfg = SweepConfig("fig1", [0.5], [eta], [0.0], 0.0, ["variational"])
+    (pt,) = run(cfg, tmp_path / "run")
+    assert not pt.converged and all(map(math.isnan, pt.value))
+    path = tmp_path / "sweep.cfg"
+    path.write_text(cfg.canonical_text())
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
+
+
+@pytest.mark.parametrize("lam", [0.02, 0.04])
+def test_squeezing_to_full_precision_at_small_lam(lam):
+    # at small lam the root x = e^{2 s} of the cubic lies near 1 (s ~ lam^2/4),
+    # where log(x)/2 of a rounded x lost up to 7e-13 of s; against the root of
+    # (3 lam^4 / (2 eta)) x^3 + (1 - lam^2) x^2 - 1 and the photon mean
+    # sinh^2 s + q2 - 8 q2^2 x, q2 = lam^2 / (4 eta), in 50-digit arithmetic
+    p = RabiParams.from_dimensionless(lam, 1e5)
+    sol = solve(p)
+    with mp.workdps(50):
+        l2, eta = mp.mpf(p.lam) ** 2, mp.mpf(p.eta)
+        x = mp.findroot(lambda x: 3 * l2**2 / (2 * eta) * x**3 + (1 - l2) * x**2 - 1, mp.mpf(1))
+        s = mp.log(x) / 2
+        q2 = l2 / (4 * eta)
+        mean_n = mp.sinh(s) ** 2 + q2 - 8 * q2**2 * x
+    assert abs(sol.s / s - 1) <= 1e-14
+    assert abs(sol.mean_n / mean_n - 1) <= 1e-14
 
 
 def test_energy_matches_mean_field_scale():
