@@ -89,7 +89,7 @@ def main(argv=None) -> int:
 
     if args.command == "validate-dispersive":
         try:
-            p = RabiParams.from_dimensionless(args.lam, args.eta)
+            p = RabiParams(args.lam, args.eta)
             phase(p)
             probe = ProbeParams(args.g_s, args.detuning_ratio * args.g_s)
         except ValueError as exc:  # a derived value, g, the phase record, delta_s or chi, overflowed

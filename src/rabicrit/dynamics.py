@@ -75,15 +75,15 @@ class BandGround:
     the band `h` its `vector` lives in, and the physical photon number `n` in
     that same basis, so that the probe branches are `probe_branches(h, n,
     chi)`. The frame is the bare one (`alpha` = 0) or the one displaced by
-    `alpha` = alpha_lambda. Below the transition both methods use the bare
-    frame. Above it the effective method uses the displaced frame; the exact
-    method uses whichever of the two its cutoff search converges in first
-    (see `exact_ground_state`). The exact method's `h` is the even parity
-    chain in the bare frame and the spin-fastest band in the displaced one;
-    the effective method's is its Hamiltonian without the constant, on the
-    even photon numbers in the bare frame and in natural Fock order in the
-    displaced one. `mean_n` and `gamma` are the moments of `n`; `energy`
-    includes every constant.
+    the phase's `alpha` (`hamiltonians.phase`). Below the transition both
+    methods use the bare frame. Above it the effective method uses the
+    displaced frame; the exact method uses whichever of the two its cutoff
+    search converges in first (see `exact_ground_state`). The exact
+    method's `h` is the even parity chain in the bare frame and the
+    spin-fastest band in the displaced one; the effective method's is its
+    Hamiltonian without the constant, on the even photon numbers in the bare
+    frame and in natural Fock order in the displaced one. `mean_n` and
+    `gamma` are the moments of `n`; `energy` includes every constant.
     """
 
     alpha: float
@@ -107,13 +107,13 @@ def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -
     (alpha = 0) is the even parity chain, whose row k has k photons; a
     displaced one the spin-fastest band, two rows per photon number. Above
     the transition the bare frame holds both wells only from about
-    alpha_lambda^2 photons, so it is not built below that cutoff; alone and
+    alpha^2 photons, so it is not built below that cutoff; alone and
     beyond every cutoff the search tries, it raises `ConvergenceError` before
     any band is built."""
     n_bare = phase(p).alpha ** 2
     if alphas == (0.0,) and n_bare > CUTOFF_HARD_CAP // 2:
         raise ConvergenceError(
-            f"bare frame needs a cutoff of alpha_lambda^2 = {n_bare:.6g} photons to hold "
+            f"bare frame needs a cutoff of alpha^2 = {n_bare:.6g} photons to hold "
             f"both wells, above the largest the search tries ({CUTOFF_HARD_CAP // 2})"
         )
 
@@ -133,8 +133,8 @@ def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -
 def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """Exact ground state. Below the transition it is solved in the bare
     frame. Above it, one doubling loop searches the bare frame and the frame
-    displaced by alpha_lambda, the bare one first at each cutoff, and the
-    state is solved in the first whose ground energy converges: the
+    displaced by the phase's alpha, the bare one first at each cutoff, and
+    the state is solved in the first whose ground energy converges: the
     displaced frame where the two wells are far apart, the bare one where
     tunnelling between them still matters (`_exact_ground`).
     """
@@ -144,7 +144,7 @@ def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
 
 def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """Ground state of the fourth-order effective Hamiltonian of the phase of
-    `p` (the superradiant one in the frame displaced by alpha_lambda). The
+    `p` (the superradiant one in the frame displaced by its alpha). The
     Hamiltonian conserves photon parity in both phases, so the cutoff search
     and the ground vector both use its even photon numbers alone, a band of
     half the dimension and half-width 2, and the energy the search bisected
@@ -152,14 +152,14 @@ def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     number conserves parity too, and the state stays on the even block;
     above it, its displacement term alpha x does not, and the state is
     embedded in the full band. Both use the Hamiltonian without its constant
-    (-omega_0/2 at leading order), which is added once, to the reported
+    (-eta/2 at leading order), which is added once, to the reported
     energy: kept in the band, the constant's roundoff, of order
-    eps omega_0 / gap, would stay in the vector and, in the branches, grow
+    eps eta / gap, would stay in the vector and, in the branches, grow
     into a phase error of L with t.
     """
     ph = phase(p)
     # one build per cutoff: above the transition the full band is the searched one
-    band = cache(partial(_quartic_band, ph.omega_c, ph.c2, ph.c4))
+    band = cache(partial(_quartic_band, ph.c2, ph.c4))
     found = converge_cutoff((lambda c: band(c)[0::2, 0::2],), cutoff_tol)
     even = band_ground_state(found.band, found.energy)
     n = photon_number_band(ph.alpha, found.n_max, 1)
@@ -181,9 +181,9 @@ def probe_branches(h: np.ndarray, n: np.ndarray, chi: float) -> tuple[np.ndarray
     on the probe in |g> or |e>, with `n` the physical photon number in the
     basis of `h` (no wider a band). A probe of dispersive shift
     chi = g_s^2 / Delta_s shifts the cavity frequency by -/+ chi: in either
-    frame, h -/+ chi n is the Rabi Hamiltonian rebuilt at omega_c -/+ chi,
-    in which omega_c enters only as omega_c n. The probe's own energy is
-    left out of both: it changes only the phase of D.
+    frame, h -/+ chi n is the Rabi Hamiltonian with the cavity frequency
+    1 -/+ chi in place of 1, which enters only as the coefficient of n. The
+    probe's own energy is left out of both: it changes only the phase of D.
     """
     n_band = np.zeros_like(h)
     n_band[:n.shape[0]] = n
@@ -199,7 +199,7 @@ def decoherence_factor(gs: BandGround, chi: float, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     (w_g, v_g), (w_e, v_e) = map(band_spectrum, probe_branches(gs.h, gs.n, chi))
     # A common energy offset is a global phase that cancels in |D|; removing
-    # it keeps the phases E t small (E is near -omega_0/2).
+    # it keeps the phases E t small (E is near -eta/2).
     e_ref = w_g[0]
     return np.sum(evolved(w_g, v_g, gs.vector, times, e_ref).conj()
                   * evolved(w_e, v_e, gs.vector, times, e_ref), axis=0)

@@ -96,7 +96,7 @@ class SweepConfig:
         if not isfinite(self.chi * self.chi):
             raise ValueError(f"chi too large: chi^2 of {self.chi:g} is not finite")
         try:
-            phase(RabiParams.from_dimensionless(self.lambda_grid[-1], self.eta_grid[-1]))
+            phase(RabiParams(self.lambda_grid[-1], self.eta_grid[-1]))
         except ValueError as exc:
             raise ValueError(f"lambda_grid and eta_grid out of range: {exc}") from None
         if not self.cutoff_tol > 0:
@@ -252,7 +252,7 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     finite, or whose phase record is not finite, is degraded; the sweep goes
     on."""
     t0 = time.perf_counter()
-    p = RabiParams.from_dimensionless(lam, eta)
+    p = RabiParams(lam, eta)
     ground = cfg.figure in GROUND_FIGURES
     if ground:
         chi, times, names = "", ["", ""], ["energy", "mean_n"]
@@ -332,7 +332,7 @@ def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
 
 
 def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
-    """Execute a sweep at omega_c = 1, writing `<figure>.csv`, `<figure>.gp`
+    """Execute a sweep, writing `<figure>.csv`, `<figure>.gp`
     and `report.json` into `out_dir`; return its points."""
     config.validate()
     out = Path(out_dir)

@@ -22,9 +22,8 @@ H -/+ chi N (`dynamics.probe_branches`). The probe atom (`ProbeParams`)
 holds its coupling g_s and its detuning delta_s from the cavity, is
 prepared in (|g> + |e>)/sqrt(2), and enters the echo only through its
 dispersive shift chi = g_s^2 / delta_s; only the tripartite model reads its
-frequency, omega_c + delta_s. Spin states are ordered (|e>, |g>).
-Natural units: the constructors accept any positive and finite omega_c;
-`from_dimensionless` and the CLI fix omega_c = 1.
+frequency, 1 + delta_s. Spin states are ordered (|e>, |g>). Energies are in
+units of the cavity frequency omega_c, and times in units of 1/omega_c.
 """
 
 from __future__ import annotations
@@ -39,42 +38,34 @@ from .errors import PhaseDomainError
 
 @dataclass(frozen=True)
 class RabiParams:
-    """Rabi-model parameter set (omega_c, omega_0, g).
+    """The Rabi model at the dimensionless coupling `lam` and the ratio `eta`
+    of the spin splitting omega_0 to the cavity frequency omega_c. In units
+    of omega_c, omega_0 is eta and the coupling is g = lam sqrt(eta) / 2."""
 
-    The dimensionless coupling lam = 2 g / sqrt(omega_0 omega_c) and the
-    frequency ratio eta = omega_0 / omega_c are derived, never stored.
-    """
-
-    omega_c: float
-    omega_0: float
-    g: float
+    lam: float
+    eta: float
 
     def __post_init__(self):
-        if not all(map(isfinite, (self.omega_c, self.omega_0, self.g))):
-            raise ValueError("omega_c, omega_0 and g must be finite")
-        if not (self.omega_c > 0 and self.omega_0 > 0):
-            raise ValueError("omega_c and omega_0 must be strictly positive")
-        if not self.g >= 0:
-            raise ValueError("g must be non-negative")
+        if not (isfinite(self.lam) and isfinite(self.eta)):
+            raise ValueError(f"lam and eta must be finite, got lam = {self.lam}, "
+                             f"eta = {self.eta}")
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be non-negative, got {self.lam}")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be strictly positive, got {self.eta}")
+        if not isfinite(self.g):
+            raise ValueError(f"g = lam sqrt(eta) / 2 overflows at lam = {self.lam:g}, "
+                             f"eta = {self.eta:g}")
 
     @property
-    def lam(self) -> float:
-        return 2.0 * self.g / sqrt(self.omega_0 * self.omega_c)
-
-    @property
-    def eta(self) -> float:
-        return self.omega_0 / self.omega_c
-
-    @classmethod
-    def from_dimensionless(cls, lam: float, eta: float) -> "RabiParams":
-        """The parameters of (lam, eta) with omega_c = 1."""
-        return cls(1.0, eta, lam * sqrt(eta) / 2.0)
+    def g(self) -> float:
+        return self.lam * sqrt(self.eta) / 2.0
 
 
 @dataclass(frozen=True)
 class ProbeParams:
     """Auxiliary atom coupled by `g_s` and detuned by `delta_s` from the
-    cavity, so that its frequency is omega_c + delta_s; it is prepared in
+    cavity, so that its frequency is 1 + delta_s; it is prepared in
     (|g> + |e>)/sqrt(2). The dispersive shift `chi` is derived, never stored."""
 
     g_s: float
@@ -94,28 +85,19 @@ class ProbeParams:
         return self.g_s**2 / self.delta_s
 
 
-def alpha_lambda(p: RabiParams) -> float:
-    """Displacement magnitude that removes the linear boson term, lam > 1 only."""
-    lam = p.lam
-    if lam <= 1.0:
-        raise PhaseDomainError(f"alpha_lambda requires lam > 1, got lam={lam}")
-    return sqrt(p.omega_0 * (lam**4 - 1.0) / (4.0 * lam**2 * p.omega_c))
-
-
 @dataclass(frozen=True)
 class Phase:
     """The low-spin picture of one side of the transition (Hwang, Puebla &
     Plenio, PRL 115, 180404 (2015)): the cavity, in the frame displaced by
     `alpha`, couples through `mu` to a two-level system of splitting
-    `omega_t`. Normal phase: alpha = 0, omega_t = omega_0, mu = lam^2.
-    Superradiant phase: alpha = alpha_lambda, omega_t = lam^2 omega_0,
-    mu = lam^-4.
+    `omega_t`. Normal phase: alpha = 0, omega_t = eta, mu = lam^2.
+    Superradiant phase: alpha = sqrt(eta (lam^4 - 1) / (4 lam^2)), which
+    removes the linear boson term, omega_t = lam^2 eta, mu = lam^-4.
 
     Its fourth-order effective Hamiltonian, in that frame, is
-    omega_c n - c2 x^2 + c4 x^4 + const with x = a + a^dag.
+    n - c2 x^2 + c4 x^4 + const with x = a + a^dag.
     """
 
-    omega_c: float
     alpha: float
     omega_t: float
     mu: float
@@ -130,7 +112,7 @@ class Phase:
 
     @property
     def c2(self) -> float:
-        return self.omega_c * self.mu / 4.0
+        return self.mu / 4.0
 
     @property
     def c4(self) -> float:
@@ -138,8 +120,7 @@ class Phase:
 
     @property
     def const(self) -> float:
-        return (-0.5 * self.omega_t + self.omega_c * self.c2 / self.omega_t
-                + self.omega_c * self.alpha**2)
+        return -0.5 * self.omega_t + self.c2 / self.omega_t + self.alpha**2
 
 
 def phase(p: RabiParams) -> Phase:
@@ -149,15 +130,15 @@ def phase(p: RabiParams) -> Phase:
     lam = p.lam
     if lam > 1.0:
         try:
-            alpha = alpha_lambda(p)
+            alpha = sqrt(p.eta * (lam**4 - 1.0) / (4.0 * lam**2))
         except OverflowError:  # lam**4, for lam above about 1e77
-            raise PhaseDomainError(f"alpha_lambda overflows at lam = {lam:g}") from None
-        return Phase(p.omega_c, alpha, lam**2 * p.omega_0, lam**-4)
-    return Phase(p.omega_c, 0.0, p.omega_0, lam**2)
+            raise PhaseDomainError(f"the displacement alpha overflows at lam = {lam:g}") from None
+        return Phase(alpha, lam**2 * p.eta, lam**-4)
+    return Phase(0.0, p.eta, lam**2)
 
 
 def build_rabi_parity(p: RabiParams, n_max: int) -> np.ndarray:
-    """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag) on
+    """H = a^dag a + (eta/2) sigma_z - g sigma_x (a + a^dag) on
     its even parity chain |g,0>, |e,1>, |g,2>, ..., a real tridiagonal matrix
     whose row k has k photons.
 
@@ -167,9 +148,9 @@ def build_rabi_parity(p: RabiParams, n_max: int) -> np.ndarray:
     nearly degenerate doublet, split by the tunnelling between the two wells.
     """
     k = np.arange(n_max + 1, dtype=float)
-    spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
+    spin = 0.5 * p.eta * (-1.0) ** (k + 1)  # sigma_z on the even chain
     band = np.zeros((2, k.size))
-    band[0] = p.omega_c * k + spin
+    band[0] = k + spin
     band[1, :-1] = -p.g * np.sqrt(k[1:])
     return band
 
@@ -178,8 +159,8 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, n_max: int) -> n
     """The Rabi Hamiltonian conjugated by D(alpha_disp) as a real band matrix
     of half-width 3:
 
-    H~ = omega_c (a^dag + alpha)(a + alpha) - g (a + a^dag) sigma_x
-         + (omega_0/2) sigma_z - 2 g alpha sigma_x,
+    H~ = (a^dag + alpha)(a + alpha) - g (a + a^dag) sigma_x
+         + (eta/2) sigma_z - 2 g alpha sigma_x,
 
     built term by term (not by conjugating with a truncated displacement), so
     it stays exactly symmetric for any alpha. Spin-fastest basis: row 2 k + s
@@ -187,13 +168,13 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, n_max: int) -> n
     """
     k = np.arange(n_max + 1, dtype=float)
     root = np.sqrt(k[1:])
-    boson = p.omega_c * (k + alpha_disp**2)
+    boson = k + alpha_disp**2
     band = np.zeros((4, 2 * k.size))
-    band[0, 0::2] = boson + 0.5 * p.omega_0
-    band[0, 1::2] = boson - 0.5 * p.omega_0
+    band[0, 0::2] = boson + 0.5 * p.eta
+    band[0, 1::2] = boson - 0.5 * p.eta
     band[1, 0::2] = -2.0 * p.g * alpha_disp    # <g,k| H |e,k>
     band[1, 1:-1:2] = -p.g * root              # <e,k+1| H |g,k>
-    band[2, :-2] = p.omega_c * alpha_disp * np.repeat(root, 2)  # <s,k+1| H |s,k>
+    band[2, :-2] = alpha_disp * np.repeat(root, 2)  # <s,k+1| H |s,k>
     band[3, 0:-3:2] = -p.g * root              # <g,k+1| H |e,k>
     return band
 
@@ -202,7 +183,7 @@ def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
                             n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The Jaynes-Cummings probe plus the Rabi model, before the dispersive
     step, H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a)
-    with omega_s = omega_c + delta_s, on its two blocks of total parity (the
+    with omega_s = 1 + delta_s, on its two blocks of total parity (the
     Rabi parity times the probe's): real band matrices of half-width 2. Row
     2 k is the probe in |g> with row k of one Rabi parity chain, row 2 k + 1
     the probe in |e> with row k of the other. The first block pairs |g> with
@@ -210,9 +191,9 @@ def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
     ... is the even one with sigma_z flipped.
     """
     k = np.arange(n_max + 1, dtype=float)
-    omega_s = p.omega_c + probe.delta_s
+    omega_s = 1.0 + probe.delta_s
     even = build_rabi_parity(p, n_max)
-    odd = 2.0 * p.omega_c * k - even[0]  # the odd chain's diagonal: sigma_z flipped
+    odd = 2.0 * k - even[0]  # the odd chain's diagonal: sigma_z flipped
     blocks = []
     for g_chain, e_chain in ((even[0], odd), (odd, even[0])):
         band = np.zeros((3, 2 * k.size))
@@ -224,8 +205,8 @@ def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
     return tuple(blocks)
 
 
-def _quartic_band(omega_c: float, c2: float, c4: float, n_max: int) -> np.ndarray:
-    """omega_c n - c2 x^2 + c4 x^4 in natural Fock order, half-width 4: an
+def _quartic_band(c2: float, c4: float, n_max: int) -> np.ndarray:
+    """n - c2 x^2 + c4 x^4 in natural Fock order, half-width 4: an
     effective Hamiltonian without its constant. Its odd diagonals are zero
     (it conserves photon parity), so its even photon numbers,
     `band[0::2, 0::2]`, are an invariant block.
@@ -243,7 +224,7 @@ def _quartic_band(omega_c: float, c2: float, c4: float, n_max: int) -> np.ndarra
     x4_off2 = x2_off * (x2_diag[:-2] + x2_diag[2:])
     x4_off4 = x2_off[:-2] * x2_off[2:]
     band = np.zeros((5, k.size))
-    band[0] = omega_c * k - c2 * x2_diag + c4 * x4_diag
+    band[0] = k - c2 * x2_diag + c4 * x4_diag
     band[2, :x2_off.size] = -c2 * x2_off + c4 * x4_off2
     band[4, :x4_off4.size] = c4 * x4_off4
     return band

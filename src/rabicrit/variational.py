@@ -2,13 +2,13 @@
 
 `solve(p)` reads the `Phase` record of `p` and returns a frozen
 `VariationalSolution`. The variational energy is the mean of the phase's
-effective Hamiltonian omega_c n - c2 x^2 + c4 x^4 + const in the vacuum
-squeezed by s,
+effective Hamiltonian n - c2 x^2 + c4 x^4 + const in the vacuum squeezed
+by s,
 
-    E(s) = omega_c sinh^2 s - c2 e^{2 s} + 3 c4 e^{4 s} + const,
+    E(s) = sinh^2 s - c2 e^{2 s} + 3 c4 e^{4 s} + const,
 
 and with x = e^{2 s} its stationarity condition is, in both phases, the real
-cubic (24 c4 / omega_c) x^3 + (1 - mu) x^2 - 1 = 0, solved once by Newton's
+cubic 24 c4 x^3 + (1 - mu) x^2 - 1 = 0, solved once by Newton's
 method in s from a closed-form upper bound of its root; the tests check it
 against the published Cardano-style closed form in extended precision. The
 photon moments are the squeezed vacuum's (`analytic.squeezed_moments`, the
@@ -17,7 +17,7 @@ Where those terms outweigh the rest (eta of order 1 and below) the mean or
 the variance comes out negative, or q4 overflows: the ansatz has no state
 there, and `solve` raises `PhaseDomainError`.
 
-No lam is guarded. At lam = 1 the cubic reads (24 c4 / omega_c) x^3 = 1: the
+No lam is guarded. At lam = 1 the cubic reads 24 c4 x^3 = 1: the
 Gaussian ansatz in the quartic oscillator, whose `mean_n` is 4.3-4.9% low and
 `gamma_prime` 7.5-8.1% high against the exact method at eta = 1e4-1e6, an
 error that does not shrink with eta. At lam = 1.001 the state holds one well:
@@ -48,7 +48,7 @@ class VariationalSolution:
 
 def _cubic_coeffs(ph: Phase) -> tuple[float, float]:
     """(c3, mu) of the stationarity cubic c3 x^3 + (1 - mu) x^2 - 1 = 0."""
-    return 24.0 * ph.c4 / ph.omega_c, ph.mu
+    return 24.0 * ph.c4, ph.mu
 
 
 def _squeezing(c3: float, mu: float) -> float:
@@ -78,8 +78,7 @@ def _squeezing(c3: float, mu: float) -> float:
 
 def _energy_at(ph: Phase, s: float) -> float:
     """E(s), the variational energy at squeezing s."""
-    return (ph.omega_c * sinh(s) ** 2 - ph.c2 * exp(2.0 * s) + 3.0 * ph.c4 * exp(4.0 * s)
-            + ph.const)
+    return sinh(s) ** 2 - ph.c2 * exp(2.0 * s) + 3.0 * ph.c4 * exp(4.0 * s) + ph.const
 
 
 def solve(p: RabiParams) -> VariationalSolution:

@@ -9,15 +9,18 @@ module keeps the dense complex path as the tests' oracle:
     the int n_max), ladder operators, Pauli matrices, tensor products, the
     physical photon number of a displaced frame (`physical_number`),
     displacement and squeezing by `expm`;
-  * each phase written out in lam: the displaced frame's `DisplacedFrame`
-    (alpha, omega0~ = lam^2 omega_0, g~), the effective coefficients
+  * each phase written out in lam and eta, in units of the cavity frequency:
+    the superradiant displacement (`alpha_lambda`), the displaced frame's
+    `DisplacedFrame` (alpha, omega0~ = lam^2 eta, g~), the effective coefficients
     (`effective_np_coeffs`, `effective_sp_coeffs`), the variational cubic and
     energy (`cubic_coeffs`, `energy_at`), and the closed-form squeezing and
     variances (`squeezing_np`, `variance_np`, `superradiant_frame`,
     `variance_sp`). The library reads all of them from one record,
     `hamiltonians.phase(p)`, which is tested against these references;
   * the dense builders of the Rabi, branch, tripartite, displaced-frame and
-    effective Hamiltonians, the Rabi Hamiltonian as both its parity chains
+    effective Hamiltonians, the Rabi Hamiltonian at an explicit cavity
+    frequency, spin splitting and coupling (`rabi_dense`, the probe branches'
+    cavity at 1 -/+ chi) and as both its parity chains
     (`build_rabi_parity_chains`), and the effective Hamiltonians as full
     real bands with their constants (`build_effective_np_band`,
     `build_effective_sp_band`);
@@ -68,13 +71,13 @@ from rabicrit import spectra
 from rabicrit.analytic import CRITICAL_BAND
 from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
 from rabicrit.experiments import DispersiveReport, SweepConfig, _point
-from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band, alpha_lambda
+from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
 from rabicrit.variational import VariationalSolution
 
 HERMITICITY_RTOL = 1e-12
 DUAL_PATH_RTOL = 1e-10
-# a probe of the figures' chi = 1e-3, detuned by Delta_s = 1 (omega_c at lam, eta)
+# a probe of the figures' chi = 1e-3, detuned by Delta_s = 1 from the cavity
 FIGURE_PROBE = ProbeParams(sqrt(1e-3), 1.0)
 
 
@@ -262,9 +265,9 @@ def squeeze(r: float, n_max: int) -> Operator:
 #
 # The library reads every phase-dependent coefficient from one record,
 # `hamiltonians.phase(p)`. These are the same quantities written out for each
-# phase in lam, eta and the displaced frame's g~ = sqrt(omega_c omega_0) /
-# (2 lam) and omega0~ = lam^2 omega_0, as they were derived; the record is
-# tested against them.
+# phase in lam, eta and the displaced frame's g~ = sqrt(eta) / (2 lam) and
+# omega0~ = lam^2 eta, as they were derived, in units of the cavity
+# frequency; the record is tested against them.
 
 NORMAL = "normal"
 SUPERRADIANT = "superradiant"
@@ -275,32 +278,38 @@ class DisplacedFrame:
     """Parameters of the displaced frame D(alpha_disp)."""
 
     alpha_disp: float
-    omega0_tilde: float   # lam^2 omega_0
-    g_tilde: float        # sqrt(omega_c omega_0) / (2 lam)
+    omega0_tilde: float   # lam^2 eta
+    g_tilde: float        # sqrt(eta) / (2 lam)
+
+
+def alpha_lambda(p: RabiParams) -> float:
+    """The superradiant displacement sqrt(eta (lam^4 - 1) / (4 lam^2)), which
+    removes the linear boson term; lam > 1."""
+    lam = p.lam
+    return sqrt(p.eta * (lam**4 - 1.0) / (4.0 * lam**2))
 
 
 def displaced_frame(p: RabiParams, alpha_disp: float) -> DisplacedFrame:
     lam = p.lam
-    return DisplacedFrame(alpha_disp, lam**2 * p.omega_0, sqrt(p.omega_c * p.omega_0) / (2.0 * lam))
+    return DisplacedFrame(alpha_disp, lam**2 * p.eta, sqrt(p.eta) / (2.0 * lam))
 
 
 def effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
     """(c2, c4, const) of the fourth-order low-spin effective Hamiltonian of
-    the normal phase, omega_c n - c2 x^2 + c4 x^4 + const with x = a + a^dag:
-    c2 = omega_c lam^2 / 4, c4 = lam^4 omega_c^2 / (16 omega_0) and
-    const = -omega_0/2 + lam^2 omega_c^2 / (4 omega_0)."""
+    the normal phase, n - c2 x^2 + c4 x^4 + const with x = a + a^dag:
+    c2 = lam^2 / 4, c4 = lam^4 / (16 eta) and const = -eta/2 + lam^2 / (4 eta)."""
     lam = p.lam
-    c2 = p.omega_c * lam**2 / 4.0
-    c4 = lam**4 * p.omega_c**2 / (16.0 * p.omega_0)
-    const = -0.5 * p.omega_0 + lam**2 * p.omega_c**2 / (4.0 * p.omega_0)
+    c2 = lam**2 / 4.0
+    c4 = lam**4 / (16.0 * p.eta)
+    const = -0.5 * p.eta + lam**2 / (4.0 * p.eta)
     return c2, c4, const
 
 
 def effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
     """(c2, c4, const) of the effective Hamiltonian of the superradiant phase,
     of the same form in the frame displaced by alpha_lambda: c2 = g~^2 /
-    omega0~, c4 = g~^4 / omega0~^3 and const = -omega0~/2 + g~^2 omega_c /
-    omega0~^2 + omega_c alpha_lambda^2; requires lam > 1."""
+    omega0~, c4 = g~^4 / omega0~^3 and const = -omega0~/2 + g~^2 / omega0~^2
+    + alpha_lambda^2; requires lam > 1."""
     lam = p.lam
     if lam <= 1.0:
         raise PhaseDomainError(
@@ -309,13 +318,9 @@ def effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
     frame = displaced_frame(p, alpha_lambda(p))
     gt, w0t = frame.g_tilde, frame.omega0_tilde
     # constant terms kept explicit so ground energies match the bare-frame
-    # curves; the g~^2 omega_c / omega0~^2 form is the one consistent with the
-    # variational energy constant omega_c^2 / (4 omega0~ lam^4).
-    const = (
-        -0.5 * w0t
-        + gt**2 * p.omega_c / w0t**2
-        + p.omega_c * frame.alpha_disp**2
-    )
+    # curves; the g~^2 / omega0~^2 form is the one consistent with the
+    # variational energy constant 1 / (4 omega0~ lam^4).
+    const = -0.5 * w0t + gt**2 / w0t**2 + frame.alpha_disp**2
     return gt**2 / w0t, gt**4 / w0t**3, const
 
 
@@ -331,9 +336,9 @@ def squeezing_np(lam: float) -> float:
 
 def variance_np(p: RabiParams) -> float:
     """Photon-number variance of the normal-phase ground state:
-    sinh^2(2 r)/2 + (g/omega_0)^2 e^{-2 r}."""
+    sinh^2(2 r)/2 + (g/eta)^2 e^{-2 r}."""
     r = squeezing_np(p.lam)
-    return 0.5 * sinh(2.0 * r) ** 2 + (p.g / p.omega_0) ** 2 * exp(-2.0 * r)
+    return 0.5 * sinh(2.0 * r) ** 2 + (p.g / p.eta) ** 2 * exp(-2.0 * r)
 
 
 def superradiant_frame(p: RabiParams) -> tuple[float, float]:
@@ -366,68 +371,81 @@ def cubic_coeffs(phase: str, p: RabiParams) -> tuple[float, float]:
 
 def energy_at(phase: str, s: float, p: RabiParams) -> float:
     """The variational energy of `phase` at squeezing s."""
-    wc = p.omega_c
-    lam = p.lam
+    lam, eta = p.lam, p.eta
     if phase == NORMAL:
         return (
-            wc * sinh(s) ** 2
-            - (wc * lam**2 / 4.0) * exp(2.0 * s)
-            + (3.0 * lam**4 * wc**2 / (16.0 * p.omega_0)) * exp(4.0 * s)
-            - 0.5 * p.omega_0
-            + lam**2 * wc**2 / (4.0 * p.omega_0)
+            sinh(s) ** 2
+            - (lam**2 / 4.0) * exp(2.0 * s)
+            + (3.0 * lam**4 / (16.0 * eta)) * exp(4.0 * s)
+            - 0.5 * eta
+            + lam**2 / (4.0 * eta)
         )
     frame = displaced_frame(p, alpha_lambda(p))
     w0t = frame.omega0_tilde
     return (
-        wc * sinh(s) ** 2
-        - (wc / (4.0 * lam**4)) * exp(2.0 * s)
-        + (3.0 * wc**2 / (16.0 * w0t * lam**8)) * exp(4.0 * s)
+        sinh(s) ** 2
+        - (1.0 / (4.0 * lam**4)) * exp(2.0 * s)
+        + (3.0 / (16.0 * w0t * lam**8)) * exp(4.0 * s)
         - 0.5 * w0t
-        + wc**2 / (4.0 * w0t * lam**4)
-        + wc * frame.alpha_disp**2
+        + 1.0 / (4.0 * w0t * lam**4)
+        + frame.alpha_disp**2
     )
 
 
 # --- dense Hamiltonians ----------------------------------------------------
 
 
-def build_rabi(p: RabiParams, n_max: int) -> Operator:
-    """H = omega_c a^dag a + (omega_0/2) sigma_z - g sigma_x (a + a^dag)."""
-    nb = n_max + 1
-    i2 = identity((2,))
-    ib = identity((nb,))
-    h = (
-        p.omega_c * tensor(i2, number(n_max))
-        + (0.5 * p.omega_0) * tensor(pauli("z"), ib)
-        - p.g * tensor(pauli("x"), quadrature_x(n_max))
+def rabi_dense(omega_c: float, omega_0: float, g: float, n_max: int,
+               alpha_disp: float = 0.0) -> Operator:
+    """The Rabi Hamiltonian at cavity frequency omega_c, spin splitting
+    omega_0 and coupling g, conjugated by D(alpha_disp) (0: the bare frame)
+    and expanded term by term:
+
+    H~ = omega_c (a^dag + alpha)(a + alpha) - g (a + a^dag) sigma_x
+         + (omega_0/2) sigma_z - 2 g alpha sigma_x.
+
+    Built analytically (not by numerical conjugation with the truncated
+    displacement unitary), so it stays exactly Hermitian for any alpha. A
+    `RabiParams` is this at omega_c = 1, omega_0 = eta (`build_rabi`); a
+    probe branch shifts omega_c to 1 -/+ chi (`build_branch`).
+    """
+    ib = identity((n_max + 1,))
+    return (
+        tensor(identity((2,)), omega_c * physical_number(alpha_disp, n_max))
+        + (0.5 * omega_0) * tensor(pauli("z"), ib)
+        - g * tensor(pauli("x"), quadrature_x(n_max))
+        - (2.0 * g * alpha_disp) * tensor(pauli("x"), ib)
     )
-    return h
+
+
+def build_rabi(p: RabiParams, n_max: int) -> Operator:
+    """H = a^dag a + (eta/2) sigma_z - g sigma_x (a + a^dag)."""
+    return rabi_dense(1.0, p.eta, p.g, n_max)
 
 
 def build_branch(p: RabiParams, probe: ProbeParams, branch: str, n_max: int) -> Operator:
     """Conditional Rabi Hamiltonian given the probe in |e> or |g>, the probe
-    at omega_s = omega_c + delta_s.
+    at omega_s = 1 + delta_s.
 
-    branch 'e': cavity frequency omega_c + chi, constant +(omega_s/2 + chi).
-    branch 'g': cavity frequency omega_c - chi, constant -omega_s/2.
+    branch 'e': cavity frequency 1 + chi, constant +(omega_s/2 + chi).
+    branch 'g': cavity frequency 1 - chi, constant -omega_s/2.
     """
     if branch not in ("e", "g"):
         raise ValueError(f"branch must be 'e' or 'g', got {branch!r}")
-    chi, omega_s = probe.chi, p.omega_c + probe.delta_s
+    chi, omega_s = probe.chi, 1.0 + probe.delta_s
     if branch == "e":
-        omega_b = p.omega_c + chi
+        omega_b = 1.0 + chi
         const = 0.5 * omega_s + chi
     else:
-        omega_b = p.omega_c - chi
+        omega_b = 1.0 - chi
         const = -0.5 * omega_s
-    shifted = RabiParams(omega_b, p.omega_0, p.g)
-    h = build_rabi(shifted, n_max)
+    h = rabi_dense(omega_b, p.eta, p.g, n_max)
     return h + const * identity(h.dims)
 
 
 def build_tripartite(p: RabiParams, probe: ProbeParams, n_max: int) -> Operator:
     """Full Jaynes-Cummings probe plus Rabi model, before the dispersive step,
-    the probe at omega_s = omega_c + delta_s.
+    the probe at omega_s = 1 + delta_s.
 
     Space: probe-spin (x) Rabi-spin (x) Fock, dimension 4 (n_max + 1).
     """
@@ -436,7 +454,7 @@ def build_tripartite(p: RabiParams, probe: ProbeParams, n_max: int) -> Operator:
     ib = identity((nb,))
     a = annihilation(n_max)
     rabi = tensor(i2, build_rabi(p, n_max))
-    h_probe = (0.5 * (p.omega_c + probe.delta_s)) * tensor(pauli("z"), tensor(i2, ib))
+    h_probe = (0.5 * (1.0 + probe.delta_s)) * tensor(pauli("z"), tensor(i2, ib))
     h_jc = (-probe.g_s) * (
         tensor(sigma_minus(), tensor(i2, a.dag()))
         + tensor(sigma_plus(), tensor(i2, a))
@@ -453,43 +471,24 @@ def physical_number(alpha: float, n_max: int) -> Operator:
 def build_displaced_rabi(
     p: RabiParams, alpha_disp: float, n_max: int
 ) -> tuple[Operator, DisplacedFrame]:
-    """Rabi Hamiltonian conjugated by D(alpha_disp), expanded term-by-term.
-
-    H~ = omega_c (a^dag + alpha)(a + alpha) - g (a + a^dag) sigma_x
-         + (omega_0/2) sigma_z - 2 g alpha sigma_x.
-
-    Built analytically (not by numerical conjugation with the truncated
-    displacement unitary), so it stays exactly Hermitian for any alpha.
-    """
-    nb = n_max + 1
-    i2 = identity((2,))
-    ib = identity((nb,))
-    x = quadrature_x(n_max)
-    boson = p.omega_c * physical_number(alpha_disp, n_max)
-    h = (
-        tensor(i2, boson)
-        + (0.5 * p.omega_0) * tensor(pauli("z"), ib)
-        - p.g * tensor(pauli("x"), x)
-        - (2.0 * p.g * alpha_disp) * tensor(pauli("x"), ib)
-    )
-    return h, displaced_frame(p, alpha_disp)
+    """The Rabi Hamiltonian of `p` conjugated by D(alpha_disp) (`rabi_dense`)."""
+    return rabi_dense(1.0, p.eta, p.g, n_max, alpha_disp), displaced_frame(p, alpha_disp)
 
 
 def spin_mixing_angle(p: RabiParams, alpha_disp: float) -> float:
     """Spin mixing angle theta of the frame displaced by alpha_disp,
-    tan(2 theta) = -4 g alpha_disp / omega_0, in (-pi/4, pi/4]."""
-    theta = 0.5 * atan(-4.0 * p.g * alpha_disp / p.omega_0)
+    tan(2 theta) = -4 g alpha_disp / eta, in (-pi/4, pi/4]."""
+    theta = 0.5 * atan(-4.0 * p.g * alpha_disp / p.eta)
     if theta <= -pi / 4.0:
         theta += pi / 2.0
     return theta
 
 
-def _quartic_dense(omega_c: float, c2: float, c4: float, const: float,
-                     n_max: int) -> Operator:
+def _quartic_dense(c2: float, c4: float, const: float, n_max: int) -> Operator:
     x = quadrature_x(n_max)
     x2 = x @ x
     return (
-        omega_c * number(n_max)
+        number(n_max)
         - c2 * x2
         + c4 * (x2 @ x2)
         + const * identity(x.dims)
@@ -499,11 +498,10 @@ def _quartic_dense(omega_c: float, c2: float, c4: float, const: float,
 def build_effective_np(p: RabiParams, n_max: int) -> Operator:
     """Fourth-order low-spin effective Hamiltonian of the normal phase.
 
-    Boson-only: omega_c n - (omega_c lam^2/4) x^2 + (lam^4 omega_c^2 /
-    (16 omega_0)) x^4 - omega_0/2 + lam^2 omega_c^2 / (4 omega_0),
-    with x = a + a^dag.
+    Boson-only: n - (lam^2/4) x^2 + (lam^4 / (16 eta)) x^4 - eta/2
+    + lam^2 / (4 eta), with x = a + a^dag.
     """
-    return _quartic_dense(p.omega_c, *effective_np_coeffs(p), n_max)
+    return _quartic_dense(*effective_np_coeffs(p), n_max)
 
 
 def build_effective_sp(p: RabiParams, n_max: int) -> Operator:
@@ -511,14 +509,14 @@ def build_effective_sp(p: RabiParams, n_max: int) -> Operator:
 
     Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
     """
-    return _quartic_dense(p.omega_c, *effective_sp_coeffs(p), n_max)
+    return _quartic_dense(*effective_sp_coeffs(p), n_max)
 
 
 def build_effective_np_band(p: RabiParams, n_max: int) -> np.ndarray:
     """`build_effective_np` as a real band of half-width 4 in natural Fock
     order, its constant on the diagonal."""
     c2, c4, const = effective_np_coeffs(p)
-    band = _quartic_band(p.omega_c, c2, c4, n_max)
+    band = _quartic_band(c2, c4, n_max)
     band[0] += const
     return band
 
@@ -527,23 +525,24 @@ def build_effective_sp_band(p: RabiParams, n_max: int) -> np.ndarray:
     """`build_effective_sp` as a real band of half-width 4 in natural Fock
     order of the frame displaced by alpha_lambda; requires lam > 1."""
     c2, c4, const = effective_sp_coeffs(p)
-    band = _quartic_band(p.omega_c, c2, c4, n_max)
+    band = _quartic_band(c2, c4, n_max)
     band[0] += const
     return band
 
 
-def build_rabi_parity_chains(p: RabiParams, n_max: int) -> np.ndarray:
-    """`build_rabi` as a real tridiagonal matrix in parity order, both parity
-    chains: rows 0..n_max are the even chain |g,0>, |e,1>, |g,2>, ... (the
-    library's `build_rabi_parity`), rows n_max+1.. the odd chain |e,0>,
-    |g,1>, .... Row k of either chain has k photons; the sub-diagonal entry
-    joining the chains is zero."""
+def build_rabi_parity_chains(omega_c: float, omega_0: float, g: float,
+                             n_max: int) -> np.ndarray:
+    """`rabi_dense` (the bare frame) as a real tridiagonal matrix in parity
+    order, both parity chains: rows 0..n_max are the even chain |g,0>,
+    |e,1>, |g,2>, ... (at omega_c = 1, the library's `build_rabi_parity`),
+    rows n_max+1.. the odd chain |e,0>, |g,1>, .... Row k of either chain
+    has k photons; the sub-diagonal entry joining the chains is zero."""
     k = np.arange(n_max + 1, dtype=float)
-    spin = 0.5 * p.omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
-    hop = -p.g * np.sqrt(k + 1.0)
+    spin = 0.5 * omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
+    hop = -g * np.sqrt(k + 1.0)
     hop[-1] = 0.0
     return np.array([
-        np.concatenate([p.omega_c * k + spin, p.omega_c * k - spin]),
+        np.concatenate([omega_c * k + spin, omega_c * k - spin]),
         np.concatenate([hop, hop]),
     ])
 
@@ -739,7 +738,7 @@ class EchoSweep:
 def echo_sweep(eta: float, chi: float, lams, times, method: str,
                cutoff_tol: float = spectra.CUTOFF_TOL) -> EchoSweep:
     """The echo at dispersive shift `chi` at each lambda of `lams` (eta
-    fixed, omega_c = 1), as a sweep computes it; a degraded point raises
+    fixed), as a sweep computes it; a degraded point raises
     `RabicritError`."""
     cfg = SweepConfig("custom", list(lams), [eta], list(times), chi, [method], cutoff_tol)
     points = [_point(cfg, eta, method, lam) for lam in lams]
@@ -852,8 +851,8 @@ class QuarticOscillator:
     psi = 0 beyond the grid.
 
     At lam = 1 the normal-phase effective Hamiltonian
-    omega_c n - (omega_c/4) x^2 + omega_c x^4 / (16 eta) equals
-    omega_c eta^(-1/3) [P^2/2 + Y^4/4] - omega_c/2 with x = sqrt(2) eta^(1/6) Y
+    n - x^2/4 + x^4 / (16 eta) equals eta^(-1/3) [P^2/2 + Y^4/4] - 1/2 with
+    x = sqrt(2) eta^(1/6) Y
     (Hwang, Puebla & Plenio, PRL 115, 180404 (2015)). There the photon number
     is n = (eta^(1/3) Y^2 + eta^(-1/3) P^2)/2 - 1/2, and its variance tends
     to eta^(2/3) Var(Y^2)/4 as eta -> infinity.
@@ -905,15 +904,15 @@ def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
     """Infinite-eta ground-state summary in whichever phase lam selects.
 
     The superradiant branch energy uses the tilded spin splitting
-    omega0~ = lam^2 omega_0 (the rotated two-level spacing), which is the
-    form consistent with the known ground energy -omega_0 (lam^2 +
-    lam^-2)/4 for lam > 1.
+    omega0~ = lam^2 eta (the rotated two-level spacing), which is the
+    form consistent with the known ground energy -eta (lam^2 + lam^-2)/4
+    for lam > 1.
     """
     lam = p.lam
     if lam < 1.0:
         r = squeezing_np(lam)
-        eps = p.omega_c * sqrt(1.0 - lam**2)
-        energy = 0.5 * (eps - p.omega_c - p.omega_0)
+        eps = sqrt(1.0 - lam**2)
+        energy = 0.5 * (eps - 1.0 - p.eta)
         return AnalyticGroundState(
             phase="normal",
             r=r,
@@ -925,8 +924,8 @@ def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
         )
     alpha, r = superradiant_frame(p)
     frame = displaced_frame(p, alpha)
-    eps = p.omega_c * sqrt(1.0 - lam**-4)
-    energy = 0.5 * (eps - p.omega_c - frame.omega0_tilde) + p.omega_c * alpha**2
+    eps = sqrt(1.0 - lam**-4)
+    energy = 0.5 * (eps - 1.0 - frame.omega0_tilde) + alpha**2
     return AnalyticGroundState(
         phase="superradiant",
         r=r,
@@ -941,11 +940,11 @@ def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
 def stationarity(sol: VariationalSolution, p: RabiParams) -> tuple[float, float, float]:
     """(x, residual, curvature) of the variational energy at the solution's
     squeezing parameter s: the root x = e^{2 s} of the stationarity cubic,
-    the residual |dE/ds| = omega_c / (2 x) |c3 x^3 + c2 x^2 - 1| there, and
+    the residual |dE/ds| = |c3 x^3 + c2 x^2 - 1| / (2 x) there, and
     d^2E/ds^2 by central differences with step 1e-4."""
     x = exp(2.0 * sol.s)
     c3, c2 = cubic_coeffs(sol.phase, p)
-    residual = abs(p.omega_c / (2.0 * x) * (c3 * x**3 + c2 * x**2 - 1.0))
+    residual = abs(1.0 / (2.0 * x) * (c3 * x**3 + c2 * x**2 - 1.0))
     h = 1e-4
     curvature = (
         energy_at(sol.phase, sol.s + h, p) - 2.0 * energy_at(sol.phase, sol.s, p)
@@ -993,7 +992,7 @@ def _closed_form_x(phase: str, lam: float, eta: float) -> float:
 def closed_form_x(phase: str, lam: float, eta: float) -> float:
     """The closed-form root x = e^{2 s} of the variational cubic; in the
     decoupled limit (lam = 0) the cubic degenerates to c2 x^2 = 1."""
-    c3, c2 = cubic_coeffs(phase, RabiParams.from_dimensionless(lam, eta))
+    c3, c2 = cubic_coeffs(phase, RabiParams(lam, eta))
     if c3 == 0.0:
         return c2**-0.5
     return _closed_form_x(phase, lam, eta)

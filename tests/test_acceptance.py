@@ -48,7 +48,7 @@ from oracle import (
 )
 from rabicrit.analytic import short_time_le, variance
 from rabicrit.dynamics import effective_ground_state, exact_ground_state
-from rabicrit.hamiltonians import ProbeParams, RabiParams, alpha_lambda
+from rabicrit.hamiltonians import ProbeParams, RabiParams, phase
 from rabicrit.experiments import validate_dispersive
 from rabicrit.spectra import CUTOFF_TOL
 from rabicrit.variational import solve as variational_solve
@@ -62,9 +62,7 @@ def test_criterion_01_parity_conservation():
     c = 60
     pi = parity_operator(c)
     for _ in range(20):
-        p = RabiParams(
-            rng.uniform(0.5, 2.0), rng.uniform(1.0, 200.0), rng.uniform(0.0, 5.0)
-        )
+        p = RabiParams(rng.uniform(0.0, 3.0), rng.uniform(0.5, 400.0))
         h = build_rabi(p, c)
         comm = pi.mat @ h.mat - h.mat @ pi.mat
         assert np.abs(comm).max() < 1e-10 * np.abs(h.mat).max()
@@ -73,10 +71,10 @@ def test_criterion_01_parity_conservation():
 
 def test_criterion_02_decoupled_limit():
     t0 = time.perf_counter()
-    p = RabiParams(1.0, 50.0, 0.0)
+    p = RabiParams(0.0, 50.0)
     c = 24
     gs = ground_state(build_rabi(p, c))
-    assert abs(gs.energy + 0.5 * p.omega_0) < 1e-12
+    assert abs(gs.energy + 0.5 * p.eta) < 1e-12
     probe = FIGURE_PROBE
     series = decoherence_factor(
         build_branch(p, probe, "g", c),
@@ -95,7 +93,7 @@ def test_criterion_03_short_time_law():
     # epsilon t = 0.01: nearer t = 0, 1 - L is so small (~1e-13) that the
     # roundoff in L alone can be a percent of it.
     t0 = time.perf_counter()
-    p = RabiParams.from_dimensionless(0.5, 5000.0)
+    p = RabiParams(0.5, 5000.0)
     probe = FIGURE_PROBE
     gs = dense_ground(p, "exact", TOL)
     eps = analytic_ground_state(p).epsilon
@@ -120,7 +118,7 @@ def test_criterion_04_infinite_eta_convergence():
     t0 = time.perf_counter()
     rels = []
     for eta in (1e3, 1e4, 1e5):
-        p = RabiParams.from_dimensionless(0.9, eta)
+        p = RabiParams(0.9, eta)
         gamma = dense_ground(p, "exact", TOL).gamma
         rels.append(abs(gamma - variance(p)) / variance(p))
     assert rels[0] > rels[1] > rels[2]
@@ -132,7 +130,7 @@ def test_criterion_05_variational_stationarity():
     t0 = time.perf_counter()
     for lam in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
         for eta in (1e3, 1e4, 1e5):
-            p = RabiParams.from_dimensionless(lam, eta)
+            p = RabiParams(lam, eta)
             sol = variational_solve(p)
             x, residual, curvature = stationarity(sol, p)
             assert residual < 1e-10
@@ -146,7 +144,7 @@ def test_criterion_06_fig1_normal_phase_ground_state():
     t0 = time.perf_counter()
     lam = 0.99
     for eta in (1e4, 1e5):
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         ex, ef = dense_ground(p, "exact", TOL), dense_ground(p, "effective", TOL)
         sol = variational_solve(p)
         energies = [ex.energy, ef.energy, sol.energy]
@@ -154,15 +152,15 @@ def test_criterion_06_fig1_normal_phase_ground_state():
         ns = [ex.mean_n, ef.mean_n, sol.mean_n]
         assert (max(ns) - min(ns)) / ex.mean_n < 0.05
     # at eta = 1e3 only variational vs effective must agree (within 1%)
-    p = RabiParams.from_dimensionless(lam, 1e3)
+    p = RabiParams(lam, 1e3)
     ef = dense_ground(p, "effective", TOL)
     sol = variational_solve(p)
     assert abs(ef.energy - sol.energy) / abs(ef.energy) < 0.01
     assert abs(ef.mean_n - sol.mean_n) / ef.mean_n < 0.01
     # regression locks (first oracle run, cutoff tolerance 1e-10)
-    p4 = RabiParams.from_dimensionless(lam, 1e4)
+    p4 = RabiParams(lam, 1e4)
     lock = dense_ground(p4, "exact", TOL)
-    assert lock.energy / p4.omega_0 == pytest.approx(-0.5000428564, abs=1e-9)
+    assert lock.energy / p4.eta == pytest.approx(-0.5000428564, abs=1e-9)
     assert lock.mean_n == pytest.approx(1.2660554, rel=1e-6)
     assert time.perf_counter() - t0 < 120.0
 
@@ -171,24 +169,24 @@ def test_criterion_07_fig2_superradiant_ground_state():
     t0 = time.perf_counter()
     lam = 1.01
     for eta in (1e4, 1e5):
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         ex, ef = dense_ground(p, "exact", TOL), dense_ground(p, "effective", TOL)
         sol = variational_solve(p)
         energies = [ex.energy, ef.energy, sol.energy]
         assert (max(energies) - min(energies)) / abs(ex.energy) < 0.005
         ns = [ex.mean_n, ef.mean_n, sol.mean_n]
         assert (max(ns) - min(ns)) / ex.mean_n < 0.05
-    p = RabiParams.from_dimensionless(lam, 1e3)
+    p = RabiParams(lam, 1e3)
     ef = dense_ground(p, "effective", TOL)
     sol = variational_solve(p)
     assert abs(ef.energy - sol.energy) / abs(ef.energy) < 0.01
     assert abs(ef.mean_n - sol.mean_n) / ef.mean_n < 0.01
     # mean photon number dominated by the displacement at eta = 1e5
-    p5 = RabiParams.from_dimensionless(lam, 1e5)
+    p5 = RabiParams(lam, 1e5)
     ex5 = dense_ground(p5, "exact", TOL)
-    assert 0.9 <= ex5.mean_n / alpha_lambda(p5) ** 2 <= 1.1
+    assert 0.9 <= ex5.mean_n / phase(p5).alpha ** 2 <= 1.1
     # regression locks
-    assert ex5.energy / p5.omega_0 == pytest.approx(-0.5001030259, abs=1e-9)
+    assert ex5.energy / p5.eta == pytest.approx(-0.5001030259, abs=1e-9)
     assert ex5.mean_n == pytest.approx(992.25849, rel=1e-6)
     assert time.perf_counter() - t0 < 120.0
 
@@ -250,7 +248,7 @@ def test_criterion_10_fig5_three_method_consistency():
     curves = {m: s.l_matrix[:, 0] for m, s in sweeps.items()}
     dev_ex_ef = np.abs(curves["exact"] - curves["effective"]).max()
     assert dev_ex_ef <= 0.05, f"exact vs effective deviate by {dev_ex_ef:.3g}"
-    params = [RabiParams.from_dimensionless(lam, 1e5) for lam in lams]
+    params = [RabiParams(lam, 1e5) for lam in lams]
     gamma_ex = np.array([exact_ground_state(p, 1e-8).gamma for p in params])
     law_ex = np.array([short_time_le(g, chi, times[0]) for g in gamma_ex])
     dev_var = np.abs(curves["variational"] - law_ex)
@@ -268,7 +266,7 @@ def test_criterion_10_fig5_three_method_consistency():
 
 def test_criterion_11_dispersive_validity():
     t0 = time.perf_counter()
-    p = RabiParams.from_dimensionless(0.5, 200.0)
+    p = RabiParams(0.5, 200.0)
     g_s, ratio = 0.05, 100.0
     delta_s = ratio * g_s
     probe = ProbeParams(g_s, delta_s)
@@ -291,7 +289,7 @@ def test_criterion_12_frame_invariance():
         for _ in range(8)
     ] + [(1.2, 40.0), (1.3, 60.0)]
     for lam, eta in points:
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         gs = ground_state(build_rabi(p, cutoff))
         hg = build_branch(p, probe, "g", cutoff)
         he = build_branch(p, probe, "e", cutoff)
@@ -306,8 +304,8 @@ def test_criterion_12_frame_invariance():
 
 
 def test_criterion_13_critical_point_quartic_oscillator():
-    # At lam = 1 the effective Hamiltonian is exactly omega_c eta^(-1/3)
-    # [P^2/2 + Y^4/4] - omega_c/2 (oracle.QuarticOscillator), so the effective
+    # At lam = 1 the effective Hamiltonian is exactly eta^(-1/3)
+    # [P^2/2 + Y^4/4] - 1/2 (oracle.QuarticOscillator), so the effective
     # gamma is the oscillator's Var(n), n = (eta^(1/3) Y^2 + eta^(-1/3) P^2)/2
     # - 1/2, up to the grid and the cutoff (measured 2.0e-6 and 1.5e-5
     # relative). The exact gamma / eta^(2/3) tends to Var(Y^2)/4 (measured
@@ -324,7 +322,7 @@ def test_criterion_13_critical_point_quartic_oscillator():
     # the grid's own error, against twice the points
     assert abs(osc.var_y2 - QuarticOscillator.solve(16000).var_y2) / 4.0 <= 6e-7
     for eta in (1e5, 1e6):
-        p = RabiParams.from_dimensionless(1.0, eta)
+        p = RabiParams(1.0, eta)
         exact = exact_ground_state(p, CUTOFF_TOL)
         assert exact.gamma / eta ** (2.0 / 3.0) == pytest.approx(osc.var_y2 / 4.0, rel=1e-3)
         _, var_n = osc.photon_moments(eta)

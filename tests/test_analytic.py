@@ -34,45 +34,45 @@ def test_squeezing_np_values():
 
 
 def test_variance_np_values():
-    assert variance(RabiParams.from_dimensionless(0.0, 100.0)) == 0.0
+    assert variance(RabiParams(0.0, 100.0)) == 0.0
     # lam = 0.6: e^{2r} = (1 - lam^2)^{-1/2} = 1.25 exactly
-    p = RabiParams.from_dimensionless(0.6, 5000.0)
+    p = RabiParams(0.6, 5000.0)
     r = squeezing_np(0.6)
     assert math.exp(2 * r) == pytest.approx(1.25)
     limit = 0.5 * 0.225**2  # sinh(2r) = (1.25 - 0.8)/2
     assert limit == pytest.approx(0.0253125)
-    correction = (0.36 / (4 * 5000.0)) * 0.8  # (g/omega_0)^2 e^{-2r}
+    correction = (0.36 / (4 * 5000.0)) * 0.8  # (g/eta)^2 e^{-2r}
     assert variance(p) == pytest.approx(limit + correction, rel=1e-12)
     assert correction == pytest.approx(1.44e-5, rel=1e-10)
 
 
 def test_variance_np_monotone_and_divergent():
     grid = np.linspace(0.05, 0.95, 19)
-    vals = [variance(RabiParams.from_dimensionless(l, 1e4)) for l in grid]
+    vals = [variance(RabiParams(l, 1e4)) for l in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     # edge of the guard band is still evaluable and already huge
-    assert variance(RabiParams.from_dimensionless(1.0 - 1e-6, 1e4)) > 1e3
+    assert variance(RabiParams(1.0 - 1e-6, 1e4)) > 1e3
     with pytest.raises(PhaseDomainError):
-        variance(RabiParams.from_dimensionless(1.0 - 1e-7, 1e4))
+        variance(RabiParams(1.0 - 1e-7, 1e4))
 
 
 def test_superradiant_frame_values():
-    p = RabiParams.from_dimensionless(1.1, 5000.0)
+    p = RabiParams(1.1, 5000.0)
     alpha, r = superradiant_frame(p)
     assert alpha**2 == pytest.approx(479.44, abs=0.05)
     assert r == pytest.approx(-0.25 * math.log(1 - 1.1**-4))
     assert r == pytest.approx(0.28722, abs=1e-5)
-    _, r2 = superradiant_frame(RabiParams.from_dimensionless(2.0, 5000.0))
+    _, r2 = superradiant_frame(RabiParams(2.0, 5000.0))
     assert r2 == pytest.approx(-0.25 * math.log(15.0 / 16.0))
     assert r2 == pytest.approx(0.0161346, abs=1e-6)
     with pytest.raises(PhaseDomainError):
-        superradiant_frame(RabiParams.from_dimensionless(0.9, 5000.0))
+        superradiant_frame(RabiParams(0.9, 5000.0))
     with pytest.raises(PhaseDomainError):
-        superradiant_frame(RabiParams.from_dimensionless(1.0 + 1e-7, 5000.0))
+        superradiant_frame(RabiParams(1.0 + 1e-7, 5000.0))
 
 
 def test_variance_sp_value_and_scaling():
-    p = RabiParams.from_dimensionless(1.1, 5000.0)
+    p = RabiParams(1.1, 5000.0)
     alpha, r = superradiant_frame(p)
     expect = (
         0.5 * math.sinh(2 * r) ** 2
@@ -82,30 +82,30 @@ def test_variance_sp_value_and_scaling():
     assert variance(p) == pytest.approx(expect, rel=1e-12)
     assert variance(p) == pytest.approx(851.7, abs=0.5)
     # doubling eta roughly doubles gamma (alpha^2 term dominates and is linear)
-    p2 = RabiParams.from_dimensionless(1.1, 10000.0)
+    p2 = RabiParams(1.1, 10000.0)
     assert variance(p2) / variance(p) == pytest.approx(2.0, rel=1e-2)
 
 
 def test_variance_sp_linear_in_eta():
     # the eta-dependent part is exactly linear; fitted slope stable to < 1%
     etas = np.array([1e3, 1e4, 1e5])
-    vals = np.array([variance(RabiParams.from_dimensionless(1.2, e)) for e in etas])
+    vals = np.array([variance(RabiParams(1.2, e)) for e in etas])
     slopes = np.diff(vals) / np.diff(etas)
     assert abs(slopes[1] / slopes[0] - 1.0) < 1e-2
 
 
 def test_variance_sp_large_lambda_dominated_by_displacement():
-    p = RabiParams.from_dimensionless(50.0, 1e4)
+    p = RabiParams(50.0, 1e4)
     alpha, r = superradiant_frame(p)
     assert variance(p) / (alpha**2 * math.exp(2 * r)) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_variance_dispatch():
-    assert variance(RabiParams.from_dimensionless(0.5, 100.0)) == variance_np(
-        RabiParams.from_dimensionless(0.5, 100.0)
+    assert variance(RabiParams(0.5, 100.0)) == variance_np(
+        RabiParams(0.5, 100.0)
     )
-    assert variance(RabiParams.from_dimensionless(1.5, 100.0)) == variance_sp(
-        RabiParams.from_dimensionless(1.5, 100.0)
+    assert variance(RabiParams(1.5, 100.0)) == variance_sp(
+        RabiParams(1.5, 100.0)
     )
 
 
@@ -138,7 +138,7 @@ def test_infinite_eta_consistency():
     # |gamma_np - gamma_exact| / gamma_exact shrinks by >= 5x from eta=1e3 to 1e5
     rels = []
     for eta in (1e3, 1e5):
-        p = RabiParams.from_dimensionless(0.9, eta)
+        p = RabiParams(0.9, eta)
         gs = ground_state(build_rabi(p, 64))
         _, gamma = photon_moments(gs.state)
         rels.append(abs(variance(p) - gamma) / gamma)
@@ -146,22 +146,22 @@ def test_infinite_eta_consistency():
 
 
 def test_analytic_ground_state_summary():
-    gs = analytic_ground_state(RabiParams.from_dimensionless(0.6, 1e5))
+    gs = analytic_ground_state(RabiParams(0.6, 1e5))
     assert gs.phase == "normal"
     assert gs.alpha_disp == 0.0
     assert gs.epsilon == pytest.approx(math.sqrt(1 - 0.36))
     assert gs.mean_n == pytest.approx(math.sinh(gs.r) ** 2)
     # finite-eta variational energy approaches the closed form
-    v = solve(RabiParams.from_dimensionless(0.6, 1e5))
+    v = solve(RabiParams(0.6, 1e5))
     assert gs.energy == pytest.approx(v.energy, rel=1e-6)
 
-    gsp = analytic_ground_state(RabiParams.from_dimensionless(1.3, 1e5))
+    gsp = analytic_ground_state(RabiParams(1.3, 1e5))
     assert gsp.phase == "superradiant"
     assert gsp.epsilon == pytest.approx(math.sqrt(1 - 1.3**-4))
-    # leading term of the superradiant energy: -omega_0 (lam^2 + lam^-2)/4
+    # leading term of the superradiant energy: -eta (lam^2 + lam^-2)/4
     lead = -1e5 * (1.3**2 + 1.3**-2) / 4.0
     assert gsp.energy == pytest.approx(lead, rel=1e-5)
-    vsp = solve(RabiParams.from_dimensionless(1.3, 1e5))
+    vsp = solve(RabiParams(1.3, 1e5))
     assert gsp.energy == pytest.approx(vsp.energy, rel=1e-6)
 
 

@@ -51,8 +51,8 @@ def test_band_eigh_equals_scipy_across_a_zero_off_diagonal():
     band[1, 9] = 0.0
     _assert_bitwise(band)
     for lam in (0.5, 1.2):
-        p = RabiParams.from_dimensionless(lam, 50.0)
-        _assert_bitwise(build_rabi_parity_chains(p, 24))
+        p = RabiParams(lam, 50.0)
+        _assert_bitwise(build_rabi_parity_chains(1.0, p.eta, p.g, 24))
         _assert_bitwise(build_rabi_parity(p, 24))
 
 

@@ -33,7 +33,7 @@ C = 32
 
 
 def _rabi_ground(lam, eta, cutoff=C):
-    p = RabiParams.from_dimensionless(lam, eta)
+    p = RabiParams(lam, eta)
     return p, ground_state(build_rabi(p, cutoff))
 
 
@@ -111,7 +111,7 @@ def _identity_like(op):
 def test_decoherence_factor_against_expm():
     # brute-force matrix-exponential oracle on a small problem
     cutoff = 20
-    p = RabiParams.from_dimensionless(0.5, 30.0)
+    p = RabiParams(0.5, 30.0)
     gs = ground_state(build_rabi(p, cutoff))
     probe = ProbeParams(math.sqrt(5e-3), 1.0)
     hg = build_branch(p, probe, "g", cutoff)
@@ -185,7 +185,7 @@ def test_sweep_lambda_zero(tmp_path, method):
     points = run(SweepConfig("custom", [0.0], etas, times, 1e-3, [method], 1e-8), tmp_path)
     assert [pt.eta for pt in points] == etas
     for pt in points:
-        p = RabiParams.from_dimensionless(0.0, pt.eta)
+        p = RabiParams(0.0, pt.eta)
         assert pt.converged and pt.value == [1.0] * len(times), pt.eta
         if method in GROUND_STATES:
             assert (pt.cutoff, pt.frame) == (8, "bare")
@@ -207,7 +207,7 @@ def test_sweep_echo_is_each_methods_own_path(tmp_path):
     assert len(points) == 12
     for pt in points:
         assert pt.chi == cfg.chi
-        p = RabiParams.from_dimensionless(pt.lam, pt.eta)
+        p = RabiParams(pt.lam, pt.eta)
         if pt.method in GROUND_STATES:
             gs = GROUND_STATES[pt.method](p, cfg.cutoff_tol)
             expected = np.abs(band_decoherence_factor(gs, cfg.chi, cfg.time_grid)) ** 2

@@ -214,9 +214,9 @@ def test_config_file_unknown_key(tmp_path):
     # finite values whose derived ones overflow: a traceback mid-run
     ("lambda_grid = 1e300\neta_grid = 1e300\n", "lambda_grid and eta_grid out of range"),
     ("chi = 1e200\n", "chi too large"),
-    # alpha_lambda overflows at lam**4; a finite grid builds an infinite phase
+    # the displacement alpha overflows at lam**4; a finite grid builds an infinite phase
     # record, once written as L = nan rows marked converged, with exit status 0
-    ("lambda_grid = 1e100\n", "out of range: alpha_lambda overflows at lam"),
+    ("lambda_grid = 1e100\n", "out of range: the displacement alpha overflows at lam"),
     ("lambda_grid = 1e77\neta_grid = 1e200\nmethods = analytic variational\n",
      "out of range: the phase record is not finite"),
 ], ids=["key_twice", "method_twice", "no_method", "tol_inf", "time_inf", "eta_inf",
@@ -287,8 +287,9 @@ def test_cli_reports_unusable_out_in_one_line(tmp_path, capsys, monkeypatch, com
 @pytest.mark.parametrize("argv, message", [
     (["--g-s", "1e160"], "chi = g_s^2 / delta_s must be finite"),
     (["--g-s", "1e200", "--detuning-ratio", "1e200"], "g_s and delta_s must be finite"),
-    (["--lam", "1e300", "--eta", "1e300"], "omega_c, omega_0 and g must be finite"),
-    (["--lam", "1e100"], "alpha_lambda overflows at lam = 1e+100"),
+    (["--lam", "1e300", "--eta", "1e300"],
+     "g = lam sqrt(eta) / 2 overflows at lam = 1e+300, eta = 1e+300"),
+    (["--lam", "1e100"], "the displacement alpha overflows at lam = 1e+100"),
 ], ids=["chi", "delta_s", "coupling", "alpha"])
 def test_cli_validate_dispersive_reports_overflow_in_one_line(capsys, argv, message):
     # each flag is finite but a value derived from them is not: once a
@@ -302,13 +303,13 @@ def test_cli_validate_dispersive_reports_overflow_in_one_line(capsys, argv, mess
 
 
 def test_cli_validate_dispersive_reports_unsearchable_bare_frame(capsys):
-    # the bare chain holds both wells only from alpha_lambda^2 = 45,139
+    # the bare chain holds both wells only from alpha^2 = 45,139
     # photons, above every cutoff the search tries: one line, exit status 1
     assert main(["validate-dispersive", "--lam", "1.5", "--eta", "1e5"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("rabicrit validate-dispersive: error: ") and err.count("\n") == 1, err
-    assert "alpha_lambda^2" in err
+    assert "alpha^2" in err
 
 
 def test_empty_grid_no_output(tmp_path):
@@ -455,7 +456,7 @@ def test_cli_validate_dispersive_fast(capsys):
 
 
 def test_validate_dispersive_decoupled_probe():
-    p = RabiParams.from_dimensionless(0.5, 40.0)
+    p = RabiParams(0.5, 40.0)
     probe = ProbeParams(0.0, 1.0)
     report = validate_dispersive(p, probe, np.linspace(0.0, 10.0, 5))
     assert report.max_rel_deviation < 1e-10
@@ -465,7 +466,7 @@ def test_validate_dispersive_warns_outside_regime():
     # Delta_s / |g_s| = 2. The sign of the coupling is a phase convention of
     # the probe: -g_s gives the same coherence as g_s, and violates
     # |Delta_s| >> |g_s| sqrt(<n>+1) as g_s does
-    p = RabiParams.from_dimensionless(0.5, 40.0)
+    p = RabiParams(0.5, 40.0)
     times = np.linspace(0.0, 20.0, 41)
     reports = []
     for g_s in (0.1, -0.1):
@@ -478,7 +479,7 @@ def test_validate_dispersive_warns_outside_regime():
 def test_validate_dispersive_flags_at_its_documented_boundary():
     # |Delta_s| >= 10 |g_s| sqrt(<n> + 1), <n> of the exact ground state:
     # 0.1% above the boundary is dispersive and quiet, 0.1% below is not, and warns
-    p = RabiParams.from_dimensionless(0.5, 40.0)
+    p = RabiParams(0.5, 40.0)
     g_s, times = 0.01, np.linspace(0.0, 5.0, 3)
     boundary = 10.0 * g_s * np.sqrt(GROUND_STATES["exact"](p, CUTOFF_TOL).mean_n + 1.0)
     with warnings.catch_warnings():

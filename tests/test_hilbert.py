@@ -1,7 +1,9 @@
-"""Tests for the truncated-space operator algebra."""
+"""Tests for the oracle's dense operators on the truncated spin (x) Fock
+space (`oracle.Operator`, `QuantumState`, the ladder, Pauli, displacement
+and squeezing operators and the tensor product), which the band solvers'
+references are built from; the library holds no dense operator."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

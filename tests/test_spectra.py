@@ -37,7 +37,6 @@ from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import (
     RabiParams,
     _quartic_band,
-    alpha_lambda,
     build_displaced_rabi_band,
     build_rabi_parity,
     phase,
@@ -46,7 +45,7 @@ from rabicrit.hamiltonians import (
 
 
 def test_ground_state_decoupled():
-    p = RabiParams(1.0, 3.0, 0.0)
+    p = RabiParams(0.0, 3.0)
     gs = ground_state(build_rabi(p, 16))
     assert gs.energy == pytest.approx(-1.5, abs=1e-12)
     expect = np.zeros(2 * 17)
@@ -68,7 +67,7 @@ def test_ground_state_rejects_non_hermitian():
 
 def test_ground_state_phase_convention():
     # largest amplitude made real-positive regardless of eigensolver phase
-    p = RabiParams.from_dimensionless(0.8, 20.0)
+    p = RabiParams(0.8, 20.0)
     gs = ground_state(build_rabi(p, 24))
     k = np.argmax(np.abs(gs.state.vec))
     assert gs.state.vec[k].imag == pytest.approx(0.0, abs=1e-14)
@@ -104,7 +103,7 @@ def test_photon_moments_squeezed_vacuum():
 
 
 def test_operator_moments_matches_photon_moments():
-    p = RabiParams.from_dimensionless(0.9, 100.0)
+    p = RabiParams(0.9, 100.0)
     c = 40
     gs = ground_state(build_rabi(p, c))
     from oracle import identity, number, tensor
@@ -141,7 +140,7 @@ def test_photon_number_variance_without_cancellation(method, lam, eta):
     # at large displacement <N>^2 dwarfs Var(N): <N v, N v> - <N>^2 lost up to
     # 8 digits here (6.1e-8 relative for the effective method, the variance
     # quantised to multiples of 16), the centred residual none
-    gs = dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
+    gs = dynamics.GROUND_STATES[method](RabiParams(lam, eta), 1e-8)
     mean, var = _moments_40_digits(gs.n, gs.vector)
     assert abs(gs.gamma - var) <= 1e-12 * var, (gs.gamma, mp.nstr(var, 20))
     assert abs(gs.mean_n - mean) <= 1e-14 * mean
@@ -151,7 +150,7 @@ def test_dense_photon_number_variance_without_cancellation():
     # the oracle's moments, on the dense effective ground state at lam = 3,
     # eta = 1e8 (cutoff 32): <N v, N v> - <N>^2 gave 223606784.0, 6.2e-8
     # off; the centred residual agrees with `band_moments` on the same vector
-    p = RabiParams.from_dimensionless(3.0, 1e8)
+    p = RabiParams(3.0, 1e8)
     gs = dense_ground(p, "effective", 1e-10)
     assert gs.n_max == 32
     vec = gs.state.vec.real
@@ -166,13 +165,13 @@ def _shared_bands():
     """A tridiagonal band (the even parity chain), a wider one (the displaced
     band, half-width 3), and the effective method's even block, a strided
     view of its full band, with that full band."""
-    p = RabiParams.from_dimensionless(1.2, 50.0)
+    p = RabiParams(1.2, 50.0)
     ph = phase(p)
-    full = _quartic_band(ph.omega_c, ph.c2, ph.c4, 16)
+    full = _quartic_band(ph.c2, ph.c4, 16)
     return {
         "tridiagonal": (build_rabi_parity(p, 16), photon_number_band(0.0, 16, 1)),
-        "displaced": (build_displaced_rabi_band(p, alpha_lambda(p), 16),
-                      photon_number_band(alpha_lambda(p), 16, 2)),
+        "displaced": (build_displaced_rabi_band(p, ph.alpha, 16),
+                      photon_number_band(ph.alpha, 16, 2)),
         "even_block": (full[0::2, 0::2], photon_number_band(0.0, 16, 1)[0::2, 0::2]),
     }, full
 
@@ -223,14 +222,14 @@ def test_parity_operator():
 def test_ground_state_definite_parity():
     pi = parity_operator(48)
     for lam in (0.3, 0.8, 0.99):
-        p = RabiParams.from_dimensionless(lam, 200.0)
+        p = RabiParams(lam, 200.0)
         gs = ground_state(build_rabi(p, 48))
         expect = np.vdot(gs.state.vec, pi.mat @ gs.state.vec)
         assert abs(expect) > 1.0 - 1e-8
 
 
 def test_converge_cutoff_decoupled():
-    p = RabiParams(1.0, 3.0, 0.0)
+    p = RabiParams(0.0, 3.0)
     found = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-12)
     assert found.n_max == 8
     assert found.energy == -1.5
@@ -239,7 +238,7 @@ def test_converge_cutoff_decoupled():
 
 def test_converge_cutoff_self_consistent():
     # the library's cutoff on the even parity chain, checked by dense energies
-    p = RabiParams.from_dimensionless(0.99, 5000.0)
+    p = RabiParams(0.99, 5000.0)
     c = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-9).n_max
     e1 = ground_state(build_rabi(p, c)).energy
     e2 = ground_state(build_rabi(p, 2 * c)).energy
@@ -248,7 +247,7 @@ def test_converge_cutoff_self_consistent():
 
 
 def test_converge_cutoff_errors():
-    p = RabiParams(1.0, 3.0, 0.0)
+    p = RabiParams(0.0, 3.0)
     for tol in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError):
             spectra.converge_cutoff((partial(build_rabi_parity, p),), tol)
@@ -312,7 +311,7 @@ def test_cutoff_search_equals_the_energy_comparison(monkeypatch, method):
     for eta in (1e3, 1e5, 1e7):
         for lam in (0.5, 0.99, 0.9999, 1.0, 1.001, 1.01, 1.05, 1.3):
             compared.clear()
-            dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
+            dynamics.GROUND_STATES[method](RabiParams(lam, eta), 1e-8)
             ((found, reference),) = compared
             assert found[:3] == reference[:3], (lam, eta)
             assert np.array_equal(found.band, reference.band), (lam, eta)
@@ -344,7 +343,7 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
     for lam, eta in points:
         dims.clear()
         searches.clear()
-        dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), 1e-8)
+        dynamics.GROUND_STATES[method](RabiParams(lam, eta), 1e-8)
         ((frames, found),) = searches
         doubled = frames[found.frame](2 * found.n_max).shape[1]
         assert dims and max(dims) < doubled, (lam, eta, max(dims), doubled)
@@ -353,7 +352,7 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
 def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
     # the bare frame is the even parity chain alone; searched over both
     # parity chains, as a dense solve sees the Rabi Hamiltonian, with the
-    # same alpha_lambda^2 gate, it must pick the same frame and cutoff (or
+    # same alpha^2 gate, it must pick the same frame and cutoff (or
     # reach the cap too), its energy equal to roundoff
     compared = []
 
@@ -364,7 +363,8 @@ def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
             return None
 
     def both(frames, tol):
-        chains = lambda c: None if frames[0](c) is None else build_rabi_parity_chains(p, c)
+        chains = lambda c: (None if frames[0](c) is None
+                            else build_rabi_parity_chains(1.0, p.eta, p.g, c))
         compared.append((capped(frames, tol), capped((chains, *frames[1:]), tol)))
         return spectra.converge_cutoff(frames, tol)
 
@@ -372,7 +372,7 @@ def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
     lams = sorted(set(critical_lambda_grid()) | {0.3, 0.9999, 1.0, 1.0005, 1.001, 1.005, 2.0, 3.0})
     for eta in (1.0, 10.0, 50.0, 200.0, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 1e6, 1e7):
         for lam in lams:
-            p = RabiParams.from_dimensionless(lam, eta)
+            p = RabiParams(lam, eta)
             compared.clear()
             try:
                 dynamics.exact_ground_state(p, 1e-8)
@@ -398,7 +398,7 @@ def test_bare_frame_bisects_once_per_tried_cutoff(monkeypatch, lam, eta):
         return eigh(h, lowest)
 
     monkeypatch.setattr(spectra, "_band_eigh", counted)
-    gs = dynamics.exact_ground_state(RabiParams.from_dimensionless(lam, eta), 1e-8)
+    gs = dynamics.exact_ground_state(RabiParams(lam, eta), 1e-8)
     assert gs.frame == "bare"
     tried = [n for n in (spectra.N_START << k for k in range(10)) if n <= gs.n_max]
     assert tried[-1] == gs.n_max
@@ -407,7 +407,7 @@ def test_bare_frame_bisects_once_per_tried_cutoff(monkeypatch, lam, eta):
 
 def test_ground_energy_monotone_in_cutoff():
     # variational property of truncation: energy non-increasing as n_max grows
-    p = RabiParams.from_dimensionless(0.95, 500.0)
+    p = RabiParams(0.95, 500.0)
     energies = [
         ground_state(build_rabi(p, n)).energy for n in (8, 16, 32, 64)
     ]

@@ -6,7 +6,7 @@ The exact method solves the Rabi Hamiltonian as a real tridiagonal matrix
 half-width 3 (the displaced frame). Below the transition it uses the bare
 frame; above it, the first frame whose ground energy converges in one
 doubling search (bare first at each cutoff, and not below the mean-field
-photon number alpha_lambda^2). The effective method solves its fourth-order
+photon number alpha^2). The effective method solves its fourth-order
 Hamiltonians, without their constants, on the even photon numbers in both
 phases: real band matrices of half-width 2. The dense complex `Operator` path
 (`oracle.dense_ground`: cutoff doubling over the same frames and a full
@@ -47,6 +47,7 @@ from oracle import (
     number,
     operator_moments,
     physical_number,
+    rabi_dense,
     tensor,
 )
 from oracle import validate_dispersive as dense_validate_dispersive
@@ -56,10 +57,10 @@ from rabicrit.experiments import default_config, run, validate_dispersive
 from rabicrit.hamiltonians import (
     ProbeParams,
     RabiParams,
-    alpha_lambda,
     build_displaced_rabi_band,
     build_rabi_parity,
     build_tripartite_blocks,
+    phase,
     photon_number_band,
 )
 from rabicrit.spectra import (
@@ -99,33 +100,33 @@ def _spin_fastest_order(n_max):
 
 def _dense_exact_echo(p, probe, times):
     """The dense exact ground state (`dense_ground`) and its echo L, each
-    branch the Rabi Hamiltonian rebuilt at omega_c -/+ chi in the frame the
-    state was solved in (alpha = 0: the bare frame)."""
+    branch the Rabi Hamiltonian at cavity frequency 1 -/+ chi in the frame
+    the state was solved in (alpha = 0: the bare frame)."""
     gs = dense_ground(p, "exact", TOL)
 
     def branch(omega_b, const):
-        h, _ = build_displaced_rabi(RabiParams(omega_b, p.omega_0, p.g), gs.alpha, gs.n_max)
+        h = rabi_dense(omega_b, p.eta, p.g, gs.n_max, gs.alpha)
         return h + const * identity(h.dims)
 
-    omega_s = p.omega_c + probe.delta_s
-    h_g = branch(p.omega_c - probe.chi, -0.5 * omega_s)
-    h_e = branch(p.omega_c + probe.chi, 0.5 * omega_s + probe.chi)
+    omega_s = 1.0 + probe.delta_s
+    h_g = branch(1.0 - probe.chi, -0.5 * omega_s)
+    h_e = branch(1.0 + probe.chi, 0.5 * omega_s + probe.chi)
     return gs, decoherence_factor(h_g, h_e, gs.state, times).l_values
 
 
 def test_band_builders_are_permuted_dense_builders():
     for n_max in (0, 9):  # 0: the vacuum alone
-        p = RabiParams.from_dimensionless(0.8, 20.0)
+        p = RabiParams(0.8, 20.0)
         order = _parity_order(n_max)
         dense = build_rabi(p, n_max).mat
         assert np.abs(dense.imag).max() == 0.0
-        chains = build_rabi_parity_chains(p, n_max)
+        chains = build_rabi_parity_chains(1.0, p.eta, p.g, n_max)
         assert np.array_equal(dense.real[np.ix_(order, order)], _dense(chains))
         # the even chain is the leading block, split off by a zero entry
         assert chains[1, n_max] == 0.0
         assert np.array_equal(build_rabi_parity(p, n_max), chains[:, :n_max + 1])
-        p = RabiParams.from_dimensionless(1.3, 20.0)
-        alpha = alpha_lambda(p)
+        p = RabiParams(1.3, 20.0)
+        alpha = phase(p).alpha
         order = _spin_fastest_order(n_max)
         dense = build_displaced_rabi(p, alpha, n_max)[0].mat.real
         assert np.array_equal(dense[np.ix_(order, order)],
@@ -139,26 +140,27 @@ def test_band_builders_are_permuted_dense_builders():
 
 
 def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
-    # H -/+ chi N is the Hamiltonian rebuilt at omega_c -/+ chi, on the even
-    # parity chain and in the displaced frame, with no constant: the probe's
-    # energy (-omega_s/2 and omega_s/2 + chi) changes only the phase of D
+    # H -/+ chi N is the dense Rabi Hamiltonian at cavity frequency 1 -/+ chi,
+    # on the even parity chain and in the displaced frame, with no constant:
+    # the probe's energy (-omega_s/2 and omega_s/2 + chi) changes only the
+    # phase of D
     eps = np.finfo(float).eps
     c = 40
     chi = DEFAULT_PROBE.chi
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
-        p = RabiParams.from_dimensionless(lam, eta)
-        shifted = [RabiParams(p.omega_c + sign * chi, p.omega_0, p.g) for sign in (-1, 1)]
-        cases = [(lambda q: build_rabi_parity(q, c), photon_number_band(0.0, c, 1))]
+        p = RabiParams(lam, eta)
+        even = _parity_order(c)[:c + 1]
+        cases = [(build_rabi_parity(p, c), photon_number_band(0.0, c, 1), 0.0, even)]
         if lam > 1.0:
-            alpha = alpha_lambda(p)
-            cases.append((lambda q: build_displaced_rabi_band(q, alpha, c),
-                          photon_number_band(alpha, c, 2)))
-        for build, n in cases:
-            h = build(p)
-            for branch, q in zip(dynamics.probe_branches(h, n, chi), shifted):
-                ref = build(q)
-                assert branch.shape == ref.shape
-                err = np.abs(branch - ref).max()
+            alpha = phase(p).alpha
+            cases.append((build_displaced_rabi_band(p, alpha, c), photon_number_band(alpha, c, 2),
+                          alpha, _spin_fastest_order(c)))
+        for h, n, alpha, order in cases:
+            for branch, sign in zip(dynamics.probe_branches(h, n, chi), (-1, 1)):
+                ref = rabi_dense(1.0 + sign * chi, eta, p.g, c, alpha).mat
+                assert np.abs(ref.imag).max() == 0.0
+                ref = ref.real[np.ix_(order, order)]
+                err = np.abs(_dense(branch) - ref).max()
                 assert err <= 4.0 * eps * np.abs(ref).max(), (lam, eta, err)
 
 
@@ -167,8 +169,8 @@ def test_band_moments_match_dense_operator_moments():
     # vector, spin-fastest, against the dense oracle in the spin-first basis
     c = 30
     for lam, eta in ((1.3, 20.0), (1.05, 200.0)):
-        p = RabiParams.from_dimensionless(lam, eta)
-        alpha = alpha_lambda(p)
+        p = RabiParams(lam, eta)
+        alpha = phase(p).alpha
         h = build_displaced_rabi_band(p, alpha, c)
         vec = band_ground_state(h, band_ground_energy(h))
         dense_vec = np.zeros(2 * (c + 1))
@@ -203,7 +205,7 @@ def test_tripartite_blocks_are_dense_parity_blocks():
         orders = _tripartite_block_order(n_max)
         assert np.array_equal(np.sort(np.concatenate(orders)), np.arange(4 * (n_max + 1)))
         for lam, probe in ((0.8, DEFAULT_PROBE), (1.3, ProbeParams(0.1, 0.2))):
-            p = RabiParams.from_dimensionless(lam, 20.0)
+            p = RabiParams(lam, 20.0)
             dense = build_tripartite(p, probe, n_max).mat
             assert np.abs(dense.imag).max() == 0.0
             blocks = build_tripartite_blocks(p, probe, n_max)
@@ -226,7 +228,7 @@ def test_tripartite_blocks_are_dense_parity_blocks():
 ])
 def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
     # both checks search their cutoff: 8 at (0.5, 40), 128 at (1.2, 200)
-    p = RabiParams.from_dimensionless(lam, eta)
+    p = RabiParams(lam, eta)
     times = np.linspace(0.0, 20.0, 41)
     reports = []
     for check in (validate_dispersive, dense_validate_dispersive):
@@ -241,21 +243,6 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
     assert band_warnings == dense_warnings
 
 
-def test_tripartite_check_at_another_cavity_frequency():
-    # at omega_c = 2 the probe detuned by Delta_s = 1 sits at omega_s = 3, not
-    # at 2 (resonant with the cavity, where chi = g_s^2 / Delta_s would not hold
-    # and the deviation was 0.027); the oracle places it there independently
-    p = RabiParams(2.0, 400.0, 0.5 * np.sqrt(800.0) / 2.0)  # lam = 0.5, eta = 200
-    assert (p.lam, p.eta) == pytest.approx((0.5, 200.0), rel=1e-15)
-    times = np.linspace(0.0, 20.0, 41)
-    band = validate_dispersive(p, FIGURE_PROBE, times)
-    dense = dense_validate_dispersive(p, FIGURE_PROBE, times)
-    assert np.abs(band.coherence_exact - dense.coherence_exact).max() <= 1e-12
-    assert np.abs(band.coherence_predicted - dense.coherence_predicted).max() <= 1e-12
-    assert band.dispersive_regime and dense.dispersive_regime
-    assert band.max_rel_deviation < 2e-3
-
-
 def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
     # the check diagonalises each parity block once, at the cutoff its
     # search chose, and no band of the whole tripartite space
@@ -266,7 +253,7 @@ def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
         return solve(h)
 
     monkeypatch.setattr(experiments, "band_spectrum", counted)
-    p = RabiParams.from_dimensionless(1.2, 200.0)
+    p = RabiParams(1.2, 200.0)
     n_max = dynamics._exact_ground(p, (0.0,), TOL).n_max
     validate_dispersive(p, DEFAULT_PROBE, np.linspace(0.0, 20.0, 41))
     assert solved == [(2 * (n_max + 1), 2)] * 2
@@ -274,23 +261,23 @@ def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
 
 def test_tripartite_check_reports_an_unsearchable_bare_frame(monkeypatch):
     # at lam = 1.5, eta = 1e5 the bare chain holds both wells only from
-    # alpha_lambda^2 = 45,139 photons, above every cutoff the search tries:
+    # alpha^2 = 45,139 photons, above every cutoff the search tries:
     # the check says so before it builds a band
     def never(*args):
         raise AssertionError("a band was built")
 
     monkeypatch.setattr(dynamics, "build_rabi_parity", never)
     monkeypatch.setattr(dynamics, "build_displaced_rabi_band", never)
-    p = RabiParams.from_dimensionless(1.5, 1e5)
-    with pytest.raises(ConvergenceError, match=r"alpha_lambda\^2 = 45138.9 photons"):
+    p = RabiParams(1.5, 1e5)
+    with pytest.raises(ConvergenceError, match=r"alpha\^2 = 45138.9 photons"):
         validate_dispersive(p, DEFAULT_PROBE, np.linspace(0.0, 20.0, 41))
 
 
 def test_band_solvers_match_dense_eigh():
     c = 40
-    p = RabiParams.from_dimensionless(0.9, 50.0)
+    p = RabiParams(0.9, 50.0)
     chain = build_rabi_parity(p, c)
-    displaced = build_displaced_rabi_band(RabiParams.from_dimensionless(1.2, 50.0), 2.0, c)
+    displaced = build_displaced_rabi_band(RabiParams(1.2, 50.0), 2.0, c)
     for h in (chain, displaced):
         w, v = np.linalg.eigh(_dense(h))
         energy = band_ground_energy(h)
@@ -303,7 +290,7 @@ def test_band_solvers_match_dense_eigh():
         assert np.abs(_dense(h) @ v_all - v_all * w_all).max() < 1e-10
     # the even parity chain holds the ground state of both chains
     assert band_ground_energy(chain) == pytest.approx(
-        band_ground_energy(build_rabi_parity_chains(p, c)), abs=1e-11
+        band_ground_energy(build_rabi_parity_chains(1.0, p.eta, p.g, c)), abs=1e-11
     )
 
 
@@ -315,7 +302,7 @@ def test_exact_path_matches_dense_oracle():
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
     sweep = echo_sweep(eta, 1e-3, lams, times, "exact", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         dense, l_dense = _dense_exact_echo(p, FIGURE_PROBE, times)
         gs = exact_ground_state(p, TOL)
         assert sweep.cutoffs[i] == gs.n_max == dense.n_max, lam
@@ -334,19 +321,19 @@ def test_exact_path_matches_dense_oracle():
 def test_exact_frame_is_the_first_to_converge():
     # above the transition the bare even chain wins where tunnelling
     # between the wells matters, the displaced band where the wells are far
-    # apart (alpha_lambda^2 = 25 and 511)
-    gs = exact_ground_state(RabiParams.from_dimensionless(1.005, 5000.0), TOL)
+    # apart (alpha^2 = 25 and 511)
+    gs = exact_ground_state(RabiParams(1.005, 5000.0), TOL)
     assert (gs.frame, gs.alpha, gs.n_max) == ("bare", 0.0, 128)
-    p = RabiParams.from_dimensionless(1.05, 1e5)
+    p = RabiParams(1.05, 1e5)
     gs = exact_ground_state(p, TOL)
-    assert (gs.frame, gs.alpha, gs.n_max) == ("displaced", alpha_lambda(p), 32)
+    assert (gs.frame, gs.alpha, gs.n_max) == ("displaced", phase(p).alpha, 32)
     displaced = lambda c: build_displaced_rabi_band(p, gs.alpha, c)
     assert spectra.converge_cutoff((displaced,), TOL).n_max == gs.n_max
 
 
 def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
     # at eta = 1e5 every superradiant point converges in the displaced frame
-    # below the cutoff alpha_lambda^2 >= 499, so no bare chain is built
+    # below the cutoff alpha^2 >= 499, so no bare chain is built
     built = []
 
     def counted(p, n_max):
@@ -356,10 +343,10 @@ def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
     monkeypatch.setattr(dynamics, "build_rabi_parity", counted)
     lams = [lam for lam in default_config("fig5").lambda_grid if lam > 1.0]
     for lam in lams:
-        assert exact_ground_state(RabiParams.from_dimensionless(lam, 1e5), TOL).frame == "displaced"
+        assert exact_ground_state(RabiParams(lam, 1e5), TOL).frame == "displaced"
     assert built == []
-    exact_ground_state(RabiParams.from_dimensionless(1.005, 5000.0), TOL)
-    assert min(built) >= 32 and 128 in built  # alpha_lambda^2 = 25
+    exact_ground_state(RabiParams(1.005, 5000.0), TOL)
+    assert min(built) >= 32 and 128 in built  # alpha^2 = 25
 
 
 @pytest.mark.parametrize("method, lam, eta, frame", [
@@ -382,7 +369,7 @@ def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
             return build(*args)
 
         monkeypatch.setattr(dynamics, name, counted)
-    gs = dynamics.GROUND_STATES[method](RabiParams.from_dimensionless(lam, eta), TOL)
+    gs = dynamics.GROUND_STATES[method](RabiParams(lam, eta), TOL)
     assert gs.frame == frame
     assert ("photon_number_band", gs.n_max) in built
     assert sorted(built) == sorted(set(built)), built
@@ -390,23 +377,23 @@ def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
 
 def _even_chain(p, chi, n_max):
     """(ground state, (h_g, h_e)) on the even parity chain at a fixed cutoff,
-    the branches rebuilt at omega_c -/+ chi."""
+    the branches the oracle's chain at cavity frequency 1 -/+ chi."""
 
     def chain(omega_c):
-        return build_rabi_parity(RabiParams(omega_c, p.omega_0, p.g), n_max)
+        return build_rabi_parity_chains(omega_c, p.eta, p.g, n_max)[:, :n_max + 1]
 
-    h, n = chain(p.omega_c), photon_number_band(0.0, n_max, 1)
+    h, n = build_rabi_parity(p, n_max), photon_number_band(0.0, n_max, 1)
     energy = band_ground_energy(h)
     vec = band_ground_state(h, energy)
     gs = dynamics.BandGround(0.0, n_max, h, n, energy, vec, *band_moments(n, vec))
-    return gs, (chain(p.omega_c - chi), chain(p.omega_c + chi))
+    return gs, (chain(1.0 - chi), chain(1.0 + chi))
 
 
 def test_normal_phase_point_at_cutoff_cap():
     # a near-critical point solved at the largest cutoff the search reaches
     # agrees with the same point at half that cutoff; there the library's
     # echo, on its own branches, agrees with the oracle's, D itself
-    p = RabiParams.from_dimensionless(0.9999, 1e6)
+    p = RabiParams(0.9999, 1e6)
     chi = 1e-3
     times = np.linspace(0.0, 100.0, 6)
     gs, branches = _even_chain(p, chi, CUTOFF_HARD_CAP)
@@ -429,11 +416,11 @@ def test_effective_band_builders_equal_dense_builders():
     for n_max in (0, 1, 2, 3, 5, 8, 33):
         cases = []
         for lam, eta in ((0.5, 20.0), (0.99, 1e5), (1.01, 1e5), (1.3, 20.0)):
-            p = RabiParams.from_dimensionless(lam, eta)
+            p = RabiParams(lam, eta)
             cases.append((build_effective_np(p, n_max), build_effective_np_band(p, n_max), 5))
             if lam > 1.0:
                 cases.append((build_effective_sp(p, n_max), build_effective_sp_band(p, n_max), 5))
-                alpha = alpha_lambda(p)
+                alpha = phase(p).alpha
                 cases.append((physical_number(alpha, n_max), photon_number_band(alpha, n_max, 1), 2))
         cases.append((number(n_max), photon_number_band(0.0, n_max, 1), 2))
         for dense, band, rows in cases:
@@ -446,8 +433,8 @@ def test_effective_band_builders_equal_dense_builders():
 def test_effective_path_matches_dense_oracle():
     # both sides of the transition at the fig5 eta; the relative bound on
     # 1 - L sees a wrong probe shift even where L stays close to 1. The dense
-    # echo is taken without the Hamiltonian's constant (-omega_0/2 at leading
-    # order), a global phase of D: kept in, its roundoff eps omega_0 t is noise
+    # echo is taken without the Hamiltonian's constant (-eta/2 at leading
+    # order), a global phase of D: kept in, its roundoff eps eta t is noise
     # of up to 1.2e-9 on the dense L at t = 100 (lam = 1.4, over chi within
     # four ulp of 1e-3), above the bound
     eta, chi, omega_s = 1e5, 1e-3, 2.0
@@ -455,10 +442,10 @@ def test_effective_path_matches_dense_oracle():
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
     sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         gs = dense_ground(p, "effective", TOL)
         c2, c4, _ = effective_np_coeffs(p) if lam <= 1.0 else effective_sp_coeffs(p)
-        h_free = _quartic_dense(p.omega_c, c2, c4, 0.0, gs.n_max)
+        h_free = _quartic_dense(c2, c4, 0.0, gs.n_max)
         ident = identity(h_free.dims)
         h_g = h_free - chi * gs.n + (-0.5 * omega_s) * ident
         h_e = h_free + chi * gs.n + (0.5 * omega_s + chi) * ident
@@ -473,12 +460,12 @@ def test_effective_path_matches_dense_oracle():
 
 
 def test_effective_branches_carry_no_constant():
-    # the effective Hamiltonian's constant (-omega_0/2 at leading order) is
+    # the effective Hamiltonian's constant (-eta/2 at leading order) is
     # common to both branches, a global phase of D; left in the branch bands,
-    # its roundoff eps omega_0 grows into a phase error of L with t (up to
+    # its roundoff eps eta grows into a phase error of L with t (up to
     # 7e-9 at eta = 1e6, t = 100). Oracle: the dense path with the constant
     # left out, at the sweep's cutoff. The ground vector is solved without the
-    # constant too: kept in, its roundoff, of order eps omega_0 / gap, left
+    # constant too: kept in, its roundoff, of order eps eta / gap, left
     # 2.2e-11 at lam = 1.01, eta = 1e6.
     chi, omega_s = 1e-3, 2.0
     times = np.linspace(0.0, 100.0, 21)
@@ -486,13 +473,13 @@ def test_effective_branches_carry_no_constant():
     for eta, bound in ((1e5, 1e-11), (1e6, 1e-11)):
         sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
         for i, lam in enumerate(lams):
-            p = RabiParams.from_dimensionless(lam, eta)
+            p = RabiParams(lam, eta)
             cutoff = sweep.cutoffs[i]
             if lam <= 1.0:
                 (c2, c4, _), alpha = effective_np_coeffs(p), 0.0
             else:
-                (c2, c4, _), alpha = effective_sp_coeffs(p), alpha_lambda(p)
-            h0 = _quartic_dense(p.omega_c, c2, c4, 0.0, cutoff)
+                (c2, c4, _), alpha = effective_sp_coeffs(p), phase(p).alpha
+            h0 = _quartic_dense(c2, c4, 0.0, cutoff)
             ident = identity(h0.dims)
             n_phys = physical_number(alpha, cutoff)
             h_g = h0 - chi * n_phys + (-0.5 * omega_s) * ident
@@ -510,7 +497,7 @@ def test_effective_ground_records_match_dense(tmp_path):
         points = run(cfg, tmp_path / figure)
         assert len(points) == len(cfg.eta_grid)
         for pt in points:
-            p = RabiParams.from_dimensionless(pt.lam, pt.eta)
+            p = RabiParams(pt.lam, pt.eta)
             gs = dense_ground(p, "effective", TOL)
             assert pt.cutoff == gs.n_max
             assert pt.value_name == ["energy", "mean_n"]
@@ -525,11 +512,11 @@ def test_inverse_iteration_vector_matches_eig_banded():
     # against eigh_tridiagonal
     cases = []
     for lam, eta, n_max in ((1.005, 5000.0, 512), (1.005, 1e5, 512), (0.995, 1e5, 256)):
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         cases += [build_effective_np_band(p, n_max)] if lam < 1.0 else [
-            build_displaced_rabi_band(p, alpha_lambda(p), n_max), build_effective_sp_band(p, n_max)]
+            build_displaced_rabi_band(p, phase(p).alpha, n_max), build_effective_sp_band(p, n_max)]
     for lam, eta, n_max in ((0.995, 1e5, 256), (1.005, 5000.0, 128), (0.9999, 1e6, 2048)):
-        cases.append(build_rabi_parity(RabiParams.from_dimensionless(lam, eta), n_max))
+        cases.append(build_rabi_parity(RabiParams(lam, eta), n_max))
     for h in cases:
         energy = band_ground_energy(h)
         vec = band_ground_state(h, energy)
@@ -555,7 +542,7 @@ def test_effective_even_search_matches_full_band_with_constant():
              for eta in default_config(figure).eta_grid]
     cases += [(lam, eta) for lam in fig5.lambda_grid for eta in fig5.eta_grid]
     for lam, eta in cases:
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         build = build_effective_sp_band if lam > 1.0 else build_effective_np_band
         cutoff = spectra.converge_cutoff((lambda c: build(p, c),), TOL).n_max
         gs = dynamics.effective_ground_state(p, TOL)
@@ -570,7 +557,7 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
     for lam, eta, frame in ((1.005, 1e5, "displaced"), (1.05, 1e5, "displaced"),
                             (1.3, 200.0, "displaced"), (1.005, 5000.0, "bare"),
                             (0.99, 1e5, "bare"), (0.9999, 1e6, "bare")):
-        p = RabiParams.from_dimensionless(lam, eta)
+        p = RabiParams(lam, eta)
         gs = exact_ground_state(p, TOL)
         assert gs.frame == frame, (lam, eta)
         if gs.alpha:
@@ -587,9 +574,9 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
 def test_cutoff_search_returns_the_energy_at_its_cutoff():
     # `converge_cutoff` hands over the ground energy it bisected at the chosen
     # cutoff, in the frame that converged there, and the solve reports it
-    p = RabiParams.from_dimensionless(1.05, 1e5)
+    p = RabiParams(1.05, 1e5)
     bare = lambda c: build_rabi_parity(p, c)
-    displaced = lambda c: build_displaced_rabi_band(p, alpha_lambda(p), c)
+    displaced = lambda c: build_displaced_rabi_band(p, phase(p).alpha, c)
     found = spectra.converge_cutoff((bare, displaced), TOL)
     assert (found.frame, found.n_max) == (1, 32)
     assert found.energy == band_ground_energy(displaced(found.n_max))
@@ -597,7 +584,7 @@ def test_cutoff_search_returns_the_energy_at_its_cutoff():
 
 
 def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):
-    h = build_effective_np_band(RabiParams.from_dimensionless(0.9, 1e3), 16)
+    h = build_effective_np_band(RabiParams(0.9, 1e3), 16)
     monkeypatch.setattr(spectra, "RESIDUAL_EPS", 0.0)
     with pytest.raises(ConvergenceError):
         band_ground_state(h, band_ground_energy(h))

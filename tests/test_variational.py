@@ -25,11 +25,11 @@ from rabicrit.variational import _cubic_coeffs, _squeezing, solve
 
 
 def test_decoupled_limit():
-    p = RabiParams.from_dimensionless(0.0, 100.0)
+    p = RabiParams(0.0, 100.0)
     sol = solve(p)
     assert sol.phase == NORMAL
     assert sol.s == pytest.approx(0.0, abs=1e-12)
-    assert sol.energy == pytest.approx(-0.5 * p.omega_0, abs=1e-10)
+    assert sol.energy == pytest.approx(-0.5 * p.eta, abs=1e-10)
     assert sol.mean_n == pytest.approx(0.0, abs=1e-12)
     assert sol.gamma_prime == pytest.approx(0.0, abs=1e-12)
 
@@ -37,7 +37,7 @@ def test_decoupled_limit():
 @pytest.mark.parametrize("lam", [0.5, 0.9, 0.99, 1.01, 1.1, 2.0])
 @pytest.mark.parametrize("eta", [1e3, 1e4, 1e5])
 def test_stationarity_grid(lam, eta):
-    p = RabiParams.from_dimensionless(lam, eta)
+    p = RabiParams(lam, eta)
     sol = solve(p)
     x, residual, curvature = stationarity(sol, p)
     assert residual < 1e-10
@@ -56,7 +56,7 @@ def test_newton_root_matches_closed_form():
     for eta in 10.0 ** np.arange(9):
         for lam in lams:
             name = NORMAL if lam < 1.0 else SUPERRADIANT
-            s = _squeezing(*_cubic_coeffs(phase(RabiParams.from_dimensionless(lam, eta))))
+            s = _squeezing(*_cubic_coeffs(phase(RabiParams(lam, eta))))
             x = math.exp(2.0 * s)
             x_closed = closed_form_x(name, lam, eta)
             assert abs(x_closed - x) <= DUAL_PATH_RTOL * x, (lam, eta, x, x_closed)
@@ -68,7 +68,7 @@ def test_normal_limit_to_closed_form():
     r_inf = squeezing_np(lam)
     gaps = []
     for eta in (1e3, 1e4, 1e5):
-        sol = solve(RabiParams.from_dimensionless(lam, eta))
+        sol = solve(RabiParams(lam, eta))
         gaps.append(abs(sol.s - r_inf))
     assert 5.0 < gaps[0] / gaps[1] < 20.0
     exponent = -np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(gaps), 1)[0]
@@ -77,9 +77,9 @@ def test_normal_limit_to_closed_form():
 
 def test_superradiant_limit_to_closed_form():
     lam = 1.2
-    _, r_inf = superradiant_frame(RabiParams.from_dimensionless(lam, 1e3))
+    _, r_inf = superradiant_frame(RabiParams(lam, 1e3))
     gaps = [
-        abs(solve(RabiParams.from_dimensionless(lam, eta)).s - r_inf)
+        abs(solve(RabiParams(lam, eta)).s - r_inf)
         for eta in (1e3, 1e4, 1e5)
     ]
     exponent = -np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(gaps), 1)[0]
@@ -89,7 +89,7 @@ def test_superradiant_limit_to_closed_form():
 def test_gamma_prime_limit():
     # finite-eta variance approaches the closed form (correction ~ 1/eta^2)
     lam = 0.9
-    p = RabiParams.from_dimensionless(lam, 1e5)
+    p = RabiParams(lam, 1e5)
     sol = solve(p)
     assert sol.gamma_prime == pytest.approx(variance(p), rel=1e-3)
 
@@ -101,14 +101,14 @@ def test_gamma_prime_negative_clamped_not_fatal(tmp_path):
     # negative variance, and a sweep records the point as degraded
     # (converged=false, NaN values, exit status 1) and goes on
     with pytest.raises(PhaseDomainError, match="variance -0.077"):
-        solve(RabiParams.from_dimensionless(0.9, 1.0))
+        solve(RabiParams(0.9, 1.0))
     with pytest.raises(PhaseDomainError, match="variance"):
         short_time_le(-0.077, 1e-3, [0.0, 10.0, 60.0])
     with pytest.raises(dataclasses.FrozenInstanceError):
-        solve(RabiParams.from_dimensionless(0.5, 1.0)).gamma_prime = 0.0
+        solve(RabiParams(0.5, 1.0)).gamma_prime = 0.0
 
     cfg = SweepConfig("custom", [0.5, 0.9], [1.0], [0.0, 60.0], 1e-3, ["variational"])
-    assert solve(RabiParams.from_dimensionless(0.5, 1.0)).gamma_prime > 0.0
+    assert solve(RabiParams(0.5, 1.0)).gamma_prime > 0.0
     ok, bad = run(cfg, tmp_path / "run")
     assert ok.converged and all(map(math.isfinite, ok.value)) and ok.value[1] < 1.0
     assert not bad.converged and all(map(math.isnan, bad.value))
@@ -124,7 +124,7 @@ def test_point_outside_the_ansatz_domain_is_degraded(tmp_path, eta):
     # negative too. Either way the ansatz has no state there: `solve` raises,
     # the fig1 point is degraded and the CLI exits 1, without a traceback
     with pytest.raises(PhaseDomainError):
-        solve(RabiParams.from_dimensionless(0.5, eta))
+        solve(RabiParams(0.5, eta))
     cfg = SweepConfig("fig1", [0.5], [eta], [0.0], 0.0, ["variational"])
     (pt,) = run(cfg, tmp_path / "run")
     assert not pt.converged and all(map(math.isnan, pt.value))
@@ -139,7 +139,7 @@ def test_squeezing_to_full_precision_at_small_lam(lam):
     # where log(x)/2 of a rounded x lost up to 7e-13 of s; against the root of
     # (3 lam^4 / (2 eta)) x^3 + (1 - lam^2) x^2 - 1 and the photon mean
     # sinh^2 s + q2 - 8 q2^2 x, q2 = lam^2 / (4 eta), in 50-digit arithmetic
-    p = RabiParams.from_dimensionless(lam, 1e5)
+    p = RabiParams(lam, 1e5)
     sol = solve(p)
     with mp.workdps(50):
         l2, eta = mp.mpf(p.lam) ** 2, mp.mpf(p.eta)
@@ -152,28 +152,28 @@ def test_squeezing_to_full_precision_at_small_lam(lam):
 
 
 def test_energy_matches_mean_field_scale():
-    # normal phase: E ~ -omega_0/2 + O(omega_c)
-    p = RabiParams.from_dimensionless(0.5, 1e4)
+    # normal phase: E ~ -eta/2 + O(1)
+    p = RabiParams(0.5, 1e4)
     sol = solve(p)
-    assert sol.energy / p.omega_0 == pytest.approx(-0.5, abs=1e-3)
+    assert sol.energy / p.eta == pytest.approx(-0.5, abs=1e-3)
 
 
 def test_finite_across_the_critical_band():
     # the cubic keeps its c4 term at mu = 1, so no lam needs a guard
     for lam in (1.0 - 1e-8, 1.0 + 1e-8):
-        sol = solve(RabiParams.from_dimensionless(lam, 1e3))
+        sol = solve(RabiParams(lam, 1e3))
         assert all(map(math.isfinite, (sol.s, sol.energy, sol.mean_n, sol.gamma_prime)))
         assert sol.gamma_prime > 0.0
 
 
 @pytest.mark.parametrize("eta", [1e4, 1e5, 1e6, 1e7, 1e8, 1e100])
 def test_critical_point_is_the_gaussian_ansatz_in_the_quartic_oscillator(eta):
-    # at lam = 1 (mu = 1, c2 = omega_c/4, c4 = omega_c^2 / (16 omega_0)) the
+    # at lam = 1 (mu = 1, c2 = 1/4, c4 = 1 / (16 eta)) the
     # cubic reads (3 / (2 eta)) x^3 = 1, so x = e^{2 s} = (2 eta/3)^{1/3}. With
     # sinh^2(2 s)/2 = (x^2 - 2 + x^-2)/8, q2 = 1/(4 eta) and q4 = q2^2, the
     # variance over its leading term x^2/8 is 1 - 2 x^-2 + x^-4 - eta^-2, within
     # 2 x^-2 of 1 once x^4 < eta^2
-    sol = solve(RabiParams.from_dimensionless(1.0, eta))
+    sol = solve(RabiParams(1.0, eta))
     x = (2.0 * eta / 3.0) ** (1.0 / 3.0)
     assert math.exp(2.0 * sol.s) == pytest.approx(x, rel=1e-14)
     if eta <= 1e8:
@@ -195,13 +195,13 @@ LOCKED_MOMENTS = {
 
 @pytest.mark.parametrize("lam, eta", list(LOCKED_MOMENTS))
 def test_photon_moments_locked(lam, eta):
-    sol = solve(RabiParams.from_dimensionless(lam, eta))
+    sol = solve(RabiParams(lam, eta))
     assert sol.phase == (NORMAL if lam < 1.0 else SUPERRADIANT)
     assert (sol.mean_n, sol.gamma_prime) == pytest.approx(LOCKED_MOMENTS[lam, eta], rel=1e-12)
 
 
 def test_superradiant_mean_n_dominated_by_displacement():
-    p = RabiParams.from_dimensionless(1.1, 1e4)
+    p = RabiParams(1.1, 1e4)
     sol = solve(p)
     alpha2 = superradiant_frame(p)[0] ** 2
     assert sol.mean_n / alpha2 == pytest.approx(1.0, abs=0.05)
