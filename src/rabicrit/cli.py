@@ -1,9 +1,11 @@
 """Command-line interface: figure reproduction, config-driven sweeps, and the
-dispersive-approximation check.
+dispersive-approximation check (`dynamics.validate_dispersive`).
 
-Exit status is 1 when a sweep point is degraded (non-converged), or the
-dispersive check misses its threshold or finds no converged ground state;
-2 for a bad flag or config file. Errors are one line on stderr.
+A sweep's settings all come from its config: a figure command's default one
+(`experiments.default_config`) or the file `sweep` is given. Exit status is 1
+when a sweep point is degraded (non-converged), or the dispersive check misses
+its threshold or finds no converged ground state; 2 for a bad flag or config
+file. Errors and the check's warning are one line on stderr each.
 """
 
 from __future__ import annotations
@@ -12,16 +14,17 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .dynamics import validate_dispersive
 from .errors import ConvergenceError
-from .experiments import SweepConfig, default_config, run, validate_dispersive
+from .experiments import SweepConfig, default_config, run
 from .hamiltonians import ProbeParams, RabiParams, phase
-from .spectra import CUTOFF_TOL
 
 
 def _checked(cast, test, wanted: str):
@@ -44,8 +47,6 @@ _non_negative = _checked(float, lambda v: v >= 0, "finite and non-negative")
 _nonzero = _checked(float, lambda v: v != 0, "finite and nonzero")
 
 _OUT = {"default": ".", "help": "output directory"}
-_CUTOFF_TOL = {"type": _positive, "default": CUTOFF_TOL,
-               "help": "ground-energy tolerance for cutoff doubling"}
 
 
 @functools.cache
@@ -62,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
         sp = sub.add_parser(fig, help=f"reproduce {fig} as CSV")
         sp.add_argument("--out", **_OUT)
-        sp.add_argument("--cutoff-tol", **_CUTOFF_TOL)
 
     sp = sub.add_parser("sweep", help="run a sweep described by a config file")
     sp.add_argument("--config", required=True, help="flat key = value config file")
@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-times", type=_positive_int, default=41)
     sp.add_argument("--threshold", type=_positive, default=0.05,
                     help="maximum tolerated relative deviation")
-    sp.add_argument("--cutoff-tol", **_CUTOFF_TOL)
 
     return parser
 
@@ -96,10 +95,14 @@ def main(argv=None) -> int:
             build_parser().exit(2, f"rabicrit validate-dispersive: error: {exc}\n")
         times = np.linspace(0.0, args.t_max, args.n_times)
         try:
-            report = validate_dispersive(p, probe, times, cutoff_tol=args.cutoff_tol)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                report = validate_dispersive(p, probe, times)
         except ConvergenceError as exc:
             print(f"rabicrit validate-dispersive: error: {exc}", file=sys.stderr)
             return 1
+        for w in caught:
+            print(f"rabicrit validate-dispersive: warning: {w.message}", file=sys.stderr)
         summary = {
             "max_rel_deviation": report.max_rel_deviation,
             "dispersive_regime": bool(report.dispersive_regime),
@@ -115,7 +118,7 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:
             build_parser().exit(2, f"rabicrit sweep: error: {exc}\n")
     else:
-        config = default_config(args.command, args.cutoff_tol)
+        config = default_config(args.command)
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

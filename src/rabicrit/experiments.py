@@ -1,12 +1,8 @@
 """Figure-reproduction sweeps, flat-file config parsing (every value checked
 finite before the output directory is made; errors name file, line and
-key), CSV/JSON reports, and the tripartite check of the dispersive
-approximation: the probe (`hamiltonians.ProbeParams(g_s, delta_s)`) + Rabi
-model on its two parity blocks (real band arrays of half-width 2,
-`hamiltonians.build_tripartite_blocks`), each diagonalised once and evolved
-by `dynamics.evolved`, against |D| of `dynamics.decoherence_factor` at the
-probe's chi on the Rabi ground state of the exact method's ground path
-(`dynamics._exact_ground`) on its bare frame, the even parity chain.
+key), and CSV/JSON reports. A `SweepConfig` is the one source of every
+sweep setting, the Fock-cutoff tolerance `cutoff_tol` included: the figure
+commands run `default_config(figure)`, at `spectra.CUTOFF_TOL`.
 
 A sweep point (`_point`) is the one place that picks a method's path: the
 exact and effective methods solve a ground state from the method table of
@@ -22,7 +18,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, fields
 from functools import cache
 from math import isfinite
@@ -32,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .analytic import CRITICAL_BAND, near_critical, short_time_le, variance
-from .dynamics import GROUND_STATES, _exact_ground, decoherence_factor, evolved
+from .dynamics import GROUND_STATES, decoherence_factor
 from .errors import ConvergenceError, PhaseDomainError
-from .hamiltonians import ProbeParams, RabiParams, build_tripartite_blocks, phase
-from .spectra import CUTOFF_TOL, band_spectrum
+from .hamiltonians import RabiParams, phase
+from .spectra import CUTOFF_TOL
 from .variational import solve as variational_solve
 
 # CPython's built-in SHA-256, as `random` takes its sha512: `hashlib` would
@@ -212,33 +207,34 @@ def critical_lambda_grid() -> list[float]:
     return [float(v) for v in grid if not near_critical(v)]
 
 
-def default_config(figure: str, cutoff_tol: float = CUTOFF_TOL) -> SweepConfig:
-    """Per-figure default grids; eta and chi follow the reference setups."""
+def default_config(figure: str) -> SweepConfig:
+    """Per-figure default grids at the default `cutoff_tol`; eta and chi follow
+    the reference setups."""
     if figure == "fig1":
         return SweepConfig(
             "fig1", [0.99], [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5], [0.0], 0.0,
-            ["exact", "effective", "variational"], cutoff_tol,
+            ["exact", "effective", "variational"],
         )
     if figure == "fig2":
         return SweepConfig(
             "fig2", [1.01], [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5], [0.0], 0.0,
-            ["exact", "effective", "variational"], cutoff_tol,
+            ["exact", "effective", "variational"],
         )
     if figure == "fig3":
         return SweepConfig(
             "fig3", critical_lambda_grid(), [5000.0],
             [float(t) for t in np.arange(0.0, 101.0, 2.0)], 1e-3,
-            ["analytic"], cutoff_tol,
+            ["analytic"],
         )
     if figure == "fig4":
         return SweepConfig(
             "fig4", critical_lambda_grid(), [2000.0, 4000.0, 6000.0, 8000.0, 10000.0],
-            [60.0], 1e-3, ["analytic"], cutoff_tol,
+            [60.0], 1e-3, ["analytic"],
         )
     if figure == "fig5":
         return SweepConfig(
             "fig5", critical_lambda_grid(), [1e5], [60.0], 1e-3,
-            ["exact", "effective", "variational", "analytic"], cutoff_tol,
+            ["exact", "effective", "variational", "analytic"],
         )
     raise ValueError(f"no default config for figure {figure!r}")
 
@@ -351,55 +347,3 @@ def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
     write_report(points, provenance, out / "report.json")
     return points
 
-
-@dataclass(frozen=True)
-class DispersiveReport:
-    coherence_exact: np.ndarray
-    coherence_predicted: np.ndarray
-    max_rel_deviation: float
-    dispersive_regime: bool
-
-
-def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
-                        cutoff_tol: float = CUTOFF_TOL) -> DispersiveReport:
-    """Compare the probe coherence from exact tripartite evolution, the probe
-    prepared in (|g> + |e>)/sqrt(2), against the branch-echo prediction
-    |D(t)|, at the cutoff the exact method's bare-frame search chooses.
-
-    Report-only: `dispersive_regime` is the dispersive condition
-    |Delta_s| >> |g_s| sqrt(<n> + 1) taken as |Delta_s| >= 10 |g_s| sqrt(<n> + 1),
-    a conventional factor 10; below it the check warns, and never fails.
-    """
-    times = np.asarray(times, dtype=float)
-    # the Rabi ground state on the exact method's bare frame, the even chain,
-    # whose row k is |g,k> (k even) or |e,k>
-    gs = _exact_ground(p, (0.0,), cutoff_tol)
-    dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(gs.mean_n + 1.0)
-    if not dispersive:
-        warnings.warn(
-            "dispersive condition |Delta_s| >> g_s sqrt(<n>+1) is violated; "
-            "large deviations expected",
-            stacklevel=2,
-        )
-    # exact tripartite evolution from the probe's (|g> + |e>)/sqrt(2) times the
-    # Rabi ground state: its |g> part in the first parity block, its |e> part
-    # in the second, both evolved from one energy offset to keep their phase
-    (w_g, v_g), (w_e, v_e) = map(band_spectrum, build_tripartite_blocks(p, probe, gs.n_max))
-    psi_g, psi_e = np.zeros(w_g.size), np.zeros(w_e.size)
-    psi_g[0::2] = psi_e[1::2] = gs.vector / np.sqrt(2.0)
-    g, e = evolved(w_g, v_g, psi_g, times, w_g[0]), evolved(w_e, v_e, psi_e, times, w_g[0])
-    # coherence magnitude convention: 2 |<sigma_->| = 2 |rho_eg|, with
-    # sigma_- = |g><e| on the probe; a block's rows 0::2 hold the probe's |g>,
-    # rows 1::2 its |e>, on the even chain in g[0::2] and e[1::2]
-    overlap = g[0::2].conj() * e[1::2] + e[0::2].conj() * g[1::2]
-    coherence_exact = 2.0 * np.abs(overlap.sum(axis=0))
-    # the branch echo predicts 2 |rho_eg| = 2 (1/2) |D| = |D|
-    coherence_pred = np.abs(decoherence_factor(gs, probe.chi, times))
-    denom = np.maximum(coherence_pred, 1e-15)
-    max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))
-    return DispersiveReport(
-        coherence_exact=coherence_exact,
-        coherence_predicted=coherence_pred,
-        max_rel_deviation=max_rel,
-        dispersive_regime=dispersive,
-    )

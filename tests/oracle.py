@@ -69,8 +69,9 @@ from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 
 from rabicrit import spectra
 from rabicrit.analytic import CRITICAL_BAND
+from rabicrit.dynamics import DispersiveReport
 from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
-from rabicrit.experiments import DispersiveReport, SweepConfig, _point
+from rabicrit.experiments import SweepConfig, _point
 from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
 from rabicrit.variational import VariationalSolution
@@ -793,7 +794,7 @@ def probe_reduced_state(d: complex) -> np.ndarray:
 
 def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
                         cutoff_tol: float = 1e-8) -> DispersiveReport:
-    """Dense reference of `experiments.validate_dispersive`: at the cutoff its
+    """Dense reference of `dynamics.validate_dispersive`: at the cutoff its
     own search over the dense Rabi Hamiltonian (both parity sectors) chooses,
     the tripartite evolution from the probe's (|g> + |e>)/sqrt(2) by dense
     eigendecomposition, every time in one product, against the branch-echo

@@ -47,9 +47,8 @@ from oracle import (
     tensor,
 )
 from rabicrit.analytic import short_time_le, variance
-from rabicrit.dynamics import effective_ground_state, exact_ground_state
+from rabicrit.dynamics import effective_ground_state, exact_ground_state, validate_dispersive
 from rabicrit.hamiltonians import ProbeParams, RabiParams, phase
-from rabicrit.experiments import validate_dispersive
 from rabicrit.spectra import CUTOFF_TOL
 from rabicrit.variational import solve as variational_solve
 

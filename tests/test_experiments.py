@@ -1,6 +1,7 @@
 """Tests for sweep configs, CSV/report output, the CLI, and the tripartite
 check of the dispersive approximation."""
 
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -10,14 +11,13 @@ import pytest
 
 from rabicrit import experiments
 from rabicrit.cli import main
-from rabicrit.dynamics import GROUND_STATES
+from rabicrit.dynamics import GROUND_STATES, validate_dispersive
 from rabicrit.experiments import (
     CSV_HEADER,
     SweepConfig,
     critical_lambda_grid,
     default_config,
     run,
-    validate_dispersive,
     write_gnuplot_script,
 )
 from rabicrit.hamiltonians import ProbeParams, RabiParams
@@ -104,7 +104,6 @@ def test_ground_figures_reject_echo_settings(tmp_path, figure, key, value):
     ("--detuning-ratio", "nan"),
     ("--threshold", "0"),
     ("--threshold", "nan"),
-    ("--cutoff-tol", "0"),
     # non-finite values once passed the parser: tracebacks, or a report
     ("--lam", "inf"),
     ("--eta", "inf"),
@@ -113,7 +112,6 @@ def test_ground_figures_reject_echo_settings(tmp_path, figure, key, value):
     ("--detuning-ratio", "-inf"),
     ("--t-max", "inf"),
     ("--threshold", "inf"),
-    ("--cutoff-tol", "inf"),
 ])
 def test_cli_validate_dispersive_rejects_bad_arguments(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -126,7 +124,10 @@ def test_cli_validate_dispersive_rejects_bad_arguments(capsys, flag, value):
     ["sweep", "--config", "{cfg}", "--out", "{out}", "--cutoff-tol", "1e-3"],  # the config's is used
     ["fig3", "--out", "{out}", "--threads", "2"],
     ["validate-dispersive", "--out", "D"],  # writes no file
-], ids=["sweep", "fig3", "validate-dispersive"])
+    # the tolerance's one source is the config's cutoff_tol
+    ["fig1", "--cutoff-tol", "1e-9"],
+    ["validate-dispersive", "--cutoff-tol", "1e-9"],
+], ids=["sweep", "fig3", "validate-dispersive", "fig1-cutoff-tol", "validate-dispersive-cutoff-tol"])
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
     path = tmp_path / "sweep.cfg"
     path.write_text(_tiny_config().canonical_text())
@@ -310,6 +311,37 @@ def test_cli_validate_dispersive_reports_unsearchable_bare_frame(capsys):
     assert out == ""
     assert err.startswith("rabicrit validate-dispersive: error: ") and err.count("\n") == 1, err
     assert "alpha^2" in err
+
+
+def test_cli_validate_dispersive_warns_in_one_line(capsys):
+    # outside the dispersive regime the library's warning is one line on
+    # stderr, not Python's format with a second line of the CLI's source
+    assert main(["validate-dispersive", "--detuning-ratio", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["dispersive_regime"] is False
+    assert err == ("rabicrit validate-dispersive: warning: dispersive condition "
+                   "|Delta_s| >> g_s sqrt(<n>+1) is violated; large deviations expected\n")
+
+
+def test_sweep_takes_its_cutoff_tolerance_from_the_config(tmp_path):
+    # fig2 at cutoff_tol = 1e-10, set in its config, the tolerance's one
+    # source: every exact and effective row records the cutoff its search
+    # picks at 1e-10, and some differ from the default run's
+    path = tmp_path / "fig2.cfg"
+    path.write_text(dataclasses.replace(default_config("fig2"), cutoff_tol=1e-10).canonical_text(),
+                    encoding="utf-8")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "tight")]) == 0
+    assert main(["fig2", "--out", str(tmp_path / "default")]) == 0
+
+    def cutoffs(out):
+        rows = [row.split(",") for row in (out / "fig2.csv").read_text().splitlines()[1:]]
+        return [(row[1], float(row[3]), int(row[8])) for row in rows if row[1] in GROUND_STATES]
+
+    tight = cutoffs(tmp_path / "tight")
+    assert len(tight) == 2 * 2 * 7  # two rows per point, two methods, seven etas
+    for method, eta, cutoff in tight:
+        assert cutoff == GROUND_STATES[method](RabiParams(1.01, eta), 1e-10).n_max
+    assert tight != cutoffs(tmp_path / "default")
 
 
 def test_empty_grid_no_output(tmp_path):
