@@ -5,13 +5,12 @@ ground states, photon statistics, and the Loschmidt echo."""
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, PhaseDomainError, RabicritError
-from .hamiltonians import Phase, ProbeParams, RabiParams
+from .hamiltonians import Phase, RabiParams
 
 __all__ = [
     "ConvergenceError",
     "Phase",
     "PhaseDomainError",
-    "ProbeParams",
     "RabiParams",
     "RabicritError",
     "__version__",

@@ -1,7 +1,8 @@
 """Closed-form infinite-frequency-ratio results: the photon-number moments
 of the squeezed, displaced vacuum of a `Phase` record, which the
-variational method shares, the closed-form variance of the ground state of
-either phase, and the short-time Gaussian law for the Loschmidt echo."""
+variational method shares, the closed-form photon mean and variance of the
+ground state of either phase, and the short-time Gaussian law for the
+Loschmidt echo."""
 
 from __future__ import annotations
 
@@ -32,14 +33,14 @@ def squeezed_moments(ph: Phase, s: float) -> tuple[float, float]:
     return mean_n, 0.5 * sinh(2.0 * s) ** 2 + a2 * exp(2.0 * s) + q2 * exp(-2.0 * s)
 
 
-def variance(p: RabiParams) -> float:
-    """Photon-number variance of the ground state of the phase of `p`: the
-    squeezed vacuum's (`squeezed_moments`) at r = -ln(1 - mu)/4;
+def variance(p: RabiParams) -> tuple[float, float]:
+    """(mean, variance) of the photon number in the ground state of the phase
+    of `p`: the squeezed vacuum's (`squeezed_moments`) at r = -ln(1 - mu)/4;
     `PhaseDomainError` within CRITICAL_BAND of lam = 1, where r diverges."""
     if near_critical(p.lam):
         raise PhaseDomainError(f"lam={p.lam} is inside the critical guard band")
     ph = phase(p)
-    return squeezed_moments(ph, -0.25 * log(1.0 - ph.mu))[1]
+    return squeezed_moments(ph, -0.25 * log(1.0 - ph.mu))
 
 
 def short_time_le(gamma, chi: float, t) -> np.ndarray | float:

@@ -27,34 +27,28 @@ parity. Each ground state (`BandGround`) carries its Fock cutoff `n_max`
 that basis (`hamiltonians.photon_number_band`), and both methods' probe
 branches are H -/+ chi N, from one function (`probe_branches`), which only
 `decoherence_factor` calls. A sweep point (`experiments._point`) looks the
-two methods up by name in `GROUND_STATES`; the tripartite check of the
-dispersive approximation (`validate_dispersive`) runs the exact method's
-path on its bare frame alone (`_exact_ground`), and evolves the probe + Rabi
-model on its two parity blocks (`hamiltonians.build_tripartite_blocks`).
+two methods up by name in `GROUND_STATES`. Whether the dispersive step
+behind chi holds at a point is the sweep's number `delta_s_min`
+(`experiments`); the probe + Rabi evolution it bounds is a reference in the
+tests.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .hamiltonians import (
-    ProbeParams,
     RabiParams,
     _quartic_band,
     build_displaced_rabi_band,
     build_rabi_parity,
-    build_tripartite_blocks,
     phase,
     photon_number_band,
 )
-from .spectra import (
-    CUTOFF_HARD_CAP, CUTOFF_TOL, band_ground_state, band_moments, band_spectrum, converge_cutoff,
-)
+from .spectra import band_ground_state, band_moments, band_spectrum, converge_cutoff
 
 
 def _matmul(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -106,19 +100,25 @@ class BandGround:
         return "displaced" if self.alpha else "bare"
 
 
-def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -> BandGround:
-    """The exact ground state over the frames displaced by each of `alphas`,
-    in that order: the cutoff search, the ground vector on the band it
-    returns, and the physical photon number's moments. The bare frame
-    (alpha = 0) is the even parity chain, whose row k has k photons; a
-    displaced one the spin-fastest band, two rows per photon number. Above
-    the transition the bare frame holds both wells only from about
-    alpha^2 photons, so it is not built below that cutoff."""
-    n_bare = phase(p).alpha ** 2
+def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
+    """Exact ground state. Below the transition it is solved in the bare
+    frame. Above it, one doubling loop searches the bare frame and the frame
+    displaced by the phase's alpha, the bare one first at each cutoff, and
+    the state is solved in the first whose ground energy converges: the
+    displaced frame where the two wells are far apart, the bare one where
+    tunnelling between them still matters. Then the ground vector is solved
+    on the band the search returns, and the physical photon number's moments
+    are taken. The bare frame is the even parity chain, whose row k has k
+    photons; the displaced one the spin-fastest band, two rows per photon
+    number. Above the transition the bare frame holds both wells only from
+    about alpha^2 photons, so it is not built below that cutoff.
+    """
+    alpha = phase(p).alpha
+    alphas, n_bare = ((0.0, alpha) if alpha else (0.0,)), alpha**2
 
-    def band(alpha: float, n_max: int) -> np.ndarray | None:
-        if alpha:
-            return build_displaced_rabi_band(p, alpha, n_max)
+    def band(a: float, n_max: int) -> np.ndarray | None:
+        if a:
+            return build_displaced_rabi_band(p, a, n_max)
         return None if n_max < n_bare else build_rabi_parity(p, n_max)
 
     found = converge_cutoff(tuple(partial(band, a) for a in alphas), cutoff_tol)
@@ -127,18 +127,6 @@ def _exact_ground(p: RabiParams, alphas: tuple[float, ...], cutoff_tol: float) -
     n = photon_number_band(alpha, found.n_max, 2 if alpha else 1)
     return BandGround(alpha, found.n_max, found.band, n, found.energy, vec,
                       *band_moments(n, vec))
-
-
-def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
-    """Exact ground state. Below the transition it is solved in the bare
-    frame. Above it, one doubling loop searches the bare frame and the frame
-    displaced by the phase's alpha, the bare one first at each cutoff, and
-    the state is solved in the first whose ground energy converges: the
-    displaced frame where the two wells are far apart, the bare one where
-    tunnelling between them still matters (`_exact_ground`).
-    """
-    alpha = phase(p).alpha
-    return _exact_ground(p, (0.0, alpha) if alpha else (0.0,), cutoff_tol)
 
 
 def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
@@ -202,55 +190,3 @@ def decoherence_factor(gs: BandGround, chi: float, times) -> np.ndarray:
     e_ref = w_g[0]
     return np.sum(evolved(w_g, v_g, gs.vector, times, e_ref).conj()
                   * evolved(w_e, v_e, gs.vector, times, e_ref), axis=0)
-
-
-@dataclass(frozen=True)
-class DispersiveReport:
-    coherence_exact: np.ndarray
-    coherence_predicted: np.ndarray
-    max_rel_deviation: float
-    dispersive_regime: bool
-
-
-def validate_dispersive(p: RabiParams, probe: ProbeParams, times) -> DispersiveReport:
-    """Compare the probe coherence from exact tripartite evolution, the probe
-    prepared in (|g> + |e>)/sqrt(2), against the branch-echo prediction
-    |D(t)|, at the cutoff the exact method's bare-frame search chooses at
-    `CUTOFF_TOL`. A bare frame that holds both wells only beyond every cutoff
-    the search tries raises `ConvergenceError` before any band is built.
-
-    Report-only: `dispersive_regime` is the dispersive condition
-    |Delta_s| >> |g_s| sqrt(<n> + 1) taken as |Delta_s| >= 10 |g_s| sqrt(<n> + 1),
-    a conventional factor 10; below it the check warns, and never fails.
-    """
-    times = np.asarray(times, dtype=float)
-    n_bare = phase(p).alpha ** 2
-    if n_bare > CUTOFF_HARD_CAP // 2:
-        raise ConvergenceError(
-            f"bare frame needs a cutoff of alpha^2 = {n_bare:.6g} photons to hold "
-            f"both wells, above the largest the search tries ({CUTOFF_HARD_CAP // 2})"
-        )
-    # the Rabi ground state on the exact method's bare frame, the even chain,
-    # whose row k is |g,k> (k even) or |e,k>
-    gs = _exact_ground(p, (0.0,), CUTOFF_TOL)
-    dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(gs.mean_n + 1.0)
-    if not dispersive:
-        warnings.warn("dispersive condition |Delta_s| >> g_s sqrt(<n>+1) is violated; "
-                      "large deviations expected", stacklevel=2)
-    # exact tripartite evolution from the probe's (|g> + |e>)/sqrt(2) times the
-    # Rabi ground state: its |g> part in the first parity block, its |e> part
-    # in the second, both evolved from one energy offset to keep their phase
-    (w_g, v_g), (w_e, v_e) = map(band_spectrum, build_tripartite_blocks(p, probe, gs.n_max))
-    psi_g, psi_e = np.zeros(w_g.size), np.zeros(w_e.size)
-    psi_g[0::2] = psi_e[1::2] = gs.vector / np.sqrt(2.0)
-    g, e = evolved(w_g, v_g, psi_g, times, w_g[0]), evolved(w_e, v_e, psi_e, times, w_g[0])
-    # coherence magnitude convention: 2 |<sigma_->| = 2 |rho_eg|, with
-    # sigma_- = |g><e| on the probe; a block's rows 0::2 hold the probe's |g>,
-    # rows 1::2 its |e>, on the even chain in g[0::2] and e[1::2]
-    overlap = g[0::2].conj() * e[1::2] + e[0::2].conj() * g[1::2]
-    coherence_exact = 2.0 * np.abs(overlap.sum(axis=0))
-    # the branch echo predicts 2 |rho_eg| = 2 (1/2) |D| = |D|
-    coherence_pred = np.abs(decoherence_factor(gs, probe.chi, times))
-    denom = np.maximum(coherence_pred, 1e-15)
-    max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))
-    return DispersiveReport(coherence_exact, coherence_pred, max_rel, dispersive)

@@ -10,9 +10,11 @@ exact and effective methods solve a ground state from the method table of
 `dynamics.decoherence_factor`; the variational and analytic methods take
 the Gaussian law (`analytic.short_time_le`) at their own photon-number
 variance. Every echo is taken at the chi the config holds, and records, so
-a sweep builds no probe. A point whose cutoff search reaches the hard cap,
-whose variational photon mean or variance is negative or not finite, or
-whose phase record is not finite, is degraded."""
+a sweep builds no probe. Every echo point records its ground state's mean
+photon number and the smallest probe detuning, `delta_s_min`, at which the
+dispersive step behind chi holds there. A point whose cutoff search reaches
+the hard cap, whose variational photon mean or variance is negative or not
+finite, or whose phase record is not finite, is degraded."""
 
 from __future__ import annotations
 
@@ -51,6 +53,10 @@ GROUND_FIGURES = ("fig1", "fig2")  # the ground state itself, no echo
 METHODS = ("exact", "effective", "variational", "analytic")
 LAMBDA_STEP_FINE = 0.005     # steps of `critical_lambda_grid` on [0.9, 1.1]
 LAMBDA_STEP_COARSE = 0.02    # and elsewhere
+# The dispersive step holds for |Delta_s| >> g_s sqrt(<n> + 1) (Blais et al.,
+# PRA 69, 062320 (2004)), taken as this factor; at g_s^2 = chi Delta_s it
+# reads Delta_s >= DISPERSIVE_MARGIN^2 chi (<n> + 1), a point's `delta_s_min`
+DISPERSIVE_MARGIN = 10.0
 
 
 @dataclass
@@ -173,15 +179,23 @@ class SweepPoint:
     `report.json`. Its rows share every field but the three per-row columns
     `omega_c_t`, `value_name` and `value`, which are lists.
 
+    An echo point records the mean photon number `mean_n` of the ground
+    state its method solves, and `delta_s_min`, the smallest detuning Delta_s
+    of a probe of shift chi = g_s^2 / Delta_s whose dispersive step holds
+    there: 100 chi (mean_n + 1). Neither is written to the CSV.
+
     A point whose cutoff search did not converge is degraded: `converged` is
-    False, its values are NaN, and `cutoff` and `frame` are empty.
+    False, its values, `mean_n` and `delta_s_min` are NaN, and `cutoff` and
+    `frame` are empty.
     """
 
     figure: str
     method: str
     lam: float
     eta: float
-    chi: float | str              # "" on the fig1/fig2 rows
+    chi: float | str              # "" on the fig1/fig2 rows, as are the next two
+    mean_n: float | str
+    delta_s_min: float | str
     cutoff: int | str             # "" where no cutoff was found
     converged: bool
     frame: str
@@ -241,8 +255,9 @@ def default_config(figure: str) -> SweepConfig:
 
 def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     """One sweep point: the echo L = |D|^2 at the config's chi at every time
-    of `time_grid` or, on fig1/fig2 (`GROUND_FIGURES`), the ground energy and
-    mean photon number. `method` is one of `METHODS`, which
+    of `time_grid`, with the ground state's mean photon number and the
+    point's `delta_s_min`, or, on fig1/fig2 (`GROUND_FIGURES`), the ground
+    energy and mean photon number. `method` is one of `METHODS`, which
     `SweepConfig.validate` checks. A point whose cutoff search reaches the
     hard cap, whose variational photon mean or variance is negative or not
     finite, or whose phase record is not finite, is degraded; the sweep goes
@@ -259,20 +274,27 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     try:
         if method in GROUND_STATES:
             gs = GROUND_STATES[method](p, cfg.cutoff_tol)
+            mean_n = gs.mean_n
             values = ([gs.energy, gs.mean_n] if ground
                       else (np.abs(decoherence_factor(gs, chi, times)) ** 2).tolist())
         elif method == "variational":
             sol = variational_solve(p)
+            mean_n = sol.mean_n
             values = ([sol.energy, sol.mean_n] if ground
                       else short_time_le(sol.gamma_prime, chi, times).tolist())
         else:
-            values = short_time_le(variance(p), chi, times).tolist()
+            mean_n, gamma = variance(p)
+            values = short_time_le(gamma, chi, times).tolist()
     except (ConvergenceError, PhaseDomainError):
-        converged, values = False, [np.nan] * len(names)
+        converged, mean_n, values = False, np.nan, [np.nan] * len(names)
+    if ground:
+        mean_n = delta_s_min = ""
+    else:
+        delta_s_min = DISPERSIVE_MARGIN**2 * chi * (mean_n + 1.0)
     wall = time.perf_counter() - t0
     return SweepPoint(
-        cfg.figure, method, lam, eta, chi, gs.n_max if gs else "", converged,
-        gs.frame if gs else "", wall, times, names, values,
+        cfg.figure, method, lam, eta, chi, mean_n, delta_s_min, gs.n_max if gs else "",
+        converged, gs.frame if gs else "", wall, times, names, values,
     )
 
 

@@ -1,6 +1,6 @@
 """Parameters, the phase record, and the Hamiltonian builders for the Rabi
-model, the displaced frame, the probe + Rabi (tripartite) model, and the
-low-spin effective (boson-only) Hamiltonians.
+model, the displaced frame, and the low-spin effective (boson-only)
+Hamiltonians.
 
 `phase(p)` is the one place that decides the phase from lam. Its `Phase`
 record holds the low-spin picture of that side of the transition (the
@@ -13,17 +13,13 @@ Every builder returns a real symmetric band matrix, a NumPy array in LAPACK
 lower band storage (see `spectra`), in a basis ordered by photon number:
 the Rabi Hamiltonian on its even parity chain, which holds the ground state
 (`build_rabi_parity`), or spin-fastest in the displaced frame
-(`build_displaced_rabi_band`), the tripartite model on its two total-parity
-blocks, each the probe spin fastest over the Rabi parity chains
-(`build_tripartite_blocks`), and the effective Hamiltonians in natural Fock
-order. `photon_number_band` builds the physical photon number N in each of
-these bases but the tripartite one; a probe branch of any method is then
-H -/+ chi N (`dynamics.probe_branches`). The probe atom (`ProbeParams`)
-holds its coupling g_s and its detuning delta_s from the cavity, is
-prepared in (|g> + |e>)/sqrt(2), and enters the echo only through its
-dispersive shift chi = g_s^2 / delta_s; only the tripartite model reads its
-frequency, 1 + delta_s. Spin states are ordered (|e>, |g>). Energies are in
-units of the cavity frequency omega_c, and times in units of 1/omega_c.
+(`build_displaced_rabi_band`), and the effective Hamiltonians in natural
+Fock order. `photon_number_band` builds the physical photon number N in
+each of these bases; a probe branch of any method is then H -/+ chi N
+(`dynamics.probe_branches`). The probe atom enters only through its
+dispersive shift chi = g_s^2 / Delta_s, a float, so no record here holds
+it. Spin states are ordered (|e>, |g>). Energies are in units of the cavity
+frequency omega_c, and times in units of 1/omega_c.
 """
 
 from __future__ import annotations
@@ -60,29 +56,6 @@ class RabiParams:
     @property
     def g(self) -> float:
         return self.lam * sqrt(self.eta) / 2.0
-
-
-@dataclass(frozen=True)
-class ProbeParams:
-    """Auxiliary atom coupled by `g_s` and detuned by `delta_s` from the
-    cavity, so that its frequency is 1 + delta_s; it is prepared in
-    (|g> + |e>)/sqrt(2). The dispersive shift `chi` is derived, never stored."""
-
-    g_s: float
-    delta_s: float
-
-    def __post_init__(self):
-        if not all(map(isfinite, (self.g_s, self.delta_s))):
-            raise ValueError("g_s and delta_s must be finite")
-        if not abs(self.delta_s) > 0:
-            raise ValueError("delta_s must be nonzero (dispersive regime)")
-        if not isfinite(self.g_s * self.g_s / self.delta_s):
-            raise ValueError("chi = g_s^2 / delta_s must be finite")
-
-    @property
-    def chi(self) -> float:
-        """Dispersive shift g_s^2 / delta_s."""
-        return self.g_s**2 / self.delta_s
 
 
 @dataclass(frozen=True)
@@ -177,32 +150,6 @@ def build_displaced_rabi_band(p: RabiParams, alpha_disp: float, n_max: int) -> n
     band[2, :-2] = alpha_disp * np.repeat(root, 2)  # <s,k+1| H |s,k>
     band[3, 0:-3:2] = -p.g * root              # <g,k+1| H |e,k>
     return band
-
-
-def build_tripartite_blocks(p: RabiParams, probe: ProbeParams,
-                            n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Jaynes-Cummings probe plus the Rabi model, before the dispersive
-    step, H = H_rabi + (omega_s/2) sigma_z^(s) - g_s (sigma_-^(s) a^dag + sigma_+^(s) a)
-    with omega_s = 1 + delta_s, on its two blocks of total parity (the
-    Rabi parity times the probe's): real band matrices of half-width 2. Row
-    2 k is the probe in |g> with row k of one Rabi parity chain, row 2 k + 1
-    the probe in |e> with row k of the other. The first block pairs |g> with
-    the even chain (`build_rabi_parity`); the odd chain |e,0>, |g,1>, |e,2>,
-    ... is the even one with sigma_z flipped.
-    """
-    k = np.arange(n_max + 1, dtype=float)
-    omega_s = 1.0 + probe.delta_s
-    even = build_rabi_parity(p, n_max)
-    odd = 2.0 * k - even[0]  # the odd chain's diagonal: sigma_z flipped
-    blocks = []
-    for g_chain, e_chain in ((even[0], odd), (odd, even[0])):
-        band = np.zeros((3, 2 * k.size))
-        band[0, 0::2] = g_chain - 0.5 * omega_s
-        band[0, 1::2] = e_chain + 0.5 * omega_s
-        band[1, 1:-1:2] = -probe.g_s * np.sqrt(k[1:])  # <k+1, g| H |k, e>
-        band[2, :-2] = np.repeat(even[1, :-1], 2)       # <k+1| H_rabi |k>, both chains
-        blocks.append(band)
-    return tuple(blocks)
 
 
 def _quartic_band(c2: float, c4: float, n_max: int) -> np.ndarray:

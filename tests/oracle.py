@@ -18,7 +18,9 @@ module keeps the dense complex path as the tests' oracle:
     `variance_sp`). The library reads all of them from one record,
     `hamiltonians.phase(p)`, which is tested against these references;
   * the dense builders of the Rabi, branch, tripartite, displaced-frame and
-    effective Hamiltonians, the Rabi Hamiltonian at an explicit cavity
+    effective Hamiltonians (the branch and tripartite ones read the probe
+    record `ProbeParams(g_s, delta_s)`, which the library does not have),
+    the Rabi Hamiltonian at an explicit cavity
     frequency, spin splitting and coupling (`rabi_dense`, the probe branches'
     cavity at 1 -/+ chi) and as both its parity chains
     (`build_rabi_parity_chains`), and the effective Hamiltonians as full
@@ -26,7 +28,9 @@ module keeps the dense complex path as the tests' oracle:
     `build_effective_sp_band`);
   * ground states by full eigendecomposition at a given cutoff, photon-number
     and operator moments, the parity operator, single-time evolution;
-  * the dense tripartite check of the dispersive approximation, and the
+  * the probe + Rabi (tripartite) evolution before the dispersive step, the
+    only one (`validate_dispersive`): the library's echo and each sweep
+    point's `delta_s_min` are tested against its probe coherence; and the
     probe's reduced state for a given decoherence factor;
   * the finite-difference ground state of the quartic oscillator
     P^2/2 + Y^4/4, the critical point's universal limit
@@ -69,15 +73,32 @@ from scipy.linalg import eig_banded, eigh_tridiagonal, expm
 
 from rabicrit import spectra
 from rabicrit.analytic import CRITICAL_BAND
-from rabicrit.dynamics import DispersiveReport
 from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
 from rabicrit.experiments import SweepConfig, _point
-from rabicrit.hamiltonians import ProbeParams, RabiParams, _quartic_band
+from rabicrit.hamiltonians import RabiParams, _quartic_band
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
 from rabicrit.variational import VariationalSolution
 
 HERMITICITY_RTOL = 1e-12
 DUAL_PATH_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class ProbeParams:
+    """The probe atom of the dense builders (`build_branch`,
+    `build_tripartite`): coupled by `g_s` and detuned by `delta_s` from the
+    cavity, so that its frequency is 1 + delta_s. The library takes only its
+    dispersive shift `chi`."""
+
+    g_s: float
+    delta_s: float
+
+    @property
+    def chi(self) -> float:
+        """Dispersive shift g_s^2 / delta_s."""
+        return self.g_s**2 / self.delta_s
+
+
 # a probe of the figures' chi = 1e-3, detuned by Delta_s = 1 from the cavity
 FIGURE_PROBE = ProbeParams(sqrt(1e-3), 1.0)
 
@@ -789,23 +810,31 @@ def probe_reduced_state(d: complex) -> np.ndarray:
     return 0.5 * np.array([[1.0, d], [np.conj(d), 1.0]], dtype=complex)
 
 
-# --- the tripartite check -----------------------------------------------------
+# --- the tripartite evolution -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DispersiveReport:
+    coherence: np.ndarray     # 2 |rho_eg(t)| of the tripartite evolution
+    dispersive_regime: bool
 
 
 def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
                         cutoff_tol: float = 1e-8) -> DispersiveReport:
-    """Dense reference of `dynamics.validate_dispersive`: at the cutoff its
-    own search over the dense Rabi Hamiltonian (both parity sectors) chooses,
-    the tripartite evolution from the probe's (|g> + |e>)/sqrt(2) by dense
-    eigendecomposition, every time in one product, against the branch-echo
-    prediction |D(t)| on both parity sectors.
+    """The probe + Rabi evolution before the dispersive step: at the cutoff
+    its own search over the dense Rabi Hamiltonian (both parity sectors)
+    chooses, the tripartite state from the probe's (|g> + |e>)/sqrt(2) times
+    the Rabi ground state, evolved by dense eigendecomposition, every time in
+    one product. Its probe coherence 2 |rho_eg| is what the dispersive
+    prediction |D(t)| approximates (`max_rel_deviation`).
 
-    Report-only: warns (never fails) when the dispersive condition
-    |Delta_s| >> |g_s| sqrt(<n> + 1) is violated.
+    `dispersive_regime` is the dispersive condition
+    |Delta_s| >> |g_s| sqrt(<n> + 1) taken as |Delta_s| >= 10 |g_s| sqrt(<n> + 1);
+    outside it the check warns, and never fails.
     """
     times = np.asarray(times, dtype=float)
     found = energy_search((partial(build_rabi, p),), cutoff_tol)
-    n_max, gs = found.n_max, ground_state(found.band)
+    gs = ground_state(found.band)
     mean_n, _ = photon_moments(gs.state)
     dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(mean_n + 1.0)
     if not dispersive:
@@ -814,31 +843,21 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
             "large deviations expected",
             stacklevel=2,
         )
-    # exact tripartite evolution, probe initialized in (|g> + |e>)/sqrt(2)
-    h3 = build_tripartite(p, probe, n_max)
-    decomp = SpectralDecomposition.of(h3)
+    decomp = SpectralDecomposition.of(build_tripartite(p, probe, found.n_max))
     probe_vec = np.full(2, 1.0 / sqrt(2.0), dtype=complex)  # (|e>, |g>)
-    psi0 = QuantumState(np.kron(probe_vec, gs.state.vec), (2,) + gs.state.dims)
-    rabi_dim = gs.state.dim
+    psi = decomp.evolved(np.kron(probe_vec, gs.state.vec), times)
     sm = np.zeros((2, 2))
     sm[1, 0] = 1.0  # |g><e| on the probe
-    sm_full = np.kron(sm, np.eye(rabi_dim))
     # coherence magnitude convention: 2 |<sigma_->| = 2 |rho_eg|
-    psi = decomp.evolved(psi0.vec, times)
-    coherence_exact = 2.0 * np.abs(np.sum(psi.conj() * (sm_full @ psi), axis=0))
-    # branch-echo prediction
-    h_g = build_branch(p, probe, "g", n_max)
-    h_e = build_branch(p, probe, "e", n_max)
-    series = decoherence_factor(h_g, h_e, gs.state, times)
-    coherence_pred = np.abs(series.d_values)  # 2 |rho_eg| = 2 (1/2) |D|
-    denom = np.maximum(coherence_pred, 1e-15)
-    max_rel = float(np.max(np.abs(coherence_exact - coherence_pred) / denom))
-    return DispersiveReport(
-        coherence_exact=coherence_exact,
-        coherence_predicted=coherence_pred,
-        max_rel_deviation=max_rel,
-        dispersive_regime=dispersive,
-    )
+    coherence = 2.0 * np.abs(np.sum(psi.conj() * (np.kron(sm, np.eye(gs.state.dim)) @ psi),
+                                    axis=0))
+    return DispersiveReport(coherence, dispersive)
+
+
+def max_rel_deviation(coherence: np.ndarray, predicted: np.ndarray) -> float:
+    """max over t of |coherence - predicted| / predicted: the tripartite
+    coherence against the dispersive prediction |D(t)| (floored at 1e-15)."""
+    return float(np.max(np.abs(coherence - predicted) / np.maximum(predicted, 1e-15)))
 
 
 # --- the quartic oscillator at the critical point ----------------------------

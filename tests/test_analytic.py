@@ -34,7 +34,7 @@ def test_squeezing_np_values():
 
 
 def test_variance_np_values():
-    assert variance(RabiParams(0.0, 100.0)) == 0.0
+    assert variance(RabiParams(0.0, 100.0))[1] == 0.0
     # lam = 0.6: e^{2r} = (1 - lam^2)^{-1/2} = 1.25 exactly
     p = RabiParams(0.6, 5000.0)
     r = squeezing_np(0.6)
@@ -42,16 +42,16 @@ def test_variance_np_values():
     limit = 0.5 * 0.225**2  # sinh(2r) = (1.25 - 0.8)/2
     assert limit == pytest.approx(0.0253125)
     correction = (0.36 / (4 * 5000.0)) * 0.8  # (g/eta)^2 e^{-2r}
-    assert variance(p) == pytest.approx(limit + correction, rel=1e-12)
+    assert variance(p)[1] == pytest.approx(limit + correction, rel=1e-12)
     assert correction == pytest.approx(1.44e-5, rel=1e-10)
 
 
 def test_variance_np_monotone_and_divergent():
     grid = np.linspace(0.05, 0.95, 19)
-    vals = [variance(RabiParams(l, 1e4)) for l in grid]
+    vals = [variance(RabiParams(l, 1e4))[1] for l in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     # edge of the guard band is still evaluable and already huge
-    assert variance(RabiParams(1.0 - 1e-6, 1e4)) > 1e3
+    assert variance(RabiParams(1.0 - 1e-6, 1e4))[1] > 1e3
     with pytest.raises(PhaseDomainError):
         variance(RabiParams(1.0 - 1e-7, 1e4))
 
@@ -79,17 +79,17 @@ def test_variance_sp_value_and_scaling():
         + alpha**2 * math.exp(2 * r)
         + (1.0 / (4 * 1.1**6 * 5000.0)) * math.exp(-2 * r)
     )
-    assert variance(p) == pytest.approx(expect, rel=1e-12)
-    assert variance(p) == pytest.approx(851.7, abs=0.5)
+    assert variance(p)[1] == pytest.approx(expect, rel=1e-12)
+    assert variance(p)[1] == pytest.approx(851.7, abs=0.5)
     # doubling eta roughly doubles gamma (alpha^2 term dominates and is linear)
     p2 = RabiParams(1.1, 10000.0)
-    assert variance(p2) / variance(p) == pytest.approx(2.0, rel=1e-2)
+    assert variance(p2)[1] / variance(p)[1] == pytest.approx(2.0, rel=1e-2)
 
 
 def test_variance_sp_linear_in_eta():
     # the eta-dependent part is exactly linear; fitted slope stable to < 1%
     etas = np.array([1e3, 1e4, 1e5])
-    vals = np.array([variance(RabiParams(1.2, e)) for e in etas])
+    vals = np.array([variance(RabiParams(1.2, e))[1] for e in etas])
     slopes = np.diff(vals) / np.diff(etas)
     assert abs(slopes[1] / slopes[0] - 1.0) < 1e-2
 
@@ -97,14 +97,14 @@ def test_variance_sp_linear_in_eta():
 def test_variance_sp_large_lambda_dominated_by_displacement():
     p = RabiParams(50.0, 1e4)
     alpha, r = superradiant_frame(p)
-    assert variance(p) / (alpha**2 * math.exp(2 * r)) == pytest.approx(1.0, abs=1e-4)
+    assert variance(p)[1] / (alpha**2 * math.exp(2 * r)) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_variance_dispatch():
-    assert variance(RabiParams(0.5, 100.0)) == variance_np(
+    assert variance(RabiParams(0.5, 100.0))[1] == variance_np(
         RabiParams(0.5, 100.0)
     )
-    assert variance(RabiParams(1.5, 100.0)) == variance_sp(
+    assert variance(RabiParams(1.5, 100.0))[1] == variance_sp(
         RabiParams(1.5, 100.0)
     )
 
@@ -141,7 +141,7 @@ def test_infinite_eta_consistency():
         p = RabiParams(0.9, eta)
         gs = ground_state(build_rabi(p, 64))
         _, gamma = photon_moments(gs.state)
-        rels.append(abs(variance(p) - gamma) / gamma)
+        rels.append(abs(variance(p)[1] - gamma) / gamma)
     assert rels[0] / rels[1] >= 5.0
 
 

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 from oracle import (
     FIGURE_PROBE,
     DimensionMismatchError,
+    ProbeParams,
     EchoSeries,
     Operator,
     QuantumState,
@@ -27,7 +28,7 @@ from rabicrit import variational
 from rabicrit.analytic import short_time_le, variance
 from rabicrit.dynamics import GROUND_STATES, decoherence_factor as band_decoherence_factor
 from rabicrit.experiments import METHODS, SweepConfig, _point, run
-from rabicrit.hamiltonians import ProbeParams, RabiParams
+from rabicrit.hamiltonians import RabiParams
 
 C = 32
 
@@ -192,7 +193,7 @@ def test_sweep_lambda_zero(tmp_path, method):
             assert 0.0 <= GROUND_STATES[method](p, 1e-8).gamma < 1e-40
         else:
             assert (pt.cutoff, pt.frame) == ("", "")
-            assert (variance(p) if method == "analytic" else variational.solve(p).gamma_prime) == 0.0
+            assert (variance(p)[1] if method == "analytic" else variational.solve(p).gamma_prime) == 0.0
 
 
 def test_sweep_echo_is_each_methods_own_path(tmp_path):
@@ -212,7 +213,7 @@ def test_sweep_echo_is_each_methods_own_path(tmp_path):
             gs = GROUND_STATES[pt.method](p, cfg.cutoff_tol)
             expected = np.abs(band_decoherence_factor(gs, cfg.chi, cfg.time_grid)) ** 2
         else:
-            gamma = variance(p) if pt.method == "analytic" else variational.solve(p).gamma_prime
+            gamma = variance(p)[1] if pt.method == "analytic" else variational.solve(p).gamma_prime
             expected = short_time_le(gamma, cfg.chi, cfg.time_grid)
         assert pt.value == expected.tolist(), (pt.method, pt.lam)
 

@@ -1,5 +1,6 @@
-"""Tests for sweep configs, CSV/report output, the CLI, and the tripartite
-check of the dispersive approximation."""
+"""Tests for sweep configs, CSV/report output, the CLI, and the dispersive
+bound every echo point records, against the tripartite evolution of the
+tests' oracle."""
 
 import dataclasses
 import hashlib
@@ -9,19 +10,23 @@ import warnings
 import numpy as np
 import pytest
 
+from oracle import ProbeParams, max_rel_deviation, validate_dispersive
 from rabicrit import experiments
+from rabicrit.analytic import variance
 from rabicrit.cli import main
-from rabicrit.dynamics import GROUND_STATES, validate_dispersive
+from rabicrit.dynamics import GROUND_STATES, decoherence_factor, exact_ground_state
 from rabicrit.experiments import (
     CSV_HEADER,
+    METHODS,
     SweepConfig,
     critical_lambda_grid,
     default_config,
     run,
     write_gnuplot_script,
 )
-from rabicrit.hamiltonians import ProbeParams, RabiParams
+from rabicrit.hamiltonians import RabiParams
 from rabicrit.spectra import CUTOFF_TOL
+from rabicrit.variational import solve as variational_solve
 
 
 def _tiny_config():
@@ -93,41 +98,12 @@ def test_ground_figures_reject_echo_settings(tmp_path, figure, key, value):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--n-times", "0"),
-    ("--eta", "0"),
-    ("--eta", "-200"),
-    ("--t-max", "-1"),
-    ("--lam", "-0.5"),
-    ("--g-s", "0"),
-    ("--detuning-ratio", "0"),
-    ("--detuning-ratio", "nan"),
-    ("--threshold", "0"),
-    ("--threshold", "nan"),
-    # non-finite values once passed the parser: tracebacks, or a report
-    ("--lam", "inf"),
-    ("--eta", "inf"),
-    ("--g-s", "inf"),
-    ("--detuning-ratio", "inf"),
-    ("--detuning-ratio", "-inf"),
-    ("--t-max", "inf"),
-    ("--threshold", "inf"),
-])
-def test_cli_validate_dispersive_rejects_bad_arguments(capsys, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate-dispersive", flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "{cfg}", "--out", "{out}", "--cutoff-tol", "1e-3"],  # the config's is used
     ["fig3", "--out", "{out}", "--threads", "2"],
-    ["validate-dispersive", "--out", "D"],  # writes no file
     # the tolerance's one source is the config's cutoff_tol
     ["fig1", "--cutoff-tol", "1e-9"],
-    ["validate-dispersive", "--cutoff-tol", "1e-9"],
-], ids=["sweep", "fig3", "validate-dispersive", "fig1-cutoff-tol", "validate-dispersive-cutoff-tol"])
+], ids=["sweep", "fig3", "fig1-cutoff-tol"])
 def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
     path = tmp_path / "sweep.cfg"
     path.write_text(_tiny_config().canonical_text())
@@ -285,44 +261,6 @@ def test_cli_reports_unusable_out_in_one_line(tmp_path, capsys, monkeypatch, com
     assert solved == []
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--g-s", "1e160"], "chi = g_s^2 / delta_s must be finite"),
-    (["--g-s", "1e200", "--detuning-ratio", "1e200"], "g_s and delta_s must be finite"),
-    (["--lam", "1e300", "--eta", "1e300"],
-     "g = lam sqrt(eta) / 2 overflows at lam = 1e+300, eta = 1e+300"),
-    (["--lam", "1e100"], "the displacement alpha overflows at lam = 1e+100"),
-], ids=["chi", "delta_s", "coupling", "alpha"])
-def test_cli_validate_dispersive_reports_overflow_in_one_line(capsys, argv, message):
-    # each flag is finite but a value derived from them is not: once a
-    # traceback, now exit status 2 and one line on stderr
-    with pytest.raises(SystemExit) as exc:
-        main(["validate-dispersive", *argv])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"rabicrit validate-dispersive: error: {message}\n"
-
-
-def test_cli_validate_dispersive_reports_unsearchable_bare_frame(capsys):
-    # the bare chain holds both wells only from alpha^2 = 45,139
-    # photons, above every cutoff the search tries: one line, exit status 1
-    assert main(["validate-dispersive", "--lam", "1.5", "--eta", "1e5"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("rabicrit validate-dispersive: error: ") and err.count("\n") == 1, err
-    assert "alpha^2" in err
-
-
-def test_cli_validate_dispersive_warns_in_one_line(capsys):
-    # outside the dispersive regime the library's warning is one line on
-    # stderr, not Python's format with a second line of the CLI's source
-    assert main(["validate-dispersive", "--detuning-ratio", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert json.loads(out)["dispersive_regime"] is False
-    assert err == ("rabicrit validate-dispersive: warning: dispersive condition "
-                   "|Delta_s| >> g_s sqrt(<n>+1) is violated; large deviations expected\n")
-
-
 def test_sweep_takes_its_cutoff_tolerance_from_the_config(tmp_path):
     # fig2 at cutoff_tol = 1e-10, set in its config, the tolerance's one
     # source: every exact and effective row records the cutoff its search
@@ -469,29 +407,17 @@ def test_cli_sweep_and_exit_codes(tmp_path):
     assert (tmp_path / "custom.csv").exists()
 
 
-def test_cli_validate_dispersive_fast(capsys):
-    rc = main(
-        [
-            "validate-dispersive",
-            "--lam", "0.4",
-            "--eta", "40",
-            "--g-s", "0.05",
-            "--detuning-ratio", "100",
-            "--t-max", "10",
-            "--n-times", "6",
-        ]
-    )
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert out["passed"]
-    assert out["max_rel_deviation"] < 0.05
+def _library_coherence(p, chi, times):
+    """|D(t)|, the library's prediction of the probe coherence 2 |rho_eg|."""
+    return np.abs(decoherence_factor(exact_ground_state(p, CUTOFF_TOL), chi, times))
 
 
 def test_validate_dispersive_decoupled_probe():
-    p = RabiParams(0.5, 40.0)
-    probe = ProbeParams(0.0, 1.0)
-    report = validate_dispersive(p, probe, np.linspace(0.0, 10.0, 5))
-    assert report.max_rel_deviation < 1e-10
+    # g_s = 0: the tripartite coherence is 1 at every time, and so is the
+    # library's |D| at chi = 0
+    p, times = RabiParams(0.5, 40.0), np.linspace(0.0, 10.0, 5)
+    report = validate_dispersive(p, ProbeParams(0.0, 1.0), times)
+    assert max_rel_deviation(report.coherence, _library_coherence(p, 0.0, times)) < 1e-10
 
 
 def test_validate_dispersive_warns_outside_regime():
@@ -500,26 +426,106 @@ def test_validate_dispersive_warns_outside_regime():
     # |Delta_s| >> |g_s| sqrt(<n>+1) as g_s does
     p = RabiParams(0.5, 40.0)
     times = np.linspace(0.0, 20.0, 41)
+    predicted = _library_coherence(p, ProbeParams(0.1, 0.2).chi, times)
     reports = []
     for g_s in (0.1, -0.1):
         with pytest.warns(UserWarning, match="dispersive condition"):
             reports.append(validate_dispersive(p, ProbeParams(g_s, 0.2), times))
     assert [r.dispersive_regime for r in reports] == [False, False]
-    assert reports[1].max_rel_deviation == pytest.approx(reports[0].max_rel_deviation, rel=1e-9)
+    deviations = [max_rel_deviation(r.coherence, predicted) for r in reports]
+    assert deviations[1] == pytest.approx(deviations[0], rel=1e-9)
 
 
-def test_validate_dispersive_flags_at_its_documented_boundary():
-    # |Delta_s| >= 10 |g_s| sqrt(<n> + 1), <n> of the exact ground state:
-    # 0.1% above the boundary is dispersive and quiet, 0.1% below is not, and warns
-    p = RabiParams(0.5, 40.0)
-    g_s, times = 0.01, np.linspace(0.0, 5.0, 3)
-    boundary = 10.0 * g_s * np.sqrt(GROUND_STATES["exact"](p, CUTOFF_TOL).mean_n + 1.0)
+def test_validate_dispersive_flags_at_its_documented_boundary(tmp_path):
+    # the point's recorded delta_s_min is the tripartite check's condition
+    # |Delta_s| >= 10 |g_s| sqrt(<n> + 1) at g_s^2 = chi Delta_s: a probe of
+    # the point's chi 0.1% above it is dispersive and quiet, 0.1% below is
+    # not, and warns
+    cfg = _tiny_config()
+    cfg.lambda_grid, cfg.eta_grid, cfg.methods = [0.5], [40.0], ["exact"]
+    (pt,) = run(cfg, tmp_path)
+    p, times = RabiParams(pt.lam, pt.eta), np.linspace(0.0, 5.0, 3)
+
+    def probe(delta_s):
+        return ProbeParams(np.sqrt(pt.chi * delta_s), delta_s)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert validate_dispersive(p, ProbeParams(g_s, boundary * (1 + 1e-3)), times).dispersive_regime
+        assert validate_dispersive(p, probe(pt.delta_s_min * (1 + 1e-3)), times).dispersive_regime
     with pytest.warns(UserWarning, match="dispersive condition"):
-        report = validate_dispersive(p, ProbeParams(g_s, boundary * (1 - 1e-3)), times)
+        report = validate_dispersive(p, probe(pt.delta_s_min * (1 - 1e-3)), times)
     assert not report.dispersive_regime
+
+
+@pytest.mark.parametrize("lam", [1.1, 1.2])
+def test_delta_s_min_bounds_the_tripartite_deviation(tmp_path, lam):
+    """Above a superradiant point's recorded `delta_s_min`, the tripartite
+    coherence (the oracle's dense evolution) departs from the point's own
+    echo, sqrt(L) = |D|, by at most a bound that falls as 1/Delta_s.
+
+    The bound. At g_s^2 = chi Delta_s the probe's coupling
+    -g_s (sigma_- a^dag + sigma_+ a) is off resonance by Delta_s. At first
+    order in g_s / Delta_s it moves the probe's |e> part, |e> psi_e(t), into
+    |g> a^dag psi_e with probability
+    P_e = 4 g_s^2 <a a^dag> sin^2(Delta_s t / 2) / Delta_s^2 <= 4 eps, with
+    eps = chi (<n> + 1) / Delta_s, and its |g> part into |e> a psi_g with
+    P_g <= 4 chi <n> / Delta_s < 4 eps; the second-order terms are the
+    shifts -/+ chi n that the echo keeps. The coherence
+    2 |rho_eg| = |<phi_g|phi_e>| then differs from |D| in two ways. The
+    parts that stay lose norm: |D| (1 - sqrt((1 - P_g)(1 - P_e))) <= 4 eps |D|.
+    The parts that moved have the other photon parity, so they overlap only
+    each other, by at most sqrt(P_g P_e) < 4 eps. The relative deviation is
+    therefore at most 4 eps (1 + 1 / min_t |D|), to first order in eps and
+    with the Rabi transition frequencies that a and a^dag reach from the
+    ground state small against Delta_s. At Delta_s = k delta_s_min,
+    eps = 1 / (100 k).
+    """
+    cfg = _tiny_config()
+    cfg.lambda_grid, cfg.eta_grid, cfg.methods = [lam], [200.0], ["exact"]
+    cfg.time_grid = np.linspace(0.0, 20.0, 41).tolist()
+    (pt,) = run(cfg, tmp_path)
+    p, predicted = RabiParams(lam, 200.0), np.sqrt(pt.value)
+    deviations = []
+    for k in (1.0, 3.0, 10.0, 30.0):
+        delta_s = k * pt.delta_s_min
+        report = validate_dispersive(p, ProbeParams(np.sqrt(pt.chi * delta_s), delta_s),
+                                     cfg.time_grid)
+        assert report.dispersive_regime
+        deviations.append(max_rel_deviation(report.coherence, predicted))
+        assert deviations[-1] <= 4.0 / (100.0 * k) * (1.0 + 1.0 / predicted.min()), (k, deviations)
+    assert deviations == sorted(deviations, reverse=True)
+
+
+def test_echo_points_record_their_dispersive_bound(tmp_path):
+    # each echo point records the mean photon number of the ground state its
+    # method solves, and delta_s_min = 100 chi (mean_n + 1); report.json
+    # holds both, the CSV neither
+    cfg = _tiny_config()
+    cfg.lambda_grid, cfg.methods = [0.5, 1.2], list(METHODS)
+    points = run(cfg, tmp_path / "echo")
+    assert {pt.method for pt in points} == set(METHODS)
+    for pt in points:
+        p = RabiParams(pt.lam, pt.eta)
+        if pt.method in GROUND_STATES:
+            mean_n = GROUND_STATES[pt.method](p, cfg.cutoff_tol).mean_n
+        elif pt.method == "variational":
+            mean_n = variational_solve(p).mean_n
+        else:
+            mean_n = variance(p)[0]
+        assert pt.mean_n == mean_n > 0.0
+        assert pt.delta_s_min == 100 * cfg.chi * (mean_n + 1)
+    records = json.loads((tmp_path / "echo" / "report.json").read_text())["points"]
+    assert [(r["mean_n"], r["delta_s_min"]) for r in records] == [
+        (pt.mean_n, pt.delta_s_min) for pt in points]
+    assert (tmp_path / "echo" / "custom.csv").read_text().splitlines()[0] == CSV_HEADER
+    # a degraded point writes NaN; fig1/fig2 points, which have no probe, ""
+    cfg.lambda_grid, cfg.eta_grid = [0.5], [1e-320, 1.0]  # the phase record overflows at 1e-320
+    degraded = [pt for pt in run(cfg, tmp_path / "degraded") if not pt.converged]
+    assert [pt.eta for pt in degraded] == [1e-320] * len(METHODS)
+    assert all(np.isnan(pt.mean_n) and np.isnan(pt.delta_s_min) for pt in degraded)
+    cfg = default_config("fig1")
+    cfg.eta_grid = [1e3]
+    assert [(pt.mean_n, pt.delta_s_min) for pt in run(cfg, tmp_path / "fig1")] == [("", "")] * 3
 
 
 def test_report_wall_time_is_per_point(tmp_path):

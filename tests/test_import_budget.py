@@ -41,7 +41,7 @@ def _child(*argv, **env):
 
 
 def test_package_import_does_not_load_scipy():
-    out = _child("-c", "import sys; from rabicrit import Phase, ProbeParams, RabiParams; "
+    out = _child("-c", "import sys; from rabicrit import Phase, RabiParams; "
                        "print(sorted(m for m in sys.modules "
                        "if m.partition('.')[0] == 'scipy' or m == 'rabicrit.spectra'))")
     assert out.stdout.strip() == "[]"
@@ -64,8 +64,6 @@ def test_cli_runs_without_mpmath(tmp_path):
     _child("-c", blocked, "fig1", "--out", str(tmp_path))
     methods = {row.split(",")[1] for row in (tmp_path / "fig1.csv").read_text().splitlines()[1:]}
     assert methods == {"exact", "effective", "variational"}
-    out = _child("-c", blocked, "validate-dispersive")
-    assert '"passed": true' in out.stdout
 
 
 def test_cli_run_does_not_load_openssl(tmp_path):

@@ -34,6 +34,8 @@ def _records(points) -> list[dict]:
             "lambda": pt.lam,
             "eta": pt.eta,
             "chi": pt.chi,
+            "mean_n": pt.mean_n,
+            "delta_s_min": pt.delta_s_min,
             "omega_c_t": t,
             "value_name": name,
             "value": value,
@@ -147,6 +149,7 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
         if (rec["method"], rec["lambda"]) in capped:
             assert fields[7:] == ["nan", "", "false"]
             assert math.isnan(rec["value"])
+            assert math.isnan(rec["mean_n"]) and math.isnan(rec["delta_s_min"])
             assert (rec["converged"], rec["cutoff"], rec["frame"]) == (False, "", "")
         else:
             assert fields[9] == "true" and math.isfinite(float(fields[7]))

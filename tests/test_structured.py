@@ -15,7 +15,6 @@ reference they must reproduce.
 """
 
 import inspect
-import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from oracle import (
     build_effective_sp_band,
     build_rabi,
     build_rabi_parity_chains,
-    build_tripartite,
     decoherence_factor,
     dense_ground,
     echo_sweep,
@@ -49,16 +47,13 @@ from oracle import (
     rabi_dense,
     tensor,
 )
-from oracle import validate_dispersive as dense_validate_dispersive
-from rabicrit.dynamics import effective_ground_state, exact_ground_state, validate_dispersive
+from rabicrit.dynamics import effective_ground_state, exact_ground_state
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import default_config, run
 from rabicrit.hamiltonians import (
-    ProbeParams,
     RabiParams,
     build_displaced_rabi_band,
     build_rabi_parity,
-    build_tripartite_blocks,
     phase,
     photon_number_band,
 )
@@ -71,7 +66,6 @@ from rabicrit.spectra import (
 )
 
 TOL = 1e-8
-DEFAULT_PROBE = ProbeParams(0.05, 5.0)  # the CLI's g_s = 0.05, Delta_s / g_s = 100
 
 
 def _dense(h: np.ndarray) -> np.ndarray:
@@ -145,7 +139,7 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
     # phase of D
     eps = np.finfo(float).eps
     c = 40
-    chi = DEFAULT_PROBE.chi
+    chi = 5e-4  # g_s = 0.05, Delta_s = 5
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
         p = RabiParams(lam, eta)
         even = _parity_order(c)[:c + 1]
@@ -179,98 +173,6 @@ def test_band_moments_match_dense_operator_moments():
                                                tensor(identity((2,)), physical_number(alpha, c)))
         assert mean_n == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
         assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
-
-
-def _tripartite_block_order(n_max):
-    """Dense index, in the probe (x) Rabi spin (x) Fock product (spins
-    (|e>, |g>)), of each row of the two `build_tripartite_blocks`: row 2 k is
-    the probe in |g> with row k of one Rabi parity chain, row 2 k + 1 the
-    probe in |e> with row k of the other, the even chain first with |g>."""
-    k = np.arange(n_max + 1)
-    even_spin, odd_spin = np.where(k % 2 == 0, 1, 0), np.where(k % 2 == 0, 0, 1)
-    orders = []
-    for g_spin, e_spin in ((even_spin, odd_spin), (odd_spin, even_spin)):
-        g_rows = 2 * k.size + k.size * g_spin + k
-        e_rows = k.size * e_spin + k
-        orders.append(np.column_stack([g_rows, e_rows]).ravel())
-    return orders
-
-
-def test_tripartite_blocks_are_dense_parity_blocks():
-    # each block is the dense tripartite Hamiltonian on that block's rows,
-    # the dense model has no entry between the blocks, and the blocks' rows
-    # hold every state once
-    for n_max in (0, 9):  # 0: the vacuum alone
-        orders = _tripartite_block_order(n_max)
-        assert np.array_equal(np.sort(np.concatenate(orders)), np.arange(4 * (n_max + 1)))
-        for lam, probe in ((0.8, DEFAULT_PROBE), (1.3, ProbeParams(0.1, 0.2))):
-            p = RabiParams(lam, 20.0)
-            dense = build_tripartite(p, probe, n_max).mat
-            assert np.abs(dense.imag).max() == 0.0
-            blocks = build_tripartite_blocks(p, probe, n_max)
-            assert len(blocks) == 2
-            for block, order in zip(blocks, orders):
-                assert block.shape == (3, 2 * (n_max + 1))
-                assert np.array_equal(dense.real[np.ix_(order, order)], _dense(block))
-            assert not dense[np.ix_(*orders)].any()
-
-
-@pytest.mark.parametrize("lam, eta, probe, bound", [
-    (0.5, 200.0, DEFAULT_PROBE, 1e-12),
-    (0.4, 40.0, DEFAULT_PROBE, 1e-12),
-    (0.5, 40.0, ProbeParams(0.0, 1.0), 1e-12),        # decoupled probe
-    (0.9, 1000.0, DEFAULT_PROBE, 1e-12),
-    (0.5, 40.0, ProbeParams(0.1, 0.2), 1e-12),        # outside the dispersive regime
-    # above the transition the ground doublet is nearly degenerate, so the
-    # tripartite eigenvectors carry more roundoff
-    (1.2, 200.0, DEFAULT_PROBE, 1e-7),
-])
-def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
-    # both checks search their cutoff: 8 at (0.5, 40), 128 at (1.2, 200)
-    p = RabiParams(lam, eta)
-    times = np.linspace(0.0, 20.0, 41)
-    reports = []
-    for check in (validate_dispersive, dense_validate_dispersive):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = check(p, probe, times)
-        reports.append((report, [str(w.message) for w in caught]))
-    (band, band_warnings), (dense, dense_warnings) = reports
-    assert np.abs(band.coherence_exact - dense.coherence_exact).max() <= bound
-    assert np.abs(band.coherence_predicted - dense.coherence_predicted).max() <= bound
-    assert band.dispersive_regime == dense.dispersive_regime
-    assert band_warnings == dense_warnings
-
-
-def test_tripartite_check_solves_two_parity_blocks(monkeypatch):
-    # the check diagonalises each parity block once, at the cutoff its
-    # search chose, and no band of the whole tripartite space; the echo's
-    # two branches are the even chain's
-    solved = []
-
-    def counted(h, solve=dynamics.band_spectrum):
-        solved.append((h.shape[1], h.shape[0] - 1))
-        return solve(h)
-
-    monkeypatch.setattr(dynamics, "band_spectrum", counted)
-    p = RabiParams(1.2, 200.0)
-    n_max = dynamics._exact_ground(p, (0.0,), TOL).n_max
-    validate_dispersive(p, DEFAULT_PROBE, np.linspace(0.0, 20.0, 41))
-    assert sorted(solved) == [(n_max + 1, 1)] * 2 + [(2 * (n_max + 1), 2)] * 2
-
-
-def test_tripartite_check_reports_an_unsearchable_bare_frame(monkeypatch):
-    # at lam = 1.5, eta = 1e5 the bare chain holds both wells only from
-    # alpha^2 = 45,139 photons, above every cutoff the search tries:
-    # the check says so before it builds a band
-    def never(*args):
-        raise AssertionError("a band was built")
-
-    monkeypatch.setattr(dynamics, "build_rabi_parity", never)
-    monkeypatch.setattr(dynamics, "build_displaced_rabi_band", never)
-    p = RabiParams(1.5, 1e5)
-    with pytest.raises(ConvergenceError, match=r"alpha\^2 = 45138.9 photons"):
-        validate_dispersive(p, DEFAULT_PROBE, np.linspace(0.0, 20.0, 41))
 
 
 def test_band_solvers_match_dense_eigh():

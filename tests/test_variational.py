@@ -91,7 +91,7 @@ def test_gamma_prime_limit():
     lam = 0.9
     p = RabiParams(lam, 1e5)
     sol = solve(p)
-    assert sol.gamma_prime == pytest.approx(variance(p), rel=1e-3)
+    assert sol.gamma_prime == pytest.approx(variance(p)[1], rel=1e-3)
 
 
 def test_gamma_prime_negative_clamped_not_fatal(tmp_path):
