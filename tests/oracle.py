@@ -88,10 +88,18 @@ class ProbeParams:
     """The probe atom of the dense builders (`build_branch`,
     `build_tripartite`): coupled by `g_s` and detuned by `delta_s` from the
     cavity, so that its frequency is 1 + delta_s. The library takes only its
-    dispersive shift `chi`."""
+    dispersive shift `chi`, which is derived here, never stored."""
 
     g_s: float
     delta_s: float
+
+    def __post_init__(self):
+        if not all(map(isfinite, (self.g_s, self.delta_s))):
+            raise ValueError("g_s and delta_s must be finite")
+        if not abs(self.delta_s) > 0:
+            raise ValueError("delta_s must be nonzero (dispersive regime)")
+        if not isfinite(self.g_s * self.g_s / self.delta_s):
+            raise ValueError("chi = g_s^2 / delta_s must be finite")
 
     @property
     def chi(self) -> float:

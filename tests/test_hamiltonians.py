@@ -66,6 +66,31 @@ def test_rabi_params_reject_nan(args):
         RabiParams(*args)
 
 
+def test_probe_params():
+    # the dense builders' probe is its coupling and its detuning; its
+    # frequency is 1 + delta_s, and chi is derived
+    assert [f.name for f in dataclasses.fields(ProbeParams)] == ["g_s", "delta_s"]
+    pr = ProbeParams(0.1, 1.0)
+    assert pr.chi == pytest.approx(0.01)
+    with pytest.raises(TypeError):
+        ProbeParams(0.1, 1.0, chi=0.5)
+    with pytest.raises(ValueError):
+        ProbeParams(0.1, 0.0)
+    # finite g_s, chi = g_s^2 / delta_s not: once an OverflowError from `chi`
+    with pytest.raises(ValueError, match="chi"):
+        ProbeParams(1e160, 1.0)
+
+
+@pytest.mark.parametrize("field", ["g_s", "delta_s"])
+def test_probe_params_reject_nan(field):
+    # each guard rejects NaN and infinity
+    for value in (math.nan, math.inf):
+        fields = {"g_s": 0.1, "delta_s": 1.0}
+        fields[field] = value
+        with pytest.raises(ValueError):
+            ProbeParams(**fields)
+
+
 def test_build_rabi_decoupled():
     p = RabiParams(0.0, 3.0)
     gs = ground_state(build_rabi(p, C32))

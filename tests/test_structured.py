@@ -15,6 +15,7 @@ reference they must reproduce.
 """
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ import rabicrit.dynamics as dynamics
 import rabicrit.spectra as spectra
 from oracle import (
     FIGURE_PROBE,
+    ProbeParams,
     QuantumState,
     _quartic_dense,
     build_displaced_rabi,
@@ -32,6 +34,7 @@ from oracle import (
     build_effective_np_band,
     build_effective_sp,
     build_effective_sp_band,
+    build_branch,
     build_rabi,
     build_rabi_parity_chains,
     decoherence_factor,
@@ -39,6 +42,7 @@ from oracle import (
     echo_sweep,
     effective_np_coeffs,
     effective_sp_coeffs,
+    energy_search,
     ground_state,
     identity,
     number,
@@ -46,10 +50,11 @@ from oracle import (
     physical_number,
     rabi_dense,
     tensor,
+    validate_dispersive,
 )
 from rabicrit.dynamics import effective_ground_state, exact_ground_state
 from rabicrit.errors import ConvergenceError
-from rabicrit.experiments import default_config, run
+from rabicrit.experiments import SweepConfig, _point, default_config, run
 from rabicrit.hamiltonians import (
     RabiParams,
     build_displaced_rabi_band,
@@ -66,6 +71,7 @@ from rabicrit.spectra import (
 )
 
 TOL = 1e-8
+DEFAULT_PROBE = ProbeParams(0.05, 5.0)  # g_s = 0.05, Delta_s / g_s = 100
 
 
 def _dense(h: np.ndarray) -> np.ndarray:
@@ -139,7 +145,7 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
     # phase of D
     eps = np.finfo(float).eps
     c = 40
-    chi = 5e-4  # g_s = 0.05, Delta_s = 5
+    chi = DEFAULT_PROBE.chi
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
         p = RabiParams(lam, eta)
         even = _parity_order(c)[:c + 1]
@@ -173,6 +179,40 @@ def test_band_moments_match_dense_operator_moments():
                                                tensor(identity((2,)), physical_number(alpha, c)))
         assert mean_n == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
         assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("lam, eta, probe, bound", [
+    (0.5, 200.0, DEFAULT_PROBE, 1e-12),
+    (0.4, 40.0, DEFAULT_PROBE, 1e-12),
+    (0.5, 40.0, ProbeParams(0.0, 1.0), 1e-12),        # decoupled probe
+    (0.9, 1000.0, DEFAULT_PROBE, 1e-12),
+    (0.5, 40.0, ProbeParams(0.1, 0.2), 1e-12),        # outside the dispersive regime
+    # above the transition the point solves the displaced frame at cutoff
+    # 16 and the tripartite check the bare one at 128, each converged to
+    # 1e-8 in energy: their echoes agree to 3.5e-11
+    (1.2, 200.0, DEFAULT_PROBE, 1e-7),
+])
+def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
+    # the library's half of the tripartite check against the dense one: a
+    # sweep point at the probe's chi records the echo sqrt(L) = |D| of the
+    # dense branches on the Rabi ground state the tripartite evolution starts
+    # from, at the cutoff its search chose (8 at (0.5, 40), 128 at (1.2, 200)),
+    # and its delta_s_min puts the probe on the side of the dispersive
+    # condition that the check's flag does, and its warning
+    times = np.linspace(0.0, 20.0, 41)
+    pt = _point(SweepConfig("custom", [lam], [eta], times.tolist(), probe.chi, ["exact"]),
+                eta, "exact", lam)
+    p = RabiParams(lam, eta)
+    found = energy_search((lambda c: build_rabi(p, c),), TOL)
+    dense = decoherence_factor(*(build_branch(p, probe, b, found.n_max) for b in "ge"),
+                               ground_state(found.band).state, times)
+    assert np.abs(np.sqrt(pt.value) - np.abs(dense.d_values)).max() <= bound
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = validate_dispersive(p, probe, times)
+    assert report.dispersive_regime == (abs(probe.delta_s) >= pt.delta_s_min)
+    warned = [w for w in caught if "dispersive condition" in str(w.message)]
+    assert len(warned) == (not report.dispersive_regime)
 
 
 def test_band_solvers_match_dense_eigh():
