@@ -91,10 +91,9 @@ SBEVX_ABSTOL = 2.0 * dlamch("S")
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude real-positive (global phase)."""
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    return vec * phase.conjugate()
+    """Make the largest-magnitude amplitude of a real vector positive (a
+    global sign)."""
+    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
 
 
 def _check(info: int, driver: str):

@@ -2,21 +2,23 @@
 
 The library solves every Hamiltonian as a real symmetric band matrix, a
 NumPy array in LAPACK lower band storage (see `rabicrit.spectra`). This
-module keeps the dense complex path as the tests' oracle:
-  * `Operator` and `QuantumState` on the truncated spin (x) Fock space
-    (basis ordering: spin factor first with basis (|e>, |g>), boson factor
-    second with Fock levels 0..n_max, a cutoff that every builder takes as
-    the int n_max), ladder operators, Pauli matrices, tensor products, the
-    physical photon number of a displaced frame (`physical_number`),
-    displacement and squeezing by `expm`;
+module keeps the dense path as the tests' oracle, every operator a plain
+NumPy array and every Hamiltonian a real float64 one, built by `np.kron`,
+`np.eye` and `@`:
+  * ladder, number and Pauli matrices on the truncated spin (x) Fock space
+    (basis ordering: spin factor first with basis (|e>, |g>), Fock factor
+    last with levels 0..n_max, a cutoff that every builder takes as the int
+    n_max), the physical photon number of a displaced frame
+    (`physical_number`), and displacement and squeezing by `expm`;
   * each phase written out in lam and eta, in units of the cavity frequency:
     the superradiant displacement (`alpha_lambda`), the displaced frame's
-    `DisplacedFrame` (alpha, omega0~ = lam^2 eta, g~), the effective coefficients
-    (`effective_np_coeffs`, `effective_sp_coeffs`), the variational cubic and
-    energy (`cubic_coeffs`, `energy_at`), and the closed-form squeezing and
-    variances (`squeezing_np`, `variance_np`, `superradiant_frame`,
-    `variance_sp`). The library reads all of them from one record,
-    `hamiltonians.phase(p)`, which is tested against these references;
+    omega0~ = lam^2 eta and g~ = sqrt(eta) / (2 lam), the effective
+    coefficients (`effective_np_coeffs`, `effective_sp_coeffs`), the
+    variational cubic and energy (`cubic_coeffs`, `energy_at`), and the
+    closed-form squeezing and variances (`squeezing_np`, `variance_np`,
+    `superradiant_frame`, `variance_sp`). The library reads all of them from
+    one record, `hamiltonians.phase(p)`, which is tested against these
+    references;
   * the dense builders of the Rabi, branch, tripartite, displaced-frame and
     effective Hamiltonians (the branch and tripartite ones read the probe
     record `ProbeParams(g_s, delta_s)`, which the library does not have),
@@ -26,12 +28,12 @@ module keeps the dense complex path as the tests' oracle:
     (`build_rabi_parity_chains`), and the effective Hamiltonians as full
     real bands with their constants (`build_effective_np_band`,
     `build_effective_sp_band`);
-  * ground states by full eigendecomposition at a given cutoff, photon-number
-    and operator moments, the parity operator, single-time evolution;
+  * ground states by full eigendecomposition at a given cutoff
+    (`ground_state`, which, like the spectral decomposition, refuses a matrix
+    that is not real symmetric), operator moments and the parity operator;
   * the probe + Rabi (tripartite) evolution before the dispersive step, the
     only one (`validate_dispersive`): the library's echo and each sweep
-    point's `delta_s_min` are tested against its probe coherence; and the
-    probe's reduced state for a given decoherence factor;
+    point's `delta_s_min` are tested against its probe coherence;
   * the finite-difference ground state of the quartic oscillator
     P^2/2 + Y^4/4, the critical point's universal limit
     (`QuarticOscillator`);
@@ -47,11 +49,13 @@ module keeps the dense complex path as the tests' oracle:
 The cutoff search by energy comparison (`energy_search`): at each doubled
 cutoff it bisects the ground energy again and compares the two, the decision
 `spectra.converge_cutoff` makes by two Cholesky factorisations instead; it
-takes dense or band builders. `dense_ground(p, method, tol)` is the one dense
-reference ground path of the exact and effective methods, the mirror of
-`dynamics.BandGround`: it picks the phase's frames, searches their cutoff by
-`energy_search`, solves the ground state by full eigendecomposition and takes
-the physical photon number's moments. The echo (`decoherence_factor`) is the
+takes dense or band builders. A square array is dense and any other a band
+array of shape (half_width + 1, dim). `dense_ground(p, method, tol)` is the
+one dense reference ground path of the exact and effective methods, the
+mirror of `dynamics.BandGround`: it picks the phase's frames, searches their
+cutoff by `energy_search`, solves the ground state by full eigendecomposition
+and takes the physical photon number's moments. The echo
+(`decoherence_factor`, which returns D as the library's does) is the
 oracle's own: the full spectrum of each branch by dense `eigh` (or scipy's
 band solvers for a band array, accepted wherever a Hamiltonian is), both
 branches evolved to every time in one product, so it shares no code with
@@ -63,7 +67,7 @@ itself.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from math import atan, exp, isfinite, log, pi, sinh, sqrt
 
@@ -79,7 +83,7 @@ from rabicrit.hamiltonians import RabiParams, _quartic_band
 from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
 from rabicrit.variational import VariationalSolution
 
-HERMITICITY_RTOL = 1e-12
+SYMMETRY_RTOL = 1e-12
 DUAL_PATH_RTOL = 1e-10
 
 
@@ -111,156 +115,75 @@ class ProbeParams:
 FIGURE_PROBE = ProbeParams(sqrt(1e-3), 1.0)
 
 
-class LayoutError(RabicritError, ValueError):
-    """A state/operator subsystem layout does not match the request."""
+# --- dense operators ----------------------------------------------------------
+#
+# A dense operator is a real float64 NumPy array (only `pauli("y")` is
+# complex), a state a vector. On spin (x) Fock the spin factor comes first,
+# with basis (|e>, |g>), and the Fock factor last, with levels 0..n_max.
 
 
-class DimensionMismatchError(RabicritError, ValueError):
-    """Operands live on incompatible Hilbert spaces."""
+def is_symmetric(h: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
+    """Whether `h` is a square real matrix equal to its transpose to `rtol`
+    of its largest entry."""
+    return (h.ndim == 2 and h.shape[0] == h.shape[1] and not np.iscomplexobj(h)
+            and np.abs(h - h.T).max() <= rtol * np.abs(h).max())
 
 
-# --- dense operators and states ----------------------------------------------
+def _symmetric(h: np.ndarray) -> np.ndarray:
+    if not is_symmetric(h):
+        raise ValueError("the dense oracle solves real symmetric matrices only")
+    return h
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex square matrix with subsystem-dimension metadata."""
-
-    mat: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        mat = np.ascontiguousarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"operator matrix must be square, got {mat.shape}")
-        if int(np.prod(self.dims)) != mat.shape[0]:
-            raise DimensionMismatchError(
-                f"dims {self.dims} inconsistent with matrix of size {mat.shape[0]}"
-            )
-        mat.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T, self.dims)
-
-    def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        scale = np.abs(self.mat).max()
-        if scale == 0.0:
-            return True
-        return np.abs(self.mat - self.mat.conj().T).max() <= rtol * scale
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_compatible(other)
-        return Operator(self.mat + other.mat, self.dims)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_compatible(other)
-        return Operator(self.mat - other.mat, self.dims)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_compatible(other)
-        return Operator(self.mat @ other.mat, self.dims)
-
-    def __rmul__(self, scalar: complex) -> "Operator":
-        return Operator(scalar * self.mat, self.dims)
-
-    def _check_compatible(self, other: "Operator"):
-        if not isinstance(other, Operator):
-            raise TypeError(f"expected Operator, got {type(other).__name__}")
-        if self.dims != other.dims:
-            raise DimensionMismatchError(f"dims mismatch: {self.dims} vs {other.dims}")
+def _is_band(h: np.ndarray) -> bool:
+    """A band array is (half_width + 1, dim) and a dense matrix square, so a
+    square band is read as dense, and its lower band storage fails the
+    symmetry guard instead of solving as a wrong matrix."""
+    return h.shape[0] != h.shape[1]
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Normalized state vector with subsystem-dimension metadata."""
-
-    vec: np.ndarray
-    dims: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        vec = np.ascontiguousarray(self.vec, dtype=complex).ravel()
-        object.__setattr__(self, "vec", vec)
-        dims = self.dims if self.dims else (vec.size,)
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        if int(np.prod(self.dims)) != vec.size:
-            raise DimensionMismatchError(
-                f"dims {self.dims} inconsistent with vector of size {vec.size}"
-            )
-        vec.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.vec.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-
-def identity(dims) -> Operator:
-    dims = tuple(dims) if np.iterable(dims) else (int(dims),)
-    d = int(np.prod(dims))
-    return Operator(np.eye(d, dtype=complex), dims)
-
-
-def annihilation(n_max: int) -> Operator:
+def annihilation(n_max: int) -> np.ndarray:
     """Truncated boson annihilation operator: <n|a|n+1> = sqrt(n+1)."""
-    mat = np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1).astype(complex)
-    return Operator(mat, (n_max + 1,))
+    return np.diag(np.sqrt(np.arange(1, n_max + 1, dtype=float)), k=1)
 
 
-def creation(n_max: int) -> Operator:
-    return annihilation(n_max).dag()
+def number(n_max: int) -> np.ndarray:
+    return np.diag(np.arange(n_max + 1, dtype=float))
 
 
-def number(n_max: int) -> Operator:
-    return Operator(np.diag(np.arange(n_max + 1, dtype=complex)), (n_max + 1,))
-
-
-def quadrature_x(n_max: int) -> Operator:
+def quadrature_x(n_max: int) -> np.ndarray:
     """The field quadrature a + a^dagger (unscaled)."""
     a = annihilation(n_max)
-    return a + a.dag()
+    return a + a.T
 
 
 _PAULI = {
     # basis order (|e>, |g>)
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "y": np.array([[0, -1j], [1j, 0]]),
+    "z": np.diag([1.0, -1.0]),
 }
 
 
-def pauli(axis: str) -> Operator:
+def pauli(axis: str) -> np.ndarray:
     """Pauli matrix in the (|e>, |g>) basis, so sigma_z = diag(+1, -1)."""
     try:
-        mat = _PAULI[axis]
+        return _PAULI[axis].copy()
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return Operator(mat.copy(), (2,))
 
 
-def sigma_plus() -> Operator:
+def sigma_plus() -> np.ndarray:
     """|e><g| in the (|e>, |g>) basis."""
-    return Operator(np.array([[0, 1], [0, 0]], dtype=complex), (2,))
+    return np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
-def sigma_minus() -> Operator:
+def sigma_minus() -> np.ndarray:
     """|g><e| in the (|e>, |g>) basis."""
-    return Operator(np.array([[0, 0], [1, 0]], dtype=complex), (2,))
+    return sigma_plus().T
 
 
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with subsystem labels concatenated."""
-    return Operator(np.kron(a.mat, b.mat), a.dims + b.dims)
-
-
-def displacement(alpha: float, n_max: int) -> Operator:
+def displacement(alpha: float, n_max: int) -> np.ndarray:
     """D(alpha) = exp[alpha (a^dag - a)] on the truncated space.
 
     Warns (does not fail) when the cutoff leaves the displaced vacuum with a
@@ -273,11 +196,10 @@ def displacement(alpha: float, n_max: int) -> Operator:
             stacklevel=2,
         )
     a = annihilation(n_max)
-    gen = alpha * (a.dag().mat - a.mat)
-    return Operator(expm(gen), (n_max + 1,))
+    return expm(alpha * (a.T - a))
 
 
-def squeeze(r: float, n_max: int) -> Operator:
+def squeeze(r: float, n_max: int) -> np.ndarray:
     """S(r) = exp[r (a^dag^2 - a^2) / 2] on the truncated space."""
     if n_max < 10.0 * sinh(r) ** 2 + 20.0:
         warnings.warn(
@@ -285,10 +207,8 @@ def squeeze(r: float, n_max: int) -> Operator:
             "unitarity degrades",
             stacklevel=2,
         )
-    a = annihilation(n_max).mat
-    ad = a.conj().T
-    gen = 0.5 * r * (ad @ ad - a @ a)
-    return Operator(expm(gen), (n_max + 1,))
+    a = annihilation(n_max)
+    return expm(0.5 * r * (a.T @ a.T - a @ a))
 
 
 # --- per-phase references in lam ---------------------------------------------
@@ -303,25 +223,11 @@ NORMAL = "normal"
 SUPERRADIANT = "superradiant"
 
 
-@dataclass(frozen=True)
-class DisplacedFrame:
-    """Parameters of the displaced frame D(alpha_disp)."""
-
-    alpha_disp: float
-    omega0_tilde: float   # lam^2 eta
-    g_tilde: float        # sqrt(eta) / (2 lam)
-
-
 def alpha_lambda(p: RabiParams) -> float:
     """The superradiant displacement sqrt(eta (lam^4 - 1) / (4 lam^2)), which
     removes the linear boson term; lam > 1."""
     lam = p.lam
     return sqrt(p.eta * (lam**4 - 1.0) / (4.0 * lam**2))
-
-
-def displaced_frame(p: RabiParams, alpha_disp: float) -> DisplacedFrame:
-    lam = p.lam
-    return DisplacedFrame(alpha_disp, lam**2 * p.eta, sqrt(p.eta) / (2.0 * lam))
 
 
 def effective_np_coeffs(p: RabiParams) -> tuple[float, float, float]:
@@ -345,12 +251,11 @@ def effective_sp_coeffs(p: RabiParams) -> tuple[float, float, float]:
         raise PhaseDomainError(
             f"superradiant effective Hamiltonian requires lam > 1, got lam={lam}"
         )
-    frame = displaced_frame(p, alpha_lambda(p))
-    gt, w0t = frame.g_tilde, frame.omega0_tilde
+    gt, w0t = sqrt(p.eta) / (2.0 * lam), lam**2 * p.eta
     # constant terms kept explicit so ground energies match the bare-frame
     # curves; the g~^2 / omega0~^2 form is the one consistent with the
     # variational energy constant 1 / (4 omega0~ lam^4).
-    const = -0.5 * w0t + gt**2 / w0t**2 + frame.alpha_disp**2
+    const = -0.5 * w0t + gt**2 / w0t**2 + alpha_lambda(p) ** 2
     return gt**2 / w0t, gt**4 / w0t**3, const
 
 
@@ -384,8 +289,7 @@ def variance_sp(p: RabiParams) -> float:
     """Photon-number variance of the superradiant ground state:
     sinh^2(2 r)/2 + alpha^2 e^{2 r} + (g~/omega0~)^2 e^{-2 r}."""
     alpha, r = superradiant_frame(p)
-    frame = displaced_frame(p, alpha)
-    ratio2 = (frame.g_tilde / frame.omega0_tilde) ** 2
+    ratio2 = ((sqrt(p.eta) / (2.0 * p.lam)) / (p.lam**2 * p.eta)) ** 2
     return 0.5 * sinh(2.0 * r) ** 2 + alpha**2 * exp(2.0 * r) + ratio2 * exp(-2.0 * r)
 
 
@@ -410,15 +314,14 @@ def energy_at(phase: str, s: float, p: RabiParams) -> float:
             - 0.5 * eta
             + lam**2 / (4.0 * eta)
         )
-    frame = displaced_frame(p, alpha_lambda(p))
-    w0t = frame.omega0_tilde
+    w0t = lam**2 * eta
     return (
         sinh(s) ** 2
         - (1.0 / (4.0 * lam**4)) * exp(2.0 * s)
         + (3.0 / (16.0 * w0t * lam**8)) * exp(4.0 * s)
         - 0.5 * w0t
         + 1.0 / (4.0 * w0t * lam**4)
-        + frame.alpha_disp**2
+        + alpha_lambda(p) ** 2
     )
 
 
@@ -426,7 +329,7 @@ def energy_at(phase: str, s: float, p: RabiParams) -> float:
 
 
 def rabi_dense(omega_c: float, omega_0: float, g: float, n_max: int,
-               alpha_disp: float = 0.0) -> Operator:
+               alpha_disp: float = 0.0) -> np.ndarray:
     """The Rabi Hamiltonian at cavity frequency omega_c, spin splitting
     omega_0 and coupling g, conjugated by D(alpha_disp) (0: the bare frame)
     and expanded term by term:
@@ -435,25 +338,25 @@ def rabi_dense(omega_c: float, omega_0: float, g: float, n_max: int,
          + (omega_0/2) sigma_z - 2 g alpha sigma_x.
 
     Built analytically (not by numerical conjugation with the truncated
-    displacement unitary), so it stays exactly Hermitian for any alpha. A
+    displacement unitary), so it stays exactly symmetric for any alpha. A
     `RabiParams` is this at omega_c = 1, omega_0 = eta (`build_rabi`); a
     probe branch shifts omega_c to 1 -/+ chi (`build_branch`).
     """
-    ib = identity((n_max + 1,))
+    ib = np.eye(n_max + 1)
     return (
-        tensor(identity((2,)), omega_c * physical_number(alpha_disp, n_max))
-        + (0.5 * omega_0) * tensor(pauli("z"), ib)
-        - g * tensor(pauli("x"), quadrature_x(n_max))
-        - (2.0 * g * alpha_disp) * tensor(pauli("x"), ib)
+        np.kron(np.eye(2), omega_c * physical_number(alpha_disp, n_max))
+        + (0.5 * omega_0) * np.kron(pauli("z"), ib)
+        - g * np.kron(pauli("x"), quadrature_x(n_max))
+        - (2.0 * g * alpha_disp) * np.kron(pauli("x"), ib)
     )
 
 
-def build_rabi(p: RabiParams, n_max: int) -> Operator:
+def build_rabi(p: RabiParams, n_max: int) -> np.ndarray:
     """H = a^dag a + (eta/2) sigma_z - g sigma_x (a + a^dag)."""
     return rabi_dense(1.0, p.eta, p.g, n_max)
 
 
-def build_branch(p: RabiParams, probe: ProbeParams, branch: str, n_max: int) -> Operator:
+def build_branch(p: RabiParams, probe: ProbeParams, branch: str, n_max: int) -> np.ndarray:
     """Conditional Rabi Hamiltonian given the probe in |e> or |g>, the probe
     at omega_s = 1 + delta_s.
 
@@ -470,39 +373,35 @@ def build_branch(p: RabiParams, probe: ProbeParams, branch: str, n_max: int) -> 
         omega_b = 1.0 - chi
         const = -0.5 * omega_s
     h = rabi_dense(omega_b, p.eta, p.g, n_max)
-    return h + const * identity(h.dims)
+    return h + const * np.eye(len(h))
 
 
-def build_tripartite(p: RabiParams, probe: ProbeParams, n_max: int) -> Operator:
+def build_tripartite(p: RabiParams, probe: ProbeParams, n_max: int) -> np.ndarray:
     """Full Jaynes-Cummings probe plus Rabi model, before the dispersive step,
     the probe at omega_s = 1 + delta_s.
 
     Space: probe-spin (x) Rabi-spin (x) Fock, dimension 4 (n_max + 1).
     """
-    nb = n_max + 1
-    i2 = identity((2,))
-    ib = identity((nb,))
+    i2 = np.eye(2)
     a = annihilation(n_max)
-    rabi = tensor(i2, build_rabi(p, n_max))
-    h_probe = (0.5 * (1.0 + probe.delta_s)) * tensor(pauli("z"), tensor(i2, ib))
+    rabi = np.kron(i2, build_rabi(p, n_max))
+    h_probe = (0.5 * (1.0 + probe.delta_s)) * np.kron(pauli("z"), np.eye(2 * (n_max + 1)))
     h_jc = (-probe.g_s) * (
-        tensor(sigma_minus(), tensor(i2, a.dag()))
-        + tensor(sigma_plus(), tensor(i2, a))
+        np.kron(sigma_minus(), np.kron(i2, a.T))
+        + np.kron(sigma_plus(), np.kron(i2, a))
     )
     return rabi + h_probe + h_jc
 
 
-def physical_number(alpha: float, n_max: int) -> Operator:
+def physical_number(alpha: float, n_max: int) -> np.ndarray:
     """The physical photon number N = n + alpha x + alpha^2 of the frame
     displaced by alpha (alpha = 0: the bare frame), on the Fock space."""
-    return number(n_max) + alpha * quadrature_x(n_max) + alpha**2 * identity((n_max + 1,))
+    return number(n_max) + alpha * quadrature_x(n_max) + alpha**2 * np.eye(n_max + 1)
 
 
-def build_displaced_rabi(
-    p: RabiParams, alpha_disp: float, n_max: int
-) -> tuple[Operator, DisplacedFrame]:
+def build_displaced_rabi(p: RabiParams, alpha_disp: float, n_max: int) -> np.ndarray:
     """The Rabi Hamiltonian of `p` conjugated by D(alpha_disp) (`rabi_dense`)."""
-    return rabi_dense(1.0, p.eta, p.g, n_max, alpha_disp), displaced_frame(p, alpha_disp)
+    return rabi_dense(1.0, p.eta, p.g, n_max, alpha_disp)
 
 
 def spin_mixing_angle(p: RabiParams, alpha_disp: float) -> float:
@@ -514,18 +413,13 @@ def spin_mixing_angle(p: RabiParams, alpha_disp: float) -> float:
     return theta
 
 
-def _quartic_dense(c2: float, c4: float, const: float, n_max: int) -> Operator:
+def _quartic_dense(c2: float, c4: float, const: float, n_max: int) -> np.ndarray:
     x = quadrature_x(n_max)
     x2 = x @ x
-    return (
-        number(n_max)
-        - c2 * x2
-        + c4 * (x2 @ x2)
-        + const * identity(x.dims)
-    )
+    return number(n_max) - c2 * x2 + c4 * (x2 @ x2) + const * np.eye(n_max + 1)
 
 
-def build_effective_np(p: RabiParams, n_max: int) -> Operator:
+def build_effective_np(p: RabiParams, n_max: int) -> np.ndarray:
     """Fourth-order low-spin effective Hamiltonian of the normal phase.
 
     Boson-only: n - (lam^2/4) x^2 + (lam^4 / (16 eta)) x^4 - eta/2
@@ -534,7 +428,7 @@ def build_effective_np(p: RabiParams, n_max: int) -> Operator:
     return _quartic_dense(*effective_np_coeffs(p), n_max)
 
 
-def build_effective_sp(p: RabiParams, n_max: int) -> Operator:
+def build_effective_sp(p: RabiParams, n_max: int) -> np.ndarray:
     """Fourth-order low-spin effective Hamiltonian of the superradiant phase.
 
     Boson-only, in the frame displaced by alpha_lambda; requires lam > 1.
@@ -580,66 +474,37 @@ def build_rabi_parity_chains(omega_c: float, omega_0: float, g: float,
 # --- ground states and moments ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroundStateResult:
-    energy: float
-    state: QuantumState
+def ground_state(h: np.ndarray) -> tuple[float, np.ndarray]:
+    """The lowest energy and eigenvector of a real symmetric matrix, at the
+    cutoff it was built at; `dense_ground` searches the cutoff."""
+    w, v = np.linalg.eigh(_symmetric(h))
+    return float(w[0]), _fix_phase(v[:, 0])
 
 
-def ground_state(h: Operator) -> GroundStateResult:
-    """Lowest eigenpair of a Hermitian operator, at the cutoff it was built
-    at; `dense_ground` searches the cutoff."""
-    if not h.is_hermitian():
-        raise ValueError("ground_state requires a Hermitian operator")
-    w, v = np.linalg.eigh(h.mat)
-    vec = _fix_phase(v[:, 0])
-    return GroundStateResult(float(w[0]), QuantumState(vec / np.linalg.norm(vec), h.dims))
-
-
-def photon_moments(psi: QuantumState, boson_axis: int = -1) -> tuple[float, float]:
-    """Mean and variance of the photon number in `psi`.
-
-    `boson_axis` indexes the entry of `psi.dims` that is the Fock factor.
-    """
-    ndims = len(psi.dims)
-    axis = boson_axis % ndims
-    nb = psi.dims[axis]
-    if nb < 2:
-        raise LayoutError(f"axis {boson_axis} of dims {psi.dims} is not a boson factor")
-    amp = psi.vec.reshape(psi.dims)
-    amp = np.moveaxis(amp, axis, -1).reshape(-1, nb)
-    prob = (np.abs(amp) ** 2).sum(axis=0)
-    n = np.arange(nb, dtype=float)
-    mean = float(prob @ n)
-    return mean, float(prob @ (n - mean) ** 2)
-
-
-def operator_moments(psi: QuantumState, op: Operator) -> tuple[float, float]:
-    """Mean and variance of a Hermitian operator in `psi`. The variance is the
-    squared norm of the centred residual (O - mean) v, not <O v, O v> -
-    mean^2, whose two terms cancel where the mean dwarfs the spread."""
-    v = psi.vec
-    ov = op.mat @ v
-    mean = float(np.real(np.vdot(v, ov)))
-    residual = ov - mean * v
+def operator_moments(vec: np.ndarray, op: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a symmetric operator in the unit vector `vec`. The
+    variance is the squared norm of the centred residual (O - mean) v, not
+    <O v, O v> - mean^2, whose two terms cancel where the mean dwarfs the
+    spread."""
+    ov = op @ vec
+    mean = float(np.real(np.vdot(vec, ov)))
+    residual = ov - mean * vec
     return mean, float(np.real(np.vdot(residual, residual)))
 
 
-def parity_operator(n_max: int) -> Operator:
+def parity_operator(n_max: int) -> np.ndarray:
     """Pi = exp{i pi [a^dag a + (1 + sigma_z)/2]} on spin (x) Fock.
 
     Diagonal with entries (-1)^(n + 1) on the |e> block and (-1)^n on |g>.
     """
-    n = np.arange(n_max + 1)
-    fock_sign = (-1.0) ** n
-    diag = np.concatenate([-fock_sign, fock_sign]).astype(complex)
-    return Operator(np.diag(diag), (2, n_max + 1))
+    fock_sign = (-1.0) ** np.arange(n_max + 1)
+    return np.diag(np.concatenate([-fock_sign, fock_sign]))
 
 
 def energy_search(frames, tol: float) -> FrameCutoff:
     """The reference of `spectra.converge_cutoff`, by energy comparison: over
     the same doubling sequence and frames (each a builder, cutoff -> dense
-    `Operator` or band array, or None where that frame is not built), the
+    matrix or band array, or None where that frame is not built), the
     first frame at the first cutoff n whose ground energy moves by less than
     tol, |E(2n) - E(n)| < tol, with E(2n) bisected (or diagonalised) too,
     and its matrix at n."""
@@ -651,7 +516,7 @@ def energy_search(frames, tol: float) -> FrameCutoff:
         if (frame, n) not in known:
             h = frames[frame](n)
             if h is not None:
-                h = band_ground_energy(h) if isinstance(h, np.ndarray) else ground_state(h).energy
+                h = band_ground_energy(h) if _is_band(h) else ground_state(h)[0]
             known[frame, n] = h
         return known[frame, n]
 
@@ -678,10 +543,10 @@ class DenseGround:
 
     n_max: int
     alpha: float
-    h: Operator
-    n: Operator
-    state: QuantumState
+    h: np.ndarray
+    n: np.ndarray
     energy: float
+    vector: np.ndarray
     mean_n: float
     gamma: float
 
@@ -698,18 +563,17 @@ def dense_ground(p: RabiParams, method: str, tol: float) -> DenseGround:
     if method == "exact":
         frames = (partial(build_rabi, p),)
         if alpha:
-            frames += (lambda c: build_displaced_rabi(p, alpha, c)[0],)
+            frames += (partial(build_displaced_rabi, p, alpha),)
         found = energy_search(frames, tol)
         alpha = (0.0, alpha)[found.frame]
-        n = tensor(identity((2,)), physical_number(alpha, found.n_max))
+        n = np.kron(np.eye(2), physical_number(alpha, found.n_max))
     elif method == "effective":
         found = energy_search((partial(build_effective_sp if alpha else build_effective_np, p),), tol)
         n = physical_number(alpha, found.n_max)
     else:
         raise ValueError(f"method must be 'exact' or 'effective', got {method!r}")
-    gs = ground_state(found.band)
-    return DenseGround(found.n_max, alpha, found.band, n, gs.state, gs.energy,
-                       *operator_moments(gs.state, n))
+    energy, vec = ground_state(found.band)
+    return DenseGround(found.n_max, alpha, found.band, n, energy, vec, *operator_moments(vec, n))
 
 
 # --- dynamics -----------------------------------------------------------------
@@ -718,42 +582,27 @@ def dense_ground(p: RabiParams, method: str, tol: float) -> DenseGround:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and real orthonormal eigenvectors (columns) of
-    a dense real symmetric `Operator`, by `numpy.linalg.eigh`, or of a band
-    array, by scipy's `eigh_tridiagonal` or `eig_banded` (every Hamiltonian
-    here is real)."""
+    a dense real symmetric matrix, by `numpy.linalg.eigh`, or of a band
+    array, by scipy's `eigh_tridiagonal` or `eig_banded`."""
 
     energies: np.ndarray
     vectors: np.ndarray
 
     @classmethod
-    def of(cls, h: Operator | np.ndarray) -> "SpectralDecomposition":
-        if isinstance(h, np.ndarray):
-            if h.shape[0] == 2:
-                return cls(*eigh_tridiagonal(h[0], h[1, :-1]))
-            return cls(*eig_banded(h, lower=True))
-        if not h.is_hermitian():
-            raise ValueError("spectral decomposition requires a Hermitian operator")
-        if np.abs(h.mat.imag).max() > 0.0:
-            raise ValueError("the dense oracle evolves real symmetric operators only")
-        return cls(*np.linalg.eigh(h.mat.real))
+    def of(cls, h: np.ndarray) -> "SpectralDecomposition":
+        if not _is_band(h):
+            return cls(*np.linalg.eigh(_symmetric(h)))
+        if h.shape[0] == 2:
+            return cls(*eigh_tridiagonal(h[0], h[1, :-1]))
+        return cls(*eig_banded(h, lower=True))
 
     def evolved(self, vec: np.ndarray, times, e_ref: float = 0.0) -> np.ndarray:
-        """exp(-i (H - e_ref) t) vec at every t of `times`, a column per
-        time. The real eigenvectors multiply the real and imaginary parts
-        apart, so they are never copied to complex."""
+        """exp(-i (H - e_ref) t) vec of a real `vec` at every t of `times`, a
+        column per time. The real eigenvectors multiply the real and
+        imaginary parts apart, so they are never copied to complex."""
         v = self.vectors
-        if vec.shape[0] != v.shape[0]:
-            raise DimensionMismatchError(
-                f"state dim {vec.shape[0]} vs decomposition dim {v.shape[0]}"
-            )
-        coeff = v.T @ vec.real + 1j * (v.T @ vec.imag)
-        z = np.exp(-1j * np.outer(self.energies - e_ref, times)) * coeff[:, None]
+        z = np.exp(-1j * np.outer(self.energies - e_ref, times)) * (v.T @ vec)[:, None]
         return v @ z.real + 1j * (v @ z.imag)
-
-
-def evolve(decomp: SpectralDecomposition, psi0: QuantumState, t: float) -> QuantumState:
-    """psi(t) = V exp(-i Lambda t) V^T psi0 at one time t."""
-    return QuantumState(decomp.evolved(psi0.vec, [t])[:, 0], psi0.dims)
 
 
 @dataclass(frozen=True)
@@ -781,41 +630,18 @@ def echo_sweep(eta: float, chi: float, lams, times, method: str,
     )
 
 
-@dataclass(frozen=True)
-class EchoSeries:
-    times: np.ndarray
-    d_values: np.ndarray
-    l_values: np.ndarray
-
-
-def decoherence_factor(
-    h_g: Operator | np.ndarray,
-    h_e: Operator | np.ndarray,
-    ground: QuantumState,
-    times,
-) -> EchoSeries:
-    """D(t) = <G| exp(i H_g t) exp(-i H_e t) |G> and L = |D|^2 at every t of
-    `times`, from the full spectrum of each branch (`SpectralDecomposition`),
-    both branches evolved to every time in one product. Energies are
-    measured from H_g's lowest, a common phase of both branches that |D|
+def decoherence_factor(h_g: np.ndarray, h_e: np.ndarray, ground: np.ndarray,
+                       times) -> np.ndarray:
+    """D(t) = <G| exp(i H_g t) exp(-i H_e t) |G> at every t of `times`, from
+    the full spectrum of each branch (`SpectralDecomposition`), both branches
+    evolved to every time in one product; the echo is L = |D|^2. Energies
+    are measured from H_g's lowest, a common phase of both branches that |D|
     does not see, so that the phases E t stay small."""
     times = np.asarray(times, dtype=float)
     dg, de = SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e)
-    if dg.energies.size != de.energies.size:
-        raise DimensionMismatchError(
-            f"branch dims differ: {dg.energies.size} vs {de.energies.size}")
     e_ref = dg.energies[0]
-    d = np.sum(dg.evolved(ground.vec, times, e_ref).conj()
-               * de.evolved(ground.vec, times, e_ref), axis=0)
-    return EchoSeries(times=times, d_values=d, l_values=np.abs(d) ** 2)
-
-
-def probe_reduced_state(d: complex) -> np.ndarray:
-    """2x2 probe density matrix in the (|e>, |g>) basis for a given D(t),
-    the probe prepared in (|g> + |e>)/sqrt(2)."""
-    if abs(d) > 1.0 + 1e-10:
-        raise ValueError(f"|D| = {abs(d)} exceeds 1 beyond tolerance")
-    return 0.5 * np.array([[1.0, d], [np.conj(d), 1.0]], dtype=complex)
+    return np.sum(dg.evolved(ground, times, e_ref).conj()
+                  * de.evolved(ground, times, e_ref), axis=0)
 
 
 # --- the tripartite evolution -------------------------------------------------
@@ -842,8 +668,8 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     """
     times = np.asarray(times, dtype=float)
     found = energy_search((partial(build_rabi, p),), cutoff_tol)
-    gs = ground_state(found.band)
-    mean_n, _ = photon_moments(gs.state)
+    _, vec = ground_state(found.band)
+    mean_n, _ = operator_moments(vec, np.kron(np.eye(2), number(found.n_max)))
     dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(mean_n + 1.0)
     if not dispersive:
         warnings.warn(
@@ -852,12 +678,10 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
             stacklevel=2,
         )
     decomp = SpectralDecomposition.of(build_tripartite(p, probe, found.n_max))
-    probe_vec = np.full(2, 1.0 / sqrt(2.0), dtype=complex)  # (|e>, |g>)
-    psi = decomp.evolved(np.kron(probe_vec, gs.state.vec), times)
-    sm = np.zeros((2, 2))
-    sm[1, 0] = 1.0  # |g><e| on the probe
+    probe_vec = np.full(2, 1.0 / sqrt(2.0))  # (|e>, |g>)
+    psi = decomp.evolved(np.kron(probe_vec, vec), times)
     # coherence magnitude convention: 2 |<sigma_->| = 2 |rho_eg|
-    coherence = 2.0 * np.abs(np.sum(psi.conj() * (np.kron(sm, np.eye(gs.state.dim)) @ psi),
+    coherence = 2.0 * np.abs(np.sum(psi.conj() * (np.kron(sigma_minus(), np.eye(vec.size)) @ psi),
                                     axis=0))
     return DispersiveReport(coherence, dispersive)
 
@@ -904,7 +728,7 @@ class QuarticOscillator:
         prob = self.psi**2
         return float(prob @ self.y**4 - (prob @ self.y**2) ** 2)
 
-    def photon_moments(self, eta: float) -> tuple[float, float]:
+    def number_moments(self, eta: float) -> tuple[float, float]:
         """Mean and variance of n = (eta^(1/3) Y^2 + eta^(-1/3) P^2)/2 - 1/2."""
         scale = eta ** (1.0 / 3.0)
         padded = np.concatenate([[0.0], self.psi, [0.0]])
@@ -951,9 +775,8 @@ def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
             mean_n=sinh(r) ** 2,
         )
     alpha, r = superradiant_frame(p)
-    frame = displaced_frame(p, alpha)
     eps = sqrt(1.0 - lam**-4)
-    energy = 0.5 * (eps - 1.0 - frame.omega0_tilde) + alpha**2
+    energy = 0.5 * (eps - 1.0 - lam**2 * p.eta) + alpha**2
     return AnalyticGroundState(
         phase="superradiant",
         r=r,

@@ -8,21 +8,17 @@ from scipy.linalg import expm
 
 from oracle import (
     FIGURE_PROBE,
-    DimensionMismatchError,
     ProbeParams,
-    EchoSeries,
-    Operator,
-    QuantumState,
     SpectralDecomposition,
     build_branch,
     build_rabi,
     decoherence_factor,
+    displacement,
     echo_sweep,
-    evolve,
     ground_state,
+    number,
+    operator_moments,
     pauli,
-    photon_moments,
-    probe_reduced_state,
 )
 from rabicrit import variational
 from rabicrit.analytic import short_time_le, variance
@@ -34,146 +30,126 @@ C = 32
 
 
 def _rabi_ground(lam, eta, cutoff=C):
+    """The Rabi parameters and their dense ground vector at `cutoff`."""
     p = RabiParams(lam, eta)
-    return p, ground_state(build_rabi(p, cutoff))
+    return p, ground_state(build_rabi(p, cutoff))[1]
+
+
+def _photon_variance(vec, n_max):
+    return operator_moments(vec, np.kron(np.eye(2), number(n_max)))[1]
 
 
 def test_evolve_t0_and_eigenstate():
-    p, gs = _rabi_ground(0.6, 50.0)
-    d = SpectralDecomposition.of(build_rabi(p, C))
-    psi = evolve(d, gs.state, 0.0)
-    assert np.abs(psi.vec - gs.state.vec).max() < 1e-12
-    psi = evolve(d, gs.state, 3.7)
+    p = RabiParams(0.6, 50.0)
+    energy, vec = ground_state(build_rabi(p, C))
+    psi = SpectralDecomposition.of(build_rabi(p, C)).evolved(vec, [0.0, 3.7])
+    assert np.abs(psi[:, 0] - vec).max() < 1e-12
     # ground state only picks up a phase
-    overlap = np.vdot(gs.state.vec, psi.vec)
+    overlap = np.vdot(vec, psi[:, 1])
     assert abs(abs(overlap) - 1.0) < 1e-10
-    assert abs(overlap - np.exp(-1j * gs.energy * 3.7)) < 1e-10
+    assert abs(overlap - np.exp(-1j * energy * 3.7)) < 1e-10
 
 
 def test_evolve_rabi_flopping():
-    d = SpectralDecomposition.of(pauli("x"))
-    e = QuantumState(np.array([1.0, 0.0]))
-    for t in (0.3, np.pi / 2, 1.9):
-        psi = evolve(d, e, t)
-        assert abs(np.vdot(e.vec, psi.vec)) == pytest.approx(abs(np.cos(t)), abs=1e-12)
-        assert psi.norm() == pytest.approx(1.0, abs=1e-10)
+    e = np.array([1.0, 0.0])
+    times = [0.3, np.pi / 2, 1.9]
+    psi = SpectralDecomposition.of(pauli("x")).evolved(e, times)
+    for t, col in zip(times, psi.T):
+        assert abs(np.vdot(e, col)) == pytest.approx(abs(np.cos(t)), abs=1e-12)
+        assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_evolve_dimension_mismatch():
     d = SpectralDecomposition.of(pauli("x"))
-    with pytest.raises(DimensionMismatchError):
-        evolve(d, QuantumState(np.zeros(3) + [1, 0, 0]), 1.0)
     with pytest.raises(ValueError):
-        SpectralDecomposition.of(Operator(np.array([[0, 1], [0, 0]]), (2,)))
+        d.evolved(np.array([1.0, 0.0, 0.0]), [1.0])
+    with pytest.raises(ValueError):
+        SpectralDecomposition.of(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):  # complex: the oracle evolves real matrices only
+        SpectralDecomposition.of(pauli("y"))
 
 
 def test_decoherence_factor_trivial_limits():
     times = np.linspace(0.0, 100.0, 26)
     # chi = 0: branches differ by a constant only
-    p, gs = _rabi_ground(0.7, 50.0)
+    p, vec = _rabi_ground(0.7, 50.0)
     probe0 = ProbeParams(0.0, 1.0)
-    series = decoherence_factor(
-        build_branch(p, probe0, "g", C), build_branch(p, probe0, "e", C), gs.state, times
+    d = decoherence_factor(
+        build_branch(p, probe0, "g", C), build_branch(p, probe0, "e", C), vec, times
     )
-    assert np.abs(series.l_values - 1.0).max() < 1e-12
+    assert np.abs(np.abs(d) ** 2 - 1.0).max() < 1e-12
 
     # g = 0: |0>|g> is an eigenstate of both branches
-    p0, gs0 = _rabi_ground(0.0, 50.0)
-    series = decoherence_factor(
+    p0, vec0 = _rabi_ground(0.0, 50.0)
+    d = decoherence_factor(
         build_branch(p0, FIGURE_PROBE, "g", C), build_branch(p0, FIGURE_PROBE, "e", C),
-        gs0.state, times,
+        vec0, times,
     )
-    assert np.abs(series.l_values - 1.0).max() < 1e-12
+    assert np.abs(np.abs(d) ** 2 - 1.0).max() < 1e-12
 
 
 def test_decoherence_factor_invariants():
-    p, gs = _rabi_ground(0.8, 100.0)
+    p, vec = _rabi_ground(0.8, 100.0)
     hg = build_branch(p, FIGURE_PROBE, "g", C)
     he = build_branch(p, FIGURE_PROBE, "e", C)
     times = np.linspace(0.0, 40.0, 21)
-    series = decoherence_factor(hg, he, gs.state, times)
-    assert isinstance(series, EchoSeries)
-    assert series.l_values[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(series.l_values <= 1.0 + 1e-10)
-    assert np.all(series.l_values >= 0.0)
-    assert np.abs(series.l_values - np.abs(series.d_values) ** 2).max() < 1e-12
+    echo = np.abs(decoherence_factor(hg, he, vec, times)) ** 2
+    assert echo[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(echo <= 1.0 + 1e-10)
+    assert np.all(echo >= 0.0)
 
     # constant shifts change only the phase of D, never L
-    shifted = decoherence_factor(
-        hg + 0.37 * _identity_like(hg), he, gs.state, times
-    )
-    assert np.abs(shifted.l_values - series.l_values).max() < 1e-12
-
-
-def _identity_like(op):
-    return Operator(np.eye(op.dim), op.dims)
+    shifted = decoherence_factor(hg + 0.37 * np.eye(len(hg)), he, vec, times)
+    assert np.abs(np.abs(shifted) ** 2 - echo).max() < 1e-12
 
 
 def test_decoherence_factor_against_expm():
     # brute-force matrix-exponential oracle on a small problem
     cutoff = 20
     p = RabiParams(0.5, 30.0)
-    gs = ground_state(build_rabi(p, cutoff))
+    _, vec = ground_state(build_rabi(p, cutoff))
     probe = ProbeParams(math.sqrt(5e-3), 1.0)
     hg = build_branch(p, probe, "g", cutoff)
     he = build_branch(p, probe, "e", cutoff)
     times = np.array([0.0, 1.3, 7.7, 23.0])
-    series = decoherence_factor(hg, he, gs.state, times)
-    for t, d in zip(times, series.d_values):
-        ug = expm(-1j * hg.mat * t)
-        ue = expm(-1j * he.mat * t)
-        brute = np.vdot(ug @ gs.state.vec, ue @ gs.state.vec)
+    for t, d in zip(times, decoherence_factor(hg, he, vec, times)):
+        brute = np.vdot(expm(-1j * hg * t) @ vec, expm(-1j * he * t) @ vec)
         assert abs(d - brute) < 1e-10
 
 
 def test_decoherence_factor_dim_mismatch():
-    p, gs = _rabi_ground(0.5, 30.0)
+    p, vec = _rabi_ground(0.5, 30.0)
     hg = build_branch(p, FIGURE_PROBE, "g", C)
     he = build_branch(p, FIGURE_PROBE, "e", 16)
-    with pytest.raises(DimensionMismatchError):
-        decoherence_factor(hg, he, gs.state, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        decoherence_factor(hg, he, vec, [0.0, 1.0])
 
 
 def test_short_time_law_in_domain():
     # quadratic-cumulant law holds while the echo is still in its initial decay
-    p, gs = _rabi_ground(0.5, 5000.0)
-    _, gamma = photon_moments(gs.state)
+    p, vec = _rabi_ground(0.5, 5000.0)
     times = np.linspace(0.0, 5.0, 11)
-    series = decoherence_factor(
+    d = decoherence_factor(
         build_branch(p, FIGURE_PROBE, "g", C), build_branch(p, FIGURE_PROBE, "e", C),
-        gs.state, times,
+        vec, times,
     )
-    gauss = short_time_le(gamma, FIGURE_PROBE.chi, times)
-    assert np.abs(series.l_values - gauss).max() / np.abs(gauss).min() < 1e-2
+    gauss = short_time_le(_photon_variance(vec, C), FIGURE_PROBE.chi, times)
+    assert np.abs(np.abs(d) ** 2 - gauss).max() / np.abs(gauss).min() < 1e-2
 
 
 def test_short_time_law_taylor_order():
     # |L_exact - exp(-4 gamma chi^2 t^2)| vanishes faster than chi^2 t^2
-    p, gs = _rabi_ground(0.5, 5000.0)
-    _, gamma = photon_moments(gs.state)
+    p, vec = _rabi_ground(0.5, 5000.0)
+    gamma = _photon_variance(vec, C)
     hg = build_branch(p, FIGURE_PROBE, "g", C)
     he = build_branch(p, FIGURE_PROBE, "e", C)
     ts = np.array([0.8, 0.4, 0.2, 0.1])
-    series = decoherence_factor(hg, he, gs.state, ts)
-    ratios = np.abs(series.l_values - short_time_le(gamma, FIGURE_PROBE.chi, ts)) / (
+    echo = np.abs(decoherence_factor(hg, he, vec, ts)) ** 2
+    ratios = np.abs(echo - short_time_le(gamma, FIGURE_PROBE.chi, ts)) / (
         FIGURE_PROBE.chi**2 * ts**2
     )
     # the ratio itself must shrink with t (error is o(chi^2 t^2))
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
-
-
-def test_probe_reduced_state():
-    rho = probe_reduced_state(1.0)
-    assert np.trace(rho) == pytest.approx(1.0)
-    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
-    rho = probe_reduced_state(0.0)
-    assert np.trace(rho @ rho).real == pytest.approx(0.5, abs=1e-12)
-    rho = probe_reduced_state(0.5)
-    ev = np.linalg.eigvalsh(rho)
-    assert np.allclose(sorted(ev), [0.25, 0.75])
-    assert np.trace(rho @ rho).real == pytest.approx((1 + 0.25) / 2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        probe_reduced_state(1.5)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -254,17 +230,12 @@ def test_sweep_exact_vs_effective_smoke():
 
 
 def test_frame_invariance_random_displacement():
-    from oracle import displacement, identity, tensor
-
-    p, gs = _rabi_ground(0.7, 200.0, 80)
     cc = 80
+    p, vec = _rabi_ground(0.7, 200.0, cc)
     hg = build_branch(p, FIGURE_PROBE, "g", cc)
     he = build_branch(p, FIGURE_PROBE, "e", cc)
     times = np.linspace(0.0, 25.0, 6)
-    base = decoherence_factor(hg, he, gs.state, times).l_values
-    d = tensor(identity((2,)), displacement(0.35, cc))
-    hg2 = Operator(d.mat.conj().T @ hg.mat @ d.mat, hg.dims)
-    he2 = Operator(d.mat.conj().T @ he.mat @ d.mat, he.dims)
-    g2 = QuantumState(d.mat.conj().T @ gs.state.vec, gs.state.dims)
-    moved = decoherence_factor(hg2, he2, g2, times).l_values
+    base = np.abs(decoherence_factor(hg, he, vec, times)) ** 2
+    d = np.kron(np.eye(2), displacement(0.35, cc))
+    moved = np.abs(decoherence_factor(d.T @ hg @ d, d.T @ he @ d, d.T @ vec, times)) ** 2
     assert np.abs(moved - base).max() < 1e-9

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import rabicrit
 from oracle import ProbeParams, max_rel_deviation, validate_dispersive
 from rabicrit import experiments
 from rabicrit.analytic import variance
@@ -398,13 +399,21 @@ def test_csv_float_formatting(tmp_path):
     assert f"{float(value):.17g}" == value
 
 
-def test_cli_sweep_and_exit_codes(tmp_path):
+def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     cfg = _tiny_config()
     path = tmp_path / "sweep.cfg"
     path.write_text(cfg.canonical_text())
     rc = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "custom.csv").exists()
+    # the report and `rabicrit --version` name the package's version
+    provenance = json.loads((tmp_path / "report.json").read_text())["provenance"]
+    assert provenance["code_version"] == rabicrit.__version__
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{rabicrit.__version__}\n"
 
 
 def _library_coherence(p, chi, times):

@@ -18,17 +18,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import (
-    LayoutError,
-    Operator,
-    QuantumState,
+    SpectralDecomposition,
+    build_effective_np_band,
     build_rabi,
     build_rabi_parity_chains,
     dense_ground,
     energy_search,
     ground_state,
+    number,
     operator_moments,
     parity_operator,
-    photon_moments,
     squeeze,
 )
 from rabicrit import dynamics, spectra
@@ -46,73 +45,64 @@ from rabicrit.hamiltonians import (
 
 def test_ground_state_decoupled():
     p = RabiParams(0.0, 3.0)
-    gs = ground_state(build_rabi(p, 16))
-    assert gs.energy == pytest.approx(-1.5, abs=1e-12)
+    energy, vec = ground_state(build_rabi(p, 16))
+    assert energy == pytest.approx(-1.5, abs=1e-12)
     expect = np.zeros(2 * 17)
     expect[17] = 1.0  # |g>|0>
-    assert np.abs(gs.state.vec - expect).max() < 1e-12
+    assert np.abs(vec - expect).max() < 1e-12
 
 
 def test_ground_state_small_diag():
-    h = Operator(np.diag([3.0, 1.0, 2.0]), (3,))
-    gs = ground_state(h)
-    assert gs.energy == pytest.approx(1.0)
-    assert np.abs(gs.state.vec - np.array([0, 1, 0])).max() < 1e-12
+    energy, vec = ground_state(np.diag([3.0, 1.0, 2.0]))
+    assert energy == pytest.approx(1.0)
+    assert np.abs(vec - np.array([0, 1, 0])).max() < 1e-12
 
 
 def test_ground_state_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        ground_state(Operator(np.array([[0, 1], [0, 0]]), (2,)))
+        ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a square array is dense: a band stored square (half-width 4 at n_max = 4)
+    # fails the symmetry guard, in every dense entry point, instead of solving
+    # as the wrong matrix
+    band = build_effective_np_band(RabiParams(0.5, 100.0), 4)
+    assert band.shape == (5, 5)
+    for solve in (ground_state, SpectralDecomposition.of,
+                  lambda h: energy_search((lambda c: h,), 1e-8)):
+        with pytest.raises(ValueError, match="real symmetric"):
+            solve(band)
 
 
 def test_ground_state_phase_convention():
-    # largest amplitude made real-positive regardless of eigensolver phase
+    # largest amplitude made positive regardless of the eigensolver's sign
     p = RabiParams(0.8, 20.0)
-    gs = ground_state(build_rabi(p, 24))
-    k = np.argmax(np.abs(gs.state.vec))
-    assert gs.state.vec[k].imag == pytest.approx(0.0, abs=1e-14)
-    assert gs.state.vec[k].real > 0
+    _, vec = ground_state(build_rabi(p, 24))
+    assert vec.dtype == np.float64
+    assert vec[np.argmax(np.abs(vec))] > 0
 
 
 def test_photon_moments_fock():
     vac = np.zeros(2 * 8)
     vac[8] = 1.0  # |g>|0>
-    assert photon_moments(QuantumState(vac, (2, 8))) == (0.0, 0.0)
+    assert operator_moments(vac, np.kron(np.eye(2), number(7))) == (0.0, 0.0)
     f3 = np.zeros(8)
     f3[3] = 1.0
-    assert photon_moments(QuantumState(f3, (8,))) == (3.0, 0.0)
+    assert operator_moments(f3, number(7)) == (3.0, 0.0)
     # Fock levels 4000 and 4001: <n^2> - <n>^2 was 4.3e-9 off Var(n) = p q
     two = np.zeros(4002)
     two[4000:] = np.sqrt([0.3, 0.7])
     p, q = two[4000:] ** 2
-    mean, var = photon_moments(QuantumState(two))
+    mean, var = operator_moments(two, number(4001))
     assert mean == pytest.approx(4000.0 + q, rel=1e-15)
     assert var == pytest.approx(p * q, rel=1e-12)
-    with pytest.raises(LayoutError):
-        photon_moments(QuantumState(np.array([1.0, 0.0]), (2, 1)))
 
 
 def test_photon_moments_squeezed_vacuum():
     c = 60
     vac = np.zeros(c + 1)
     vac[0] = 1.0
-    psi = QuantumState(squeeze(0.3, c).mat @ vac, (c + 1,))
-    mean, gamma = photon_moments(psi)
+    mean, gamma = operator_moments(squeeze(0.3, c) @ vac, number(c))
     assert mean == pytest.approx(math.sinh(0.3) ** 2, abs=1e-8)
     assert gamma == pytest.approx(0.5 * math.sinh(0.6) ** 2, abs=1e-8)
-
-
-def test_operator_moments_matches_photon_moments():
-    p = RabiParams(0.9, 100.0)
-    c = 40
-    gs = ground_state(build_rabi(p, c))
-    from oracle import identity, number, tensor
-
-    n_full = tensor(identity((2,)), number(c))
-    m1, g1 = operator_moments(gs.state, n_full)
-    m2, g2 = photon_moments(gs.state)
-    assert m1 == pytest.approx(m2, abs=1e-10)
-    assert g1 == pytest.approx(g2, abs=1e-10)
 
 
 def _moments_40_digits(n: np.ndarray, vec: np.ndarray):
@@ -153,7 +143,7 @@ def test_dense_photon_number_variance_without_cancellation():
     p = RabiParams(3.0, 1e8)
     gs = dense_ground(p, "effective", 1e-10)
     assert gs.n_max == 32
-    vec = gs.state.vec.real
+    vec = gs.vector
     n = photon_number_band(gs.alpha, gs.n_max, 1)
     mean, var = spectra.band_moments(n, vec)
     assert gs.gamma == pytest.approx(var, rel=1e-12, abs=0.0)
@@ -210,21 +200,21 @@ def test_no_entry_point_writes_into_its_band(which):
 def test_parity_operator():
     c = 8
     pi = parity_operator(c)
-    assert np.allclose((pi @ pi).mat, np.eye(2 * (c + 1)))
+    assert np.allclose(pi @ pi, np.eye(2 * (c + 1)))
     vac_g = np.zeros(2 * (c + 1))
     vac_g[c + 1] = 1.0  # |g>|0>
-    assert np.allclose(pi.mat @ vac_g, vac_g)  # +1 eigenstate
+    assert np.allclose(pi @ vac_g, vac_g)  # +1 eigenstate
     vac_e = np.zeros(2 * (c + 1))
     vac_e[0] = 1.0  # |e>|0>
-    assert np.allclose(pi.mat @ vac_e, -vac_e)
+    assert np.allclose(pi @ vac_e, -vac_e)
 
 
 def test_ground_state_definite_parity():
     pi = parity_operator(48)
     for lam in (0.3, 0.8, 0.99):
         p = RabiParams(lam, 200.0)
-        gs = ground_state(build_rabi(p, 48))
-        expect = np.vdot(gs.state.vec, pi.mat @ gs.state.vec)
+        _, vec = ground_state(build_rabi(p, 48))
+        expect = vec @ pi @ vec
         assert abs(expect) > 1.0 - 1e-8
 
 
@@ -240,8 +230,8 @@ def test_converge_cutoff_self_consistent():
     # the library's cutoff on the even parity chain, checked by dense energies
     p = RabiParams(0.99, 5000.0)
     c = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-9).n_max
-    e1 = ground_state(build_rabi(p, c)).energy
-    e2 = ground_state(build_rabi(p, 2 * c)).energy
+    e1, _ = ground_state(build_rabi(p, c))
+    e2, _ = ground_state(build_rabi(p, 2 * c))
     assert abs(e1 - e2) < 1e-9
     assert energy_search((partial(build_rabi, p),), 1e-9).n_max == c
 
@@ -268,7 +258,7 @@ def test_converge_cutoff_errors():
     assert built[-1] == spectra.CUTOFF_HARD_CAP
 
     def drifting_dense(n_max):
-        return Operator(np.diag([-float(n_max), 1.0]), (2,))
+        return np.diag([-float(n_max), 1.0])
 
     with pytest.raises(ConvergenceError):
         energy_search((drifting_dense,), 1e-12)
@@ -409,6 +399,6 @@ def test_ground_energy_monotone_in_cutoff():
     # variational property of truncation: energy non-increasing as n_max grows
     p = RabiParams(0.95, 500.0)
     energies = [
-        ground_state(build_rabi(p, n)).energy for n in (8, 16, 32, 64)
+        ground_state(build_rabi(p, n))[0] for n in (8, 16, 32, 64)
     ]
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))

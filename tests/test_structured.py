@@ -8,7 +8,7 @@ frame; above it, the first frame whose ground energy converges in one
 doubling search (bare first at each cutoff, and not below the mean-field
 photon number alpha^2). The effective method solves its fourth-order
 Hamiltonians, without their constants, on the even photon numbers in both
-phases: real band matrices of half-width 2. The dense complex `Operator` path
+phases: real band matrices of half-width 2. The dense path
 (`oracle.dense_ground`: cutoff doubling over the same frames and a full
 eigendecomposition; then dense branches and `decoherence_factor`) is the
 reference they must reproduce.
@@ -27,7 +27,6 @@ import rabicrit.spectra as spectra
 from oracle import (
     FIGURE_PROBE,
     ProbeParams,
-    QuantumState,
     _quartic_dense,
     build_displaced_rabi,
     build_effective_np,
@@ -44,12 +43,10 @@ from oracle import (
     effective_sp_coeffs,
     energy_search,
     ground_state,
-    identity,
     number,
     operator_moments,
     physical_number,
     rabi_dense,
-    tensor,
     validate_dispersive,
 )
 from rabicrit.dynamics import effective_ground_state, exact_ground_state
@@ -105,37 +102,35 @@ def _dense_exact_echo(p, probe, times):
 
     def branch(omega_b, const):
         h = rabi_dense(omega_b, p.eta, p.g, gs.n_max, gs.alpha)
-        return h + const * identity(h.dims)
+        return h + const * np.eye(len(h))
 
     omega_s = 1.0 + probe.delta_s
     h_g = branch(1.0 - probe.chi, -0.5 * omega_s)
     h_e = branch(1.0 + probe.chi, 0.5 * omega_s + probe.chi)
-    return gs, decoherence_factor(h_g, h_e, gs.state, times).l_values
+    return gs, np.abs(decoherence_factor(h_g, h_e, gs.vector, times)) ** 2
 
 
 def test_band_builders_are_permuted_dense_builders():
     for n_max in (0, 9):  # 0: the vacuum alone
         p = RabiParams(0.8, 20.0)
         order = _parity_order(n_max)
-        dense = build_rabi(p, n_max).mat
-        assert np.abs(dense.imag).max() == 0.0
+        dense = build_rabi(p, n_max)
         chains = build_rabi_parity_chains(1.0, p.eta, p.g, n_max)
-        assert np.array_equal(dense.real[np.ix_(order, order)], _dense(chains))
+        assert np.array_equal(dense[np.ix_(order, order)], _dense(chains))
         # the even chain is the leading block, split off by a zero entry
         assert chains[1, n_max] == 0.0
         assert np.array_equal(build_rabi_parity(p, n_max), chains[:, :n_max + 1])
         p = RabiParams(1.3, 20.0)
         alpha = phase(p).alpha
         order = _spin_fastest_order(n_max)
-        dense = build_displaced_rabi(p, alpha, n_max)[0].mat.real
+        dense = build_displaced_rabi(p, alpha, n_max)
         assert np.array_equal(dense[np.ix_(order, order)],
                               _dense(build_displaced_rabi_band(p, alpha, n_max)))
         # the physical photon number in the same spin-fastest basis
         n_band = photon_number_band(alpha, n_max, 2)
         assert n_band.shape == (3, 2 * (n_max + 1))
-        dense = tensor(identity((2,)), physical_number(alpha, n_max)).mat
-        assert np.abs(dense.imag).max() == 0.0
-        assert np.array_equal(dense.real[np.ix_(order, order)], _dense(n_band))
+        dense = np.kron(np.eye(2), physical_number(alpha, n_max))
+        assert np.array_equal(dense[np.ix_(order, order)], _dense(n_band))
 
 
 def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
@@ -156,9 +151,7 @@ def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
                           alpha, _spin_fastest_order(c)))
         for h, n, alpha, order in cases:
             for branch, sign in zip(dynamics.probe_branches(h, n, chi), (-1, 1)):
-                ref = rabi_dense(1.0 + sign * chi, eta, p.g, c, alpha).mat
-                assert np.abs(ref.imag).max() == 0.0
-                ref = ref.real[np.ix_(order, order)]
+                ref = rabi_dense(1.0 + sign * chi, eta, p.g, c, alpha)[np.ix_(order, order)]
                 err = np.abs(_dense(branch) - ref).max()
                 assert err <= 4.0 * eps * np.abs(ref).max(), (lam, eta, err)
 
@@ -175,8 +168,8 @@ def test_band_moments_match_dense_operator_moments():
         dense_vec = np.zeros(2 * (c + 1))
         dense_vec[_spin_fastest_order(c)] = vec
         mean_n, gamma = band_moments(photon_number_band(alpha, c, 2), vec)
-        ref_mean, ref_gamma = operator_moments(QuantumState(dense_vec, (2, c + 1)),
-                                               tensor(identity((2,)), physical_number(alpha, c)))
+        ref_mean, ref_gamma = operator_moments(dense_vec,
+                                               np.kron(np.eye(2), physical_number(alpha, c)))
         assert mean_n == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
         assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
 
@@ -205,8 +198,8 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
     p = RabiParams(lam, eta)
     found = energy_search((lambda c: build_rabi(p, c),), TOL)
     dense = decoherence_factor(*(build_branch(p, probe, b, found.n_max) for b in "ge"),
-                               ground_state(found.band).state, times)
-    assert np.abs(np.sqrt(pt.value) - np.abs(dense.d_values)).max() <= bound
+                               ground_state(found.band)[1], times)
+    assert np.abs(np.sqrt(pt.value) - np.abs(dense)).max() <= bound
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         report = validate_dispersive(p, probe, times)
@@ -339,11 +332,11 @@ def test_normal_phase_point_at_cutoff_cap():
     chi = 1e-3
     times = np.linspace(0.0, 100.0, 6)
     gs, branches = _even_chain(p, chi, CUTOFF_HARD_CAP)
-    l_cap = decoherence_factor(*branches, QuantumState(gs.vector), times).l_values
+    l_cap = np.abs(decoherence_factor(*branches, gs.vector, times)) ** 2
     gs_half, branches = _even_chain(p, chi, CUTOFF_HARD_CAP // 2)
-    half = decoherence_factor(*branches, QuantumState(gs_half.vector), times)
-    l_half = half.l_values
-    assert np.abs(dynamics.decoherence_factor(gs_half, chi, times) - half.d_values).max() <= 1e-9
+    d_half = decoherence_factor(*branches, gs_half.vector, times)
+    l_half = np.abs(d_half) ** 2
+    assert np.abs(dynamics.decoherence_factor(gs_half, chi, times) - d_half).max() <= 1e-9
     assert l_cap[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all((l_cap >= 0.0) & (l_cap <= 1.0 + 1e-12))
     assert gs.gamma == pytest.approx(gs_half.gamma, rel=1e-9)
@@ -367,9 +360,8 @@ def test_effective_band_builders_equal_dense_builders():
         cases.append((number(n_max), photon_number_band(0.0, n_max, 1), 2))
         for dense, band, rows in cases:
             assert band.shape == (rows, n_max + 1)
-            assert np.abs(dense.mat.imag).max() == 0.0
-            err = np.abs(dense.mat.real - _dense(band)).max()
-            assert err <= 4.0 * eps * np.abs(dense.mat).max(), (n_max, err)
+            err = np.abs(dense - _dense(band)).max()
+            assert err <= 4.0 * eps * np.abs(dense).max(), (n_max, err)
 
 
 def test_effective_path_matches_dense_oracle():
@@ -388,10 +380,10 @@ def test_effective_path_matches_dense_oracle():
         gs = dense_ground(p, "effective", TOL)
         c2, c4, _ = effective_np_coeffs(p) if lam <= 1.0 else effective_sp_coeffs(p)
         h_free = _quartic_dense(c2, c4, 0.0, gs.n_max)
-        ident = identity(h_free.dims)
+        ident = np.eye(len(h_free))
         h_g = h_free - chi * gs.n + (-0.5 * omega_s) * ident
         h_e = h_free + chi * gs.n + (0.5 * omega_s + chi) * ident
-        l_dense = decoherence_factor(h_g, h_e, ground_state(h_free).state, times).l_values
+        l_dense = np.abs(decoherence_factor(h_g, h_e, ground_state(h_free)[1], times)) ** 2
         assert sweep.cutoffs[i] == gs.n_max, lam
         assert effective_ground_state(p, TOL).gamma == pytest.approx(gs.gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
@@ -422,11 +414,11 @@ def test_effective_branches_carry_no_constant():
             else:
                 (c2, c4, _), alpha = effective_sp_coeffs(p), phase(p).alpha
             h0 = _quartic_dense(c2, c4, 0.0, cutoff)
-            ident = identity(h0.dims)
+            ident = np.eye(cutoff + 1)
             n_phys = physical_number(alpha, cutoff)
             h_g = h0 - chi * n_phys + (-0.5 * omega_s) * ident
             h_e = h0 + chi * n_phys + (0.5 * omega_s + chi) * ident
-            l_dense = decoherence_factor(h_g, h_e, ground_state(h0).state, times).l_values
+            l_dense = np.abs(decoherence_factor(h_g, h_e, ground_state(h0)[1], times)) ** 2
             err = np.abs(sweep.l_matrix[i] - l_dense).max()
             assert err <= bound, (eta, lam, err)
 
