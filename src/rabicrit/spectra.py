@@ -19,8 +19,9 @@ argument handling, in two modes: the lowest eigenvalue alone, by bisection
 (dstebz for a tridiagonal matrix, dsbevx for a wider band), and the full
 spectrum with eigenvectors (dstevd, dsbevd). Every ground vector, of a
 tridiagonal matrix or a wider band, comes from one kernel, inverse iteration
-(dgbtrf / dgbtrs) on the band the cutoff search returned, at the eigenvalue
-it bisected there (`band_ground_state`).
+on the band the cutoff search returned, at the eigenvalue it bisected there
+(`band_ground_state`): the band shifted just below it is positive definite,
+so the solves use the cutoff test's own band Cholesky factor (dpbtrf / dpbtrs).
 
 The drivers are scipy's own f2py functions, the very objects that
 `scipy.linalg.lapack` and `scipy.linalg.blas` expose, taken from the two
@@ -72,9 +73,8 @@ def _scipy_linalg_extension(name: str) -> ModuleType:
 
 
 _flapack = _scipy_linalg_extension("_flapack")
-dgbtrf, dgbtrs, dlamch = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dlamch
-dpbtrf, dsbevd, dsbevx = _flapack.dpbtrf, _flapack.dsbevd, _flapack.dsbevx
-dstebz, dstevd = _flapack.dstebz, _flapack.dstevd
+dlamch, dpbtrf, dpbtrs = _flapack.dlamch, _flapack.dpbtrf, _flapack.dpbtrs
+dsbevd, dsbevx, dstebz, dstevd = _flapack.dsbevd, _flapack.dsbevx, _flapack.dstebz, _flapack.dstevd
 dsbmv = _scipy_linalg_extension("_fblas").dsbmv
 
 # the cutoff search doubles from N_START up to CUTOFF_HARD_CAP, and stops
@@ -150,27 +150,27 @@ def band_ground_state(band: np.ndarray, energy: float) -> np.ndarray:
 
     The lowest eigenvalue E0 is `energy`, as `band_ground_energy` returned it
     for this matrix (the cutoff search's bisection). The vector comes from
-    inverse iteration on the band itself (one LU factorisation, then a solve
-    per step), which never forms the dense orthogonal factor of the band
-    reduction; it stops once, after at least two solves,
-    ||(H - E0) x|| <= RESIDUAL_EPS eps ||H||. The shift sits a few ulps below
-    E0, so H - shift is never exactly singular (say, for a diagonal H).
+    inverse iteration on the band itself (one band Cholesky factorisation of
+    H - shift, then a solve per step), which never forms the dense orthogonal
+    factor of the band reduction; it stops once, after at least two solves,
+    ||(H - E0) x|| <= RESIDUAL_EPS eps ||H||. Bisection finds E0 to about
+    eps ||H||, so the shift, 4 eps ||H|| below it, lies below the spectrum and
+    H - shift is positive definite: for eta from 10 to 1e8 dpbtrf needs it at
+    most 1.14 eps ||H|| below E0. A wider shift damps the excited components
+    less (at 16 eps ||H|| the lam = 0 vector's gamma exceeds 1e-40). An
+    `energy` above E0 by more than the shift raises `ConvergenceError`.
     """
     width, n = band.shape[0] - 1, band.shape[1]
     row_max = np.abs(band).max(axis=1)
     bound = np.finfo(float).eps * (row_max[0] + 2.0 * row_max[1:].sum())  # eps ||H||_inf
-    # LAPACK general band storage of H - shift: `width` rows of fill-in,
-    # the mirrored upper diagonals, then the lower band
-    ab = np.zeros((3 * width + 1, n))
-    ab[2 * width:] = _shifted(band, -(energy - 4.0 * bound))
-    for k in range(1, min(width + 1, n)):
-        ab[2 * width - k, k:] = ab[2 * width + k, : n - k]
-    # an exactly zero pivot would make x non-finite and fail the residual test
-    lu, piv, _ = dgbtrf(ab, width, width, overwrite_ab=True)
+    factor, info = dpbtrf(_shifted(band, -(energy - 4.0 * bound)), lower=1)
+    if info != 0:
+        raise ConvergenceError(f"inverse iteration: dpbtrf finds H - shift not positive "
+                               f"definite (info={info}, dimension {n}): energy is above E0")
     residual = _shifted(band, -energy)
     x = np.full((n, 1), 1.0 / np.sqrt(n))
     for solves in range(1, INVERSE_ITERATION_MAX + 1):
-        x, _ = dgbtrs(lu, width, width, x, piv, overwrite_b=True)
+        x, _ = dpbtrs(factor, x, lower=1, overwrite_b=True)
         x /= np.linalg.norm(x)
         # one solve damps the start vector's excited components only to about
         # 4 eps ||H|| / gap, an error the residual bound still admits

@@ -5,11 +5,11 @@ a fresh child process.
 `rabicrit.cli`, and the library has no use for it; this keeps it out.
 The `scipy.linalg` package init costs more than the rest of the import
 together (its `array_api_compat` pulls in `numpy.f2py` and `numpy.testing`),
-while `rabicrit.spectra` needs only ten f2py functions from its two compiled
-modules; `spectra` loads those by file (naming the directory when a file is
-missing), so the package stays out too. In either import order there must be
-one instance of each module, and the functions must be the very objects
-`scipy.linalg` exposes.
+while `rabicrit.spectra` needs only eight f2py functions (seven LAPACK
+drivers and `dsbmv`) from its two compiled modules; `spectra` loads those by
+file (naming the directory when a file is missing), so the package stays out
+too. In either import order there must be one instance of each module, and
+the functions must be the very objects `scipy.linalg` exposes.
 `mpmath` is a test dependency only (the variational closed-form check lives
 in the tests), so the CLI must neither import it nor need it.
 The report's config hash is one SHA-256, taken from CPython's built-in module:
@@ -84,7 +84,7 @@ _SAME_DRIVERS = """
 import sys
 import scipy.linalg
 from rabicrit import spectra
-lapack = ("dgbtrf", "dgbtrs", "dlamch", "dpbtrf", "dsbevd", "dsbevx", "dstebz", "dstevd")
+lapack = ("dlamch", "dpbtrf", "dpbtrs", "dsbevd", "dsbevx", "dstebz", "dstevd")
 print(sys.modules["scipy.linalg._flapack"] is spectra._flapack,
       all(getattr(spectra, name) is getattr(scipy.linalg.lapack, name) for name in lapack),
       spectra.dsbmv is scipy.linalg.blas.dsbmv,

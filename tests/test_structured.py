@@ -517,8 +517,50 @@ def test_cutoff_search_returns_the_energy_at_its_cutoff():
     assert exact_ground_state(p, TOL).energy == found.energy
 
 
+def _eps_norm(h: np.ndarray) -> float:
+    """eps ||H||_inf of the band `h`."""
+    return np.finfo(float).eps * np.abs(_dense(h)).sum(axis=1).max()
+
+
 def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):
     h = build_effective_np_band(RabiParams(0.9, 1e3), 16)
+    # 1e3 eps ||H|| below E0 the shift still lies below the spectrum and the
+    # vector converges to the ground vector, but its residual at that energy,
+    # about 1e3 eps ||H||, exceeds the bound
+    with pytest.raises(ConvergenceError, match="no ground vector"):
+        band_ground_state(h, band_ground_energy(h) - 1e3 * _eps_norm(h))
     monkeypatch.setattr(spectra, "RESIDUAL_EPS", 0.0)
     with pytest.raises(ConvergenceError):
         band_ground_state(h, band_ground_energy(h))
+
+
+@pytest.mark.parametrize("frame", ["bare", "displaced"])
+def test_inverse_iteration_raises_above_the_lowest_eigenvalue(frame):
+    # on the even parity chain and the displaced band (half-width 3): 100
+    # eps ||H|| above E0 the shift lies above E0 too, so H - shift is not
+    # positive definite, and the band Cholesky factorisation reports it
+    p = RabiParams(1.2, 200.0)
+    h = build_rabi_parity(p, 32) if frame == "bare" else (
+        build_displaced_rabi_band(p, phase(p).alpha, 32))
+    with pytest.raises(ConvergenceError, match="dpbtrf"):
+        band_ground_state(h, band_ground_energy(h) + 100.0 * _eps_norm(h))
+
+
+def test_inverse_iteration_takes_a_third_solve_when_the_second_misses(monkeypatch):
+    # a 2 x 2 block with eigenvalues 0 and 16 eps ||H||, four times the shift's
+    # distance below E0 = 0, so each solve damps the excited component 5x, and
+    # a diagonal 1 that sets ||H||; the uniform start vector overlaps the
+    # block's eigenvectors 1 : 30. The residuals after one, two and three
+    # solves are about 21, 12 and 4 eps ||H||, so only the third meets the bound
+    eps = np.finfo(float).eps
+    excited = np.array([14.5, 15.5]) / np.hypot(14.5, 15.5)
+    gap = 16.0 * eps
+    h = np.array([[gap * excited[0] ** 2, gap * excited[1] ** 2, 1.0],
+                  [gap * excited[0] * excited[1], 0.0, 0.0]])
+    solves, solve = [], spectra.dpbtrs
+    monkeypatch.setattr(spectra, "dpbtrs", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    energy = band_ground_energy(h)
+    vec = band_ground_state(h, energy)
+    assert abs(energy) < 1e-3 * eps
+    assert len(solves) == 3
+    assert np.linalg.norm(_dense(h) @ vec - energy * vec) <= spectra.RESIDUAL_EPS * _eps_norm(h)
