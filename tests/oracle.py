@@ -69,7 +69,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from math import atan, exp, isfinite, log, pi, sinh, sqrt
+from math import atan, exp, isfinite, log, sinh, sqrt
 
 import mpmath as mp
 import numpy as np
@@ -406,11 +406,8 @@ def build_displaced_rabi(p: RabiParams, alpha_disp: float, n_max: int) -> np.nda
 
 def spin_mixing_angle(p: RabiParams, alpha_disp: float) -> float:
     """Spin mixing angle theta of the frame displaced by alpha_disp,
-    tan(2 theta) = -4 g alpha_disp / eta, in (-pi/4, pi/4]."""
-    theta = 0.5 * atan(-4.0 * p.g * alpha_disp / p.eta)
-    if theta <= -pi / 4.0:
-        theta += pi / 2.0
-    return theta
+    tan(2 theta) = -4 g alpha_disp / eta, in (-pi/4, pi/4)."""
+    return 0.5 * atan(-4.0 * p.g * alpha_disp / p.eta)
 
 
 def _quartic_dense(c2: float, c4: float, const: float, n_max: int) -> np.ndarray:
@@ -728,14 +725,14 @@ class QuarticOscillator:
         prob = self.psi**2
         return float(prob @ self.y**4 - (prob @ self.y**2) ** 2)
 
-    def number_moments(self, eta: float) -> tuple[float, float]:
-        """Mean and variance of n = (eta^(1/3) Y^2 + eta^(-1/3) P^2)/2 - 1/2."""
+    def number_variance(self, eta: float) -> float:
+        """Variance of n = (eta^(1/3) Y^2 + eta^(-1/3) P^2)/2 - 1/2, which the
+        constant -1/2 leaves unchanged."""
         scale = eta ** (1.0 / 3.0)
         padded = np.concatenate([[0.0], self.psi, [0.0]])
         p2_psi = -(padded[2:] - 2.0 * self.psi + padded[:-2]) / (self.y[1] - self.y[0]) ** 2
-        n_psi = 0.5 * (scale * self.y**2 * self.psi + p2_psi / scale) - 0.5 * self.psi
-        mean = float(self.psi @ n_psi)
-        return mean, float(n_psi @ n_psi) - mean**2
+        n_psi = 0.5 * (scale * self.y**2 * self.psi + p2_psi / scale)
+        return float(n_psi @ n_psi) - float(self.psi @ n_psi) ** 2
 
 
 # --- the closed forms ---------------------------------------------------------
@@ -744,12 +741,9 @@ class QuarticOscillator:
 @dataclass(frozen=True)
 class AnalyticGroundState:
     phase: str               # "normal" | "superradiant"
-    r: float                 # squeezing parameter
     alpha_disp: float        # displacement (0 in the normal phase)
     epsilon: float           # excitation frequency of the diagonalized form
     energy: float            # ground energy on the low spin branch
-    gamma: float             # photon-number variance
-    mean_n: float            # average photon number
 
 
 def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
@@ -762,30 +756,12 @@ def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
     """
     lam = p.lam
     if lam < 1.0:
-        r = squeezing_np(lam)
         eps = sqrt(1.0 - lam**2)
-        energy = 0.5 * (eps - 1.0 - p.eta)
-        return AnalyticGroundState(
-            phase="normal",
-            r=r,
-            alpha_disp=0.0,
-            epsilon=eps,
-            energy=energy,
-            gamma=variance_np(p),
-            mean_n=sinh(r) ** 2,
-        )
-    alpha, r = superradiant_frame(p)
+        return AnalyticGroundState("normal", 0.0, eps, 0.5 * (eps - 1.0 - p.eta))
+    alpha = alpha_lambda(p)
     eps = sqrt(1.0 - lam**-4)
-    energy = 0.5 * (eps - 1.0 - lam**2 * p.eta) + alpha**2
-    return AnalyticGroundState(
-        phase="superradiant",
-        r=r,
-        alpha_disp=alpha,
-        epsilon=eps,
-        energy=energy,
-        gamma=variance_sp(p),
-        mean_n=sinh(r) ** 2 + alpha**2,
-    )
+    return AnalyticGroundState("superradiant", alpha, eps,
+                               0.5 * (eps - 1.0 - lam**2 * p.eta) + alpha**2)
 
 
 def stationarity(sol: VariationalSolution, p: RabiParams) -> tuple[float, float, float]:

@@ -329,6 +329,6 @@ def test_criterion_13_critical_point_quartic_oscillator():
         p = RabiParams(1.0, eta)
         exact = exact_ground_state(p, CUTOFF_TOL)
         assert exact.gamma / eta ** (2.0 / 3.0) == pytest.approx(osc.var_y2 / 4.0, rel=1e-3)
-        _, var_n = osc.number_moments(eta)
+        var_n = osc.number_variance(eta)
         assert effective_ground_state(p, CUTOFF_TOL).gamma == pytest.approx(var_n, rel=1e-4)
     assert time.perf_counter() - t0 < 10.0

@@ -151,7 +151,6 @@ def test_analytic_ground_state_summary():
     assert gs.phase == "normal"
     assert gs.alpha_disp == 0.0
     assert gs.epsilon == pytest.approx(math.sqrt(1 - 0.36))
-    assert gs.mean_n == pytest.approx(math.sinh(gs.r) ** 2)
     # finite-eta variational energy approaches the closed form
     v = solve(RabiParams(0.6, 1e5))
     assert gs.energy == pytest.approx(v.energy, rel=1e-6)

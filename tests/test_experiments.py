@@ -5,7 +5,9 @@ tests' oracle."""
 import dataclasses
 import hashlib
 import json
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,8 @@ def test_config_validation():
     ("time_grid", [-1.0, 0.0, 20.0]),   # an echo figure's time
     ("chi", -1e-3),                      # a custom echo's probe
     ("figure", "fig1"),                  # with the analytic method
+    ("lambda_grid", [0.5, 0.5]),         # not strictly increasing
+    ("cutoff_tol", 0.0),
 ])
 def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
     # rejected before any point is solved or the output directory made; the
@@ -292,24 +296,26 @@ def test_empty_grid_no_output(tmp_path):
 
 
 def test_critical_lambda_grid():
+    # 0.02 steps below 0.9 and above 1.1, 0.005 steps on [0.9, 1.1] but for
+    # lam = 1 itself: 44 + 40 + 20 values
+    ref = ([k / 50 for k in range(1, 45)] + [k / 200 for k in range(180, 221) if k != 200]
+           + [k / 50 for k in range(56, 76)])
     grid = critical_lambda_grid()
-    arr = np.asarray(grid)
-    assert all(abs(v - 1.0) >= 1e-6 for v in grid)
-    near = arr[(arr >= 0.9) & (arr <= 1.1)]
-    assert np.allclose(np.diff(near), 0.005, atol=1e-9) or max(np.diff(near)) < 0.011
-    assert arr.min() > 0.0 and arr.max() <= 1.5 + 1e-9
+    assert len(grid) == len(ref) == 104
+    np.testing.assert_allclose(grid, ref, rtol=0.0, atol=1e-12)
 
 
 def test_default_configs():
-    f3 = default_config("fig3")
-    assert f3.eta_grid == [5000.0]
-    assert f3.chi == 1e-3
-    f4 = default_config("fig4")
-    assert f4.eta_grid == [2000.0, 4000.0, 6000.0, 8000.0, 10000.0]
-    assert f4.time_grid == [60.0]
-    f5 = default_config("fig5")
-    assert f5.eta_grid == [1e5]
-    assert set(f5.methods) == {"exact", "effective", "variational", "analytic"}
+    # fig1, fig2 and fig5 are the benchmark's ground_fig1, ground_fig2 and
+    # methods_fig5 inputs, field for field
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+    for figure, name in (("fig1", "ground_fig1"), ("fig2", "ground_fig2"), ("fig5", "methods_fig5")):
+        assert default_config(figure) == SweepConfig.from_file(workloads / f"{name}.cfg")
+    grid = critical_lambda_grid()
+    assert default_config("fig3") == SweepConfig(
+        "fig3", grid, [5000.0], [2.0 * k for k in range(51)], 1e-3, ["analytic"], 1e-8)
+    assert default_config("fig4") == SweepConfig(
+        "fig4", grid, [2000.0, 4000.0, 6000.0, 8000.0, 10000.0], [60.0], 1e-3, ["analytic"], 1e-8)
     with pytest.raises(ValueError):
         default_config("fig9")
 
@@ -540,13 +546,17 @@ def test_echo_points_record_their_dispersive_bound(tmp_path):
 def test_report_wall_time_is_per_point(tmp_path):
     cfg = _tiny_config()
     cfg.methods = ["exact"]
+    t0 = time.perf_counter()
     run(cfg, out_dir=tmp_path)
+    elapsed = time.perf_counter() - t0
     records = json.loads((tmp_path / "report.json").read_text())["points"]
-    # one time per point, shared by its rows; points differ in cost
+    # one time per point, shared by its rows; points differ in cost, and
+    # together take no longer than the sweep
     assert [rec["lambda"] for rec in records] == cfg.lambda_grid
     per_point = [rec["wall_time"] for rec in records]
     assert all(w > 0.0 for w in per_point)
     assert len(set(per_point)) == len(per_point)
+    assert sum(per_point) <= elapsed
 
 
 def test_report_frame(tmp_path):

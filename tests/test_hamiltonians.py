@@ -110,13 +110,6 @@ def test_build_rabi_parity_commutes():
         assert np.abs(comm).max() < 1e-10 * np.abs(h).max()
 
 
-def test_build_rabi_cutoff_stable():
-    p = RabiParams(0.4, 100.0)  # g = 2
-    e60, _ = ground_state(build_rabi(p, 60))
-    e80, _ = ground_state(build_rabi(p, 80))
-    assert abs(e60 - e80) < 1e-10
-
-
 def test_branch_difference():
     p = RabiParams(0.7, 50.0)
     he = build_branch(p, FIGURE_PROBE, "e", C32)
@@ -164,23 +157,6 @@ def test_tripartite_jc_excitation_conserved():
                                                     np.eye(2 * (c + 1)))
     comm = h3 @ n_exc - n_exc @ h3
     assert np.abs(comm).max() < 1e-10
-
-
-def test_displaced_rabi_zero_alpha():
-    p = RabiParams(0.8, 30.0)
-    h0 = build_rabi(p, C32)
-    assert np.array_equal(build_displaced_rabi(p, 0.0, C32), h0)
-
-
-def test_displaced_rabi_spectrum_invariance():
-    p = RabiParams(0.8, 30.0)
-    # the low-lying spectrum is unitarily equivalent; the agreeing window
-    # widens (tolerance tightens) as the cutoff grows
-    for n_max, levels in ((80, 20), (120, 40)):
-        w0 = np.linalg.eigvalsh(build_rabi(p, n_max))
-        for alpha in (0.5, 2.0):
-            w = np.linalg.eigvalsh(build_displaced_rabi(p, alpha, n_max))
-            assert np.abs(w[:levels] - w0[:levels]).max() < 1e-8
 
 
 def test_alpha_lambda_value():

@@ -31,17 +31,6 @@ def test_number_operator_diagonal():
     assert np.array_equal(number(c), np.diag(np.arange(5.0)))
 
 
-def test_commutator_truncation_artifact():
-    # [a, a^dag] = I except at the highest retained level
-    c = 4
-    a = annihilation(c)
-    comm = a @ a.T - a.T @ a
-    expect = np.eye(5)
-    expect[4, 4] = -4.0  # truncation artifact at level n_max
-    assert np.allclose(comm, expect, atol=1e-14)
-    assert np.abs(comm[:4, :4] - np.eye(4)).max() < 1e-15
-
-
 def test_pauli_conventions():
     assert np.array_equal(pauli("z"), np.diag([1.0, -1.0]))
     assert np.allclose(pauli("x") @ pauli("x"), np.eye(2))

@@ -197,18 +197,6 @@ def test_no_entry_point_writes_into_its_band(which):
         assert vec.tobytes() == vec_before.tobytes(), name
 
 
-def test_parity_operator():
-    c = 8
-    pi = parity_operator(c)
-    assert np.allclose(pi @ pi, np.eye(2 * (c + 1)))
-    vac_g = np.zeros(2 * (c + 1))
-    vac_g[c + 1] = 1.0  # |g>|0>
-    assert np.allclose(pi @ vac_g, vac_g)  # +1 eigenstate
-    vac_e = np.zeros(2 * (c + 1))
-    vac_e[0] = 1.0  # |e>|0>
-    assert np.allclose(pi @ vac_e, -vac_e)
-
-
 def test_ground_state_definite_parity():
     pi = parity_operator(48)
     for lam in (0.3, 0.8, 0.99):
@@ -393,12 +381,3 @@ def test_bare_frame_bisects_once_per_tried_cutoff(monkeypatch, lam, eta):
     tried = [n for n in (spectra.N_START << k for k in range(10)) if n <= gs.n_max]
     assert tried[-1] == gs.n_max
     assert calls == [(n + 1, True) for n in tried]
-
-
-def test_ground_energy_monotone_in_cutoff():
-    # variational property of truncation: energy non-increasing as n_max grows
-    p = RabiParams(0.95, 500.0)
-    energies = [
-        ground_state(build_rabi(p, n))[0] for n in (8, 16, 32, 64)
-    ]
-    assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))

@@ -529,9 +529,13 @@ def test_inverse_iteration_raises_when_residual_not_met(monkeypatch):
     # about 1e3 eps ||H||, exceeds the bound
     with pytest.raises(ConvergenceError, match="no ground vector"):
         band_ground_state(h, band_ground_energy(h) - 1e3 * _eps_norm(h))
+    # with no residual admitted, every one of the INVERSE_ITERATION_MAX solves runs
     monkeypatch.setattr(spectra, "RESIDUAL_EPS", 0.0)
+    solves, solve = [], spectra.dpbtrs
+    monkeypatch.setattr(spectra, "dpbtrs", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     with pytest.raises(ConvergenceError):
         band_ground_state(h, band_ground_energy(h))
+    assert len(solves) == spectra.INVERSE_ITERATION_MAX
 
 
 @pytest.mark.parametrize("frame", ["bare", "displaced"])
