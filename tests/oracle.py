@@ -122,15 +122,11 @@ FIGURE_PROBE = ProbeParams(sqrt(1e-3), 1.0)
 # with basis (|e>, |g>), and the Fock factor last, with levels 0..n_max.
 
 
-def is_symmetric(h: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
-    """Whether `h` is a square real matrix equal to its transpose to `rtol`
-    of its largest entry."""
-    return (h.ndim == 2 and h.shape[0] == h.shape[1] and not np.iscomplexobj(h)
-            and np.abs(h - h.T).max() <= rtol * np.abs(h).max())
-
-
 def _symmetric(h: np.ndarray) -> np.ndarray:
-    if not is_symmetric(h):
+    """`h`, if it is a square real matrix equal to its transpose to
+    SYMMETRY_RTOL of its largest entry."""
+    if not (h.ndim == 2 and h.shape[0] == h.shape[1] and not np.iscomplexobj(h)
+            and np.abs(h - h.T).max() <= SYMMETRY_RTOL * np.abs(h).max()):
         raise ValueError("the dense oracle solves real symmetric matrices only")
     return h
 
@@ -167,10 +163,7 @@ _PAULI = {
 
 def pauli(axis: str) -> np.ndarray:
     """Pauli matrix in the (|e>, |g>) basis, so sigma_z = diag(+1, -1)."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
+    return _PAULI[axis].copy()
 
 
 def sigma_plus() -> np.ndarray:

@@ -3,8 +3,9 @@
 The kernel calls the LAPACK drivers that `scipy.linalg.eigh_tridiagonal` and
 `eig_banded` pick, with the same arguments, so in both its modes (the lowest
 eigenvalue alone, the full spectrum with eigenvectors) it must return their
-results bit for bit, and keep their checks: a non-finite entry raises
-`ValueError`, a driver that reports failure raises `LinAlgError`.
+results bit for bit, leave the band it is given unchanged, and keep their
+checks: a non-finite entry raises `ValueError`, a driver that reports failure
+raises `LinAlgError`.
 """
 
 from itertools import product
@@ -27,20 +28,33 @@ def _scipy_eigh(h: np.ndarray, lowest: bool):
 
 
 def _assert_bitwise(h: np.ndarray):
-    for lowest in (True, False):
-        got = spectra._band_eigh(h, lowest)
-        ref = _scipy_eigh(h, lowest)
-        if lowest:
-            got, ref = (got,), (ref,)
-        for a, b in zip(got, ref):
-            assert a.shape == b.shape, lowest
-            assert np.array_equal(a, b), lowest
+    # a Fortran-ordered band is one a driver could overwrite in place
+    for h in (h, np.asfortranarray(h)):
+        before = h.copy()
+        for lowest in (True, False):
+            got = spectra._band_eigh(h, lowest)
+            assert np.array_equal(h, before), lowest
+            ref = _scipy_eigh(h, lowest)
+            if lowest:
+                got, ref = (got,), (ref,)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape, lowest
+                assert np.array_equal(a, b), lowest
 
 
 @pytest.mark.parametrize("width, dim", product((1, 2, 3, 4), (1, 2, 9, 130)))
 def test_band_eigh_equals_scipy_bit_for_bit(width, dim):
     rng = np.random.default_rng(1000 * width + dim)
     _assert_bitwise(rng.standard_normal((width + 1, dim)))
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 4))
+def test_band_eigh_equals_scipy_near_a_zero_eigenvalue(width):
+    # bisection stops at an absolute tolerance, which decides the last bits
+    # of a lowest eigenvalue far below the norm: here 1e-9
+    band = np.random.default_rng(width).standard_normal((width + 1, 9))
+    band[0] -= spectra._band_eigh(band, True)[0] - 1e-9
+    _assert_bitwise(band)
 
 
 def test_band_eigh_equals_scipy_across_a_zero_off_diagonal():

@@ -13,7 +13,6 @@ from oracle import (
     ProbeParams,
     SUPERRADIANT,
     build_branch,
-    build_displaced_rabi,
     build_effective_np,
     build_effective_sp,
     build_rabi,
@@ -23,9 +22,7 @@ from oracle import (
     effective_sp_coeffs,
     energy_at,
     ground_state,
-    is_symmetric,
     number,
-    parity_operator,
     sigma_minus,
     sigma_plus,
     spin_mixing_angle,
@@ -100,16 +97,6 @@ def test_build_rabi_decoupled():
     assert np.abs(np.abs(vec) - expect).max() < 1e-12
 
 
-def test_build_rabi_parity_commutes():
-    rng = np.random.default_rng(3)
-    pi = parity_operator(C32)
-    for _ in range(5):
-        p = RabiParams(rng.uniform(0.0, 3.0), rng.uniform(0.5, 50.0))
-        h = build_rabi(p, C32)
-        comm = pi @ h - h @ pi
-        assert np.abs(comm).max() < 1e-10 * np.abs(h).max()
-
-
 def test_branch_difference():
     p = RabiParams(0.7, 50.0)
     he = build_branch(p, FIGURE_PROBE, "e", C32)
@@ -137,14 +124,14 @@ def test_branch_cavity_coefficient():
 
 
 def test_tripartite_decoupled_probe():
+    # at g_s = 0 the probe only adds +(1 + Delta_s)/2 on its |e> half and
+    # -(1 + Delta_s)/2 on its |g> half
     p = RabiParams(0.6, 20.0)
     probe = ProbeParams(0.0, 1.0)  # at omega_s = 1 + 1 = 2
-    h3 = build_tripartite(p, probe, 20)
-    assert is_symmetric(h3)
-    w3 = np.linalg.eigvalsh(h3)
-    wr = np.linalg.eigvalsh(build_rabi(p, 20))
-    expect = np.sort(np.concatenate([wr + 1.0, wr - 1.0]))
-    assert np.abs(w3 - expect).max() < 1e-10
+    h = build_rabi(p, 20)
+    eye, zero = np.eye(len(h)), np.zeros_like(h)
+    expect = np.block([[h + eye, zero], [zero, h - eye]])
+    assert np.array_equal(build_tripartite(p, probe, 20), expect)
 
 
 def test_tripartite_jc_excitation_conserved():
@@ -266,17 +253,3 @@ def test_effective_sp_domain_and_coeff():
     coeff = -phase(p).c2
     assert coeff == pytest.approx(-1.0 / (4 * 1.01**4))
     assert coeff == pytest.approx(-0.2402, abs=2e-4)
-
-
-def test_all_builders_hermitian():
-    p = RabiParams(1.2, 100.0)
-    ops = [
-        build_rabi(p, C32),
-        build_branch(p, FIGURE_PROBE, "e", C32),
-        build_tripartite(p, FIGURE_PROBE, 16),
-        build_displaced_rabi(p, phase(p).alpha, C32),
-        build_effective_np(RabiParams(0.5, 100.0), C32),
-        build_effective_sp(p, C32),
-    ]
-    for op in ops:
-        assert op.dtype == np.float64 and is_symmetric(op)

@@ -47,6 +47,19 @@ def test_stationarity_grid(lam, eta):
     assert abs(x - x_closed) <= 1e-10 * x
 
 
+def test_stationarity_curvature_is_the_closed_form():
+    # E(s) = sinh^2 s - c2 e^{2s} + 3 c4 e^{4s} + const, so E''(s) =
+    # 2 cosh 2s - 4 c2 e^{2s} + 48 c4 e^{4s}. At eta = 10 the second
+    # difference's roundoff, eps |E| / h^2, is about 1e-7, and a one-sided
+    # difference misses by 5e-5
+    for lam in (0.9, 1.05):
+        p = RabiParams(lam, 10.0)
+        sol, ph = solve(p), phase(p)
+        x = math.exp(2.0 * sol.s)
+        exact = 2.0 * math.cosh(2.0 * sol.s) - 4.0 * ph.c2 * x + 48.0 * ph.c4 * x**2
+        assert abs(stationarity(sol, p)[2] - exact) < 1e-6, lam
+
+
 def test_newton_root_matches_closed_form():
     # dual path: Newton's root of the stationarity cubic against the published
     # closed form, on the figures' lambda grid plus 2 and 3 and the decoupled

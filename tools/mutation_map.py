@@ -1,10 +1,11 @@
 """Mutation map of tier-1: which tests kill which one-line change.
 
 Mutates every site of each module of `src/rabicrit/` and of `tests/oracle.py`
-under three operators, one mutant at a time:
+under four operators, one mutant at a time:
 
 - `float`: a nonzero float literal times (1 + 1e-6);
 - `+-`: a binary `+` made `-`, and `-` made `+`;
+- `drop`: a binary `+` or `-` replaced by its left operand, the term dropped;
 - `cmp`: `<` <-> `<=` and `>` <-> `>=`, each operator of a chain alone.
 
 It runs the unmutated tier-1 first and stops unless it passes. Then it runs
@@ -14,7 +15,7 @@ unmutated one counts as killed (`"timeout": true`). It writes nothing into the
 checkout, and prints one JSON line per mutant, in source order:
 
     {"module": ..., "line": ..., "operator": ..., "mutated": <the mutated
-     source line>, "killed_by": [<test ids>], "timeout": false}
+     source lines, joined>, "killed_by": [<test ids>], "timeout": false}
 
 A mutant with an empty `killed_by` and no timeout survived. Test ids read
 `tests.test_spectra::test_name[case]`, as in a JUnit report. Run from anywhere:
@@ -38,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p.relative_to(ROOT) for p in (ROOT / "src" / "rabicrit").glob("*.py"))
 MODULES.append(Path("tests/oracle.py"))
 SWAP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+"}
-IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".benchmarks")
 WORKERS = os.cpu_count() or 1
 
 
@@ -72,7 +73,10 @@ def mutants(module: Path):
             yield node.lineno, "float", at(node), at(node, True), repr(node.value * (1 + 1e-6))
         elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
             a, b = _token(src, at(node.left, True), at(node.right), ("+", "-"))
-            yield src.count(b"\n", 0, a) + 1, "+-", a, b, SWAP[src[a:b].decode()]
+            line = src.count(b"\n", 0, a) + 1
+            yield line, "+-", a, b, SWAP[src[a:b].decode()]
+            left = src[at(node.left):at(node.left, True)].decode()
+            yield line, "drop", at(node), at(node, True), f"({left})"
         elif isinstance(node, ast.Compare):
             for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
                 if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
@@ -130,7 +134,9 @@ def main() -> int:
                 copies.put(copy)
             if code not in (None, 0) and not killers:
                 killers = [f"exit {code}"]  # a failure outside any test case
-            text = mutated.decode().splitlines()[line - 1].strip()
+            top = original.count(b"\n", 0, a)
+            lines = mutated.decode().splitlines()[top:top + new.count("\n") + 1]
+            text = " ".join(part.strip() for part in lines)
             return {"module": str(module), "line": line, "operator": operator,
                     "mutated": text, "killed_by": sorted(killers), "timeout": code is None}
 
