@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import __version__
 from .experiments import SweepConfig, default_config, run
@@ -52,10 +51,9 @@ def main(argv=None) -> int:
     else:
         config = default_config(args.command)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        points = run(config, args.out)
     except OSError as exc:
         build_parser().exit(2, f"rabicrit {args.command}: error: --out: {exc}\n")
-    points = run(config, args.out)
     n_rows = sum(len(pt.value) for pt in points)
     n_bad = sum(len(pt.value) for pt in points if not pt.converged)
     print(f"{config.figure}: {n_rows} records written to {args.out} ({n_bad} degraded)")

@@ -206,7 +206,7 @@ class SweepPoint:
 
 
 def _fmt(x) -> str:
-    if x is None or x == "":
+    if x == "":
         return ""
     return f"{float(x):.17g}"
 

@@ -80,10 +80,6 @@ class Phase:
             raise PhaseDomainError(f"the phase record is not finite: {self}")
 
     @property
-    def name(self) -> str:
-        return "superradiant" if self.alpha else "normal"
-
-    @property
     def c2(self) -> float:
         return self.mu / 4.0
 

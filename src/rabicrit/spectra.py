@@ -73,7 +73,7 @@ def _scipy_linalg_extension(name: str) -> ModuleType:
 
 
 _flapack = _scipy_linalg_extension("_flapack")
-dlamch, dpbtrf, dpbtrs = _flapack.dlamch, _flapack.dpbtrf, _flapack.dpbtrs
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
 dsbevd, dsbevx, dstebz, dstevd = _flapack.dsbevd, _flapack.dsbevx, _flapack.dstebz, _flapack.dstevd
 dsbmv = _scipy_linalg_extension("_fblas").dsbmv
 
@@ -86,14 +86,9 @@ CUTOFF_TOL = 1e-8
 # eps ||H||, and the most solves it may take to meet it
 RESIDUAL_EPS = 8.0
 INVERSE_ITERATION_MAX = 8
-# dsbevx's absolute tolerance, as eig_banded sets it: twice the safe minimum
-SBEVX_ABSTOL = 2.0 * dlamch("S")
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude of a real vector positive (a
-    global sign)."""
-    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
+# dsbevx's absolute tolerance, as eig_banded sets it: twice LAPACK's safe
+# minimum, the smallest normal double
+SBEVX_ABSTOL = 2.0 * np.finfo(float).tiny
 
 
 def _check(info: int, driver: str):
@@ -145,8 +140,8 @@ def band_ground_energy(band: np.ndarray) -> float:
 
 
 def band_ground_state(band: np.ndarray, energy: float) -> np.ndarray:
-    """Ground vector of a real symmetric band matrix, tridiagonal or wider,
-    phase-fixed.
+    """Unit ground vector of a real symmetric band matrix, tridiagonal or
+    wider, of either global sign: no observable of a ground state sees it.
 
     The lowest eigenvalue E0 is `energy`, as `band_ground_energy` returned it
     for this matrix (the cutoff search's bisection). The vector comes from
@@ -176,7 +171,7 @@ def band_ground_state(band: np.ndarray, energy: float) -> np.ndarray:
         # 4 eps ||H|| / gap, an error the residual bound still admits
         if solves > 1 and (np.linalg.norm(dsbmv(width, 1.0, residual, x[:, 0], lower=1))
                            <= RESIDUAL_EPS * bound):
-            return _fix_phase(x[:, 0])
+            return x[:, 0]
     raise ConvergenceError(
         f"inverse iteration: no ground vector within {RESIDUAL_EPS} eps ||H|| "
         f"after {INVERSE_ITERATION_MAX} solves (dimension {n})"

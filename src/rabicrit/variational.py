@@ -36,19 +36,12 @@ from .hamiltonians import Phase, RabiParams, phase
 @dataclass(frozen=True)
 class VariationalSolution:
     """Squeezing parameter, energy, and mean and variance of the photon
-    number of the variational ground state of `phase` ('normal' or
-    'superradiant')."""
+    number of the variational ground state in the phase lam selects."""
 
-    phase: str
     s: float
     energy: float
     mean_n: float
     gamma_prime: float
-
-
-def _cubic_coeffs(ph: Phase) -> tuple[float, float]:
-    """(c3, mu) of the stationarity cubic c3 x^3 + (1 - mu) x^2 - 1 = 0."""
-    return 24.0 * ph.c4, ph.mu
 
 
 def _squeezing(c3: float, mu: float) -> float:
@@ -86,7 +79,7 @@ def solve(p: RabiParams) -> VariationalSolution:
     at 1, superradiant above. `PhaseDomainError` where the ansatz's photon
     mean or variance is negative or not finite."""
     ph = phase(p)
-    s = _squeezing(*_cubic_coeffs(ph))
+    s = _squeezing(24.0 * ph.c4, ph.mu)
     mean_n, gamma = squeezed_moments(ph, s)
     # the ansatz's q4 terms: -k q4 e^{2 s} in the mean, -k q4 e^{4 s} in the variance
     try:
@@ -98,4 +91,4 @@ def solve(p: RabiParams) -> VariationalSolution:
     if not (0.0 <= mean_n < inf and 0.0 <= gamma < inf):
         raise PhaseDomainError(f"the ansatz has no state at lam = {p.lam:g}, eta = {p.eta:g}: "
                                f"photon mean {mean_n:g}, variance {gamma:g}")
-    return VariationalSolution(ph.name, s, _energy_at(ph, s), mean_n, gamma)
+    return VariationalSolution(s, _energy_at(ph, s), mean_n, gamma)

@@ -80,7 +80,7 @@ from rabicrit.analytic import CRITICAL_BAND
 from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
 from rabicrit.experiments import SweepConfig, _point
 from rabicrit.hamiltonians import RabiParams, _quartic_band
-from rabicrit.spectra import FrameCutoff, _fix_phase, band_ground_energy
+from rabicrit.spectra import FrameCutoff, band_ground_energy
 from rabicrit.variational import VariationalSolution
 
 SYMMETRY_RTOL = 1e-12
@@ -214,6 +214,12 @@ def squeeze(r: float, n_max: int) -> np.ndarray:
 
 NORMAL = "normal"
 SUPERRADIANT = "superradiant"
+
+
+def phase_of(lam: float) -> str:
+    """The phase lam selects, as `hamiltonians.phase` decides it:
+    superradiant above 1, normal up to and at 1."""
+    return SUPERRADIANT if lam > 1.0 else NORMAL
 
 
 def alpha_lambda(p: RabiParams) -> float:
@@ -464,11 +470,18 @@ def build_rabi_parity_chains(omega_c: float, omega_0: float, g: float,
 # --- ground states and moments ----------------------------------------------
 
 
+def fix_sign(vec: np.ndarray) -> np.ndarray:
+    """The real vector of the global sign that makes its largest-magnitude
+    amplitude positive, so that two solvers' vectors compare entry by entry."""
+    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
+
+
 def ground_state(h: np.ndarray) -> tuple[float, np.ndarray]:
     """The lowest energy and eigenvector of a real symmetric matrix, at the
-    cutoff it was built at; `dense_ground` searches the cutoff."""
+    cutoff it was built at, of the sign `fix_sign` picks; `dense_ground`
+    searches the cutoff."""
     w, v = np.linalg.eigh(_symmetric(h))
-    return float(w[0]), _fix_phase(v[:, 0])
+    return float(w[0]), fix_sign(v[:, 0])
 
 
 def operator_moments(vec: np.ndarray, op: np.ndarray) -> tuple[float, float]:
@@ -758,17 +771,17 @@ def analytic_ground_state(p: RabiParams) -> AnalyticGroundState:
 
 
 def stationarity(sol: VariationalSolution, p: RabiParams) -> tuple[float, float, float]:
-    """(x, residual, curvature) of the variational energy at the solution's
-    squeezing parameter s: the root x = e^{2 s} of the stationarity cubic,
-    the residual |dE/ds| = |c3 x^3 + c2 x^2 - 1| / (2 x) there, and
-    d^2E/ds^2 by central differences with step 1e-4."""
-    x = exp(2.0 * sol.s)
-    c3, c2 = cubic_coeffs(sol.phase, p)
+    """(x, residual, curvature) of the variational energy, in the phase lam
+    selects, at the solution's squeezing parameter s: the root x = e^{2 s}
+    of the stationarity cubic, the residual |dE/ds| = |c3 x^3 + c2 x^2 - 1|
+    / (2 x) there, and d^2E/ds^2 by central differences with step 1e-4."""
+    x, phase = exp(2.0 * sol.s), phase_of(p.lam)
+    c3, c2 = cubic_coeffs(phase, p)
     residual = abs(1.0 / (2.0 * x) * (c3 * x**3 + c2 * x**2 - 1.0))
     h = 1e-4
     curvature = (
-        energy_at(sol.phase, sol.s + h, p) - 2.0 * energy_at(sol.phase, sol.s, p)
-        + energy_at(sol.phase, sol.s - h, p)
+        energy_at(phase, sol.s + h, p) - 2.0 * energy_at(phase, sol.s, p)
+        + energy_at(phase, sol.s - h, p)
     ) / h**2
     return x, residual, curvature
 

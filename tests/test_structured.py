@@ -14,6 +14,7 @@ eigendecomposition; then dense branches and `decoherence_factor`) is the
 reference they must reproduce.
 """
 
+import dataclasses
 import inspect
 import warnings
 
@@ -42,6 +43,7 @@ from oracle import (
     effective_np_coeffs,
     effective_sp_coeffs,
     energy_search,
+    fix_sign,
     ground_state,
     number,
     operator_moments,
@@ -49,7 +51,7 @@ from oracle import (
     rabi_dense,
     validate_dispersive,
 )
-from rabicrit.dynamics import effective_ground_state, exact_ground_state
+from rabicrit.dynamics import GROUND_STATES, effective_ground_state, exact_ground_state
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import SweepConfig, _point, default_config, run
 from rabicrit.hamiltonians import (
@@ -219,7 +221,6 @@ def test_band_solvers_match_dense_eigh():
         assert energy == pytest.approx(w[0], abs=1e-11)
         vec = band_ground_state(h, energy)
         assert abs(abs(vec @ v[:, 0]) - 1.0) < 1e-12
-        assert vec[np.argmax(np.abs(vec))] > 0.0
         w_all, v_all = band_spectrum(h)
         assert np.abs(w_all - w).max() < 1e-11
         assert np.abs(_dense(h) @ v_all - v_all * w_all).max() < 1e-10
@@ -458,7 +459,7 @@ def test_inverse_iteration_vector_matches_eig_banded():
             w, v = eigh_tridiagonal(h[0], h[1, :-1], select="i", select_range=(0, 0))
         else:
             w, v = eig_banded(h, lower=True, select="i", select_range=(0, 0))
-        ref = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
+        vec, ref = fix_sign(vec), fix_sign(v[:, 0])
         assert energy == w[0]
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
         assert np.abs(vec - ref).max() < 1e-9, (h.shape, np.abs(vec - ref).max())
@@ -568,3 +569,34 @@ def test_inverse_iteration_takes_a_third_solve_when_the_second_misses(monkeypatc
     assert abs(energy) < 1e-3 * eps
     assert len(solves) == 3
     assert np.linalg.norm(_dense(h) @ vec - energy * vec) <= spectra.RESIDUAL_EPS * _eps_norm(h)
+
+
+def test_inverse_iteration_shift_bound_counts_the_off_diagonals():
+    # the displaced band at lam = 3, eta = 1e4, whose off-diagonals dominate
+    # ||H||_inf: its diagonal is 22% of b = eps (max |diagonal| + 2 sum of
+    # each off-diagonal's max |entry|). Given E0 + 2 b, the shift 4 b below it
+    # lies 2 b below E0, and the vector is the ground vector; a bound without
+    # the off-diagonals would put the shift about 1.1 b above E0
+    p = RabiParams(3.0, 1e4)
+    h = build_displaced_rabi_band(p, phase(p).alpha, 100)
+    row_max, eps = np.abs(h).max(axis=1), np.finfo(float).eps
+    b = eps * (row_max[0] + 2.0 * row_max[1:].sum())
+    assert eps * row_max[0] < 0.25 * b
+    energy = band_ground_energy(h)
+    vec = band_ground_state(h, energy + 2.0 * b)
+    ref = eig_banded(h, lower=True, select="i", select_range=(0, 0))[1][:, 0]
+    assert np.abs(fix_sign(vec) - fix_sign(ref)).max() < 1e-9
+    assert np.linalg.norm(_dense(h) @ vec - energy * vec) <= spectra.RESIDUAL_EPS * b
+
+
+@pytest.mark.parametrize("method", ["exact", "effective"])
+@pytest.mark.parametrize("lam", [0.9, 1.2])
+def test_ground_state_observables_ignore_the_vectors_sign(method, lam):
+    # the ground vector's global sign is not fixed: the photon moments and the
+    # echo |D|^2 of the negated vector equal the vector's bit for bit
+    gs = GROUND_STATES[method](RabiParams(lam, 200.0), TOL)
+    flipped = dataclasses.replace(gs, vector=-gs.vector)
+    times = np.linspace(0.0, 20.0, 11)
+    assert band_moments(gs.n, flipped.vector) == band_moments(gs.n, gs.vector)
+    echo = np.abs(dynamics.decoherence_factor(gs, 1e-3, times)) ** 2
+    assert np.array_equal(np.abs(dynamics.decoherence_factor(flipped, 1e-3, times)) ** 2, echo)
