@@ -13,7 +13,7 @@ import functools
 import sys
 
 from . import __version__
-from .experiments import SweepConfig, default_config, run
+from .experiments import FIGURE_DEFAULTS, SweepConfig, default_config, run
 
 _OUT = {"default": ".", "help": "output directory"}
 
@@ -29,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for fig in ("fig1", "fig2", "fig3", "fig4", "fig5"):
+    for fig in FIGURE_DEFAULTS:
         sp = sub.add_parser(fig, help=f"reproduce {fig} as CSV")
         sp.add_argument("--out", **_OUT)
 

@@ -18,6 +18,7 @@ finite, or whose phase record is not finite, is degraded."""
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass, fields
@@ -35,24 +36,10 @@ from .hamiltonians import RabiParams, phase
 from .spectra import CUTOFF_TOL
 from .variational import solve as variational_solve
 
-# CPython's built-in SHA-256, as `random` takes its sha512: `hashlib` would
-# map OpenSSL's libcrypto into the process for this one digest
-try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
-
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,converged"
 
-FIGURES = ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
-GROUND_FIGURES = ("fig1", "fig2")  # the ground state itself, no echo
 METHODS = ("exact", "effective", "variational", "analytic")
-LAMBDA_STEP_FINE = 0.005     # steps of `critical_lambda_grid` on [0.9, 1.1]
-LAMBDA_STEP_COARSE = 0.02    # and elsewhere
 # The dispersive step holds for |Delta_s| >> g_s sqrt(<n> + 1) (Blais et al.,
 # PRA 69, 062320 (2004)), taken as this factor; at g_s^2 = chi Delta_s it
 # reads Delta_s >= DISPERSIVE_MARGIN^2 chi (<n> + 1), a point's `delta_s_min`
@@ -110,7 +97,7 @@ class SweepConfig:
         if self.figure in GROUND_FIGURES:
             if "analytic" in self.methods:
                 raise ValueError(f"figure {self.figure} has no 'analytic' method")
-            # no echo: a time or a probe would change the hash, not the results
+            # no echo: a time or a probe would change the recorded config, not the results
             if self.time_grid != [0.0]:
                 raise ValueError(f"figure {self.figure} takes time_grid = 0 only")
             if self.chi != 0.0:
@@ -212,45 +199,38 @@ def _fmt(x) -> str:
 
 
 def critical_lambda_grid() -> list[float]:
-    """Default lam/lam_c grid: fine sampling only near the critical point."""
-    fine, coarse = LAMBDA_STEP_FINE, LAMBDA_STEP_COARSE
-    lo = np.arange(coarse, 0.9, coarse)
-    mid = np.arange(0.9, 1.1 + fine / 2, fine)
-    hi = np.arange(1.1 + coarse, 1.5 + coarse / 2, coarse)
-    grid = np.unique(np.round(np.concatenate([lo, mid, hi]), 10))
+    """Default lam/lam_c grid: fine sampling only near the critical point,
+    steps of 0.02 to 0.88, of 0.005 on [0.9, 1.1] and of 0.02 from 1.12 to 1.5."""
+    k = np.arange
+    grid = np.round(np.r_[k(1, 45) * 0.02, k(180, 221) * 0.005, k(56, 76) * 0.02], 10)
     return [float(v) for v in grid if not near_critical(v)]
 
 
+# Each figure command's default sweep, at the default `cutoff_tol`; eta and
+# chi follow the reference setups. fig1/fig2 scan the ground state against eta
+# on either side of the transition, fig3-fig5 the echo across it. Read a
+# figure's through `default_config`, whose copy is the caller's to change.
+_ETA_GROUND = [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5]
+_METHODS_GROUND = ["exact", "effective", "variational"]
+_LAMBDA_CRITICAL = critical_lambda_grid()
+FIGURE_DEFAULTS = {figure: SweepConfig(figure, *settings) for figure, settings in {
+    "fig1": ([0.99], _ETA_GROUND, [0.0], 0.0, _METHODS_GROUND),
+    "fig2": ([1.01], _ETA_GROUND, [0.0], 0.0, _METHODS_GROUND),
+    "fig3": (_LAMBDA_CRITICAL, [5000.0], [2.0 * k for k in range(51)], 1e-3, ["analytic"]),
+    "fig4": (_LAMBDA_CRITICAL, [2000.0, 4000.0, 6000.0, 8000.0, 10000.0], [60.0], 1e-3,
+             ["analytic"]),
+    "fig5": (_LAMBDA_CRITICAL, [1e5], [60.0], 1e-3, list(METHODS)),
+}.items()}
+FIGURES = (*FIGURE_DEFAULTS, "custom")
+# the ground state itself: no probe, no echo
+GROUND_FIGURES = tuple(figure for figure, cfg in FIGURE_DEFAULTS.items() if cfg.chi == 0)
+
+
 def default_config(figure: str) -> SweepConfig:
-    """Per-figure default grids at the default `cutoff_tol`; eta and chi follow
-    the reference setups."""
-    if figure == "fig1":
-        return SweepConfig(
-            "fig1", [0.99], [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5], [0.0], 0.0,
-            ["exact", "effective", "variational"],
-        )
-    if figure == "fig2":
-        return SweepConfig(
-            "fig2", [1.01], [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5], [0.0], 0.0,
-            ["exact", "effective", "variational"],
-        )
-    if figure == "fig3":
-        return SweepConfig(
-            "fig3", critical_lambda_grid(), [5000.0],
-            [float(t) for t in np.arange(0.0, 101.0, 2.0)], 1e-3,
-            ["analytic"],
-        )
-    if figure == "fig4":
-        return SweepConfig(
-            "fig4", critical_lambda_grid(), [2000.0, 4000.0, 6000.0, 8000.0, 10000.0],
-            [60.0], 1e-3, ["analytic"],
-        )
-    if figure == "fig5":
-        return SweepConfig(
-            "fig5", critical_lambda_grid(), [1e5], [60.0], 1e-3,
-            ["exact", "effective", "variational", "analytic"],
-        )
-    raise ValueError(f"no default config for figure {figure!r}")
+    """A fresh copy of `figure`'s default config, its lists its own."""
+    if figure not in FIGURE_DEFAULTS:
+        raise ValueError(f"no default config for figure {figure!r}")
+    return copy.deepcopy(FIGURE_DEFAULTS[figure])
 
 
 def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
@@ -362,10 +342,7 @@ def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
     csv_path = out / f"{config.figure}.csv"
     write_csv(points, csv_path)
     write_gnuplot_script(config, csv_path.name, out / f"{config.figure}.gp")
-    provenance = {
-        "config_hash": sha256(config.canonical_text().encode()).hexdigest(),
-        "code_version": __version__,
-    }
+    provenance = {"config": config.canonical_text(), "code_version": __version__}
     write_report(points, provenance, out / "report.json")
     return points
 

@@ -3,7 +3,6 @@ bound every echo point records, against the tripartite evolution of the
 tests' oracle."""
 
 import dataclasses
-import hashlib
 import json
 import time
 import warnings
@@ -94,8 +93,8 @@ def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
 ])
 @pytest.mark.parametrize("figure", ["fig1", "fig2"])
 def test_ground_figures_reject_echo_settings(tmp_path, figure, key, value):
-    # fig1/fig2 have no echo: a time or a probe would change the config hash
-    # and not the results
+    # fig1/fig2 have no echo: a time or a probe would change the recorded
+    # config and not the results
     cfg = default_config(figure)
     setattr(cfg, key, value)
     with pytest.raises(ValueError, match=key):
@@ -118,21 +117,37 @@ def test_cli_rejects_flags_it_would_ignore(tmp_path, capsys, argv):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
-def test_config_hash_ignores_output_directory(tmp_path):
-    # the hash covers what determines the results, not where they are written
-    hashes = set()
+def test_report_config_ignores_output_directory(tmp_path):
+    # the report records what determines the results, not where they are written
+    configs = set()
     for out in (tmp_path / "a", tmp_path / "b"):
         assert main(["fig1", "--out", str(out)]) == 0
-        hashes.add(json.loads((out / "report.json").read_text())["provenance"]["config_hash"])
-    assert len(hashes) == 1
+        configs.add(json.loads((out / "report.json").read_text())["provenance"]["config"])
+    assert len(configs) == 1
 
 
-def test_config_hash_is_the_sha256_of_the_canonical_text(tmp_path):
-    # the built-in SHA-256 the library takes, against hashlib's
+def test_report_config_reads_back_as_the_config_it_ran(tmp_path):
     cfg = default_config("fig1")
     run(cfg, out_dir=tmp_path)
     provenance = json.loads((tmp_path / "report.json").read_text())["provenance"]
-    assert provenance["config_hash"] == hashlib.sha256(cfg.canonical_text().encode()).hexdigest()
+    assert provenance["config"] == cfg.canonical_text()
+    path = tmp_path / "report.cfg"
+    path.write_text(provenance["config"])
+    assert SweepConfig.from_file(path) == cfg
+
+
+def test_report_config_reruns_its_sweep(tmp_path):
+    # the report alone reproduces its run: `sweep` on its config writes the
+    # same CSV and gnuplot script, byte for byte
+    cfg = default_config("fig1")
+    cfg.eta_grid = [1e4]
+    run(cfg, out_dir=tmp_path / "first")
+    path = tmp_path / "report.cfg"
+    path.write_text(json.loads((tmp_path / "first" / "report.json").read_text())
+                    ["provenance"]["config"])
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "again")]) == 0
+    for name in ("fig1.csv", "fig1.gp"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
 
 
 def test_config_rejects_nan_settings(tmp_path):
@@ -158,7 +173,8 @@ def test_config_file_roundtrip(tmp_path):
 
 
 def test_canonical_text_is_pinned():
-    # `config_hash` hashes this text; changing it moves every report's hash
+    # every report records this text as its config; a change breaks the
+    # comparison of a new report's config with an old one's
     assert default_config("fig1").canonical_text() == (
         "figure = fig1\n"
         "lambda_grid = 0.98999999999999999\n"
@@ -380,8 +396,8 @@ def test_run_writes_outputs(tmp_path):
 
     # one record per point, its per-row columns as lists
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 2
-    assert "config_hash" in payload["provenance"]
+    assert payload["schema_version"] == 3
+    assert "config" in payload["provenance"]
     assert len(payload["points"]) == 6
     assert sum(len(rec["value"]) for rec in payload["points"]) == 18
     assert payload["points"] == [

@@ -53,7 +53,8 @@ def _expanded(report_path) -> list[dict]:
     """The point records of `report.json`, expanded to one record per row."""
     payload = json.loads(report_path.read_text())
     assert set(payload) == {"points", "provenance", "schema_version"}
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
+    assert set(payload["provenance"]) == {"config", "code_version"}
     rows = []
     for pt in payload["points"]:
         shared = {k: v for k, v in pt.items() if k not in ("omega_c_t", "value_name", "value")}
