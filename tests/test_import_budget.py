@@ -1,5 +1,5 @@
-"""Import cost and dependencies of the command-line entry point, each test in
-a fresh child process.
+"""Import cost and dependencies of the command-line entry point, checked in
+fresh child processes (the three `import rabicrit.cli` checks share one).
 
 `scipy.optimize` adds about a third to the time it takes to import
 `rabicrit.cli`, and the library has no use for it; this keeps it out.
@@ -47,11 +47,27 @@ def test_package_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_no_module_it_does_not_need():
+@pytest.fixture(scope="module")
+def cli_import_loads():
+    """Which of the modules the CLI must not need `import rabicrit.cli` loads,
+    read in one child process."""
     out = _child("-c", "import rabicrit.cli, sys; "
-                       "print([m for m in ('scipy.optimize', 'mpmath', 'scipy.linalg', "
-                       "'numpy.f2py', 'numpy.testing') if m in sys.modules])")
-    assert out.stdout.strip() == "[]"
+                       "print(*(m for m in ('scipy.optimize', 'mpmath', 'scipy.linalg', "
+                       "'numpy.f2py', 'numpy.testing') if m in sys.modules))")
+    return out.stdout.split()
+
+
+def test_cli_import_does_not_load_scipy_optimize(cli_import_loads):
+    assert "scipy.optimize" not in cli_import_loads
+
+
+def test_cli_import_does_not_load_mpmath(cli_import_loads):
+    assert "mpmath" not in cli_import_loads
+
+
+def test_cli_import_does_not_load_scipy_linalg(cli_import_loads):
+    assert [m for m in cli_import_loads
+            if m in ("scipy.linalg", "numpy.f2py", "numpy.testing")] == []
 
 
 def test_cli_runs_without_mpmath(tmp_path):
