@@ -14,7 +14,9 @@ a sweep builds no probe. Every echo point records its ground state's mean
 photon number and the smallest probe detuning, `delta_s_min`, at which the
 dispersive step behind chi holds there. A point whose cutoff search reaches
 the hard cap, whose variational photon mean or variance is negative or not
-finite, or whose phase record is not finite, is degraded."""
+finite, whose phase record is not finite, or whose values are not all
+finite, is degraded. `report.json` is strict JSON: a number that is not
+finite is written as null there, and as `nan` in the CSV."""
 
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .hamiltonians import RabiParams, phase
 from .spectra import CUTOFF_TOL
 from .variational import solve as variational_solve
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,converged"
 
 METHODS = ("exact", "effective", "variational", "analytic")
@@ -171,9 +173,10 @@ class SweepPoint:
     of a probe of shift chi = g_s^2 / Delta_s whose dispersive step holds
     there: 100 chi (mean_n + 1). Neither is written to the CSV.
 
-    A point whose cutoff search did not converge is degraded: `converged` is
-    False, its values, `mean_n` and `delta_s_min` are NaN, and `cutoff` and
-    `frame` are empty.
+    A point whose cutoff search did not converge, or whose values are not
+    all finite, is degraded: `converged` is False, its values, `mean_n` and
+    `delta_s_min` are NaN (null in `report.json`), and `cutoff` and `frame`
+    are empty.
     """
 
     figure: str
@@ -240,8 +243,9 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     energy and mean photon number. `method` is one of `METHODS`, which
     `SweepConfig.validate` checks. A point whose cutoff search reaches the
     hard cap, whose variational photon mean or variance is negative or not
-    finite, or whose phase record is not finite, is degraded; the sweep goes
-    on."""
+    finite, whose phase record is not finite, or whose values are not all
+    finite (the echo's phases overflow at times near 1e306), is degraded;
+    the sweep goes on."""
     t0 = time.perf_counter()
     p = RabiParams(lam, eta)
     ground = cfg.figure in GROUND_FIGURES
@@ -265,8 +269,10 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
         else:
             mean_n, gamma = variance(p)
             values = short_time_le(gamma, chi, times).tolist()
+        if not all(map(isfinite, values)):
+            raise ConvergenceError(f"{method} values at lam = {lam:g}, eta = {eta:g} not finite")
     except (ConvergenceError, PhaseDomainError):
-        converged, mean_n, values = False, np.nan, [np.nan] * len(names)
+        gs, converged, mean_n, values = None, False, np.nan, [np.nan] * len(names)
     if ground:
         mean_n = delta_s_min = ""
     else:
@@ -291,16 +297,23 @@ def write_csv(points: list[SweepPoint], path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _json_value(v):
+    """`v`, with null for a float that is not finite: JSON has no NaN."""
+    if isinstance(v, list):
+        return [_json_value(x) for x in v]
+    return None if isinstance(v, float) and not isfinite(v) else v
+
+
 def write_report(points: list[SweepPoint], provenance: dict, path: Path):
     """`report.json`: {points, provenance, schema_version}, a record per
-    point holding its per-row columns as lists."""
+    point holding its per-row columns as lists, strict JSON (`_json_value`)."""
     records = []
     for pt in points:
-        rec = dict(vars(pt))
+        rec = {k: _json_value(v) for k, v in vars(pt).items()}
         rec["lambda"] = rec.pop("lam")
         records.append(rec)
     payload = {"points": records, "provenance": provenance, "schema_version": SCHEMA_VERSION}
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False), encoding="utf-8")
 
 
 def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):

@@ -19,13 +19,13 @@ NumPy array and every Hamiltonian a real float64 one, built by `np.kron`,
     `superradiant_frame`, `variance_sp`). The library reads all of them from
     one record, `hamiltonians.phase(p)`, which is tested against these
     references;
-  * the dense builders of the Rabi, branch, tripartite, displaced-frame and
-    effective Hamiltonians (the branch and tripartite ones read the probe
-    record `ProbeParams(g_s, delta_s)`, which the library does not have),
-    the Rabi Hamiltonian at an explicit cavity
-    frequency, spin splitting and coupling (`rabi_dense`, the probe branches'
-    cavity at 1 -/+ chi) and as both its parity chains
-    (`build_rabi_parity_chains`), and the effective Hamiltonians as full
+  * the dense builders of the Rabi, tripartite, displaced-frame and
+    effective Hamiltonians (the tripartite one reads the probe record
+    `ProbeParams(g_s, delta_s)`, which the library does not have), the Rabi
+    Hamiltonian at an explicit cavity frequency, spin splitting and coupling
+    (`rabi_dense`, the probe branches' cavity at 1 -/+ chi) and as both its
+    parity chains (`build_rabi_parity_chains`), the physical photon number
+    on spin (x) Fock (`rabi_number`), and the effective Hamiltonians as full
     real bands with their constants (`build_effective_np_band`,
     `build_effective_sp_band`);
   * ground states by full eigendecomposition at a given cutoff
@@ -54,12 +54,13 @@ array of shape (half_width + 1, dim). `dense_ground(p, method, tol)` is the
 one dense reference ground path of the exact and effective methods, the
 mirror of `dynamics.BandGround`: it picks the phase's frames, searches their
 cutoff by `energy_search`, solves the ground state by full eigendecomposition
-and takes the physical photon number's moments. The echo
-(`decoherence_factor`, which returns D as the library's does) is the
-oracle's own: the full spectrum of each branch by dense `eigh` (or scipy's
-band solvers for a band array, accepted wherever a Hamiltonian is), both
-branches evolved to every time in one product, so it shares no code with
-`dynamics.decoherence_factor`, which it checks. `echo_sweep` stacks the
+and takes the physical photon number's moments. The echo is one path too,
+`dense_echo(h, n, vector, chi, times)`, which returns D as the library's
+`dynamics.decoherence_factor(gs, chi, times)` does and sees the probe only
+through chi: the branches h -/+ chi n of a state's Hamiltonian and photon
+number, each solved from its full spectrum by dense `eigh` (or scipy's band
+solvers for band arrays), both evolved to every time in one product, so it
+shares no code with `dynamics`, which it checks. `echo_sweep` stacks the
 sweep's own points (`experiments._point`) and does not pick a method's path
 itself.
 """
@@ -89,9 +90,9 @@ DUAL_PATH_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class ProbeParams:
-    """The probe atom of the dense builders (`build_branch`,
-    `build_tripartite`): coupled by `g_s` and detuned by `delta_s` from the
-    cavity, so that its frequency is 1 + delta_s. The library takes only its
+    """The probe atom of the tripartite evolution (`build_tripartite`,
+    `validate_dispersive`): coupled by `g_s` and detuned by `delta_s` from
+    the cavity, so that its frequency is 1 + delta_s. The echo takes only its
     dispersive shift `chi`, which is derived here, never stored."""
 
     g_s: float
@@ -109,10 +110,6 @@ class ProbeParams:
     def chi(self) -> float:
         """Dispersive shift g_s^2 / delta_s."""
         return self.g_s**2 / self.delta_s
-
-
-# a probe of the figures' chi = 1e-3, detuned by Delta_s = 1 from the cavity
-FIGURE_PROBE = ProbeParams(sqrt(1e-3), 1.0)
 
 
 # --- dense operators ----------------------------------------------------------
@@ -338,12 +335,12 @@ def rabi_dense(omega_c: float, omega_0: float, g: float, n_max: int,
 
     Built analytically (not by numerical conjugation with the truncated
     displacement unitary), so it stays exactly symmetric for any alpha. A
-    `RabiParams` is this at omega_c = 1, omega_0 = eta (`build_rabi`); a
-    probe branch shifts omega_c to 1 -/+ chi (`build_branch`).
+    `RabiParams` is this at omega_c = 1, omega_0 = eta (`build_rabi`); the
+    probe branches H -/+ chi N are this at omega_c = 1 -/+ chi.
     """
     ib = np.eye(n_max + 1)
     return (
-        np.kron(np.eye(2), omega_c * physical_number(alpha_disp, n_max))
+        omega_c * rabi_number(n_max, alpha_disp)
         + (0.5 * omega_0) * np.kron(pauli("z"), ib)
         - g * np.kron(pauli("x"), quadrature_x(n_max))
         - (2.0 * g * alpha_disp) * np.kron(pauli("x"), ib)
@@ -355,29 +352,9 @@ def build_rabi(p: RabiParams, n_max: int) -> np.ndarray:
     return rabi_dense(1.0, p.eta, p.g, n_max)
 
 
-def build_branch(p: RabiParams, probe: ProbeParams, branch: str, n_max: int) -> np.ndarray:
-    """Conditional Rabi Hamiltonian given the probe in |e> or |g>, the probe
-    at omega_s = 1 + delta_s.
-
-    branch 'e': cavity frequency 1 + chi, constant +(omega_s/2 + chi).
-    branch 'g': cavity frequency 1 - chi, constant -omega_s/2.
-    """
-    if branch not in ("e", "g"):
-        raise ValueError(f"branch must be 'e' or 'g', got {branch!r}")
-    chi, omega_s = probe.chi, 1.0 + probe.delta_s
-    if branch == "e":
-        omega_b = 1.0 + chi
-        const = 0.5 * omega_s + chi
-    else:
-        omega_b = 1.0 - chi
-        const = -0.5 * omega_s
-    h = rabi_dense(omega_b, p.eta, p.g, n_max)
-    return h + const * np.eye(len(h))
-
-
 def build_tripartite(p: RabiParams, probe: ProbeParams, n_max: int) -> np.ndarray:
     """Full Jaynes-Cummings probe plus Rabi model, before the dispersive step,
-    the probe at omega_s = 1 + delta_s.
+    the probe at frequency 1 + delta_s.
 
     Space: probe-spin (x) Rabi-spin (x) Fock, dimension 4 (n_max + 1).
     """
@@ -396,6 +373,11 @@ def physical_number(alpha: float, n_max: int) -> np.ndarray:
     """The physical photon number N = n + alpha x + alpha^2 of the frame
     displaced by alpha (alpha = 0: the bare frame), on the Fock space."""
     return number(n_max) + alpha * quadrature_x(n_max) + alpha**2 * np.eye(n_max + 1)
+
+
+def rabi_number(n_max: int, alpha: float = 0.0) -> np.ndarray:
+    """`physical_number` on spin (x) Fock, the basis of `rabi_dense`."""
+    return np.kron(np.eye(2), physical_number(alpha, n_max))
 
 
 def build_displaced_rabi(p: RabiParams, alpha_disp: float, n_max: int) -> np.ndarray:
@@ -450,21 +432,17 @@ def build_effective_sp_band(p: RabiParams, n_max: int) -> np.ndarray:
     return band
 
 
-def build_rabi_parity_chains(omega_c: float, omega_0: float, g: float,
-                             n_max: int) -> np.ndarray:
-    """`rabi_dense` (the bare frame) as a real tridiagonal matrix in parity
-    order, both parity chains: rows 0..n_max are the even chain |g,0>,
-    |e,1>, |g,2>, ... (at omega_c = 1, the library's `build_rabi_parity`),
-    rows n_max+1.. the odd chain |e,0>, |g,1>, .... Row k of either chain
-    has k photons; the sub-diagonal entry joining the chains is zero."""
+def build_rabi_parity_chains(p: RabiParams, n_max: int) -> np.ndarray:
+    """`build_rabi` as a real tridiagonal matrix in parity order, both parity
+    chains: rows 0..n_max are the even chain |g,0>, |e,1>, |g,2>, ... (the
+    library's `build_rabi_parity`), rows n_max+1.. the odd chain |e,0>,
+    |g,1>, .... Row k of either chain has k photons; the sub-diagonal entry
+    joining the chains is zero."""
     k = np.arange(n_max + 1, dtype=float)
-    spin = 0.5 * omega_0 * (-1.0) ** (k + 1)  # sigma_z on the even chain
-    hop = -g * np.sqrt(k + 1.0)
+    spin = 0.5 * p.eta * (-1.0) ** (k + 1)  # sigma_z on the even chain
+    hop = -p.g * np.sqrt(k + 1.0)
     hop[-1] = 0.0
-    return np.array([
-        np.concatenate([omega_c * k + spin, omega_c * k - spin]),
-        np.concatenate([hop, hop]),
-    ])
+    return np.array([np.concatenate([k + spin, k - spin]), np.concatenate([hop, hop])])
 
 
 # --- ground states and moments ----------------------------------------------
@@ -540,9 +518,10 @@ class DenseGround:
     """The dense reference of `dynamics.BandGround`: the ground state of the
     exact or effective method at the cutoff `n_max` its `energy_search`
     chose, in the frame displaced by `alpha` (0: the bare frame), with the
-    dense Hamiltonian `h` it was solved in, constant included, and the
-    physical photon number `n` in the same basis, whose moments `mean_n` and
-    `gamma` are."""
+    dense Hamiltonian `h` it was solved in, without the effective method's
+    constant, as the library's band is, and the physical photon number `n`
+    in the same basis, whose moments `mean_n` and `gamma` are; `energy`
+    includes every constant."""
 
     n_max: int
     alpha: float
@@ -560,23 +539,27 @@ def dense_ground(p: RabiParams, method: str, tol: float) -> DenseGround:
     the bare frame (`build_rabi`) below the transition; above it, the bare
     frame and the one displaced by alpha_lambda (`build_displaced_rabi`),
     the bare one first at each cutoff, and the state solved in the first to
-    converge. The effective method: `build_effective_np` below the
-    transition, `build_effective_sp` (displaced by alpha_lambda) above it."""
+    converge. The effective method: the Hamiltonian of `build_effective_np`
+    below the transition, of `build_effective_sp` (displaced by
+    alpha_lambda) above it, each without its constant, which is added to the
+    energy alone."""
     alpha = alpha_lambda(p) if p.lam > 1.0 else 0.0
     if method == "exact":
         frames = (partial(build_rabi, p),)
         if alpha:
             frames += (partial(build_displaced_rabi, p, alpha),)
-        found = energy_search(frames, tol)
+        found, const = energy_search(frames, tol), 0.0
         alpha = (0.0, alpha)[found.frame]
-        n = np.kron(np.eye(2), physical_number(alpha, found.n_max))
+        n = rabi_number(found.n_max, alpha)
     elif method == "effective":
-        found = energy_search((partial(build_effective_sp if alpha else build_effective_np, p),), tol)
+        c2, c4, const = (effective_sp_coeffs if alpha else effective_np_coeffs)(p)
+        found = energy_search((partial(_quartic_dense, c2, c4, 0.0),), tol)
         n = physical_number(alpha, found.n_max)
     else:
         raise ValueError(f"method must be 'exact' or 'effective', got {method!r}")
     energy, vec = ground_state(found.band)
-    return DenseGround(found.n_max, alpha, found.band, n, energy, vec, *operator_moments(vec, n))
+    return DenseGround(found.n_max, alpha, found.band, n, energy + const, vec,
+                       *operator_moments(vec, n))
 
 
 # --- dynamics -----------------------------------------------------------------
@@ -633,18 +616,23 @@ def echo_sweep(eta: float, chi: float, lams, times, method: str,
     )
 
 
-def decoherence_factor(h_g: np.ndarray, h_e: np.ndarray, ground: np.ndarray,
-                       times) -> np.ndarray:
-    """D(t) = <G| exp(i H_g t) exp(-i H_e t) |G> at every t of `times`, from
-    the full spectrum of each branch (`SpectralDecomposition`), both branches
+def dense_echo(h: np.ndarray, n: np.ndarray, vector: np.ndarray, chi: float,
+               times) -> np.ndarray:
+    """D(t) = <G| exp(i H_g t) exp(-i H_e t) |G> of G = `vector` at every t
+    of `times`, for the branches H_g = h - chi n and H_e = h + chi n of a
+    probe of dispersive shift chi, with `n` the physical photon number in
+    the basis of `h`: dense matrices or band arrays of one shape. Each branch
+    is solved from its full spectrum (`SpectralDecomposition`), and both are
     evolved to every time in one product; the echo is L = |D|^2. Energies
     are measured from H_g's lowest, a common phase of both branches that |D|
     does not see, so that the phases E t stay small."""
+    if h.shape != n.shape:
+        raise ValueError(f"h {h.shape} and n {n.shape} must have one shape")
     times = np.asarray(times, dtype=float)
-    dg, de = SpectralDecomposition.of(h_g), SpectralDecomposition.of(h_e)
+    dg, de = SpectralDecomposition.of(h - chi * n), SpectralDecomposition.of(h + chi * n)
     e_ref = dg.energies[0]
-    return np.sum(dg.evolved(ground, times, e_ref).conj()
-                  * de.evolved(ground, times, e_ref), axis=0)
+    return np.sum(dg.evolved(vector, times, e_ref).conj()
+                  * de.evolved(vector, times, e_ref), axis=0)
 
 
 # --- the tripartite evolution -------------------------------------------------
@@ -672,7 +660,7 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     times = np.asarray(times, dtype=float)
     found = energy_search((partial(build_rabi, p),), cutoff_tol)
     _, vec = ground_state(found.band)
-    mean_n, _ = operator_moments(vec, np.kron(np.eye(2), number(found.n_max)))
+    mean_n, _ = operator_moments(vec, rabi_number(found.n_max))
     dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(mean_n + 1.0)
     if not dispersive:
         warnings.warn(

@@ -28,14 +28,12 @@ import numpy as np
 import pytest
 
 from oracle import (
-    FIGURE_PROBE,
     ProbeParams,
     QuarticOscillator,
     analytic_ground_state,
-    build_branch,
     build_rabi,
     closed_form_x,
-    decoherence_factor,
+    dense_echo,
     dense_ground,
     displacement,
     echo_sweep,
@@ -43,6 +41,7 @@ from oracle import (
     max_rel_deviation,
     parity_operator,
     phase_of,
+    rabi_number,
     stationarity,
     validate_dispersive,
 )
@@ -57,6 +56,7 @@ from rabicrit.spectra import CUTOFF_TOL
 from rabicrit.variational import solve as variational_solve
 
 TOL = 1e-10
+CHI = 1e-3  # the figures' dispersive shift
 
 
 def test_criterion_01_parity_conservation():
@@ -76,15 +76,10 @@ def test_criterion_02_decoupled_limit():
     t0 = time.perf_counter()
     p = RabiParams(0.0, 50.0)
     c = 24
-    energy, vec = ground_state(build_rabi(p, c))
+    h = build_rabi(p, c)
+    energy, vec = ground_state(h)
     assert abs(energy + 0.5 * p.eta) < 1e-12
-    probe = FIGURE_PROBE
-    d = decoherence_factor(
-        build_branch(p, probe, "g", c),
-        build_branch(p, probe, "e", c),
-        vec,
-        np.linspace(0.0, 100.0, 41),
-    )
+    d = dense_echo(h, rabi_number(c), vec, CHI, np.linspace(0.0, 100.0, 41))
     assert np.abs(np.abs(d) ** 2 - 1.0).max() < 1e-12
     assert time.perf_counter() - t0 < 1.0
 
@@ -97,18 +92,12 @@ def test_criterion_03_short_time_law():
     # roundoff in L alone can be a percent of it.
     t0 = time.perf_counter()
     p = RabiParams(0.5, 5000.0)
-    probe = FIGURE_PROBE
     gs = dense_ground(p, "exact", TOL)
     eps = analytic_ground_state(p).epsilon
-    t_max = min(np.sqrt(1e-2 / (4.0 * gs.gamma * probe.chi**2)), 0.1 / eps)
+    t_max = min(np.sqrt(1e-2 / (4.0 * gs.gamma * CHI**2)), 0.1 / eps)
     times = np.linspace(0.01 / eps, t_max, 60)
-    echo = np.abs(decoherence_factor(
-        build_branch(p, probe, "g", gs.n_max),
-        build_branch(p, probe, "e", gs.n_max),
-        gs.vector,
-        times,
-    )) ** 2
-    gauss = short_time_le(gs.gamma, probe.chi, times)
+    echo = np.abs(dense_echo(gs.h, gs.n, gs.vector, CHI, times)) ** 2
+    gauss = short_time_le(gs.gamma, CHI, times)
     rel = np.abs(echo - gauss) / (1.0 - echo + 1e-15)
     assert time.perf_counter() - t0 < 30.0
     assert rel.max() <= 1e-2, (
@@ -289,21 +278,20 @@ def test_criterion_11_dispersive_validity():
 def test_criterion_12_frame_invariance():
     t0 = time.perf_counter()
     rng = np.random.default_rng(12)
-    probe = FIGURE_PROBE
     times = np.linspace(0.0, 30.0, 7)
     cutoff = 100
+    n = rabi_number(cutoff)
     points = [
         (float(rng.uniform(0.1, 0.95)), float(rng.uniform(50.0, 500.0)))
         for _ in range(8)
     ] + [(1.2, 40.0), (1.3, 60.0)]
     for lam, eta in points:
         p = RabiParams(lam, eta)
-        _, vec = ground_state(build_rabi(p, cutoff))
-        hg = build_branch(p, probe, "g", cutoff)
-        he = build_branch(p, probe, "e", cutoff)
-        base = np.abs(decoherence_factor(hg, he, vec, times)) ** 2
+        h = build_rabi(p, cutoff)
+        _, vec = ground_state(h)
+        base = np.abs(dense_echo(h, n, vec, CHI, times)) ** 2
         d = np.kron(np.eye(2), displacement(float(rng.uniform(-0.5, 0.5)), cutoff))
-        moved = np.abs(decoherence_factor(d.T @ hg @ d, d.T @ he @ d, d.T @ vec, times)) ** 2
+        moved = np.abs(dense_echo(d.T @ h @ d, d.T @ n @ d, d.T @ vec, CHI, times)) ** 2
         assert np.abs(moved - base).max() < 1e-9
     assert time.perf_counter() - t0 < 30.0
 

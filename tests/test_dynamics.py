@@ -7,17 +7,14 @@ import pytest
 from scipy.linalg import expm
 
 from oracle import (
-    FIGURE_PROBE,
-    ProbeParams,
     SpectralDecomposition,
-    build_branch,
     build_rabi,
-    decoherence_factor,
+    dense_echo,
     echo_sweep,
     ground_state,
-    number,
     operator_moments,
     pauli,
+    rabi_number,
 )
 from rabicrit import variational
 from rabicrit.analytic import short_time_le, variance
@@ -26,16 +23,13 @@ from rabicrit.experiments import METHODS, SweepConfig, _point, run
 from rabicrit.hamiltonians import RabiParams
 
 C = 32
+CHI = 1e-3
 
 
 def _rabi_ground(lam, eta, cutoff=C):
     """The Rabi parameters and their dense ground vector at `cutoff`."""
     p = RabiParams(lam, eta)
     return p, ground_state(build_rabi(p, cutoff))[1]
-
-
-def _photon_variance(vec, n_max):
-    return operator_moments(vec, np.kron(np.eye(2), number(n_max)))[1]
 
 
 def test_evolve_dimension_mismatch():
@@ -49,55 +43,48 @@ def test_evolve_dimension_mismatch():
 
 
 def test_decoherence_factor_trivial_limits():
+    # chi = 0: both branches are H, and the echo stays 1
     times = np.linspace(0.0, 100.0, 26)
-    # chi = 0: branches differ by a constant only
     p, vec = _rabi_ground(0.7, 50.0)
-    probe0 = ProbeParams(0.0, 1.0)
-    d = decoherence_factor(
-        build_branch(p, probe0, "g", C), build_branch(p, probe0, "e", C), vec, times
-    )
-    assert np.abs(np.abs(d) ** 2 - 1.0).max() < 1e-12
-
-    # g = 0: |0>|g> is an eigenstate of both branches
-    p0, vec0 = _rabi_ground(0.0, 50.0)
-    d = decoherence_factor(
-        build_branch(p0, FIGURE_PROBE, "g", C), build_branch(p0, FIGURE_PROBE, "e", C),
-        vec0, times,
-    )
+    d = dense_echo(build_rabi(p, C), rabi_number(C), vec, 0.0, times)
     assert np.abs(np.abs(d) ** 2 - 1.0).max() < 1e-12
 
 
 def test_decoherence_factor_against_expm():
-    # brute-force matrix-exponential oracle on a small problem
+    # brute-force matrix-exponential oracle on a small problem: D itself, and
+    # |D| with the probe's energy added at Delta_s = 1, -(1 + Delta_s)/2 on
+    # the |g> branch and (1 + Delta_s)/2 + chi on the |e> one, which changes
+    # only the phase of D (and so is left out of `dynamics.probe_branches`)
     cutoff = 20
     p = RabiParams(0.5, 30.0)
-    _, vec = ground_state(build_rabi(p, cutoff))
-    probe = ProbeParams(math.sqrt(5e-3), 1.0)
-    hg = build_branch(p, probe, "g", cutoff)
-    he = build_branch(p, probe, "e", cutoff)
+    h, n = build_rabi(p, cutoff), rabi_number(cutoff)
+    _, vec = ground_state(h)
+    chi, delta_s = 5e-3, 1.0
+    h_g, h_e = h - chi * n, h + chi * n
+    probe = 0.5 * (1.0 + delta_s) * np.eye(len(h))
     times = np.array([0.0, 1.3, 7.7, 23.0])
-    for t, d in zip(times, decoherence_factor(hg, he, vec, times)):
-        brute = np.vdot(expm(-1j * hg * t) @ vec, expm(-1j * he * t) @ vec)
+    for t, d in zip(times, dense_echo(h, n, vec, chi, times)):
+        brute = np.vdot(expm(-1j * h_g * t) @ vec, expm(-1j * h_e * t) @ vec)
         assert abs(d - brute) < 1e-10
+        brute = np.vdot(expm(-1j * (h_g - probe) * t) @ vec,
+                        expm(-1j * (h_e + probe + chi * np.eye(len(h))) * t) @ vec)
+        assert abs(abs(d) - abs(brute)) < 1e-10
 
 
 def test_decoherence_factor_dim_mismatch():
     p, vec = _rabi_ground(0.5, 30.0)
-    hg = build_branch(p, FIGURE_PROBE, "g", C)
-    he = build_branch(p, FIGURE_PROBE, "e", 16)
-    with pytest.raises(ValueError):
-        decoherence_factor(hg, he, vec, [0.0, 1.0])
+    with pytest.raises(ValueError):  # a photon number at another cutoff
+        dense_echo(build_rabi(p, C), rabi_number(16), vec, CHI, [0.0, 1.0])
+    with pytest.raises(ValueError):  # a vector at another cutoff
+        dense_echo(build_rabi(p, 16), rabi_number(16), vec, CHI, [0.0, 1.0])
 
 
 def test_short_time_law_in_domain():
     # quadratic-cumulant law holds while the echo is still in its initial decay
     p, vec = _rabi_ground(0.5, 5000.0)
     times = np.linspace(0.0, 5.0, 11)
-    d = decoherence_factor(
-        build_branch(p, FIGURE_PROBE, "g", C), build_branch(p, FIGURE_PROBE, "e", C),
-        vec, times,
-    )
-    gauss = short_time_le(_photon_variance(vec, C), FIGURE_PROBE.chi, times)
+    d = dense_echo(build_rabi(p, C), rabi_number(C), vec, CHI, times)
+    gauss = short_time_le(operator_moments(vec, rabi_number(C))[1], CHI, times)
     assert np.abs(np.abs(d) ** 2 - gauss).max() / np.abs(gauss).min() < 1e-2
 
 

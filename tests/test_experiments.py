@@ -396,7 +396,7 @@ def test_run_writes_outputs(tmp_path):
 
     # one record per point, its per-row columns as lists
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert "config" in payload["provenance"]
     assert len(payload["points"]) == 6
     assert sum(len(rec["value"]) for rec in payload["points"]) == 18

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from oracle import (
-    FIGURE_PROBE,
     NORMAL,
     ProbeParams,
     SUPERRADIANT,
-    build_branch,
     build_effective_np,
     build_effective_sp,
     build_rabi,
@@ -63,7 +61,7 @@ def test_rabi_params_reject_nan(args):
 
 
 def test_probe_params():
-    # the dense builders' probe is its coupling and its detuning; its
+    # the tripartite evolution's probe is its coupling and its detuning; its
     # frequency is 1 + delta_s, and chi is derived
     assert [f.name for f in dataclasses.fields(ProbeParams)] == ["g_s", "delta_s"]
     pr = ProbeParams(0.1, 1.0)
@@ -97,37 +95,11 @@ def test_build_rabi_decoupled():
     assert np.abs(np.abs(vec) - expect).max() < 1e-12
 
 
-def test_branch_difference():
-    p = RabiParams(0.7, 50.0)
-    he = build_branch(p, FIGURE_PROBE, "e", C32)
-    hg = build_branch(p, FIGURE_PROBE, "g", C32)
-    n_full = np.kron(np.eye(2), number(C32))
-    diff = he - hg - 2.0 * FIGURE_PROBE.chi * n_full
-    diff -= (1.0 + FIGURE_PROBE.delta_s + FIGURE_PROBE.chi) * np.eye(len(he))
-    assert np.abs(diff).max() < 1e-12
-
-    # chi = 0: branches identical up to the probe frequency 1 + delta_s
-    probe0 = ProbeParams(0.0, 1.0)
-    he0 = build_branch(p, probe0, "e", C32)
-    hg0 = build_branch(p, probe0, "g", C32)
-    assert np.abs(he0 - hg0 - 2.0 * np.eye(len(he0))).max() < 1e-12
-    with pytest.raises(ValueError):
-        build_branch(p, FIGURE_PROBE, "x", C32)
-
-
-def test_branch_cavity_coefficient():
-    # chi = 0.001 -> g branch cavity term reads 0.999
-    p = RabiParams(0.0, 50.0)
-    hg = build_branch(p, FIGURE_PROBE, "g", C32)
-    # <e,1|H|e,1> - <e,0|H|e,0> = omega_g
-    assert hg[1, 1] - hg[0, 0] == pytest.approx(0.999)
-
-
 def test_tripartite_decoupled_probe():
     # at g_s = 0 the probe only adds +(1 + Delta_s)/2 on its |e> half and
     # -(1 + Delta_s)/2 on its |g> half
     p = RabiParams(0.6, 20.0)
-    probe = ProbeParams(0.0, 1.0)  # at omega_s = 1 + 1 = 2
+    probe = ProbeParams(0.0, 1.0)  # at frequency 1 + 1 = 2
     h = build_rabi(p, 20)
     eye, zero = np.eye(len(h)), np.zeros_like(h)
     expect = np.block([[h + eye, zero], [zero, h - eye]])

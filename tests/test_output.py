@@ -5,13 +5,14 @@ are formatted once, and only the per-row columns `omega_c_t`, `value_name`
 and `value` per row. The oracle below is the per-record writer: every row of
 every point expanded into a record and formatted field by field; the CSV
 must equal its output byte for byte. `report.json` holds one record per
-point, its per-row columns as lists; expanded row by row, it must give the
-same records.
+point, its per-row columns as lists, strict JSON with null for a number
+that is not finite; expanded row by row, it must give the same records.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 
 import rabicrit.spectra as spectra
@@ -49,11 +50,15 @@ def _records(points) -> list[dict]:
     ]
 
 
+def _reject(token):
+    raise ValueError(f"report.json holds {token}, which strict JSON does not")
+
+
 def _expanded(report_path) -> list[dict]:
     """The point records of `report.json`, expanded to one record per row."""
-    payload = json.loads(report_path.read_text())
+    payload = json.loads(report_path.read_text(), parse_constant=_reject)
     assert set(payload) == {"points", "provenance", "schema_version"}
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert set(payload["provenance"]) == {"config", "code_version"}
     rows = []
     for pt in payload["points"]:
@@ -88,10 +93,11 @@ def _oracle_csv(records) -> str:
 def _assert_oracle_bytes(points, out, figure):
     records = _records(points)
     assert (out / f"{figure}.csv").read_text() == _oracle_csv(records)
-    # compared as JSON text, where NaN equals NaN; floats are written by
-    # repr, so equal text is equal values
+    # floats are written by repr, so equal text is equal values; NaN as null
+    null = [{k: None if isinstance(v, float) and math.isnan(v) else v for k, v in rec.items()}
+            for rec in records]
     assert json.dumps(_expanded(out / "report.json"), sort_keys=True) == json.dumps(
-        records, sort_keys=True)
+        null, sort_keys=True)
 
 
 def _echo_config(methods):
@@ -132,8 +138,9 @@ def test_ground_outputs_match_record_oracle(tmp_path, figure):
 
 def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     # at cap 16 only points that converge at cutoff 8 are solved; the others
-    # are degraded rows (NaN, converged=false, no cutoff or frame), the sweep
-    # goes on, and the CLI exits with status 1
+    # are degraded rows (nan in the CSV, null in the strict JSON report,
+    # converged=false, no cutoff or frame), the sweep goes on, and the CLI
+    # exits with status 1
     monkeypatch.setattr(spectra, "CUTOFF_HARD_CAP", 16)
     cfg = _echo_config(["exact", "analytic"])
     cfg.lambda_grid, cfg.eta_grid = [0.3, 0.9, 1.2], [500.0]
@@ -149,8 +156,7 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
         fields = row.split(",")
         if (rec["method"], rec["lambda"]) in capped:
             assert fields[7:] == ["nan", "", "false"]
-            assert math.isnan(rec["value"])
-            assert math.isnan(rec["mean_n"]) and math.isnan(rec["delta_s_min"])
+            assert rec["value"] is rec["mean_n"] is rec["delta_s_min"] is None
             assert (rec["converged"], rec["cutoff"], rec["frame"]) == (False, "", "")
         else:
             assert fields[9] == "true" and math.isfinite(float(fields[7]))
@@ -158,7 +164,7 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     payload = json.loads((tmp_path / "echo" / "report.json").read_text())
     for pt in payload["points"]:
         if (pt["method"], pt["lambda"]) in capped:
-            assert len(pt["value"]) == 3 and all(math.isnan(v) for v in pt["value"])
+            assert pt["value"] == [None] * 3
 
     cfg = default_config("fig1")
     cfg.eta_grid = [1e3]
@@ -173,3 +179,18 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "6 records written" in out and "(4 degraded)" in out
     assert main(["fig1", "--out", str(tmp_path / "cli")]) == 1
+
+
+def test_echo_that_overflows_degrades_its_point(tmp_path, capsys):
+    # at t = 1e306 the echo's phases (E - e_ref) t overflow: the point is
+    # degraded (once a nan row marked converged, with exit status 0)
+    path = tmp_path / "sweep.cfg"
+    path.write_text("lambda_grid = 1.2\neta_grid = 100\ntime_grid = 0 1e306\n"
+                    "chi = 1e-3\nmethods = exact\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "(2 degraded)" in capsys.readouterr().out
+    rows = (tmp_path / "custom.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[7:] for row in rows] == [["nan", "", "false"]] * 2
+    assert [(rec["converged"], rec["frame"], rec["value"], rec["mean_n"])
+            for rec in _expanded(tmp_path / "report.json")] == [(False, "", None, None)] * 2

@@ -118,11 +118,12 @@ def test_photon_number_variance_without_cancellation(method, lam, eta):
 
 def test_dense_photon_number_variance_without_cancellation():
     # the oracle's moments, on the dense effective ground state at lam = 3,
-    # eta = 1e8 (cutoff 32): <N v, N v> - <N>^2 gave 223606784.0, 6.2e-8
-    # off; the centred residual agrees with `band_moments` on the same vector
+    # eta = 1e8 (cutoff 8, the library's): <N v, N v> - <N>^2 gives
+    # 223606776.0, 9.7e-8 off; the centred residual agrees with
+    # `band_moments` on the same vector
     p = RabiParams(3.0, 1e8)
     gs = dense_ground(p, "effective", 1e-10)
-    assert gs.n_max == 32
+    assert gs.n_max == 8
     vec = gs.vector
     n = photon_number_band(gs.alpha, gs.n_max, 1)
     mean, var = spectra.band_moments(n, vec)
@@ -316,7 +317,7 @@ def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
 
     def both(frames, tol):
         chains = lambda c: (None if frames[0](c) is None
-                            else build_rabi_parity_chains(1.0, p.eta, p.g, c))
+                            else build_rabi_parity_chains(p, c))
         compared.append((capped(frames, tol), capped((chains, *frames[1:]), tol)))
         return spectra.converge_cutoff(frames, tol)
 

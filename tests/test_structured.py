@@ -10,8 +10,8 @@ photon number alpha^2). The effective method solves its fourth-order
 Hamiltonians, without their constants, on the even photon numbers in both
 phases: real band matrices of half-width 2. The dense path
 (`oracle.dense_ground`: cutoff doubling over the same frames and a full
-eigendecomposition; then dense branches and `decoherence_factor`) is the
-reference they must reproduce.
+eigendecomposition; then `oracle.dense_echo` of its Hamiltonian, photon
+number and vector) is the reference they must reproduce.
 """
 
 import dataclasses
@@ -26,28 +26,24 @@ from scipy.linalg import eig_banded, eigh_tridiagonal
 import rabicrit.dynamics as dynamics
 import rabicrit.spectra as spectra
 from oracle import (
-    FIGURE_PROBE,
     ProbeParams,
-    _quartic_dense,
     build_displaced_rabi,
     build_effective_np,
     build_effective_np_band,
     build_effective_sp,
     build_effective_sp_band,
-    build_branch,
     build_rabi,
     build_rabi_parity_chains,
-    decoherence_factor,
+    dense_echo,
     dense_ground,
     echo_sweep,
-    effective_np_coeffs,
-    effective_sp_coeffs,
     energy_search,
     fix_sign,
     ground_state,
     number,
     operator_moments,
     physical_number,
+    rabi_number,
     rabi_dense,
     validate_dispersive,
 )
@@ -96,28 +92,12 @@ def _spin_fastest_order(n_max):
     return np.column_stack([k, k.size + k]).ravel()
 
 
-def _dense_exact_echo(p, probe, times):
-    """The dense exact ground state (`dense_ground`) and its echo L, each
-    branch the Rabi Hamiltonian at cavity frequency 1 -/+ chi in the frame
-    the state was solved in (alpha = 0: the bare frame)."""
-    gs = dense_ground(p, "exact", TOL)
-
-    def branch(omega_b, const):
-        h = rabi_dense(omega_b, p.eta, p.g, gs.n_max, gs.alpha)
-        return h + const * np.eye(len(h))
-
-    omega_s = 1.0 + probe.delta_s
-    h_g = branch(1.0 - probe.chi, -0.5 * omega_s)
-    h_e = branch(1.0 + probe.chi, 0.5 * omega_s + probe.chi)
-    return gs, np.abs(decoherence_factor(h_g, h_e, gs.vector, times)) ** 2
-
-
 def test_band_builders_are_permuted_dense_builders():
     for n_max in (0, 9):  # 0: the vacuum alone
         p = RabiParams(0.8, 20.0)
         order = _parity_order(n_max)
         dense = build_rabi(p, n_max)
-        chains = build_rabi_parity_chains(1.0, p.eta, p.g, n_max)
+        chains = build_rabi_parity_chains(p, n_max)
         assert np.array_equal(dense[np.ix_(order, order)], _dense(chains))
         # the even chain is the leading block, split off by a zero entry
         assert chains[1, n_max] == 0.0
@@ -131,18 +111,18 @@ def test_band_builders_are_permuted_dense_builders():
         # the physical photon number in the same spin-fastest basis
         n_band = photon_number_band(alpha, n_max, 2)
         assert n_band.shape == (3, 2 * (n_max + 1))
-        dense = np.kron(np.eye(2), physical_number(alpha, n_max))
+        dense = rabi_number(n_max, alpha)
         assert np.array_equal(dense[np.ix_(order, order)], _dense(n_band))
 
 
 def test_probe_branches_equal_the_builders_at_shifted_cavity_frequency():
     # H -/+ chi N is the dense Rabi Hamiltonian at cavity frequency 1 -/+ chi,
     # on the even parity chain and in the displaced frame, with no constant:
-    # the probe's energy (-omega_s/2 and omega_s/2 + chi) changes only the
-    # phase of D
+    # the probe's energy changes only the phase of D (checked by
+    # `test_decoherence_factor_against_expm`)
     eps = np.finfo(float).eps
     c = 40
-    chi = DEFAULT_PROBE.chi
+    chi = 5e-4  # a probe of g_s = 0.05 at Delta_s = 5
     for lam, eta in ((0.8, 20.0), (1.3, 20.0), (1.05, 1e5)):
         p = RabiParams(lam, eta)
         even = _parity_order(c)[:c + 1]
@@ -171,7 +151,7 @@ def test_band_moments_match_dense_operator_moments():
         dense_vec[_spin_fastest_order(c)] = vec
         mean_n, gamma = band_moments(photon_number_band(alpha, c, 2), vec)
         ref_mean, ref_gamma = operator_moments(dense_vec,
-                                               np.kron(np.eye(2), physical_number(alpha, c)))
+                                               rabi_number(c, alpha))
         assert mean_n == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
         assert gamma == pytest.approx(ref_gamma, rel=1e-11, abs=0.0)
 
@@ -199,8 +179,8 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
                 eta, "exact", lam)
     p = RabiParams(lam, eta)
     found = energy_search((lambda c: build_rabi(p, c),), TOL)
-    dense = decoherence_factor(*(build_branch(p, probe, b, found.n_max) for b in "ge"),
-                               ground_state(found.band)[1], times)
+    dense = dense_echo(found.band, rabi_number(found.n_max), ground_state(found.band)[1],
+                       probe.chi, times)
     assert np.abs(np.sqrt(pt.value) - np.abs(dense)).max() <= bound
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -226,7 +206,7 @@ def test_band_solvers_match_dense_eigh():
         assert np.abs(_dense(h) @ v_all - v_all * w_all).max() < 1e-10
     # the even parity chain holds the ground state of both chains
     assert band_ground_energy(chain) == pytest.approx(
-        band_ground_energy(build_rabi_parity_chains(1.0, p.eta, p.g, c)), abs=1e-11
+        band_ground_energy(build_rabi_parity_chains(p, c)), abs=1e-11
     )
 
 
@@ -239,7 +219,8 @@ def test_exact_path_matches_dense_oracle():
     sweep = echo_sweep(eta, 1e-3, lams, times, "exact", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams(lam, eta)
-        dense, l_dense = _dense_exact_echo(p, FIGURE_PROBE, times)
+        dense = dense_ground(p, "exact", TOL)
+        l_dense = np.abs(dense_echo(dense.h, dense.n, dense.vector, 1e-3, times)) ** 2
         gs = exact_ground_state(p, TOL)
         assert sweep.cutoffs[i] == gs.n_max == dense.n_max, lam
         assert gs.alpha == dense.alpha, lam
@@ -311,18 +292,12 @@ def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
     assert sorted(built) == sorted(set(built)), built
 
 
-def _even_chain(p, chi, n_max):
-    """(ground state, (h_g, h_e)) on the even parity chain at a fixed cutoff,
-    the branches the oracle's chain at cavity frequency 1 -/+ chi."""
-
-    def chain(omega_c):
-        return build_rabi_parity_chains(omega_c, p.eta, p.g, n_max)[:, :n_max + 1]
-
+def _even_ground(p, n_max):
+    """The exact ground state on the even parity chain at a fixed cutoff."""
     h, n = build_rabi_parity(p, n_max), photon_number_band(0.0, n_max, 1)
     energy = band_ground_energy(h)
     vec = band_ground_state(h, energy)
-    gs = dynamics.BandGround(0.0, n_max, h, n, energy, vec, *band_moments(n, vec))
-    return gs, (chain(1.0 - chi), chain(1.0 + chi))
+    return dynamics.BandGround(0.0, n_max, h, n, energy, vec, *band_moments(n, vec))
 
 
 def test_normal_phase_point_at_cutoff_cap():
@@ -332,10 +307,10 @@ def test_normal_phase_point_at_cutoff_cap():
     p = RabiParams(0.9999, 1e6)
     chi = 1e-3
     times = np.linspace(0.0, 100.0, 6)
-    gs, branches = _even_chain(p, chi, CUTOFF_HARD_CAP)
-    l_cap = np.abs(decoherence_factor(*branches, gs.vector, times)) ** 2
-    gs_half, branches = _even_chain(p, chi, CUTOFF_HARD_CAP // 2)
-    d_half = decoherence_factor(*branches, gs_half.vector, times)
+    gs = _even_ground(p, CUTOFF_HARD_CAP)
+    l_cap = np.abs(dense_echo(gs.h, gs.n, gs.vector, chi, times)) ** 2
+    gs_half = _even_ground(p, CUTOFF_HARD_CAP // 2)
+    d_half = dense_echo(gs_half.h, gs_half.n, gs_half.vector, chi, times)
     l_half = np.abs(d_half) ** 2
     assert np.abs(dynamics.decoherence_factor(gs_half, chi, times) - d_half).max() <= 1e-9
     assert l_cap[0] == pytest.approx(1.0, abs=1e-12)
@@ -369,22 +344,17 @@ def test_effective_path_matches_dense_oracle():
     # both sides of the transition at the fig5 eta; the relative bound on
     # 1 - L sees a wrong probe shift even where L stays close to 1. The dense
     # echo is taken without the Hamiltonian's constant (-eta/2 at leading
-    # order), a global phase of D: kept in, its roundoff eps eta t is noise
-    # of up to 1.2e-9 on the dense L at t = 100 (lam = 1.4, over chi within
-    # four ulp of 1e-3), above the bound
-    eta, chi, omega_s = 1e5, 1e-3, 2.0
+    # order), a global phase of D, which `dense_ground` leaves out of `h`:
+    # kept in, its roundoff eps eta t is noise of up to 1.2e-9 on the dense L
+    # at t = 100 (lam = 1.4, over chi within four ulp of 1e-3), above the bound
+    eta, chi = 1e5, 1e-3
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.05, 1.2, 1.4]
     sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
     for i, lam in enumerate(lams):
         p = RabiParams(lam, eta)
         gs = dense_ground(p, "effective", TOL)
-        c2, c4, _ = effective_np_coeffs(p) if lam <= 1.0 else effective_sp_coeffs(p)
-        h_free = _quartic_dense(c2, c4, 0.0, gs.n_max)
-        ident = np.eye(len(h_free))
-        h_g = h_free - chi * gs.n + (-0.5 * omega_s) * ident
-        h_e = h_free + chi * gs.n + (0.5 * omega_s + chi) * ident
-        l_dense = np.abs(decoherence_factor(h_g, h_e, ground_state(h_free)[1], times)) ** 2
+        l_dense = np.abs(dense_echo(gs.h, gs.n, gs.vector, chi, times)) ** 2
         assert sweep.cutoffs[i] == gs.n_max, lam
         assert effective_ground_state(p, TOL).gamma == pytest.approx(gs.gamma, rel=1e-9, abs=0.0)
         l_band = sweep.l_matrix[i]
@@ -398,28 +368,19 @@ def test_effective_branches_carry_no_constant():
     # the effective Hamiltonian's constant (-eta/2 at leading order) is
     # common to both branches, a global phase of D; left in the branch bands,
     # its roundoff eps eta grows into a phase error of L with t (up to
-    # 7e-9 at eta = 1e6, t = 100). Oracle: the dense path with the constant
-    # left out, at the sweep's cutoff. The ground vector is solved without the
-    # constant too: kept in, its roundoff, of order eps eta / gap, left
-    # 2.2e-11 at lam = 1.01, eta = 1e6.
-    chi, omega_s = 1e-3, 2.0
+    # 7e-9 at eta = 1e6, t = 100). Oracle: the dense path, whose `h` leaves
+    # the constant out, at the sweep's cutoff. The ground vector is solved
+    # without the constant too: kept in, its roundoff, of order eps eta / gap,
+    # left 2.2e-11 at lam = 1.01, eta = 1e6.
+    chi = 1e-3
     times = np.linspace(0.0, 100.0, 21)
     lams = [0.3, 0.7, 0.95, 0.99, 1.01, 1.2, 1.4]
     for eta, bound in ((1e5, 1e-11), (1e6, 1e-11)):
         sweep = echo_sweep(eta, chi, lams, times, "effective", cutoff_tol=TOL)
         for i, lam in enumerate(lams):
-            p = RabiParams(lam, eta)
-            cutoff = sweep.cutoffs[i]
-            if lam <= 1.0:
-                (c2, c4, _), alpha = effective_np_coeffs(p), 0.0
-            else:
-                (c2, c4, _), alpha = effective_sp_coeffs(p), phase(p).alpha
-            h0 = _quartic_dense(c2, c4, 0.0, cutoff)
-            ident = np.eye(cutoff + 1)
-            n_phys = physical_number(alpha, cutoff)
-            h_g = h0 - chi * n_phys + (-0.5 * omega_s) * ident
-            h_e = h0 + chi * n_phys + (0.5 * omega_s + chi) * ident
-            l_dense = np.abs(decoherence_factor(h_g, h_e, ground_state(h0)[1], times)) ** 2
+            gs = dense_ground(RabiParams(lam, eta), "effective", TOL)
+            assert gs.n_max == sweep.cutoffs[i], (eta, lam)
+            l_dense = np.abs(dense_echo(gs.h, gs.n, gs.vector, chi, times)) ** 2
             err = np.abs(sweep.l_matrix[i] - l_dense).max()
             assert err <= bound, (eta, lam, err)
 
