@@ -8,35 +8,29 @@ L(t) = |D(t)|^2: it builds the ground state's probe branches at the probe's
 dispersive shift chi (a float: the probe enters nowhere else) and evolves
 the ground state to every time in one product per branch spectrum
 (`evolved`).
-The exact and effective methods find their ground states the same way, in
-three calls: the cutoff search over their bands, one builder per frame
+A frame is one record, `Frame`: its displacement alpha, basis layout and
+smallest cutoff, and the bands of the Hamiltonian and of the physical photon
+number in one basis (`h`, `n`). The exact and effective methods differ only
+in the frames they pass to one path: the cutoff search over them
 (`spectra.converge_cutoff`), which bisects the ground energy once per cutoff
-it tries and returns the band and the energy at the one it chooses; the
-ground vector on that band at that energy, by inverse iteration
-(`spectra.band_ground_state`); and the moments of the physical photon number
-(`spectra.band_moments`). So each band is built once. The exact method
-solves on the bare frame's even parity chain
-(`hamiltonians.build_rabi_parity`), which holds the ground state, or, above
-the transition where its cutoff search converges there first, on the
-displaced band (`hamiltonians.build_displaced_rabi_band`); the effective
-method, in both phases, on the even photon numbers of its Hamiltonian
-without the constant (`hamiltonians._quartic_band(...)[0::2, 0::2]`, from the
-coefficients of the `hamiltonians.phase` record), which conserves photon
-parity. Each ground state (`BandGround`) carries its Fock cutoff `n_max`
-(an int), the band H its vector lives in and the physical photon number N in
-that basis (`hamiltonians.photon_number_band`), and both methods' probe
-branches are H -/+ chi N, from one function (`probe_branches`), which only
-`decoherence_factor` calls. A sweep point (`experiments._point`) looks the
-two methods up by name in `GROUND_STATES`. Whether the dispersive step
-behind chi holds at a point is the sweep's number `delta_s_min`
-(`experiments`); the probe + Rabi evolution it bounds is a reference in the
-tests.
+it tries and returns the frame, band and energy at the one it chooses; the
+ground vector there, by inverse iteration (`spectra.band_ground_state`); and
+the photon number's moments (`spectra.band_moments`). So each band is built
+once. The exact method passes the bare even parity chain and, above the
+transition, the displaced band; the effective method one frame of its
+Hamiltonian without the constant, which conserves photon parity. Each ground
+state (`BandGround`) carries its frame, its Fock cutoff `n_max` (an int) and
+the frame's H and N there; both methods' probe branches are H -/+ chi N
+(`probe_branches`), which only `decoherence_factor` builds. A sweep point
+(`experiments._point`) looks the two methods up by name in `GROUND_STATES`;
+whether the dispersive step behind chi holds there is its `delta_s_min`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -70,23 +64,60 @@ def evolved(energies: np.ndarray, vectors: np.ndarray, vec: np.ndarray, times: n
 
 
 @dataclass(frozen=True)
-class BandGround:
-    """Ground state of the exact or effective method at its converged cutoff:
-    the band `h` its `vector` lives in, and the physical photon number `n` in
-    that same basis, so that the probe branches are `probe_branches(h, n,
-    chi)`. The frame is the bare one (`alpha` = 0) or the one displaced by
-    the phase's `alpha` (`hamiltonians.phase`). Below the transition both
-    methods use the bare frame. Above it the effective method uses the
-    displaced frame; the exact method uses whichever of the two its cutoff
-    search converges in first (see `exact_ground_state`). The exact
-    method's `h` is the even parity chain in the bare frame and the
-    spin-fastest band in the displaced one; the effective method's is its
-    Hamiltonian without the constant, on the even photon numbers in the bare
-    frame and in natural Fock order in the displaced one. `mean_n` and
-    `gamma` are the moments of `n`; `energy` includes every constant.
-    """
+class Frame:
+    """One frame of a method's Hamiltonian: the bare one (`alpha` = 0) or the
+    one displaced by the phase's `alpha`, in a basis ordered by photon number
+    with `spins` spin states fastest. `band` maps a cutoff to the band of the
+    Hamiltonian without its constant `const`, which only the reported energy
+    adds. The cutoff search skips the frame below `n_min` photons. An `even`
+    Hamiltonian conserves photon parity: its search and ground vector use its
+    even photon numbers (`block`, `vector`), which hold the state too where N
+    conserves parity (alpha = 0). `h(n_max)` is the band the state and its
+    probe branches live in, `n(n_max)` the physical photon number in that
+    basis, and `name` the report's `frame`."""
 
     alpha: float
+    spins: int
+    n_min: float
+    band: Callable[[int], np.ndarray]
+    even: bool = False
+    const: float = 0.0
+
+    @property
+    def name(self) -> str:
+        return "displaced" if self.alpha else "bare"
+
+    def _state(self, band: np.ndarray) -> np.ndarray:
+        return band[0::2, 0::2] if self.even and not self.alpha else band
+
+    def h(self, n_max: int) -> np.ndarray:
+        return self._state(self.band(n_max))
+
+    def n(self, n_max: int) -> np.ndarray:
+        return self._state(photon_number_band(self.alpha, n_max, self.spins))
+
+    def block(self, h: np.ndarray) -> np.ndarray:
+        """The block of `h` = h(n_max) that holds the ground state."""
+        return h[0::2, 0::2] if self.even and self.alpha else h
+
+    def vector(self, h: np.ndarray, energy: float) -> np.ndarray:
+        """The ground vector of h(n_max), solved on its `block` at `energy`."""
+        vec = band_ground_state(self.block(h), energy)
+        if not (self.even and self.alpha):
+            return vec
+        full = np.zeros(h.shape[1])
+        full[0::2] = vec
+        return full
+
+
+@dataclass(frozen=True)
+class BandGround:
+    """Ground state of the exact or effective method in its `frame` at its
+    converged cutoff: `h` and `n` are the frame's bands there, so that the
+    probe branches are `probe_branches(h, n, chi)`; `mean_n` and `gamma` are
+    the moments of `n`; `energy` includes every constant."""
+
+    frame: Frame
     n_max: int
     h: np.ndarray
     n: np.ndarray
@@ -95,68 +126,40 @@ class BandGround:
     mean_n: float
     gamma: float
 
-    @property
-    def frame(self) -> str:
-        return "displaced" if self.alpha else "bare"
+
+def _ground_state(frames: tuple[Frame, ...], cutoff_tol: float) -> BandGround:
+    """The ground state in the first of `frames` whose energy converges."""
+    found = converge_cutoff(frames, cutoff_tol)
+    frame = found.frame
+    vec = frame.vector(found.band, found.energy)
+    n = frame.n(found.n_max)
+    return BandGround(frame, found.n_max, found.band, n, found.energy + frame.const, vec,
+                      *band_moments(n, vec))
 
 
 def exact_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
-    """Exact ground state. Below the transition it is solved in the bare
-    frame. Above it, one doubling loop searches the bare frame and the frame
-    displaced by the phase's alpha, the bare one first at each cutoff, and
-    the state is solved in the first whose ground energy converges: the
-    displaced frame where the two wells are far apart, the bare one where
-    tunnelling between them still matters. Then the ground vector is solved
-    on the band the search returns, and the physical photon number's moments
-    are taken. The bare frame is the even parity chain, whose row k has k
-    photons; the displaced one the spin-fastest band, two rows per photon
-    number. Above the transition the bare frame holds both wells only from
-    about alpha^2 photons, so it is not built below that cutoff.
-    """
+    """Exact ground state, in the bare frame below the transition. Above it,
+    the bare frame and the one displaced by the phase's alpha are searched,
+    the bare one first at each cutoff, and the state is solved in the first
+    to converge: the displaced one where the wells are far apart, the bare
+    one where tunnelling between them still matters, but from the cutoff
+    alpha^2 on, where it holds both wells."""
     alpha = phase(p).alpha
-    alphas, n_bare = ((0.0, alpha) if alpha else (0.0,)), alpha**2
-
-    def band(a: float, n_max: int) -> np.ndarray | None:
-        if a:
-            return build_displaced_rabi_band(p, a, n_max)
-        return None if n_max < n_bare else build_rabi_parity(p, n_max)
-
-    found = converge_cutoff(tuple(partial(band, a) for a in alphas), cutoff_tol)
-    alpha = alphas[found.frame]
-    vec = band_ground_state(found.band, found.energy)
-    n = photon_number_band(alpha, found.n_max, 2 if alpha else 1)
-    return BandGround(alpha, found.n_max, found.band, n, found.energy, vec,
-                      *band_moments(n, vec))
+    frames = (Frame(0.0, 1, alpha**2, partial(build_rabi_parity, p)),)
+    if alpha:
+        frames += (Frame(alpha, 2, 0.0, partial(build_displaced_rabi_band, p, alpha)),)
+    return _ground_state(frames, cutoff_tol)
 
 
 def effective_ground_state(p: RabiParams, cutoff_tol: float) -> BandGround:
     """Ground state of the fourth-order effective Hamiltonian of the phase of
-    `p` (the superradiant one in the frame displaced by its alpha). The
-    Hamiltonian conserves photon parity in both phases, so the cutoff search
-    and the ground vector both use its even photon numbers alone, a band of
-    half the dimension and half-width 2, and the energy the search bisected
-    is the one the vector is solved at. Below the transition the photon
-    number conserves parity too, and the state stays on the even block;
-    above it, its displacement term alpha x does not, and the state is
-    embedded in the full band. Both use the Hamiltonian without its constant
-    (-eta/2 at leading order), which is added once, to the reported
-    energy: kept in the band, the constant's roundoff, of order
-    eps eta / gap, would stay in the vector and, in the branches, grow
-    into a phase error of L with t.
-    """
+    `p`, in its frame, searched and solved on the even photon numbers (a band
+    of half-width 2). The band leaves out the constant (-eta/2 at leading
+    order): kept in, its roundoff, of order eps eta / gap, would stay in the
+    vector and, in the branches, grow into a phase error of L with t."""
     ph = phase(p)
-    # one build per cutoff: above the transition the full band is the searched one
-    band = cache(partial(_quartic_band, ph.c2, ph.c4))
-    found = converge_cutoff((lambda c: band(c)[0::2, 0::2],), cutoff_tol)
-    even = band_ground_state(found.band, found.energy)
-    n = photon_number_band(ph.alpha, found.n_max, 1)
-    if ph.alpha:
-        h, vec = band(found.n_max), np.zeros(found.n_max + 1)
-        vec[0::2] = even
-    else:
-        h, n, vec = found.band, n[0::2, 0::2], even
-    return BandGround(ph.alpha, found.n_max, h, n, found.energy + ph.const, vec,
-                      *band_moments(n, vec))
+    frame = Frame(ph.alpha, 1, 0.0, partial(_quartic_band, ph.c2, ph.c4), True, ph.const)
+    return _ground_state((frame,), cutoff_tol)
 
 
 # the methods that diagonalise, by name

@@ -280,7 +280,7 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     wall = time.perf_counter() - t0
     return SweepPoint(
         cfg.figure, method, lam, eta, chi, mean_n, delta_s_min, gs.n_max if gs else "",
-        converged, gs.frame if gs else "", wall, times, names, values,
+        converged, gs.frame.name if gs else "", wall, times, names, values,
     )
 
 

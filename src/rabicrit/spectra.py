@@ -1,10 +1,10 @@
 """Ground states and spectra of real symmetric band matrices, the mean and
 variance of a band observable (`band_moments`, which reads the physical
-photon number's in every basis), and automatic cutoff convergence
-(`converge_cutoff`), which bisects the ground energy at each Fock cutoff
-n_max (an int) it tries, compares it with the doubled cutoff's by two band
-Cholesky factorisations (dpbtrf), not by a second eigenvalue solve, and
-returns both, with n_max, in a `FrameCutoff`.
+photon number's in every basis), and automatic cutoff convergence over a
+method's frames (`converge_cutoff`), which bisects the ground energy at each
+Fock cutoff n_max (an int) it tries, compares it with the doubled cutoff's
+by two band Cholesky factorisations (dpbtrf), not by a second eigenvalue
+solve, and returns the frame that converged first in a `FrameCutoff`.
 
 A band matrix is a NumPy array in LAPACK lower band storage, the form
 every builder in `hamiltonians` returns: `band[i - j, j] = H[i, j]` for
@@ -19,7 +19,7 @@ argument handling, in two modes: the lowest eigenvalue alone, by bisection
 (dstebz for a tridiagonal matrix, dsbevx for a wider band), and the full
 spectrum with eigenvectors (dstevd, dsbevd). Every ground vector, of a
 tridiagonal matrix or a wider band, comes from one kernel, inverse iteration
-on the band the cutoff search returned, at the eigenvalue it bisected there
+on the band the cutoff search bisected, at the eigenvalue it found there
 (`band_ground_state`): the band shifted just below it is positive definite,
 so the solves use the cutoff test's own band Cholesky factor (dpbtrf / dpbtrs).
 
@@ -41,7 +41,7 @@ from importlib.util import module_from_spec, spec_from_file_location
 from math import isfinite
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 import scipy
@@ -195,11 +195,11 @@ def band_moments(n: np.ndarray, vec: np.ndarray) -> tuple[float, float]:
 
 
 class FrameCutoff(NamedTuple):
-    """The cutoff `n_max` a search over several frames chose, the index of the
-    frame whose ground energy converged there first, and that frame's ground
-    energy and band at the cutoff."""
+    """The frame (`dynamics.Frame`) whose ground energy a search over
+    several converged first, the cutoff `n_max` it converged at, and there
+    its ground energy and its band, `frame.h(n_max)`."""
 
-    frame: int
+    frame: Any
     n_max: int
     energy: float
     band: np.ndarray
@@ -220,17 +220,14 @@ def _within(h: np.ndarray, energy: float, tol: float) -> bool:
     return _definite(h, energy - tol) and not _definite(h, energy + tol)
 
 
-def converge_cutoff(
-    frames: tuple[Callable[[int], np.ndarray | None], ...], tol: float
-) -> FrameCutoff:
+def converge_cutoff(frames: tuple, tol: float) -> FrameCutoff:
     """Smallest tested cutoff whose ground energy shifts by < tol on doubling.
 
-    Doubling sequence N_START, 2 N_START, ...; hard cap CUTOFF_HARD_CAP.
-    Each of `frames` maps a cutoff to the band of one Hamiltonian in one
-    frame, or to None at the cutoffs too small for that frame to converge,
-    where it is not tried. The frames share the doubling loop: at each cutoff
-    n they are tested in order, and the first whose energy converges is
-    returned with its index, its ground energy E(n) and its band H(n).
+    Doubling sequence N_START, 2 N_START, ...; hard cap CUTOFF_HARD_CAP. The
+    `frames` share the doubling loop: at each cutoff n they are tested in
+    order, each but those with n < `frame.n_min`, and the first whose energy
+    converges is returned with its ground energy E(n) and its band
+    H(n) = `frame.h(n)`, whose `frame.block` holds the ground state.
 
     E(n) is bisected (`band_ground_energy`). Whether the doubled cutoff's
     lowest eigenvalue E(2n) lies within tol of E(n), on either side (doubling
@@ -242,16 +239,16 @@ def converge_cutoff(
     """
     if not (isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
-    built: dict[int, np.ndarray] = {}  # each failed frame's H(2n), its next H(n)
+    built = {}  # each failed frame's H(2n), its next H(n)
     n = N_START
     while 2 * n <= CUTOFF_HARD_CAP:
-        for frame, build in enumerate(frames):
-            h = built.pop(frame) if frame in built else build(n)
-            if h is None:
+        for frame in frames:
+            if n < frame.n_min:
                 continue
-            e_n = band_ground_energy(h)
-            h_doubled = build(2 * n)
-            if _within(h_doubled, e_n, tol):
+            h = built.pop(frame) if frame in built else frame.h(n)
+            e_n = band_ground_energy(frame.block(h))
+            h_doubled = frame.h(2 * n)
+            if _within(frame.block(h_doubled), e_n, tol):
                 return FrameCutoff(frame, n, e_n, h)
             built[frame] = h_doubled
         n *= 2

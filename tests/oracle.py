@@ -49,8 +49,10 @@ NumPy array and every Hamiltonian a real float64 one, built by `np.kron`,
 The cutoff search by energy comparison (`energy_search`): at each doubled
 cutoff it bisects the ground energy again and compares the two, the decision
 `spectra.converge_cutoff` makes by two Cholesky factorisations instead; it
-takes dense or band builders. A square array is dense and any other a band
-array of shape (half_width + 1, dim). `dense_ground(p, method, tol)` is the
+takes frames of its own, dense or band builders, not the library's
+`dynamics.Frame` records, and returns a record of its own (`EnergyCutoff`,
+the chosen frame by its position). A square array is dense and any other a
+band array of shape (half_width + 1, dim). `dense_ground(p, method, tol)` is the
 one dense reference ground path of the exact and effective methods, the
 mirror of `dynamics.BandGround`: it picks the phase's frames, searches their
 cutoff by `energy_search`, solves the ground state by full eigendecomposition
@@ -71,6 +73,7 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 from math import atan, exp, isfinite, log, sinh, sqrt
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -81,7 +84,7 @@ from rabicrit.analytic import CRITICAL_BAND
 from rabicrit.errors import ConvergenceError, PhaseDomainError, RabicritError
 from rabicrit.experiments import SweepConfig, _point
 from rabicrit.hamiltonians import RabiParams, _quartic_band
-from rabicrit.spectra import FrameCutoff, band_ground_energy
+from rabicrit.spectra import band_ground_energy
 from rabicrit.variational import VariationalSolution
 
 SYMMETRY_RTOL = 1e-12
@@ -482,7 +485,18 @@ def parity_operator(n_max: int) -> np.ndarray:
     return np.diag(np.concatenate([-fock_sign, fock_sign]))
 
 
-def energy_search(frames, tol: float) -> FrameCutoff:
+class EnergyCutoff(NamedTuple):
+    """What `energy_search` chose: the index `frame` of the first frame whose
+    ground energy converged, the cutoff `n_max` it converged at, and there
+    its ground `energy` and its `matrix`."""
+
+    frame: int
+    n_max: int
+    energy: float
+    matrix: np.ndarray
+
+
+def energy_search(frames, tol: float) -> EnergyCutoff:
     """The reference of `spectra.converge_cutoff`, by energy comparison: over
     the same doubling sequence and frames (each a builder, cutoff -> dense
     matrix or band array, or None where that frame is not built), the
@@ -506,7 +520,7 @@ def energy_search(frames, tol: float) -> FrameCutoff:
         for frame in range(len(frames)):
             e_n = energy(frame, n)
             if e_n is not None and abs(energy(frame, 2 * n) - e_n) < tol:
-                return FrameCutoff(frame, n, e_n, frames[frame](n))
+                return EnergyCutoff(frame, n, e_n, frames[frame](n))
         n *= 2
     raise ConvergenceError(
         f"ground energy not converged to {tol} below cutoff {spectra.CUTOFF_HARD_CAP}"
@@ -557,8 +571,8 @@ def dense_ground(p: RabiParams, method: str, tol: float) -> DenseGround:
         n = physical_number(alpha, found.n_max)
     else:
         raise ValueError(f"method must be 'exact' or 'effective', got {method!r}")
-    energy, vec = ground_state(found.band)
-    return DenseGround(found.n_max, alpha, found.band, n, energy + const, vec,
+    energy, vec = ground_state(found.matrix)
+    return DenseGround(found.n_max, alpha, found.matrix, n, energy + const, vec,
                        *operator_moments(vec, n))
 
 
@@ -659,7 +673,7 @@ def validate_dispersive(p: RabiParams, probe: ProbeParams, times,
     """
     times = np.asarray(times, dtype=float)
     found = energy_search((partial(build_rabi, p),), cutoff_tol)
-    _, vec = ground_state(found.band)
+    _, vec = ground_state(found.matrix)
     mean_n, _ = operator_moments(vec, rabi_number(found.n_max))
     dispersive = abs(probe.delta_s) >= 10.0 * abs(probe.g_s) * np.sqrt(mean_n + 1.0)
     if not dispersive:

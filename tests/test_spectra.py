@@ -8,6 +8,7 @@ or band builders) bisects both energies and compares them. The tests below
 hold the two decisions equal.
 """
 
+import dataclasses
 import math
 from functools import partial
 
@@ -29,6 +30,7 @@ from oracle import (
     squeeze,
 )
 from rabicrit import dynamics, spectra
+from rabicrit.dynamics import Frame
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import critical_lambda_grid
 from rabicrit.hamiltonians import (
@@ -150,10 +152,10 @@ def _shared_bands():
 @pytest.mark.parametrize("which", ["tridiagonal", "displaced", "even_block"])
 def test_no_entry_point_writes_into_its_band(which):
     # a band is a plain array, and some are shared: the effective method's
-    # cached band feeds both its search and its branches, `converge_cutoff`
-    # keeps a failed frame's H(2n) as the next H(n), and `band_ground_state`
-    # and `probe_branches` both read `FrameCutoff.band`. Every entry point
-    # leaves the arrays it is given bit-identical
+    # even block is a strided view of the band its branches use,
+    # `converge_cutoff` keeps a failed frame's H(2n) as the next H(n), and
+    # `band_ground_state` and `probe_branches` both read `FrameCutoff.band`.
+    # Every entry point leaves the arrays it is given bit-identical
     bands, full = _shared_bands()
     h, n = bands[which]
     inputs = (h, n, full)
@@ -169,7 +171,10 @@ def test_no_entry_point_writes_into_its_band(which):
         "_within": lambda: spectra._within(h, energy, 1e-8),
         "_within below": lambda: spectra._within(h, energy - 1.0, 1e-8),
         "band_moments": lambda: spectra.band_moments(n, vec),
-        "converge_cutoff": lambda: spectra.converge_cutoff((lambda c: h,), 1e-8),
+        "converge_cutoff": lambda: spectra.converge_cutoff((Frame(0.0, 1, 0.0, lambda c: h),), 1e-8),
+        # an even frame searches the even block of the full band it is given
+        "converge_cutoff even": lambda: spectra.converge_cutoff(
+            (Frame(1.0, 1, 0.0, lambda c: full, True),), 1e-8),
     }
     for name, call in calls.items():
         call()
@@ -178,9 +183,21 @@ def test_no_entry_point_writes_into_its_band(which):
         assert vec.tobytes() == vec_before.tobytes(), name
 
 
+def _bare(build):
+    """A bare frame (no displacement, one spin state per photon number, no
+    smallest cutoff) of the band builder `build`."""
+    return Frame(0.0, 1, 0.0, build)
+
+
+def _searched(frame):
+    """The band the cutoff search bisects in `frame` at each cutoff, as an
+    oracle builder: None below the frame's smallest cutoff."""
+    return lambda c: None if c < frame.n_min else frame.block(frame.h(c))
+
+
 def test_converge_cutoff_decoupled():
     p = RabiParams(0.0, 3.0)
-    found = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-12)
+    found = spectra.converge_cutoff((_bare(partial(build_rabi_parity, p)),), 1e-12)
     assert found.n_max == 8
     assert found.energy == -1.5
     assert energy_search((partial(build_rabi, p),), 1e-12).n_max == found.n_max
@@ -189,7 +206,7 @@ def test_converge_cutoff_decoupled():
 def test_converge_cutoff_self_consistent():
     # the library's cutoff on the even parity chain, checked by dense energies
     p = RabiParams(0.99, 5000.0)
-    c = spectra.converge_cutoff((partial(build_rabi_parity, p),), 1e-9).n_max
+    c = spectra.converge_cutoff((_bare(partial(build_rabi_parity, p)),), 1e-9).n_max
     e1, _ = ground_state(build_rabi(p, c))
     e2, _ = ground_state(build_rabi(p, 2 * c))
     assert abs(e1 - e2) < 1e-9
@@ -200,7 +217,7 @@ def test_converge_cutoff_errors():
     p = RabiParams(0.0, 3.0)
     for tol in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError):
-            spectra.converge_cutoff((partial(build_rabi_parity, p),), tol)
+            spectra.converge_cutoff((_bare(partial(build_rabi_parity, p)),), tol)
         with pytest.raises(ValueError):
             energy_search((partial(build_rabi, p),), tol)
 
@@ -213,7 +230,7 @@ def test_converge_cutoff_errors():
         return np.array([[-float(n_max), 1.0], [0.0, 0.0]])
 
     with pytest.raises(ConvergenceError):
-        spectra.converge_cutoff((drifting,), 1e-12)
+        spectra.converge_cutoff((_bare(drifting),), 1e-12)
     assert built == [spectra.N_START << k for k in range(10)]
     assert built[-1] == spectra.CUTOFF_HARD_CAP
 
@@ -251,13 +268,15 @@ def test_definiteness_decides_as_the_energy_comparison():
 
 @pytest.mark.parametrize("method", ["exact", "effective"])
 def test_cutoff_search_equals_the_energy_comparison(monkeypatch, method):
-    # the method's own band builders, searched by both decisions: the same
-    # frame, cutoff, bisected energy and band, bit for bit
+    # the method's own frames, searched by both decisions: the same frame
+    # (by its position in the method's frames), cutoff, bisected energy and
+    # searched band, bit for bit
     compared = []
 
     def both(frames, tol):
         found = spectra.converge_cutoff(frames, tol)
-        compared.append((found, energy_search(frames, tol)))
+        reference = energy_search(tuple(map(_searched, frames)), tol)
+        compared.append((frames.index(found.frame), found, reference))
         return found
 
     monkeypatch.setattr(dynamics, "converge_cutoff", both)
@@ -265,9 +284,9 @@ def test_cutoff_search_equals_the_energy_comparison(monkeypatch, method):
         for lam in (0.5, 0.99, 0.9999, 1.0, 1.001, 1.01, 1.05, 1.3):
             compared.clear()
             dynamics.GROUND_STATES[method](RabiParams(lam, eta), 1e-8)
-            ((found, reference),) = compared
-            assert found[:3] == reference[:3], (lam, eta)
-            assert np.array_equal(found.band, reference.band), (lam, eta)
+            ((position, found, reference),) = compared
+            assert (position, found.n_max, found.energy) == reference[:3], (lam, eta)
+            assert np.array_equal(found.frame.block(found.band), reference.matrix), (lam, eta)
 
 
 @pytest.mark.parametrize("method, points", [
@@ -298,15 +317,15 @@ def test_no_eigensolve_at_the_doubled_cutoff(monkeypatch, method, points):
         searches.clear()
         dynamics.GROUND_STATES[method](RabiParams(lam, eta), 1e-8)
         ((frames, found),) = searches
-        doubled = frames[found.frame](2 * found.n_max).shape[1]
+        doubled = found.frame.block(found.frame.h(2 * found.n_max)).shape[1]
         assert dims and max(dims) < doubled, (lam, eta, max(dims), doubled)
 
 
 def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
     # the bare frame is the even parity chain alone; searched over both
     # parity chains, as a dense solve sees the Rabi Hamiltonian, with the
-    # same alpha^2 gate, it must pick the same frame and cutoff (or
-    # reach the cap too), its energy equal to roundoff
+    # same alpha^2 gate (`Frame.n_min`), it must pick the same frame and
+    # cutoff (or reach the cap too), its energy equal to roundoff
     compared = []
 
     def capped(frames, tol):
@@ -316,8 +335,7 @@ def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
             return None
 
     def both(frames, tol):
-        chains = lambda c: (None if frames[0](c) is None
-                            else build_rabi_parity_chains(p, c))
+        chains = dataclasses.replace(frames[0], band=partial(build_rabi_parity_chains, p))
         compared.append((capped(frames, tol), capped((chains, *frames[1:]), tol)))
         return spectra.converge_cutoff(frames, tol)
 
@@ -334,7 +352,7 @@ def test_even_chain_search_equals_the_two_chain_search(monkeypatch):
             ((even, chains),) = compared
             assert (even is None) == (chains is None), (lam, eta)
             if even is not None:
-                assert (even.frame, even.n_max) == (chains.frame, chains.n_max), (lam, eta)
+                assert (even.frame.name, even.n_max) == (chains.frame.name, chains.n_max), (lam, eta)
                 assert even.energy == pytest.approx(chains.energy, rel=1e-14, abs=0.0), (lam, eta)
 
 
@@ -352,7 +370,7 @@ def test_bare_frame_bisects_once_per_tried_cutoff(monkeypatch, lam, eta):
 
     monkeypatch.setattr(spectra, "_band_eigh", counted)
     gs = dynamics.exact_ground_state(RabiParams(lam, eta), 1e-8)
-    assert gs.frame == "bare"
+    assert gs.frame.name == "bare"
     tried = [n for n in (spectra.N_START << k for k in range(10)) if n <= gs.n_max]
     assert tried[-1] == gs.n_max
     assert calls == [(n + 1, True) for n in tried]

@@ -17,6 +17,7 @@ number and vector) is the reference they must reproduce.
 import dataclasses
 import inspect
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from oracle import (
     rabi_dense,
     validate_dispersive,
 )
-from rabicrit.dynamics import GROUND_STATES, effective_ground_state, exact_ground_state
+from rabicrit.dynamics import GROUND_STATES, Frame, effective_ground_state, exact_ground_state
 from rabicrit.errors import ConvergenceError
 from rabicrit.experiments import SweepConfig, _point, default_config, run
 from rabicrit.hamiltonians import (
@@ -179,7 +180,7 @@ def test_tripartite_check_matches_dense_oracle(lam, eta, probe, bound):
                 eta, "exact", lam)
     p = RabiParams(lam, eta)
     found = energy_search((lambda c: build_rabi(p, c),), TOL)
-    dense = dense_echo(found.band, rabi_number(found.n_max), ground_state(found.band)[1],
+    dense = dense_echo(found.matrix, rabi_number(found.n_max), ground_state(found.matrix)[1],
                        probe.chi, times)
     assert np.abs(np.sqrt(pt.value) - np.abs(dense)).max() <= bound
     with warnings.catch_warnings(record=True) as caught:
@@ -223,7 +224,7 @@ def test_exact_path_matches_dense_oracle():
         l_dense = np.abs(dense_echo(dense.h, dense.n, dense.vector, 1e-3, times)) ** 2
         gs = exact_ground_state(p, TOL)
         assert sweep.cutoffs[i] == gs.n_max == dense.n_max, lam
-        assert gs.alpha == dense.alpha, lam
+        assert gs.frame.alpha == dense.alpha, lam
         assert gs.energy == pytest.approx(dense.energy, rel=1e-13, abs=0.0)
         assert gs.mean_n == pytest.approx(dense.mean_n, rel=1e-9, abs=0.0)
         assert gs.gamma == pytest.approx(dense.gamma, rel=1e-9, abs=0.0)
@@ -240,11 +241,11 @@ def test_exact_frame_is_the_first_to_converge():
     # between the wells matters, the displaced band where the wells are far
     # apart (alpha^2 = 25 and 511)
     gs = exact_ground_state(RabiParams(1.005, 5000.0), TOL)
-    assert (gs.frame, gs.alpha, gs.n_max) == ("bare", 0.0, 128)
+    assert (gs.frame.name, gs.frame.alpha, gs.n_max) == ("bare", 0.0, 128)
     p = RabiParams(1.05, 1e5)
     gs = exact_ground_state(p, TOL)
-    assert (gs.frame, gs.alpha, gs.n_max) == ("displaced", phase(p).alpha, 32)
-    displaced = lambda c: build_displaced_rabi_band(p, gs.alpha, c)
+    assert (gs.frame.name, gs.frame.alpha, gs.n_max) == ("displaced", phase(p).alpha, 32)
+    displaced = Frame(gs.frame.alpha, 2, 0.0, partial(build_displaced_rabi_band, p, gs.frame.alpha))
     assert spectra.converge_cutoff((displaced,), TOL).n_max == gs.n_max
 
 
@@ -260,7 +261,7 @@ def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
     monkeypatch.setattr(dynamics, "build_rabi_parity", counted)
     lams = [lam for lam in default_config("fig5").lambda_grid if lam > 1.0]
     for lam in lams:
-        assert exact_ground_state(RabiParams(lam, 1e5), TOL).frame == "displaced"
+        assert exact_ground_state(RabiParams(lam, 1e5), TOL).frame.name == "displaced"
     assert built == []
     exact_ground_state(RabiParams(1.005, 5000.0), TOL)
     assert min(built) >= 32 and 128 in built  # alpha^2 = 25
@@ -287,17 +288,49 @@ def test_each_band_is_built_once(monkeypatch, method, lam, eta, frame):
 
         monkeypatch.setattr(dynamics, name, counted)
     gs = dynamics.GROUND_STATES[method](RabiParams(lam, eta), TOL)
-    assert gs.frame == frame
+    assert gs.frame.name == frame
     assert ("photon_number_band", gs.n_max) in built
     assert sorted(built) == sorted(set(built)), built
 
 
+@pytest.mark.parametrize("method, lam, eta, names, chosen", [
+    ("exact", 0.5, 1e5, ["bare"], "bare"),
+    ("exact", 1.3, 1e5, ["bare", "displaced"], "displaced"),
+    ("exact", 1.005, 5000.0, ["bare", "displaced"], "bare"),  # above the transition
+    ("effective", 0.5, 1e5, ["bare"], "bare"),
+    ("effective", 1.3, 1e5, ["displaced"], "displaced"),
+    ("effective", 1.005, 5000.0, ["displaced"], "displaced"),
+])
+def test_every_frame_has_its_photon_number_in_its_basis(monkeypatch, method, lam, eta, names,
+                                                        chosen):
+    # every frame a method searches, not only the one it accepts, offers the
+    # band its state would live in and the physical photon number in the same
+    # basis at every cutoff, so that its probe branches can be built there
+    searched = []
+
+    def search(frames, tol):
+        searched.extend(frames)
+        return spectra.converge_cutoff(frames, tol)
+
+    monkeypatch.setattr(dynamics, "converge_cutoff", search)
+    gs = GROUND_STATES[method](RabiParams(lam, eta), TOL)
+    assert [frame.name for frame in searched] == names
+    assert gs.frame in searched and gs.frame.name == chosen
+    for frame in searched:
+        for n_max in (8, 16, 32, 64):
+            h, n = frame.h(n_max), frame.n(n_max)
+            assert h.shape[1] == n.shape[1], (frame.name, n_max)
+            for branch in dynamics.probe_branches(h, n, 1e-3):
+                assert branch.shape == h.shape, (frame.name, n_max)
+
+
 def _even_ground(p, n_max):
     """The exact ground state on the even parity chain at a fixed cutoff."""
-    h, n = build_rabi_parity(p, n_max), photon_number_band(0.0, n_max, 1)
+    frame = Frame(0.0, 1, 0.0, partial(build_rabi_parity, p))
+    h, n = frame.h(n_max), frame.n(n_max)
     energy = band_ground_energy(h)
     vec = band_ground_state(h, energy)
-    return dynamics.BandGround(0.0, n_max, h, n, energy, vec, *band_moments(n, vec))
+    return dynamics.BandGround(frame, n_max, h, n, energy, vec, *band_moments(n, vec))
 
 
 def test_normal_phase_point_at_cutoff_cap():
@@ -440,7 +473,7 @@ def test_effective_even_search_matches_full_band_with_constant():
     for lam, eta in cases:
         p = RabiParams(lam, eta)
         build = build_effective_sp_band if lam > 1.0 else build_effective_np_band
-        cutoff = spectra.converge_cutoff((lambda c: build(p, c),), TOL).n_max
+        cutoff = spectra.converge_cutoff((Frame(0.0, 1, 0.0, partial(build, p)),), TOL).n_max
         gs = dynamics.effective_ground_state(p, TOL)
         assert gs.n_max == cutoff, (lam, eta)
         energy = band_ground_energy(build(p, cutoff))
@@ -455,9 +488,9 @@ def test_ground_vector_from_the_search_energy_is_bitwise_the_bisected_one():
                             (0.99, 1e5, "bare"), (0.9999, 1e6, "bare")):
         p = RabiParams(lam, eta)
         gs = exact_ground_state(p, TOL)
-        assert gs.frame == frame, (lam, eta)
-        if gs.alpha:
-            h = build_displaced_rabi_band(p, gs.alpha, gs.n_max)
+        assert gs.frame.name == frame, (lam, eta)
+        if gs.frame.alpha:
+            h = build_displaced_rabi_band(p, gs.frame.alpha, gs.n_max)
         else:
             h = build_rabi_parity(p, gs.n_max)
         energy = band_ground_energy(h)
@@ -471,11 +504,12 @@ def test_cutoff_search_returns_the_energy_at_its_cutoff():
     # `converge_cutoff` hands over the ground energy it bisected at the chosen
     # cutoff, in the frame that converged there, and the solve reports it
     p = RabiParams(1.05, 1e5)
-    bare = lambda c: build_rabi_parity(p, c)
-    displaced = lambda c: build_displaced_rabi_band(p, phase(p).alpha, c)
-    found = spectra.converge_cutoff((bare, displaced), TOL)
-    assert (found.frame, found.n_max) == (1, 32)
-    assert found.energy == band_ground_energy(displaced(found.n_max))
+    alpha = phase(p).alpha
+    frames = (Frame(0.0, 1, 0.0, partial(build_rabi_parity, p)),
+              Frame(alpha, 2, 0.0, partial(build_displaced_rabi_band, p, alpha)))
+    found = spectra.converge_cutoff(frames, TOL)
+    assert (found.frame, found.n_max) == (frames[1], 32)
+    assert found.energy == band_ground_energy(build_displaced_rabi_band(p, alpha, found.n_max))
     assert exact_ground_state(p, TOL).energy == found.energy
 
 
