@@ -10,13 +10,14 @@ exact and effective methods solve a ground state from the method table of
 `dynamics.decoherence_factor`; the variational and analytic methods take
 the Gaussian law (`analytic.short_time_le`) at their own photon-number
 variance. Every echo is taken at the chi the config holds, and records, so
-a sweep builds no probe. Every echo point records its ground state's mean
+a sweep builds no probe. Every point records its ground state's mean
 photon number and the smallest probe detuning, `delta_s_min`, at which the
 dispersive step behind chi holds there. A point whose cutoff search reaches
 the hard cap, whose variational photon mean or variance is negative or not
 finite, whose phase record is not finite, or whose values are not all
-finite, is degraded. `report.json` is strict JSON: a number that is not
-finite is written as null there, and as `nan` in the CSV."""
+finite, is degraded. A point holds only what varies by point: each row's
+time and value name (`_rows`) are the sweep's, written once. `report.json`
+is strict JSON: a number that is not finite is null there, `nan` in the CSV."""
 
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import copy
 import json
 import time
 from dataclasses import dataclass, fields
-from functools import cache
 from math import isfinite
 from pathlib import Path
 
@@ -38,7 +38,7 @@ from .hamiltonians import RabiParams, phase
 from .spectra import CUTOFF_TOL
 from .variational import solve as variational_solve
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,converged"
 
 METHODS = ("exact", "effective", "variational", "analytic")
@@ -165,13 +165,12 @@ class SweepConfig:
 @dataclass
 class SweepPoint:
     """One sweep point, one (eta, method, lambda), and one record of
-    `report.json`. Its rows share every field but the three per-row columns
-    `omega_c_t`, `value_name` and `value`, which are lists.
+    `report.json`; its k-th `value` goes with the sweep's k-th row (`_rows`).
 
-    An echo point records the mean photon number `mean_n` of the ground
-    state its method solves, and `delta_s_min`, the smallest detuning Delta_s
-    of a probe of shift chi = g_s^2 / Delta_s whose dispersive step holds
-    there: 100 chi (mean_n + 1). Neither is written to the CSV.
+    A point records the mean photon number `mean_n` of the ground state its
+    method solves, and `delta_s_min`, the smallest detuning Delta_s of a
+    probe of shift chi = g_s^2 / Delta_s whose dispersive step holds there:
+    100 chi (mean_n + 1), 0 where chi is 0 (fig1/fig2). Not in the CSV.
 
     A point whose cutoff search did not converge, or whose values are not
     all finite, is degraded: `converged` is False, its values, `mean_n` and
@@ -179,19 +178,15 @@ class SweepPoint:
     are empty.
     """
 
-    figure: str
     method: str
     lam: float
     eta: float
-    chi: float | str              # "" on the fig1/fig2 rows, as are the next two
-    mean_n: float | str
-    delta_s_min: float | str
+    mean_n: float
+    delta_s_min: float
     cutoff: int | str             # "" where no cutoff was found
     converged: bool
     frame: str
     wall_time: float              # seconds spent on this point
-    omega_c_t: list               # per row: the time, or "" on the fig1/fig2 rows
-    value_name: list[str]
     value: list[float]
 
 
@@ -236,11 +231,19 @@ def default_config(figure: str) -> SweepConfig:
     return copy.deepcopy(FIGURE_DEFAULTS[figure])
 
 
+def _rows(cfg: SweepConfig) -> tuple[list, list[str]]:
+    """Each row's time and value name, the same at every point: the echo at
+    each time of `time_grid`, or on fig1/fig2 the energy and mean_n at ""."""
+    if cfg.figure in GROUND_FIGURES:
+        return ["", ""], ["energy", "mean_n"]
+    return [float(t) for t in cfg.time_grid], ["loschmidt_echo"] * len(cfg.time_grid)
+
+
 def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     """One sweep point: the echo L = |D|^2 at the config's chi at every time
-    of `time_grid`, with the ground state's mean photon number and the
-    point's `delta_s_min`, or, on fig1/fig2 (`GROUND_FIGURES`), the ground
-    energy and mean photon number. `method` is one of `METHODS`, which
+    of `time_grid`, or, on fig1/fig2 (`GROUND_FIGURES`), the ground energy
+    and mean photon number; with the ground state's mean photon number and
+    the point's `delta_s_min`. `method` is one of `METHODS`, which
     `SweepConfig.validate` checks. A point whose cutoff search reaches the
     hard cap, whose variational photon mean or variance is negative or not
     finite, whose phase record is not finite, or whose values are not all
@@ -249,11 +252,7 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     t0 = time.perf_counter()
     p = RabiParams(lam, eta)
     ground = cfg.figure in GROUND_FIGURES
-    if ground:
-        chi, times, names = "", ["", ""], ["energy", "mean_n"]
-    else:
-        chi, times = cfg.chi, [float(t) for t in cfg.time_grid]
-        names = ["loschmidt_echo"] * len(times)
+    chi, (times, names) = cfg.chi, _rows(cfg)
     gs, converged = None, True
     try:
         if method in GROUND_STATES:
@@ -273,27 +272,25 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
             raise ConvergenceError(f"{method} values at lam = {lam:g}, eta = {eta:g} not finite")
     except (ConvergenceError, PhaseDomainError):
         gs, converged, mean_n, values = None, False, np.nan, [np.nan] * len(names)
-    if ground:
-        mean_n = delta_s_min = ""
-    else:
-        delta_s_min = DISPERSIVE_MARGIN**2 * chi * (mean_n + 1.0)
+    delta_s_min = DISPERSIVE_MARGIN**2 * chi * (mean_n + 1.0)
     wall = time.perf_counter() - t0
     return SweepPoint(
-        cfg.figure, method, lam, eta, chi, mean_n, delta_s_min, gs.n_max if gs else "",
-        converged, gs.frame.name if gs else "", wall, times, names, values,
+        method, lam, eta, mean_n, delta_s_min, gs.n_max if gs else "",
+        converged, gs.frame.name if gs else "", wall, values,
     )
 
 
-def write_csv(points: list[SweepPoint], path: Path):
-    """`<figure>.csv`, a row per record; floats as `_fmt` writes them. Every
-    point shares the sweep's time column, so each time is formatted once."""
-    time_text = cache(_fmt)
+def write_csv(config: SweepConfig, points: list[SweepPoint], path: Path):
+    """`<figure>.csv`, a row per value; floats as `_fmt` writes them. The
+    sweep's columns (chi empty on fig1/fig2) and rows (`_rows`) are formatted once."""
+    chi = "" if config.figure in GROUND_FIGURES else _fmt(config.chi)
+    rows = [f"{_fmt(t)},{name}," for t, name in zip(*_rows(config))]
     lines = [CSV_HEADER]
     for pt in points:
-        head = f"{pt.figure},{pt.method},{pt.lam:.17g},{pt.eta:.17g},{_fmt(pt.chi)},"
+        head = f"{config.figure},{pt.method},{pt.lam:.17g},{pt.eta:.17g},{chi},"
         tail = f",{pt.cutoff},{'true' if pt.converged else 'false'}"
-        for t, name, value in zip(pt.omega_c_t, pt.value_name, pt.value):
-            lines.append(f"{head}{time_text(t)},{name},{value:.17g}{tail}")
+        for row, value in zip(rows, pt.value):
+            lines.append(f"{head}{row}{value:.17g}{tail}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -304,15 +301,18 @@ def _json_value(v):
     return None if isinstance(v, float) and not isfinite(v) else v
 
 
-def write_report(points: list[SweepPoint], provenance: dict, path: Path):
-    """`report.json`: {points, provenance, schema_version}, a record per
-    point holding its per-row columns as lists, strict JSON (`_json_value`)."""
+def write_report(config: SweepConfig, points: list[SweepPoint], provenance: dict, path: Path):
+    """`report.json`, strict JSON (`_json_value`): each row's time and value
+    name (`_rows`) once, at the top level, and a record per point, whose k-th
+    `value` goes with the k-th; then the provenance and `schema_version`."""
+    times, names = _rows(config)
     records = []
     for pt in points:
         rec = {k: _json_value(v) for k, v in vars(pt).items()}
         rec["lambda"] = rec.pop("lam")
         records.append(rec)
-    payload = {"points": records, "provenance": provenance, "schema_version": SCHEMA_VERSION}
+    payload = {"omega_c_t": times, "value_name": names, "points": records,
+               "provenance": provenance, "schema_version": SCHEMA_VERSION}
     path.write_text(json.dumps(payload, sort_keys=True, allow_nan=False), encoding="utf-8")
 
 
@@ -353,9 +353,9 @@ def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
               for method in config.methods
               for lam in config.lambda_grid]
     csv_path = out / f"{config.figure}.csv"
-    write_csv(points, csv_path)
+    write_csv(config, points, csv_path)
     write_gnuplot_script(config, csv_path.name, out / f"{config.figure}.gp")
     provenance = {"config": config.canonical_text(), "code_version": __version__}
-    write_report(points, provenance, out / "report.json")
+    write_report(config, points, provenance, out / "report.json")
     return points
 

@@ -1,5 +1,6 @@
 """Tests for branch evolution, the decoherence factor, and echo sweeps."""
 
+import json
 import math
 
 import numpy as np
@@ -112,14 +113,17 @@ def test_sweep_echo_is_each_methods_own_path(tmp_path):
     # a sweep point adds nothing to a method's path, bit for bit: the exact and
     # effective echoes are |D|^2 of the ground state the method table solves,
     # the closed forms the Gaussian law at their own variance, and every echo
-    # is taken at the chi the point records, the config's (not at a probe's
+    # is taken at the chi the sweep records, the config's (not at a probe's
     # g_s^2 / delta_s: sqrt(chi)^2 is not chi in floating point)
     cfg = SweepConfig("custom", [0.5, 0.95, 1.2], [1000.0], [0.0, 10.0, 60.0], 1e-3,
                       list(METHODS), 1e-8)
     points = run(cfg, tmp_path)
     assert len(points) == 12
+    recorded = tmp_path / "recorded.cfg"
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    recorded.write_text(report["provenance"]["config"], encoding="utf-8")
+    assert SweepConfig.from_file(recorded).chi == cfg.chi
     for pt in points:
-        assert pt.chi == cfg.chi
         p = RabiParams(pt.lam, pt.eta)
         if pt.method in GROUND_STATES:
             gs = GROUND_STATES[pt.method](p, cfg.cutoff_tol)

@@ -394,10 +394,13 @@ def test_run_writes_outputs(tmp_path):
     assert len(lines) == 1 + 18
     assert all(pt.converged for pt in points)
 
-    # one record per point, its per-row columns as lists
+    # each row's time and value name once, then one record per point, its
+    # values as a list
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 4
+    assert payload["schema_version"] == 5
     assert "config" in payload["provenance"]
+    assert (payload["omega_c_t"], payload["value_name"]) == (
+        cfg.time_grid, ["loschmidt_echo"] * len(cfg.time_grid))
     assert len(payload["points"]) == 6
     assert sum(len(rec["value"]) for rec in payload["points"]) == 18
     assert payload["points"] == [
@@ -478,7 +481,7 @@ def test_validate_dispersive_flags_at_its_documented_boundary(tmp_path):
     p, times = RabiParams(pt.lam, pt.eta), np.linspace(0.0, 5.0, 3)
 
     def probe(delta_s):
-        return ProbeParams(np.sqrt(pt.chi * delta_s), delta_s)
+        return ProbeParams(np.sqrt(cfg.chi * delta_s), delta_s)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -519,7 +522,7 @@ def test_delta_s_min_bounds_the_tripartite_deviation(tmp_path, lam):
     deviations = []
     for k in (1.0, 3.0, 10.0, 30.0):
         delta_s = k * pt.delta_s_min
-        report = validate_dispersive(p, ProbeParams(np.sqrt(pt.chi * delta_s), delta_s),
+        report = validate_dispersive(p, ProbeParams(np.sqrt(cfg.chi * delta_s), delta_s),
                                      cfg.time_grid)
         assert report.dispersive_regime
         deviations.append(max_rel_deviation(report.coherence, predicted))
@@ -549,14 +552,18 @@ def test_echo_points_record_their_dispersive_bound(tmp_path):
     assert [(r["mean_n"], r["delta_s_min"]) for r in records] == [
         (pt.mean_n, pt.delta_s_min) for pt in points]
     assert (tmp_path / "echo" / "custom.csv").read_text().splitlines()[0] == CSV_HEADER
-    # a degraded point writes NaN; fig1/fig2 points, which have no probe, ""
+    # a degraded point writes NaN; fig1/fig2 points, which have no probe
+    # (chi = 0), their ground state's mean_n, the point's mean_n row, and
+    # delta_s_min = 0
     cfg.lambda_grid, cfg.eta_grid = [0.5], [1e-320, 1.0]  # the phase record overflows at 1e-320
     degraded = [pt for pt in run(cfg, tmp_path / "degraded") if not pt.converged]
     assert [pt.eta for pt in degraded] == [1e-320] * len(METHODS)
     assert all(np.isnan(pt.mean_n) and np.isnan(pt.delta_s_min) for pt in degraded)
     cfg = default_config("fig1")
     cfg.eta_grid = [1e3]
-    assert [(pt.mean_n, pt.delta_s_min) for pt in run(cfg, tmp_path / "fig1")] == [("", "")] * 3
+    points = run(cfg, tmp_path / "fig1")
+    assert len(points) == 3 and all(pt.converged for pt in points)
+    assert [(pt.mean_n, pt.delta_s_min) for pt in points] == [(pt.value[1], 0.0) for pt in points]
 
 
 def test_report_wall_time_is_per_point(tmp_path):

@@ -1,12 +1,15 @@
 """The sweep outputs against the per-record writer they replace.
 
-`run` writes `<figure>.csv` per sweep point: each point's constant fields
-are formatted once, and only the per-row columns `omega_c_t`, `value_name`
-and `value` per row. The oracle below is the per-record writer: every row of
-every point expanded into a record and formatted field by field; the CSV
-must equal its output byte for byte. `report.json` holds one record per
-point, its per-row columns as lists, strict JSON with null for a number
-that is not finite; expanded row by row, it must give the same records.
+`run` writes `<figure>.csv` per sweep point: the sweep's columns and each
+row's time and value name are formatted once, and only `value` per row. The
+oracle below is the per-record writer: every row of every point expanded
+into a record, its figure, chi, time and value name from the config
+(`_layout`), and formatted field by field; the CSV must equal its output
+byte for byte. `report.json` holds each row's time and value name once, at
+the top level, and one record per point with its `value` list, strict JSON
+with null for a number that is not finite. Expanded row by row, with the
+figure and chi of the config its provenance records, it must give the same
+records, and so the same CSV.
 """
 
 import json
@@ -26,15 +29,25 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _records(points) -> list[dict]:
-    """Every row of `points` as one record."""
+def _layout(cfg):
+    """The chi column and each row's time and value name, the same at every
+    point: fig1/fig2, which have no probe, write no chi and an energy and a
+    mean_n row at no time; the echo figures a row per time."""
+    if cfg.figure in ("fig1", "fig2"):
+        return "", ["", ""], ["energy", "mean_n"]
+    return cfg.chi, list(cfg.time_grid), ["loschmidt_echo"] * len(cfg.time_grid)
+
+
+def _records(cfg, points) -> list[dict]:
+    """Every row of `points`, swept by `cfg`, as one record."""
+    chi, times, names = _layout(cfg)
     return [
         {
-            "figure": pt.figure,
+            "figure": cfg.figure,
             "method": pt.method,
             "lambda": pt.lam,
             "eta": pt.eta,
-            "chi": pt.chi,
+            "chi": chi,
             "mean_n": pt.mean_n,
             "delta_s_min": pt.delta_s_min,
             "omega_c_t": t,
@@ -46,7 +59,7 @@ def _records(points) -> list[dict]:
             "wall_time": pt.wall_time,
         }
         for pt in points
-        for t, name, value in zip(pt.omega_c_t, pt.value_name, pt.value)
+        for t, name, value in zip(times, names, pt.value, strict=True)
     ]
 
 
@@ -55,15 +68,22 @@ def _reject(token):
 
 
 def _expanded(report_path) -> list[dict]:
-    """The point records of `report.json`, expanded to one record per row."""
-    payload = json.loads(report_path.read_text(), parse_constant=_reject)
-    assert set(payload) == {"points", "provenance", "schema_version"}
-    assert payload["schema_version"] == 4
+    """The point records of `report.json`, expanded to one record per row:
+    its time and value name from the top level, the figure and chi from the
+    config its provenance records."""
+    payload = json.loads(report_path.read_text(encoding="utf-8"), parse_constant=_reject)
+    assert set(payload) == {"omega_c_t", "value_name", "points", "provenance", "schema_version"}
+    assert payload["schema_version"] == 5
     assert set(payload["provenance"]) == {"config", "code_version"}
+    config_path = report_path.with_name("report.cfg")
+    config_path.write_text(payload["provenance"]["config"], encoding="utf-8")
+    cfg = SweepConfig.from_file(config_path)
+    sweep = {"figure": cfg.figure, "chi": _layout(cfg)[0]}
     rows = []
     for pt in payload["points"]:
-        shared = {k: v for k, v in pt.items() if k not in ("omega_c_t", "value_name", "value")}
-        for t, name, value in zip(pt["omega_c_t"], pt["value_name"], pt["value"]):
+        shared = {**sweep, **{k: v for k, v in pt.items() if k != "value"}}
+        for t, name, value in zip(payload["omega_c_t"], payload["value_name"], pt["value"],
+                                  strict=True):
             rows.append({**shared, "omega_c_t": t, "value_name": name, "value": value})
     return rows
 
@@ -90,9 +110,9 @@ def _oracle_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _assert_oracle_bytes(points, out, figure):
-    records = _records(points)
-    assert (out / f"{figure}.csv").read_text() == _oracle_csv(records)
+def _assert_oracle_bytes(cfg, points, out):
+    records = _records(cfg, points)
+    assert (out / f"{cfg.figure}.csv").read_text() == _oracle_csv(records)
     # floats are written by repr, so equal text is equal values; NaN as null
     null = [{k: None if isinstance(v, float) and math.isnan(v) else v for k, v in rec.items()}
             for rec in records]
@@ -112,12 +132,13 @@ def _echo_config(methods):
 
 
 def test_echo_outputs_match_record_oracle(tmp_path):
-    points = run(_echo_config(["exact", "effective", "analytic"]), tmp_path)
-    _assert_oracle_bytes(points, tmp_path, "custom")
+    cfg = _echo_config(["exact", "effective", "analytic"])
+    points = run(cfg, tmp_path)
+    _assert_oracle_bytes(cfg, points, tmp_path)
     # 2 etas x 3 methods x 3 lambdas, 3 times each
     assert len(points) == 18
-    assert len(_records(points)) == 54
-    for rec in _records(points):
+    assert len(_records(cfg, points)) == 54
+    for rec in _records(cfg, points):
         if rec["method"] == "analytic":
             assert (rec["cutoff"], rec["frame"]) == ("", "")
         elif rec["lambda"] == 0.0:
@@ -132,8 +153,8 @@ def test_ground_outputs_match_record_oracle(tmp_path, figure):
     cfg = default_config(figure)
     cfg.eta_grid = [1e3, 1e5]
     points = run(cfg, tmp_path)
-    _assert_oracle_bytes(points, tmp_path, figure)
-    assert len(_records(points)) == 2 * len(cfg.eta_grid) * len(cfg.methods)
+    _assert_oracle_bytes(cfg, points, tmp_path)
+    assert len(_records(cfg, points)) == 2 * len(cfg.eta_grid) * len(cfg.methods)
 
 
 def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
@@ -145,7 +166,7 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     cfg = _echo_config(["exact", "analytic"])
     cfg.lambda_grid, cfg.eta_grid = [0.3, 0.9, 1.2], [500.0]
     points = run(cfg, tmp_path / "echo")
-    _assert_oracle_bytes(points, tmp_path / "echo", "custom")
+    _assert_oracle_bytes(cfg, points, tmp_path / "echo")
     capped = {("exact", 0.9), ("exact", 1.2)}
     assert {(pt.method, pt.lam) for pt in points if not pt.converged} == capped
 
@@ -169,7 +190,7 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     cfg = default_config("fig1")
     cfg.eta_grid = [1e3]
     points = run(cfg, tmp_path / "fig1")
-    _assert_oracle_bytes(points, tmp_path / "fig1", "fig1")
+    _assert_oracle_bytes(cfg, points, tmp_path / "fig1")
     assert {pt.method: pt.converged for pt in points} == {
         "exact": False, "effective": False, "variational": True}
 
@@ -194,3 +215,22 @@ def test_echo_that_overflows_degrades_its_point(tmp_path, capsys):
     assert [row.split(",")[7:] for row in rows] == [["nan", "", "false"]] * 2
     assert [(rec["converged"], rec["frame"], rec["value"], rec["mean_n"])
             for rec in _expanded(tmp_path / "report.json")] == [(False, "", None, None)] * 2
+
+
+@pytest.mark.parametrize("figure", ["custom", "fig1"])
+def test_report_holds_the_row_layout_once(tmp_path, figure):
+    # a record holds only what varies by point; the rows' times and value
+    # names are the config's, once at the top level, and report.json alone
+    # (its layout, its records and the config it ran) rebuilds the CSV
+    if figure == "fig1":
+        cfg = default_config("fig1")
+        cfg.eta_grid = [1e3, 1e5]
+    else:
+        cfg = _echo_config(["exact", "variational", "analytic"])
+    run(cfg, tmp_path)
+    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    for rec in payload["points"]:
+        assert not {"figure", "chi", "omega_c_t", "value_name"} & set(rec)
+    assert (payload["omega_c_t"], payload["value_name"]) == _layout(cfg)[1:]
+    rebuilt = _oracle_csv(_expanded(tmp_path / "report.json")).encode("utf-8")
+    assert rebuilt == (tmp_path / f"{figure}.csv").read_bytes()

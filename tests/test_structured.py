@@ -16,6 +16,7 @@ number and vector) is the reference they must reproduce.
 
 import dataclasses
 import inspect
+import json
 import warnings
 from functools import partial
 
@@ -425,11 +426,12 @@ def test_effective_ground_records_match_dense(tmp_path):
         cfg.methods = ["effective"]
         points = run(cfg, tmp_path / figure)
         assert len(points) == len(cfg.eta_grid)
+        report = json.loads((tmp_path / figure / "report.json").read_text(encoding="utf-8"))
+        assert report["value_name"] == ["energy", "mean_n"]
         for pt in points:
             p = RabiParams(pt.lam, pt.eta)
             gs = dense_ground(p, "effective", TOL)
             assert pt.cutoff == gs.n_max
-            assert pt.value_name == ["energy", "mean_n"]
             energy, n = pt.value
             assert energy == pytest.approx(gs.energy, rel=1e-13, abs=0.0), (figure, pt)
             assert n == pytest.approx(gs.mean_n, rel=1e-9, abs=0.0), (figure, pt)
