@@ -1,9 +1,9 @@
 """Command-line interface: figure reproduction and config-driven sweeps.
 
-A sweep's settings all come from its config: a figure command's default one
-(`experiments.default_config`) or the file `sweep` is given. Exit status is 1
-when a sweep point is degraded (non-converged); 2 for a bad flag or config
-file, which is one line on stderr.
+A sweep's settings all come from its config, checked when it is built: a
+figure command's default one (`experiments.FIGURE_DEFAULTS`) or the file
+`sweep` is given. Exit status is 1 when a sweep point is degraded
+(non-converged); 2 for a bad flag or config file, which is one line on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import functools
 import sys
 
 from . import __version__
-from .experiments import FIGURE_DEFAULTS, SweepConfig, default_config, run
+from .experiments import FIGURE_DEFAULTS, SweepConfig, run
 
 _OUT = {"default": ".", "help": "output directory"}
 
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:
             build_parser().exit(2, f"rabicrit sweep: error: {exc}\n")
     else:
-        config = default_config(args.command)
+        config = FIGURE_DEFAULTS[args.command]
     try:
         points = run(config, args.out)
     except OSError as exc:

@@ -2,7 +2,8 @@
 finite before the output directory is made; errors name file, line and
 key), and CSV/JSON reports. A `SweepConfig` is the one source of every
 sweep setting, the Fock-cutoff tolerance `cutoff_tol` included: the figure
-commands run `default_config(figure)`, at `spectra.CUTOFF_TOL`.
+commands run `FIGURE_DEFAULTS[figure]`, at `spectra.CUTOFF_TOL`. A config is
+frozen and checked when built; `dataclasses.replace` checks a changed one.
 
 A sweep point (`_point`) is the one place that picks a method's path: the
 exact and effective methods solve a ground state from the method table of
@@ -21,7 +22,6 @@ is strict JSON: a number that is not finite is null there, `nan` in the CSV."""
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import dataclass, fields
@@ -38,7 +38,7 @@ from .hamiltonians import RabiParams, phase
 from .spectra import CUTOFF_TOL
 from .variational import solve as variational_solve
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 CSV_HEADER = "figure,method,lambda,eta,chi,omega_c_t,value_name,value,cutoff,converged"
 
 METHODS = ("exact", "effective", "variational", "analytic")
@@ -48,17 +48,21 @@ METHODS = ("exact", "effective", "variational", "analytic")
 DISPERSIVE_MARGIN = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
+    """One sweep's settings, checked when built; grids and methods as tuples."""
+
     figure: str
-    lambda_grid: list[float]
-    eta_grid: list[float]
-    time_grid: list[float]
+    lambda_grid: tuple[float, ...]
+    eta_grid: tuple[float, ...]
+    time_grid: tuple[float, ...]
     chi: float
-    methods: list[str]
+    methods: tuple[str, ...]
     cutoff_tol: float = CUTOFF_TOL
 
-    def validate(self):
+    def __post_init__(self):
+        for name in ("lambda_grid", "eta_grid", "time_grid", "methods"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.figure not in FIGURES:
             raise ValueError(f"figure must be one of {FIGURES}, got {self.figure!r}")
         for name, grid in (
@@ -95,12 +99,12 @@ class SweepConfig:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         if not self.methods or len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"methods must list one or more methods, each once: {self.methods}")
+            raise ValueError(f"methods must list one or more methods, each once: {list(self.methods)}")
         if self.figure in GROUND_FIGURES:
             if "analytic" in self.methods:
                 raise ValueError(f"figure {self.figure} has no 'analytic' method")
             # no echo: a time or a probe would change the recorded config, not the results
-            if self.time_grid != [0.0]:
+            if self.time_grid != (0.0,):
                 raise ValueError(f"figure {self.figure} takes time_grid = 0 only")
             if self.chi != 0.0:
                 raise ValueError(f"figure {self.figure} takes chi = 0 only")
@@ -138,7 +142,7 @@ class SweepConfig:
         def floats(key):
             return [number(key, v) for v in raw.get(key, "").replace(",", " ").split()]
 
-        cfg = cls(
+        return cls(
             figure=raw.get("figure", "custom"),
             lambda_grid=floats("lambda_grid"),
             eta_grid=floats("eta_grid"),
@@ -147,22 +151,20 @@ class SweepConfig:
             methods=raw.get("methods", "analytic").replace(",", " ").split(),
             cutoff_tol=number("cutoff_tol", raw.get("cutoff_tol", CUTOFF_TOL)),
         )
-        cfg.validate()
-        return cfg
 
     def canonical_text(self) -> str:
         """One `key = value` line per field, as `from_file` reads it back:
-        lists joined by spaces, strings as they are, numbers by `_fmt`."""
+        tuples joined by spaces, strings as they are, numbers by `_fmt`."""
 
         def text(v) -> str:
-            if isinstance(v, list):
+            if isinstance(v, tuple):
                 return " ".join(map(text, v))
             return v if isinstance(v, str) else _fmt(v)
 
         return "".join(f"{f.name} = {text(getattr(self, f.name))}\n" for f in fields(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepPoint:
     """One sweep point, one (eta, method, lambda), and one record of
     `report.json`; its k-th `value` goes with the sweep's k-th row (`_rows`).
@@ -173,9 +175,10 @@ class SweepPoint:
     100 chi (mean_n + 1), 0 where chi is 0 (fig1/fig2). Not in the CSV.
 
     A point whose cutoff search did not converge, or whose values are not
-    all finite, is degraded: `converged` is False, its values, `mean_n` and
-    `delta_s_min` are NaN (null in `report.json`), and `cutoff` and `frame`
-    are empty.
+    all finite, is degraded: `converged` is False, and its values, `mean_n`
+    and `delta_s_min` are NaN (null in `report.json`). A point with no ground
+    state, closed-form or degraded, has no `cutoff` and no `frame`: None
+    (null in `report.json`, an empty cutoff in the CSV).
     """
 
     method: str
@@ -183,9 +186,9 @@ class SweepPoint:
     eta: float
     mean_n: float
     delta_s_min: float
-    cutoff: int | str             # "" where no cutoff was found
+    cutoff: int | None
     converged: bool
-    frame: str
+    frame: str | None
     wall_time: float              # seconds spent on this point
     value: list[float]
 
@@ -204,31 +207,26 @@ def critical_lambda_grid() -> list[float]:
     return [float(v) for v in grid if not near_critical(v)]
 
 
-# Each figure command's default sweep, at the default `cutoff_tol`; eta and
-# chi follow the reference setups. fig1/fig2 scan the ground state against eta
-# on either side of the transition, fig3-fig5 the echo across it. Read a
-# figure's through `default_config`, whose copy is the caller's to change.
+# Each figure command's default sweep (lambda_grid, eta_grid, time_grid, chi,
+# methods), at the default `cutoff_tol`; eta and chi follow the reference setups.
+# fig1/fig2 scan the ground state against eta on either side of the transition,
+# fig3-fig5 the echo across it. Building `FIGURE_DEFAULTS` checks them.
 _ETA_GROUND = [1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5]
 _METHODS_GROUND = ["exact", "effective", "variational"]
 _LAMBDA_CRITICAL = critical_lambda_grid()
-FIGURE_DEFAULTS = {figure: SweepConfig(figure, *settings) for figure, settings in {
+_FIGURE_SETTINGS = {
     "fig1": ([0.99], _ETA_GROUND, [0.0], 0.0, _METHODS_GROUND),
     "fig2": ([1.01], _ETA_GROUND, [0.0], 0.0, _METHODS_GROUND),
     "fig3": (_LAMBDA_CRITICAL, [5000.0], [2.0 * k for k in range(51)], 1e-3, ["analytic"]),
     "fig4": (_LAMBDA_CRITICAL, [2000.0, 4000.0, 6000.0, 8000.0, 10000.0], [60.0], 1e-3,
              ["analytic"]),
-    "fig5": (_LAMBDA_CRITICAL, [1e5], [60.0], 1e-3, list(METHODS)),
-}.items()}
-FIGURES = (*FIGURE_DEFAULTS, "custom")
+    "fig5": (_LAMBDA_CRITICAL, [1e5], [60.0], 1e-3, METHODS),
+}
+FIGURES = (*_FIGURE_SETTINGS, "custom")
 # the ground state itself: no probe, no echo
-GROUND_FIGURES = tuple(figure for figure, cfg in FIGURE_DEFAULTS.items() if cfg.chi == 0)
-
-
-def default_config(figure: str) -> SweepConfig:
-    """A fresh copy of `figure`'s default config, its lists its own."""
-    if figure not in FIGURE_DEFAULTS:
-        raise ValueError(f"no default config for figure {figure!r}")
-    return copy.deepcopy(FIGURE_DEFAULTS[figure])
+GROUND_FIGURES = tuple(fig for fig, (_, _, _, chi, _) in _FIGURE_SETTINGS.items() if chi == 0)
+FIGURE_DEFAULTS = {figure: SweepConfig(figure, *settings)
+                   for figure, settings in _FIGURE_SETTINGS.items()}
 
 
 def _rows(cfg: SweepConfig) -> tuple[list, list[str]]:
@@ -243,12 +241,12 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     """One sweep point: the echo L = |D|^2 at the config's chi at every time
     of `time_grid`, or, on fig1/fig2 (`GROUND_FIGURES`), the ground energy
     and mean photon number; with the ground state's mean photon number and
-    the point's `delta_s_min`. `method` is one of `METHODS`, which
-    `SweepConfig.validate` checks. A point whose cutoff search reaches the
-    hard cap, whose variational photon mean or variance is negative or not
-    finite, whose phase record is not finite, or whose values are not all
-    finite (the echo's phases overflow at times near 1e306), is degraded;
-    the sweep goes on."""
+    the point's `delta_s_min`. `method` is one of `METHODS`, as building
+    `cfg` checked. A point whose cutoff search reaches the hard cap, whose
+    variational photon mean or variance is negative or not finite, whose
+    phase record is not finite, or whose values are not all finite (the
+    echo's phases overflow at times near 1e306), is degraded; the sweep goes
+    on."""
     t0 = time.perf_counter()
     p = RabiParams(lam, eta)
     ground = cfg.figure in GROUND_FIGURES
@@ -275,8 +273,8 @@ def _point(cfg: SweepConfig, eta: float, method: str, lam: float) -> SweepPoint:
     delta_s_min = DISPERSIVE_MARGIN**2 * chi * (mean_n + 1.0)
     wall = time.perf_counter() - t0
     return SweepPoint(
-        method, lam, eta, mean_n, delta_s_min, gs.n_max if gs else "",
-        converged, gs.frame.name if gs else "", wall, values,
+        method, lam, eta, mean_n, delta_s_min, gs.n_max if gs else None,
+        converged, gs.frame.name if gs else None, wall, values,
     )
 
 
@@ -288,7 +286,8 @@ def write_csv(config: SweepConfig, points: list[SweepPoint], path: Path):
     lines = [CSV_HEADER]
     for pt in points:
         head = f"{config.figure},{pt.method},{pt.lam:.17g},{pt.eta:.17g},{chi},"
-        tail = f",{pt.cutoff},{'true' if pt.converged else 'false'}"
+        cutoff = "" if pt.cutoff is None else pt.cutoff
+        tail = f",{cutoff},{'true' if pt.converged else 'false'}"
         for row, value in zip(rows, pt.value):
             lines.append(f"{head}{row}{value:.17g}{tail}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -345,7 +344,6 @@ def write_gnuplot_script(cfg: SweepConfig, csv_name: str, path: Path):
 def run(config: SweepConfig, out_dir) -> list[SweepPoint]:
     """Execute a sweep, writing `<figure>.csv`, `<figure>.gp`
     and `report.json` into `out_dir`; return its points."""
-    config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = [_point(config, eta, method, lam)

@@ -617,16 +617,17 @@ class EchoSweep:
 def echo_sweep(eta: float, chi: float, lams, times, method: str,
                cutoff_tol: float = spectra.CUTOFF_TOL) -> EchoSweep:
     """The echo at dispersive shift `chi` at each lambda of `lams` (eta
-    fixed), as a sweep computes it; a degraded point raises
+    fixed), as a sweep computes it; a config the sweep would refuse (a
+    repeated lambda, say) raises `ValueError`, a degraded point
     `RabicritError`."""
-    cfg = SweepConfig("custom", list(lams), [eta], list(times), chi, [method], cutoff_tol)
-    points = [_point(cfg, eta, method, lam) for lam in lams]
+    cfg = SweepConfig("custom", lams, [eta], times, chi, [method], cutoff_tol)
+    points = [_point(cfg, eta, method, lam) for lam in cfg.lambda_grid]
     for pt in points:
         if not pt.converged:
             raise RabicritError(f"{method} point at lam = {pt.lam}, eta = {eta} is degraded")
     return EchoSweep(
         l_matrix=np.array([pt.value for pt in points]),
-        cutoffs=[pt.cutoff or None for pt in points],
+        cutoffs=[pt.cutoff for pt in points],
     )
 
 

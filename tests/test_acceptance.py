@@ -207,11 +207,12 @@ def test_criterion_09_fig3_criticality_signature():
     t0 = time.perf_counter()
     chi = 1e-3
     times = np.array([60.0])
-    # the dip sharpens toward the critical point, so sample progressively finer
-    fine = np.concatenate(
+    # the dip sharpens toward the critical point, so sample progressively
+    # finer; the first range overshoots to 0.9995, which the second starts
+    # at, so the grid is their sorted unique values
+    fine = np.unique(np.round(np.concatenate(
         [np.arange(0.98, 0.9995, 0.0005), np.arange(0.9995, 1.0, 0.0001)]
-    )
-    fine = np.round(fine, 10)
+    ), 10))
     fine = fine[np.abs(fine - 1.0) >= 1e-6]
     l_fine = echo_sweep(5000.0, chi, fine, times, "analytic").l_matrix[:, 0]
     assert l_fine.min() < 0.05, f"min analytic L on [0.98, 1) is {l_fine.min():.3g}"

@@ -1,7 +1,6 @@
 """Tests for branch evolution, the decoherence factor, and echo sweeps."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -105,7 +104,7 @@ def test_sweep_lambda_zero(tmp_path, method):
             assert (pt.cutoff, pt.frame) == (8, "bare")
             assert 0.0 <= GROUND_STATES[method](p, 1e-8).gamma < 1e-40
         else:
-            assert (pt.cutoff, pt.frame) == ("", "")
+            assert (pt.cutoff, pt.frame) == (None, None)
             assert (variance(p)[1] if method == "analytic" else variational.solve(p).gamma_prime) == 0.0
 
 
@@ -136,28 +135,27 @@ def test_sweep_echo_is_each_methods_own_path(tmp_path):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_sweep_point_in_critical_band(method):
-    # within CRITICAL_BAND of lam = 1 the closed-form variance has no value,
-    # and an analytic point there is degraded (a config asking for one is
-    # rejected before the sweep); the other methods solve it
+    # within CRITICAL_BAND of lam = 1 the closed-form variance has no value:
+    # a config asking for an analytic point there is refused when it is
+    # built; the other methods solve it
     lam = 1.0 + 1e-9
-    cfg = SweepConfig("custom", [lam], [100.0], [0.0, 1.0], 1e-3, [method], 1e-8)
-    pt = _point(cfg, 100.0, method, lam)
+    settings = ("custom", [lam], [100.0], [0.0, 1.0], 1e-3, [method], 1e-8)
     if method == "analytic":
-        assert not pt.converged and (pt.cutoff, pt.frame) == ("", "")
-        assert all(map(math.isnan, pt.value))
+        with pytest.raises(ValueError, match="no analytic value"):
+            SweepConfig(*settings)
     else:
+        pt = _point(SweepConfig(*settings), 100.0, method, lam)
         assert pt.converged and pt.value[0] == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < pt.value[1] < 1.0
         assert bool(pt.frame) == (method in GROUND_STATES)
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_sweep_rejects_unknown_method(tmp_path, method):
-    # before any point is solved or the output directory made
-    cfg = SweepConfig("custom", [0.5], [100.0], [0.0, 1.0], 1e-3, [method, "bogus"], 1e-8)
+def test_sweep_rejects_unknown_method(method):
+    # when the config is built, so before any point is solved or the output
+    # directory made
     with pytest.raises(ValueError, match="unknown method 'bogus'"):
-        run(cfg, tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+        SweepConfig("custom", [0.5], [100.0], [0.0, 1.0], 1e-3, [method, "bogus"], 1e-8)
 
 
 def test_sweep_exact_vs_effective_smoke():

@@ -12,17 +12,19 @@ import numpy as np
 import pytest
 
 import rabicrit
-from oracle import ProbeParams, max_rel_deviation, validate_dispersive
+from oracle import ProbeParams, echo_sweep, max_rel_deviation, validate_dispersive
 from rabicrit import experiments
 from rabicrit.analytic import variance
 from rabicrit.cli import main
 from rabicrit.dynamics import GROUND_STATES, decoherence_factor, exact_ground_state
 from rabicrit.experiments import (
     CSV_HEADER,
+    FIGURE_DEFAULTS,
+    FIGURES,
+    GROUND_FIGURES,
     METHODS,
     SweepConfig,
     critical_lambda_grid,
-    default_config,
     run,
     write_gnuplot_script,
 )
@@ -44,25 +46,23 @@ def _tiny_config():
 
 
 def test_config_validation():
+    # a config is checked when built, from lists it holds tuples, and it is
+    # frozen: `replace` builds a changed one and checks it again
     cfg = _tiny_config()
-    cfg.validate()
-    bad = _tiny_config()
-    bad.lambda_grid = []
-    with pytest.raises(ValueError):
-        bad.validate()
-    bad = _tiny_config()
-    bad.lambda_grid = [0.9, 0.5]
-    with pytest.raises(ValueError):
-        bad.validate()
-    bad = _tiny_config()
-    bad.methods = ["quantum"]
-    with pytest.raises(ValueError):
-        bad.validate()
-    bad = _tiny_config()
-    bad.figure = "fig3"
-    bad.chi = 0.0
-    with pytest.raises(ValueError):
-        bad.validate()
+    assert (cfg.lambda_grid, cfg.eta_grid, cfg.time_grid, cfg.methods) == (
+        (0.5, 0.9, 1.2), (500.0,), (0.0, 20.0, 40.0), ("analytic", "variational"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lambda_grid = [0.9, 0.5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        experiments._point(cfg, 500.0, "analytic", 0.5).cutoff = 64
+    with pytest.raises(ValueError, match="lambda_grid"):
+        dataclasses.replace(cfg, lambda_grid=[0.9, 0.5])
+    for bad in ({"lambda_grid": []}, {"methods": ["quantum"]}, {"figure": "fig3", "chi": 0.0}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, **bad)
+    # the tests' echo sweep builds its config too: a repeated lambda is refused
+    with pytest.raises(ValueError, match="lambda_grid must be strictly increasing"):
+        echo_sweep(500.0, 1e-3, [0.5, 0.5], [0.0], "analytic")
 
 
 @pytest.mark.parametrize("grid, values", [
@@ -75,14 +75,11 @@ def test_config_validation():
     ("lambda_grid", [0.5, 0.5]),         # not strictly increasing
     ("cutoff_tol", 0.0),
 ])
-def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
-    # rejected before any point is solved or the output directory made; the
-    # message names the setting
-    cfg = _tiny_config()
-    setattr(cfg, grid, values)
+def test_config_rejects_out_of_range_grid(grid, values):
+    # rejected when the config is built, so before any point is solved or
+    # the output directory made; the message names the setting
     with pytest.raises(ValueError, match=grid):
-        run(cfg, tmp_path / "out")
-    assert not list(tmp_path.iterdir())
+        dataclasses.replace(_tiny_config(), **{grid: values})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -92,14 +89,11 @@ def test_config_rejects_out_of_range_grid(tmp_path, grid, values):
     ("chi", float("nan")),
 ])
 @pytest.mark.parametrize("figure", ["fig1", "fig2"])
-def test_ground_figures_reject_echo_settings(tmp_path, figure, key, value):
+def test_ground_figures_reject_echo_settings(figure, key, value):
     # fig1/fig2 have no echo: a time or a probe would change the recorded
     # config and not the results
-    cfg = default_config(figure)
-    setattr(cfg, key, value)
     with pytest.raises(ValueError, match=key):
-        run(cfg, tmp_path / "out")
-    assert not list(tmp_path.iterdir())
+        dataclasses.replace(FIGURE_DEFAULTS[figure], **{key: value})
 
 
 @pytest.mark.parametrize("argv", [
@@ -127,7 +121,7 @@ def test_report_config_ignores_output_directory(tmp_path):
 
 
 def test_report_config_reads_back_as_the_config_it_ran(tmp_path):
-    cfg = default_config("fig1")
+    cfg = FIGURE_DEFAULTS["fig1"]
     run(cfg, out_dir=tmp_path)
     provenance = json.loads((tmp_path / "report.json").read_text())["provenance"]
     assert provenance["config"] == cfg.canonical_text()
@@ -139,8 +133,7 @@ def test_report_config_reads_back_as_the_config_it_ran(tmp_path):
 def test_report_config_reruns_its_sweep(tmp_path):
     # the report alone reproduces its run: `sweep` on its config writes the
     # same CSV and gnuplot script, byte for byte
-    cfg = default_config("fig1")
-    cfg.eta_grid = [1e4]
+    cfg = dataclasses.replace(FIGURE_DEFAULTS["fig1"], eta_grid=[1e4])
     run(cfg, out_dir=tmp_path / "first")
     path = tmp_path / "report.cfg"
     path.write_text(json.loads((tmp_path / "first" / "report.json").read_text())
@@ -150,15 +143,11 @@ def test_report_config_reruns_its_sweep(tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
 
 
-def test_config_rejects_nan_settings(tmp_path):
+def test_config_rejects_nan_settings():
     for value in (float("nan"), float("inf")):
         for figure, name in (("fig3", "cutoff_tol"), ("fig3", "chi"), ("custom", "chi")):
-            bad = _tiny_config()
-            bad.figure = figure
-            setattr(bad, name, value)
             with pytest.raises(ValueError, match=name):
-                run(bad, tmp_path / "out")
-    assert not list(tmp_path.iterdir())
+                dataclasses.replace(_tiny_config(), figure=figure, **{name: value})
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -175,7 +164,7 @@ def test_config_file_roundtrip(tmp_path):
 def test_canonical_text_is_pinned():
     # every report records this text as its config; a change breaks the
     # comparison of a new report's config with an old one's
-    assert default_config("fig1").canonical_text() == (
+    assert FIGURE_DEFAULTS["fig1"].canonical_text() == (
         "figure = fig1\n"
         "lambda_grid = 0.98999999999999999\n"
         "eta_grid = 1000 2000 5000 10000 20000 50000 100000\n"
@@ -287,7 +276,7 @@ def test_sweep_takes_its_cutoff_tolerance_from_the_config(tmp_path):
     # source: every exact and effective row records the cutoff its search
     # picks at 1e-10, and some differ from the default run's
     path = tmp_path / "fig2.cfg"
-    path.write_text(dataclasses.replace(default_config("fig2"), cutoff_tol=1e-10).canonical_text(),
+    path.write_text(dataclasses.replace(FIGURE_DEFAULTS["fig2"], cutoff_tol=1e-10).canonical_text(),
                     encoding="utf-8")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "tight")]) == 0
     assert main(["fig2", "--out", str(tmp_path / "default")]) == 0
@@ -304,10 +293,8 @@ def test_sweep_takes_its_cutoff_tolerance_from_the_config(tmp_path):
 
 
 def test_empty_grid_no_output(tmp_path):
-    cfg = _tiny_config()
-    cfg.lambda_grid = []
     with pytest.raises(ValueError):
-        run(cfg, out_dir=tmp_path)
+        run(dataclasses.replace(_tiny_config(), lambda_grid=[]), out_dir=tmp_path)
     assert not (tmp_path / "custom.csv").exists()
 
 
@@ -326,14 +313,15 @@ def test_default_configs():
     # methods_fig5 inputs, field for field
     workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
     for figure, name in (("fig1", "ground_fig1"), ("fig2", "ground_fig2"), ("fig5", "methods_fig5")):
-        assert default_config(figure) == SweepConfig.from_file(workloads / f"{name}.cfg")
+        assert FIGURE_DEFAULTS[figure] == SweepConfig.from_file(workloads / f"{name}.cfg")
     grid = critical_lambda_grid()
-    assert default_config("fig3") == SweepConfig(
+    assert FIGURE_DEFAULTS["fig3"] == SweepConfig(
         "fig3", grid, [5000.0], [2.0 * k for k in range(51)], 1e-3, ["analytic"], 1e-8)
-    assert default_config("fig4") == SweepConfig(
+    assert FIGURE_DEFAULTS["fig4"] == SweepConfig(
         "fig4", grid, [2000.0, 4000.0, 6000.0, 8000.0, 10000.0], [60.0], 1e-3, ["analytic"], 1e-8)
-    with pytest.raises(ValueError):
-        default_config("fig9")
+    # the figures and the ground figures (chi = 0) come from the one table
+    assert FIGURES == ("fig1", "fig2", "fig3", "fig4", "fig5", "custom")
+    assert GROUND_FIGURES == ("fig1", "fig2")
 
 
 def _time_series_config():
@@ -344,14 +332,13 @@ def _time_series_config():
     # fig1 sweeps eta at one lambda; fig4 is L(lambda) at t = 60 for five
     # etas, fig5 L(lambda) at one eta; a custom config with one lambda, one
     # eta and three times is L(t)
-    (lambda: default_config("fig1"), "eta"),
-    (lambda: default_config("fig4"), "lambda"),
-    (lambda: default_config("fig5"), "lambda"),
+    (lambda: FIGURE_DEFAULTS["fig1"], "eta"),
+    (lambda: FIGURE_DEFAULTS["fig4"], "lambda"),
+    (lambda: FIGURE_DEFAULTS["fig5"], "lambda"),
     (_time_series_config, "omega_c_t"),
 ], ids=["fig1-eta", "fig4-lambda", "fig5-lambda", "time_series-omega_c_t"])
 def test_gnuplot_script_plots_the_swept_axis(tmp_path, config, axis):
     cfg = config()
-    cfg.validate()
     path = tmp_path / f"{cfg.figure}.gp"
     write_gnuplot_script(cfg, f"{cfg.figure}.csv", path)
     # every series: x the swept column, y the value column (fig1/fig2 select
@@ -369,7 +356,7 @@ def test_gnuplot_script_draws_energy_and_mean_n_apart(tmp_path, figure):
     # (about 1-10): one series each, selected by value name, each on its own
     # y axis, so mean_n is not drawn flat against the energies
     path = tmp_path / f"{figure}.gp"
-    write_gnuplot_script(default_config(figure), f"{figure}.csv", path)
+    write_gnuplot_script(FIGURE_DEFAULTS[figure], f"{figure}.csv", path)
     text = path.read_text()
     names = CSV_HEADER.split(",")
     name_col, value_col = names.index("value_name") + 1, names.index("value") + 1
@@ -397,10 +384,10 @@ def test_run_writes_outputs(tmp_path):
     # each row's time and value name once, then one record per point, its
     # values as a list
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     assert "config" in payload["provenance"]
     assert (payload["omega_c_t"], payload["value_name"]) == (
-        cfg.time_grid, ["loschmidt_echo"] * len(cfg.time_grid))
+        list(cfg.time_grid), ["loschmidt_echo"] * len(cfg.time_grid))
     assert len(payload["points"]) == 6
     assert sum(len(rec["value"]) for rec in payload["points"]) == 18
     assert payload["points"] == [
@@ -475,8 +462,7 @@ def test_validate_dispersive_flags_at_its_documented_boundary(tmp_path):
     # |Delta_s| >= 10 |g_s| sqrt(<n> + 1) at g_s^2 = chi Delta_s: a probe of
     # the point's chi 0.1% above it is dispersive and quiet, 0.1% below is
     # not, and warns
-    cfg = _tiny_config()
-    cfg.lambda_grid, cfg.eta_grid, cfg.methods = [0.5], [40.0], ["exact"]
+    cfg = dataclasses.replace(_tiny_config(), lambda_grid=[0.5], eta_grid=[40.0], methods=["exact"])
     (pt,) = run(cfg, tmp_path)
     p, times = RabiParams(pt.lam, pt.eta), np.linspace(0.0, 5.0, 3)
 
@@ -514,9 +500,8 @@ def test_delta_s_min_bounds_the_tripartite_deviation(tmp_path, lam):
     ground state small against Delta_s. At Delta_s = k delta_s_min,
     eps = 1 / (100 k).
     """
-    cfg = _tiny_config()
-    cfg.lambda_grid, cfg.eta_grid, cfg.methods = [lam], [200.0], ["exact"]
-    cfg.time_grid = np.linspace(0.0, 20.0, 41).tolist()
+    cfg = dataclasses.replace(_tiny_config(), lambda_grid=[lam], eta_grid=[200.0],
+                              time_grid=np.linspace(0.0, 20.0, 41).tolist(), methods=["exact"])
     (pt,) = run(cfg, tmp_path)
     p, predicted = RabiParams(lam, 200.0), np.sqrt(pt.value)
     deviations = []
@@ -534,8 +519,7 @@ def test_echo_points_record_their_dispersive_bound(tmp_path):
     # each echo point records the mean photon number of the ground state its
     # method solves, and delta_s_min = 100 chi (mean_n + 1); report.json
     # holds both, the CSV neither
-    cfg = _tiny_config()
-    cfg.lambda_grid, cfg.methods = [0.5, 1.2], list(METHODS)
+    cfg = dataclasses.replace(_tiny_config(), lambda_grid=[0.5, 1.2], methods=METHODS)
     points = run(cfg, tmp_path / "echo")
     assert {pt.method for pt in points} == set(METHODS)
     for pt in points:
@@ -555,27 +539,26 @@ def test_echo_points_record_their_dispersive_bound(tmp_path):
     # a degraded point writes NaN; fig1/fig2 points, which have no probe
     # (chi = 0), their ground state's mean_n, the point's mean_n row, and
     # delta_s_min = 0
-    cfg.lambda_grid, cfg.eta_grid = [0.5], [1e-320, 1.0]  # the phase record overflows at 1e-320
+    # the phase record overflows at 1e-320
+    cfg = dataclasses.replace(cfg, lambda_grid=[0.5], eta_grid=[1e-320, 1.0])
     degraded = [pt for pt in run(cfg, tmp_path / "degraded") if not pt.converged]
     assert [pt.eta for pt in degraded] == [1e-320] * len(METHODS)
     assert all(np.isnan(pt.mean_n) and np.isnan(pt.delta_s_min) for pt in degraded)
-    cfg = default_config("fig1")
-    cfg.eta_grid = [1e3]
+    cfg = dataclasses.replace(FIGURE_DEFAULTS["fig1"], eta_grid=[1e3])
     points = run(cfg, tmp_path / "fig1")
     assert len(points) == 3 and all(pt.converged for pt in points)
     assert [(pt.mean_n, pt.delta_s_min) for pt in points] == [(pt.value[1], 0.0) for pt in points]
 
 
 def test_report_wall_time_is_per_point(tmp_path):
-    cfg = _tiny_config()
-    cfg.methods = ["exact"]
+    cfg = dataclasses.replace(_tiny_config(), methods=["exact"])
     t0 = time.perf_counter()
     run(cfg, out_dir=tmp_path)
     elapsed = time.perf_counter() - t0
     records = json.loads((tmp_path / "report.json").read_text())["points"]
     # one time per point, shared by its rows; points differ in cost, and
     # together take no longer than the sweep
-    assert [rec["lambda"] for rec in records] == cfg.lambda_grid
+    assert [rec["lambda"] for rec in records] == list(cfg.lambda_grid)
     per_point = [rec["wall_time"] for rec in records]
     assert all(w > 0.0 for w in per_point)
     assert len(set(per_point)) == len(per_point)
@@ -586,18 +569,16 @@ def test_report_frame(tmp_path):
     # the exact method's frame above the transition depends on convergence,
     # not on lambda alone: the bare chains win at eta = 1000, the displaced
     # band at eta = 1e5; closed forms have no frame
-    cfg = default_config("fig2")
-    cfg.methods = ["exact", "effective", "variational"]
-    frames = {(pt.method, pt.eta): pt.frame for pt in run(cfg, tmp_path / "fig2")}
+    points = run(FIGURE_DEFAULTS["fig2"], tmp_path / "fig2")
+    frames = {(pt.method, pt.eta): pt.frame for pt in points}
     assert frames[("exact", 1e3)] == "bare"
     assert frames[("exact", 1e5)] == "displaced"
     assert frames[("effective", 1e3)] == "displaced"
-    assert frames[("variational", 1e3)] == ""
-    cfg = _tiny_config()
-    cfg.methods = ["exact", "analytic"]
+    assert frames[("variational", 1e3)] is None
+    cfg = dataclasses.replace(_tiny_config(), methods=["exact", "analytic"])
     frames = {(pt.method, pt.lam): pt.frame for pt in run(cfg, tmp_path / "echo")}
     assert frames == {("exact", 0.5): "bare", ("exact", 0.9): "bare", ("exact", 1.2): "displaced",
-                      ("analytic", 0.5): "", ("analytic", 0.9): "", ("analytic", 1.2): ""}
+                      ("analytic", 0.5): None, ("analytic", 0.9): None, ("analytic", 1.2): None}
 
 
 def test_cli_has_no_seed_flag(tmp_path):
@@ -607,9 +588,8 @@ def test_cli_has_no_seed_flag(tmp_path):
 
 def test_ground_figures_sweep_every_lambda(tmp_path):
     # fig1/fig2 points run in the echo order (eta, method, lambda)
-    cfg = default_config("fig1")
-    cfg.lambda_grid, cfg.eta_grid = [0.5, 0.99], [1e3]
-    cfg.methods = ["exact", "variational"]
+    cfg = dataclasses.replace(FIGURE_DEFAULTS["fig1"], lambda_grid=[0.5, 0.99], eta_grid=[1e3],
+                              methods=["exact", "variational"])
     run(cfg, tmp_path)
     rows = [row.split(",") for row in (tmp_path / "fig1.csv").read_text().splitlines()[1:]]
     assert [(f[1], float(f[2]), f[6]) for f in rows] == [
@@ -625,8 +605,7 @@ def test_phase_record_that_overflows_degrades_its_point(tmp_path):
     # at eta = 1e-320 the record's c2/omega_t overflows: every method's point
     # there is degraded (once a traceback or a NaN row marked converged), and
     # the sweep goes on
-    cfg = _tiny_config()
-    cfg.lambda_grid, cfg.eta_grid = [0.5], [1e-320, 1.0]
+    cfg = dataclasses.replace(_tiny_config(), lambda_grid=[0.5], eta_grid=[1e-320, 1.0])
     points = run(cfg, tmp_path)
     assert [(pt.eta, pt.converged) for pt in points] == [
         (1e-320, False), (1e-320, False), (1.0, True), (1.0, True)]
@@ -635,9 +614,8 @@ def test_phase_record_that_overflows_degrades_its_point(tmp_path):
 def test_critical_lambda_is_solved_or_rejected(tmp_path):
     # the exact and variational methods solve lam = 1; the closed-form
     # variance has no value there
-    cfg = _tiny_config()
-    cfg.lambda_grid, cfg.eta_grid, cfg.time_grid = [0.5, 1.0], [1000.0], [0.0, 50.0]
-    cfg.methods = ["exact"]
+    cfg = dataclasses.replace(_tiny_config(), lambda_grid=[0.5, 1.0], eta_grid=[1000.0],
+                              time_grid=[0.0, 50.0], methods=["exact"])
     run(cfg, tmp_path / "exact")
     rows = [row.split(",") for row in (tmp_path / "exact" / "custom.csv").read_text().splitlines()[1:]]
     critical = [f for f in rows if float(f[2]) == 1.0]
@@ -645,11 +623,8 @@ def test_critical_lambda_is_solved_or_rejected(tmp_path):
     assert all(f[8] == "64" and f[9] == "true" for f in critical)
     assert float(critical[0][7]) == pytest.approx(1.0, abs=1e-12)
     assert float(critical[1][7]) == pytest.approx(0.9999966, abs=1e-6)
-    cfg.methods = ["exact", "analytic"]
     with pytest.raises(ValueError, match="lambda_grid values within 1e-06 of 1 have no analytic"):
-        run(cfg, tmp_path / "analytic")
-    assert not (tmp_path / "analytic").exists()
-    cfg.methods = ["variational"]
-    points = run(cfg, tmp_path / "variational")
+        dataclasses.replace(cfg, methods=["exact", "analytic"])
+    points = run(dataclasses.replace(cfg, methods=["variational"]), tmp_path / "variational")
     assert all(pt.converged for pt in points)
     assert points[1].lam == 1.0 and 0.0 < points[1].value[1] < 1.0

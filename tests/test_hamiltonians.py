@@ -29,7 +29,7 @@ from oracle import (
 )
 from rabicrit.analytic import CRITICAL_BAND, variance
 from rabicrit.errors import PhaseDomainError
-from rabicrit.experiments import critical_lambda_grid, default_config
+from rabicrit.experiments import FIGURE_DEFAULTS, critical_lambda_grid
 from rabicrit.hamiltonians import Phase, RabiParams, phase
 from rabicrit.variational import _energy_at, _squeezing, solve
 
@@ -179,8 +179,8 @@ def test_default_points_are_solved_at_their_recorded_lam():
     # bit for bit, the numbers its rows record: built from (omega_c, omega_0, g)
     # and back, lam was once an ulp off at 65 of these 742 points
     points = [(lam, eta) for figure in ("fig1", "fig2", "fig3", "fig4", "fig5")
-              for eta in default_config(figure).eta_grid
-              for lam in default_config(figure).lambda_grid]
+              for eta in FIGURE_DEFAULTS[figure].eta_grid
+              for lam in FIGURE_DEFAULTS[figure].lambda_grid]
     assert len(points) == 742
     for lam, eta in points:
         ph = phase(RabiParams(lam, eta))

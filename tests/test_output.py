@@ -12,6 +12,7 @@ figure and chi of the config its provenance records, it must give the same
 records, and so the same CSV.
 """
 
+import dataclasses
 import json
 import math
 
@@ -20,7 +21,7 @@ import pytest
 
 import rabicrit.spectra as spectra
 from rabicrit.cli import main
-from rabicrit.experiments import CSV_HEADER, SweepConfig, default_config, run
+from rabicrit.experiments import CSV_HEADER, FIGURE_DEFAULTS, SweepConfig, run
 
 
 def _fmt(x) -> str:
@@ -73,7 +74,7 @@ def _expanded(report_path) -> list[dict]:
     config its provenance records."""
     payload = json.loads(report_path.read_text(encoding="utf-8"), parse_constant=_reject)
     assert set(payload) == {"omega_c_t", "value_name", "points", "provenance", "schema_version"}
-    assert payload["schema_version"] == 5
+    assert payload["schema_version"] == 6
     assert set(payload["provenance"]) == {"config", "code_version"}
     config_path = report_path.with_name("report.cfg")
     config_path.write_text(payload["provenance"]["config"], encoding="utf-8")
@@ -102,7 +103,7 @@ def _oracle_csv(records) -> str:
                     _fmt(rec["omega_c_t"]),
                     rec["value_name"],
                     _fmt(rec["value"]),
-                    str(rec["cutoff"]),
+                    "" if rec["cutoff"] is None else str(rec["cutoff"]),
                     str(rec["converged"]).lower(),
                 ]
             )
@@ -140,7 +141,7 @@ def test_echo_outputs_match_record_oracle(tmp_path):
     assert len(_records(cfg, points)) == 54
     for rec in _records(cfg, points):
         if rec["method"] == "analytic":
-            assert (rec["cutoff"], rec["frame"]) == ("", "")
+            assert (rec["cutoff"], rec["frame"]) == (None, None)
         elif rec["lambda"] == 0.0:
             # solved like any other point: at g = 0, at the first cutoff
             assert (rec["cutoff"], rec["frame"], rec["value"]) == (8, "bare", 1.0)
@@ -150,8 +151,7 @@ def test_echo_outputs_match_record_oracle(tmp_path):
 
 @pytest.mark.parametrize("figure", ["fig1", "fig2"])
 def test_ground_outputs_match_record_oracle(tmp_path, figure):
-    cfg = default_config(figure)
-    cfg.eta_grid = [1e3, 1e5]
+    cfg = dataclasses.replace(FIGURE_DEFAULTS[figure], eta_grid=[1e3, 1e5])
     points = run(cfg, tmp_path)
     _assert_oracle_bytes(cfg, points, tmp_path)
     assert len(_records(cfg, points)) == 2 * len(cfg.eta_grid) * len(cfg.methods)
@@ -163,8 +163,8 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
     # converged=false, no cutoff or frame), the sweep goes on, and the CLI
     # exits with status 1
     monkeypatch.setattr(spectra, "CUTOFF_HARD_CAP", 16)
-    cfg = _echo_config(["exact", "analytic"])
-    cfg.lambda_grid, cfg.eta_grid = [0.3, 0.9, 1.2], [500.0]
+    cfg = dataclasses.replace(_echo_config(["exact", "analytic"]), lambda_grid=[0.3, 0.9, 1.2],
+                              eta_grid=[500.0])
     points = run(cfg, tmp_path / "echo")
     _assert_oracle_bytes(cfg, points, tmp_path / "echo")
     capped = {("exact", 0.9), ("exact", 1.2)}
@@ -178,7 +178,7 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
         if (rec["method"], rec["lambda"]) in capped:
             assert fields[7:] == ["nan", "", "false"]
             assert rec["value"] is rec["mean_n"] is rec["delta_s_min"] is None
-            assert (rec["converged"], rec["cutoff"], rec["frame"]) == (False, "", "")
+            assert (rec["converged"], rec["cutoff"], rec["frame"]) == (False, None, None)
         else:
             assert fields[9] == "true" and math.isfinite(float(fields[7]))
             assert rec["converged"] is True and math.isfinite(rec["value"])
@@ -187,8 +187,7 @@ def test_non_converging_points_are_recorded(tmp_path, monkeypatch, capsys):
         if (pt["method"], pt["lambda"]) in capped:
             assert pt["value"] == [None] * 3
 
-    cfg = default_config("fig1")
-    cfg.eta_grid = [1e3]
+    cfg = dataclasses.replace(FIGURE_DEFAULTS["fig1"], eta_grid=[1e3])
     points = run(cfg, tmp_path / "fig1")
     _assert_oracle_bytes(cfg, points, tmp_path / "fig1")
     assert {pt.method: pt.converged for pt in points} == {
@@ -214,7 +213,7 @@ def test_echo_that_overflows_degrades_its_point(tmp_path, capsys):
     rows = (tmp_path / "custom.csv").read_text().splitlines()[1:]
     assert [row.split(",")[7:] for row in rows] == [["nan", "", "false"]] * 2
     assert [(rec["converged"], rec["frame"], rec["value"], rec["mean_n"])
-            for rec in _expanded(tmp_path / "report.json")] == [(False, "", None, None)] * 2
+            for rec in _expanded(tmp_path / "report.json")] == [(False, None, None, None)] * 2
 
 
 @pytest.mark.parametrize("figure", ["custom", "fig1"])
@@ -223,8 +222,7 @@ def test_report_holds_the_row_layout_once(tmp_path, figure):
     # names are the config's, once at the top level, and report.json alone
     # (its layout, its records and the config it ran) rebuilds the CSV
     if figure == "fig1":
-        cfg = default_config("fig1")
-        cfg.eta_grid = [1e3, 1e5]
+        cfg = dataclasses.replace(FIGURE_DEFAULTS["fig1"], eta_grid=[1e3, 1e5])
     else:
         cfg = _echo_config(["exact", "variational", "analytic"])
     run(cfg, tmp_path)

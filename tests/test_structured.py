@@ -51,7 +51,7 @@ from oracle import (
 )
 from rabicrit.dynamics import GROUND_STATES, Frame, effective_ground_state, exact_ground_state
 from rabicrit.errors import ConvergenceError
-from rabicrit.experiments import SweepConfig, _point, default_config, run
+from rabicrit.experiments import FIGURE_DEFAULTS, SweepConfig, _point, run
 from rabicrit.hamiltonians import (
     RabiParams,
     build_displaced_rabi_band,
@@ -161,7 +161,8 @@ def test_band_moments_match_dense_operator_moments():
 @pytest.mark.parametrize("lam, eta, probe, bound", [
     (0.5, 200.0, DEFAULT_PROBE, 1e-12),
     (0.4, 40.0, DEFAULT_PROBE, 1e-12),
-    (0.5, 40.0, ProbeParams(0.0, 1.0), 1e-12),        # decoupled probe
+    # all but decoupled: an echo sweep takes chi > 0 only, here 1e-8
+    (0.5, 40.0, ProbeParams(1e-4, 1.0), 1e-12),
     (0.9, 1000.0, DEFAULT_PROBE, 1e-12),
     (0.5, 40.0, ProbeParams(0.1, 0.2), 1e-12),        # outside the dispersive regime
     # above the transition the point solves the displaced frame at cutoff
@@ -260,7 +261,7 @@ def test_bare_chains_not_built_below_mean_field_photon_number(monkeypatch):
         return build_rabi_parity(p, n_max)
 
     monkeypatch.setattr(dynamics, "build_rabi_parity", counted)
-    lams = [lam for lam in default_config("fig5").lambda_grid if lam > 1.0]
+    lams = [lam for lam in FIGURE_DEFAULTS["fig5"].lambda_grid if lam > 1.0]
     for lam in lams:
         assert exact_ground_state(RabiParams(lam, 1e5), TOL).frame.name == "displaced"
     assert built == []
@@ -422,8 +423,7 @@ def test_effective_branches_carry_no_constant():
 def test_effective_ground_records_match_dense(tmp_path):
     # the fig1 (lam = 0.99) and fig2 (lam = 1.01) effective rows
     for figure in ("fig1", "fig2"):
-        cfg = default_config(figure)
-        cfg.methods = ["effective"]
+        cfg = dataclasses.replace(FIGURE_DEFAULTS[figure], methods=["effective"])
         points = run(cfg, tmp_path / figure)
         assert len(points) == len(cfg.eta_grid)
         report = json.loads((tmp_path / figure / "report.json").read_text(encoding="utf-8"))
@@ -467,10 +467,10 @@ def test_effective_even_search_matches_full_band_with_constant():
     # the effective method searches its cutoff on the constant-free even
     # block; the full band with the constant must pick the same cutoff, and
     # its ground energy there agree, on the fig1/fig2 and fig5 grids
-    fig5 = default_config("fig5")
+    fig5 = FIGURE_DEFAULTS["fig5"]
     cases = [(lam, eta) for figure in ("fig1", "fig2")
-             for lam in default_config(figure).lambda_grid
-             for eta in default_config(figure).eta_grid]
+             for lam in FIGURE_DEFAULTS[figure].lambda_grid
+             for eta in FIGURE_DEFAULTS[figure].eta_grid]
     cases += [(lam, eta) for lam in fig5.lambda_grid for eta in fig5.eta_grid]
     for lam, eta in cases:
         p = RabiParams(lam, eta)
